@@ -228,11 +228,13 @@ func (ix *Index) BatchKNNContext(ctx context.Context, queries [][]float64, k int
 // knobs and shard restriction (both already validated).
 func (ix *Index) batchKNNContext(ctx context.Context, queries [][]float64, k int, a Approx, shards ShardSpec) (_ [][]Neighbor, stats BatchStats, err error) {
 	start := time.Now()
+	// The span starts before the lock, so a wait behind Reorganize's
+	// write lock shows up in the events' Elapsed.
+	sp := ix.newSpan(ctx, "batch")
 	ix.mu.RLock()
 	defer ix.mu.RUnlock()
 	st := ix.st
 
-	sp := ix.newSpan(ctx, "batch")
 	defer func() {
 		if err != nil {
 			ix.reg.QueryErrors.Inc()

@@ -25,11 +25,8 @@ import (
 	"flag"
 	"fmt"
 	"net"
-	"net/http"
 	"os"
-	"os/signal"
 	"strings"
-	"syscall"
 	"time"
 
 	"parsearch"
@@ -101,44 +98,19 @@ func run(ctx context.Context, c config, ready chan<- string) error {
 		return err
 	}
 
-	ln, err := net.Listen("tcp", c.listen)
-	if err != nil {
-		return err
-	}
-	hs := &http.Server{Handler: srv.Handler()}
-	fmt.Fprintf(os.Stderr, "parsearch-coord: coordinating %d shard groups over %d disks at %s\n",
-		co.Groups(), co.Disks(), ln.Addr())
-	if ready != nil {
-		ready <- ln.Addr().String()
-	}
-
-	watchCtx, stopWatch := context.WithCancel(context.Background())
+	// The watch outlives ctx: shards keep being re-probed through the
+	// drain, for the fan-outs still in flight.
+	watchCtx, stopWatch := context.WithCancel(context.WithoutCancel(ctx))
 	defer stopWatch()
 	go co.WatchHealth(watchCtx, c.healthInterval)
 
-	serveErr := make(chan error, 1)
-	go func() { serveErr <- hs.Serve(ln) }()
-
-	select {
-	case <-ctx.Done():
-	case err := <-serveErr:
-		return err
-	}
-
-	fmt.Fprintln(os.Stderr, "parsearch-coord: draining")
-	drainCtx, cancel := context.WithTimeout(context.Background(), c.drainTimeout)
-	defer cancel()
-	if err := srv.Shutdown(drainCtx); err != nil {
-		fmt.Fprintf(os.Stderr, "parsearch-coord: drain incomplete: %v\n", err)
-	}
-	if err := hs.Shutdown(drainCtx); err != nil {
-		return err
-	}
-	if err := <-serveErr; !errors.Is(err, http.ErrServerClosed) {
-		return err
-	}
-	fmt.Fprintln(os.Stderr, "parsearch-coord: drained, bye")
-	return nil
+	return srv.ListenAndServe(ctx, "parsearch-coord", c.listen, c.drainTimeout, func(addr net.Addr) {
+		fmt.Fprintf(os.Stderr, "parsearch-coord: coordinating %d shard groups over %d disks at %s\n",
+			co.Groups(), co.Disks(), addr)
+		if ready != nil {
+			ready <- addr.String()
+		}
+	}, nil)
 }
 
 func main() {
@@ -149,9 +121,7 @@ func main() {
 		}
 		os.Exit(2)
 	}
-	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGTERM, syscall.SIGINT)
-	defer stop()
-	if err := run(ctx, c, nil); err != nil {
+	if err := run(context.Background(), c, nil); err != nil {
 		fmt.Fprintf(os.Stderr, "parsearch-coord: %v\n", err)
 		os.Exit(1)
 	}

@@ -27,10 +27,7 @@ import (
 	"flag"
 	"fmt"
 	"net"
-	"net/http"
 	"os"
-	"os/signal"
-	"syscall"
 	"time"
 
 	"parsearch"
@@ -220,50 +217,20 @@ func run(ctx context.Context, c config, ready chan<- string) error {
 		return err
 	}
 
-	ln, err := net.Listen("tcp", c.listen)
-	if err != nil {
-		return err
-	}
-	hs := &http.Server{Handler: srv.Handler()}
-	fmt.Fprintf(os.Stderr, "parsearchd: serving %d points on %d disks at %s\n",
-		ix.Len(), ix.Disks(), ln.Addr())
-	if ready != nil {
-		ready <- ln.Addr().String()
-	}
-
-	serveErr := make(chan error, 1)
-	go func() { serveErr <- hs.Serve(ln) }()
-
-	select {
-	case <-ctx.Done():
-	case err := <-serveErr:
-		return err
-	}
-
-	// Drain: first the query layer (in-flight queries complete, new
-	// ones get 503 through the still-open listener), then the HTTP
-	// layer closes idle connections and the listener.
-	fmt.Fprintln(os.Stderr, "parsearchd: draining")
-	drainCtx, cancel := context.WithTimeout(context.Background(), c.drainTimeout)
-	defer cancel()
-	if err := srv.Shutdown(drainCtx); err != nil {
-		fmt.Fprintf(os.Stderr, "parsearchd: drain incomplete: %v\n", err)
-	}
-	// With the query layer drained, close the index: the WAL is flushed
-	// to its sync point and further mutations are refused, so the next
-	// start recovers with no torn tail. Queries served during the HTTP
-	// wind-down below still work on a closed index.
-	if err := ix.Close(); err != nil {
-		fmt.Fprintf(os.Stderr, "parsearchd: closing index: %v\n", err)
-	}
-	if err := hs.Shutdown(drainCtx); err != nil {
-		return err
-	}
-	if err := <-serveErr; !errors.Is(err, http.ErrServerClosed) {
-		return err
-	}
-	fmt.Fprintln(os.Stderr, "parsearchd: drained, bye")
-	return nil
+	return srv.ListenAndServe(ctx, "parsearchd", c.listen, c.drainTimeout, func(addr net.Addr) {
+		fmt.Fprintf(os.Stderr, "parsearchd: serving %d points on %d disks at %s\n", ix.Len(), ix.Disks(), addr)
+		if ready != nil {
+			ready <- addr.String()
+		}
+	}, func() {
+		// With the query layer drained, close the index: the WAL is
+		// flushed to its sync point and further mutations are refused,
+		// so the next start recovers with no torn tail. Queries served
+		// during the HTTP wind-down still work on a closed index.
+		if err := ix.Close(); err != nil {
+			fmt.Fprintf(os.Stderr, "parsearchd: closing index: %v\n", err)
+		}
+	})
 }
 
 func main() {
@@ -274,9 +241,7 @@ func main() {
 		}
 		os.Exit(2)
 	}
-	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGTERM, syscall.SIGINT)
-	defer stop()
-	if err := run(ctx, c, nil); err != nil {
+	if err := run(context.Background(), c, nil); err != nil {
 		fmt.Fprintf(os.Stderr, "parsearchd: %v\n", err)
 		os.Exit(1)
 	}

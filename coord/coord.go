@@ -150,6 +150,32 @@ func (c *Coordinator) Disks() int { return c.cfg.Disks }
 // cluster-specific counters.
 func (c *Coordinator) Metrics() metrics.Snapshot { return c.reg.Snapshot() }
 
+// ShardStatus is one shard daemon's place in the cluster: shard i
+// primarily serves group i.
+type ShardStatus struct {
+	Base  string `json:"base"`
+	Group int    `json:"group"`
+	Down  bool   `json:"down"`
+}
+
+// Topology is the cluster layout with the current liveness view, the
+// "cluster" section of the coordinator's /statusz.
+type Topology struct {
+	Dim    int           `json:"dim"`
+	Disks  int           `json:"disks"`
+	Groups int           `json:"groups"`
+	Shards []ShardStatus `json:"shards"`
+}
+
+// Topology snapshots the cluster layout and per-shard liveness.
+func (c *Coordinator) Topology() Topology {
+	t := Topology{Dim: c.cfg.Dim, Disks: c.cfg.Disks, Groups: len(c.shards), Shards: make([]ShardStatus, len(c.shards))}
+	for i, sh := range c.shards {
+		t.Shards[i] = ShardStatus{Base: sh.base, Group: i, Down: sh.down.Load()}
+	}
+	return t
+}
+
 // owner returns the shard currently serving group g: g itself when
 // live, else the next live shard in the ring. -1 when every shard is
 // down.
@@ -371,6 +397,7 @@ func (c *Coordinator) finish(st *Stats, results []rpcResult, unserved []int, ret
 	for _, r := range results {
 		c.reg.PagesPerDisk.Add(r.shard, int64(r.stats.TotalPages+r.bstats.TotalPages))
 	}
+	c.reg.PagesSavedByRemoteBound.Add(int64(st.PagesSavedByRemoteBound))
 	if st.Degraded {
 		c.reg.DegradedQueries.Inc()
 	}

@@ -237,6 +237,26 @@ func TestClusterRemoteBound(t *testing.T) {
 		t.Error("PagesSavedByRemoteBound = 0 across 20 queries: the shipped bound never pruned")
 	}
 	snap := c.co.Metrics()
+	if snap.PagesSavedByRemoteBound != int64(savedTotal) {
+		t.Errorf("registry pages_saved_by_remote_bound = %d, want the per-query sum %d", snap.PagesSavedByRemoteBound, savedTotal)
+	}
+	front, err := NewServer(c.co, ServerConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec := httptest.NewRecorder()
+	front.Handler().ServeHTTP(rec, httptest.NewRequest("GET", "/statusz", nil))
+	var doc struct {
+		Metrics struct {
+			PagesSavedByRemoteBound int64 `json:"pages_saved_by_remote_bound"`
+		} `json:"metrics"`
+	}
+	if err := json.Unmarshal(rec.Body.Bytes(), &doc); err != nil {
+		t.Fatal(err)
+	}
+	if doc.Metrics.PagesSavedByRemoteBound != int64(savedTotal) {
+		t.Errorf("/statusz pages_saved_by_remote_bound = %d, want %d", doc.Metrics.PagesSavedByRemoteBound, savedTotal)
+	}
 	if snap.RemoteBoundTightenings < int64(boundsShipped) {
 		t.Errorf("registry remote_bound_tightenings = %d, want >= %d", snap.RemoteBoundTightenings, boundsShipped)
 	}
@@ -508,6 +528,14 @@ func TestCoordServerEndToEnd(t *testing.T) {
 				Down bool `json:"down"`
 			} `json:"shards"`
 		} `json:"cluster"`
+		Serving struct {
+			MaxQueue          int     `json:"max_queue"`
+			DefaultTimeoutMs  float64 `json:"default_timeout_ms"`
+			CoalescingEnabled bool    `json:"coalescing_enabled"`
+			Stats             struct {
+				Requests int64 `json:"requests"`
+			} `json:"stats"`
+		} `json:"serving"`
 		Metrics struct {
 			ShardRPCs int64 `json:"shard_rpcs"`
 		} `json:"metrics"`
@@ -521,6 +549,11 @@ func TestCoordServerEndToEnd(t *testing.T) {
 	}
 	if doc.Metrics.ShardRPCs < 1 {
 		t.Errorf("statusz shard_rpcs = %d, want >= 1", doc.Metrics.ShardRPCs)
+	}
+	// The serving block is the shard daemon's, with its defaults; the
+	// coordinator never coalesces.
+	if sv := doc.Serving; sv.MaxQueue != 128 || sv.DefaultTimeoutMs != 10000 || sv.CoalescingEnabled || sv.Stats.Requests < 1 {
+		t.Errorf("statusz serving block %+v, want max_queue 128, 10s timeout, no coalescing, >= 1 request", sv)
 	}
 
 	// Drain: new queries bounce with 503/draining.

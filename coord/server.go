@@ -2,400 +2,88 @@ package coord
 
 import (
 	"context"
-	"encoding/json"
-	"errors"
-	"expvar"
 	"fmt"
-	"io"
-	"math"
-	"net/http"
 	"time"
 
 	"parsearch"
-	"parsearch/internal/admit"
+	"parsearch/internal/metrics"
 	"parsearch/internal/wire"
+	"parsearch/server"
 )
 
-// ServerConfig configures the coordinator's HTTP front. The knobs
-// mirror the shard daemon's server.Config; zero values select the
-// same defaults.
-type ServerConfig struct {
-	// MaxInFlight bounds the queries fanned out concurrently; MaxQueue
-	// the requests waiting for a slot (defaults 64 and 256).
-	MaxInFlight, MaxQueue int
-	// DefaultTimeout applies when a request brings no deadline
-	// (default 30s).
-	DefaultTimeout time.Duration
-	// MaxBodyBytes bounds a request body (default 8 MiB);
-	// MaxBatchRequest the queries of one batch (default 1024).
-	MaxBodyBytes    int64
-	MaxBatchRequest int
-	// ExpvarName, when non-empty, publishes the coordinator registry
-	// under this expvar name (rendered on /varz).
-	ExpvarName string
-}
+// ServerConfig configures the coordinator's HTTP front: it is the
+// shard daemon's server.Config, defaults included. The coalescing
+// knobs are ignored — the coordinator never coalesces (a lone request
+// would wait out the whole window before its fan-out even starts).
+type ServerConfig = server.Config
 
-func (c ServerConfig) withDefaults() ServerConfig {
-	if c.MaxInFlight <= 0 {
-		c.MaxInFlight = 64
-	}
-	if c.MaxQueue <= 0 {
-		c.MaxQueue = 256
-	}
-	if c.DefaultTimeout <= 0 {
-		c.DefaultTimeout = 30 * time.Second
-	}
-	if c.MaxBodyBytes <= 0 {
-		c.MaxBodyBytes = 8 << 20
-	}
-	if c.MaxBatchRequest <= 0 {
-		c.MaxBatchRequest = 1024
-	}
-	return c
-}
-
-// Server is the coordinator's HTTP front: the same /v1 query surface
-// as a shard daemon (so package client works against a cluster
-// unchanged), plus healthz/varz/statusz, with admission control and
-// graceful drain at the cluster entrance. Create with NewServer,
-// mount Handler(), stop with Shutdown.
-type Server struct {
-	co   *Coordinator
-	cfg  ServerConfig
-	adm  *admit.Admission
-	gate *admit.Gate
-	mux  *http.ServeMux
-}
-
-// NewServer returns the HTTP front of a coordinator.
-func NewServer(co *Coordinator, cfg ServerConfig) (*Server, error) {
+// NewServer returns the HTTP front of a coordinator: the one front of
+// package server over the cluster, so package client works against a
+// cluster unchanged, with admission control and graceful drain at the
+// cluster entrance.
+func NewServer(co *Coordinator, cfg ServerConfig) (*server.Server, error) {
 	if co == nil {
 		return nil, fmt.Errorf("coord: nil coordinator")
 	}
-	cfg = cfg.withDefaults()
-	s := &Server{
-		co:   co,
-		cfg:  cfg,
-		adm:  admit.New(cfg.MaxInFlight, cfg.MaxQueue),
-		gate: &admit.Gate{},
-	}
-	if cfg.ExpvarName != "" && expvar.Get(cfg.ExpvarName) == nil {
-		expvar.Publish(cfg.ExpvarName, expvar.Func(func() any { return co.Metrics() }))
-	}
-	mux := http.NewServeMux()
-	mux.HandleFunc("POST /v1/knn", s.handleKNN)
-	mux.HandleFunc("POST /v1/range", s.handleRange)
-	mux.HandleFunc("POST /v1/partialmatch", s.handlePartialMatch)
-	mux.HandleFunc("POST /v1/batch", s.handleBatch)
-	mux.HandleFunc("GET /healthz", s.handleHealthz)
-	mux.Handle("GET /varz", expvar.Handler())
-	mux.HandleFunc("GET /statusz", s.handleStatusz)
-	s.mux = mux
-	return s, nil
+	return server.NewFront(searcher{co}, cfg)
 }
 
-// Handler returns the HTTP handler serving all endpoints.
-func (s *Server) Handler() http.Handler { return s.mux }
+// searcher adapts a Coordinator to the front's seam. It holds only
+// what is specific to a cluster: the refusal of the coordinator's own
+// wire fields, the shard re-probe behind /healthz and the topology.
+type searcher struct{ co *Coordinator }
 
-// Shutdown drains the coordinator front: new requests are rejected
-// with 503, queued requests are woken and rejected, and Shutdown
-// blocks until every in-flight fan-out has completed or ctx expires.
-// Idempotent; the HTTP listener is the caller's to close afterwards.
-func (s *Server) Shutdown(ctx context.Context) error {
-	if s.gate.Close() {
-		s.adm.CloseDrain()
+func (s searcher) Dim() int { return s.co.Dim() }
+
+// refuse rejects the bound and shard fields: the coordinator owns the
+// partition and the bound protocol, and honoring a caller's
+// restriction would silently return partial answers.
+func refuse(o server.QueryOpts) error {
+	if o.Bound != nil || o.Shard != nil {
+		return fmt.Errorf("coord: bound/shard are coordinator-internal fields: %w", server.ErrBadRequest)
 	}
-	return s.gate.Wait(ctx)
+	return nil
 }
 
-func (s *Server) reqCtx(r *http.Request) (context.Context, context.CancelFunc) {
-	ctx := r.Context()
-	if _, ok := ctx.Deadline(); !ok {
-		return context.WithTimeout(ctx, s.cfg.DefaultTimeout)
+func (s searcher) KNN(ctx context.Context, q []float64, k int, o server.QueryOpts) ([]parsearch.Neighbor, any, error) {
+	if err := refuse(o); err != nil {
+		return nil, nil, err
 	}
-	return ctx, func() {}
+	return s.co.KNNApprox(ctx, q, k, o.Approx(parsearch.Approx{}))
 }
 
-// enter runs admission control; on failure the rejection is written
-// and the caller must return, on success it must defer exit().
-func (s *Server) enter(ctx context.Context, w http.ResponseWriter) bool {
-	if err := s.adm.Acquire(ctx); err != nil {
-		writeAdmissionError(w, err)
-		return false
+func (s searcher) Range(ctx context.Context, min, max []float64, o server.QueryOpts) ([]parsearch.Neighbor, any, error) {
+	if err := refuse(o); err != nil {
+		return nil, nil, err
 	}
-	if err := s.gate.Enter(); err != nil {
-		s.adm.Release()
-		writeAdmissionError(w, err)
-		return false
-	}
-	return true
+	return s.co.Range(ctx, min, max)
 }
 
-func (s *Server) exit() {
-	s.gate.Exit()
-	s.adm.Release()
+func (s searcher) PartialMatch(ctx context.Context, spec []float64, eps float64, o server.QueryOpts) ([]parsearch.Neighbor, any, error) {
+	if err := refuse(o); err != nil {
+		return nil, nil, err
+	}
+	return s.co.PartialMatch(ctx, spec, eps)
 }
 
-func writeAdmissionError(w http.ResponseWriter, err error) {
-	switch {
-	case errors.Is(err, admit.ErrQueueFull):
-		w.Header().Set("Retry-After", "1")
-		writeError(w, http.StatusTooManyRequests, wire.CodeQueueFull, err)
-	case errors.Is(err, admit.ErrDraining):
-		w.Header().Set("Retry-After", "1")
-		writeError(w, http.StatusServiceUnavailable, wire.CodeDraining, err)
-	default:
-		writeError(w, http.StatusGatewayTimeout, wire.CodeDeadline, err)
+func (s searcher) BatchKNN(ctx context.Context, queries [][]float64, k int, o server.QueryOpts) ([][]parsearch.Neighbor, any, error) {
+	if err := refuse(o); err != nil {
+		return nil, nil, err
 	}
+	return s.co.BatchKNNApprox(ctx, queries, k, o.Approx(parsearch.Approx{}))
 }
 
-// writeQueryError maps a coordinator error to its status code,
-// mirroring the shard daemon so client error mapping keeps working.
-func writeQueryError(w http.ResponseWriter, err error) {
-	switch {
-	case errors.Is(err, parsearch.ErrEmpty):
-		writeError(w, http.StatusNotFound, wire.CodeEmpty, err)
-	case errors.Is(err, parsearch.ErrUnavailable):
-		w.Header().Set("Retry-After", "1")
-		writeError(w, http.StatusServiceUnavailable, wire.CodeUnavailable, err)
-	case errors.Is(err, context.DeadlineExceeded), errors.Is(err, context.Canceled):
-		writeError(w, http.StatusGatewayTimeout, wire.CodeDeadline, err)
-	default:
-		writeError(w, http.StatusInternalServerError, wire.CodeInternal, err)
-	}
-}
-
-func writeError(w http.ResponseWriter, status int, code string, err error) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	_ = json.NewEncoder(w).Encode(wire.ErrorResponse{Error: err.Error(), Code: code})
-}
-
-func writeJSON(w http.ResponseWriter, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	_ = json.NewEncoder(w).Encode(v)
-}
-
-func (s *Server) readBody(w http.ResponseWriter, r *http.Request) ([]byte, bool) {
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes))
-	if err != nil {
-		writeError(w, http.StatusBadRequest, wire.CodeBadRequest, fmt.Errorf("coord: reading body: %w", err))
-		return nil, false
-	}
-	return body, true
-}
-
-// rejectClusterFields refuses client-supplied shard/bound fields: the
-// coordinator owns the partition and the bound protocol, and honoring
-// a caller's restriction would silently return partial answers.
-func rejectClusterFields(w http.ResponseWriter, bound *float64, shard *wire.ShardSpec) bool {
-	if bound != nil || shard != nil {
-		writeError(w, http.StatusBadRequest, wire.CodeBadRequest,
-			fmt.Errorf("coord: bound/shard are coordinator-internal fields"))
-		return false
-	}
-	return true
-}
-
-func wireNeighbors(ns []parsearch.Neighbor) []wire.Neighbor {
-	if len(ns) == 0 {
-		return nil
-	}
-	out := make([]wire.Neighbor, len(ns))
-	for i, n := range ns {
-		out[i] = wire.Neighbor{ID: n.ID, Point: n.Point, Dist: n.Dist}
-	}
-	return out
-}
-
-func rawStats(v any) json.RawMessage {
-	b, err := json.Marshal(v)
-	if err != nil {
-		return nil
-	}
-	return b
-}
-
-func (s *Server) approxOf(epsilon, recallTarget *float64) parsearch.Approx {
-	var a parsearch.Approx
-	if epsilon != nil {
-		a.Epsilon = *epsilon
-	}
-	if recallTarget != nil {
-		a.RecallTarget = *recallTarget
-	}
-	return a
-}
-
-func (s *Server) handleKNN(w http.ResponseWriter, r *http.Request) {
-	body, ok := s.readBody(w, r)
-	if !ok {
-		return
-	}
-	req, err := wire.DecodeKNN(body, s.co.Dim())
-	if err != nil {
-		writeError(w, http.StatusBadRequest, wire.CodeBadRequest, err)
-		return
-	}
-	if !rejectClusterFields(w, req.Bound, req.Shard) {
-		return
-	}
-	ctx, cancel := s.reqCtx(r)
-	defer cancel()
-	if !s.enter(ctx, w) {
-		return
-	}
-	defer s.exit()
-
-	ns, stats, err := s.co.KNNApprox(ctx, req.Query, req.K, s.approxOf(req.Epsilon, req.RecallTarget))
-	if err != nil {
-		writeQueryError(w, err)
-		return
-	}
-	writeJSON(w, wire.QueryResponse{Neighbors: wireNeighbors(ns), Stats: rawStats(stats)})
-}
-
-func (s *Server) handleRange(w http.ResponseWriter, r *http.Request) {
-	body, ok := s.readBody(w, r)
-	if !ok {
-		return
-	}
-	req, err := wire.DecodeRange(body, s.co.Dim())
-	if err != nil {
-		writeError(w, http.StatusBadRequest, wire.CodeBadRequest, err)
-		return
-	}
-	if !rejectClusterFields(w, nil, req.Shard) {
-		return
-	}
-	ctx, cancel := s.reqCtx(r)
-	defer cancel()
-	if !s.enter(ctx, w) {
-		return
-	}
-	defer s.exit()
-
-	ns, stats, err := s.co.Range(ctx, req.Min, req.Max)
-	if err != nil {
-		writeQueryError(w, err)
-		return
-	}
-	writeJSON(w, wire.QueryResponse{Neighbors: wireNeighbors(ns), Stats: rawStats(stats)})
-}
-
-func (s *Server) handlePartialMatch(w http.ResponseWriter, r *http.Request) {
-	body, ok := s.readBody(w, r)
-	if !ok {
-		return
-	}
-	req, err := wire.DecodePartialMatch(body, s.co.Dim())
-	if err != nil {
-		writeError(w, http.StatusBadRequest, wire.CodeBadRequest, err)
-		return
-	}
-	if !rejectClusterFields(w, nil, req.Shard) {
-		return
-	}
-	spec := make([]float64, len(req.Spec))
-	for i, v := range req.Spec {
-		if v == nil {
-			spec[i] = math.NaN()
-		} else {
-			spec[i] = *v
-		}
-	}
-	ctx, cancel := s.reqCtx(r)
-	defer cancel()
-	if !s.enter(ctx, w) {
-		return
-	}
-	defer s.exit()
-
-	ns, stats, err := s.co.PartialMatch(ctx, spec, req.Eps)
-	if err != nil {
-		writeQueryError(w, err)
-		return
-	}
-	writeJSON(w, wire.QueryResponse{Neighbors: wireNeighbors(ns), Stats: rawStats(stats)})
-}
-
-func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
-	body, ok := s.readBody(w, r)
-	if !ok {
-		return
-	}
-	req, err := wire.DecodeBatch(body, s.co.Dim(), s.cfg.MaxBatchRequest)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, wire.CodeBadRequest, err)
-		return
-	}
-	if !rejectClusterFields(w, req.Bound, req.Shard) {
-		return
-	}
-	ctx, cancel := s.reqCtx(r)
-	defer cancel()
-	if !s.enter(ctx, w) {
-		return
-	}
-	defer s.exit()
-
-	results, stats, err := s.co.BatchKNNApprox(ctx, req.Queries, req.K, s.approxOf(req.Epsilon, req.RecallTarget))
-	if err != nil {
-		writeQueryError(w, err)
-		return
-	}
-	out := make([][]wire.Neighbor, len(results))
-	for i, ns := range results {
-		out[i] = wireNeighbors(ns)
-	}
-	writeJSON(w, wire.BatchResponse{Results: out, Stats: rawStats(stats)})
-}
-
-// handleHealthz reports the cluster state: 200 for ok/rerouted, 503
-// when some group has no live shard. Each GET re-probes the shards, so
-// a load balancer's health checks double as the recovery path.
-func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	ctx, cancel := context.WithTimeout(r.Context(), 5*time.Second)
+// Health re-probes the shards before reporting, so a load balancer's
+// health checks double as the recovery path.
+func (s searcher) Health(ctx context.Context) wire.Health {
+	ctx, cancel := context.WithTimeout(ctx, 5*time.Second)
 	defer cancel()
 	s.co.CheckHealth(ctx)
-	h := s.co.Health()
-	h.Draining = s.gate.IsDraining()
-	status := http.StatusOK
-	if h.Status == "degraded" {
-		status = http.StatusServiceUnavailable
-	}
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	_ = json.NewEncoder(w).Encode(h)
+	return s.co.Health()
 }
 
-// handleStatusz dumps the cluster topology, per-shard liveness, the
-// serving knobs, and the coordinator metrics snapshot.
-func (s *Server) handleStatusz(w http.ResponseWriter, r *http.Request) {
-	type shardStatus struct {
-		Base  string `json:"base"`
-		Group int    `json:"group"`
-		Down  bool   `json:"down"`
-	}
-	shards := make([]shardStatus, len(s.co.shards))
-	for i, sh := range s.co.shards {
-		shards[i] = shardStatus{Base: sh.base, Group: i, Down: sh.down.Load()}
-	}
-	inflight, queued := s.adm.InFlight()
-	writeJSON(w, map[string]any{
-		"cluster": map[string]any{
-			"dim":    s.co.Dim(),
-			"disks":  s.co.Disks(),
-			"groups": s.co.Groups(),
-			"shards": shards,
-		},
-		"serving": map[string]any{
-			"max_in_flight": s.cfg.MaxInFlight,
-			"max_queue":     s.cfg.MaxQueue,
-			"in_flight":     inflight,
-			"queued":        queued,
-			"draining":      s.gate.IsDraining(),
-		},
-		"metrics": s.co.Metrics(),
-	})
+func (s searcher) Status() map[string]any {
+	return map[string]any{"cluster": s.co.Topology()}
 }
+
+func (s searcher) Metrics() metrics.Snapshot { return s.co.Metrics() }

@@ -417,25 +417,25 @@ func (r *Registry) Snapshot() Snapshot {
 // histograms. Everything is little-endian int64s, so the format is
 // fixed-length for a given disk count and version.
 //
-// Version history: v1 had 12 scalar counters and 2 histograms; v2
-// appended the three cooperative-pruning counters; v3 appended the
-// DistCompsSaved counter and the QueryWallNs histogram; v4 appended
-// the five durability counters and the WALFsyncNs histogram; v5
-// appended the three live-mutation counters; v6 appended the two
-// approximate-tier counters and the LSHProbePages histogram; v7
-// appended the four cluster counters and the ShardLatencyNs histogram.
-// Decoding accepts all of them (older encodings leave the newer fields
-// zero), encoding always writes the current version.
-const (
-	codecMagic     = uint32(0x4d545231) // "MTR1"
-	codecVersion   = uint32(7)
-	codecV1Scalars = 12
-	codecV2Scalars = 15
-	codecV3Scalars = 16
-	codecV4Scalars = 21
-	codecV5Scalars = 24
-	codecV6Scalars = 26
-)
+// Decoding accepts every version (older encodings leave the newer
+// fields zero), encoding always writes the current one.
+const codecMagic = uint32(0x4d545231) // "MTR1"
+
+// codecLayouts[v-1] is how many of the scalar counters (see scalars)
+// and of the histograms (see histograms) version v encodes. Both lists
+// are append-only, so a version is a prefix of each; adding a counter
+// or a histogram is one appended row here and one appended entry there.
+var codecLayouts = [...]struct{ scalars, hists int }{
+	{12, 2}, // v1
+	{15, 2}, // v2: the three cooperative-pruning counters
+	{16, 3}, // v3: DistCompsSaved, QueryWallNs
+	{21, 4}, // v4: the five durability counters, WALFsyncNs
+	{24, 4}, // v5: the three live-mutation counters
+	{26, 5}, // v6: the two approximate-tier counters, LSHProbePages
+	{30, 6}, // v7: the four cluster counters, ShardLatencyNs
+}
+
+const codecVersion = uint32(len(codecLayouts))
 
 // scalars lists the scalar counters in encoding order. Append-only:
 // decoding older versions relies on the prefix staying stable.
@@ -457,8 +457,7 @@ func (r *Registry) scalars() []*Counter {
 }
 
 // histograms lists the histograms in encoding order, append-only like
-// scalars (v1/v2 encoded only the first two, v3 the first three, v4/v5
-// the first four, v6 the first five).
+// scalars.
 func (r *Registry) histograms() []*Histogram {
 	return []*Histogram{&r.QueryPages, &r.QueryTimeNs, &r.QueryWallNs, &r.WALFsyncNs, &r.LSHProbePages, &r.ShardLatencyNs}
 }
@@ -552,24 +551,10 @@ func (r *Registry) UnmarshalBinary(data []byte) error {
 		return fmt.Errorf("metrics: encoding for %d disks, registry has %d", disks, r.Disks())
 	}
 
+	layout := codecLayouts[version-1]
 	scalars := r.scalars()
-	encoded := len(scalars)
-	switch version {
-	case 1:
-		encoded = codecV1Scalars
-	case 2:
-		encoded = codecV2Scalars
-	case 3:
-		encoded = codecV3Scalars
-	case 4:
-		encoded = codecV4Scalars
-	case 5:
-		encoded = codecV5Scalars
-	case 6:
-		encoded = codecV6Scalars
-	}
 	vals := make([]int64, len(scalars))
-	for i := 0; i < encoded; i++ {
+	for i := 0; i < layout.scalars; i++ {
 		v, err := d.i64()
 		if err != nil {
 			return err
@@ -597,18 +582,7 @@ func (r *Registry) UnmarshalBinary(data []byte) error {
 		count, sum int64
 		buckets    []int64
 	}
-	encodedHists := len(r.histograms())
-	switch {
-	case version < 3:
-		encodedHists = 2
-	case version < 4:
-		encodedHists = 3
-	case version < 6:
-		encodedHists = 4
-	case version < 7:
-		encodedHists = 5
-	}
-	hists := make([]histVals, encodedHists)
+	hists := make([]histVals, layout.hists)
 	for h := range hists {
 		var hv histVals
 		if hv.count, err = d.i64(); err != nil {

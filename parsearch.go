@@ -1420,11 +1420,13 @@ func (ix *Index) KNNShardContext(ctx context.Context, q []float64, k int, a Appr
 // knobs and shard restriction (both already validated).
 func (ix *Index) knnContext(ctx context.Context, q []float64, k int, a Approx, shards ShardSpec) (_ []Neighbor, stats QueryStats, err error) {
 	start := time.Now()
+	// The span starts before the lock, so a wait behind Reorganize's
+	// write lock shows up in the events' Elapsed.
+	sp := ix.newSpan(ctx, "knn")
 	ix.mu.RLock()
 	defer ix.mu.RUnlock()
 	st := ix.st
 
-	sp := ix.newSpan(ctx, "knn")
 	defer func() {
 		if err != nil {
 			ix.reg.QueryErrors.Inc()

@@ -50,11 +50,13 @@ func (ix *Index) RangeQueryShardContext(ctx context.Context, min, max []float64,
 
 func (ix *Index) rangeQueryContext(ctx context.Context, min, max []float64, shards ShardSpec) (_ []Neighbor, stats QueryStats, err error) {
 	start := time.Now()
+	// The span starts before the lock, so a wait behind Reorganize's
+	// write lock shows up in the events' Elapsed.
+	sp := ix.newSpan(ctx, "range")
 	ix.mu.RLock()
 	defer ix.mu.RUnlock()
 	st := ix.st
 
-	sp := ix.newSpan(ctx, "range")
 	defer func() {
 		if err != nil {
 			ix.reg.QueryErrors.Inc()

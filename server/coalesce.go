@@ -58,15 +58,17 @@ type group struct {
 
 // coalescer groups single-query KNN requests by k and approx knobs.
 type coalescer struct {
-	srv *Server
+	ix    *parsearch.Index
+	cfg   Config
+	stats *serverStats
 	// mu guards groups and every group's slices; flush detaches a
 	// group under mu and runs the batch outside it.
 	mu     sync.Mutex
 	groups map[groupKey]*group
 }
 
-func newCoalescer(s *Server) *coalescer {
-	return &coalescer{srv: s, groups: make(map[groupKey]*group)}
+func newCoalescer(ix *parsearch.Index, cfg Config, stats *serverStats) *coalescer {
+	return &coalescer{ix: ix, cfg: cfg, stats: stats, groups: make(map[groupKey]*group)}
 }
 
 // submit enqueues one single-query KNN request and blocks until its
@@ -84,11 +86,11 @@ func (c *coalescer) submit(ctx context.Context, q []float64, k int, a parsearch.
 		// The window timer flushes the group even if no further
 		// request joins; AfterFunc runs on its own goroutine, so a
 		// full group flushed early just finds itself already detached.
-		g.timer = time.AfterFunc(c.srv.cfg.CoalesceWindow, func() { c.flushTimed(key, g) })
+		g.timer = time.AfterFunc(c.cfg.CoalesceWindow, func() { c.flushTimed(key, g) })
 	}
 	g.queries = append(g.queries, q)
 	g.waiters = append(g.waiters, ch)
-	full := len(g.queries) >= c.srv.cfg.MaxBatch
+	full := len(g.queries) >= c.cfg.MaxBatch
 	if full {
 		// Detach: the filling request runs the batch itself.
 		delete(c.groups, key)
@@ -124,18 +126,21 @@ func (c *coalescer) flushTimed(key groupKey, g *group) {
 }
 
 // run executes one detached group as a single BatchKNN call and fans
-// the per-item results back out to the waiters. The batch runs under
-// the server's batch context (carrying the configured tracer), not any
-// single requester's: the group outlives each individual deadline, and
+// the per-item results back out to the waiters. The batch runs under a
+// context of its own (carrying the configured tracer), not any single
+// requester's: the group outlives each individual deadline, and
 // in-flight groups must complete during drain.
 func (c *coalescer) run(g *group, key groupKey) {
-	s := c.srv
-	s.stats.coalescedBatches.Add(1)
-	s.stats.coalescedQueries.Add(int64(len(g.queries)))
-	s.stats.maxCoalesced.max(int64(len(g.queries)))
+	c.stats.coalescedBatches.Add(1)
+	c.stats.coalescedQueries.Add(int64(len(g.queries)))
+	c.stats.maxCoalesced.max(int64(len(g.queries)))
 
+	ctx := context.Background()
+	if c.cfg.Tracer != nil {
+		ctx = parsearch.WithTracer(ctx, c.cfg.Tracer)
+	}
 	a := parsearch.Approx{Epsilon: key.epsilon, RecallTarget: key.recallTarget}
-	results, bs, err := s.ix.BatchKNNApproxContext(s.batchCtx(), g.queries, key.k, a)
+	results, bs, err := c.ix.BatchKNNApproxContext(ctx, g.queries, key.k, a)
 	for i, ch := range g.waiters {
 		if err != nil {
 			ch <- coalesceResult{err: err}

@@ -1,6 +1,8 @@
-// Package server exposes a parsearch.Index over HTTP/JSON — the
-// query-serving subsystem of the engine. The daemon wrapping it is
-// cmd/parsearchd; the typed client is package client.
+// Package server is the one HTTP/JSON front of parsearch — the
+// query-serving subsystem. It serves a Searcher: an in-process
+// parsearch.Index (New; the daemon is cmd/parsearchd) or a cluster
+// behind a coord.Coordinator (coord.NewServer; cmd/parsearch-coord).
+// The typed client is package client, and it cannot tell the two apart.
 //
 // Endpoints:
 //
@@ -8,20 +10,23 @@
 //	POST /v1/range        {"min":[...], "max":[...]}
 //	POST /v1/partialmatch {"spec":[0.5, null, ...], "eps":0.1}
 //	POST /v1/batch        {"queries":[[...], ...], "k":10}
-//	GET  /healthz         liveness + degraded/unreachable-disk state
-//	GET  /varz            expvar dump (Index.PublishExpvar registry)
-//	GET  /statusz         index config + serving stats + metrics snapshot
+//	POST /v1/catchup      snapshot+delta shipping (index backend only)
+//	GET  /healthz         liveness + degraded/rerouted/draining state
+//	GET  /varz            expvar dump (the backend's metrics registry)
+//	GET  /statusz         backend status + serving stats + metrics snapshot
 //
-// The request pipeline layers three mechanisms over the engine:
+// The request pipeline layers three mechanisms over the backend:
 //
-//   - Coalescing: concurrent single-query /v1/knn requests with the
-//     same k are merged into one BatchKNN call (see coalesce.go).
-//   - Admission control: at most MaxInFlight requests touch the engine
+//   - Admission control: at most MaxInFlight requests touch the backend
 //     concurrently; up to MaxQueue more wait, each bounded by its own
 //     deadline. Beyond that the server answers 429 (see internal/admit).
 //   - Graceful drain: Shutdown stops admitting (503), lets every
 //     in-flight request — including pending coalescing windows —
 //     complete, then returns. Zero requests are dropped mid-flight.
+//   - Coalescing, behind the seam and for an index only: concurrent
+//     single-query /v1/knn requests with the same k are merged into one
+//     BatchKNN call (see coalesce.go). A coordinator never coalesces: a
+//     lone request would wait out the whole window before its fan-out.
 //
 // Every request runs through the engine's *Context query variants, so
 // deadlines propagate into the shard fan-out, the configured tracer
@@ -42,11 +47,13 @@ import (
 
 	"parsearch"
 	"parsearch/internal/admit"
+	"parsearch/internal/metrics"
 	"parsearch/internal/wire"
 )
 
 // Config are the serving knobs. The zero value selects the documented
-// defaults.
+// defaults. CoalesceWindow, MaxBatch and DisableCoalescing configure
+// the index backend's coalescer and mean nothing to any other Searcher.
 type Config struct {
 	// CoalesceWindow is how long an open coalescing group waits for
 	// further same-k KNN requests before flushing; default 2ms.
@@ -74,11 +81,11 @@ type Config struct {
 	// Tracer, when non-nil, receives the engine's span events for
 	// every served query (attached via parsearch.WithTracer).
 	Tracer parsearch.Tracer
-	// ExpvarName publishes the index metrics under this expvar name
+	// ExpvarName publishes the backend's metrics under this expvar name
 	// ("" skips publishing; /varz then still dumps whatever is
 	// published process-wide). Publishing an already-taken name is not
-	// an error — the first publisher wins, matching PublishExpvar's
-	// global-registry semantics.
+	// an error — the first publisher wins, the expvar registry being
+	// global and permanent.
 	ExpvarName string
 }
 
@@ -120,8 +127,9 @@ func (m *maxInt64) max(n int64) {
 	}
 }
 
-// serverStats are the serving-layer counters (the engine's own query
-// metrics live in the index registry).
+// serverStats are the serving-layer counters (the backend's own query
+// metrics live in its registry). The front counts admissions and
+// rejections; the index backend's coalescer counts the coalesced ones.
 type serverStats struct {
 	requests         atomic.Int64 // admitted query requests, by outcome below
 	rejectedQueue    atomic.Int64 // 429: queue full
@@ -157,16 +165,66 @@ type Stats struct {
 	Draining bool `json:"draining"`
 }
 
-// Server serves one Index over HTTP. Create with New, mount
-// Handler(), stop with Shutdown.
+// QueryOpts are the optional wire fields a query request may carry.
+// Epsilon and RecallTarget are the client's approximate-tier knobs;
+// Bound and Shard are what a coordinator ships to a shard.
+type QueryOpts struct {
+	Epsilon, RecallTarget, Bound *float64
+	Shard                        *wire.ShardSpec
+}
+
+// Approx overlays the knobs the request carries on base, the backend's
+// defaults (the wire decoder has already range-validated them).
+func (o QueryOpts) Approx(base parsearch.Approx) parsearch.Approx {
+	if o.Epsilon != nil {
+		base.Epsilon = *o.Epsilon
+	}
+	if o.RecallTarget != nil {
+		base.RecallTarget = *o.RecallTarget
+	}
+	if o.Bound != nil {
+		base.Bound = *o.Bound
+	}
+	return base
+}
+
+// ErrBadRequest marks a Searcher error as the client's: the front
+// answers 400 instead of 500.
+var ErrBadRequest = errors.New("bad request")
+
+// Searcher is the seam between the HTTP front and what answers the
+// queries. There are two implementations: one over an in-process
+// parsearch.Index (see New) and one over a coord.Coordinator. The
+// front owns decoding, admission, deadlines, drain and the error
+// mapping; a Searcher owns everything that differs between one
+// process and many. Each query returns its statistics in the
+// backend's own type, marshalled into the response as is.
+type Searcher interface {
+	Dim() int
+	KNN(ctx context.Context, q []float64, k int, o QueryOpts) ([]parsearch.Neighbor, any, error)
+	Range(ctx context.Context, min, max []float64, o QueryOpts) ([]parsearch.Neighbor, any, error)
+	// PartialMatch takes the spec with parsearch.Wildcard for
+	// unspecified dimensions.
+	PartialMatch(ctx context.Context, spec []float64, eps float64, o QueryOpts) ([]parsearch.Neighbor, any, error)
+	BatchKNN(ctx context.Context, queries [][]float64, k int, o QueryOpts) ([][]parsearch.Neighbor, any, error)
+	// Health reports the backend's state as "ok", "rerouted" or
+	// "degraded"; the front overrides it with "draining".
+	Health(ctx context.Context) wire.Health
+	// Status returns the backend's sections of the /statusz document,
+	// keyed by section name; the front adds "serving" and "metrics".
+	Status() map[string]any
+	Metrics() metrics.Snapshot
+}
+
+// Server is the HTTP front over one Searcher. Create with New or
+// NewFront, mount Handler(), stop with Shutdown.
 type Server struct {
-	ix    *parsearch.Index
+	sr    Searcher
 	cfg   Config
 	adm   *admit.Admission
 	gate  *admit.Gate
-	coal  *coalescer
 	mux   *http.ServeMux
-	stats serverStats
+	stats *serverStats
 }
 
 // New returns a server over the index. The configuration is validated
@@ -179,30 +237,48 @@ func New(ix *parsearch.Index, cfg Config) (*Server, error) {
 	if cfg.MaxBatch > cfg.MaxBatchRequest {
 		return nil, fmt.Errorf("server: MaxBatch %d exceeds MaxBatchRequest %d", cfg.MaxBatch, cfg.MaxBatchRequest)
 	}
-	s := &Server{
-		ix:   ix,
-		cfg:  cfg,
-		adm:  admit.New(cfg.MaxInFlight, cfg.MaxQueue),
-		gate: &admit.Gate{},
-	}
-	s.coal = newCoalescer(s)
-	if cfg.ExpvarName != "" {
-		// The expvar registry is global and permanent; a taken name
-		// (say, a previous server over the same index) is fine — the
-		// earlier publisher keeps serving its registry.
-		_ = ix.PublishExpvar(cfg.ExpvarName)
-	}
-	mux := http.NewServeMux()
-	mux.HandleFunc("POST /v1/knn", s.handleKNN)
-	mux.HandleFunc("POST /v1/range", s.handleRange)
-	mux.HandleFunc("POST /v1/partialmatch", s.handlePartialMatch)
-	mux.HandleFunc("POST /v1/batch", s.handleBatch)
-	mux.HandleFunc("POST /v1/catchup", s.handleCatchup)
-	mux.HandleFunc("GET /healthz", s.handleHealthz)
-	mux.Handle("GET /varz", expvar.Handler())
-	mux.HandleFunc("GET /statusz", s.handleStatusz)
-	s.mux = mux
+	stats := &serverStats{}
+	sr := &indexSearcher{ix: ix, cfg: cfg, coal: newCoalescer(ix, cfg, stats)}
+	s := newServer(sr, cfg, stats)
+	s.mux.HandleFunc("POST /v1/catchup", sr.handleCatchup)
 	return s, nil
+}
+
+// NewFront returns a server over any Searcher. The front itself never
+// coalesces — whether to is the Searcher's decision — so the
+// coalescing knobs of cfg are ignored.
+func NewFront(sr Searcher, cfg Config) (*Server, error) {
+	if sr == nil {
+		return nil, fmt.Errorf("server: nil searcher")
+	}
+	cfg = cfg.withDefaults()
+	cfg.DisableCoalescing = true
+	return newServer(sr, cfg, &serverStats{}), nil
+}
+
+func newServer(sr Searcher, cfg Config, stats *serverStats) *Server {
+	s := &Server{
+		sr:    sr,
+		cfg:   cfg,
+		adm:   admit.New(cfg.MaxInFlight, cfg.MaxQueue),
+		gate:  &admit.Gate{},
+		mux:   http.NewServeMux(),
+		stats: stats,
+	}
+	if cfg.ExpvarName != "" && expvar.Get(cfg.ExpvarName) == nil {
+		// The expvar registry is global and permanent; a taken name
+		// (say, a previous server over the same backend) is fine — the
+		// earlier publisher keeps serving its registry.
+		expvar.Publish(cfg.ExpvarName, expvar.Func(func() any { return sr.Metrics() }))
+	}
+	s.mux.HandleFunc("POST /v1/knn", s.handleKNN)
+	s.mux.HandleFunc("POST /v1/range", s.handleRange)
+	s.mux.HandleFunc("POST /v1/partialmatch", s.handlePartialMatch)
+	s.mux.HandleFunc("POST /v1/batch", s.handleBatch)
+	s.mux.HandleFunc("GET /healthz", s.handleHealthz)
+	s.mux.Handle("GET /varz", expvar.Handler())
+	s.mux.HandleFunc("GET /statusz", s.handleStatusz)
+	return s
 }
 
 // Handler returns the HTTP handler serving all endpoints.
@@ -229,24 +305,14 @@ func (s *Server) Stats() Stats {
 // immediately, queued requests are woken and rejected, and Shutdown
 // blocks until every in-flight request (including open coalescing
 // windows) has completed or ctx expires. It is the SIGTERM path of
-// cmd/parsearchd and is idempotent. The HTTP listener itself is the
-// caller's to close afterwards (http.Server.Shutdown).
+// the daemons (see ListenAndServe) and is idempotent. The HTTP
+// listener itself is the caller's to close afterwards
+// (http.Server.Shutdown).
 func (s *Server) Shutdown(ctx context.Context) error {
 	if s.gate.Close() {
 		s.adm.CloseDrain()
 	}
 	return s.gate.Wait(ctx)
-}
-
-// batchCtx is the context coalesced batches run under: the server's
-// tracer, no per-request deadline (the group must complete even during
-// drain; see coalescer.run).
-func (s *Server) batchCtx() context.Context {
-	ctx := context.Background()
-	if s.cfg.Tracer != nil {
-		ctx = parsearch.WithTracer(ctx, s.cfg.Tracer)
-	}
-	return ctx
 }
 
 // reqCtx derives a query context from the request: the default
@@ -303,9 +369,11 @@ func (s *Server) writeAdmissionError(w http.ResponseWriter, err error) {
 	}
 }
 
-// writeQueryError maps an engine error to its status code.
+// writeQueryError maps a Searcher error to its status code.
 func (s *Server) writeQueryError(w http.ResponseWriter, err error) {
 	switch {
+	case errors.Is(err, ErrBadRequest):
+		writeError(w, http.StatusBadRequest, wire.CodeBadRequest, err)
 	case errors.Is(err, parsearch.ErrEmpty):
 		writeError(w, http.StatusNotFound, wire.CodeEmpty, err)
 	case errors.Is(err, parsearch.ErrUnavailable):
@@ -330,44 +398,20 @@ func writeJSON(w http.ResponseWriter, v any) {
 	_ = json.NewEncoder(w).Encode(v)
 }
 
-// readBody reads a bounded request body; a decode-side failure is the
-// client's (400 or 413 via MaxBytesReader).
-func (s *Server) readBody(w http.ResponseWriter, r *http.Request) ([]byte, bool) {
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes))
+// readBody reads a request body of at most max bytes; a failure is the
+// client's: 413 when the body is larger, 400 otherwise.
+func readBody(w http.ResponseWriter, r *http.Request, max int64) ([]byte, bool) {
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, max))
 	if err != nil {
-		writeError(w, http.StatusBadRequest, wire.CodeBadRequest, fmt.Errorf("server: reading body: %w", err))
+		status := http.StatusBadRequest
+		var tooBig *http.MaxBytesError
+		if errors.As(err, &tooBig) {
+			status = http.StatusRequestEntityTooLarge
+		}
+		writeError(w, status, wire.CodeBadRequest, fmt.Errorf("server: reading body: %w", err))
 		return nil, false
 	}
 	return body, true
-}
-
-// approxOf resolves a request's approximate-tier knobs: absent wire
-// fields fall back to the served index's defaults, present ones
-// override them (already range-validated by the wire decoder).
-func (s *Server) approxOf(epsilon, recallTarget *float64) parsearch.Approx {
-	a := s.ix.ApproxDefaults()
-	if epsilon != nil {
-		a.Epsilon = *epsilon
-	}
-	if recallTarget != nil {
-		a.RecallTarget = *recallTarget
-	}
-	return a
-}
-
-// shardSpecOf converts a wire shard restriction to the engine's form,
-// rejecting group counts beyond the served index's disk count — a
-// structural mismatch only the server can see (the wire decoder knows
-// no disk count), and the coordinator's misconfiguration, not an
-// engine fault, so it maps to 400.
-func (s *Server) shardSpecOf(spec *wire.ShardSpec) (parsearch.ShardSpec, error) {
-	if spec == nil {
-		return parsearch.ShardSpec{}, nil
-	}
-	if disks := s.ix.Disks(); spec.Of > disks {
-		return parsearch.ShardSpec{}, fmt.Errorf("server: %d shard groups over %d disks", spec.Of, disks)
-	}
-	return parsearch.ShardSpec{Of: spec.Of, Groups: spec.Groups}, nil
 }
 
 // wireNeighbors converts engine results to the wire form. An empty
@@ -394,261 +438,119 @@ func rawStats(v any) json.RawMessage {
 	return b
 }
 
+// queryResponse is the body of the three single-query kinds.
+func queryResponse(ns []parsearch.Neighbor, stats any, err error) (any, error) {
+	return wire.QueryResponse{Neighbors: wireNeighbors(ns), Stats: rawStats(stats)}, err
+}
+
+// query is one decoded request, ready to run once admitted; it returns
+// the response body.
+type query func(ctx context.Context) (any, error)
+
+// serveQuery is the request pipeline every query kind shares: read the
+// bounded body, decode it (a failure is a 400), admit the request
+// under its deadline, run it, and write the response or the mapped
+// error.
+func (s *Server) serveQuery(w http.ResponseWriter, r *http.Request, decode func(body []byte) (query, error)) {
+	body, ok := readBody(w, r, s.cfg.MaxBodyBytes)
+	if !ok {
+		return
+	}
+	run, err := decode(body)
+	if err != nil {
+		writeError(w, http.StatusBadRequest, wire.CodeBadRequest, err)
+		return
+	}
+	ctx, cancel := s.reqCtx(r)
+	defer cancel()
+	if !s.enter(ctx, w) {
+		return
+	}
+	defer s.exit()
+
+	resp, err := run(ctx)
+	if err != nil {
+		s.writeQueryError(w, err)
+		return
+	}
+	writeJSON(w, resp)
+}
+
 func (s *Server) handleKNN(w http.ResponseWriter, r *http.Request) {
-	body, ok := s.readBody(w, r)
-	if !ok {
-		return
-	}
-	req, err := wire.DecodeKNN(body, s.ix.Dim())
-	if err != nil {
-		writeError(w, http.StatusBadRequest, wire.CodeBadRequest, err)
-		return
-	}
-	shards, err := s.shardSpecOf(req.Shard)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, wire.CodeBadRequest, err)
-		return
-	}
-	ctx, cancel := s.reqCtx(r)
-	defer cancel()
-	if !s.enter(ctx, w) {
-		return
-	}
-	defer s.exit()
-
-	a := s.approxOf(req.Epsilon, req.RecallTarget)
-	if req.Bound != nil {
-		a.Bound = *req.Bound
-	}
-	var (
-		neighbors []parsearch.Neighbor
-		stats     parsearch.QueryStats
-	)
-	if s.cfg.DisableCoalescing || shards.Enabled() || req.Bound != nil {
-		// Coordinator fan-out requests bypass the coalescer: their
-		// per-request bound and shard restriction are query-private and
-		// must not leak into a coalesced group's shared Approx knobs.
-		neighbors, stats, err = s.ix.KNNShardContext(ctx, req.Query, req.K, a, shards)
-	} else {
-		res := s.coal.submit(ctx, req.Query, req.K, a)
-		neighbors, stats, err = res.neighbors, res.stats, res.err
-	}
-	if err != nil {
-		s.writeQueryError(w, err)
-		return
-	}
-	writeJSON(w, wire.QueryResponse{Neighbors: wireNeighbors(neighbors), Stats: rawStats(stats)})
-}
-
-func (s *Server) handleRange(w http.ResponseWriter, r *http.Request) {
-	body, ok := s.readBody(w, r)
-	if !ok {
-		return
-	}
-	req, err := wire.DecodeRange(body, s.ix.Dim())
-	if err != nil {
-		writeError(w, http.StatusBadRequest, wire.CodeBadRequest, err)
-		return
-	}
-	shards, err := s.shardSpecOf(req.Shard)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, wire.CodeBadRequest, err)
-		return
-	}
-	ctx, cancel := s.reqCtx(r)
-	defer cancel()
-	if !s.enter(ctx, w) {
-		return
-	}
-	defer s.exit()
-
-	neighbors, stats, err := s.ix.RangeQueryShardContext(ctx, req.Min, req.Max, shards)
-	if err != nil {
-		s.writeQueryError(w, err)
-		return
-	}
-	writeJSON(w, wire.QueryResponse{Neighbors: wireNeighbors(neighbors), Stats: rawStats(stats)})
-}
-
-func (s *Server) handlePartialMatch(w http.ResponseWriter, r *http.Request) {
-	body, ok := s.readBody(w, r)
-	if !ok {
-		return
-	}
-	req, err := wire.DecodePartialMatch(body, s.ix.Dim())
-	if err != nil {
-		writeError(w, http.StatusBadRequest, wire.CodeBadRequest, err)
-		return
-	}
-	spec := make([]float64, len(req.Spec))
-	for i, v := range req.Spec {
-		if v == nil {
-			spec[i] = parsearch.Wildcard
-		} else {
-			spec[i] = *v
+	s.serveQuery(w, r, func(body []byte) (query, error) {
+		req, err := wire.DecodeKNN(body, s.sr.Dim())
+		if err != nil {
+			return nil, err
 		}
-	}
-	shards, err := s.shardSpecOf(req.Shard)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, wire.CodeBadRequest, err)
-		return
-	}
-	ctx, cancel := s.reqCtx(r)
-	defer cancel()
-	if !s.enter(ctx, w) {
-		return
-	}
-	defer s.exit()
-
-	neighbors, stats, err := s.ix.PartialMatchShardContext(ctx, spec, req.Eps, shards)
-	if err != nil {
-		s.writeQueryError(w, err)
-		return
-	}
-	writeJSON(w, wire.QueryResponse{Neighbors: wireNeighbors(neighbors), Stats: rawStats(stats)})
-}
-
-func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
-	body, ok := s.readBody(w, r)
-	if !ok {
-		return
-	}
-	req, err := wire.DecodeBatch(body, s.ix.Dim(), s.cfg.MaxBatchRequest)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, wire.CodeBadRequest, err)
-		return
-	}
-	shards, err := s.shardSpecOf(req.Shard)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, wire.CodeBadRequest, err)
-		return
-	}
-	ctx, cancel := s.reqCtx(r)
-	defer cancel()
-	if !s.enter(ctx, w) {
-		return
-	}
-	defer s.exit()
-
-	a := s.approxOf(req.Epsilon, req.RecallTarget)
-	if req.Bound != nil {
-		a.Bound = *req.Bound
-	}
-	results, stats, err := s.ix.BatchKNNShardContext(ctx, req.Queries, req.K, a, shards)
-	if err != nil {
-		s.writeQueryError(w, err)
-		return
-	}
-	out := make([][]wire.Neighbor, len(results))
-	for i, ns := range results {
-		out[i] = wireNeighbors(ns)
-	}
-	writeJSON(w, wire.BatchResponse{Results: out, Stats: rawStats(stats)})
-}
-
-// handleCatchup serves one snapshot+delta round to a catching-up
-// follower (see parsearch.Index.Catchup). Catch-up bypasses query
-// admission: it does not touch the query engine, and a replica must be
-// able to converge even while the serving path is saturated — its cost
-// is bounded by the checkpoint lock it shares with generation rotation.
-func (s *Server) handleCatchup(w http.ResponseWriter, r *http.Request) {
-	body, ok := s.readBody(w, r)
-	if !ok {
-		return
-	}
-	req, err := wire.DecodeCatchup(body)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, wire.CodeBadRequest, err)
-		return
-	}
-	delta, err := s.ix.Catchup(req.Have, req.Gen, req.Offset)
-	if err != nil {
-		switch {
-		case errors.Is(err, parsearch.ErrClosed):
-			writeError(w, http.StatusServiceUnavailable, wire.CodeUnavailable, err)
-		case !s.ix.Durability().Durable:
-			writeError(w, http.StatusBadRequest, wire.CodeBadRequest, err)
-		default:
-			writeError(w, http.StatusInternalServerError, wire.CodeInternal, err)
-		}
-		return
-	}
-	files := make([]wire.CatchupFile, len(delta.Files))
-	for i, f := range delta.Files {
-		files[i] = wire.CatchupFile{Name: f.Name, Offset: f.Offset, Data: f.Data}
-	}
-	writeJSON(w, wire.CatchupResponse{
-		Gen:        delta.Gen,
-		NextOffset: delta.NextOffset,
-		Reset:      delta.Reset,
-		Files:      files,
+		o := QueryOpts{Epsilon: req.Epsilon, RecallTarget: req.RecallTarget, Bound: req.Bound, Shard: req.Shard}
+		return func(ctx context.Context) (any, error) {
+			return queryResponse(s.sr.KNN(ctx, req.Query, req.K, o))
+		}, nil
 	})
 }
 
-// health computes the health view from the fault-routing state: a
-// failed disk whose chained replica is live is "rerouted" (queries
-// stay exact); a failed disk with no live replica makes data
-// unreachable and the instance "degraded".
-func (s *Server) health() wire.Health {
-	h := wire.Health{Status: "ok", Disks: s.ix.Disks(), Draining: s.gate.IsDraining()}
-	for d := 0; d < s.ix.Disks(); d++ {
-		if !s.ix.DiskFailed(d) {
-			continue
+func (s *Server) handleRange(w http.ResponseWriter, r *http.Request) {
+	s.serveQuery(w, r, func(body []byte) (query, error) {
+		req, err := wire.DecodeRange(body, s.sr.Dim())
+		if err != nil {
+			return nil, err
 		}
-		h.FailedDisks = append(h.FailedDisks, d)
-		if r := s.ix.ReplicaDisk(d); r < 0 || s.ix.DiskFailed(r) {
-			h.Unreachable = append(h.Unreachable, d)
-		}
-	}
-	switch {
-	case h.Draining:
-		h.Status = "draining"
-	case len(h.Unreachable) > 0:
-		h.Status = "degraded"
-	case len(h.FailedDisks) > 0:
-		h.Status = "rerouted"
-	}
-	if d := s.ix.Durability(); d.Durable {
-		h.Durability = &wire.Durability{
-			Generation:       d.Generation,
-			SyncPolicy:       d.SyncPolicy,
-			WALLagBytes:      d.WALLagBytes,
-			Recovered:        d.Recovery.Recovered,
-			RecoveredRecords: d.Recovery.Records,
-			TornBytes:        d.Recovery.TornBytes,
-			Salvaged:         d.Recovery.Salvaged,
-		}
-	}
-	return h
+		return func(ctx context.Context) (any, error) {
+			return queryResponse(s.sr.Range(ctx, req.Min, req.Max, QueryOpts{Shard: req.Shard}))
+		}, nil
+	})
 }
 
+func (s *Server) handlePartialMatch(w http.ResponseWriter, r *http.Request) {
+	s.serveQuery(w, r, func(body []byte) (query, error) {
+		req, err := wire.DecodePartialMatch(body, s.sr.Dim())
+		if err != nil {
+			return nil, err
+		}
+		spec := make([]float64, len(req.Spec))
+		for i, v := range req.Spec {
+			if v == nil {
+				spec[i] = parsearch.Wildcard
+			} else {
+				spec[i] = *v
+			}
+		}
+		return func(ctx context.Context) (any, error) {
+			return queryResponse(s.sr.PartialMatch(ctx, spec, req.Eps, QueryOpts{Shard: req.Shard}))
+		}, nil
+	})
+}
+
+func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
+	s.serveQuery(w, r, func(body []byte) (query, error) {
+		req, err := wire.DecodeBatch(body, s.sr.Dim(), s.cfg.MaxBatchRequest)
+		if err != nil {
+			return nil, err
+		}
+		o := QueryOpts{Epsilon: req.Epsilon, RecallTarget: req.RecallTarget, Bound: req.Bound, Shard: req.Shard}
+		return func(ctx context.Context) (any, error) {
+			results, stats, err := s.sr.BatchKNN(ctx, req.Queries, req.K, o)
+			out := make([][]wire.Neighbor, len(results))
+			for i, ns := range results {
+				out[i] = wireNeighbors(ns)
+			}
+			return wire.BatchResponse{Results: out, Stats: rawStats(stats)}, err
+		}, nil
+	})
+}
+
+// handleHealthz reports the backend's health, overridden by the drain
+// state only the front knows: 503 while draining or degraded.
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	h := s.health()
+	h := s.sr.Health(r.Context())
+	if h.Draining = s.gate.IsDraining(); h.Draining {
+		h.Status = "draining"
+	}
 	w.Header().Set("Content-Type", "application/json")
 	if h.Status == "degraded" || h.Status == "draining" {
 		w.WriteHeader(http.StatusServiceUnavailable)
 	}
 	_ = json.NewEncoder(w).Encode(h)
-}
-
-// statuszPayload is the /statusz document.
-type statuszPayload struct {
-	Index   statuszIndex `json:"index"`
-	Serving statuszServe `json:"serving"`
-	// Durability is the full parsearch.DurabilityInfo (WAL lengths,
-	// lag, recovery detail) when the index is durable; omitted
-	// otherwise.
-	Durability any `json:"durability,omitempty"`
-	Metrics    any `json:"metrics"`
-}
-
-type statuszIndex struct {
-	Dim         int    `json:"dim"`
-	Disks       int    `json:"disks"`
-	Strategy    string `json:"strategy"`
-	Replication int    `json:"replication"`
-	Points      int    `json:"points"`
-	FailedDisks []int  `json:"failed_disks,omitempty"`
 }
 
 type statuszServe struct {
@@ -661,31 +563,19 @@ type statuszServe struct {
 	Stats             Stats   `json:"stats"`
 }
 
+// handleStatusz writes the backend's status sections plus the serving
+// knobs and counters and the backend's metrics snapshot.
 func (s *Server) handleStatusz(w http.ResponseWriter, r *http.Request) {
-	h := s.health()
-	var durability any
-	if d := s.ix.Durability(); d.Durable {
-		durability = d
+	doc := s.sr.Status()
+	doc["serving"] = statuszServe{
+		CoalesceWindowMs:  float64(s.cfg.CoalesceWindow) / float64(time.Millisecond),
+		MaxBatch:          s.cfg.MaxBatch,
+		CoalescingEnabled: !s.cfg.DisableCoalescing,
+		MaxInFlight:       s.cfg.MaxInFlight,
+		MaxQueue:          s.cfg.MaxQueue,
+		DefaultTimeoutMs:  float64(s.cfg.DefaultTimeout) / float64(time.Millisecond),
+		Stats:             s.Stats(),
 	}
-	writeJSON(w, statuszPayload{
-		Durability: durability,
-		Index: statuszIndex{
-			Dim:         s.ix.Dim(),
-			Disks:       s.ix.Disks(),
-			Strategy:    s.ix.Strategy(),
-			Replication: s.ix.Replication(),
-			Points:      s.ix.Len(),
-			FailedDisks: h.FailedDisks,
-		},
-		Serving: statuszServe{
-			CoalesceWindowMs:  float64(s.cfg.CoalesceWindow) / float64(time.Millisecond),
-			MaxBatch:          s.cfg.MaxBatch,
-			CoalescingEnabled: !s.cfg.DisableCoalescing,
-			MaxInFlight:       s.cfg.MaxInFlight,
-			MaxQueue:          s.cfg.MaxQueue,
-			DefaultTimeoutMs:  float64(s.cfg.DefaultTimeout) / float64(time.Millisecond),
-			Stats:             s.Stats(),
-		},
-		Metrics: s.ix.Metrics(),
-	})
+	doc["metrics"] = s.sr.Metrics()
+	writeJSON(w, doc)
 }

@@ -3,13 +3,11 @@ package server
 import (
 	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"math"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
-	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -173,153 +171,6 @@ func rangeBox(dim, i int) (min, max []float64) {
 	return min, max
 }
 
-// TestShutdownDrains pins the graceful-drain contract: requests in
-// flight when Shutdown begins all complete successfully, requests
-// arriving during the drain are rejected with 503/draining, and
-// Shutdown returns once the in-flight set is empty.
-func TestShutdownDrains(t *testing.T) {
-	const (
-		dim      = 6
-		inflight = 12
-	)
-	ix := testIndex(t, dim, 1200, 8, 0)
-	// A long coalescing window holds the in-flight requests open well
-	// past the Shutdown call without any timing heroics.
-	srv, err := New(ix, Config{CoalesceWindow: 300 * time.Millisecond, MaxBatch: 64})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ts := httptest.NewServer(srv.Handler())
-	defer ts.Close()
-	cl := client.New(ts.URL, client.WithMaxRetries(1))
-
-	var wg sync.WaitGroup
-	errs := make([]error, inflight)
-	for i := 0; i < inflight; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			_, errs[i] = cl.KNN(context.Background(), randQuery(dim, i), 5)
-		}(i)
-	}
-	// Wait until every request is admitted and parked in the window.
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		if st := srv.Stats(); st.InFlight >= inflight {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("requests never became in-flight: %+v", srv.Stats())
-		}
-		time.Sleep(time.Millisecond)
-	}
-
-	shutdownDone := make(chan error, 1)
-	go func() {
-		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-		defer cancel()
-		shutdownDone <- srv.Shutdown(ctx)
-	}()
-	// Give Shutdown a moment to flip the gate, then verify new
-	// requests bounce with the draining code while the old ones drain.
-	for !srv.Stats().Draining {
-		time.Sleep(time.Millisecond)
-	}
-	_, err = cl.KNN(context.Background(), randQuery(dim, 999), 5)
-	if !errors.Is(err, parsearch.ErrUnavailable) {
-		t.Errorf("request during drain: err = %v, want ErrUnavailable", err)
-	}
-	var ae *client.APIError
-	if !errors.As(err, &ae) || ae.Status != http.StatusServiceUnavailable {
-		t.Errorf("request during drain: %v, want http 503", err)
-	}
-
-	wg.Wait()
-	for i, err := range errs {
-		if err != nil {
-			t.Errorf("in-flight request %d failed during drain: %v", i, err)
-		}
-	}
-	if err := <-shutdownDone; err != nil {
-		t.Errorf("Shutdown: %v", err)
-	}
-	if st := srv.Stats(); st.InFlight != 0 {
-		t.Errorf("InFlight = %d after drain", st.InFlight)
-	}
-	// Idempotent: a second Shutdown returns immediately.
-	if err := srv.Shutdown(context.Background()); err != nil {
-		t.Errorf("second Shutdown: %v", err)
-	}
-}
-
-// TestQueueOverflow429 pins the load-shedding contract: with one
-// in-flight slot and a one-deep queue, a third concurrent request is
-// answered 429 — a well-formed HTTP rejection, never a dropped
-// connection — and is not retried by the default client policy.
-func TestQueueOverflow429(t *testing.T) {
-	const dim = 6
-	ix := testIndex(t, dim, 800, 8, 0)
-	// The long window parks the first request in flight; coalescing is
-	// confined to it by keying on k, so requests with different k stack
-	// up behind the single slot.
-	srv, err := New(ix, Config{
-		CoalesceWindow: 400 * time.Millisecond,
-		MaxBatch:       64,
-		MaxInFlight:    1,
-		MaxQueue:       1,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ts := httptest.NewServer(srv.Handler())
-	defer ts.Close()
-	cl := client.New(ts.URL)
-
-	results := make(chan error, 2)
-	go func() {
-		_, err := cl.KNN(context.Background(), randQuery(dim, 0), 3)
-		results <- err
-	}()
-	waitFor(t, func() bool { return srv.Stats().InFlight == 1 })
-
-	go func() {
-		_, err := cl.KNN(context.Background(), randQuery(dim, 1), 4)
-		results <- err
-	}()
-	waitFor(t, func() bool { return srv.Stats().Queued == 1 })
-
-	// Queue full: this one must bounce with 429 immediately.
-	_, err = cl.KNN(context.Background(), randQuery(dim, 2), 5)
-	var ae *client.APIError
-	if !errors.As(err, &ae) {
-		t.Fatalf("overflow request: err = %v, want APIError", err)
-	}
-	if ae.Status != http.StatusTooManyRequests || ae.Code != "queue_full" {
-		t.Errorf("overflow request: status %d code %s, want 429 queue_full", ae.Status, ae.Code)
-	}
-
-	// The parked requests complete once their windows flush.
-	for i := 0; i < 2; i++ {
-		if err := <-results; err != nil {
-			t.Errorf("parked request %d: %v", i, err)
-		}
-	}
-	if st := srv.Stats(); st.RejectedQueueFull != 1 {
-		t.Errorf("RejectedQueueFull = %d, want 1", st.RejectedQueueFull)
-	}
-}
-
-func waitFor(t *testing.T, cond func() bool) {
-	t.Helper()
-	deadline := time.Now().Add(5 * time.Second)
-	for !cond() {
-		if time.Now().After(deadline) {
-			t.Fatal("condition never held")
-		}
-		time.Sleep(time.Millisecond)
-	}
-}
-
 // TestPartialMatchAndBatchEndToEnd covers the two remaining endpoints
 // against direct library calls, including the NaN→null wildcard
 // transport.
@@ -371,52 +222,6 @@ func TestPartialMatchAndBatchEndToEnd(t *testing.T) {
 	}
 	if asJSON(t, directBatch) != asJSON(t, servedBatch) {
 		t.Error("batch served result differs from direct call")
-	}
-}
-
-// TestBadRequests pins the 400 mapping of the validating decoder for
-// every endpoint: no body shape may panic the server or reach the
-// engine.
-func TestBadRequests(t *testing.T) {
-	ix := testIndex(t, 4, 200, 4, 0)
-	srv, err := New(ix, Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ts := httptest.NewServer(srv.Handler())
-	defer ts.Close()
-
-	cases := []struct{ path, body string }{
-		{"/v1/knn", `{"query":[0.1,0.2],"k":5}`},         // wrong dim
-		{"/v1/knn", `{"query":[0.1,0.2,0.3,0.4],"k":0}`}, // bad k
-		{"/v1/knn", `{"query":[1e999,0,0,0],"k":1}`},     // Inf
-		{"/v1/knn", `{`}, // malformed
-		{"/v1/range", `{"min":[1,0,0,0],"max":[0,1,1,1]}`}, // inverted
-		{"/v1/partialmatch", `{"spec":[null,null,null,null],"eps":0.1}`},
-		{"/v1/batch", `{"queries":[],"k":2}`},
-		// Approximate-tier knobs out of range.
-		{"/v1/knn", `{"query":[0.1,0.2,0.3,0.4],"k":1,"epsilon":-0.5}`},
-		{"/v1/knn", `{"query":[0.1,0.2,0.3,0.4],"k":1,"epsilon":1e7}`},
-		{"/v1/knn", `{"query":[0.1,0.2,0.3,0.4],"k":1,"epsilon":1e999}`},
-		{"/v1/knn", `{"query":[0.1,0.2,0.3,0.4],"k":1,"recall_target":1.5}`},
-		{"/v1/batch", `{"queries":[[0.1,0.2,0.3,0.4]],"k":1,"recall_target":-1}`},
-	}
-	for _, c := range cases {
-		resp, err := http.Post(ts.URL+c.path, "application/json", strings.NewReader(c.body))
-		if err != nil {
-			t.Fatalf("POST %s: %v", c.path, err)
-		}
-		var er struct {
-			Code string `json:"code"`
-		}
-		if err := json.NewDecoder(resp.Body).Decode(&er); err != nil {
-			t.Errorf("POST %s %q: undecodable error body: %v", c.path, c.body, err)
-		}
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusBadRequest || er.Code != "bad_request" {
-			t.Errorf("POST %s %q: status %d code %s, want 400 bad_request",
-				c.path, c.body, resp.StatusCode, er.Code)
-		}
 	}
 }
 
@@ -719,42 +524,6 @@ func TestHealthzDurability(t *testing.T) {
 	}
 	if doc.Durability.WALWrittenBytes == 0 {
 		t.Error("statusz WAL written bytes = 0 after an insert")
-	}
-}
-
-// TestDeadlinePropagation pins the 504 mapping: a client deadline that
-// expires while the request is queued surfaces as a gateway timeout,
-// not a hang or a 500.
-func TestDeadlinePropagation(t *testing.T) {
-	const dim = 4
-	ix := testIndex(t, dim, 400, 4, 0)
-	srv, err := New(ix, Config{
-		CoalesceWindow: 400 * time.Millisecond,
-		MaxInFlight:    1,
-		MaxQueue:       4,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ts := httptest.NewServer(srv.Handler())
-	defer ts.Close()
-	cl := client.New(ts.URL, client.WithMaxRetries(1))
-
-	blocker := make(chan error, 1)
-	go func() {
-		_, err := cl.KNN(context.Background(), randQuery(dim, 0), 3)
-		blocker <- err
-	}()
-	waitFor(t, func() bool { return srv.Stats().InFlight == 1 })
-
-	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Millisecond)
-	defer cancel()
-	_, err = cl.KNN(ctx, randQuery(dim, 1), 4)
-	if !errors.Is(err, context.DeadlineExceeded) {
-		t.Errorf("queued request past deadline: err = %v, want DeadlineExceeded", err)
-	}
-	if err := <-blocker; err != nil {
-		t.Errorf("blocking request: %v", err)
 	}
 }
 
