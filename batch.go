@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"runtime"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"parsearch/internal/disk"
@@ -92,21 +91,30 @@ func (ix *Index) batchWorkers(n int) int {
 	return w
 }
 
-// fillQueryCost completes a per-query QueryStats from its page refs:
-// totals, bottleneck, and model-derived times (the same seek/transfer
-// accounting the disk array applies).
-func fillQueryCost(qs *QueryStats, refs []disk.PageRef, params disk.Params, disks int) {
-	reads := make([]int, disks)
+// diskCosts returns the model service time every disk spends on one
+// query's page refs (the same seek/transfer accounting the disk array
+// applies): a seek per ref, a transfer per page.
+func diskCosts(qs *QueryStats, refs []disk.PageRef, params disk.Params) []time.Duration {
+	reads := make([]int, len(qs.PagesPerDisk))
 	for _, r := range refs {
 		reads[r.Disk]++
 	}
+	costs := make([]time.Duration, len(reads))
+	for d := range costs {
+		costs[d] = params.SimulateCost(reads[d], qs.PagesPerDisk[d])
+	}
+	return costs
+}
+
+// fillQueryCost completes a per-query QueryStats from its page refs:
+// totals, bottleneck, and model-derived times.
+func fillQueryCost(qs *QueryStats, refs []disk.PageRef, params disk.Params) {
 	var par, seq time.Duration
-	for d := 0; d < disks; d++ {
+	for d, t := range diskCosts(qs, refs, params) {
 		qs.TotalPages += qs.PagesPerDisk[d]
 		if qs.PagesPerDisk[d] > qs.MaxPages {
 			qs.MaxPages = qs.PagesPerDisk[d]
 		}
-		t := params.SimulateCost(reads[d], qs.PagesPerDisk[d])
 		seq += t
 		if t > par {
 			par = t
@@ -122,53 +130,32 @@ func fillQueryCost(qs *QueryStats, refs []disk.PageRef, params disk.Params, disk
 // ServiceDemands computes, for every query, the service time in seconds
 // each disk would spend answering a k-NN query — the input for capacity
 // planning and queueing simulation (see internal/sim and the
-// ext-queueing experiment). demands[i][d] is query i's demand on disk d.
-// Capacity planning models the healthy system: failure flags and
-// replica rerouting are ignored.
+// ext-queueing experiment). demands[i][d] is query i's demand on disk d:
+// each row runs the same per-item step as KNN(queries[i], k), so on a
+// healthy index it is the disk model applied to that query's
+// PagesPerDisk. Capacity planning models the healthy system: failure
+// flags and replica rerouting are ignored, and nothing is charged to the
+// disks, the registry or a tracer.
 func (ix *Index) ServiceDemands(queries [][]float64, k int) ([][]float64, error) {
+	qr := query{op: opBatch, batch: queries, k: k, approx: ix.ApproxDefaults()}
 	ix.mu.RLock()
 	defer ix.mu.RUnlock()
-	st := ix.st
-	if k < 1 {
-		return nil, fmt.Errorf("parsearch: k = %d", k)
+	if err := ix.admit(&qr); err != nil {
+		return nil, err
 	}
-	if ix.liveCount() == 0 {
-		return nil, ErrEmpty
-	}
-	m := ix.metric()
-	routes := healthyPlan(st)
+	r := &run{ix: ix, ctx: context.Background(), st: ix.st, m: ix.metric(), routes: healthyPlan(ix.st)}
 	demands := make([][]float64, len(queries))
 	for i, q := range queries {
-		if len(q) != ix.opts.Dim {
-			return nil, fmt.Errorf("parsearch: query %d has dimension %d, want %d", i, len(q), ix.opts.Dim)
+		var qs QueryStats
+		_, refs, err := r.knnItem(&qr, q, i, &qs)
+		if err != nil {
+			return nil, err
 		}
-		var merged []knn.Result
-		for _, sh := range st.shards {
-			sh.mu.RLock()
-			res, _ := knn.HSMetric(sh.tree, q, k, m)
-			sh.mu.RUnlock()
-			merged = append(merged, res...)
+		costs := diskCosts(&qs, refs, ix.params)
+		demands[i] = make([]float64, len(costs))
+		for d, t := range costs {
+			demands[i][d] = t.Seconds()
 		}
-		sortResults(merged)
-		if len(merged) > k {
-			merged = merged[:k]
-		}
-		if len(merged) == 0 {
-			return nil, ErrEmpty
-		}
-		rk := merged[len(merged)-1].Dist
-
-		qs := QueryStats{PagesPerDisk: make([]int, len(st.shards))}
-		reads := make([]int, len(st.shards))
-		refs := ix.sphereRefs(st, routes, q, rk, &qs)
-		for _, ref := range refs {
-			reads[ref.Disk]++
-		}
-		row := make([]float64, len(st.shards))
-		for d := range row {
-			row[d] = ix.params.SimulateCost(reads[d], qs.PagesPerDisk[d]).Seconds()
-		}
-		demands[i] = row
 	}
 	return demands, nil
 }
@@ -194,23 +181,14 @@ func (ix *Index) BatchKNNApprox(queries [][]float64, k int, a Approx) ([][]Neigh
 // BatchKNNApproxContext is BatchKNNApprox with a context (see
 // BatchKNNContext).
 func (ix *Index) BatchKNNApproxContext(ctx context.Context, queries [][]float64, k int, a Approx) ([][]Neighbor, BatchStats, error) {
-	if err := a.validate(); err != nil {
-		return nil, BatchStats{}, err
-	}
-	return ix.batchKNNContext(ctx, queries, k, a, ShardSpec{})
+	return ix.runBatch(ctx, query{op: opBatch, batch: queries, k: k, approx: a})
 }
 
 // BatchKNNShardContext is BatchKNNApproxContext restricted to a subset
 // of the declustered disks (see ShardSpec and KNNShardContext), applied
 // to every query of the batch.
 func (ix *Index) BatchKNNShardContext(ctx context.Context, queries [][]float64, k int, a Approx, shards ShardSpec) ([][]Neighbor, BatchStats, error) {
-	if err := a.validate(); err != nil {
-		return nil, BatchStats{}, err
-	}
-	if err := shards.validate(ix.opts.Disks); err != nil {
-		return nil, BatchStats{}, err
-	}
-	return ix.batchKNNContext(ctx, queries, k, a, shards)
+	return ix.runBatch(ctx, query{op: opBatch, batch: queries, k: k, approx: a, shards: shards})
 }
 
 // BatchKNNContext is BatchKNN with a context, which may carry a
@@ -221,51 +199,26 @@ func (ix *Index) BatchKNNShardContext(ctx context.Context, queries [][]float64, 
 // ctx.Err() without starting further shard searches or the simulated
 // I/O phase.
 func (ix *Index) BatchKNNContext(ctx context.Context, queries [][]float64, k int) ([][]Neighbor, BatchStats, error) {
-	return ix.batchKNNContext(ctx, queries, k, ix.ApproxDefaults(), ShardSpec{})
+	return ix.runBatch(ctx, query{op: opBatch, batch: queries, k: k, approx: ix.ApproxDefaults()})
 }
 
-// batchKNNContext runs one batch with the resolved approximate-search
-// knobs and shard restriction (both already validated).
-func (ix *Index) batchKNNContext(ctx context.Context, queries [][]float64, k int, a Approx, shards ShardSpec) (_ [][]Neighbor, stats BatchStats, err error) {
-	start := time.Now()
-	// The span starts before the lock, so a wait behind Reorganize's
-	// write lock shows up in the events' Elapsed.
-	sp := ix.newSpan(ctx, "batch")
-	ix.mu.RLock()
-	defer ix.mu.RUnlock()
-	st := ix.st
-
-	defer func() {
-		if err != nil {
-			ix.reg.QueryErrors.Inc()
-			sp.errEvent(err)
-		}
-	}()
-
-	if k < 1 {
-		return nil, stats, fmt.Errorf("parsearch: k = %d", k)
-	}
-	for i, q := range queries {
-		if len(q) != ix.opts.Dim {
-			return nil, stats, fmt.Errorf("parsearch: query %d has dimension %d, want %d", i, len(q), ix.opts.Dim)
-		}
-	}
-	if ix.liveCount() == 0 {
-		return nil, stats, ErrEmpty
-	}
-	if err := ctx.Err(); err != nil {
+// runBatch runs one batch through the pipeline: one begin and one plan
+// (every query of the batch sees the same consistent failure snapshot),
+// the per-item k-NN step on a worker pool, and one I/O phase over the
+// union of the items' page reads.
+func (ix *Index) runBatch(ctx context.Context, qr query) (_ [][]Neighbor, stats BatchStats, err error) {
+	r, err := ix.begin(ctx, &qr)
+	defer r.end(&err)
+	if err != nil {
 		return nil, stats, err
 	}
+	queries, st := qr.batch, r.st
 	stats.Queries = len(queries)
 	stats.PagesPerDisk = make([]int, len(st.shards))
 	if len(queries) == 0 {
 		return nil, stats, nil
 	}
-
-	// Plan the failure routing once for the whole batch: every query of
-	// the batch sees the same consistent failure snapshot (see KNN).
-	routes, degraded := ix.plan(st, shards.mask(ix.opts.Disks))
-	sp.planEvents(routes, degraded)
+	r.plan(qr.shards)
 
 	// Result phase: the worker pool answers the queries and computes
 	// each query's page refs and per-query statistics. Everything is
@@ -277,8 +230,6 @@ func (ix *Index) batchKNNContext(ctx context.Context, queries [][]float64, k int
 	perQuery := make([]QueryStats, len(queries))
 	refsPerQuery := make([][]disk.PageRef, len(queries))
 	errs := make([]error, len(queries))
-	m := ix.metric()
-	var nodeVisits atomic.Int64
 	var wg sync.WaitGroup
 	next := make(chan int)
 	for w := 0; w < workers; w++ {
@@ -288,73 +239,19 @@ func (ix *Index) batchKNNContext(ctx context.Context, queries [][]float64, k int
 			for i := range next {
 				// A cancelled batch stops picking up items; the items
 				// already attempted surface the cancellation below.
-				if err := ctx.Err(); err != nil {
-					errs[i] = err
+				if errs[i] = ctx.Err(); errs[i] != nil {
 					continue
 				}
-				q := queries[i]
-				// One shared bound per batch item, seeded on the home
-				// shard and consulted across the remaining shards. A
-				// worker searches its item's shards sequentially, so the
-				// bound's trajectory — and with it the pages saved — is
-				// deterministic, unlike the parallel fan-out of KNN.
-				sr := newShardSearch(ctx, ix, &sp, st, q, k, m)
-				sr.setApprox(a, ix.opts.LSH)
-				sr.seedBound(a)
-				sr.item, sr.emit = i, false
-				seed := -1
-				if sr.bound != nil {
-					if d := ix.homeDisk(st, q); routes[d].sh != nil {
-						seed = d
-						sr.search(routes[d], d)
-					}
-				}
-				for d := range routes {
-					if routes[d].sh == nil || d == seed {
-						continue
-					}
-					sr.search(routes[d], d)
-				}
+				qs := &perQuery[i]
 				var merged []knn.Result
-				for _, l := range sr.locals {
-					merged = append(merged, l...)
-				}
-				sortResults(merged)
-				if len(merged) > k {
-					merged = merged[:k]
-				}
-				if len(merged) == 0 {
-					if degraded {
-						// Every live copy of the data is unreachable.
-						errs[i] = ErrUnavailable
-					} else {
-						// Concurrent deletions emptied the index.
-						errs[i] = ErrEmpty
-					}
+				merged, refsPerQuery[i], errs[i] = r.knnItem(&qr, queries[i], i, qs)
+				if errs[i] != nil {
 					continue
 				}
-				rk := merged[len(merged)-1].Dist
-				out := make([]Neighbor, len(merged))
-				for j, r := range merged {
-					out[j] = Neighbor{ID: r.Entry.ID, Point: r.Entry.Point, Dist: r.Dist}
-				}
-				results[i] = out
-
-				qs := QueryStats{PagesPerDisk: make([]int, len(st.shards))}
-				nodeVisits.Add(sr.record(&qs))
-				if sr.approx {
-					sp.emit(TraceEvent{Stage: StageApprox, Disk: -1, Item: i, K: k,
-						Epsilon: sr.eps, Pages: qs.PagesSkippedApprox})
-				}
-				refs := ix.sphereRefs(st, routes, q, rk, &qs)
-				// Per-query degraded refinement as in KNN: only when the
-				// dead data could have changed this query's answer.
-				qs.Degraded = qs.Unreachable > 0 || (degraded && len(merged) < k)
-				fillQueryCost(&qs, refs, ix.params, len(st.shards))
-				perQuery[i] = qs
-				refsPerQuery[i] = refs
-				sp.emit(TraceEvent{Stage: StageSearch, Disk: -1, Item: i, K: k,
-					Results: len(out), Pages: qs.TotalPages, Radius: rk,
+				results[i] = neighbors(merged)
+				fillQueryCost(qs, refsPerQuery[i], ix.params)
+				r.sp.emit(TraceEvent{Stage: StageSearch, Disk: -1, Item: i, K: qr.k,
+					Results: len(merged), Pages: qs.TotalPages, Radius: merged[len(merged)-1].Dist,
 					Degraded: qs.Degraded})
 			}
 		}()
@@ -407,47 +304,15 @@ func (ix *Index) batchKNNContext(ctx context.Context, queries [][]float64, k int
 		stats.Utilization = batch.SequentialTime.Seconds() /
 			(stats.MakespanSeconds * float64(len(st.shards)))
 	}
-	sp.ioEvents(batch)
-	ix.recordBatch(&stats, batch, nodeVisits.Load(), start)
-	sp.emit(TraceEvent{Stage: StageDone, Disk: -1, Item: -1, K: k,
+	r.sp.ioEvents(batch)
+	// The batch counts as one QueriesBatch call over len(queries)
+	// BatchQueries, each recorded like a single query.
+	for i := range perQuery {
+		ix.recordQuery(&perQuery[i])
+	}
+	ix.reg.BatchQueries.Add(int64(stats.Queries))
+	ix.recordCall(&ix.reg.QueriesBatch, batch, r.start)
+	r.sp.emit(TraceEvent{Stage: StageDone, Disk: -1, Item: -1, K: qr.k,
 		Results: stats.Queries, Pages: stats.TotalPages, Degraded: stats.Degraded})
 	return results, stats, nil
-}
-
-// recordBatch folds a finished batch into the metrics registry: the
-// batch counts as one QueriesBatch call and len(PerQuery) BatchQueries;
-// pages and fault counters are charged from the aggregated batch so the
-// registry totals match the sum of the per-query stats.
-func (ix *Index) recordBatch(bs *BatchStats, batch disk.BatchResult, nodeVisits int64, start time.Time) {
-	ix.reg.QueriesBatch.Inc()
-	ix.reg.BatchQueries.Add(int64(bs.Queries))
-	ix.reg.NodeVisits.Add(nodeVisits)
-	ix.reg.PagesRead.Add(int64(bs.TotalPages))
-	ix.reg.Retries.Add(int64(bs.Retries))
-	ix.reg.Rerouted.Add(int64(bs.Rerouted))
-	ix.reg.Unreachable.Add(int64(bs.Unreachable))
-	ix.reg.SearchPages.Add(int64(bs.SearchPages))
-	ix.reg.PagesSavedByBound.Add(int64(bs.PagesSavedByBound))
-	ix.reg.PagesSavedByRemoteBound.Add(int64(bs.PagesSavedByRemoteBound))
-	ix.reg.BoundTightenings.Add(int64(bs.BoundTightenings))
-	ix.reg.DistCompsSaved.Add(int64(bs.DistCompsSaved))
-	// One wall-clock observation for the whole call: the histogram
-	// tracks API-call latencies, and the batch is one call.
-	ix.reg.QueryWallNs.Observe(time.Since(start).Nanoseconds())
-	for d, pages := range bs.PagesPerDisk {
-		ix.reg.PagesPerDisk.Add(d, int64(pages))
-	}
-	for d, t := range batch.Times {
-		ix.reg.ServiceTimePerDisk.Add(d, t.Nanoseconds())
-	}
-	for i := range bs.PerQuery {
-		qs := &bs.PerQuery[i]
-		ix.reg.CellsVisited.Add(int64(qs.Cells))
-		if qs.Degraded {
-			ix.reg.DegradedQueries.Inc()
-		}
-		ix.recordApprox(qs)
-		ix.reg.QueryPages.Observe(int64(qs.TotalPages))
-		ix.reg.QueryTimeNs.Observe(int64(qs.ParallelTime * 1e9))
-	}
 }

@@ -1,7 +1,9 @@
 package parsearch
 
 import (
+	"context"
 	"testing"
+	"time"
 
 	"parsearch/internal/data"
 )
@@ -61,6 +63,25 @@ func TestBatchKNNValidation(t *testing.T) {
 	if _, _, err := empty.BatchKNN([][]float64{{0.5, 0.5}}, 1); err != ErrEmpty {
 		t.Errorf("err = %v, want ErrEmpty", err)
 	}
+	// A batch rejected for its Approx or ShardSpec is counted and traced
+	// like one rejected for its k.
+	batch := [][]float64{{0.5, 0.5}}
+	assertRejected(t, ix, "k", "parsearch: k = 0", func(ctx context.Context) error {
+		_, _, err := ix.BatchKNNContext(ctx, batch, 0)
+		return err
+	})
+	assertRejected(t, ix, "approx", "parsearch: epsilon -1 outside [0, 1e+06]", func(ctx context.Context) error {
+		_, _, err := ix.BatchKNNApproxContext(ctx, batch, 1, Approx{Epsilon: -1})
+		return err
+	})
+	assertRejected(t, ix, "shard approx", "parsearch: bound -1, want a finite distance >= 0", func(ctx context.Context) error {
+		_, _, err := ix.BatchKNNShardContext(ctx, batch, 1, Approx{Bound: -1}, ShardSpec{})
+		return err
+	})
+	assertRejected(t, ix, "shard spec", "parsearch: shard spec of 2 selects no groups", func(ctx context.Context) error {
+		_, _, err := ix.BatchKNNShardContext(ctx, batch, 1, Approx{}, ShardSpec{Of: 2})
+		return err
+	})
 }
 
 func TestBatchKNNEmptyBatch(t *testing.T) {
@@ -130,6 +151,26 @@ func TestServiceDemands(t *testing.T) {
 		}
 		if total <= 0 {
 			t.Fatalf("query %d needs no disk time at all", i)
+		}
+	}
+	// A demand row is the disk model applied to the pages the modelled
+	// query reports: ServiceDemands and KNN run the same per-item step.
+	// (No leaf of this index is a supernode — Cells == TotalPages — so
+	// every read is one page and PagesPerDisk is also the read count.)
+	params := DefaultDiskParams()
+	for i, q := range queries {
+		_, stats, err := ix.KNN(q, 5)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if stats.Cells != stats.TotalPages {
+			t.Fatalf("query %d: %d reads for %d pages, the test needs single-page leaves", i, stats.Cells, stats.TotalPages)
+		}
+		for d, pages := range stats.PagesPerDisk {
+			want := (time.Duration(pages) * (params.Seek + params.Transfer)).Seconds()
+			if demands[i][d] != want {
+				t.Errorf("query %d disk %d: demand %v, KNN read %d pages = %v", i, d, demands[i][d], pages, want)
+			}
 		}
 	}
 	// Errors.

@@ -3,6 +3,7 @@ package parsearch
 import (
 	"context"
 	"errors"
+	"reflect"
 	"testing"
 	"time"
 
@@ -56,6 +57,64 @@ func TestKNNContextPreCancelled(t *testing.T) {
 	}
 	if m := ix.Metrics(); m.QueryErrors != 1 {
 		t.Errorf("QueryErrors = %d, want 1", m.QueryErrors)
+	}
+}
+
+// assertRejected runs a query the engine must reject and checks that the
+// rejection is as visible as any other query error: the returned text is
+// wantErr, query_errors grows by exactly one, and the context tracer sees
+// exactly one event, the StageError carrying that text.
+func assertRejected(t *testing.T, ix *Index, name, wantErr string, run func(ctx context.Context) error) {
+	t.Helper()
+	tr := &recordTracer{}
+	before := ix.Metrics().QueryErrors
+	err := run(WithTracer(context.Background(), tr))
+	if err == nil || err.Error() != wantErr {
+		t.Errorf("%s: err = %v, want %q", name, err, wantErr)
+		return
+	}
+	if got := ix.Metrics().QueryErrors - before; got != 1 {
+		t.Errorf("%s: QueryErrors grew by %d, want 1", name, got)
+	}
+	if got := tr.stages(); !reflect.DeepEqual(got, []string{StageError}) {
+		t.Errorf("%s: traced stages %v, want one error event", name, got)
+	} else if tr.events[0].Err != wantErr {
+		t.Errorf("%s: error event carries %q, want %q", name, tr.events[0].Err, wantErr)
+	}
+}
+
+// TestKNNContextRejectedVisible: a k-NN query rejected for its Approx or
+// ShardSpec is counted and traced like one rejected for its dimension.
+func TestKNNContextRejectedVisible(t *testing.T) {
+	ix, queries := cancelTestIndex(t)
+	q := queries[0]
+	assertRejected(t, ix, "dimension", "parsearch: query dimension 1, want 6", func(ctx context.Context) error {
+		_, _, err := ix.KNNContext(ctx, q[:1], 5)
+		return err
+	})
+	assertRejected(t, ix, "approx", "parsearch: epsilon -1 outside [0, 1e+06]", func(ctx context.Context) error {
+		_, _, err := ix.KNNApproxContext(ctx, q, 5, Approx{Epsilon: -1})
+		return err
+	})
+	assertRejected(t, ix, "shard approx", "parsearch: recall target 2 outside [0, 1]", func(ctx context.Context) error {
+		_, _, err := ix.KNNShardContext(ctx, q, 5, Approx{RecallTarget: 2}, ShardSpec{})
+		return err
+	})
+	assertRejected(t, ix, "shard spec", "parsearch: 99 shard groups over 8 disks", func(ctx context.Context) error {
+		_, _, err := ix.KNNShardContext(ctx, q, 5, Approx{}, ShardSpec{Of: 99})
+		return err
+	})
+	assertRejected(t, ix, "range shard spec", "parsearch: shard group 2 outside [0, 2)", func(ctx context.Context) error {
+		_, _, err := ix.RangeQueryShardContext(ctx, q, q, ShardSpec{Of: 2, Groups: []int{2}})
+		return err
+	})
+	// The non-context spelling lands on the index-wide counter too.
+	before := ix.Metrics().QueryErrors
+	if _, _, err := ix.KNNApprox(q, 5, Approx{Epsilon: -1}); err == nil {
+		t.Error("KNNApprox accepted a negative epsilon")
+	}
+	if got := ix.Metrics().QueryErrors - before; got != 1 {
+		t.Errorf("KNNApprox: QueryErrors grew by %d, want 1", got)
 	}
 }
 

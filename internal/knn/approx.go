@@ -78,11 +78,13 @@ type ApproxStats struct {
 	RejectedLeaves int
 }
 
-// HSApprox is HSShared with the ApproxSpec relaxations applied. b may
-// be nil (no shared cross-disk bound): phantom accounting and
-// tightening are then skipped, matching HSMetric's independent
-// traversal. With an exact spec (Shrink ≥ 1, nil Probe) the traversal
-// and results are identical to HSShared / HSMetric.
+// HSApprox is the one Hjaltason–Samet priority-queue loop of the
+// package: HS, HSMetric and HSShared are this traversal with parts of it
+// switched off. b may be nil (no shared cross-disk bound): phantom
+// accounting and tightening are then skipped, which is the independent
+// search HSMetric names. With an exact spec (Shrink ≥ 1, nil Probe)
+// neither relaxation can fire and the traversal and results are the
+// exact ones of HSShared / HSMetric.
 func HSApprox(t *xtree.Tree, q vec.Point, k int, m vec.Metric, spec ApproxSpec, b *Bound, onTighten func(sqBound float64)) ([]Result, Accounting, ApproxStats) {
 	checkQuery(t, q, k)
 	var acc Accounting
@@ -136,6 +138,11 @@ func HSApprox(t *xtree.Tree, q vec.Point, k int, m vec.Metric, spec ApproxSpec, 
 			acc.visit(n)
 		}
 		if n.IsLeaf() {
+			// The SQ8 skip decisions depend only on the local candidate
+			// stream (best.bound()), which phantom mode preserves, so
+			// charging phantom skips to Saved keeps the exact-sum
+			// invariant: acc + Saved equals the independent search's
+			// accounting field for field.
 			skipped := scanLeaf(n, q, m, &best, &sc)
 			if phantom {
 				as.Saved.DistCompsSkipped += skipped

@@ -161,28 +161,8 @@ func HS(t *xtree.Tree, q vec.Point, k int) ([]Result, Accounting) {
 // becomes the metric's ball; the algorithm and its optimality argument
 // carry over unchanged).
 func HSMetric(t *xtree.Tree, q vec.Point, k int, m vec.Metric) ([]Result, Accounting) {
-	checkQuery(t, q, k)
-	var acc Accounting
-	best := kBest{k: k, metric: m}
-	if t.Root() == nil {
-		return nil, acc
-	}
-	var sc scratch
-	pq := nodeQueue{{node: t.Root(), sqMinDist: m.RankMinDist(t.Root().Rect(), q)}}
-	for len(pq) > 0 {
-		item := heap.Pop(&pq).(nodeItem)
-		if item.sqMinDist > best.bound() {
-			break
-		}
-		n := item.node
-		acc.visit(n)
-		if n.IsLeaf() {
-			acc.DistCompsSkipped += scanLeaf(n, q, m, &best, &sc)
-			continue
-		}
-		pushChildren(&pq, n, q, m, best.bound(), &sc)
-	}
-	return best.results(), acc
+	res, acc, _ := HSApprox(t, q, k, m, ApproxSpec{Shrink: 1}, nil, nil)
+	return res, acc
 }
 
 // RKV finds the k nearest neighbors with the depth-first branch-and-bound
@@ -260,15 +240,8 @@ func LinearMetric(entries []xtree.Entry, q vec.Point, k int, m vec.Metric) []Res
 // leaves count their multiplier. The second result is the number of
 // leaves.
 func SphereLeafPages(t *xtree.Tree, q vec.Point, r float64) (pages, leaves int) {
-	return SphereLeafPagesMetric(t, q, r, vec.L2)
-}
-
-// SphereLeafPagesMetric is SphereLeafPages for the metric's ball of
-// radius r.
-func SphereLeafPagesMetric(t *xtree.Tree, q vec.Point, r float64, m vec.Metric) (pages, leaves int) {
-	rank := m.ToRank(r)
 	for _, l := range t.Leaves() {
-		if m.RankMinDist(l.Rect(), q) <= rank {
+		if l.Rect().SqMinDist(q) <= r*r {
 			pages += l.Super()
 			leaves++
 		}

@@ -5,7 +5,7 @@ package knn
 // k-th-best distance, so every disk can stop expanding priority-queue
 // nodes that only the *merged* result would discard. The bound is a
 // lock-free atomic (see Bound); HSShared is the HS search consulting
-// and tightening it.
+// and tightening it (one traversal, HSApprox, serves every variant).
 //
 // Exactness argument: the shared bound only ever holds a distance that
 // k candidates somewhere in the index have already achieved (each shard
@@ -18,7 +18,6 @@ package knn
 // though other shards keep tightening it concurrently.
 
 import (
-	"container/heap"
 	"math"
 	"sync/atomic"
 
@@ -136,56 +135,6 @@ type SharedStats struct {
 // onTighten, when non-nil, is called with the new squared bound after
 // each successful tightening.
 func HSShared(t *xtree.Tree, q vec.Point, k int, m vec.Metric, b *Bound, onTighten func(sqBound float64)) ([]Result, Accounting, SharedStats) {
-	checkQuery(t, q, k)
-	var acc Accounting
-	var ss SharedStats
-	best := kBest{k: k, metric: m}
-	if t.Root() == nil {
-		return nil, acc, ss
-	}
-	var sc scratch
-	pq := nodeQueue{{node: t.Root(), sqMinDist: m.RankMinDist(t.Root().Rect(), q)}}
-	phantom := false
-	for len(pq) > 0 {
-		item := heap.Pop(&pq).(nodeItem)
-		if item.sqMinDist > best.bound() {
-			break
-		}
-		if !phantom && item.sqMinDist > b.Load() {
-			phantom = true
-		}
-		n := item.node
-		if phantom {
-			ss.Saved.visit(n)
-			if b.seededAt(b.Load()) {
-				ss.RemotePages += n.Super()
-			}
-		} else {
-			acc.visit(n)
-		}
-		if n.IsLeaf() {
-			// The SQ8 skip decisions depend only on the local candidate
-			// stream (best.bound()), which phantom mode preserves, so
-			// charging phantom skips to Saved keeps the exact-sum
-			// invariant: acc + Saved equals the independent search's
-			// accounting field for field.
-			skipped := scanLeaf(n, q, m, &best, &sc)
-			if phantom {
-				ss.Saved.DistCompsSkipped += skipped
-			} else {
-				acc.DistCompsSkipped += skipped
-			}
-			if !phantom {
-				if d := best.bound(); !math.IsInf(d, 1) && b.Tighten(d) {
-					ss.Tightened++
-					if onTighten != nil {
-						onTighten(d)
-					}
-				}
-			}
-			continue
-		}
-		pushChildren(&pq, n, q, m, best.bound(), &sc)
-	}
-	return best.results(), acc, ss
+	res, acc, as := HSApprox(t, q, k, m, ApproxSpec{Shrink: 1}, b, onTighten)
+	return res, acc, as.SharedStats
 }

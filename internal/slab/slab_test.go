@@ -50,9 +50,9 @@ func adversarialPoints(dim int) [][]vec.Point {
 	}
 	sets := [][]vec.Point{
 		randset(33, 1),
-		randset(7, 1e30),  // extreme magnitudes: d*d overflows to +Inf
-		randset(7, 1e-40), // float32 denormals
-		constant(9, 0.25), // exact ties across all points
+		randset(7, 1e30),                  // extreme magnitudes: d*d overflows to +Inf
+		randset(7, 1e-40),                 // float32 denormals
+		constant(9, 0.25),                 // exact ties across all points
 		constant(3, math.Copysign(0, -1)), // negative zero
 		{r32(vec.Point{math.MaxFloat32, -math.MaxFloat32, 1, 0, 0, 0, 0, 0}[:dim])},
 	}

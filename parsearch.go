@@ -34,11 +34,8 @@
 package parsearch
 
 import (
-	"context"
-	"errors"
 	"fmt"
 	"math"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -46,7 +43,6 @@ import (
 	"parsearch/internal/core"
 	"parsearch/internal/disk"
 	"parsearch/internal/fsx"
-	"parsearch/internal/knn"
 	"parsearch/internal/lsh"
 	"parsearch/internal/metrics"
 	"parsearch/internal/vec"
@@ -724,88 +720,6 @@ func (ix *Index) emptyState() (*state, error) {
 	return st, nil
 }
 
-// splitValues returns the current per-dimension split values of the
-// state's bucketer (both splitter implementations expose them).
-func splitValues(st *state) []float64 {
-	return st.bucketer.(interface{ Splits() []float64 }).Splits()
-}
-
-// assignCell places point i under the given state and returns its disk
-// together with the storage cell it lands in. The state's bucketer and
-// assigner are immutable, so no lock is needed beyond pinning st.
-func (ix *Index) assignCell(st *state, i int, p vec.Point) (diskNo int, key string, rect vec.Rect) {
-	if rec, ok := st.assigner.(*core.Recursive); ok {
-		c := rec.AssignCell(p)
-		return c.Disk, c.Key(), c.Rect
-	}
-	diskNo = st.assigner.Assign(i, p)
-	b := st.bucketer.Bucket(p)
-	// Round robin scatters a quadrant over every disk; the disk is part
-	// of the cell identity so each disk keeps its own pages per quadrant.
-	key = fmt.Sprintf("%d#%d", b, diskNo)
-	return diskNo, key, core.QuadrantRect(b, splitValues(st))
-}
-
-// addToCell records one point in its storage cell. Caller holds meta (or
-// exclusively owns st during a build).
-func addToCell(st *state, key string, diskNo int, rect vec.Rect) {
-	if idx, ok := st.cellIndex[key]; ok {
-		st.cells[idx].count++
-		return
-	}
-	st.cellIndex[key] = len(st.cells)
-	st.cells = append(st.cells, cellInfo{rect: rect, disk: diskNo, count: 1})
-}
-
-func (ix *Index) treeConfig() xtree.Config {
-	cfg := xtree.DefaultConfig(ix.opts.Dim)
-	cfg.LeafCapacity = xtree.LeafCapacityForPage(ix.opts.Dim, ix.opts.PageSize)
-	cfg.DirCapacity = xtree.DirCapacityForPage(ix.opts.Dim, ix.opts.PageSize)
-	cfg.Packed = ix.opts.Packed
-	cfg.Quantize = ix.opts.Quantize
-	return cfg
-}
-
-// canonPacked applies packed mode's rounding-at-ingest contract to a
-// freshly cloned point: every coordinate is rounded to the nearest
-// float32, so the tree's float64 values and the slabs' float32 copies
-// are the same numbers and the batched kernels match the scalar ones
-// bit for bit. A no-op on unpacked indexes.
-func (ix *Index) canonPacked(p vec.Point) {
-	if !ix.opts.Packed {
-		return
-	}
-	for j := range p {
-		p[j] = float64(float32(p[j]))
-	}
-}
-
-// makeAssigner builds the Assigner for the configured strategy over the
-// given bucketer.
-func (ix *Index) makeAssigner(b core.Bucketer) (core.Assigner, error) {
-	d, n := ix.opts.Dim, ix.opts.Disks
-	switch ix.opts.Kind {
-	case NearOptimal:
-		return core.NewBucketAssigner(b, core.NewNearOptimal(d, n)), nil
-	case Hilbert:
-		s, err := core.NewHilbert(d, 1, n)
-		if err != nil {
-			return nil, fmt.Errorf("parsearch: %w", err)
-		}
-		return core.NewBucketAssigner(b, s), nil
-	case DiskModulo:
-		return core.NewBucketAssigner(b, core.NewDiskModulo(n)), nil
-	case FX:
-		return core.NewBucketAssigner(b, core.NewFX(n)), nil
-	case RoundRobin:
-		return core.NewRoundRobin(n), nil
-	case DirectOnly:
-		return core.NewBucketAssigner(b, core.NewDirectOnly(d, n)), nil
-	default:
-		return nil, fmt.Errorf("parsearch: unknown strategy %q", ix.opts.Kind)
-	}
-}
-
 // Strategy returns the name of the active declustering strategy.
 func (ix *Index) Strategy() string {
 	ix.mu.RLock()
@@ -825,13 +739,6 @@ func (ix *Index) Replication() int { return ix.opts.Replication }
 
 // Len returns the number of indexed (non-deleted) vectors.
 func (ix *Index) Len() int {
-	ix.meta.Lock()
-	defer ix.meta.Unlock()
-	return ix.live
-}
-
-// liveCount returns the live count under meta.
-func (ix *Index) liveCount() int {
 	ix.meta.Lock()
 	defer ix.meta.Unlock()
 	return ix.live
@@ -984,865 +891,6 @@ func (ix *Index) CheckIntegrity() error {
 		}
 	}
 	return nil
-}
-
-// buildState constructs a fresh derived state (and the cloned point
-// table) from the given vectors. It reads only immutable index fields, so
-// it runs without any lock — Build and Reorganize call it off the lock
-// and cut the result in atomically.
-func (ix *Index) buildState(points [][]float64) (st *state, pts []vec.Point, live int, err error) {
-	for i, p := range points {
-		if p != nil && len(p) != ix.opts.Dim {
-			return nil, nil, 0, fmt.Errorf("parsearch: point %d has dimension %d, want %d", i, len(p), ix.opts.Dim)
-		}
-	}
-	pts = make([]vec.Point, len(points))
-	var livePoints []vec.Point
-	for i, p := range points {
-		if p == nil {
-			continue
-		}
-		pts[i] = vec.Clone(p)
-		ix.canonPacked(pts[i])
-		livePoints = append(livePoints, pts[i])
-		live++
-	}
-
-	st = &state{cellIndex: make(map[string]int)}
-	// Choose the bucketing per the configured extensions.
-	if ix.opts.QuantileSplits && live > 0 {
-		st.bucketer = core.NewQuantileSplitter(livePoints, 0.5)
-	} else {
-		st.bucketer = core.NewMidpointSplitter(ix.opts.Dim)
-	}
-	if ix.opts.Recursive {
-		st.assigner = core.BuildRecursive(livePoints, st.bucketer, ix.opts.Disks,
-			core.DefaultRecursiveConfig(ix.opts.Disks))
-	} else {
-		assigner, err := ix.makeAssigner(st.bucketer)
-		if err != nil {
-			return nil, nil, 0, err
-		}
-		st.assigner = assigner
-	}
-
-	// Partition into per-disk trees and bucket cells. Bucket-based
-	// strategies store data per bucket, so no page spans two buckets
-	// (the paper's storage layout); round robin has no spatial
-	// grouping — each disk indexes its arrival-order sample as a whole.
-	// With a single disk there is nothing to decluster: the "parallel"
-	// index degenerates to the original sequential X-tree, so the plain
-	// layout applies (bucket grouping would only fragment pages).
-	_, isRR := st.assigner.(*core.RoundRobin)
-	plain := isRR || ix.opts.Disks == 1
-	groups := make([]map[string][]xtree.Entry, ix.opts.Disks)
-	for d := range groups {
-		groups[d] = make(map[string][]xtree.Entry)
-	}
-	for i, p := range pts {
-		if p == nil {
-			continue
-		}
-		d, key, rect := ix.assignCell(st, i, p)
-		addToCell(st, key, d, rect)
-		groups[d][key] = append(groups[d][key], xtree.Entry{Point: p, ID: i})
-	}
-	cfg := ix.treeConfig()
-	st.shards = make([]*shard, ix.opts.Disks)
-	for d := range st.shards {
-		st.shards[d] = loadShard(cfg, groups[d], plain)
-	}
-	if ix.opts.Replication > 0 {
-		// Chained replication: disk r hosts a second, independently
-		// packed tree over the data whose primary is disk r-1.
-		st.replicas = make([]*shard, ix.opts.Disks)
-		for d := range groups {
-			st.replicas[replicaOf(d, ix.opts.Disks)] = loadShard(cfg, groups[d], plain)
-		}
-	}
-	if ix.opts.LSH {
-		for _, sh := range st.shards {
-			sh.probe = lsh.Build(sh.tree, lshSeed)
-		}
-		for _, sh := range st.replicas {
-			sh.probe = lsh.Build(sh.tree, lshSeed)
-		}
-	}
-	if ix.opts.Baseline {
-		entries := make([]xtree.Entry, 0, live)
-		for i, p := range pts {
-			if p != nil {
-				entries = append(entries, xtree.Entry{Point: p, ID: i})
-			}
-		}
-		st.baseline = &shard{tree: xtree.New(cfg)}
-		st.baseline.tree.BulkLoad(entries)
-	}
-	return st, pts, live, nil
-}
-
-// loadShard bulk-loads one disk's share of the data — grouped by
-// storage cell so no page spans two cells, or flat for the plain layout
-// — into a fresh tree. Cell keys are sorted for a deterministic build.
-func loadShard(cfg xtree.Config, groups map[string][]xtree.Entry, plain bool) *shard {
-	keys := make([]string, 0, len(groups))
-	for key := range groups {
-		keys = append(keys, key)
-	}
-	sort.Strings(keys)
-	sh := &shard{tree: xtree.New(cfg)}
-	if plain {
-		var all []xtree.Entry
-		for _, key := range keys {
-			all = append(all, groups[key]...)
-		}
-		sh.tree.BulkLoad(all)
-		return sh
-	}
-	parts := make([][]xtree.Entry, 0, len(keys))
-	for _, key := range keys {
-		parts = append(parts, groups[key])
-	}
-	sh.tree.BulkLoadGrouped(parts)
-	return sh
-}
-
-// Build indexes the given vectors, replacing any previous content. Vector
-// i receives ID i. A nil vector is a tombstone: its ID stays reserved but
-// nothing is stored (snapshots of indexes with deletions use this). With
-// Options.QuantileSplits the quadrant splits are placed at the
-// per-dimension medians of the data; with Options.Recursive overloaded
-// disks are recursively declustered (both extensions of §4.3).
-//
-// The new structure is computed off the lock — queries keep running
-// against the old contents meanwhile — and swapped in as an atomic
-// cutover. A concurrent Insert or Delete serializes either before the
-// cutover (its effect is replaced, as if it preceded Build) or after it.
-func (ix *Index) Build(points [][]float64) error {
-	st, pts, live, err := ix.buildState(points)
-	if err != nil {
-		return err
-	}
-	if ix.opts.Durable {
-		// A durable Build is a generation rebase: the new state must be
-		// committed as a snapshot before the cutover (see durable.go).
-		return ix.rebaseDurable(st, pts, live)
-	}
-	ix.mu.Lock()
-	defer ix.mu.Unlock()
-	ix.meta.Lock()
-	defer ix.meta.Unlock()
-	if ix.closed {
-		return ErrClosed
-	}
-	ix.st = st
-	ix.points = pts
-	ix.live = live
-	ix.version++
-	return nil
-}
-
-// Insert adds one vector dynamically and returns its ID. Point mutations
-// are serialized with each other but run concurrently with queries. On a
-// durable index the insert is logged (and, with WALSyncAlways, fsynced
-// via group commit) before it returns.
-func (ix *Index) Insert(p []float64) (int, error) {
-	if len(p) != ix.opts.Dim {
-		return 0, fmt.Errorf("parsearch: inserting dimension %d, want %d", len(p), ix.opts.Dim)
-	}
-	if ix.opts.Durable {
-		ix.rotMu.RLock()
-		defer ix.rotMu.RUnlock()
-	}
-	ix.mu.RLock()
-	defer ix.mu.RUnlock()
-	st := ix.st
-	ix.meta.Lock()
-	if ix.closed {
-		ix.meta.Unlock()
-		return 0, ErrClosed
-	}
-	id, w, target, err := ix.insertOne(st, p)
-	ix.meta.Unlock()
-	if err != nil {
-		return 0, err
-	}
-	if w != nil && w.Policy() == wal.SyncAlways {
-		if err := w.SyncTo(target); err != nil {
-			// The mutation is applied in memory but its durability is
-			// unknown; the writer is sticky-failed, so every further
-			// mutation will be refused rather than silently undurable.
-			return 0, fmt.Errorf("parsearch: syncing insert: %w", err)
-		}
-	}
-	return id, nil
-}
-
-// insertOne logs and applies one insert. The caller holds rotMu in read
-// mode (durable indexes), mu in read mode, and meta, has verified the
-// index is open and the dimension matches, and waits for the group
-// commit (SyncTo(target) on the returned writer) after releasing meta.
-// Batched ingest shares this primitive: a whole batch is applied under
-// one meta hold and acknowledged by a single sync to the last target.
-func (ix *Index) insertOne(st *state, p []float64) (id int, w *wal.Writer, target int64, err error) {
-	id = len(ix.points)
-	point := vec.Clone(p)
-	ix.canonPacked(point)
-	// Log before apply: a failed append leaves both the log and the
-	// index untouched. The sync wait happens after meta is released, so
-	// concurrent mutations share fsyncs (group commit) instead of
-	// serializing behind them. rotMu (held in read mode) pins the
-	// writer: a checkpoint may rotate it concurrently — its cut syncs
-	// this append first — but a Build cannot replace the generation
-	// under us.
-	w = ix.wal
-	if w != nil {
-		target, err = w.AppendAsync(wal.EncodeInsert(uint64(id), point))
-		if err != nil {
-			return 0, nil, 0, fmt.Errorf("parsearch: logging insert: %w", err)
-		}
-	}
-	ix.points = append(ix.points, point)
-	ix.live++
-	ix.version++
-	if ix.opts.QuantileSplits {
-		ix.observer().Observe(point)
-	}
-	d, key, rect := ix.assignCell(st, id, point)
-	addToCell(st, key, d, rect)
-	sh := st.shards[d]
-	sh.mu.Lock()
-	sh.tree.Insert(point, id)
-	sh.mu.Unlock()
-	if st.replicas != nil {
-		rsh := st.replicas[replicaOf(d, ix.opts.Disks)]
-		rsh.mu.Lock()
-		rsh.tree.Insert(point, id)
-		rsh.mu.Unlock()
-	}
-	if st.baseline != nil {
-		st.baseline.mu.Lock()
-		st.baseline.tree.Insert(point, id)
-		st.baseline.mu.Unlock()
-	}
-	return id, w, target, nil
-}
-
-// Delete removes the vector with the given ID. The ID is not reused;
-// subsequent inserts continue from the highest ID ever assigned. On a
-// durable index the delete is logged like an insert (see Insert).
-func (ix *Index) Delete(id int) error {
-	if ix.opts.Durable {
-		ix.rotMu.RLock()
-		defer ix.rotMu.RUnlock()
-	}
-	ix.mu.RLock()
-	defer ix.mu.RUnlock()
-	w, target, err := ix.deleteLocked(id)
-	if err != nil {
-		return err
-	}
-	if w != nil && w.Policy() == wal.SyncAlways {
-		if err := w.SyncTo(target); err != nil {
-			// Applied in memory, durability unknown; the writer is
-			// sticky-failed (see Insert).
-			return fmt.Errorf("parsearch: syncing delete: %w", err)
-		}
-	}
-	return nil
-}
-
-// deleteLocked validates, logs, and applies one delete under the
-// metadata lock; the caller waits for the group commit off the lock.
-func (ix *Index) deleteLocked(id int) (*wal.Writer, int64, error) {
-	st := ix.st
-	ix.meta.Lock()
-	defer ix.meta.Unlock()
-	if ix.closed {
-		return nil, 0, ErrClosed
-	}
-	return ix.deleteOne(st, id)
-}
-
-// deleteOne applies and logs one delete. Locking contract as insertOne.
-func (ix *Index) deleteOne(st *state, id int) (*wal.Writer, int64, error) {
-	if id < 0 || id >= len(ix.points) || ix.points[id] == nil {
-		return nil, 0, fmt.Errorf("parsearch: no vector with id %d", id)
-	}
-	p := ix.points[id]
-	// Apply to the trees BEFORE logging: the tree deletes are the only
-	// remaining failure modes, and a delete record must never become
-	// durable unless the delete is actually applied — otherwise a
-	// failed delete would silently reappear as applied after recovery.
-	// (Insert logs first because its apply cannot fail.) Log order
-	// still matches commit order: both happen under meta.
-	d, key, _ := ix.assignCell(st, id, p)
-	sh := st.shards[d]
-	sh.mu.Lock()
-	ok := sh.tree.Delete(p, id)
-	sh.mu.Unlock()
-	if !ok {
-		return nil, 0, fmt.Errorf("parsearch: internal inconsistency: id %d not found on disk %d", id, d)
-	}
-	var rsh *shard
-	if st.replicas != nil {
-		r := replicaOf(d, ix.opts.Disks)
-		rsh = st.replicas[r]
-		rsh.mu.Lock()
-		ok := rsh.tree.Delete(p, id)
-		rsh.mu.Unlock()
-		if !ok {
-			// Undo the primary so the failed delete leaves no trace.
-			sh.mu.Lock()
-			sh.tree.Insert(p, id)
-			sh.mu.Unlock()
-			return nil, 0, fmt.Errorf("parsearch: internal inconsistency: id %d not found in disk %d's replica on disk %d", id, d, r)
-		}
-	}
-	if st.baseline != nil {
-		st.baseline.mu.Lock()
-		st.baseline.tree.Delete(p, id)
-		st.baseline.mu.Unlock()
-	}
-	w := ix.wal
-	var target int64
-	if w != nil {
-		var werr error
-		target, werr = w.AppendAsync(wal.EncodeDelete(uint64(id)))
-		if werr != nil {
-			// The delete was refused, not applied: roll the trees back
-			// so memory, the log, and the error agree.
-			sh.mu.Lock()
-			sh.tree.Insert(p, id)
-			sh.mu.Unlock()
-			if rsh != nil {
-				rsh.mu.Lock()
-				rsh.tree.Insert(p, id)
-				rsh.mu.Unlock()
-			}
-			if st.baseline != nil {
-				st.baseline.mu.Lock()
-				st.baseline.tree.Insert(p, id)
-				st.baseline.mu.Unlock()
-			}
-			return nil, 0, fmt.Errorf("parsearch: logging delete: %w", werr)
-		}
-	}
-	if idx, ok := st.cellIndex[key]; ok && st.cells[idx].count > 0 {
-		st.cells[idx].count--
-	}
-	ix.points[id] = nil
-	ix.live--
-	ix.version++
-	return w, target, nil
-}
-
-// ErrEmpty is returned by queries on an empty index.
-var ErrEmpty = errors.New("parsearch: index is empty")
-
-// NN returns the nearest neighbor of q.
-func (ix *Index) NN(q []float64) (Neighbor, QueryStats, error) {
-	return ix.NNContext(context.Background(), q)
-}
-
-// NNContext is NN with a context, which may carry a per-request tracer
-// (see WithTracer).
-func (ix *Index) NNContext(ctx context.Context, q []float64) (Neighbor, QueryStats, error) {
-	res, stats, err := ix.KNNContext(ctx, q, 1)
-	if err != nil {
-		return Neighbor{}, stats, err
-	}
-	if len(res) == 0 {
-		// Degraded-to-empty edge: a best-effort search over a partially
-		// failed index can come up with no candidates at all. Surface
-		// that as an error instead of indexing an empty slice.
-		if stats.Degraded {
-			return Neighbor{}, stats, ErrUnavailable
-		}
-		return Neighbor{}, stats, ErrEmpty
-	}
-	return res[0], stats, nil
-}
-
-// KNN returns the k nearest neighbors of q, searching all disks in
-// parallel, together with the query's cost statistics.
-func (ix *Index) KNN(q []float64, k int) ([]Neighbor, QueryStats, error) {
-	return ix.KNNContext(context.Background(), q, k)
-}
-
-// KNNContext is KNN with a context, which may carry a per-request
-// tracer (see WithTracer) and a deadline. Cancellation is honored at
-// the fan-out granularity: the query checks ctx between per-disk
-// searches and before the simulated I/O phase, so a cancelled context
-// returns ctx.Err() promptly without charging further disk reads. A
-// disk search already underway completes (the simulated disks execute
-// a planned read batch atomically).
-func (ix *Index) KNNContext(ctx context.Context, q []float64, k int) ([]Neighbor, QueryStats, error) {
-	return ix.knnContext(ctx, q, k, ix.ApproxDefaults(), ShardSpec{})
-}
-
-// KNNApprox is KNN with per-query approximate-search knobs, overriding
-// the index defaults: the returned k-th distance is at most
-// (1+a.Epsilon) times the exact one, and with Options.LSH the probe
-// fraction is capped at a.RecallTarget. A zero Approx is an exact
-// query regardless of the index defaults.
-func (ix *Index) KNNApprox(q []float64, k int, a Approx) ([]Neighbor, QueryStats, error) {
-	return ix.KNNApproxContext(context.Background(), q, k, a)
-}
-
-// KNNApproxContext is KNNApprox with a context (see KNNContext).
-func (ix *Index) KNNApproxContext(ctx context.Context, q []float64, k int, a Approx) ([]Neighbor, QueryStats, error) {
-	if err := a.validate(); err != nil {
-		return nil, QueryStats{}, err
-	}
-	return ix.knnContext(ctx, q, k, a, ShardSpec{})
-}
-
-// KNNShardContext is KNNApproxContext restricted to a subset of the
-// declustered disks (see ShardSpec) — the per-shard-group query of a
-// multi-node deployment. Results are exact over the selected disks:
-// excluded disks are neither searched nor accounted, and never flag the
-// query Degraded (another process shard serves them). A coordinator
-// merging every group's results obtains exactly the unrestricted
-// query's answer; with a.Bound it can additionally ship one group's
-// k-th distance to the others (see Approx.Bound).
-func (ix *Index) KNNShardContext(ctx context.Context, q []float64, k int, a Approx, shards ShardSpec) ([]Neighbor, QueryStats, error) {
-	if err := a.validate(); err != nil {
-		return nil, QueryStats{}, err
-	}
-	if err := shards.validate(ix.opts.Disks); err != nil {
-		return nil, QueryStats{}, err
-	}
-	return ix.knnContext(ctx, q, k, a, shards)
-}
-
-// knnContext runs one k-NN query with the resolved approximate-search
-// knobs and shard restriction (both already validated).
-func (ix *Index) knnContext(ctx context.Context, q []float64, k int, a Approx, shards ShardSpec) (_ []Neighbor, stats QueryStats, err error) {
-	start := time.Now()
-	// The span starts before the lock, so a wait behind Reorganize's
-	// write lock shows up in the events' Elapsed.
-	sp := ix.newSpan(ctx, "knn")
-	ix.mu.RLock()
-	defer ix.mu.RUnlock()
-	st := ix.st
-
-	defer func() {
-		if err != nil {
-			ix.reg.QueryErrors.Inc()
-			sp.errEvent(err)
-		}
-	}()
-
-	if len(q) != ix.opts.Dim {
-		return nil, stats, fmt.Errorf("parsearch: query dimension %d, want %d", len(q), ix.opts.Dim)
-	}
-	if k < 1 {
-		return nil, stats, fmt.Errorf("parsearch: k = %d", k)
-	}
-	if ix.liveCount() == 0 {
-		return nil, stats, ErrEmpty
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, stats, err
-	}
-
-	// Plan the failure routing once: the same snapshot of the failure
-	// flags drives the search and the I/O accounting, so the query sees
-	// one consistent failure state.
-	routes, degraded := ix.plan(st, shards.mask(ix.opts.Disks))
-	sp.planEvents(routes, degraded)
-
-	// Phase 1: every live shard finds its local k nearest neighbors,
-	// one goroutine per shard (the union of the local results contains
-	// the global result over the reachable data). A failed disk's
-	// search runs against the chained replica instead; shards with no
-	// live copy are skipped. Each goroutine holds only its own tree's
-	// read lock, so a concurrent insert on one disk never blocks the
-	// searches on the others.
-	//
-	// Cooperative pruning (unless Options.DisableSharedBound): the
-	// shards share one lock-free bound on the global k-th-best distance
-	// (knn.Bound). The query's home shard — the disk its quadrant is
-	// declustered to, the likeliest holder of near neighbors — is
-	// probed synchronously first so the bound is tight before the
-	// fan-out starts; every other shard then consults the live bound
-	// before expanding each priority-queue node and tightens it as its
-	// local k-best improves. Pruned work is still accounted exactly
-	// (QueryStats.PagesSavedByBound); results are provably identical to
-	// the independent search (see DESIGN.md "Cooperative pruning").
-	m := ix.metric()
-	sr := newShardSearch(ctx, ix, &sp, st, q, k, m)
-	sr.setApprox(a, ix.opts.LSH)
-	sr.seedBound(a)
-	seed := -1
-	if sr.bound != nil {
-		if d := ix.homeDisk(st, q); routes[d].sh != nil {
-			seed = d
-			sr.search(routes[d], d)
-		}
-	}
-	var wg sync.WaitGroup
-	for d := range routes {
-		if routes[d].sh == nil || d == seed {
-			continue
-		}
-		wg.Add(1)
-		go func(d int) {
-			defer wg.Done()
-			sr.search(routes[d], d)
-		}(d)
-	}
-	wg.Wait()
-	// A context cancelled during the fan-out leaves some disks
-	// unsearched; partial results would be silently wrong, so surface
-	// the cancellation before merging (and before the I/O phase burns
-	// simulated disk time for a client that is gone).
-	if err := ctx.Err(); err != nil {
-		return nil, stats, err
-	}
-	locals := sr.locals
-	ix.reg.NodeVisits.Add(sr.record(&stats))
-	if sr.approx {
-		sp.emit(TraceEvent{Stage: StageApprox, Disk: -1, Item: -1, K: k,
-			Epsilon: sr.eps, Pages: stats.PagesSkippedApprox})
-	}
-
-	// Merge to the global k nearest.
-	var merged []knn.Result
-	for _, l := range locals {
-		merged = append(merged, l...)
-	}
-	sortResults(merged)
-	if len(merged) > k {
-		merged = merged[:k]
-	}
-	if len(merged) == 0 {
-		if degraded {
-			// Every live copy of the data is on a failed disk.
-			stats.Degraded = true
-			return nil, stats, ErrUnavailable
-		}
-		// Concurrent deletions emptied the index between the live
-		// check and the search.
-		return nil, stats, ErrEmpty
-	}
-	rk := merged[len(merged)-1].Dist
-	sp.emit(TraceEvent{Stage: StageMerge, Disk: -1, Item: -1, K: k,
-		Results: len(merged), Radius: rk})
-
-	// Phase 2: cost accounting — every disk must read its pages
-	// intersecting the NN-sphere of radius rk (§3.2: the partitions
-	// intersecting the NN-sphere should be distributed over different
-	// disks). The cost model selects what a "page" is: the disk's own
-	// X-tree leaf pages (real system) or the quadrant buckets (the
-	// paper's idealized storage). Reads are charged to the disk the
-	// routing selected; pages with no live copy are counted as
-	// Unreachable instead of being read.
-	stats.PagesPerDisk = make([]int, len(st.shards))
-	refs := ix.sphereRefs(st, routes, q, rk, &stats)
-	// Degraded only when the dead data could have changed the answer:
-	// unreachable pages intersect the NN-sphere (a dead point could be
-	// closer than rk), or the merge came up short of k (any dead point
-	// would have made the cut). Otherwise every dead page lies strictly
-	// outside the sphere and the results are provably exact.
-	stats.Degraded = stats.Unreachable > 0 || (degraded && len(merged) < k)
-	batch, err := ix.array.ReadBatch(refs)
-	if err != nil {
-		return nil, stats, fmt.Errorf("parsearch: %w", err)
-	}
-	stats.MaxPages = batch.MaxPerDisk
-	stats.TotalPages = batch.Total
-	stats.Retries = batch.Retries
-	stats.ParallelTime = batch.ParallelTime.Seconds()
-	stats.SequentialTime = batch.SequentialTime.Seconds()
-	stats.Speedup = batch.Speedup()
-	sp.ioEvents(batch)
-	ix.recordQuery(&ix.reg.QueriesKNN, &stats, batch, start)
-
-	if st.baseline != nil {
-		st.baseline.mu.RLock()
-		pages, leaves := knn.SphereLeafPagesMetric(st.baseline.tree, q, rk, m)
-		st.baseline.mu.RUnlock()
-		stats.SeqPages = pages
-		stats.BaselineTime = ix.params.SimulateCost(leaves, pages).Seconds()
-		if stats.ParallelTime > 0 {
-			stats.BaselineSpeedup = stats.BaselineTime / stats.ParallelTime
-		}
-	}
-
-	out := make([]Neighbor, len(merged))
-	for i, r := range merged {
-		out[i] = Neighbor{ID: r.Entry.ID, Point: r.Entry.Point, Dist: r.Dist}
-	}
-	sp.emit(TraceEvent{Stage: StageDone, Disk: -1, Item: -1, K: k,
-		Results: len(out), Pages: stats.TotalPages, Degraded: stats.Degraded})
-	return out, stats, nil
-}
-
-// sphereRefs collects the page reads a query with NN-sphere radius rk
-// requires, per the configured cost model: the pages of the trees the
-// routing actually searches (real system) or the quadrant bucket pages
-// (the paper's idealized storage of §3). Page counts, intersected
-// cells, and the degraded-mode accounting (Unreachable, Rerouted) are
-// recorded into qs; the returned refs feed the disk array and only name
-// disks the routing selected as live. Each tree's leaves are enumerated
-// under its read lock; the cell scan of the bucket model runs under
-// meta.
-func (ix *Index) sphereRefs(st *state, routes []route, q vec.Point, rk float64, qs *QueryStats) (refs []disk.PageRef) {
-	m := ix.metric()
-	rank := m.ToRank(rk)
-	switch ix.opts.CostModel {
-	case BucketPages:
-		leafCap := ix.treeConfig().LeafCapacity
-		ix.meta.Lock()
-		for i := range st.cells {
-			c := &st.cells[i]
-			if c.count == 0 || m.RankMinDist(c.rect, q) > rank {
-				continue
-			}
-			rt := routes[c.disk]
-			if rt.masked {
-				continue
-			}
-			pages := (c.count + leafCap - 1) / leafCap
-			qs.Cells++
-			if rt.sh == nil {
-				qs.Unreachable += pages
-				continue
-			}
-			if rt.rerouted {
-				qs.Rerouted += pages
-			}
-			qs.PagesPerDisk[rt.disk] += pages
-			refs = append(refs, disk.PageRef{Disk: rt.disk, Blocks: pages})
-		}
-		ix.meta.Unlock()
-	default: // TreePages
-		for d := range routes {
-			rt := routes[d]
-			if rt.masked {
-				continue
-			}
-			sh, charge := rt.sh, rt.disk
-			if sh == nil {
-				// No live copy: enumerate the primary tree's pages
-				// anyway so the shortfall is visible as Unreachable.
-				sh, charge = st.shards[d], -1
-			}
-			sh.mu.RLock()
-			for _, leaf := range sh.tree.Leaves() {
-				if m.RankMinDist(leaf.Rect(), q) > rank {
-					continue
-				}
-				qs.Cells++
-				if charge < 0 {
-					qs.Unreachable += leaf.Super()
-					continue
-				}
-				if rt.rerouted {
-					qs.Rerouted += leaf.Super()
-				}
-				qs.PagesPerDisk[charge] += leaf.Super()
-				refs = append(refs, disk.PageRef{Disk: charge, Blocks: leaf.Super()})
-			}
-			sh.mu.RUnlock()
-		}
-	}
-	return refs
-}
-
-// shardSearch is the per-query state of the k-NN fan-out: the per-disk
-// result and accounting slots, plus the shared bound of the cooperative
-// search (nil with Options.DisableSharedBound). One shardSearch serves
-// one query; search is safe to call concurrently for different disks.
-type shardSearch struct {
-	ix    *Index
-	sp    *span
-	ctx   context.Context
-	q     vec.Point
-	k     int
-	m     vec.Metric
-	item  int  // batch item for trace events; -1 for single queries
-	emit  bool // emit a per-disk search event (batch items emit their own)
-	bound *knn.Bound
-
-	// Approximate tier (setApprox): shrink is the rank-space
-	// ε-termination factor (1 disables), eps the ε behind it, recall
-	// the LSH probe fraction (1 disables). approx routes the per-disk
-	// searches through knn.HSApprox; when false they run the exact code
-	// path untouched, so exact queries stay byte-identical.
-	shrink float64
-	eps    float64
-	recall float64
-	approx bool
-
-	locals  [][]knn.Result
-	accs    []knn.Accounting
-	saved   []knn.Accounting
-	tight   []int
-	remote  []int
-	skipped []int
-	probed  []int
-}
-
-func newShardSearch(ctx context.Context, ix *Index, sp *span, st *state, q vec.Point, k int, m vec.Metric) *shardSearch {
-	sr := &shardSearch{ix: ix, sp: sp, ctx: ctx, q: q, k: k, m: m, item: -1, emit: true,
-		locals: make([][]knn.Result, len(st.shards)),
-		accs:   make([]knn.Accounting, len(st.shards)),
-	}
-	if !ix.opts.DisableSharedBound {
-		sr.bound = knn.NewBound()
-		sr.saved = make([]knn.Accounting, len(st.shards))
-		sr.tight = make([]int, len(st.shards))
-		sr.remote = make([]int, len(st.shards))
-	}
-	sr.shrink, sr.recall = 1, 1
-	return sr
-}
-
-// seedBound installs the externally shipped k-th-distance bound of
-// a.Bound (converted to rank space) into this query's shared bound —
-// the receiving half of the cross-network bound protocol. A no-op
-// without a bound to seed, or with the shared bound disabled.
-func (sr *shardSearch) seedBound(a Approx) {
-	if a.Bound > 0 && sr.bound != nil {
-		sr.bound.Seed(sr.m.ToRank(a.Bound))
-	}
-}
-
-// setApprox arms the approximate tier for this query. The recall cap
-// only takes effect on an index built with Options.LSH (without the
-// filter there is nothing to order the probes by).
-func (sr *shardSearch) setApprox(a Approx, lshOn bool) {
-	sr.shrink = knn.ShrinkFor(a.Epsilon, sr.m)
-	sr.eps = a.Epsilon
-	if lshOn && a.RecallTarget > 0 && a.RecallTarget < 1 {
-		sr.recall = a.RecallTarget
-	}
-	sr.approx = sr.shrink < 1 || sr.recall < 1
-	if sr.approx {
-		sr.skipped = make([]int, len(sr.locals))
-		sr.probed = make([]int, len(sr.locals))
-	}
-}
-
-// search runs disk d's local search via the given route, under the
-// routed tree's read lock. A cancelled query context skips the disk
-// entirely — the fan-out checks cancellation between per-disk searches
-// so a disconnected client stops burning traversal work; the caller
-// surfaces ctx.Err() after the fan-out. Bound tightenings are buffered
-// and emitted after the lock is released so no user code (the tracer)
-// ever runs under a shard lock.
-func (sr *shardSearch) search(rt route, d int) {
-	if sr.ctx.Err() != nil {
-		return
-	}
-	sh := rt.sh
-	var tighs []float64
-	sh.mu.RLock()
-	switch {
-	case sr.approx:
-		var onTighten func(float64)
-		if sr.bound != nil && sr.sp.on() {
-			onTighten = func(sq float64) { tighs = append(tighs, sq) }
-		}
-		spec := knn.ApproxSpec{Shrink: sr.shrink}
-		if sr.recall < 1 && sh.probe != nil {
-			spec.Probe = sh.probe.Admit(sr.q, sr.recall)
-		}
-		var as knn.ApproxStats
-		sr.locals[d], sr.accs[d], as = knn.HSApprox(sh.tree, sr.q, sr.k, sr.m, spec, sr.bound, onTighten)
-		if sr.bound != nil {
-			sr.saved[d] = as.Saved
-			sr.tight[d] = as.Tightened
-			sr.remote[d] = as.RemotePages
-		}
-		sr.skipped[d] = as.SkippedPages
-		sr.probed[d] = as.ProbedPages
-	case sr.bound != nil:
-		var onTighten func(float64)
-		if sr.sp.on() {
-			onTighten = func(sq float64) { tighs = append(tighs, sq) }
-		}
-		var ss knn.SharedStats
-		sr.locals[d], sr.accs[d], ss = knn.HSShared(sh.tree, sr.q, sr.k, sr.m, sr.bound, onTighten)
-		sr.saved[d] = ss.Saved
-		sr.tight[d] = ss.Tightened
-		sr.remote[d] = ss.RemotePages
-	default:
-		sr.locals[d], sr.accs[d] = knn.HSMetric(sh.tree, sr.q, sr.k, sr.m)
-	}
-	sh.mu.RUnlock()
-	for _, sq := range tighs {
-		sr.sp.emit(TraceEvent{Stage: StageBoundTightened, Disk: d, Item: sr.item, K: sr.k,
-			Radius: sr.m.FromRank(sq)})
-	}
-	if sr.emit {
-		sr.sp.emit(TraceEvent{Stage: StageSearch, Disk: d, Item: sr.item, K: sr.k,
-			Results: len(sr.locals[d]), Pages: sr.accs[d].PageAccesses})
-	}
-}
-
-// record folds the finished fan-out into the query's stats and returns
-// the node-visit count for the registry (charged by the caller: KNN
-// directly, BatchKNN via its batch-wide accumulator).
-func (sr *shardSearch) record(qs *QueryStats) (nodeVisits int64) {
-	for d := range sr.accs {
-		nodeVisits += int64(sr.accs[d].DirAccesses + sr.accs[d].LeafAccesses)
-		qs.SearchPages += sr.accs[d].PageAccesses
-		qs.DistCompsSaved += sr.accs[d].DistCompsSkipped
-	}
-	for d := range sr.saved {
-		qs.PagesSavedByBound += sr.saved[d].PageAccesses
-		qs.BoundTightenings += sr.tight[d]
-		qs.PagesSavedByRemoteBound += sr.remote[d]
-	}
-	for d := range sr.skipped {
-		qs.PagesSkippedApprox += sr.skipped[d]
-		qs.ProbePages += sr.probed[d]
-	}
-	if sr.approx {
-		qs.EffectiveEpsilon = sr.eps
-	}
-	return nodeVisits
-}
-
-// homeDisk returns the disk the declustering assigns the query point's
-// own cell to — the shard likeliest to hold near neighbors, and hence
-// the seeding probe of the cooperative search. Point-based assigners
-// (round robin) have no home quadrant and seed disk 0; any probe warms
-// the bound, correctness never depends on the choice.
-func (ix *Index) homeDisk(st *state, q vec.Point) int {
-	return st.assigner.Assign(0, q)
-}
-
-// HomeDisk returns the disk the declustering assigns the query point's
-// cell to — the disk likeliest to hold q's near neighbors. A
-// multi-node coordinator uses it to pick the first shard group of the
-// two-phase bound protocol (group HomeDisk(q) mod number of shards);
-// correctness never depends on the choice, only pruning quality does.
-func (ix *Index) HomeDisk(q []float64) (int, error) {
-	if len(q) != ix.opts.Dim {
-		return 0, fmt.Errorf("parsearch: query dimension %d, want %d", len(q), ix.opts.Dim)
-	}
-	ix.mu.RLock()
-	defer ix.mu.RUnlock()
-	return ix.homeDisk(ix.st, q), nil
-}
-
-// sortResults orders by distance, breaking ties by ID.
-func sortResults(rs []knn.Result) {
-	for i := 1; i < len(rs); i++ {
-		for j := i; j > 0; j-- {
-			if rs[j].Dist < rs[j-1].Dist ||
-				(rs[j].Dist == rs[j-1].Dist && rs[j].Entry.ID < rs[j-1].Entry.ID) {
-				rs[j], rs[j-1] = rs[j-1], rs[j]
-			} else {
-				break
-			}
-		}
-	}
 }
 
 // VerifyDeclustering checks the active bucket-based strategy against the

@@ -73,8 +73,10 @@ func TestKNNMatchesLinearScanAllStrategies(t *testing.T) {
 	const d, n = 8, 1200
 	pts := data.Uniform(n, d, 42)
 	raw := make([][]float64, n)
+	truth := make(map[int][]float64, n)
 	for i, p := range pts {
 		raw[i] = p
+		truth[i] = p
 	}
 	queries := data.Uniform(30, d, 43)
 
@@ -91,38 +93,17 @@ func TestKNNMatchesLinearScanAllStrategies(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			want := linearKNN(pts, q, 7)
+			want := linearScanKNN(truth, q, 7, vec.L2)
 			if len(got) != len(want) {
 				t.Fatalf("%s: got %d results", kind, len(got))
 			}
 			for i := range got {
-				if math.Abs(got[i].Dist-want[i]) > 1e-9 {
-					t.Fatalf("%s: result %d dist %v, want %v", kind, i, got[i].Dist, want[i])
+				if math.Abs(got[i].Dist-want[i].dist) > 1e-9 {
+					t.Fatalf("%s: result %d dist %v, want %v", kind, i, got[i].Dist, want[i].dist)
 				}
 			}
 		}
 	}
-}
-
-func linearKNN(pts []vec.Point, q vec.Point, k int) []float64 {
-	dists := make([]float64, len(pts))
-	for i, p := range pts {
-		dists[i] = vec.Dist(q, p)
-	}
-	// Simple selection of the k smallest.
-	out := make([]float64, 0, k)
-	used := make([]bool, len(dists))
-	for len(out) < k && len(out) < len(dists) {
-		best, bestIdx := math.Inf(1), -1
-		for i, dd := range dists {
-			if !used[i] && dd < best {
-				best, bestIdx = dd, i
-			}
-		}
-		used[bestIdx] = true
-		out = append(out, best)
-	}
-	return out
 }
 
 func TestInsertDynamic(t *testing.T) {

@@ -1,0 +1,367 @@
+package parsearch
+
+import (
+	"context"
+	"fmt"
+	"sync"
+
+	"parsearch/internal/disk"
+	"parsearch/internal/knn"
+	"parsearch/internal/vec"
+)
+
+// This file is the k-NN search stage of the query pipeline (query.go):
+// the single-query entry points, and the per-item step — home-shard
+// probe, per-disk fan-out, merge, NN-sphere page accounting — that a
+// single query, every batch item and every ServiceDemands row run.
+
+// NN returns the nearest neighbor of q.
+func (ix *Index) NN(q []float64) (Neighbor, QueryStats, error) {
+	return ix.NNContext(context.Background(), q)
+}
+
+// NNContext is NN with a context, which may carry a per-request tracer
+// (see WithTracer).
+func (ix *Index) NNContext(ctx context.Context, q []float64) (Neighbor, QueryStats, error) {
+	res, stats, err := ix.KNNContext(ctx, q, 1)
+	if err != nil {
+		return Neighbor{}, stats, err
+	}
+	if len(res) == 0 {
+		// Degraded-to-empty edge: a best-effort search over a partially
+		// failed index can come up with no candidates at all. Surface
+		// that as an error instead of indexing an empty slice.
+		if stats.Degraded {
+			return Neighbor{}, stats, ErrUnavailable
+		}
+		return Neighbor{}, stats, ErrEmpty
+	}
+	return res[0], stats, nil
+}
+
+// KNN returns the k nearest neighbors of q, searching all disks in
+// parallel, together with the query's cost statistics.
+func (ix *Index) KNN(q []float64, k int) ([]Neighbor, QueryStats, error) {
+	return ix.KNNContext(context.Background(), q, k)
+}
+
+// KNNContext is KNN with a context, which may carry a per-request
+// tracer (see WithTracer) and a deadline. Cancellation is honored at
+// the fan-out granularity: the query checks ctx between per-disk
+// searches and before the simulated I/O phase, so a cancelled context
+// returns ctx.Err() promptly without charging further disk reads. A
+// disk search already underway completes (the simulated disks execute
+// a planned read batch atomically).
+func (ix *Index) KNNContext(ctx context.Context, q []float64, k int) ([]Neighbor, QueryStats, error) {
+	return ix.runKNN(ctx, query{op: opKNN, point: q, k: k, approx: ix.ApproxDefaults()})
+}
+
+// KNNApprox is KNN with per-query approximate-search knobs, overriding
+// the index defaults: the returned k-th distance is at most
+// (1+a.Epsilon) times the exact one, and with Options.LSH the probe
+// fraction is capped at a.RecallTarget. A zero Approx is an exact
+// query regardless of the index defaults.
+func (ix *Index) KNNApprox(q []float64, k int, a Approx) ([]Neighbor, QueryStats, error) {
+	return ix.KNNApproxContext(context.Background(), q, k, a)
+}
+
+// KNNApproxContext is KNNApprox with a context (see KNNContext).
+func (ix *Index) KNNApproxContext(ctx context.Context, q []float64, k int, a Approx) ([]Neighbor, QueryStats, error) {
+	return ix.runKNN(ctx, query{op: opKNN, point: q, k: k, approx: a})
+}
+
+// KNNShardContext is KNNApproxContext restricted to a subset of the
+// declustered disks (see ShardSpec) — the per-shard-group query of a
+// multi-node deployment. Results are exact over the selected disks:
+// excluded disks are neither searched nor accounted, and never flag the
+// query Degraded (another process shard serves them). A coordinator
+// merging every group's results obtains exactly the unrestricted
+// query's answer; with a.Bound it can additionally ship one group's
+// k-th distance to the others (see Approx.Bound).
+func (ix *Index) KNNShardContext(ctx context.Context, q []float64, k int, a Approx, shards ShardSpec) ([]Neighbor, QueryStats, error) {
+	return ix.runKNN(ctx, query{op: opKNN, point: q, k: k, approx: a, shards: shards})
+}
+
+// runKNN runs one single k-NN query through the pipeline.
+func (ix *Index) runKNN(ctx context.Context, qr query) (_ []Neighbor, stats QueryStats, err error) {
+	r, err := ix.begin(ctx, &qr)
+	defer r.end(&err)
+	if err != nil {
+		return nil, stats, err
+	}
+	r.plan(qr.shards)
+	merged, refs, err := r.knnItem(&qr, qr.point, -1, &stats)
+	if err != nil {
+		return nil, stats, err
+	}
+	if err = r.finishIO(&ix.reg.QueriesKNN, refs, &stats); err != nil {
+		return nil, stats, err
+	}
+	r.baselineCost(r.sphere(qr.point, merged[len(merged)-1].Dist), &stats)
+	out := neighbors(merged)
+	r.sp.emit(TraceEvent{Stage: StageDone, Disk: -1, Item: -1, K: qr.k,
+		Results: len(out), Pages: stats.TotalPages, Degraded: stats.Degraded})
+	return out, stats, nil
+}
+
+// knnItem is the per-item k-NN step: it answers one query point against
+// the planned routes and accounts the pages of the resulting NN-sphere
+// into qs (search work, per-disk pages, degraded-mode counters). item is
+// the batch index, or -1 for a single query.
+//
+// Search: every live shard finds its local k nearest neighbors (the
+// union of the local results contains the global result over the
+// reachable data). A failed disk's search runs against the chained
+// replica instead; shards with no live copy are skipped. Each search
+// holds only its own tree's read lock, so a concurrent insert on one
+// disk never blocks the searches on the others.
+//
+// Cooperative pruning (unless Options.DisableSharedBound): the shards
+// share one lock-free bound on the global k-th-best distance
+// (knn.Bound). The query's home shard — the disk its quadrant is
+// declustered to, the likeliest holder of near neighbors — is probed
+// synchronously first so the bound is tight before the fan-out starts;
+// every other shard then consults the live bound before expanding each
+// priority-queue node and tightens it as its local k-best improves.
+// Pruned work is still accounted exactly (QueryStats.PagesSavedByBound);
+// results are provably identical to the independent search (see
+// DESIGN.md "Cooperative pruning").
+//
+// A single query fans out with one goroutine per shard. A batch item
+// (item ≥ 0) searches its shards one after the other on its worker's
+// goroutine — the batch is already parallel across items — so the
+// bound's trajectory, and with it the pages saved, is deterministic,
+// unlike the parallel fan-out.
+func (r *run) knnItem(qr *query, q vec.Point, item int, qs *QueryStats) (merged []knn.Result, refs []disk.PageRef, err error) {
+	sr := newShardSearch(r, q, qr.k, qr.approx, item)
+	seed := -1
+	if sr.bound != nil {
+		if d := r.ix.homeDisk(r.st, q); r.routes[d].sh != nil {
+			seed = d
+			sr.search(d)
+		}
+	}
+	var wg sync.WaitGroup
+	for d := range r.routes {
+		if r.routes[d].sh == nil || d == seed {
+			continue
+		}
+		if item >= 0 {
+			sr.search(d)
+			continue
+		}
+		wg.Add(1)
+		go func(d int) {
+			defer wg.Done()
+			sr.search(d)
+		}(d)
+	}
+	wg.Wait()
+	// A context cancelled during the fan-out leaves some disks
+	// unsearched; partial results would be silently wrong, so surface
+	// the cancellation before merging.
+	if err := r.ctx.Err(); err != nil {
+		return nil, nil, err
+	}
+	r.visits.Add(sr.record(qs))
+	if sr.approx {
+		r.sp.emit(TraceEvent{Stage: StageApprox, Disk: -1, Item: item, K: qr.k,
+			Epsilon: sr.eps, Pages: qs.PagesSkippedApprox})
+	}
+
+	// Merge to the global k nearest.
+	for d := range sr.disks {
+		merged = append(merged, sr.disks[d].local...)
+	}
+	sortResults(merged)
+	if len(merged) > qr.k {
+		merged = merged[:qr.k]
+	}
+	if len(merged) == 0 {
+		if r.degraded {
+			// Every live copy of the data is on a failed disk.
+			qs.Degraded = true
+			return nil, nil, ErrUnavailable
+		}
+		// Concurrent deletions emptied the index between the live
+		// check and the search.
+		return nil, nil, ErrEmpty
+	}
+	rk := merged[len(merged)-1].Dist
+	if item < 0 {
+		r.sp.emit(TraceEvent{Stage: StageMerge, Disk: -1, Item: -1, K: qr.k,
+			Results: len(merged), Radius: rk})
+	}
+
+	// Cost accounting: every disk must read its pages intersecting the
+	// NN-sphere of radius rk.
+	refs = r.pageRefs(r.sphere(q, rk), qs)
+	// Degraded only when the dead data could have changed the answer:
+	// unreachable pages intersect the NN-sphere (a dead point could be
+	// closer than rk), or the merge came up short of k (any dead point
+	// would have made the cut). Otherwise every dead page lies strictly
+	// outside the sphere and the results are provably exact.
+	qs.Degraded = qs.Unreachable > 0 || (r.degraded && len(merged) < qr.k)
+	return merged, refs, nil
+}
+
+// sphere returns the NN-sphere of radius rk around q.
+func (r *run) sphere(q vec.Point, rk float64) *region {
+	return &region{q: q, m: r.m, rank: r.m.ToRank(rk)}
+}
+
+// neighbors converts merged search results to the public result type.
+func neighbors(merged []knn.Result) []Neighbor {
+	out := make([]Neighbor, len(merged))
+	for i, r := range merged {
+		out[i] = Neighbor{ID: r.Entry.ID, Point: r.Entry.Point, Dist: r.Dist}
+	}
+	return out
+}
+
+// shardSearch is the per-item state of the k-NN fan-out: one result and
+// accounting slot per disk, plus the shared bound of the cooperative
+// search (nil with Options.DisableSharedBound). search is safe to call
+// concurrently for different disks.
+type shardSearch struct {
+	r     *run
+	q     vec.Point
+	k     int
+	item  int // batch item for trace events; -1 for single queries
+	bound *knn.Bound
+
+	// Approximate tier: shrink is the rank-space ε-termination factor (1
+	// disables), eps the ε behind it, recall the LSH probe fraction (1
+	// disables); approx reports whether either is armed. An exact query
+	// hands knn.HSApprox an exact spec, under which no relaxation can
+	// fire, so exact queries stay byte-identical.
+	shrink float64
+	eps    float64
+	recall float64
+	approx bool
+
+	disks []diskSearch
+}
+
+// diskSearch is one disk's slot of a shardSearch.
+type diskSearch struct {
+	local []knn.Result
+	acc   knn.Accounting
+	stats knn.ApproxStats
+}
+
+func newShardSearch(r *run, q vec.Point, k int, a Approx, item int) *shardSearch {
+	sr := &shardSearch{r: r, q: q, k: k, item: item,
+		shrink: knn.ShrinkFor(a.Epsilon, r.m), eps: a.Epsilon, recall: 1,
+		disks: make([]diskSearch, len(r.routes))}
+	// The recall cap only takes effect on an index built with
+	// Options.LSH (without the filter there is nothing to order the
+	// probes by).
+	if r.ix.opts.LSH && a.RecallTarget > 0 && a.RecallTarget < 1 {
+		sr.recall = a.RecallTarget
+	}
+	sr.approx = sr.shrink < 1 || sr.recall < 1
+	if !r.ix.opts.DisableSharedBound {
+		sr.bound = knn.NewBound()
+		// The externally shipped k-th-distance bound of a.Bound (converted
+		// to rank space) seeds the shared bound — the receiving half of
+		// the cross-network bound protocol.
+		if a.Bound > 0 {
+			sr.bound.Seed(r.m.ToRank(a.Bound))
+		}
+	}
+	return sr
+}
+
+// search runs disk d's local search via its route, under the routed
+// tree's read lock. A cancelled query context skips the disk entirely —
+// the fan-out checks cancellation between per-disk searches so a
+// disconnected client stops burning traversal work; the caller surfaces
+// ctx.Err() after the fan-out. Bound tightenings are buffered and
+// emitted after the lock is released so no user code (the tracer) ever
+// runs under a shard lock.
+func (sr *shardSearch) search(d int) {
+	r := sr.r
+	if r.ctx.Err() != nil {
+		return
+	}
+	sh, slot := r.routes[d].sh, &sr.disks[d]
+	var tighs []float64
+	var onTighten func(float64)
+	if sr.bound != nil && r.sp.on() {
+		onTighten = func(sq float64) { tighs = append(tighs, sq) }
+	}
+	spec := knn.ApproxSpec{Shrink: sr.shrink}
+	sh.mu.RLock()
+	if sr.recall < 1 && sh.probe != nil {
+		spec.Probe = sh.probe.Admit(sr.q, sr.recall)
+	}
+	slot.local, slot.acc, slot.stats = knn.HSApprox(sh.tree, sr.q, sr.k, r.m, spec, sr.bound, onTighten)
+	sh.mu.RUnlock()
+	for _, sq := range tighs {
+		r.sp.emit(TraceEvent{Stage: StageBoundTightened, Disk: d, Item: sr.item, K: sr.k,
+			Radius: r.m.FromRank(sq)})
+	}
+	// Batch items emit one search event per item, not per disk.
+	if sr.item < 0 {
+		r.sp.emit(TraceEvent{Stage: StageSearch, Disk: d, Item: -1, K: sr.k,
+			Results: len(slot.local), Pages: slot.acc.PageAccesses})
+	}
+}
+
+// record folds the finished fan-out into the query's stats and returns
+// the node-visit count for the registry.
+func (sr *shardSearch) record(qs *QueryStats) (nodeVisits int64) {
+	for d := range sr.disks {
+		s := &sr.disks[d]
+		nodeVisits += int64(s.acc.DirAccesses + s.acc.LeafAccesses)
+		qs.SearchPages += s.acc.PageAccesses
+		qs.DistCompsSaved += s.acc.DistCompsSkipped
+		qs.PagesSavedByBound += s.stats.Saved.PageAccesses
+		qs.BoundTightenings += s.stats.Tightened
+		qs.PagesSavedByRemoteBound += s.stats.RemotePages
+		qs.PagesSkippedApprox += s.stats.SkippedPages
+		qs.ProbePages += s.stats.ProbedPages
+	}
+	if sr.approx {
+		qs.EffectiveEpsilon = sr.eps
+	}
+	return nodeVisits
+}
+
+// homeDisk returns the disk the declustering assigns the query point's
+// own cell to — the shard likeliest to hold near neighbors, and hence
+// the seeding probe of the cooperative search. Point-based assigners
+// (round robin) have no home quadrant and seed disk 0; any probe warms
+// the bound, correctness never depends on the choice.
+func (ix *Index) homeDisk(st *state, q vec.Point) int {
+	return st.assigner.Assign(0, q)
+}
+
+// HomeDisk returns the disk the declustering assigns the query point's
+// cell to — the disk likeliest to hold q's near neighbors. A
+// multi-node coordinator uses it to pick the first shard group of the
+// two-phase bound protocol (group HomeDisk(q) mod number of shards);
+// correctness never depends on the choice, only pruning quality does.
+func (ix *Index) HomeDisk(q []float64) (int, error) {
+	if len(q) != ix.opts.Dim {
+		return 0, fmt.Errorf("parsearch: query dimension %d, want %d", len(q), ix.opts.Dim)
+	}
+	ix.mu.RLock()
+	defer ix.mu.RUnlock()
+	return ix.homeDisk(ix.st, q), nil
+}
+
+// sortResults orders by distance, breaking ties by ID.
+func sortResults(rs []knn.Result) {
+	for i := 1; i < len(rs); i++ {
+		for j := i; j > 0; j-- {
+			if rs[j].Dist < rs[j-1].Dist ||
+				(rs[j].Dist == rs[j-1].Dist && rs[j].Entry.ID < rs[j-1].Entry.ID) {
+				rs[j], rs[j-1] = rs[j-1], rs[j]
+			} else {
+				break
+			}
+		}
+	}
+}

@@ -1,6 +1,7 @@
 package parsearch
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -134,6 +135,27 @@ func TestPartialMatchValidation(t *testing.T) {
 	}
 	if _, _, err := ix.PartialMatch([]float64{Wildcard, Wildcard, Wildcard}, 0.1); err == nil {
 		t.Error("expected no-dimension error")
+	}
+	// Each rejection is counted in query_errors and traced as one error
+	// event, with the text it always had.
+	if got := ix.Metrics().QueryErrors; got != 3 {
+		t.Errorf("QueryErrors = %d after three rejected partial matches, want 3", got)
+	}
+	for _, c := range []struct {
+		name, wantErr string
+		spec          []float64
+		eps           float64
+		shards        ShardSpec
+	}{
+		{"dimension", "parsearch: partial-match spec has dimension 1, want 3", []float64{0.5}, 0.1, ShardSpec{}},
+		{"tolerance", "parsearch: negative tolerance -1", []float64{0.5, 0.5, 0.5}, -1, ShardSpec{}},
+		{"no dimension", "parsearch: partial-match query specifies no dimension", []float64{Wildcard, Wildcard, Wildcard}, 0.1, ShardSpec{}},
+		{"shard spec", "parsearch: duplicate shard group 0", []float64{0.5, Wildcard, Wildcard}, 0.1, ShardSpec{Of: 2, Groups: []int{0, 0}}},
+	} {
+		assertRejected(t, ix, c.name, c.wantErr, func(ctx context.Context) error {
+			_, _, err := ix.PartialMatchShardContext(ctx, c.spec, c.eps, c.shards)
+			return err
+		})
 	}
 }
 

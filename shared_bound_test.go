@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"parsearch/internal/data"
+	"parsearch/internal/vec"
 )
 
 // Tests of the cooperative cross-disk pruning (see DESIGN.md
@@ -79,8 +80,10 @@ func TestSharedBoundEquivalenceBattery(t *testing.T) {
 	const d, n, disks = 6, 400, 5
 	pts := data.Uniform(n, d, 7)
 	raw := make([][]float64, n)
+	truth := make(map[int][]float64, n)
 	for i, p := range pts {
 		raw[i] = p
+		truth[i] = p
 	}
 	queries := data.Uniform(6, d, 8)
 
@@ -118,14 +121,14 @@ func TestSharedBoundEquivalenceBattery(t *testing.T) {
 						}
 						checkBoundInvariants(t, ql, stS, stI)
 						if exact {
-							want := linearKNN(pts, q, k)
+							want := linearScanKNN(truth, q, k, vec.L2)
 							if len(resS) != len(want) {
 								t.Fatalf("%s: %d results, want %d", ql, len(resS), len(want))
 							}
 							for i := range resS {
-								if math.Abs(resS[i].Dist-want[i]) > 1e-9 {
+								if math.Abs(resS[i].Dist-want[i].dist) > 1e-9 {
 									t.Fatalf("%s: result %d dist %v, want %v",
-										ql, i, resS[i].Dist, want[i])
+										ql, i, resS[i].Dist, want[i].dist)
 								}
 							}
 						}

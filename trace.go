@@ -271,35 +271,42 @@ func (ix *Index) PublishExpvar(name string) error {
 	return nil
 }
 
-// recordQuery folds one finished query's statistics into the registry.
-// kind selects the query counter; batch carries the executed I/O (its
-// per-disk service times feed the per-disk time accumulators); start is
-// the query's wall-clock entry time (QueryWallNs feeds the bench
-// harness's latency percentiles).
-func (ix *Index) recordQuery(kind *metrics.Counter, qs *QueryStats, batch disk.BatchResult, start time.Time) {
-	kind.Inc()
+// recordQuery folds one finished query's own statistics — a single
+// query's, or one batch item's — into the registry. The call that ran it
+// is recorded by recordCall.
+func (ix *Index) recordQuery(qs *QueryStats) {
 	ix.reg.PagesRead.Add(int64(qs.TotalPages))
 	ix.reg.CellsVisited.Add(int64(qs.Cells))
-	ix.reg.Retries.Add(int64(qs.Retries))
 	ix.reg.Rerouted.Add(int64(qs.Rerouted))
 	ix.reg.Unreachable.Add(int64(qs.Unreachable))
 	ix.reg.SearchPages.Add(int64(qs.SearchPages))
 	ix.reg.PagesSavedByBound.Add(int64(qs.PagesSavedByBound))
 	ix.reg.PagesSavedByRemoteBound.Add(int64(qs.PagesSavedByRemoteBound))
 	ix.reg.BoundTightenings.Add(int64(qs.BoundTightenings))
+	ix.reg.DistCompsSaved.Add(int64(qs.DistCompsSaved))
 	if qs.Degraded {
 		ix.reg.DegradedQueries.Inc()
 	}
 	for d, pages := range qs.PagesPerDisk {
 		ix.reg.PagesPerDisk.Add(d, int64(pages))
 	}
-	for d, t := range batch.Times {
-		ix.reg.ServiceTimePerDisk.Add(d, t.Nanoseconds())
-	}
-	ix.reg.DistCompsSaved.Add(int64(qs.DistCompsSaved))
 	ix.recordApprox(qs)
 	ix.reg.QueryPages.Observe(int64(qs.TotalPages))
 	ix.reg.QueryTimeNs.Observe(int64(qs.ParallelTime * 1e9))
+}
+
+// recordCall folds one finished API call into the registry: kind counts
+// the call, batch carries the I/O it executed (the retries, and the
+// per-disk service times that feed the per-disk time accumulators), and
+// start is its wall-clock entry time. A batch is one call — one
+// wall-clock observation, the histogram tracks API-call latencies (it
+// feeds the bench harness's percentiles) — over many recorded queries.
+func (ix *Index) recordCall(kind *metrics.Counter, batch disk.BatchResult, start time.Time) {
+	kind.Inc()
+	ix.reg.Retries.Add(int64(batch.Retries))
+	for d, t := range batch.Times {
+		ix.reg.ServiceTimePerDisk.Add(d, t.Nanoseconds())
+	}
 	ix.reg.QueryWallNs.Observe(time.Since(start).Nanoseconds())
 }
 
