@@ -1,0 +1,269 @@
+package parsearch
+
+import (
+	"context"
+	"fmt"
+	"reflect"
+	"testing"
+	"time"
+
+	"parsearch/internal/disk"
+	"parsearch/internal/vec"
+	"parsearch/internal/xtree"
+)
+
+// The page-accounting stage enumerates the pages a query's region hits
+// by a pruned descent of every routed tree (xtree.Tree.HitLeaves). This
+// file holds its reference — the scan of every leaf of every routed
+// tree the engine used to run — and checks that every accounting field
+// of every query kind agrees with it.
+
+// leafScanRefs is the TreePages branch of run.pageRefs with the leaf
+// enumeration replaced by a scan of Tree.Leaves.
+func leafScanRefs(st *state, routes []route, g *xtree.Region, qs *QueryStats) (refs []disk.PageRef) {
+	qs.PagesPerDisk = make([]int, len(st.shards))
+	for d, rt := range routes {
+		if rt.masked {
+			continue
+		}
+		sh := rt.sh
+		if sh == nil {
+			sh = st.shards[d]
+		}
+		for _, leaf := range sh.tree.Leaves() {
+			if !g.Hits(leaf.Rect()) {
+				continue
+			}
+			qs.Cells++
+			if rt.sh == nil {
+				qs.Unreachable += leaf.Super()
+				continue
+			}
+			if rt.rerouted {
+				qs.Rerouted += leaf.Super()
+			}
+			qs.PagesPerDisk[rt.disk] += leaf.Super()
+			refs = append(refs, disk.PageRef{Disk: rt.disk, Blocks: leaf.Super()})
+		}
+	}
+	return refs
+}
+
+// leafScanItem accounts one region on ix by the leaf scan, and checks
+// on the way that the engine's stage yields the same page reads. (Leaves
+// never become supernodes, so the reads of one tree are all alike and
+// their order shows only in internal/xtree's own property test.)
+func leafScanItem(t *testing.T, ix *Index, g *xtree.Region, shards ShardSpec) (QueryStats, []disk.PageRef) {
+	t.Helper()
+	routes, _ := ix.plan(ix.st, shards.mask(ix.opts.Disks))
+	var qs, engine QueryStats
+	refs := leafScanRefs(ix.st, routes, g, &qs)
+	r := &run{ix: ix, ctx: context.Background(), st: ix.st, m: ix.metric(), routes: routes}
+	if got := r.pageRefs(g, &engine); !reflect.DeepEqual(got, refs) {
+		t.Errorf("pageRefs yields %d reads, the leaf scan %d, or they differ", len(got), len(refs))
+	}
+	return qs, refs
+}
+
+// leafScanQuery is the cost a single query with region g must report:
+// the scanned page reads run through ix's disk array (which draws from
+// its fault model exactly as the query under test does on the twin
+// index), and the scanned sequential baseline.
+func leafScanQuery(t *testing.T, ix *Index, g *xtree.Region, shards ShardSpec) QueryStats {
+	t.Helper()
+	qs, refs := leafScanItem(t, ix, g, shards)
+	batch, err := ix.array.ReadBatch(refs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	qs.MaxPages, qs.TotalPages, qs.Retries = batch.MaxPerDisk, batch.Total, batch.Retries
+	qs.Speedup = batch.Speedup()
+	if base := ix.st.baseline; base != nil {
+		leaves := 0
+		for _, leaf := range base.tree.Leaves() {
+			if g.Hits(leaf.Rect()) {
+				qs.SeqPages += leaf.Super()
+				leaves++
+			}
+		}
+		if par := batch.ParallelTime.Seconds(); par > 0 {
+			qs.BaselineSpeedup = ix.params.SimulateCost(leaves, qs.SeqPages).Seconds() / par
+		}
+	}
+	return qs
+}
+
+// accounting is the part of a QueryStats the page-accounting stage and
+// the I/O it feeds determine.
+type accounting struct {
+	PagesPerDisk                             []int
+	TotalPages, MaxPages, Cells              int
+	Unreachable, Rerouted, SeqPages, Retries int
+	Speedup, BaselineSpeedup                 float64
+}
+
+func accountingOf(qs QueryStats) accounting {
+	return accounting{qs.PagesPerDisk, qs.TotalPages, qs.MaxPages, qs.Cells,
+		qs.Unreachable, qs.Rerouted, qs.SeqPages, qs.Retries, qs.Speedup, qs.BaselineSpeedup}
+}
+
+func TestAccountingMatchesLeafScan(t *testing.T) {
+	const dim, disks, n, k = 6, 6, 3000, 10
+	ctx := context.Background()
+	raw := rawPoints(n, dim, 51)
+	queries := uniformPoints(4, dim, 52)
+	lo, hi := make([]float64, dim), make([]float64, dim)
+	for i := range lo {
+		lo[i], hi[i] = 0.25, 0.6
+	}
+	pm := []float64{0.5, Wildcard, 0.4, Wildcard, Wildcard, Wildcard}
+	const tol = 0.08
+	faults := &FaultModel{TransientProb: 0.2, MaxRetries: 12, RetryBackoff: time.Millisecond,
+		SpikeProb: 0.1, SpikeLatency: 5 * time.Millisecond, Seed: 53}
+
+	configs := []struct {
+		name string
+		opts Options
+	}{
+		{"plain", Options{}},
+		{"baseline", Options{Baseline: true}},
+		{"replicated+baseline+faults", Options{Replication: 1, Baseline: true, Faults: faults}},
+		{"packed+replicated+L1", Options{Packed: true, Replication: 1, Metric: Manhattan}},
+		{"packed+baseline+faults+Linf", Options{Packed: true, Baseline: true, Faults: faults, Metric: Maximum}},
+	}
+	// seen sums what the matrix exercised, so that a dead axis fails the
+	// test instead of passing it vacuously.
+	var seen accounting
+	for _, cfg := range configs {
+		for _, failed := range [][]int{nil, {1}, {1, 2}} {
+			// api answers the queries; ref is its twin — same data, same
+			// failures, same fault seed — on which the reference runs, so
+			// both draw the same fault sequence.
+			open := func() *Index {
+				opts := cfg.opts
+				opts.Dim, opts.Disks = dim, disks
+				ix, err := Open(opts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := ix.Build(raw); err != nil {
+					t.Fatal(err)
+				}
+				for _, d := range failed {
+					if err := ix.FailDisk(d); err != nil {
+						t.Fatal(err)
+					}
+				}
+				return ix
+			}
+			api, ref := open(), open()
+			// sphere is the NN-sphere a k-NN answer ending at distance rk
+			// must be charged for.
+			sphere := func(q []float64, rk float64) *xtree.Region {
+				return &xtree.Region{Q: q, M: ref.metric(), Rank: ref.metric().ToRank(rk)}
+			}
+			for _, shards := range []ShardSpec{{}, {Of: 3, Groups: []int{1, 2}}} {
+				label := fmt.Sprintf("%s/failed=%v/shards=%v", cfg.name, failed, shards)
+				check := func(what string, got, want QueryStats) {
+					t.Helper()
+					if g, w := accountingOf(got), accountingOf(want); !reflect.DeepEqual(g, w) {
+						t.Errorf("%s/%s:\n engine    %+v\n leaf scan %+v", label, what, g, w)
+					}
+					seen.TotalPages += got.TotalPages
+					seen.Unreachable += got.Unreachable
+					seen.Rerouted += got.Rerouted
+					seen.SeqPages += got.SeqPages
+					seen.Retries += got.Retries
+				}
+
+				for i, q := range queries {
+					res, got, err := api.KNNShardContext(ctx, q, k, Approx{}, shards)
+					if err != nil {
+						t.Fatalf("%s/knn %d: %v", label, i, err)
+					}
+					check(fmt.Sprintf("knn %d", i), got, leafScanQuery(t, ref, sphere(q, res[len(res)-1].Dist), shards))
+				}
+
+				res, got, err := api.BatchKNNShardContext(ctx, queries, k, Approx{}, shards)
+				if err != nil {
+					t.Fatalf("%s/batch: %v", label, err)
+				}
+				var refs []disk.PageRef
+				unreachable, rerouted := 0, 0
+				for i, q := range queries {
+					qs, itemRefs := leafScanItem(t, ref, sphere(q, res[i][len(res[i])-1].Dist), shards)
+					fillQueryCost(&qs, itemRefs, ref.params)
+					check(fmt.Sprintf("batch item %d", i), got.PerQuery[i], qs)
+					refs = append(refs, itemRefs...)
+					unreachable += qs.Unreachable
+					rerouted += qs.Rerouted
+				}
+				batch, err := ref.array.ReadBatch(refs)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !reflect.DeepEqual(got.PagesPerDisk, batch.PerDisk) || got.TotalPages != batch.Total ||
+					got.Retries != batch.Retries || got.Unreachable != unreachable || got.Rerouted != rerouted {
+					t.Errorf("%s/batch: engine pages %v total %d retries %d unreachable %d rerouted %d, leaf scan %v %d %d %d %d",
+						label, got.PagesPerDisk, got.TotalPages, got.Retries, got.Unreachable, got.Rerouted,
+						batch.PerDisk, batch.Total, batch.Retries, unreachable, rerouted)
+				}
+
+				_, got2, err := api.RangeQueryShardContext(ctx, lo, hi, shards)
+				if err != nil {
+					t.Fatalf("%s/range: %v", label, err)
+				}
+				box := vec.NewRect(lo, hi)
+				check("range", got2, leafScanQuery(t, ref, &xtree.Region{Box: &box}, shards))
+
+				qr := query{op: opPartialMatch, point: pm, tol: tol}
+				if err := qr.validate(dim, disks); err != nil {
+					t.Fatal(err)
+				}
+				_, got3, err := api.PartialMatchShardContext(ctx, pm, tol, shards)
+				if err != nil {
+					t.Fatalf("%s/partial match: %v", label, err)
+				}
+				pmBox := vec.NewRect(qr.min, qr.max)
+				check("partial match", got3, leafScanQuery(t, ref, &xtree.Region{Box: &pmBox}, shards))
+			}
+		}
+	}
+	if seen.TotalPages == 0 || seen.Unreachable == 0 || seen.Rerouted == 0 || seen.SeqPages == 0 || seen.Retries == 0 {
+		t.Errorf("the matrix left an accounting path unexercised: %+v", seen)
+	}
+}
+
+// BenchmarkKNNAccounting times the page-accounting stage of one k-NN
+// query alone (the NN-sphere of the 10th neighbor over 16 disks plus the
+// sequential baseline), beside the whole-query BenchmarkKNNSharedBound.
+func BenchmarkKNNAccounting(b *testing.B) {
+	const dim, disks, n, k = 8, 16, 100000, 10
+	ix, err := Open(Options{Dim: dim, Disks: disks, Packed: true, Baseline: true})
+	if err != nil {
+		b.Fatal(err)
+	}
+	if err := ix.Build(rawPoints(n, dim, 61)); err != nil {
+		b.Fatal(err)
+	}
+	queries := uniformPoints(64, dim, 62)
+	regions := make([]*xtree.Region, len(queries))
+	r := &run{ix: ix, ctx: context.Background(), st: ix.st, m: ix.metric(), routes: healthyPlan(ix.st)}
+	for i, q := range queries {
+		res, _, err := ix.KNN(q, k)
+		if err != nil {
+			b.Fatal(err)
+		}
+		regions[i] = r.sphere(q, res[k-1].Dist)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	pages := 0
+	for i := 0; i < b.N; i++ {
+		var qs QueryStats
+		refs := r.pageRefs(regions[i%len(regions)], &qs)
+		r.baselineCost(regions[i%len(regions)], &qs)
+		pages += len(refs)
+	}
+	b.ReportMetric(float64(pages)/float64(b.N), "pages/query")
+}

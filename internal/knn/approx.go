@@ -30,7 +30,6 @@ package knn
 // savings and the approximation's savings stay separately attributable.
 
 import (
-	"container/heap"
 	"math"
 
 	"parsearch/internal/vec"
@@ -94,10 +93,10 @@ func HSApprox(t *xtree.Tree, q vec.Point, k int, m vec.Metric, spec ApproxSpec, 
 		return nil, acc, as
 	}
 	var sc scratch
-	pq := nodeQueue{{node: t.Root(), sqMinDist: m.RankMinDist(t.Root().Rect(), q)}}
+	pq := pqueue[nodeItem]{{node: t.Root(), sqMinDist: m.RankMinDist(t.Root().Rect(), q)}}
 	phantom := false
 	for len(pq) > 0 {
-		item := heap.Pop(&pq).(nodeItem)
+		item := pq.pop()
 		bound := best.bound()
 		if item.sqMinDist > bound {
 			break

@@ -1,7 +1,6 @@
 package knn
 
 import (
-	"container/heap"
 	"fmt"
 
 	"parsearch/internal/vec"
@@ -20,7 +19,7 @@ import (
 type Browser struct {
 	query  vec.Point
 	metric vec.Metric
-	queue  browseQueue
+	queue  pqueue[browseItem]
 	acc    Accounting
 	sc     scratch
 }
@@ -33,28 +32,18 @@ type browseItem struct {
 	sqDist float64
 }
 
-type browseQueue []browseItem
-
-func (q browseQueue) Len() int { return len(q) }
-func (q browseQueue) Less(i, j int) bool {
-	if q[i].sqDist != q[j].sqDist {
-		return q[i].sqDist < q[j].sqDist
+// before orders the browse queue by increasing distance; at equal
+// distance entries come before nodes, then lower IDs first, for a
+// deterministic emission order.
+func (a browseItem) before(b browseItem) bool {
+	if a.sqDist != b.sqDist {
+		return a.sqDist < b.sqDist
 	}
-	// Entries before nodes at equal distance, then by ID, for
-	// deterministic emission order.
-	in, jn := q[i].node != nil, q[j].node != nil
-	if in != jn {
-		return !in
+	an, bn := a.node != nil, b.node != nil
+	if an != bn {
+		return !an
 	}
-	return q[i].entry.ID < q[j].entry.ID
-}
-func (q browseQueue) Swap(i, j int)       { q[i], q[j] = q[j], q[i] }
-func (q *browseQueue) Push(x interface{}) { *q = append(*q, x.(browseItem)) }
-func (q *browseQueue) Pop() interface{} {
-	old := *q
-	x := old[len(old)-1]
-	*q = old[:len(old)-1]
-	return x
+	return a.entry.ID < b.entry.ID
 }
 
 // NewBrowser starts an incremental ranking of the tree's entries around
@@ -70,7 +59,7 @@ func NewBrowserMetric(t *xtree.Tree, q vec.Point, m vec.Metric) *Browser {
 	}
 	b := &Browser{query: vec.Clone(q), metric: m}
 	if root := t.Root(); root != nil {
-		b.queue = browseQueue{{node: root, sqDist: m.RankMinDist(root.Rect(), q)}}
+		b.queue = pqueue[browseItem]{{node: root, sqDist: m.RankMinDist(root.Rect(), q)}}
 	}
 	return b
 }
@@ -79,7 +68,7 @@ func NewBrowserMetric(t *xtree.Tree, q vec.Point, m vec.Metric) *Browser {
 // ranking is exhausted.
 func (b *Browser) Next() (Result, bool) {
 	for len(b.queue) > 0 {
-		item := heap.Pop(&b.queue).(browseItem)
+		item := b.queue.pop()
 		if item.node == nil {
 			return Result{Entry: item.entry, Dist: b.metric.FromRank(item.sqDist)}, true
 		}
@@ -95,12 +84,12 @@ func (b *Browser) Next() (Result, bool) {
 				out := b.sc.grow(s.Len())
 				s.DistsToPage(b.query, b.metric, out)
 				for i, e := range entries {
-					heap.Push(&b.queue, browseItem{entry: e, sqDist: out[i]})
+					b.queue.push(browseItem{entry: e, sqDist: out[i]})
 				}
 				continue
 			}
 			for _, e := range entries {
-				heap.Push(&b.queue, browseItem{entry: e, sqDist: b.metric.RankDist(b.query, e.Point)})
+				b.queue.push(browseItem{entry: e, sqDist: b.metric.RankDist(b.query, e.Point)})
 			}
 			continue
 		}
@@ -109,12 +98,12 @@ func (b *Browser) Next() (Result, bool) {
 			out := b.sc.grow(rs.Len())
 			rs.MinDistsToPage(b.query, b.metric, out)
 			for i, c := range children {
-				heap.Push(&b.queue, browseItem{node: c, sqDist: out[i]})
+				b.queue.push(browseItem{node: c, sqDist: out[i]})
 			}
 			continue
 		}
 		for _, c := range children {
-			heap.Push(&b.queue, browseItem{node: c, sqDist: b.metric.RankMinDist(c.Rect(), b.query)})
+			b.queue.push(browseItem{node: c, sqDist: b.metric.RankMinDist(c.Rect(), b.query)})
 		}
 	}
 	return Result{}, false

@@ -11,7 +11,6 @@
 package knn
 
 import (
-	"container/heap"
 	"fmt"
 	"math"
 	"sort"
@@ -58,27 +57,16 @@ func (a *Accounting) visit(n *xtree.Node) {
 	a.PageAccesses += n.Super()
 }
 
-// resultHeap is a max-heap of the k best candidates so far, ordered by
-// squared distance.
-type resultHeap []Result
-
-func (h resultHeap) Len() int            { return len(h) }
-func (h resultHeap) Less(i, j int) bool  { return h[i].Dist > h[j].Dist }
-func (h resultHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *resultHeap) Push(x interface{}) { *h = append(*h, x.(Result)) }
-func (h *resultHeap) Pop() interface{} {
-	old := *h
-	x := old[len(old)-1]
-	*h = old[:len(old)-1]
-	return x
-}
+// before orders the k-best heap farthest candidate first (a max-heap by
+// rank distance), so the root is the one a closer candidate replaces.
+func (r Result) before(o Result) bool { return r.Dist > o.Dist }
 
 // kBest collects the k nearest candidates seen so far, ordered by rank
 // distance (see vec.Metric.RankDist).
 type kBest struct {
 	k      int
 	metric vec.Metric
-	heap   resultHeap
+	heap   pqueue[Result]
 }
 
 // bound returns the squared distance of the current k-th candidate, or
@@ -93,12 +81,12 @@ func (b *kBest) bound() float64 {
 // offer inserts a candidate if it improves the k-set. dist is squared.
 func (b *kBest) offer(e xtree.Entry, sqDist float64) {
 	if len(b.heap) < b.k {
-		heap.Push(&b.heap, Result{Entry: e, Dist: sqDist})
+		b.heap.push(Result{Entry: e, Dist: sqDist})
 		return
 	}
 	if sqDist < b.heap[0].Dist {
 		b.heap[0] = Result{Entry: e, Dist: sqDist}
-		heap.Fix(&b.heap, 0)
+		b.heap.fix(0)
 	}
 }
 
@@ -134,18 +122,8 @@ type nodeItem struct {
 	sqMinDist float64
 }
 
-type nodeQueue []nodeItem
-
-func (q nodeQueue) Len() int            { return len(q) }
-func (q nodeQueue) Less(i, j int) bool  { return q[i].sqMinDist < q[j].sqMinDist }
-func (q nodeQueue) Swap(i, j int)       { q[i], q[j] = q[j], q[i] }
-func (q *nodeQueue) Push(x interface{}) { *q = append(*q, x.(nodeItem)) }
-func (q *nodeQueue) Pop() interface{} {
-	old := *q
-	x := old[len(old)-1]
-	*q = old[:len(old)-1]
-	return x
-}
+// before orders the node queue by increasing MINDIST.
+func (a nodeItem) before(b nodeItem) bool { return a.sqMinDist < b.sqMinDist }
 
 // HS finds the k nearest neighbors of q under the Euclidean metric with
 // the Hjaltason–Samet priority-queue algorithm: nodes are visited in
@@ -240,12 +218,10 @@ func LinearMetric(entries []xtree.Entry, q vec.Point, k int, m vec.Metric) []Res
 // leaves count their multiplier. The second result is the number of
 // leaves.
 func SphereLeafPages(t *xtree.Tree, q vec.Point, r float64) (pages, leaves int) {
-	for _, l := range t.Leaves() {
-		if l.Rect().SqMinDist(q) <= r*r {
-			pages += l.Super()
-			leaves++
-		}
-	}
+	t.HitLeaves(&xtree.Region{Q: q, M: vec.L2, Rank: r * r}, func(l *xtree.Node) {
+		pages += l.Super()
+		leaves++
+	})
 	return pages, leaves
 }
 

@@ -1,8 +1,6 @@
 package knn
 
 import (
-	"container/heap"
-
 	"parsearch/internal/vec"
 	"parsearch/internal/xtree"
 )
@@ -73,21 +71,21 @@ func scanLeaf(n *xtree.Node, q vec.Point, m vec.Metric, best *kBest, sc *scratch
 
 // pushChildren pushes every child with rank MINDIST <= bound onto the
 // queue, batching the MINDIST computation on packed trees.
-func pushChildren(pq *nodeQueue, n *xtree.Node, q vec.Point, m vec.Metric, bound float64, sc *scratch) {
+func pushChildren(pq *pqueue[nodeItem], n *xtree.Node, q vec.Point, m vec.Metric, bound float64, sc *scratch) {
 	children := n.Children()
 	if rs := n.ChildRects(); rs != nil {
 		out := sc.grow(rs.Len())
 		rs.MinDistsToPage(q, m, out)
 		for i, c := range children {
 			if out[i] <= bound {
-				heap.Push(pq, nodeItem{node: c, sqMinDist: out[i]})
+				pq.push(nodeItem{node: c, sqMinDist: out[i]})
 			}
 		}
 		return
 	}
 	for _, c := range children {
 		if d := m.RankMinDist(c.Rect(), q); d <= bound {
-			heap.Push(pq, nodeItem{node: c, sqMinDist: d})
+			pq.push(nodeItem{node: c, sqMinDist: d})
 		}
 	}
 }

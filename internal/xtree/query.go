@@ -62,8 +62,9 @@ func (t *Tree) PointSearch(p vec.Point) []Entry {
 	return out
 }
 
-// Leaves returns all leaf nodes in depth-first order. The parallel engine
-// uses this to enumerate the data pages of a disk.
+// Leaves returns all leaf nodes in depth-first order. It allocates the
+// whole list and touches every leaf, so it is for build-time callers and
+// tests; a query enumerates the leaves it must read with HitLeaves.
 func (t *Tree) Leaves() []*Node {
 	var out []*Node
 	var walk func(n *Node)
@@ -80,6 +81,92 @@ func (t *Tree) Leaves() []*Node {
 		walk(t.root)
 	}
 	return out
+}
+
+// Region is the part of the data space a query must read: the box of a
+// range query, or (Box nil) the NN-sphere of a k-NN query — the ball
+// around Q under M whose radius is Rank in the metric's rank space.
+type Region struct {
+	Box  *vec.Rect
+	Q    vec.Point
+	M    vec.Metric
+	Rank float64
+}
+
+// Hits reports whether the rectangle of a storage unit intersects g.
+func (g *Region) Hits(page vec.Rect) bool {
+	if g.Box != nil {
+		return page.Intersects(*g.Box)
+	}
+	return g.M.RankMinDist(page, g.Q) <= g.Rank
+}
+
+// HitLeaves calls visit for every leaf whose MBR g hits, in the order
+// Leaves yields them, and allocates nothing. It descends only into
+// children whose own MBR g hits, so its cost follows the hit leaves and
+// their ancestors, not the size of the tree.
+//
+// The pruning loses no leaf: a node's MBR contains the MBRs of its
+// children (CheckInvariants), and both tests are monotone under
+// containment in floating point, bit for bit, not only over the reals.
+// For the box, widening a rectangle can only turn one of Intersects'
+// per-dimension comparisons from false to true. For the sphere, widening
+// shrinks or keeps each per-dimension gap of RankMinDist (q - Max and
+// Min - q are rounded monotonically, and a gap that vanishes becomes 0),
+// squaring preserves the order of non-negative gaps, and the
+// left-to-right sum (the maximum, for L∞) of termwise smaller addends is
+// no larger, because rounded addition is monotone in both arguments. So
+// a parent's RankMinDist is at most its child's, and a hit leaf implies
+// every ancestor is hit. On packed trees the child MINDISTs of a
+// directory page come from its rectangle slab in one batched pass; the
+// slab holds the same coordinates and sums in the same order, so the
+// values are those of RankMinDist.
+func (t *Tree) HitLeaves(g *Region, visit func(leaf *Node)) {
+	if t.root != nil && g.Hits(t.root.rect) {
+		g.descend(t.root, visit)
+	}
+}
+
+// descend visits the hit leaves under n, whose own MBR g hits.
+func (g *Region) descend(n *Node, visit func(leaf *Node)) {
+	switch {
+	case n.leaf:
+		visit(n)
+	case g.Box != nil:
+		box := *g.Box
+		for _, c := range n.children {
+			if c.rect.Intersects(box) {
+				g.descend(c, visit)
+			}
+		}
+	case n.crects != nil && len(n.children) <= maxBatchedFanout:
+		g.descendPacked(n, visit)
+	default:
+		for _, c := range n.children {
+			if g.M.RankMinDist(c.rect, g.Q) <= g.Rank {
+				g.descend(c, visit)
+			}
+		}
+	}
+}
+
+// maxBatchedFanout is the widest directory page whose child MINDISTs a
+// descent frame keeps on its stack; a wider supernode takes the scalar
+// loop, which computes the same values.
+const maxBatchedFanout = 128
+
+// descendPacked is the sphere case of descend on a packed directory
+// page: one batched MINDIST pass over the child rectangle slab, into a
+// buffer that lives in this frame while the hit children are descended.
+func (g *Region) descendPacked(n *Node, visit func(leaf *Node)) {
+	var buf [maxBatchedFanout]float64
+	dists := buf[:len(n.children)]
+	n.crects.MinDistsToPage(g.Q, g.M, dists)
+	for i, c := range n.children {
+		if dists[i] <= g.Rank {
+			g.descend(c, visit)
+		}
+	}
 }
 
 // NodeCount returns the number of directory nodes and leaf nodes.

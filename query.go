@@ -193,39 +193,13 @@ func (r *run) plan(shards ShardSpec) {
 	r.sp.planEvents(r.routes, r.degraded)
 }
 
-// region is the part of the data space a query must read: the box of a
-// range query, or (box nil) the NN-sphere of a k-NN query — the ball
-// around q whose radius is rank in the metric's rank space.
-type region struct {
-	box  *vec.Rect
-	q    vec.Point
-	m    vec.Metric
-	rank float64
-}
-
-// hit reports whether a storage unit's region intersects g.
-func (g *region) hit(page vec.Rect) bool {
-	if g.box != nil {
-		return page.Intersects(*g.box)
-	}
-	return g.m.RankMinDist(page, g.q) <= g.rank
-}
-
-// hitLeaves calls visit for every leaf page of the shard's tree that g
-// intersects, under the shard's read lock.
-func (g *region) hitLeaves(sh *shard, visit func(leaf *xtree.Node)) {
+// hitLeaves calls visit for every leaf page of the shard's tree that the
+// query's region g hits, under the shard's read lock. The tree prunes
+// the walk to the hit pages (xtree.Tree.HitLeaves), so accounting a
+// query costs what the query reads, not what the disk holds.
+func hitLeaves(sh *shard, g *xtree.Region, visit func(leaf *xtree.Node)) {
 	sh.mu.RLock()
-	for _, leaf := range sh.tree.Leaves() {
-		// This is g.hit(leaf.Rect()), spelled out so that the box test
-		// inlines into the loop (hit itself is over the inlining budget).
-		// The walk touches every leaf of the tree and is bound by cache
-		// misses; a call per leaf cuts the CPU's run-ahead over them and
-		// measured +40% on a whole RangeQuery at 300k points.
-		if page := leaf.Rect(); g.box != nil && page.Intersects(*g.box) ||
-			g.box == nil && g.m.RankMinDist(page, g.q) <= g.rank {
-			visit(leaf)
-		}
-	}
+	sh.tree.HitLeaves(g, visit)
 	sh.mu.RUnlock()
 }
 
@@ -240,10 +214,10 @@ func (g *region) hitLeaves(sh *shard, visit func(leaf *xtree.Node)) {
 // counts, intersected cells, and the degraded-mode accounting
 // (Unreachable, Rerouted) are recorded into qs; the returned refs feed
 // the disk array and only name disks the routing selected as live.
-// Masked disks are another process shard's to account. Each tree's
+// Masked disks are another process shard's to account. Each tree's hit
 // leaves are enumerated under its read lock; the cell scan of the bucket
 // model runs under meta.
-func (r *run) pageRefs(g *region, qs *QueryStats) (refs []disk.PageRef) {
+func (r *run) pageRefs(g *xtree.Region, qs *QueryStats) (refs []disk.PageRef) {
 	st := r.st
 	qs.PagesPerDisk = make([]int, len(st.shards))
 	// Reads are charged to the disk the routing selected; pages with no
@@ -266,7 +240,7 @@ func (r *run) pageRefs(g *region, qs *QueryStats) (refs []disk.PageRef) {
 		r.ix.meta.Lock()
 		for i := range st.cells {
 			c := &st.cells[i]
-			if rt := r.routes[c.disk]; c.count > 0 && !rt.masked && g.hit(c.rect) {
+			if rt := r.routes[c.disk]; c.count > 0 && !rt.masked && g.Hits(c.rect) {
 				charge(rt, (c.count+leafCap-1)/leafCap)
 			}
 		}
@@ -282,7 +256,7 @@ func (r *run) pageRefs(g *region, qs *QueryStats) (refs []disk.PageRef) {
 				// anyway so the shortfall is visible as Unreachable.
 				sh = st.shards[d]
 			}
-			g.hitLeaves(sh, func(leaf *xtree.Node) { charge(rt, leaf.Super()) })
+			hitLeaves(sh, g, func(leaf *xtree.Node) { charge(rt, leaf.Super()) })
 		}
 	}
 	return refs
@@ -316,12 +290,12 @@ func (r *run) finishIO(kind *metrics.Counter, refs []disk.PageRef, qs *QueryStat
 // the pages of the one X-tree over all data that the query's region
 // intersects, and the speed-up of the parallel search — already costed
 // in qs — over reading them from a single disk.
-func (r *run) baselineCost(g *region, qs *QueryStats) {
+func (r *run) baselineCost(g *xtree.Region, qs *QueryStats) {
 	if r.st.baseline == nil {
 		return
 	}
 	leaves := 0
-	g.hitLeaves(r.st.baseline, func(leaf *xtree.Node) {
+	hitLeaves(r.st.baseline, g, func(leaf *xtree.Node) {
 		qs.SeqPages += leaf.Super()
 		leaves++
 	})

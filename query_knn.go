@@ -8,6 +8,7 @@ import (
 	"parsearch/internal/disk"
 	"parsearch/internal/knn"
 	"parsearch/internal/vec"
+	"parsearch/internal/xtree"
 )
 
 // This file is the k-NN search stage of the query pipeline (query.go):
@@ -206,8 +207,8 @@ func (r *run) knnItem(qr *query, q vec.Point, item int, qs *QueryStats) (merged 
 }
 
 // sphere returns the NN-sphere of radius rk around q.
-func (r *run) sphere(q vec.Point, rk float64) *region {
-	return &region{q: q, m: r.m, rank: r.m.ToRank(rk)}
+func (r *run) sphere(q vec.Point, rk float64) *xtree.Region {
+	return &xtree.Region{Q: q, M: r.m, Rank: r.m.ToRank(rk)}
 }
 
 // neighbors converts merged search results to the public result type.

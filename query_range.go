@@ -89,7 +89,7 @@ func (ix *Index) runRange(ctx context.Context, qr query) (_ []Neighbor, stats Qu
 	// query box. Degraded only when dead pages intersect the box — a
 	// dead point could then be inside it; dead pages fully outside the
 	// box cannot hold matches, so the results are provably exact.
-	box := &region{box: &rect}
+	box := &xtree.Region{Box: &rect}
 	refs := r.pageRefs(box, &stats)
 	stats.Degraded = stats.Unreachable > 0
 	if err = r.finishIO(&ix.reg.QueriesRange, refs, &stats); err != nil {
