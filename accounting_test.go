@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"parsearch/internal/data"
 	"parsearch/internal/disk"
 	"parsearch/internal/vec"
 	"parsearch/internal/xtree"
@@ -231,6 +232,72 @@ func TestAccountingMatchesLeafScan(t *testing.T) {
 	}
 	if seen.TotalPages == 0 || seen.Unreachable == 0 || seen.Rerouted == 0 || seen.SeqPages == 0 || seen.Retries == 0 {
 		t.Errorf("the matrix left an accounting path unexercised: %+v", seen)
+	}
+}
+
+// TestPinnedPageCounts pins the deterministic page counts of unseeded
+// k-NN queries to the values the engine produced before the shared
+// bound pruned for real (commit 333fb5d): what a batch item's searches
+// read, and every executed page, must not move. PagesSavedByBound is
+// left out — it changed meaning with that commit.
+func TestPinnedPageCounts(t *testing.T) {
+	for _, tc := range []struct {
+		name         string
+		opts         Options
+		fail         int // disk to fail, -1 for none
+		searchPages  []int
+		totalPages   []int
+		pagesPerDisk []int
+	}{
+		{"default", Options{Dim: 8, Disks: 16}, -1,
+			[]int{119, 80, 218, 253, 163, 130, 196, 160},
+			[]int{35, 27, 60, 98, 69, 44, 57, 63},
+			[]int{16, 24, 18, 21, 21, 18, 21, 18, 34, 37, 40, 38, 37, 41, 34, 35}},
+		{"l1-sq8-rerouted", Options{Dim: 8, Disks: 16, Metric: Manhattan, Packed: true, Quantize: true, Replication: 1}, 2,
+			[]int{183, 147, 247, 261, 215, 189, 227, 214},
+			[]int{105, 83, 129, 179, 120, 95, 129, 134},
+			[]int{47, 52, 0, 94, 47, 47, 47, 47, 71, 72, 73, 77, 78, 75, 74, 73}},
+	} {
+		ix, err := Open(tc.opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := ix.Build(rawPoints(3000, 8, 21)); err != nil {
+			t.Fatal(err)
+		}
+		if tc.fail >= 0 {
+			if err := ix.FailDisk(tc.fail); err != nil {
+				t.Fatal(err)
+			}
+		}
+		var queries [][]float64
+		for _, q := range data.Uniform(8, 8, 22) {
+			queries = append(queries, q)
+		}
+		_, bs, err := ix.BatchKNN(queries, 10)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var searchPages, totalPages []int
+		for _, qs := range bs.PerQuery {
+			searchPages = append(searchPages, qs.SearchPages)
+			totalPages = append(totalPages, qs.TotalPages)
+		}
+		if !reflect.DeepEqual(searchPages, tc.searchPages) || !reflect.DeepEqual(totalPages, tc.totalPages) ||
+			!reflect.DeepEqual(bs.PagesPerDisk, tc.pagesPerDisk) || bs.TotalPages != sum(tc.totalPages) {
+			t.Errorf("%s: batch search pages %v, total pages %v, pages per disk %v (total %d)\nwant %v, %v, %v",
+				tc.name, searchPages, totalPages, bs.PagesPerDisk, bs.TotalPages, tc.searchPages, tc.totalPages, tc.pagesPerDisk)
+		}
+		for i, q := range queries {
+			_, st, err := ix.KNN(q, 10)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if st.TotalPages != tc.totalPages[i] || !reflect.DeepEqual(st.PagesPerDisk, bs.PerQuery[i].PagesPerDisk) {
+				t.Errorf("%s: KNN %d read %d pages %v, its batch item %d %v",
+					tc.name, i, st.TotalPages, st.PagesPerDisk, tc.totalPages[i], bs.PerQuery[i].PagesPerDisk)
+			}
+		}
 	}
 }
 

@@ -147,7 +147,7 @@ func (ix *Index) ServiceDemands(queries [][]float64, k int) ([][]float64, error)
 	demands := make([][]float64, len(queries))
 	for i, q := range queries {
 		var qs QueryStats
-		_, refs, err := r.knnItem(&qr, q, i, &qs)
+		_, _, refs, err := r.knnItem(&qr, q, i, &qs)
 		if err != nil {
 			return nil, err
 		}
@@ -244,14 +244,15 @@ func (ix *Index) runBatch(ctx context.Context, qr query) (_ [][]Neighbor, stats 
 				}
 				qs := &perQuery[i]
 				var merged []knn.Result
-				merged, refsPerQuery[i], errs[i] = r.knnItem(&qr, queries[i], i, qs)
+				var rk float64
+				merged, rk, refsPerQuery[i], errs[i] = r.knnItem(&qr, queries[i], i, qs)
 				if errs[i] != nil {
 					continue
 				}
 				results[i] = neighbors(merged)
 				fillQueryCost(qs, refsPerQuery[i], ix.params)
 				r.sp.emit(TraceEvent{Stage: StageSearch, Disk: -1, Item: i, K: qr.k,
-					Results: len(merged), Pages: qs.TotalPages, Radius: merged[len(merged)-1].Dist,
+					Results: len(merged), Pages: qs.TotalPages, Radius: rk,
 					Degraded: qs.Degraded})
 			}
 		}()

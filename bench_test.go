@@ -302,12 +302,13 @@ func BenchmarkObservabilityRange16(b *testing.B) {
 	}
 }
 
-// The cooperative-pruning pair (see DESIGN.md "Cooperative pruning"
-// and the knn16/knn16-indep workloads of internal/exp.RunBench): same
-// index data and queries, with and without the shared cross-disk
-// bound. The searchpages/query gap is what the bound saves.
-
-func benchSharedBoundLoop(b *testing.B, ix *parsearch.Index, queries [][]float64) {
+// BenchmarkKNNSharedBound measures the cooperative k-NN fan-out (see
+// DESIGN.md "Cooperative pruning"): pages/search is what one disk's
+// search reads before the shared bound stops it, savedpages/query what
+// the stopped searches still had queued.
+func BenchmarkKNNSharedBound(b *testing.B) {
+	const disks = 16
+	ix, queries := obsBenchIndex(b, parsearch.Options{Dim: 8, Disks: disks}, 4000)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -317,19 +318,9 @@ func benchSharedBoundLoop(b *testing.B, ix *parsearch.Index, queries [][]float64
 	}
 	m := ix.Metrics()
 	if m.QueriesKNN > 0 {
-		b.ReportMetric(float64(m.SearchPages)/float64(m.QueriesKNN), "searchpages/query")
+		b.ReportMetric(float64(m.SearchPages)/float64(m.QueriesKNN*disks), "pages/search")
 		b.ReportMetric(float64(m.PagesSavedByBound)/float64(m.QueriesKNN), "savedpages/query")
 	}
-}
-
-func BenchmarkKNNSharedBound(b *testing.B) {
-	ix, queries := obsBenchIndex(b, parsearch.Options{Dim: 8, Disks: 16}, 4000)
-	benchSharedBoundLoop(b, ix, queries)
-}
-
-func BenchmarkKNNIndependent(b *testing.B) {
-	ix, queries := obsBenchIndex(b, parsearch.Options{Dim: 8, Disks: 16, DisableSharedBound: true}, 4000)
-	benchSharedBoundLoop(b, ix, queries)
 }
 
 func BenchmarkObservabilityBatch16(b *testing.B) {

@@ -99,7 +99,7 @@ func TestBenchSubcommand(t *testing.T) {
 	if err := json.Unmarshal(raw, &report); err != nil {
 		t.Fatalf("report is not valid JSON: %v", err)
 	}
-	if report.Disks != exp.BenchDisks || len(report.Workloads) != 11 {
+	if report.Disks != exp.BenchDisks || len(report.Workloads) != 10 {
 		t.Fatalf("report %+v", report)
 	}
 	if report.Workload("server-knn16") == nil {

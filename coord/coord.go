@@ -18,10 +18,11 @@
 // queries the shard serving the query point's home group (the group
 // likeliest to hold near neighbors); if it returns a full k results,
 // the k-th distance ships to the remaining shards as the wire "bound"
-// field, seeding their cooperative pruning bound. Seeding is
-// exactness-preserving on the shard side (see parsearch.Approx.Bound),
-// so the merged results never depend on the bound — only the page
-// count does, surfaced as Stats.PagesSavedByRemoteBound.
+// field. A phase-2 shard then answers with its points inside that
+// distance only (see parsearch.Approx.Bound) — fewer than k, or none,
+// is a normal answer. The merged top k never depends on the bound,
+// because k points at or inside it are already known from phase 1;
+// what the bound saves is surfaced as Stats.PagesSavedByRemoteBound.
 package coord
 
 import (
@@ -313,9 +314,12 @@ func (c *Coordinator) scatter(ctx context.Context, groups []int, do shardCall) (
 				callErr := do(ctx, c.shards[s].cl, spec, &out)
 				c.reg.ShardLatencyNs.Observe(time.Since(start).Nanoseconds())
 				if errors.Is(callErr, parsearch.ErrEmpty) {
-					// An empty shard contributes zero results; the
-					// cluster-level "index is empty" verdict is the
-					// caller's once every group has answered.
+					// A shard whose index (or whose share of it) holds no
+					// points contributes zero results; the cluster-level
+					// "index is empty" verdict is the caller's once every
+					// group has answered. A shard the shipped bound pruned
+					// to nothing is not this case: it answers without
+					// error.
 					out.empty, callErr = true, nil
 				}
 				mu.Lock()
@@ -522,7 +526,7 @@ func (c *Coordinator) KNNApprox(ctx context.Context, q []float64, k int, a parse
 		results, unserved, retries = r1, u1, ret1
 	}
 
-	// Phase 2: the remaining shards search under the k-th distance
+	// Phase 2: the remaining shards search within the k-th distance
 	// phase 1 achieved, if it found a full k.
 	var bound *float64
 	if len(phase2) > 0 {

@@ -205,8 +205,8 @@ func TestClusterByteIdentity(t *testing.T) {
 // protocol actually prunes: on the 16-disk / 3-shard profile, phase 1
 // regularly returns a full k, the shipped k-th distance seeds the
 // phase-2 shards, and the remote-bound ledger comes back positive —
-// while the results stay byte-identical (seeding is
-// exactness-preserving).
+// while the results stay byte-identical (k points at or inside the
+// shipped distance are already known).
 func TestClusterRemoteBound(t *testing.T) {
 	c := newCluster(t, 4, 3000, 16, 3, 0)
 	ctx := context.Background()
@@ -267,6 +267,53 @@ func TestClusterRemoteBound(t *testing.T) {
 		t.Errorf("shard latency histogram observed %d RPCs of %d", snap.ShardLatencyNs.Count, snap.ShardRPCs)
 	}
 	t.Logf("remote bound: %d/20 queries shipped a bound, %d pages saved across phase-2 shards", boundsShipped, savedTotal)
+}
+
+// TestClusterShortPhase2Answers: a phase-2 shard answers with its points
+// inside the shipped bound only — often fewer than k, at k = 1 usually
+// none, and neither is an error — and the merge over such answers is
+// still the library's answer. What the phase-2 shards returned is
+// reproduced on the library index, which answers a shard-restricted,
+// bounded query exactly as they do.
+func TestClusterShortPhase2Answers(t *testing.T) {
+	c := newCluster(t, 4, 3000, 16, 3, 0)
+	ctx := context.Background()
+	short, empty := 0, 0
+	for i := 0; i < 12; i++ {
+		q := randQuery(4, 500+i)
+		for _, k := range []int{1, 16} {
+			want, _, err := c.lib.KNNContext(ctx, q, k)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, st, err := c.co.KNN(ctx, q, k)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if asJSON(t, got) != asJSON(t, want) {
+				t.Fatalf("KNN(q%d, k=%d): cluster result differs from library", i, k)
+			}
+			if st.RemoteBound == 0 {
+				continue
+			}
+			for g := 0; g < 3; g++ {
+				part, _, err := c.lib.KNNShardContext(ctx, q, k, parsearch.Approx{Bound: st.RemoteBound},
+					parsearch.ShardSpec{Of: 3, Groups: []int{g}})
+				if err != nil {
+					t.Fatalf("KNN(q%d, k=%d) group %d under the shipped bound: %v", i, k, g, err)
+				}
+				switch {
+				case len(part) == 0:
+					empty++
+				case len(part) < k:
+					short++
+				}
+			}
+		}
+	}
+	if short == 0 || empty == 0 {
+		t.Errorf("%d short and %d empty phase-2 answers: want both kinds exercised", short, empty)
+	}
 }
 
 // TestClusterShardKillMidStorm is the failover acceptance: a query

@@ -208,7 +208,8 @@ func (a *Array) ReadBatch(refs []PageRef) (BatchResult, error) {
 		PerDisk:      make([]int, a.n),
 		ReadsPerDisk: make([]int, a.n),
 	}
-	byDisk := make([][]PageRef, a.n)
+	// Group the refs by disk, in order, inside one backing array.
+	counts := make([]int, a.n)
 	for _, ref := range refs {
 		if ref.Disk < 0 || ref.Disk >= a.n {
 			panic(fmt.Sprintf("disk: read from disk %d of %d", ref.Disk, a.n))
@@ -216,6 +217,15 @@ func (a *Array) ReadBatch(refs []PageRef) (BatchResult, error) {
 		if ref.Blocks < 1 {
 			panic(fmt.Sprintf("disk: page of %d blocks", ref.Blocks))
 		}
+		counts[ref.Disk]++
+	}
+	grouped := make([]PageRef, len(refs))
+	byDisk := make([][]PageRef, a.n)
+	for d, off := 0, 0; d < a.n; d++ {
+		byDisk[d] = grouped[off : off : off+counts[d]]
+		off += counts[d]
+	}
+	for _, ref := range refs {
 		byDisk[ref.Disk] = append(byDisk[ref.Disk], ref)
 	}
 

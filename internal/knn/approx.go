@@ -18,19 +18,19 @@ package knn
 // LSH probe filter: an optional per-leaf predicate (built from the
 // multi-probe LSH filter over the shard's leaf layout, see package
 // lsh). A popped leaf the filter rejects is skipped unscanned. The
-// filter is only consulted once k candidates are known, so every shard
-// still returns min(k, shard size) candidates and the merged result is
-// never short — the filter can cost recall, never result cardinality.
+// filter is only consulted once k candidates are known, so it never
+// shortens a shard's result — the filter can cost recall, never result
+// cardinality.
 //
-// Composition with the shared cross-disk bound: the phantom mechanism
-// of HSShared is unchanged — for the pages that are visited, phantom
-// accounting stays exact. Pages the approximation skips (the pending
+// Composition with the shared cross-disk bound: the ε check runs before
+// the shared-bound check, so pages the approximation skips (the pending
 // queue at ε-termination, plus LSH-rejected leaves) are charged to
-// ApproxStats.SkippedPages, never to Saved, so the shared bound's
-// savings and the approximation's savings stay separately attributable.
+// ApproxStats.SkippedPages, never to Saved, and the shared bound's
+// savings and the approximation's stay separately attributable.
 
 import (
 	"math"
+	"sync"
 
 	"parsearch/internal/vec"
 	"parsearch/internal/xtree"
@@ -47,9 +47,6 @@ type ApproxSpec struct {
 	Probe func(n *xtree.Node) bool
 }
 
-// ExactSpec reports whether the spec requests no approximation at all.
-func (s ApproxSpec) ExactSpec() bool { return s.Shrink >= 1 && s.Probe == nil }
-
 // ShrinkFor returns the rank-space termination factor for ε under m.
 func ShrinkFor(epsilon float64, m vec.Metric) float64 {
 	if epsilon <= 0 {
@@ -63,10 +60,8 @@ func ShrinkFor(epsilon float64, m vec.Metric) float64 {
 type ApproxStats struct {
 	SharedStats
 	// SkippedPages counts pages the approximation skipped: the
-	// still-reachable pending queue at ε-termination (nodes whose
-	// MINDIST did not exceed the local bound — deeper pages under
-	// pending directory nodes are not expanded, so this is a lower
-	// bound on the work avoided) plus every LSH-rejected leaf.
+	// still-reachable pending queue at ε-termination (see queued) plus
+	// every LSH-rejected leaf.
 	SkippedPages int
 	// EpsilonFired reports whether ε-termination cut the traversal.
 	EpsilonFired bool
@@ -79,23 +74,44 @@ type ApproxStats struct {
 
 // HSApprox is the one Hjaltason–Samet priority-queue loop of the
 // package: HS, HSMetric and HSShared are this traversal with parts of it
-// switched off. b may be nil (no shared cross-disk bound): phantom
-// accounting and tightening are then skipped, which is the independent
-// search HSMetric names. With an exact spec (Shrink ≥ 1, nil Probe)
-// neither relaxation can fire and the traversal and results are the
-// exact ones of HSShared / HSMetric.
+// switched off. b may be nil (no shared cross-disk bound), which is the
+// independent search HSMetric names. With an exact spec (Shrink ≥ 1, nil
+// Probe) neither relaxation can fire.
+//
+// Under a shared bound the search stops at the first popped node whose
+// MINDIST strictly exceeds b.Load(). Why the merged answer is still the
+// independent searches' answer, ties included:
+//
+//   - Pops come in MINDIST order and the bound only decreases, so every
+//     later node would be pruned too: the traversal that stops here is a
+//     prefix of the independent one, and it offered the same candidates
+//     in the same order.
+//   - The tail it never reads lies in nodes with MINDIST > the bound,
+//     and every value a search publishes to the bound is a distance k
+//     candidates of the index have already achieved. The tail therefore
+//     holds only points strictly beyond the global k-th distance. (A
+//     bound seeded by the caller instead defines the ball the answer is
+//     taken from; see Bound.Seed.)
+//   - Offering such a point to the local k-best can only evict a
+//     candidate farther still, so the tail neither adds nor evicts a
+//     result at or inside the global k-th distance. The comparison is
+//     strict, so a node at exactly that distance — a tie — is read.
+//
+// What the truncated search returns beyond the bound is whatever the
+// prefix had collected; the caller's merge never reaches it.
 func HSApprox(t *xtree.Tree, q vec.Point, k int, m vec.Metric, spec ApproxSpec, b *Bound, onTighten func(sqBound float64)) ([]Result, Accounting, ApproxStats) {
 	checkQuery(t, q, k)
 	var acc Accounting
 	var as ApproxStats
-	best := kBest{k: k, metric: m}
 	if t.Root() == nil {
 		return nil, acc, as
 	}
-	var sc scratch
-	pq := pqueue[nodeItem]{{node: t.Root(), sqMinDist: m.RankMinDist(t.Root().Rect(), q)}}
-	phantom := false
-	for len(pq) > 0 {
+	s := searchPool.Get().(*search)
+	defer s.release()
+	pq, best, sc := &s.pq, &s.best, &s.sc
+	best.k, best.metric = k, m
+	pq.push(nodeItem{node: t.Root(), sqMinDist: m.RankMinDist(t.Root().Rect(), q)})
+	for len(*pq) > 0 {
 		item := pq.pop()
 		bound := best.bound()
 		if item.sqMinDist > bound {
@@ -104,20 +120,18 @@ func HSApprox(t *xtree.Tree, q vec.Point, k int, m vec.Metric, spec ApproxSpec, 
 		if spec.Shrink < 1 && item.sqMinDist > spec.Shrink*bound {
 			// ε fires: k candidates are known (a finite bound), and every
 			// pending node holds only points farther than kth/(1+ε).
-			// Charge the reachable remainder of the queue as skipped —
-			// nodes already beyond the local bound would never have been
-			// visited (the bound only decreases), so they don't count.
 			as.EpsilonFired = true
-			as.SkippedPages += item.node.Super()
-			for _, pend := range pq {
-				if pend.sqMinDist <= bound {
-					as.SkippedPages += pend.node.Super()
-				}
-			}
+			as.SkippedPages += queued(item, *pq, bound).PageAccesses
 			break
 		}
-		if b != nil && !phantom && item.sqMinDist > b.Load() {
-			phantom = true
+		if b != nil {
+			if shared := b.Load(); item.sqMinDist > shared {
+				as.Saved = queued(item, *pq, bound)
+				if b.seededAt(shared) {
+					as.RemotePages = as.Saved.PageAccesses
+				}
+				break
+			}
 		}
 		n := item.node
 		if n.IsLeaf() && spec.Probe != nil && len(best.heap) >= k {
@@ -128,37 +142,60 @@ func HSApprox(t *xtree.Tree, q vec.Point, k int, m vec.Metric, spec ApproxSpec, 
 			}
 			as.ProbedPages += n.Super()
 		}
-		if phantom {
-			as.Saved.visit(n)
-			if b.seededAt(b.Load()) {
-				as.RemotePages += n.Super()
-			}
-		} else {
-			acc.visit(n)
-		}
-		if n.IsLeaf() {
-			// The SQ8 skip decisions depend only on the local candidate
-			// stream (best.bound()), which phantom mode preserves, so
-			// charging phantom skips to Saved keeps the exact-sum
-			// invariant: acc + Saved equals the independent search's
-			// accounting field for field.
-			skipped := scanLeaf(n, q, m, &best, &sc)
-			if phantom {
-				as.Saved.DistCompsSkipped += skipped
-			} else {
-				acc.DistCompsSkipped += skipped
-				if b != nil {
-					if d := best.bound(); !math.IsInf(d, 1) && b.Tighten(d) {
-						as.Tightened++
-						if onTighten != nil {
-							onTighten(d)
-						}
-					}
-				}
-			}
+		acc.visit(n)
+		if !n.IsLeaf() {
+			pushChildren(pq, n, q, m, best.bound(), sc)
 			continue
 		}
-		pushChildren(&pq, n, q, m, best.bound(), &sc)
+		acc.DistCompsSkipped += scanLeaf(n, q, m, best, sc)
+		if b != nil {
+			if d := best.bound(); !math.IsInf(d, 1) && b.Tighten(d) {
+				as.Tightened++
+				if onTighten != nil {
+					onTighten(d)
+				}
+			}
+		}
 	}
 	return best.results(), acc, as
+}
+
+// queued accounts the work a search abandons when it stops at the popped
+// node item: item itself and every node still in the queue whose MINDIST
+// does not exceed the local bound — the pages the search still held
+// inside its own candidate sphere. Nodes beyond the local bound would
+// never have been visited (the bound only decreases), so they don't
+// count. This estimates what carrying on would have read; it is not
+// that count. Pages below a queued directory node are not expanded — on
+// a tree of three or more levels that is most of them — while a queued
+// node that a later tightening of the local bound would have ruled out
+// is counted.
+func queued(item nodeItem, pq pqueue[nodeItem], bound float64) (a Accounting) {
+	a.visit(item.node)
+	for _, pend := range pq {
+		if pend.sqMinDist <= bound {
+			a.visit(pend.node)
+		}
+	}
+	return a
+}
+
+// search is the scratch of one HSApprox call — node queue, k-best heap,
+// batch buffer — pooled so that a search allocates only the result slice
+// it hands to its caller.
+type search struct {
+	pq   pqueue[nodeItem]
+	best kBest
+	sc   scratch
+}
+
+var searchPool = sync.Pool{New: func() any { return new(search) }}
+
+// release returns s to the pool with no tree node or entry reachable from
+// it: a pooled queue must not keep a reorganized-away tree alive.
+func (s *search) release() {
+	clear(s.pq[:cap(s.pq)])
+	clear(s.best.heap[:cap(s.best.heap)])
+	s.pq, s.best.heap = s.pq[:0], s.best.heap[:0]
+	searchPool.Put(s)
 }

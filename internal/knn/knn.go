@@ -11,8 +11,10 @@
 package knn
 
 import (
+	"cmp"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"parsearch/internal/vec"
@@ -57,6 +59,15 @@ func (a *Accounting) visit(n *xtree.Node) {
 	a.PageAccesses += n.Super()
 }
 
+// Compare orders results by increasing distance, ties by entry ID — the
+// order of every result list and of the cross-disk merge.
+func (r Result) Compare(o Result) int {
+	if c := cmp.Compare(r.Dist, o.Dist); c != 0 {
+		return c
+	}
+	return cmp.Compare(r.Entry.ID, o.Entry.ID)
+}
+
 // before orders the k-best heap farthest candidate first (a max-heap by
 // rank distance), so the root is the one a closer candidate replaces.
 func (r Result) before(o Result) bool { return r.Dist > o.Dist }
@@ -95,12 +106,7 @@ func (b *kBest) offer(e xtree.Entry, sqDist float64) {
 func (b *kBest) results() []Result {
 	out := make([]Result, len(b.heap))
 	copy(out, b.heap)
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Dist != out[j].Dist {
-			return out[i].Dist < out[j].Dist
-		}
-		return out[i].Entry.ID < out[j].Entry.ID
-	})
+	slices.SortFunc(out, Result.Compare)
 	for i := range out {
 		out[i].Dist = b.metric.FromRank(out[i].Dist)
 	}

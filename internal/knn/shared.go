@@ -2,9 +2,10 @@ package knn
 
 // Cooperative cross-disk pruning for the parallel NN algorithm: the
 // shards of a declustered index share one global upper bound on the
-// k-th-best distance, so every disk can stop expanding priority-queue
-// nodes that only the *merged* result would discard. The bound is a
-// lock-free atomic (see Bound); HSShared is the HS search consulting
+// k-th-best distance, so every disk stops at the first priority-queue
+// node that only the *merged* result would discard — it reads the pages
+// intersecting the global NN-sphere, not its own local one. The bound is
+// a lock-free atomic (see Bound); HSShared is the HS search consulting
 // and tightening it (one traversal, HSApprox, serves every variant).
 //
 // Exactness argument: the shared bound only ever holds a distance that
@@ -15,7 +16,8 @@ package knn
 // farther than k already-known candidates, so none of its points can
 // enter the merged global top k — under any tie-breaking rule. The
 // bound is monotonically non-increasing, so the argument holds even
-// though other shards keep tightening it concurrently.
+// though other shards keep tightening it concurrently. The tie-break
+// half of the argument is written at HSApprox, where the loop lives.
 
 import (
 	"math"
@@ -58,12 +60,16 @@ func NewBound() *Bound {
 
 // Seed installs an externally known squared bound — in the distributed
 // search, the k-th-best distance another shard group has already
-// achieved, shipped over the wire. Seeding is exactness-preserving for
-// the same reason local tightening is: the searches consulting the
-// bound traverse pruned nodes in accounting-only phantom mode, so the
-// candidate stream (and the results) never depend on the bound's value,
-// only the attribution of visits to Saved does. A stale or even wrong
-// seed therefore costs accounting precision, never correctness.
+// achieved, shipped over the wire. A seeded search is a k-NN search
+// within that distance: nodes strictly beyond the seed are never read,
+// so the search may return fewer than k candidates, or none. The merged
+// answer stays exact as long as the seed really is a distance k
+// candidates have achieved somewhere; a seed below the true k-th
+// distance narrows the answer to the seed's ball.
+//
+// The seed must not round below the distance it stands for: a point at
+// exactly that distance is a tie the merge may need (see
+// vec.Metric.ToRankCeil).
 //
 // Seed must be called before the search fan-out starts (it writes a
 // plain field the attribution check reads).
@@ -98,39 +104,36 @@ func (b *Bound) Tighten(d float64) bool {
 
 // SharedStats reports what the shared bound did for one HSShared call.
 type SharedStats struct {
-	// Saved accounts the nodes the shared bound pruned: visits the
-	// independent HS search would have performed but the cooperative
-	// search skipped. Adding Saved to the returned Accounting yields
-	// exactly the independent search's Accounting.
+	// Saved accounts the work the search abandoned when the shared bound
+	// stopped it: the node it had just popped and the queued nodes its
+	// own local bound had not ruled out (see queued). Pages below a
+	// queued directory node are not counted, so on trees of three or
+	// more levels this is normally far below the pages an independent
+	// search would go on to read; it is zero exactly when the bound cut
+	// nothing.
 	Saved Accounting
 	// Tightened counts how many times this search lowered the shared
 	// bound.
 	Tightened int
-	// RemotePages counts the page accesses among Saved performed while
-	// the bound still held its externally seeded value (Bound.Seed):
+	// RemotePages is Saved.PageAccesses when the bound that stopped the
+	// search still held its externally seeded value (Bound.Seed):
 	// pruning attributable to the remote bound rather than to local
-	// tightening. Always 0 on unseeded bounds. The attribution is by the
-	// bound in effect at visit time — once a local tightening improves
-	// on the seed, further savings are charged to the local bound even
-	// though the seed alone might still have pruned them.
+	// tightening. Always 0 on unseeded bounds, and 0 once a local
+	// tightening has improved on the seed, even though the seed alone
+	// might still have pruned.
 	RemotePages int
 }
 
-// HSShared is HSMetric consulting a shared bound before expanding each
-// priority-queue node, and tightening it whenever the local k-best
-// improves — the cooperative variant of the parallel NN algorithm,
-// where every disk prunes against the global candidate distance instead
-// of only its own.
+// HSShared is HSMetric under a shared bound: the search stops at the
+// first node whose MINDIST strictly exceeds the bound, and tightens the
+// bound whenever its local k-best improves — the cooperative variant of
+// the parallel NN algorithm, where every disk prunes against the global
+// candidate distance instead of only its own.
 //
-// The returned neighbors are byte-identical to HSMetric's: pruned nodes
-// are still traversed in accounting-only "phantom" mode (their visits
-// charged to SharedStats.Saved instead of the Accounting), so the local
-// candidate stream — and with it every tie-break — matches the
-// independent search exactly, and Saved is exactly the page count the
-// bound saved. Once one node is pruned, every later node would be too
-// (pops come in MINDIST order while the bound only decreases), so the
-// phantom tail never flips back and never publishes: all its candidates
-// are provably farther than the bound it was pruned by.
+// The returned neighbors at or inside the final bound are exactly
+// HSMetric's, in the same order (see HSApprox); beyond it the result
+// holds whatever the truncated search had collected, and may be short
+// of k.
 //
 // onTighten, when non-nil, is called with the new squared bound after
 // each successful tightening.

@@ -1,6 +1,7 @@
 package knn
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"reflect"
@@ -84,38 +85,128 @@ func sharedTestTree(n, dim int, seed int64) (*xtree.Tree, []xtree.Entry) {
 	return tr, entries
 }
 
-// TestHSSharedMatchesHS checks the core exactness contract on a single
-// tree: with any pre-tightened bound, HSShared returns byte-identical
-// results to HSMetric, and real + saved accounting equals HSMetric's.
+// bulkTestTree bulk-loads n float32-representable points: at 20000
+// points the tree has three levels, so a stopped search leaves directory
+// nodes in its queue.
+func bulkTestTree(n, dim int, seed int64, packed, quantize bool) *xtree.Tree {
+	rng := rand.New(rand.NewSource(seed))
+	cfg := xtree.DefaultConfig(dim)
+	cfg.Packed, cfg.Quantize = packed, quantize
+	entries := make([]xtree.Entry, n)
+	for i := range entries {
+		p := make(vec.Point, dim)
+		for j := range p {
+			p[j] = float64(float32(rng.Float64()))
+		}
+		entries[i] = xtree.Entry{Point: p, ID: i}
+	}
+	tr := xtree.New(cfg)
+	tr.BulkLoad(entries)
+	return tr
+}
+
+// inside returns the results at rank distance <= bound from q.
+func inside(rs []Result, q vec.Point, m vec.Metric, bound float64) []Result {
+	var in []Result
+	for _, r := range rs {
+		if m.RankDist(q, r.Entry.Point) <= bound {
+			in = append(in, r)
+		}
+	}
+	return in
+}
+
+// TestHSSharedMatchesHS runs HSMetric beside the shared search on the
+// same tree — the check the bench gate's visited+saved sum used to make.
+// Under a bound below, exactly on (a tie), and above the true k-th
+// distance, the shared search is a prefix of the independent one: no
+// accounting field exceeds the independent search's, the results at or
+// inside the final bound are the independent search's in the same
+// order, and Saved is charged exactly when the bound cut work.
 func TestHSSharedMatchesHS(t *testing.T) {
-	for _, m := range []vec.Metric{vec.L2, vec.L1, vec.LInf} {
-		tr, entries := sharedTestTree(600, 6, 7)
+	trees := []struct {
+		name string
+		tree *xtree.Tree
+	}{
+		{"two-level", bulkTestTree(600, 6, 7, false, false)},
+		{"three-level", bulkTestTree(20000, 6, 7, false, false)},
+		{"packed", bulkTestTree(20000, 6, 7, true, false)},
+		{"sq8", bulkTestTree(20000, 6, 7, true, true)},
+	}
+	for _, tc := range trees {
+		tr := tc.tree
 		rng := rand.New(rand.NewSource(8))
-		for qi := 0; qi < 20; qi++ {
-			q := make(vec.Point, 6)
-			for j := range q {
-				q[j] = rng.Float64()
-			}
-			for _, k := range []int{1, 5, 50} {
-				want, wantAcc := HSMetric(tr, q, k, m)
-				// Pre-tighten the bound with another sample's k-th
-				// distance, simulating a seed shard's publish.
-				b := NewBound()
-				if lin := LinearMetric(entries[:200], q, k, m); len(lin) == k {
-					b.Tighten(m.ToRank(lin[k-1].Dist))
+		cut := 0
+		for _, m := range []vec.Metric{vec.L2, vec.L1, vec.LInf} {
+			for qi := 0; qi < 12; qi++ {
+				q := make(vec.Point, 6)
+				for j := range q {
+					q[j] = float64(float32(rng.Float64()))
 				}
-				got, acc, ss := HSShared(tr, q, k, m, b, nil)
-				if !reflect.DeepEqual(got, want) {
-					t.Fatalf("metric %v k=%d query %d: HSShared results differ from HSMetric", m, k, qi)
-				}
-				total := acc
-				total.Add(ss.Saved)
-				if total != wantAcc {
-					t.Fatalf("metric %v k=%d query %d: real %+v + saved %+v != independent %+v",
-						m, k, qi, acc, ss.Saved, wantAcc)
+				for _, k := range []int{1, 5, 50} {
+					want, wantAcc := HSMetric(tr, q, k, m)
+					kth := m.RankDist(q, want[k-1].Entry.Point)
+					for _, f := range []float64{0, 0.25, 0.8, 1, 1.5, math.Inf(1)} {
+						label := fmt.Sprintf("%s/%v/q%d/k%d/f%v", tc.name, m, qi, k, f)
+						b := NewBound()
+						if !math.IsInf(f, 1) {
+							b.Tighten(kth * f)
+						}
+						got, acc, ss := HSShared(tr, q, k, m, b, nil)
+						if acc.DirAccesses > wantAcc.DirAccesses || acc.LeafAccesses > wantAcc.LeafAccesses ||
+							acc.PageAccesses > wantAcc.PageAccesses || acc.DistCompsSkipped > wantAcc.DistCompsSkipped {
+							t.Fatalf("%s: shared %+v exceeds independent %+v", label, acc, wantAcc)
+						}
+						final := b.Load()
+						if in, wantIn := inside(got, q, m, final), inside(want, q, m, final); !reflect.DeepEqual(in, wantIn) {
+							t.Fatalf("%s: results inside the bound differ:\n got  %v\n want %v", label, in, wantIn)
+						}
+						if f >= 1 && !reflect.DeepEqual(inside(got, q, m, kth), want) {
+							t.Fatalf("%s: a bound at or above the k-th distance lost a result", label)
+						}
+						diff := wantAcc.PageAccesses - acc.PageAccesses
+						if (ss.Saved.PageAccesses > 0) != (diff > 0) {
+							t.Fatalf("%s: saved %d pages, independent search read %d more", label, ss.Saved.PageAccesses, diff)
+						}
+						if ss.RemotePages != 0 {
+							t.Fatalf("%s: unseeded bound charged %d remote pages", label, ss.RemotePages)
+						}
+						if diff > 0 {
+							cut++
+						}
+					}
 				}
 			}
 		}
+		if cut == 0 {
+			t.Errorf("%s: no bound ever cut a search", tc.name)
+		}
+	}
+}
+
+// TestHSSharedSeededBound: a search stopped by the seed itself charges
+// its saving to the remote bound; once a local tightening improves on
+// the seed, nothing more is.
+func TestHSSharedSeededBound(t *testing.T) {
+	tr := bulkTestTree(20000, 6, 7, false, false)
+	q := vec.Point{0.25, 0.5, 0.75, 0.5, 0.25, 0.5}
+	want, _ := HSMetric(tr, q, 5, vec.L2)
+	kth := vec.L2.RankDist(q, want[4].Entry.Point)
+
+	b := NewBound()
+	b.Seed(kth / 2)
+	got, _, ss := HSShared(tr, q, 5, vec.L2, b, nil)
+	if ss.Saved.PageAccesses == 0 || ss.RemotePages != ss.Saved.PageAccesses {
+		t.Fatalf("seed below the k-th distance: saved %d pages, %d of them remote", ss.Saved.PageAccesses, ss.RemotePages)
+	}
+	if in := inside(got, q, vec.L2, kth/2); !reflect.DeepEqual(in, inside(want, q, vec.L2, kth/2)) {
+		t.Fatalf("results inside the seed differ: %v", in)
+	}
+
+	b = NewBound()
+	b.Seed(kth * 4)
+	if _, _, ss = HSShared(tr, q, 5, vec.L2, b, nil); ss.Tightened == 0 || ss.RemotePages != 0 {
+		t.Fatalf("loose seed: %d tightenings, %d remote pages", ss.Tightened, ss.RemotePages)
 	}
 }
 
@@ -132,7 +223,7 @@ func TestHSSharedInfiniteBoundIsIndependent(t *testing.T) {
 	if acc != wantAcc {
 		t.Fatalf("accounting %+v, want %+v", acc, wantAcc)
 	}
-	if ss.Saved.PageAccesses != 0 || ss.Saved.DirAccesses != 0 || ss.Saved.LeafAccesses != 0 {
+	if ss.Saved != (Accounting{}) {
 		t.Fatalf("infinite bound saved %+v, want zero", ss.Saved)
 	}
 	// The search itself must have published its improving k-best.
@@ -141,28 +232,27 @@ func TestHSSharedInfiniteBoundIsIndependent(t *testing.T) {
 	}
 }
 
-// TestHSSharedZeroBoundSavesEverythingAfterRoot: a bound of 0 (perfect
-// knowledge, k results at distance 0 elsewhere) prunes every node whose
-// MINDIST is positive, yet the results still equal the independent ones.
+// TestHSSharedZeroBoundSavesEverything: a bound of 0 (perfect knowledge,
+// k results at distance 0 elsewhere) stops the search at the root of a
+// tree the query lies outside of: nothing is read, nothing is returned,
+// and the root is what was saved.
 func TestHSSharedZeroBoundSavesEverything(t *testing.T) {
 	tr, _ := sharedTestTree(400, 4, 3)
 	q := vec.Point{2, 2, 2, 2} // outside the data cube: all MINDISTs positive
 	b := NewBound()
 	b.Tighten(0)
-	want, wantAcc := HSMetric(tr, q, 3, vec.L2)
 	got, acc, ss := HSShared(tr, q, 3, vec.L2, b, nil)
-	if !reflect.DeepEqual(got, want) {
-		t.Fatal("results differ with a zero bound")
+	if len(got) != 0 {
+		t.Fatalf("zero bound returned %v", got)
 	}
-	if acc.PageAccesses != 0 {
-		t.Fatalf("zero bound still read %d pages", acc.PageAccesses)
+	if acc != (Accounting{}) {
+		t.Fatalf("zero bound still did %+v", acc)
 	}
-	if acc.PageAccesses+ss.Saved.PageAccesses != wantAcc.PageAccesses {
-		t.Fatalf("real %d + saved %d != independent %d",
-			acc.PageAccesses, ss.Saved.PageAccesses, wantAcc.PageAccesses)
+	if want := (Accounting{DirAccesses: 1, PageAccesses: tr.Root().Super()}); ss.Saved != want {
+		t.Fatalf("saved %+v, want the root %+v", ss.Saved, want)
 	}
 	if ss.Tightened != 0 {
-		t.Fatal("phantom search published the bound")
+		t.Fatal("stopped search published the bound")
 	}
 }
 

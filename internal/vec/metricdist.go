@@ -76,3 +76,16 @@ func (m Metric) ToRank(v float64) float64 {
 	}
 	return v
 }
+
+// ToRankCeil returns the largest rank distance r with FromRank(r) <= v:
+// the rank-space radius of the metric ball of radius v. ToRank alone may
+// round below it (under L2 several squared distances share one square
+// root), which would put a point at metric distance exactly v outside
+// the ball.
+func (m Metric) ToRankCeil(v float64) float64 {
+	r := m.ToRank(v)
+	for next := math.Nextafter(r, math.Inf(1)); m.FromRank(next) <= v; next = math.Nextafter(r, math.Inf(1)) {
+		r = next
+	}
+	return r
+}

@@ -43,6 +43,39 @@ func TestRankConversions(t *testing.T) {
 	}
 }
 
+// ToRankCeil is the rank-space radius of the metric ball: a rank distance
+// survives the trip through the metric distance it is reported as — which
+// ToRank alone does not guarantee under L2 — and the next rank up lies
+// outside the ball.
+func TestToRankCeilRoundTrip(t *testing.T) {
+	r := rand.New(rand.NewSource(9))
+	roundedBelow := 0
+	for _, m := range []Metric{L2, L1, LInf} {
+		for trial := 0; trial < 20000; trial++ {
+			rank := r.Float64() * 4
+			dist := m.FromRank(rank)
+			ceil := m.ToRankCeil(dist)
+			if ceil < rank {
+				t.Fatalf("%v: ToRankCeil(FromRank(%v)) = %v, below the rank itself", m, rank, ceil)
+			}
+			if m.FromRank(ceil) > dist || m.FromRank(math.Nextafter(ceil, math.Inf(1))) <= dist {
+				t.Fatalf("%v: ToRankCeil(%v) = %v is not the last rank inside the ball", m, dist, ceil)
+			}
+			if m.ToRank(dist) < rank {
+				roundedBelow++
+			}
+		}
+	}
+	if roundedBelow == 0 {
+		t.Error("ToRank(FromRank(x)) never rounded below x: the test no longer shows why the ceiling is needed")
+	}
+	for _, m := range []Metric{L2, L1, LInf} {
+		if got := m.ToRankCeil(0); got != 0 {
+			t.Errorf("%v: ToRankCeil(0) = %v", m, got)
+		}
+	}
+}
+
 // RankMinDist is a valid lower bound: for every point p inside the
 // rectangle, RankMinDist(r, q) <= RankDist(q, p); and it is tight at the
 // closest point.

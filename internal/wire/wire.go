@@ -35,17 +35,18 @@ const (
 // coordinator sets; both are optional, and servers predating them
 // ignore the unknown keys (encoding/json discards unknown fields), so
 // a new coordinator degrades gracefully against old shard daemons —
-// the bound and the restriction only ever change accounting and
-// routing, never result correctness at the coordinator, which merges
-// whatever each shard returns.
+// an ignored bound only costs the shard its pruning, and the
+// coordinator merges whatever each shard returns.
 type KNNRequest struct {
 	Query        []float64 `json:"query"`
 	K            int       `json:"k"`
 	Epsilon      *float64  `json:"epsilon,omitempty"`
 	RecallTarget *float64  `json:"recall_target,omitempty"`
-	// Bound, when present, seeds the served index's cooperative k-NN
-	// bound with an externally known k-th-distance upper bound (see
-	// parsearch.Approx.Bound). Exactness-preserving by construction.
+	// Bound, when present, makes the query a k-NN within that distance
+	// (see parsearch.Approx.Bound): the response holds the shard's
+	// points inside the bound only, possibly fewer than k or none. A
+	// coordinator ships the k-th distance another shard group already
+	// achieved, which leaves its merged top k unchanged.
 	Bound *float64 `json:"bound,omitempty"`
 	// Shard, when present, restricts the query to a subset of the
 	// declustered disks (see parsearch.ShardSpec).

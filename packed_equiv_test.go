@@ -3,6 +3,7 @@ package parsearch
 import (
 	"fmt"
 	"math"
+	"reflect"
 	"testing"
 
 	"parsearch/internal/data"
@@ -71,11 +72,11 @@ func rawPoints(n, dim int, seed int64) [][]float64 {
 }
 
 // checkStatsParity compares the deterministic cost fields of one query
-// run on the reference and packed indexes. The visited/saved split of
-// the cooperative fan-out is timing-dependent, but the sum is exact, so
-// shared-bound mode compares the sum; independent mode compares
-// SearchPages directly (no pruning, fully deterministic).
-func checkStatsParity(t *testing.T, label string, ref, packed QueryStats, shared bool) {
+// run on the reference and packed indexes. What a shard of the parallel
+// k-NN fan-out reads before the shared bound stops it is
+// timing-dependent, so parallel mode leaves the search pages out; a
+// range query's walk is fully deterministic and compares them.
+func checkStatsParity(t *testing.T, label string, ref, packed QueryStats, parallel bool) {
 	t.Helper()
 	if ref.TotalPages != packed.TotalPages || ref.MaxPages != packed.MaxPages {
 		t.Fatalf("%s: page accounting differs: ref total=%d max=%d, packed total=%d max=%d",
@@ -84,22 +85,9 @@ func checkStatsParity(t *testing.T, label string, ref, packed QueryStats, shared
 	if ref.Unreachable != packed.Unreachable || ref.Rerouted != packed.Rerouted || ref.Degraded != packed.Degraded {
 		t.Fatalf("%s: fault accounting differs: ref %+v packed %+v", label, ref, packed)
 	}
-	if shared {
-		refSum := ref.SearchPages + ref.PagesSavedByBound
-		packedSum := packed.SearchPages + packed.PagesSavedByBound
-		if refSum != packedSum {
-			t.Fatalf("%s: visited+saved differs: ref %d+%d=%d, packed %d+%d=%d",
-				label, ref.SearchPages, ref.PagesSavedByBound, refSum,
-				packed.SearchPages, packed.PagesSavedByBound, packedSum)
-		}
-	} else {
-		if ref.SearchPages != packed.SearchPages {
-			t.Fatalf("%s: SearchPages differs: ref %d, packed %d", label, ref.SearchPages, packed.SearchPages)
-		}
-		if ref.PagesSavedByBound != 0 || packed.PagesSavedByBound != 0 {
-			t.Fatalf("%s: saved pages nonzero with shared bound disabled: ref %d packed %d",
-				label, ref.PagesSavedByBound, packed.PagesSavedByBound)
-		}
+	if !parallel && (ref.SearchPages != packed.SearchPages || ref.PagesSavedByBound != packed.PagesSavedByBound) {
+		t.Fatalf("%s: search pages differ: ref %d (+%d saved), packed %d (+%d saved)", label,
+			ref.SearchPages, ref.PagesSavedByBound, packed.SearchPages, packed.PagesSavedByBound)
 	}
 	if ref.DistCompsSaved != 0 || packed.DistCompsSaved != 0 {
 		t.Fatalf("%s: DistCompsSaved nonzero without quantization: ref %d packed %d",
@@ -132,7 +120,7 @@ func TestPackedEquivalenceBattery(t *testing.T) {
 				t.Run(name, func(t *testing.T) {
 					base := Options{
 						Dim: dim, Disks: disks, Metric: metric,
-						Replication: sc.repl, DisableSharedBound: !shared,
+						Replication: sc.repl,
 					}
 					ref, err := Open(base)
 					if err != nil {
@@ -159,10 +147,25 @@ func TestPackedEquivalenceBattery(t *testing.T) {
 						}
 					}
 
-					// KNN and NN across the k range of the battery.
+					// KNN across the k range of the battery. shared: the
+					// disks search together under one bound, as a query
+					// does. Not shared: every disk is searched alone (see
+					// independentKNN), so its search pages are its own
+					// tree's and must agree disk for disk.
 					for _, k := range []int{1, 5, n} {
 						for qi, q := range queries {
 							label := fmt.Sprintf("knn k=%d q=%d", k, qi)
+							if !shared {
+								wantRes, wantPages := independentKNN(t, ref, q, k)
+								gotRes, gotPages := independentKNN(t, packed, q, k)
+								if !sameNeighbors(gotRes, wantRes) {
+									t.Fatalf("%s: results differ:\n ref    %v\n packed %v", label, wantRes, gotRes)
+								}
+								if !reflect.DeepEqual(gotPages, wantPages) {
+									t.Fatalf("%s: search pages per disk differ: ref %v, packed %v", label, wantPages, gotPages)
+								}
+								continue
+							}
 							wantRes, wantStats, wantErr := ref.KNN(q, k)
 							gotRes, gotStats, gotErr := packed.KNN(q, k)
 							if (wantErr == nil) != (gotErr == nil) {
@@ -171,7 +174,24 @@ func TestPackedEquivalenceBattery(t *testing.T) {
 							if !sameNeighbors(gotRes, wantRes) {
 								t.Fatalf("%s: results differ:\n ref    %v\n packed %v", label, wantRes, gotRes)
 							}
-							checkStatsParity(t, label, wantStats, gotStats, shared)
+							checkStatsParity(t, label, wantStats, gotStats, true)
+						}
+					}
+					if shared {
+						// A batch item searches its disks one after the
+						// other, so the bound's trajectory — what every disk
+						// reads and saves — is deterministic and must agree.
+						wantRes, wantStats, wantErr := ref.BatchKNN(queries, 5)
+						gotRes, gotStats, gotErr := packed.BatchKNN(queries, 5)
+						if wantErr != nil || gotErr != nil {
+							t.Fatalf("batch: ref %v, packed %v", wantErr, gotErr)
+						}
+						for qi := range queries {
+							label := fmt.Sprintf("batch item %d", qi)
+							if !sameNeighbors(gotRes[qi], wantRes[qi]) {
+								t.Fatalf("%s: results differ:\n ref    %v\n packed %v", label, wantRes[qi], gotRes[qi])
+							}
+							checkStatsParity(t, label, wantStats.PerQuery[qi], gotStats.PerQuery[qi], false)
 						}
 					}
 					for qi, q := range queries {

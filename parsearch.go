@@ -162,14 +162,6 @@ type Options struct {
 	// CPU fan-out under heavy batch load, not the per-query disk
 	// parallelism.
 	BatchWorkers int
-	// DisableSharedBound turns off cooperative cross-disk pruning: the
-	// parallel k-NN fan-out then runs every disk's search to completion
-	// with only its local k-best bound. Results are identical either
-	// way — the shared bound is exactness-preserving — so this knob
-	// exists to benchmark the savings (QueryStats.PagesSavedByBound,
-	// the knn16-indep workload of the bench harness). See DESIGN.md
-	// "Cooperative pruning".
-	DisableSharedBound bool
 	// Replication is the number of extra copies every storage cell
 	// keeps (0 or 1). With Replication = 1 each disk's cells are stored
 	// twice: on their primary disk (the declustering's choice) and on
@@ -336,28 +328,32 @@ type QueryStats struct {
 	// PagesPerDisk/TotalPages, which charges the pages the paper's
 	// storage model must read for the final NN-sphere or box.
 	SearchPages int
-	// PagesSavedByBound is the number of search pages the shared bound
-	// of the cooperative k-NN fan-out pruned: pages an independent
-	// per-disk search would have traversed but the cooperative search
-	// skipped. SearchPages + PagesSavedByBound always equals the
-	// independent search's SearchPages exactly. 0 with
-	// Options.DisableSharedBound, and for range queries (a box has no
-	// distance bound to share).
+	// PagesSavedByBound counts the search pages the per-disk searches
+	// still had queued, inside their own local k-th-best sphere, when
+	// the shared bound of the cooperative k-NN fan-out stopped them.
+	// It estimates the pages an independent per-disk search would have
+	// gone on to read and is not that count: pages below a queued
+	// directory page are not counted (on deep trees it reads about
+	// half), while a queued page the search's own later tightening
+	// would have ruled out is (on two-level trees it can read a quarter
+	// high). It is 0 exactly when the bound stopped no search, and for
+	// range queries (a box has no distance bound to share). See
+	// DESIGN.md "Cooperative pruning".
 	PagesSavedByBound int
 	// BoundTightenings counts how often the cooperative fan-out lowered
-	// the shared bound (0 when disabled).
+	// the shared bound.
 	BoundTightenings int
 	// DistCompsSaved is the number of exact distance computations the
 	// SQ8 pre-filter of Options.Quantize skipped: leaf points whose
 	// quantized lower bound already exceeded the running k-th-best
 	// distance. 0 without Quantize.
 	DistCompsSaved int
-	// PagesSavedByRemoteBound is the subset of PagesSavedByBound pruned
-	// while the shared bound still held an externally seeded value
-	// (Approx.Bound — the kth-distance bound a distributed coordinator
-	// ships with follow-up shard requests): pruning attributable to the
-	// remote bound rather than to this query's own local tightenings.
-	// Always 0 without a seeded bound.
+	// PagesSavedByRemoteBound is the part of PagesSavedByBound charged to
+	// searches stopped while the shared bound still held an externally
+	// seeded value (Approx.Bound — the kth-distance bound a distributed
+	// coordinator ships with follow-up shard requests): pruning
+	// attributable to the remote bound rather than to this query's own
+	// local tightenings. Always 0 without a seeded bound.
 	PagesSavedByRemoteBound int
 	// PagesSkippedApprox is the number of search pages the approximate
 	// tier skipped: the still-reachable priority queue at ε-termination
@@ -388,17 +384,19 @@ type Approx struct {
 	// Options.LSH (without the filter there is nothing to cap, and the
 	// search stays exact).
 	RecallTarget float64
-	// Bound seeds the cooperative k-NN bound with an externally known
-	// upper bound on the k-th-best distance, in metric space — the
+	// Bound makes the query a k-NN within distance Bound, in metric
+	// space: the answer is the k nearest points at distance ≤ Bound, so
+	// it holds fewer than k results — or none, without error — when the
+	// ball does, and pages beyond the ball are neither searched nor
+	// accounted. It seeds the cooperative k-NN bound and is the
 	// cross-network half of the shared-bound protocol: a coordinator
 	// ships the k-th distance one shard group has already achieved so
-	// the other groups can prune against it. Seeding is
-	// exactness-preserving (pruned pages are still traversed in
-	// accounting-only phantom mode, so results never depend on the
-	// bound's value); the savings surface as
-	// QueryStats.PagesSavedByRemoteBound. 0 (the default) disables
-	// seeding; must be finite and ≥ 0. Ignored with
-	// Options.DisableSharedBound (there is no bound to seed).
+	// the other groups stop at it; because k points at that distance or
+	// closer are known, the merged global answer is unchanged. A caller
+	// supplying a Bound below the true k-th distance gets the narrower
+	// answer it asked for. The pruning surfaces as
+	// QueryStats.PagesSavedByRemoteBound. 0 (the default) means no
+	// bound; must be finite and ≥ 0.
 	Bound float64
 }
 

@@ -3,6 +3,7 @@ package parsearch
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sync"
 
 	"parsearch/internal/disk"
@@ -26,16 +27,9 @@ func (ix *Index) NN(q []float64) (Neighbor, QueryStats, error) {
 func (ix *Index) NNContext(ctx context.Context, q []float64) (Neighbor, QueryStats, error) {
 	res, stats, err := ix.KNNContext(ctx, q, 1)
 	if err != nil {
+		// Includes the empty answer: an unbounded query that finds no
+		// candidate fails with ErrEmpty or ErrUnavailable (see knnItem).
 		return Neighbor{}, stats, err
-	}
-	if len(res) == 0 {
-		// Degraded-to-empty edge: a best-effort search over a partially
-		// failed index can come up with no candidates at all. Surface
-		// that as an error instead of indexing an empty slice.
-		if stats.Degraded {
-			return Neighbor{}, stats, ErrUnavailable
-		}
-		return Neighbor{}, stats, ErrEmpty
 	}
 	return res[0], stats, nil
 }
@@ -91,14 +85,14 @@ func (ix *Index) runKNN(ctx context.Context, qr query) (_ []Neighbor, stats Quer
 		return nil, stats, err
 	}
 	r.plan(qr.shards)
-	merged, refs, err := r.knnItem(&qr, qr.point, -1, &stats)
+	merged, rk, refs, err := r.knnItem(&qr, qr.point, -1, &stats)
 	if err != nil {
 		return nil, stats, err
 	}
 	if err = r.finishIO(&ix.reg.QueriesKNN, refs, &stats); err != nil {
 		return nil, stats, err
 	}
-	r.baselineCost(r.sphere(qr.point, merged[len(merged)-1].Dist), &stats)
+	r.baselineCost(r.sphere(qr.point, rk), &stats)
 	out := neighbors(merged)
 	r.sp.emit(TraceEvent{Stage: StageDone, Disk: -1, Item: -1, K: qr.k,
 		Results: len(out), Pages: stats.TotalPages, Degraded: stats.Degraded})
@@ -117,30 +111,32 @@ func (ix *Index) runKNN(ctx context.Context, qr query) (_ []Neighbor, stats Quer
 // holds only its own tree's read lock, so a concurrent insert on one
 // disk never blocks the searches on the others.
 //
-// Cooperative pruning (unless Options.DisableSharedBound): the shards
-// share one lock-free bound on the global k-th-best distance
-// (knn.Bound). The query's home shard — the disk its quadrant is
-// declustered to, the likeliest holder of near neighbors — is probed
-// synchronously first so the bound is tight before the fan-out starts;
-// every other shard then consults the live bound before expanding each
-// priority-queue node and tightens it as its local k-best improves.
-// Pruned work is still accounted exactly (QueryStats.PagesSavedByBound);
-// results are provably identical to the independent search (see
-// DESIGN.md "Cooperative pruning").
+// Cooperative pruning: the shards share one lock-free bound on the
+// global k-th-best distance (knn.Bound). The query's home shard — the
+// disk its quadrant is declustered to, the likeliest holder of near
+// neighbors — is probed synchronously first so the bound is tight
+// before the fan-out starts; every other shard then stops at the first
+// priority-queue node beyond the live bound and tightens the bound as
+// its local k-best improves. The merged answer is provably the
+// independent searches' (see DESIGN.md "Cooperative pruning").
 //
 // A single query fans out with one goroutine per shard. A batch item
 // (item ≥ 0) searches its shards one after the other on its worker's
 // goroutine — the batch is already parallel across items — so the
-// bound's trajectory, and with it the pages saved, is deterministic,
-// unlike the parallel fan-out.
-func (r *run) knnItem(qr *query, q vec.Point, item int, qs *QueryStats) (merged []knn.Result, refs []disk.PageRef, err error) {
+// bound's trajectory, and with it the pages searched and saved, is
+// deterministic, unlike the parallel fan-out.
+//
+// Under Approx.Bound the item is a k-NN within that distance: the merge
+// keeps only results inside the bound and may come up short of k, or
+// empty. rk, the radius of the sphere the pages are accounted for, is
+// the k-th merged distance when the merge is full and the bound when it
+// is short — every page the answer depends on intersects that sphere.
+func (r *run) knnItem(qr *query, q vec.Point, item int, qs *QueryStats) (merged []knn.Result, rk float64, refs []disk.PageRef, err error) {
 	sr := newShardSearch(r, q, qr.k, qr.approx, item)
 	seed := -1
-	if sr.bound != nil {
-		if d := r.ix.homeDisk(r.st, q); r.routes[d].sh != nil {
-			seed = d
-			sr.search(d)
-		}
+	if d := r.ix.homeDisk(r.st, q); r.routes[d].sh != nil {
+		seed = d
+		sr.search(d)
 	}
 	var wg sync.WaitGroup
 	for d := range r.routes {
@@ -162,7 +158,7 @@ func (r *run) knnItem(qr *query, q vec.Point, item int, qs *QueryStats) (merged 
 	// unsearched; partial results would be silently wrong, so surface
 	// the cancellation before merging.
 	if err := r.ctx.Err(); err != nil {
-		return nil, nil, err
+		return nil, 0, nil, err
 	}
 	r.visits.Add(sr.record(qs))
 	if sr.approx {
@@ -170,25 +166,44 @@ func (r *run) knnItem(qr *query, q vec.Point, item int, qs *QueryStats) (merged 
 			Epsilon: sr.eps, Pages: qs.PagesSkippedApprox})
 	}
 
-	// Merge to the global k nearest.
+	// Merge to the global k nearest inside the caller's bound. A shard the
+	// shared bound stopped may hand back candidates beyond the bound; the
+	// top k of a full merge never reaches them (see knn.HSApprox).
+	total := 0
+	for d := range sr.disks {
+		total += len(sr.disks[d].local)
+	}
+	merged = make([]knn.Result, 0, total)
 	for d := range sr.disks {
 		merged = append(merged, sr.disks[d].local...)
 	}
-	sortResults(merged)
+	slices.SortFunc(merged, knn.Result.Compare)
 	if len(merged) > qr.k {
 		merged = merged[:qr.k]
 	}
-	if len(merged) == 0 {
-		if r.degraded {
-			// Every live copy of the data is on a failed disk.
-			qs.Degraded = true
-			return nil, nil, ErrUnavailable
-		}
+	bounded := qr.approx.Bound > 0
+	for bounded && len(merged) > 0 && merged[len(merged)-1].Dist > qr.approx.Bound {
+		merged = merged[:len(merged)-1]
+	}
+	var g *xtree.Region
+	switch {
+	case len(merged) == qr.k || (len(merged) > 0 && !bounded):
+		rk = merged[len(merged)-1].Dist
+		g = r.sphere(q, rk)
+	case bounded:
+		// The whole ball, ties on its surface included (ToRank alone may
+		// round inside it).
+		rk = qr.approx.Bound
+		g = &xtree.Region{Q: q, M: r.m, Rank: r.m.ToRankCeil(rk)}
+	case r.degraded:
+		// Every live copy of the data is on a failed disk.
+		qs.Degraded = true
+		return nil, 0, nil, ErrUnavailable
+	default:
 		// Concurrent deletions emptied the index between the live
 		// check and the search.
-		return nil, nil, ErrEmpty
+		return nil, 0, nil, ErrEmpty
 	}
-	rk := merged[len(merged)-1].Dist
 	if item < 0 {
 		r.sp.emit(TraceEvent{Stage: StageMerge, Disk: -1, Item: -1, K: qr.k,
 			Results: len(merged), Radius: rk})
@@ -196,14 +211,16 @@ func (r *run) knnItem(qr *query, q vec.Point, item int, qs *QueryStats) (merged 
 
 	// Cost accounting: every disk must read its pages intersecting the
 	// NN-sphere of radius rk.
-	refs = r.pageRefs(r.sphere(q, rk), qs)
+	refs = r.pageRefs(g, qs)
 	// Degraded only when the dead data could have changed the answer:
 	// unreachable pages intersect the NN-sphere (a dead point could be
-	// closer than rk), or the merge came up short of k (any dead point
-	// would have made the cut). Otherwise every dead page lies strictly
-	// outside the sphere and the results are provably exact.
-	qs.Degraded = qs.Unreachable > 0 || (r.degraded && len(merged) < qr.k)
-	return merged, refs, nil
+	// closer than rk), or an unbounded merge came up short of k (any
+	// dead point would have made the cut). Otherwise every dead page
+	// lies strictly outside the sphere and the results are provably
+	// exact — a bounded merge is short because the ball is, unless dead
+	// pages reach into it.
+	qs.Degraded = qs.Unreachable > 0 || (r.degraded && len(merged) < qr.k && !bounded)
+	return merged, rk, refs, nil
 }
 
 // sphere returns the NN-sphere of radius rk around q.
@@ -211,8 +228,12 @@ func (r *run) sphere(q vec.Point, rk float64) *xtree.Region {
 	return &xtree.Region{Q: q, M: r.m, Rank: r.m.ToRank(rk)}
 }
 
-// neighbors converts merged search results to the public result type.
+// neighbors converts merged search results to the public result type; an
+// empty answer is nil, as it is after a round trip over the wire.
 func neighbors(merged []knn.Result) []Neighbor {
+	if len(merged) == 0 {
+		return nil
+	}
 	out := make([]Neighbor, len(merged))
 	for i, r := range merged {
 		out[i] = Neighbor{ID: r.Entry.ID, Point: r.Entry.Point, Dist: r.Dist}
@@ -222,8 +243,7 @@ func neighbors(merged []knn.Result) []Neighbor {
 
 // shardSearch is the per-item state of the k-NN fan-out: one result and
 // accounting slot per disk, plus the shared bound of the cooperative
-// search (nil with Options.DisableSharedBound). search is safe to call
-// concurrently for different disks.
+// search. search is safe to call concurrently for different disks.
 type shardSearch struct {
 	r     *run
 	q     vec.Point
@@ -254,7 +274,7 @@ type diskSearch struct {
 func newShardSearch(r *run, q vec.Point, k int, a Approx, item int) *shardSearch {
 	sr := &shardSearch{r: r, q: q, k: k, item: item,
 		shrink: knn.ShrinkFor(a.Epsilon, r.m), eps: a.Epsilon, recall: 1,
-		disks: make([]diskSearch, len(r.routes))}
+		bound: knn.NewBound(), disks: make([]diskSearch, len(r.routes))}
 	// The recall cap only takes effect on an index built with
 	// Options.LSH (without the filter there is nothing to order the
 	// probes by).
@@ -262,14 +282,12 @@ func newShardSearch(r *run, q vec.Point, k int, a Approx, item int) *shardSearch
 		sr.recall = a.RecallTarget
 	}
 	sr.approx = sr.shrink < 1 || sr.recall < 1
-	if !r.ix.opts.DisableSharedBound {
-		sr.bound = knn.NewBound()
-		// The externally shipped k-th-distance bound of a.Bound (converted
-		// to rank space) seeds the shared bound — the receiving half of
-		// the cross-network bound protocol.
-		if a.Bound > 0 {
-			sr.bound.Seed(r.m.ToRank(a.Bound))
-		}
+	// The externally shipped k-th-distance bound of a.Bound seeds the
+	// shared bound — the receiving half of the cross-network bound
+	// protocol. The rank-space seed is rounded up to the whole metric
+	// ball: a point at exactly a.Bound is a tie the merge needs.
+	if a.Bound > 0 {
+		sr.bound.Seed(r.m.ToRankCeil(a.Bound))
 	}
 	return sr
 }
@@ -289,7 +307,7 @@ func (sr *shardSearch) search(d int) {
 	sh, slot := r.routes[d].sh, &sr.disks[d]
 	var tighs []float64
 	var onTighten func(float64)
-	if sr.bound != nil && r.sp.on() {
+	if r.sp.on() {
 		onTighten = func(sq float64) { tighs = append(tighs, sq) }
 	}
 	spec := knn.ApproxSpec{Shrink: sr.shrink}
@@ -351,18 +369,4 @@ func (ix *Index) HomeDisk(q []float64) (int, error) {
 	ix.mu.RLock()
 	defer ix.mu.RUnlock()
 	return ix.homeDisk(ix.st, q), nil
-}
-
-// sortResults orders by distance, breaking ties by ID.
-func sortResults(rs []knn.Result) {
-	for i := 1; i < len(rs); i++ {
-		for j := i; j > 0; j-- {
-			if rs[j].Dist < rs[j-1].Dist ||
-				(rs[j].Dist == rs[j-1].Dist && rs[j].Entry.ID < rs[j-1].Entry.ID) {
-				rs[j], rs[j-1] = rs[j-1], rs[j]
-			} else {
-				break
-			}
-		}
-	}
 }

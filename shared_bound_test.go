@@ -1,10 +1,11 @@
 package parsearch
 
 import (
+	"context"
 	"errors"
 	"fmt"
-	"math"
 	"reflect"
+	"sort"
 	"testing"
 
 	"parsearch/internal/data"
@@ -12,70 +13,81 @@ import (
 )
 
 // Tests of the cooperative cross-disk pruning (see DESIGN.md
-// "Cooperative pruning"): the shared bound is a pure optimization, so
-// a shared-bound index and an independent one built from the same data
-// must be indistinguishable through the query API — identical results,
-// identical errors, identical executed page costs — with the pruning
-// visible only in QueryStats.PagesSavedByBound. The battery sweeps
-// every declustering strategy crossed with replication and a failed
-// disk, because the bound interacts with the seeding probe (home-disk
-// assignment differs per strategy) and with failure routing.
+// "Cooperative pruning"): the shared bound only ever stops a per-disk
+// search early, so a query must be indistinguishable from the
+// independent per-disk searches merged — identical results, never more
+// search pages — with the pruning visible only in
+// QueryStats.PagesSavedByBound. The battery sweeps every declustering
+// strategy crossed with replication and a failed disk, because the
+// bound interacts with the seeding probe (home-disk assignment differs
+// per strategy) and with failure routing.
 
-// boundPair builds two indexes over the same points, differing only in
-// DisableSharedBound.
-func boundPair(t *testing.T, opts Options, raw [][]float64) (shared, indep *Index) {
+// independentKNN answers q one disk at a time — a ShardSpec of a single
+// disk per query, so no bound ever crosses disks — and merges the
+// answers by (dist, id): the independent fan-out the cooperative one is
+// measured against. pages[d] is the search pages disk d's own search
+// read; a disk with no live copy or no points contributes nothing.
+func independentKNN(t *testing.T, ix *Index, q []float64, k int) (merged []Neighbor, pages []int) {
 	t.Helper()
-	build := func(disable bool) *Index {
-		o := opts
-		o.DisableSharedBound = disable
-		ix, err := Open(o)
+	disks := ix.Disks()
+	pages = make([]int, disks)
+	for d := 0; d < disks; d++ {
+		res, st, err := ix.KNNShardContext(context.Background(), q, k, Approx{}, ShardSpec{Of: disks, Groups: []int{d}})
+		if errors.Is(err, ErrUnavailable) || errors.Is(err, ErrEmpty) {
+			continue
+		}
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := ix.Build(raw); err != nil {
-			t.Fatal(err)
+		if st.PagesSavedByBound != 0 {
+			t.Fatalf("disk %d searched alone reports %d pages saved by a shared bound", d, st.PagesSavedByBound)
 		}
-		return ix
+		pages[d] = st.SearchPages
+		merged = append(merged, res...)
 	}
-	return build(false), build(true)
+	sort.Slice(merged, func(i, j int) bool {
+		if merged[i].Dist != merged[j].Dist {
+			return merged[i].Dist < merged[j].Dist
+		}
+		return merged[i].ID < merged[j].ID
+	})
+	if len(merged) > k {
+		merged = merged[:k]
+	}
+	return merged, pages
 }
 
-// checkBoundInvariants asserts the accounting identity between one
-// shared-bound query and its independent twin: the shared side's
-// visited+saved pages reproduce the independent traversal exactly
-// (phantom accounting), the saving is never negative, and the executed
-// I/O (phase 2) is untouched by the bound.
-func checkBoundInvariants(t *testing.T, label string, sS, sI QueryStats) {
+func sum(xs []int) (s int) {
+	for _, x := range xs {
+		s += x
+	}
+	return s
+}
+
+// checkBoundInvariants asserts what the shared bound may and may not do
+// to one query's search work, against the independent searches' page
+// count: it never adds a page, and it reports a saving exactly when it
+// removed one.
+func checkBoundInvariants(t *testing.T, label string, st QueryStats, indepPages int) {
 	t.Helper()
-	if sS.SearchPages+sS.PagesSavedByBound != sI.SearchPages {
-		t.Errorf("%s: visited %d + saved %d != independent visited %d",
-			label, sS.SearchPages, sS.PagesSavedByBound, sI.SearchPages)
-	}
-	if sS.SearchPages > sI.SearchPages {
+	if st.SearchPages > indepPages {
 		t.Errorf("%s: shared visited %d pages, independent %d — bound added work",
-			label, sS.SearchPages, sI.SearchPages)
+			label, st.SearchPages, indepPages)
 	}
-	if sI.PagesSavedByBound != 0 || sI.BoundTightenings != 0 {
-		t.Errorf("%s: independent path reported bound activity: saved %d, tightened %d",
-			label, sI.PagesSavedByBound, sI.BoundTightenings)
+	if (st.PagesSavedByBound > 0) != (st.SearchPages < indepPages) {
+		t.Errorf("%s: saved %d pages, yet visited %d against independent %d",
+			label, st.PagesSavedByBound, st.SearchPages, indepPages)
 	}
-	if sS.TotalPages != sI.TotalPages {
-		t.Errorf("%s: executed pages %d vs %d — the bound must not change phase-2 I/O",
-			label, sS.TotalPages, sI.TotalPages)
-	}
-	if !reflect.DeepEqual(sS.PagesPerDisk, sI.PagesPerDisk) {
-		t.Errorf("%s: per-disk pages %v vs %v", label, sS.PagesPerDisk, sI.PagesPerDisk)
-	}
-	if sS.Degraded != sI.Degraded {
-		t.Errorf("%s: degraded %v vs %v", label, sS.Degraded, sI.Degraded)
+	if st.PagesSavedByRemoteBound != 0 {
+		t.Errorf("%s: unseeded query charged %d pages to a remote bound", label, st.PagesSavedByRemoteBound)
 	}
 }
 
 // TestSharedBoundEquivalenceBattery sweeps all six declustering
 // strategies × replication on/off × a failed disk × k ∈ {1, 5, n} and
-// requires the shared-bound results to be identical — not merely
-// equally near — to the independent path, and (on non-degraded
-// configurations) to a brute-force linear scan.
+// requires the cooperative results to be identical — not merely
+// equally near — to the independent per-disk searches, and (on
+// non-degraded configurations) to a brute-force linear scan.
 func TestSharedBoundEquivalenceBattery(t *testing.T) {
 	const d, n, disks = 6, 400, 5
 	pts := data.Uniform(n, d, 7)
@@ -91,13 +103,16 @@ func TestSharedBoundEquivalenceBattery(t *testing.T) {
 		for _, repl := range []int{0, 1} {
 			for _, fail := range []bool{false, true} {
 				label := fmt.Sprintf("%s/repl=%d/fail=%v", kind, repl, fail)
-				shared, indep := boundPair(t,
-					Options{Dim: d, Disks: disks, Kind: kind, Replication: repl}, raw)
+				ix, err := Open(Options{Dim: d, Disks: disks, Kind: kind, Replication: repl})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := ix.Build(raw); err != nil {
+					t.Fatal(err)
+				}
 				if fail {
-					for _, ix := range []*Index{shared, indep} {
-						if err := ix.FailDisk(1); err != nil {
-							t.Fatalf("%s: %v", label, err)
-						}
+					if err := ix.FailDisk(1); err != nil {
+						t.Fatalf("%s: %v", label, err)
 					}
 				}
 				// Without replication a failed disk's data is simply
@@ -107,28 +122,28 @@ func TestSharedBoundEquivalenceBattery(t *testing.T) {
 
 				for _, k := range []int{1, 5, n} {
 					for qi, q := range queries {
-						resS, stS, errS := shared.KNN(q, k)
-						resI, stI, errI := indep.KNN(q, k)
 						ql := fmt.Sprintf("%s/k=%d/q=%d", label, k, qi)
-						if !errors.Is(errS, errI) && !errors.Is(errI, errS) {
-							t.Fatalf("%s: errors differ: %v vs %v", ql, errS, errI)
+						res, st, err := ix.KNN(q, k)
+						if err != nil {
+							t.Fatalf("%s: %v", ql, err)
 						}
-						if errS != nil {
-							continue
-						}
-						if !reflect.DeepEqual(resS, resI) {
+						want, pages := independentKNN(t, ix, q, k)
+						if !reflect.DeepEqual(res, want) {
 							t.Fatalf("%s: shared and independent results differ", ql)
 						}
-						checkBoundInvariants(t, ql, stS, stI)
+						checkBoundInvariants(t, ql, st, sum(pages))
+						if st.Degraded && exact {
+							t.Errorf("%s: exact configuration flagged degraded", ql)
+						}
 						if exact {
 							want := linearScanKNN(truth, q, k, vec.L2)
-							if len(resS) != len(want) {
-								t.Fatalf("%s: %d results, want %d", ql, len(resS), len(want))
+							if len(res) != len(want) {
+								t.Fatalf("%s: %d results, want %d", ql, len(res), len(want))
 							}
-							for i := range resS {
-								if math.Abs(resS[i].Dist-want[i].dist) > 1e-9 {
-									t.Fatalf("%s: result %d dist %v, want %v",
-										ql, i, resS[i].Dist, want[i].dist)
+							for i := range res {
+								if res[i].ID != want[i].id || res[i].Dist != want[i].dist {
+									t.Fatalf("%s: result %d is %d at %v, want %d at %v",
+										ql, i, res[i].ID, res[i].Dist, want[i].id, want[i].dist)
 								}
 							}
 						}
@@ -137,23 +152,16 @@ func TestSharedBoundEquivalenceBattery(t *testing.T) {
 
 				// The batch path shares the per-item bound machinery;
 				// one batch per configuration keeps it honest too.
-				resS, bsS, errS := shared.BatchKNN(queries, 5)
-				resI, bsI, errI := indep.BatchKNN(queries, 5)
-				if (errS == nil) != (errI == nil) {
-					t.Fatalf("%s: batch errors differ: %v vs %v", label, errS, errI)
+				res, bs, err := ix.BatchKNN(queries, 5)
+				if err != nil {
+					t.Fatalf("%s: batch: %v", label, err)
 				}
-				if errS == nil {
-					if !reflect.DeepEqual(resS, resI) {
-						t.Fatalf("%s: batch results differ", label)
+				for qi, q := range queries {
+					want, pages := independentKNN(t, ix, q, 5)
+					if !reflect.DeepEqual(res[qi], want) {
+						t.Fatalf("%s: batch item %d differs from the independent searches", label, qi)
 					}
-					if bsS.SearchPages+bsS.PagesSavedByBound != bsI.SearchPages {
-						t.Errorf("%s: batch visited %d + saved %d != independent %d",
-							label, bsS.SearchPages, bsS.PagesSavedByBound, bsI.SearchPages)
-					}
-					if bsS.TotalPages != bsI.TotalPages {
-						t.Errorf("%s: batch executed pages %d vs %d",
-							label, bsS.TotalPages, bsI.TotalPages)
-					}
+					checkBoundInvariants(t, fmt.Sprintf("%s/batch item %d", label, qi), bs.PerQuery[qi], sum(pages))
 				}
 			}
 		}
@@ -161,10 +169,10 @@ func TestSharedBoundEquivalenceBattery(t *testing.T) {
 }
 
 // TestSharedBoundMonotonicity drives 200 seeded queries through a
-// 16-disk pair and checks, per query, that the shared bound never
-// visits more search pages than the independent search and that
-// PagesSavedByBound accounts for the difference exactly; over the
-// whole run the bound must actually save something.
+// 16-disk index and checks, per query, that the shared bound never
+// visits more search pages than the independent searches and reports a
+// saving exactly when it visits fewer; over the whole run the bound
+// must actually save something.
 func TestSharedBoundMonotonicity(t *testing.T) {
 	const d, n, disks = 8, 3000, 16
 	pts := data.Uniform(n, d, 21)
@@ -172,39 +180,49 @@ func TestSharedBoundMonotonicity(t *testing.T) {
 	for i, p := range pts {
 		raw[i] = p
 	}
-	shared, indep := boundPair(t, Options{Dim: d, Disks: disks}, raw)
+	ix, err := Open(Options{Dim: d, Disks: disks})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := ix.Build(raw); err != nil {
+		t.Fatal(err)
+	}
 
-	totalSaved := 0
-	for qi, q := range data.Uniform(200, d, 22) {
-		resS, stS, err := shared.KNN(q, 10)
-		if err != nil {
+	queries := data.Uniform(200, d, 22)
+	results := make([][]Neighbor, len(queries))
+	stats := make([]QueryStats, len(queries))
+	totalSaved, totalSearch := 0, 0
+	for qi, q := range queries {
+		if results[qi], stats[qi], err = ix.KNN(q, 10); err != nil {
 			t.Fatal(err)
 		}
-		resI, stI, err := indep.KNN(q, 10)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(resS, resI) {
-			t.Fatalf("query %d: results differ", qi)
-		}
-		checkBoundInvariants(t, fmt.Sprintf("query %d", qi), stS, stI)
-		if stS.PagesSavedByBound != stI.SearchPages-stS.SearchPages {
-			t.Fatalf("query %d: saved %d, observed difference %d",
-				qi, stS.PagesSavedByBound, stI.SearchPages-stS.SearchPages)
-		}
-		totalSaved += stS.PagesSavedByBound
+		totalSaved += stats[qi].PagesSavedByBound
+		totalSearch += stats[qi].SearchPages
 	}
 	if totalSaved <= 0 {
 		t.Fatalf("200 queries saved %d pages — the bound never pruned", totalSaved)
 	}
-
 	// The registry mirrors the per-query stats.
-	m := shared.Metrics()
-	if m.PagesSavedByBound != int64(totalSaved) {
-		t.Errorf("registry saved %d pages, queries observed %d", m.PagesSavedByBound, totalSaved)
+	m := ix.Metrics()
+	if m.PagesSavedByBound != int64(totalSaved) || m.SearchPages != int64(totalSearch) {
+		t.Errorf("registry saved %d / searched %d pages, queries observed %d / %d",
+			m.PagesSavedByBound, m.SearchPages, totalSaved, totalSearch)
 	}
-	if m.SearchPages <= 0 || m.BoundTightenings <= 0 {
-		t.Errorf("registry search pages %d, tightenings %d", m.SearchPages, m.BoundTightenings)
+	if m.BoundTightenings <= 0 {
+		t.Errorf("registry tightenings %d", m.BoundTightenings)
+	}
+
+	totalIndep := 0
+	for qi, q := range queries {
+		want, pages := independentKNN(t, ix, q, 10)
+		if !reflect.DeepEqual(results[qi], want) {
+			t.Fatalf("query %d: results differ", qi)
+		}
+		checkBoundInvariants(t, fmt.Sprintf("query %d", qi), stats[qi], sum(pages))
+		totalIndep += sum(pages)
+	}
+	if totalSearch >= totalIndep {
+		t.Errorf("cooperative searches read %d pages, independent %d", totalSearch, totalIndep)
 	}
 }
 
@@ -212,9 +230,9 @@ func TestSharedBoundMonotonicity(t *testing.T) {
 // approximate tier: with the knobs at their exact settings (ε=0,
 // recall_target=1) an LSH-equipped index must answer byte-identically
 // to plain KNN across every strategy × replication × failed-disk
-// configuration — results and deterministic stats both (the
-// visited/saved split is timing-dependent between invocations, so the
-// parity check compares the sum, like checkBoundInvariants). And with
+// configuration — results and deterministic stats both (the search
+// pages of the parallel fan-out are timing-dependent between
+// invocations, so the parity check leaves them out). And with
 // the knobs engaged, approximation composes with failure: the result
 // set is exactly as long as the exact path's over the same reachable
 // data, never silently shorter.
@@ -262,10 +280,6 @@ func TestApproxExactParityBattery(t *testing.T) {
 							!reflect.DeepEqual(stA.PagesPerDisk, stE.PagesPerDisk) ||
 							stA.Degraded != stE.Degraded {
 							t.Fatalf("%s: deterministic stats differ:\nexact %+v\napprox %+v", ql, stE, stA)
-						}
-						if stA.SearchPages+stA.PagesSavedByBound != stE.SearchPages+stE.PagesSavedByBound {
-							t.Fatalf("%s: independent-cost sum %d vs %d", ql,
-								stA.SearchPages+stA.PagesSavedByBound, stE.SearchPages+stE.PagesSavedByBound)
 						}
 						for who, st := range map[string]QueryStats{"exact": stE, "approx-zero": stA} {
 							if st.PagesSkippedApprox != 0 || st.ProbePages != 0 || st.EffectiveEpsilon != 0 {
