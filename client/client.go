@@ -144,8 +144,8 @@ func (c *Client) backoff(n int) time.Duration {
 	return time.Duration(d * (0.5 + 0.5*c.rnd()))
 }
 
-// post runs one request with retries, decoding a 2xx body into out.
-func (c *Client) post(ctx context.Context, path string, reqBody, out any) error {
+// post runs one request with retries, handing a 2xx body to decode.
+func (c *Client) post(ctx context.Context, path string, reqBody any, decode func(body []byte) error) error {
 	cancel := context.CancelFunc(func() {})
 	if _, ok := ctx.Deadline(); !ok && c.timeout > 0 {
 		ctx, cancel = context.WithTimeout(ctx, c.timeout)
@@ -165,7 +165,7 @@ func (c *Client) post(ctx context.Context, path string, reqBody, out any) error 
 				return ctx.Err()
 			}
 		}
-		lastErr = c.once(ctx, path, payload, out)
+		lastErr = c.once(ctx, path, payload, decode)
 		if lastErr == nil || !c.retryable(lastErr) {
 			return lastErr
 		}
@@ -173,8 +173,11 @@ func (c *Client) post(ctx context.Context, path string, reqBody, out any) error 
 	return lastErr
 }
 
+// maxResponseBytes caps the response body the client will read.
+const maxResponseBytes = 64 << 20
+
 // once runs a single attempt.
-func (c *Client) once(ctx context.Context, path string, payload []byte, out any) error {
+func (c *Client) once(ctx context.Context, path string, payload []byte, decode func(body []byte) error) error {
 	req, err := http.NewRequestWithContext(ctx, http.MethodPost, c.base+path, bytes.NewReader(payload))
 	if err != nil {
 		return fmt.Errorf("client: building request: %w", err)
@@ -189,10 +192,16 @@ func (c *Client) once(ctx context.Context, path string, payload []byte, out any)
 		return fmt.Errorf("client: %w", err)
 	}
 	defer resp.Body.Close()
-	body, err := io.ReadAll(io.LimitReader(resp.Body, 64<<20))
-	if err != nil {
+	// Read into a buffer of the announced size (the front sets
+	// Content-Length) instead of growing one by doubling.
+	var buf bytes.Buffer
+	if n := resp.ContentLength; n > 0 && n <= maxResponseBytes {
+		buf.Grow(int(n) + bytes.MinRead)
+	}
+	if _, err := buf.ReadFrom(io.LimitReader(resp.Body, maxResponseBytes)); err != nil {
 		return fmt.Errorf("client: reading response: %w", err)
 	}
+	body := buf.Bytes()
 	if resp.StatusCode != http.StatusOK {
 		var er wire.ErrorResponse
 		if json.Unmarshal(body, &er) != nil || er.Code == "" {
@@ -200,10 +209,46 @@ func (c *Client) once(ctx context.Context, path string, payload []byte, out any)
 		}
 		return &APIError{Status: resp.StatusCode, Code: er.Code, Msg: er.Error}
 	}
-	if err := json.Unmarshal(body, out); err != nil {
+	if err := decode(body); err != nil {
 		return fmt.Errorf("client: decoding response: %w", err)
 	}
 	return nil
+}
+
+// query posts a single-query request and decodes its response.
+func (c *Client) query(ctx context.Context, path string, req any) (resp wire.QueryResponse, err error) {
+	err = c.post(ctx, path, req, func(body []byte) (err error) {
+		resp, err = wire.DecodeQueryResponse(body)
+		return err
+	})
+	return resp, err
+}
+
+// queryRaw is query plus the decoded per-query statistics.
+func (c *Client) queryRaw(ctx context.Context, path string, req any) ([]parsearch.Neighbor, parsearch.QueryStats, error) {
+	resp, err := c.query(ctx, path, req)
+	if err != nil {
+		return nil, parsearch.QueryStats{}, err
+	}
+	var stats parsearch.QueryStats
+	decodeStats(resp.Stats, &stats)
+	return neighbors(resp.Neighbors), stats, nil
+}
+
+// batch posts a /v1/batch request and decodes its response.
+func (c *Client) batch(ctx context.Context, req wire.BatchRequest) (out [][]parsearch.Neighbor, stats json.RawMessage, err error) {
+	err = c.post(ctx, "/v1/batch", req, func(body []byte) error {
+		resp, err := wire.DecodeBatchResponse(body)
+		if err != nil {
+			return err
+		}
+		out, stats = make([][]parsearch.Neighbor, len(resp.Results)), resp.Stats
+		for i, ws := range resp.Results {
+			out[i] = neighbors(ws)
+		}
+		return nil
+	})
+	return out, stats, err
 }
 
 // neighbors converts wire results back to engine types. An empty
@@ -221,12 +266,8 @@ func neighbors(ws []wire.Neighbor) []parsearch.Neighbor {
 
 // KNN finds the k nearest neighbors of q.
 func (c *Client) KNN(ctx context.Context, q []float64, k int) ([]parsearch.Neighbor, error) {
-	var resp wire.QueryResponse
-	err := c.post(ctx, "/v1/knn", wire.KNNRequest{Query: q, K: k}, &resp)
-	if err != nil {
-		return nil, err
-	}
-	return neighbors(resp.Neighbors), nil
+	resp, err := c.query(ctx, "/v1/knn", wire.KNNRequest{Query: q, K: k})
+	return neighbors(resp.Neighbors), err
 }
 
 // KNNApprox is KNN with explicit approximate-tier knobs: the server
@@ -234,26 +275,18 @@ func (c *Client) KNN(ctx context.Context, q []float64, k int) ([]parsearch.Neigh
 // defaults (see parsearch.Approx). A zero Approx forces an exact
 // search regardless of the server's configuration.
 func (c *Client) KNNApprox(ctx context.Context, q []float64, k int, a parsearch.Approx) ([]parsearch.Neighbor, error) {
-	var resp wire.QueryResponse
-	err := c.post(ctx, "/v1/knn", wire.KNNRequest{
+	resp, err := c.query(ctx, "/v1/knn", wire.KNNRequest{
 		Query: q, K: k,
 		Epsilon:      &a.Epsilon,
 		RecallTarget: &a.RecallTarget,
-	}, &resp)
-	if err != nil {
-		return nil, err
-	}
-	return neighbors(resp.Neighbors), nil
+	})
+	return neighbors(resp.Neighbors), err
 }
 
 // Range finds all points inside the axis-aligned box [min, max].
 func (c *Client) Range(ctx context.Context, min, max []float64) ([]parsearch.Neighbor, error) {
-	var resp wire.QueryResponse
-	err := c.post(ctx, "/v1/range", wire.RangeRequest{Min: min, Max: max}, &resp)
-	if err != nil {
-		return nil, err
-	}
-	return neighbors(resp.Neighbors), nil
+	resp, err := c.query(ctx, "/v1/range", wire.RangeRequest{Min: min, Max: max})
+	return neighbors(resp.Neighbors), err
 }
 
 // PartialMatch finds points matching the specified dimensions of spec
@@ -267,45 +300,25 @@ func (c *Client) PartialMatch(ctx context.Context, spec []float64, eps float64) 
 			ws[i] = &v
 		}
 	}
-	var resp wire.QueryResponse
-	err := c.post(ctx, "/v1/partialmatch", wire.PartialMatchRequest{Spec: ws, Eps: eps}, &resp)
-	if err != nil {
-		return nil, err
-	}
-	return neighbors(resp.Neighbors), nil
+	resp, err := c.query(ctx, "/v1/partialmatch", wire.PartialMatchRequest{Spec: ws, Eps: eps})
+	return neighbors(resp.Neighbors), err
 }
 
 // BatchKNN answers many k-NN queries in one request.
 func (c *Client) BatchKNN(ctx context.Context, queries [][]float64, k int) ([][]parsearch.Neighbor, error) {
-	var resp wire.BatchResponse
-	err := c.post(ctx, "/v1/batch", wire.BatchRequest{Queries: queries, K: k}, &resp)
-	if err != nil {
-		return nil, err
-	}
-	out := make([][]parsearch.Neighbor, len(resp.Results))
-	for i, ws := range resp.Results {
-		out[i] = neighbors(ws)
-	}
-	return out, nil
+	out, _, err := c.batch(ctx, wire.BatchRequest{Queries: queries, K: k})
+	return out, err
 }
 
 // BatchKNNApprox is BatchKNN with explicit approximate-tier knobs,
 // applied to every query of the batch (see KNNApprox).
 func (c *Client) BatchKNNApprox(ctx context.Context, queries [][]float64, k int, a parsearch.Approx) ([][]parsearch.Neighbor, error) {
-	var resp wire.BatchResponse
-	err := c.post(ctx, "/v1/batch", wire.BatchRequest{
+	out, _, err := c.batch(ctx, wire.BatchRequest{
 		Queries: queries, K: k,
 		Epsilon:      &a.Epsilon,
 		RecallTarget: &a.RecallTarget,
-	}, &resp)
-	if err != nil {
-		return nil, err
-	}
-	out := make([][]parsearch.Neighbor, len(resp.Results))
-	for i, ws := range resp.Results {
-		out[i] = neighbors(ws)
-	}
-	return out, nil
+	})
+	return out, err
 }
 
 // decodeStats decodes the advisory stats blob of a response; a missing
@@ -324,49 +337,27 @@ func decodeStats(raw json.RawMessage, out any) {
 // shard's cost accounting (PagesSavedByRemoteBound et al.) that the
 // convenience methods discard.
 func (c *Client) KNNRaw(ctx context.Context, req wire.KNNRequest) ([]parsearch.Neighbor, parsearch.QueryStats, error) {
-	var resp wire.QueryResponse
-	if err := c.post(ctx, "/v1/knn", req, &resp); err != nil {
-		return nil, parsearch.QueryStats{}, err
-	}
-	var stats parsearch.QueryStats
-	decodeStats(resp.Stats, &stats)
-	return neighbors(resp.Neighbors), stats, nil
+	return c.queryRaw(ctx, "/v1/knn", req)
 }
 
 // RangeRaw is KNNRaw for range queries.
 func (c *Client) RangeRaw(ctx context.Context, req wire.RangeRequest) ([]parsearch.Neighbor, parsearch.QueryStats, error) {
-	var resp wire.QueryResponse
-	if err := c.post(ctx, "/v1/range", req, &resp); err != nil {
-		return nil, parsearch.QueryStats{}, err
-	}
-	var stats parsearch.QueryStats
-	decodeStats(resp.Stats, &stats)
-	return neighbors(resp.Neighbors), stats, nil
+	return c.queryRaw(ctx, "/v1/range", req)
 }
 
 // PartialMatchRaw is KNNRaw for partial-match queries.
 func (c *Client) PartialMatchRaw(ctx context.Context, req wire.PartialMatchRequest) ([]parsearch.Neighbor, parsearch.QueryStats, error) {
-	var resp wire.QueryResponse
-	if err := c.post(ctx, "/v1/partialmatch", req, &resp); err != nil {
-		return nil, parsearch.QueryStats{}, err
-	}
-	var stats parsearch.QueryStats
-	decodeStats(resp.Stats, &stats)
-	return neighbors(resp.Neighbors), stats, nil
+	return c.queryRaw(ctx, "/v1/partialmatch", req)
 }
 
 // BatchKNNRaw is KNNRaw for batches.
 func (c *Client) BatchKNNRaw(ctx context.Context, req wire.BatchRequest) ([][]parsearch.Neighbor, parsearch.BatchStats, error) {
-	var resp wire.BatchResponse
-	if err := c.post(ctx, "/v1/batch", req, &resp); err != nil {
+	out, raw, err := c.batch(ctx, req)
+	if err != nil {
 		return nil, parsearch.BatchStats{}, err
 	}
 	var stats parsearch.BatchStats
-	decodeStats(resp.Stats, &stats)
-	out := make([][]parsearch.Neighbor, len(resp.Results))
-	for i, ws := range resp.Results {
-		out[i] = neighbors(ws)
-	}
+	decodeStats(raw, &stats)
 	return out, stats, nil
 }
 
@@ -375,7 +366,8 @@ func (c *Client) BatchKNNRaw(ctx context.Context, req wire.BatchRequest) ([][]pa
 // chain position — usually from parsearch.CatchupScan.
 func (c *Client) Catchup(ctx context.Context, have bool, gen uint64, offset int64) (parsearch.CatchupDelta, error) {
 	var resp wire.CatchupResponse
-	err := c.post(ctx, "/v1/catchup", wire.CatchupRequest{Have: have, Gen: gen, Offset: offset}, &resp)
+	err := c.post(ctx, "/v1/catchup", wire.CatchupRequest{Have: have, Gen: gen, Offset: offset},
+		func(body []byte) error { return json.Unmarshal(body, &resp) })
 	if err != nil {
 		return parsearch.CatchupDelta{}, err
 	}

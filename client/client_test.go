@@ -4,6 +4,8 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"sync/atomic"
@@ -88,8 +90,8 @@ func TestRetryEncodesRequestOnce(t *testing.T) {
 	ts, calls := fakeServer(t, []int{503, 503})
 	cl := New(ts.URL, fastBackoff())
 	var encodes atomic.Int64
-	var resp wire.QueryResponse
-	if err := cl.post(context.Background(), "/v1/knn", countingBody{&encodes}, &resp); err != nil {
+	resp, err := cl.query(context.Background(), "/v1/knn", countingBody{&encodes})
+	if err != nil {
 		t.Fatalf("after retries: %v", err)
 	}
 	if got := calls.Load(); got != 3 {
@@ -212,5 +214,77 @@ func TestBackoffBounds(t *testing.T) {
 		if d < 5*time.Millisecond || d > 40*time.Millisecond {
 			t.Errorf("backoff(%d) = %v outside [5ms, 40ms]", n, d)
 		}
+	}
+}
+
+// TestResponseForwardCompat pins the client half of the wire's
+// forward-compatibility contract on the response decoders: a newer
+// server may add fields to a response, at any level, and today's client
+// must read past them — for the single-query kinds, for batches and for
+// the statistics the coordinator decodes.
+func TestResponseForwardCompat(t *testing.T) {
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path == "/v1/batch" {
+			_, _ = w.Write([]byte(`{"future_top":{"a":[1,2]},"results":[[{"id":7,"point":[0.5],"dist":0.25,"score":0.9}],null],` +
+				`"stats":{"Queries":2,"FutureCounter":5},"trailer":null}`))
+			return
+		}
+		_, _ = w.Write([]byte(`{"served_by":"shard-9","neighbors":[{"id":7,"point":[0.5],"dist":null,"score":0.9,"tags":["a"]}],` +
+			`"stats":{"TotalPages":3,"FutureCounter":5},"trailer":[]}`))
+	}))
+	t.Cleanup(ts.Close)
+	cl := New(ts.URL)
+
+	ns, stats, err := cl.KNNRaw(context.Background(), wire.KNNRequest{Query: []float64{0.5}, K: 1})
+	if err != nil {
+		t.Fatalf("response with unknown fields rejected: %v", err)
+	}
+	if len(ns) != 1 || ns[0].ID != 7 || len(ns[0].Point) != 1 || !math.IsNaN(ns[0].Dist) {
+		t.Errorf("unknown fields bled into the neighbors: %+v", ns)
+	}
+	if stats.TotalPages != 3 {
+		t.Errorf("stats beside an unknown counter decoded as %+v", stats)
+	}
+	for name, call := range map[string]func() ([]parsearch.Neighbor, error){
+		"range": func() ([]parsearch.Neighbor, error) {
+			return cl.Range(context.Background(), []float64{0}, []float64{1})
+		},
+		"partialmatch": func() ([]parsearch.Neighbor, error) {
+			return cl.PartialMatch(context.Background(), []float64{0.5}, 0.1)
+		},
+	} {
+		if ns, err := call(); err != nil || len(ns) != 1 || ns[0].ID != 7 {
+			t.Errorf("%s: %+v, %v", name, ns, err)
+		}
+	}
+
+	results, bstats, err := cl.BatchKNNRaw(context.Background(), wire.BatchRequest{Queries: [][]float64{{0.5}, {0.6}}, K: 1})
+	if err != nil {
+		t.Fatalf("batch response with unknown fields rejected: %v", err)
+	}
+	if len(results) != 2 || len(results[0]) != 1 || results[0][0].ID != 7 || results[0][0].Dist != 0.25 || results[1] != nil {
+		t.Errorf("unknown fields bled into the batch results: %+v", results)
+	}
+	if bstats.Queries != 2 {
+		t.Errorf("batch stats beside an unknown counter decoded as %+v", bstats)
+	}
+}
+
+// TestResponseWithoutContentLength pins that the sized read is only a
+// hint: a chunked response, as a front predating Content-Length sends
+// it, decodes the same.
+func TestResponseWithoutContentLength(t *testing.T) {
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		_, _ = w.Write([]byte(`{"neighbors":[`))
+		w.(http.Flusher).Flush()
+		for i := 0; i < 2000; i++ {
+			fmt.Fprintf(w, `{"id":%d,"point":[0.5],"dist":0.25},`, i)
+		}
+		_, _ = w.Write([]byte(`{"id":2000,"point":[0.5],"dist":0.25}]}`))
+	}))
+	t.Cleanup(ts.Close)
+	ns, err := New(ts.URL).KNN(context.Background(), []float64{0.5}, 2001)
+	if err != nil || len(ns) != 2001 || ns[2000].ID != 2000 {
+		t.Errorf("chunked response: %d neighbors, %v", len(ns), err)
 	}
 }

@@ -8,7 +8,7 @@
 //
 //	parsearchd -snapshot index.snap -listen :7080
 //	parsearchd -points 100000 -dim 10 -disks 16        # synthetic index
-//	parsearchd -snapshot index.snap -coalesce-window 1ms -max-batch 32
+//	parsearchd -snapshot index.snap -max-batch 32
 //	parsearchd -durable-dir /var/lib/parsearch         # WAL + crash recovery
 //
 // With -durable-dir the daemon opens (or creates) a durable index in
@@ -52,13 +52,12 @@ type config struct {
 	strategy string
 	seed     int64
 
-	coalesceWindow time.Duration
-	maxBatch       int
-	noCoalesce     bool
-	maxInFlight    int
-	maxQueue       int
-	timeout        time.Duration
-	drainTimeout   time.Duration
+	maxBatch     int
+	noCoalesce   bool
+	maxInFlight  int
+	maxQueue     int
+	timeout      time.Duration
+	drainTimeout time.Duration
 
 	faultProb    float64
 	faultRetries int
@@ -80,7 +79,6 @@ func parseFlags(args []string) (config, error) {
 	fs.IntVar(&c.disks, "disks", 16, "synthetic index: number of disks")
 	fs.StringVar(&c.strategy, "strategy", "near-optimal", "synthetic index: declustering strategy")
 	fs.Int64Var(&c.seed, "seed", 42, "synthetic index: data seed")
-	fs.DurationVar(&c.coalesceWindow, "coalesce-window", 2*time.Millisecond, "KNN coalescing window")
 	fs.IntVar(&c.maxBatch, "max-batch", 16, "max coalesced batch size")
 	fs.BoolVar(&c.noCoalesce, "no-coalesce", false, "disable KNN request coalescing")
 	fs.IntVar(&c.maxInFlight, "max-in-flight", 64, "admission: max concurrent requests")
@@ -205,7 +203,6 @@ func run(ctx context.Context, c config, ready chan<- string) error {
 		}
 	}
 	srv, err := server.New(ix, server.Config{
-		CoalesceWindow:    c.coalesceWindow,
 		MaxBatch:          c.maxBatch,
 		DisableCoalescing: c.noCoalesce,
 		MaxInFlight:       c.maxInFlight,

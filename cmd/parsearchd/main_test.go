@@ -2,7 +2,9 @@ package main
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
+	"fmt"
 	"net/http"
 	"os"
 	"path/filepath"
@@ -12,6 +14,8 @@ import (
 	"parsearch"
 	"parsearch/client"
 	"parsearch/internal/data"
+	"parsearch/internal/leak"
+	"parsearch/server"
 )
 
 // startDaemon runs the daemon on an ephemeral port and returns its
@@ -41,57 +45,11 @@ func baseConfig() config {
 	return c
 }
 
-// TestDaemonServesAndDrains boots a synthetic daemon, serves a query,
-// then delivers the shutdown signal mid-flight and verifies the
-// graceful exit: the in-flight query completes, and run returns nil.
-func TestDaemonServesAndDrains(t *testing.T) {
-	c := baseConfig()
-	c.coalesceWindow = 100 * time.Millisecond // holds the last query in flight across the signal
-	base, cancel, done := startDaemon(t, c)
-	defer cancel()
-	cl := client.New(base)
-
-	ns, err := cl.KNN(context.Background(), []float64{0.5, 0.5, 0.5, 0.5, 0.5, 0.5}, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(ns) != 5 {
-		t.Fatalf("got %d neighbors", len(ns))
-	}
-	if h, err := cl.Health(context.Background()); err != nil || h.Status != "ok" {
-		t.Fatalf("health = %+v, %v", h, err)
-	}
-
-	// Park one query in the coalescing window, then signal.
-	inflight := make(chan error, 1)
-	go func() {
-		_, err := cl.KNN(context.Background(), []float64{0.4, 0.4, 0.4, 0.4, 0.4, 0.4}, 3)
-		inflight <- err
-	}()
-	time.Sleep(20 * time.Millisecond)
-	cancel()
-
-	if err := <-inflight; err != nil {
-		t.Errorf("in-flight query failed during drain: %v", err)
-	}
-	select {
-	case err := <-done:
-		if err != nil {
-			t.Errorf("run: %v", err)
-		}
-	case <-time.After(10 * time.Second):
-		t.Fatal("daemon did not exit after signal")
-	}
-	// The listener is gone: a further request fails at the transport.
-	if _, err := http.Get(base + "/healthz"); err == nil {
-		t.Error("listener still accepting after shutdown")
-	}
-}
-
-// TestDaemonServesSnapshot round-trips an index through a snapshot
-// file and the -snapshot flag.
-func TestDaemonServesSnapshot(t *testing.T) {
-	ix, err := parsearch.Open(parsearch.Options{Dim: 4, Disks: 4})
+// snapshotFile builds a 4-d index over 600 uniform points with the given
+// disk model and saves it where the -snapshot flag can find it.
+func snapshotFile(t *testing.T, params *parsearch.DiskParams) (*parsearch.Index, string) {
+	t.Helper()
+	ix, err := parsearch.Open(parsearch.Options{Dim: 4, Disks: 4, DiskParams: params})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,6 +72,100 @@ func TestDaemonServesSnapshot(t *testing.T) {
 	if err := f.Close(); err != nil {
 		t.Fatal(err)
 	}
+	return ix, path
+}
+
+// servingStats fetches the serving counters of /statusz.
+func servingStats(t *testing.T, base string) (st server.Stats) {
+	t.Helper()
+	resp, err := http.Get(base + "/statusz")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var doc struct {
+		Serving struct {
+			Stats *server.Stats `json:"stats"`
+		} `json:"serving"`
+	}
+	doc.Serving.Stats = &st
+	if err := json.NewDecoder(resp.Body).Decode(&doc); err != nil {
+		t.Fatal(err)
+	}
+	return st
+}
+
+// TestDaemonServesAndDrains boots a daemon, delivers the shutdown signal
+// with one search inside the engine and two requests queued behind it,
+// and verifies the graceful exit: all three are answered, run returns
+// nil, and nothing of the coalescer is left running. What holds the
+// search in flight is a slow disk: the snapshot carries a disk model
+// whose reads really take their service time (DiskParams.Throttle), a
+// few hundred milliseconds a query.
+func TestDaemonServesAndDrains(t *testing.T) {
+	slow := parsearch.DefaultDiskParams()
+	slow.Throttle = 10
+	c := baseConfig()
+	_, c.snapshot = snapshotFile(t, &slow)
+	base, cancel, done := startDaemon(t, c)
+	defer cancel()
+	cl := client.New(base)
+	if h, err := cl.Health(context.Background()); err != nil || h.Status != "ok" {
+		t.Fatalf("health = %+v, %v", h, err)
+	}
+
+	inflight := make(chan error, 3)
+	knn := func(q float64) {
+		ns, err := cl.KNN(context.Background(), []float64{q, q, q, q}, 3)
+		if err == nil && len(ns) != 3 {
+			err = fmt.Errorf("got %d neighbors", len(ns))
+		}
+		inflight <- err
+	}
+	waitInFlight := func(n int64) {
+		t.Helper()
+		for deadline := time.Now().Add(10 * time.Second); servingStats(t, base).InFlight != n; time.Sleep(time.Millisecond) {
+			if time.Now().After(deadline) {
+				t.Fatalf("never saw %d requests in flight", n)
+			}
+		}
+	}
+	go knn(0.5)
+	waitInFlight(1)
+	go knn(0.4)
+	go knn(0.6)
+	waitInFlight(3)
+	// One search issued, for the leader: the other two are queued behind
+	// it and become a batch only during the drain.
+	if st := servingStats(t, base); st.CoalescedBatches != 1 || st.InFlight != 3 {
+		t.Fatalf("%d searches issued with %d requests in flight: the disk was too fast to hold the leader", st.CoalescedBatches, st.InFlight)
+	}
+	cancel()
+
+	for i := 0; i < 3; i++ {
+		if err := <-inflight; err != nil {
+			t.Errorf("in-flight query failed during drain: %v", err)
+		}
+	}
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Errorf("run: %v", err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("daemon did not exit after signal")
+	}
+	// The listener is gone: a further request fails at the transport.
+	if _, err := http.Get(base + "/healthz"); err == nil {
+		t.Error("listener still accepting after shutdown")
+	}
+	leak.Check(t, "server.(*coalescer)")
+}
+
+// TestDaemonServesSnapshot round-trips an index through a snapshot
+// file and the -snapshot flag.
+func TestDaemonServesSnapshot(t *testing.T) {
+	ix, path := snapshotFile(t, nil)
 
 	c := baseConfig()
 	c.snapshot = path
@@ -139,6 +191,7 @@ func TestDaemonServesSnapshot(t *testing.T) {
 	if err := <-done; err != nil {
 		t.Errorf("run: %v", err)
 	}
+	leak.Check(t, "server.(*coalescer)")
 }
 
 // TestDaemonDurableRestart boots a daemon on a fresh durable directory,
@@ -199,6 +252,7 @@ func TestDaemonDurableRestart(t *testing.T) {
 	if err := <-done; err != nil {
 		t.Errorf("second run: %v", err)
 	}
+	leak.Check(t, "server.(*coalescer)")
 }
 
 // TestDaemonBadFlags pins flag validation surfacing as errors, not

@@ -110,7 +110,7 @@ type wireNeighbor struct {
 // MarshalJSON emits a non-finite Dist as null.
 func (n Neighbor) MarshalJSON() ([]byte, error) {
 	a := wireNeighbor{ID: n.ID, Point: n.Point}
-	if !math.IsNaN(n.Dist) && !math.IsInf(n.Dist, 0) {
+	if finite(n.Dist) {
 		a.Dist = &n.Dist
 	}
 	return json.Marshal(a)
@@ -122,13 +122,17 @@ func (n *Neighbor) UnmarshalJSON(data []byte) error {
 	if err := json.Unmarshal(data, &a); err != nil {
 		return err
 	}
-	n.ID, n.Point = a.ID, a.Point
-	if a.Dist == nil {
-		n.Dist = math.NaN()
-	} else {
+	*n = a.neighbor()
+	return nil
+}
+
+// neighbor restores a null Dist to NaN.
+func (a wireNeighbor) neighbor() Neighbor {
+	n := Neighbor{ID: a.ID, Point: a.Point, Dist: math.NaN()}
+	if a.Dist != nil {
 		n.Dist = *a.Dist
 	}
-	return nil
+	return n
 }
 
 // QueryResponse is the body of a successful single-query response

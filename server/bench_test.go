@@ -4,7 +4,6 @@ import (
 	"context"
 	"net/http/httptest"
 	"testing"
-	"time"
 
 	"parsearch/client"
 )
@@ -12,9 +11,9 @@ import (
 // BenchmarkServerKNN measures the served k-NN path end to end: HTTP
 // decode, admission, coalescing, engine query, JSON encode — the
 // serving overhead on top of BenchmarkKNN-style library numbers. The
-// parallel variant is the interesting one: coalescing only has
-// concurrent traffic to merge when the bench driver issues requests
-// from many goroutines.
+// serial variant is the lone request, which the coalescer dispatches at
+// once; the parallel one is where it has concurrent traffic to merge,
+// when the bench driver issues requests from many goroutines (-cpu 8).
 func BenchmarkServerKNN(b *testing.B) {
 	const (
 		dim = 8
@@ -22,7 +21,7 @@ func BenchmarkServerKNN(b *testing.B) {
 		k   = 10
 	)
 	ix := testIndex(b, dim, n, 16, 0)
-	srv, err := New(ix, Config{CoalesceWindow: time.Millisecond})
+	srv, err := New(ix, Config{})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -42,6 +41,7 @@ func BenchmarkServerKNN(b *testing.B) {
 
 	b.Run("parallel", func(b *testing.B) {
 		cl := client.New(ts.URL)
+		before := srv.Stats()
 		b.ReportAllocs()
 		b.RunParallel(func(pb *testing.PB) {
 			q := randQuery(dim, 1)
@@ -52,8 +52,8 @@ func BenchmarkServerKNN(b *testing.B) {
 			}
 		})
 		st := srv.Stats()
-		if st.CoalescedQueries > 0 {
-			b.ReportMetric(float64(st.CoalescedQueries)/float64(st.CoalescedBatches), "queries/batch")
+		if batches := st.CoalescedBatches - before.CoalescedBatches; batches > 0 {
+			b.ReportMetric(float64(st.CoalescedQueries-before.CoalescedQueries)/float64(batches), "queries/batch")
 		}
 	})
 }

@@ -3,142 +3,139 @@ package server
 import (
 	"context"
 	"sync"
-	"time"
 
 	"parsearch"
 )
 
-// Request coalescing: concurrent single-query k-NN requests are
-// grouped into one BatchKNN call, amortizing the per-query fan-out
-// setup and letting the engine's worker pool and per-item shared
-// bounds do the heavy lifting — the batching insight of online
-// similarity serving (Teodoro et al.). A group collects requests with
-// the same k for at most CoalesceWindow, or until MaxBatch requests
-// have joined, whichever comes first; then one BatchKNN answers them
-// all. Correctness is free: BatchKNN's per-item results are exactly
-// KNN's (the equivalence battery pins this), so a coalesced request is
-// indistinguishable from a direct one — the property test in
-// coalesce_test.go asserts byte-identical results.
+// Request coalescing: single-query k-NN requests that arrive while a
+// search of their group runs are answered together by one BatchKNN call —
+// the batching of online similarity serving (Teodoro et al.), sized by the
+// load observed, not by a timer: "is a search of this key running?", the
+// leader/follower rule of the WAL group commit. BatchKNN's per-item results
+// are KNN's (the equivalence battery), so a coalesced answer is a direct one.
 //
-// State machine of one group (all transitions under coalescer.mu):
+// One groupKey's state machine (all transitions under coalescer.mu):
 //
-//	open ──(request joins, size < MaxBatch)──▶ open
-//	open ──(size reaches MaxBatch)──────────▶ detached, flushed by the
-//	                                           filling request's goroutine
-//	open ──(window timer fires)─────────────▶ detached, flushed by the
-//	                                           timer goroutine
+//	idle ─(request)────────▶ busy: the request leads; it runs at once and
+//	                         alone, a batch of one under its own deadline
+//	busy ─(request)────────▶ busy: the request queues behind the search
+//	busy ─(MaxBatch queued)▶ busy: the filling request runs the detached
+//	                         queue itself, beside the search in flight
+//	busy ─(search ends)────▶ busy: the queue detaches and runs as one batch
+//	                         on a goroutine of its own; idle if none queued
 //
-// Once detached a group is immutable; late requests start a fresh
-// group. Flushing runs outside the lock, so a slow batch never blocks
-// new arrivals from grouping.
+// A request waits while the engine is busy with its key: never when alone.
+// The hand-off is deferred: a leader that fails or panics strands nobody.
 
-// coalesceResult is one waiter's share of a finished batch.
+// coalesceResult is one request's answer.
 type coalesceResult struct {
 	neighbors []parsearch.Neighbor
 	stats     parsearch.QueryStats
 	err       error
 }
 
-// groupKey identifies one coalescing group: only requests with the
-// same k AND the same resolved approximate-tier knobs may share a
-// batch (the knobs apply batch-wide, and mixing them would silently
-// change a request's recall contract).
+// groupKey identifies one coalescing group: requests share a batch only
+// with the same k AND the same resolved approximate-tier knobs (the knobs
+// apply batch-wide; mixing them would change a request's recall contract).
 type groupKey struct {
 	k            int
 	epsilon      float64
 	recallTarget float64
 }
 
-// group is one open coalescing window for a single groupKey.
+// group is one batch: a leader alone, or the queue behind a running
+// search. The last of its live waiters to leave cancels it, once it runs.
 type group struct {
 	queries [][]float64
 	waiters []chan coalesceResult
-	timer   *time.Timer
+	live    int
+	cancel  context.CancelFunc
 }
 
-// coalescer groups single-query KNN requests by k and approx knobs.
+// coalescer groups single-query KNN requests by groupKey. mu guards busy
+// and every group's fields. busy holds a key iff a search of it is running;
+// the value is the queue behind that search, nil while empty.
 type coalescer struct {
 	ix    *parsearch.Index
 	cfg   Config
 	stats *serverStats
-	// mu guards groups and every group's slices; flush detaches a
-	// group under mu and runs the batch outside it.
-	mu     sync.Mutex
-	groups map[groupKey]*group
+	mu    sync.Mutex
+	busy  map[groupKey]*group
 }
 
 func newCoalescer(ix *parsearch.Index, cfg Config, stats *serverStats) *coalescer {
-	return &coalescer{ix: ix, cfg: cfg, stats: stats, groups: make(map[groupKey]*group)}
+	return &coalescer{ix: ix, cfg: cfg, stats: stats, busy: make(map[groupKey]*group)}
 }
 
-// submit enqueues one single-query KNN request and blocks until its
-// group's batch finishes or ctx expires. The returned stats are the
-// request's own per-query share of the batch (BatchStats.PerQuery).
-func (c *coalescer) submit(ctx context.Context, q []float64, k int, a parsearch.Approx) coalesceResult {
-	ch := make(chan coalesceResult, 1)
+// submit answers one KNN request by the batch it leads or joins (stats: its
+// PerQuery share), or by ctx's error when that comes first.
+func (c *coalescer) submit(ctx context.Context, q []float64, k int, a parsearch.Approx) (res coalesceResult) {
 	key := groupKey{k: k, epsilon: a.Epsilon, recallTarget: a.RecallTarget}
-
+	ch := make(chan coalesceResult, 1)
 	c.mu.Lock()
-	g := c.groups[key]
+	g, busy := c.busy[key]
 	if g == nil {
 		g = &group{}
-		c.groups[key] = g
-		// The window timer flushes the group even if no further
-		// request joins; AfterFunc runs on its own goroutine, so a
-		// full group flushed early just finds itself already detached.
-		g.timer = time.AfterFunc(c.cfg.CoalesceWindow, func() { c.flushTimed(key, g) })
 	}
-	g.queries = append(g.queries, q)
-	g.waiters = append(g.waiters, ch)
-	full := len(g.queries) >= c.cfg.MaxBatch
-	if full {
-		// Detach: the filling request runs the batch itself.
-		delete(c.groups, key)
-		g.timer.Stop()
+	g.queries, g.waiters, g.live = append(g.queries, q), append(g.waiters, ch), g.live+1
+	// A leader's group of one and a full queue run now, on this goroutine,
+	// and leave the key busy with nothing queued.
+	runs := !busy || len(g.queries) >= c.cfg.MaxBatch
+	if runs {
+		c.busy[key] = nil
+	} else {
+		c.busy[key] = g
 	}
 	c.mu.Unlock()
-
-	if full {
-		c.run(g, key)
+	if !busy {
+		defer c.handOff(key)
+		c.run(ctx, g, key) // alone in its batch: the deadline is its own
+	} else if runs {
+		c.run(context.Background(), g, key)
 	}
 	select {
-	case r := <-ch:
-		return r
+	case res = <-ch:
 	case <-ctx.Done():
-		// The batch still completes for the other waiters; this
-		// request's buffered slot absorbs its result.
-		return coalesceResult{err: ctx.Err()}
-	}
-}
-
-// flushTimed is the window-expiry path: detach the group if it is
-// still open, then run it.
-func (c *coalescer) flushTimed(key groupKey, g *group) {
-	c.mu.Lock()
-	if c.groups[key] != g {
-		// Already detached by a filling request; that request runs it.
+		// The batch still answers the others; ch's buffer absorbs this result.
+		res.err = ctx.Err()
+		c.mu.Lock()
+		if g.live--; g.live == 0 && g.cancel != nil {
+			g.cancel()
+		}
 		c.mu.Unlock()
-		return
 	}
-	delete(c.groups, key)
-	c.mu.Unlock()
-	c.run(g, key)
+	return res
 }
 
-// run executes one detached group as a single BatchKNN call and fans
-// the per-item results back out to the waiters. The batch runs under a
-// context of its own (carrying the configured tracer), not any single
-// requester's: the group outlives each individual deadline, and
-// in-flight groups must complete during drain.
-func (c *coalescer) run(g *group, key groupKey) {
-	c.stats.coalescedBatches.Add(1)
-	c.stats.coalescedQueries.Add(int64(len(g.queries)))
-	c.stats.maxCoalesced.max(int64(len(g.queries)))
-
-	ctx := context.Background()
-	if c.cfg.Tracer != nil {
-		ctx = parsearch.WithTracer(ctx, c.cfg.Tracer)
+// handOff ends a search of key: its queue runs next, or the key goes idle.
+func (c *coalescer) handOff(key groupKey) {
+	c.mu.Lock()
+	g := c.busy[key]
+	if c.busy[key] = nil; g == nil {
+		delete(c.busy, key)
 	}
+	c.mu.Unlock()
+	if g != nil {
+		go func() {
+			defer c.handOff(key)
+			c.run(context.Background(), g, key)
+		}()
+	}
+}
+
+// run answers one detached group by a single BatchKNN call. A batch
+// outlives each requester's deadline, so its context is its own: cancelled
+// when the last waiter has left, and reporting to the configured tracer
+// (or none), not to the one a leader's context carries.
+func (c *coalescer) run(ctx context.Context, g *group, key groupKey) {
+	c.stats.coalesced(len(g.queries))
+	ctx, cancel := context.WithCancel(parsearch.WithTracer(ctx, c.cfg.Tracer))
+	defer cancel()
+	c.mu.Lock()
+	if g.cancel = cancel; g.live == 0 {
+		cancel()
+	}
+	c.mu.Unlock()
 	a := parsearch.Approx{Epsilon: key.epsilon, RecallTarget: key.recallTarget}
 	results, bs, err := c.ix.BatchKNNApproxContext(ctx, g.queries, key.k, a)
 	for i, ch := range g.waiters {

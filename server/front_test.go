@@ -15,6 +15,7 @@ import (
 	"parsearch"
 	"parsearch/client"
 	"parsearch/coord"
+	"parsearch/internal/leak"
 	"parsearch/server"
 )
 
@@ -65,17 +66,21 @@ func frontQuery(i int) []float64 {
 }
 
 // frontBackends start a front with the given knobs over n points. Each
-// query stays in flight for at least hold: the index parks it in a
-// coalescing window that long, the cluster's shards sleep that long.
+// query stays in flight for at least hold: the index's tracer keeps every
+// search inside the engine that long, the cluster's shards sleep that
+// long.
 var frontBackends = []struct {
 	name  string
 	start func(t *testing.T, cfg server.Config, n int, hold time.Duration) *server.Server
 }{
 	{"index", func(t *testing.T, cfg server.Config, n int, hold time.Duration) *server.Server {
-		// Requests only share a window when their k matches, so tests
+		// Requests of one k queue behind each other's searches, so tests
 		// that want separate requests give each its own k.
-		cfg.CoalesceWindow, cfg.MaxBatch = hold, 64
-		cfg.DisableCoalescing = hold == 0
+		cfg.Tracer = parsearch.TracerFunc(func(ev parsearch.TraceEvent) {
+			if ev.Stage == parsearch.StagePlan {
+				time.Sleep(hold)
+			}
+		})
 		front, err := server.New(frontIndex(t, n), cfg)
 		if err != nil {
 			t.Fatal(err)
@@ -296,6 +301,7 @@ func TestShutdownDrains(t *testing.T) {
 		if err := front.Shutdown(context.Background()); err != nil {
 			t.Errorf("second Shutdown: %v", err)
 		}
+		leak.Check(t, "server.(*coalescer)")
 	})
 }
 

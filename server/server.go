@@ -21,12 +21,15 @@
 //     concurrently; up to MaxQueue more wait, each bounded by its own
 //     deadline. Beyond that the server answers 429 (see internal/admit).
 //   - Graceful drain: Shutdown stops admitting (503), lets every
-//     in-flight request — including pending coalescing windows —
-//     complete, then returns. Zero requests are dropped mid-flight.
-//   - Coalescing, behind the seam and for an index only: concurrent
-//     single-query /v1/knn requests with the same k are merged into one
-//     BatchKNN call (see coalesce.go). A coordinator never coalesces: a
-//     lone request would wait out the whole window before its fan-out.
+//     in-flight request — including those queued behind a running
+//     coalesced search — complete, then returns. Zero requests are
+//     dropped mid-flight.
+//   - Coalescing, behind the seam and for an index only: a /v1/knn
+//     request runs at once when no search of its k is in flight, and the
+//     requests that arrive while one is are merged into one BatchKNN
+//     call (see coalesce.go). A coordinator does not coalesce: its one
+//     benchmark drives a single client, so no number could show whether
+//     batching a fan-out pays.
 //
 // Every request runs through the engine's *Context query variants, so
 // deadlines propagate into the shard fan-out, the configured tracer
@@ -42,6 +45,8 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"strconv"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -52,13 +57,11 @@ import (
 )
 
 // Config are the serving knobs. The zero value selects the documented
-// defaults. CoalesceWindow, MaxBatch and DisableCoalescing configure
-// the index backend's coalescer and mean nothing to any other Searcher.
+// defaults. MaxBatch and DisableCoalescing configure the index backend's
+// coalescer and mean nothing to any other Searcher.
 type Config struct {
-	// CoalesceWindow is how long an open coalescing group waits for
-	// further same-k KNN requests before flushing; default 2ms.
-	CoalesceWindow time.Duration
-	// MaxBatch caps the size of one coalesced batch; default 16.
+	// MaxBatch caps the size of one coalesced batch; default 16. A queue
+	// that reaches it runs at once, beside the search it formed behind.
 	MaxBatch int
 	// DisableCoalescing routes every /v1/knn request directly to
 	// KNNContext.
@@ -91,9 +94,6 @@ type Config struct {
 
 // withDefaults fills the zero knobs.
 func (c Config) withDefaults() Config {
-	if c.CoalesceWindow <= 0 {
-		c.CoalesceWindow = 2 * time.Millisecond
-	}
 	if c.MaxBatch <= 0 {
 		c.MaxBatch = 16
 	}
@@ -135,9 +135,17 @@ type serverStats struct {
 	rejectedQueue    atomic.Int64 // 429: queue full
 	rejectedDraining atomic.Int64 // 503: draining
 	deadlineExpired  atomic.Int64 // 504: deadline hit in queue or in flight
-	coalescedQueries atomic.Int64 // KNN requests answered via a coalesced batch
-	coalescedBatches atomic.Int64 // BatchKNN calls the coalescer issued
+	coalescedQueries atomic.Int64 // KNN requests answered by the coalescer
+	coalescedBatches atomic.Int64 // searches the coalescer issued for them
 	maxCoalesced     maxInt64     // largest coalesced batch observed
+}
+
+// coalesced records one search the coalescer issued for n requests; a
+// lone request's is a batch of one.
+func (s *serverStats) coalesced(n int) {
+	s.coalescedBatches.Add(1)
+	s.coalescedQueries.Add(int64(n))
+	s.maxCoalesced.max(int64(n))
 }
 
 // Stats is a snapshot of the serving-layer counters.
@@ -149,10 +157,11 @@ type Stats struct {
 	RejectedQueueFull int64 `json:"rejected_queue_full"`
 	RejectedDraining  int64 `json:"rejected_draining"`
 	DeadlineExpired   int64 `json:"deadline_expired"`
-	// CoalescedQueries counts /v1/knn requests served through a
-	// coalesced batch; CoalescedBatches the BatchKNN calls that served
-	// them. CoalescedBatches < CoalescedQueries means coalescing is
-	// actually merging traffic.
+	// CoalescedQueries counts /v1/knn requests served through the
+	// coalescer; CoalescedBatches the searches that served them, a lone
+	// request's counting as a batch of one.
+	// CoalescedBatches < CoalescedQueries means coalescing is actually
+	// merging traffic.
 	CoalescedQueries int64 `json:"coalesced_queries"`
 	CoalescedBatches int64 `json:"coalesced_batches"`
 	// MaxCoalescedBatch is the largest coalesced batch observed; it
@@ -303,10 +312,10 @@ func (s *Server) Stats() Stats {
 
 // Shutdown drains the server: new requests are rejected with 503
 // immediately, queued requests are woken and rejected, and Shutdown
-// blocks until every in-flight request (including open coalescing
-// windows) has completed or ctx expires. It is the SIGTERM path of
-// the daemons (see ListenAndServe) and is idempotent. The HTTP
-// listener itself is the caller's to close afterwards
+// blocks until every in-flight request (including those queued behind
+// a running coalesced search) has completed or ctx expires. It is the
+// SIGTERM path of the daemons (see ListenAndServe) and is idempotent.
+// The HTTP listener itself is the caller's to close afterwards
 // (http.Server.Shutdown).
 func (s *Server) Shutdown(ctx context.Context) error {
 	if s.gate.Close() {
@@ -398,6 +407,40 @@ func writeJSON(w http.ResponseWriter, v any) {
 	_ = json.NewEncoder(w).Encode(v)
 }
 
+// responseBody is a query response that encodes itself: wire.QueryResponse
+// or wire.BatchResponse.
+type responseBody interface {
+	AppendJSON(dst []byte) ([]byte, error)
+}
+
+// bodyPool holds response buffers between requests; one that grew past
+// maxPooledBody (a huge range) is left to the collector.
+var bodyPool = sync.Pool{New: func() any { return new([]byte) }}
+
+const maxPooledBody = 1 << 20
+
+// writeBody encodes a query response into a pooled buffer and writes it
+// once, under its Content-Length. The bytes are what writeJSON would
+// send, the encoder's trailing newline included. A body with no encoding
+// (a non-finite coordinate in the index) is a 500.
+func writeBody(w http.ResponseWriter, body responseBody) {
+	bp := bodyPool.Get().(*[]byte)
+	b, err := body.AppendJSON((*bp)[:0])
+	if err != nil {
+		bodyPool.Put(bp)
+		writeError(w, http.StatusInternalServerError, wire.CodeInternal, fmt.Errorf("server: encoding response: %w", err))
+		return
+	}
+	b = append(b, '\n')
+	w.Header().Set("Content-Type", "application/json")
+	w.Header().Set("Content-Length", strconv.Itoa(len(b)))
+	_, _ = w.Write(b)
+	if cap(b) <= maxPooledBody {
+		*bp = b
+		bodyPool.Put(bp)
+	}
+}
+
 // readBody reads a request body of at most max bytes; a failure is the
 // client's: 413 when the body is larger, 400 otherwise.
 func readBody(w http.ResponseWriter, r *http.Request, max int64) ([]byte, bool) {
@@ -439,13 +482,13 @@ func rawStats(v any) json.RawMessage {
 }
 
 // queryResponse is the body of the three single-query kinds.
-func queryResponse(ns []parsearch.Neighbor, stats any, err error) (any, error) {
+func queryResponse(ns []parsearch.Neighbor, stats any, err error) (responseBody, error) {
 	return wire.QueryResponse{Neighbors: wireNeighbors(ns), Stats: rawStats(stats)}, err
 }
 
 // query is one decoded request, ready to run once admitted; it returns
 // the response body.
-type query func(ctx context.Context) (any, error)
+type query func(ctx context.Context) (responseBody, error)
 
 // serveQuery is the request pipeline every query kind shares: read the
 // bounded body, decode it (a failure is a 400), admit the request
@@ -473,7 +516,7 @@ func (s *Server) serveQuery(w http.ResponseWriter, r *http.Request, decode func(
 		s.writeQueryError(w, err)
 		return
 	}
-	writeJSON(w, resp)
+	writeBody(w, resp)
 }
 
 func (s *Server) handleKNN(w http.ResponseWriter, r *http.Request) {
@@ -483,7 +526,7 @@ func (s *Server) handleKNN(w http.ResponseWriter, r *http.Request) {
 			return nil, err
 		}
 		o := QueryOpts{Epsilon: req.Epsilon, RecallTarget: req.RecallTarget, Bound: req.Bound, Shard: req.Shard}
-		return func(ctx context.Context) (any, error) {
+		return func(ctx context.Context) (responseBody, error) {
 			return queryResponse(s.sr.KNN(ctx, req.Query, req.K, o))
 		}, nil
 	})
@@ -495,7 +538,7 @@ func (s *Server) handleRange(w http.ResponseWriter, r *http.Request) {
 		if err != nil {
 			return nil, err
 		}
-		return func(ctx context.Context) (any, error) {
+		return func(ctx context.Context) (responseBody, error) {
 			return queryResponse(s.sr.Range(ctx, req.Min, req.Max, QueryOpts{Shard: req.Shard}))
 		}, nil
 	})
@@ -515,7 +558,7 @@ func (s *Server) handlePartialMatch(w http.ResponseWriter, r *http.Request) {
 				spec[i] = *v
 			}
 		}
-		return func(ctx context.Context) (any, error) {
+		return func(ctx context.Context) (responseBody, error) {
 			return queryResponse(s.sr.PartialMatch(ctx, spec, req.Eps, QueryOpts{Shard: req.Shard}))
 		}, nil
 	})
@@ -528,7 +571,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 			return nil, err
 		}
 		o := QueryOpts{Epsilon: req.Epsilon, RecallTarget: req.RecallTarget, Bound: req.Bound, Shard: req.Shard}
-		return func(ctx context.Context) (any, error) {
+		return func(ctx context.Context) (responseBody, error) {
 			results, stats, err := s.sr.BatchKNN(ctx, req.Queries, req.K, o)
 			out := make([][]wire.Neighbor, len(results))
 			for i, ns := range results {
@@ -554,7 +597,6 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 }
 
 type statuszServe struct {
-	CoalesceWindowMs  float64 `json:"coalesce_window_ms"`
 	MaxBatch          int     `json:"max_batch"`
 	CoalescingEnabled bool    `json:"coalescing_enabled"`
 	MaxInFlight       int     `json:"max_in_flight"`
@@ -568,7 +610,6 @@ type statuszServe struct {
 func (s *Server) handleStatusz(w http.ResponseWriter, r *http.Request) {
 	doc := s.sr.Status()
 	doc["serving"] = statuszServe{
-		CoalesceWindowMs:  float64(s.cfg.CoalesceWindow) / float64(time.Millisecond),
 		MaxBatch:          s.cfg.MaxBatch,
 		CoalescingEnabled: !s.cfg.DisableCoalescing,
 		MaxInFlight:       s.cfg.MaxInFlight,

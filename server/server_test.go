@@ -1,19 +1,24 @@
 package server
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"io"
 	"math"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
+	"strings"
 	"sync"
 	"testing"
-	"time"
 
 	"parsearch"
 	"parsearch/client"
+	"parsearch/internal/wire"
 )
 
 // testIndex builds a populated index for serving tests.
@@ -71,7 +76,11 @@ func TestServeEndToEnd(t *testing.T) {
 		requests = 64
 	)
 	ix := testIndex(t, dim, n, disks, 0)
-	srv, err := New(ix, Config{CoalesceWindow: 20 * time.Millisecond, MaxBatch: 16})
+	// The first k-NN to reach the engine is held there until the others
+	// stand behind it, so that merging is observed, not hoped for.
+	h := newHoldTracer()
+	leader := h.hold("batch")
+	srv, err := New(ix, Config{MaxBatch: 16, Tracer: h})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,6 +140,13 @@ func TestServeEndToEnd(t *testing.T) {
 		}(i)
 	}
 	close(start)
+	// 31 k-NN requests behind the held one: a full batch of 16 runs
+	// beside it, 15 wait for it to return.
+	leader.wait(t)
+	leader.pass()
+	eventually(t, "a full batch flushed beside the held leader", func() bool { return srv.Stats().CoalescedBatches == 2 })
+	waitQueued(t, coalescerOf(srv), groupKey{k: k}, requests/2-1-16)
+	leader.open()
 	wg.Wait()
 
 	for i := range errs {
@@ -147,11 +163,11 @@ func TestServeEndToEnd(t *testing.T) {
 	if st.CoalescedQueries != requests/2 {
 		t.Errorf("CoalescedQueries = %d, want %d", st.CoalescedQueries, requests/2)
 	}
-	if st.CoalescedBatches >= st.CoalescedQueries {
-		t.Errorf("no coalescing: %d batches for %d queries", st.CoalescedBatches, st.CoalescedQueries)
+	if st.CoalescedBatches != 3 {
+		t.Errorf("%d searches for %d queries, want the leader's, a full batch and the rest", st.CoalescedBatches, st.CoalescedQueries)
 	}
-	if st.MaxCoalescedBatch > 16 {
-		t.Errorf("MaxCoalescedBatch = %d exceeds configured MaxBatch 16", st.MaxCoalescedBatch)
+	if st.MaxCoalescedBatch != 16 {
+		t.Errorf("MaxCoalescedBatch = %d, want the configured MaxBatch 16", st.MaxCoalescedBatch)
 	}
 	if st.Requests != requests {
 		t.Errorf("Requests = %d, want %d", st.Requests, requests)
@@ -231,7 +247,7 @@ func TestPartialMatchAndBatchEndToEnd(t *testing.T) {
 // the coalescer, and engaged knobs must serve full-length result sets.
 func TestServedApproxKnobs(t *testing.T) {
 	ix := testIndex(t, 4, 800, 4, 0)
-	srv, err := New(ix, Config{CoalesceWindow: 5 * time.Millisecond, MaxBatch: 8})
+	srv, err := New(ix, Config{MaxBatch: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -551,4 +567,98 @@ func ExampleServer() {
 	ns, _ := cl.KNN(context.Background(), []float64{0.11, 0.11}, 1)
 	fmt.Printf("nearest at distance %.2f\n", math.Round(ns[0].Dist*100)/100)
 	// Output: nearest at distance 0.01
+}
+
+// TestResponseBodyBytes pins the response bodies to what encoding/json
+// wrote before the front encoded them itself: for every query kind the
+// body, trailing newline included, is json.Encoder's encoding of the
+// response value it decodes to, and it travels under its Content-Length.
+// A request carrying fields this server has never heard of is served
+// like one without them (the wire's forward-compatibility contract,
+// through the front).
+func TestResponseBodyBytes(t *testing.T) {
+	const dim = 4
+	ix := testIndex(t, dim, 600, 4, 0)
+	srv, err := New(ix, Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	url := newLocalServer(t, srv)
+	post := func(path, body string) (http.Header, []byte) {
+		t.Helper()
+		resp, err := http.Post(url+path, "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		got, err := io.ReadAll(resp.Body)
+		if err != nil || resp.StatusCode != http.StatusOK {
+			t.Fatalf("POST %s: status %d, %v: %s", path, resp.StatusCode, err, got)
+		}
+		return resp.Header, got
+	}
+	for _, c := range []struct {
+		path, body string
+		batch      bool
+	}{
+		{"/v1/knn", `{"query":[0.1,0.2,0.3,0.4],"k":7}`, false},
+		{"/v1/knn", `{"query":[0.1,0.2,0.3,0.4],"k":7,"future_knob":{"depth":7},"hints":["a"]}`, false},
+		{"/v1/range", `{"min":[0.1,0.1,0.1,0.1],"max":[0.6,0.6,0.6,0.6]}`, false},
+		{"/v1/range", `{"min":[2,2,2,2],"max":[3,3,3,3],"future_knob":1}`, false}, // no match: "neighbors":null
+		{"/v1/partialmatch", `{"spec":[0.5,null,0.5,null],"eps":0.2}`, false},     // NaN distances: "dist":null
+		{"/v1/batch", `{"queries":[[0.1,0.2,0.3,0.4],[0.9,0.8,0.7,0.6]],"k":3,"future_knob":1}`, true},
+	} {
+		hdr, got := post(c.path, c.body)
+		var v any = &wire.QueryResponse{}
+		if c.batch {
+			v = &wire.BatchResponse{}
+		}
+		if err := json.Unmarshal(got, v); err != nil {
+			t.Fatalf("%s: %v", c.path, err)
+		}
+		var want bytes.Buffer
+		if err := json.NewEncoder(&want).Encode(v); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want.Bytes()) {
+			t.Errorf("POST %s %s: body is not encoding/json's\ngot:  %.200s\nwant: %.200s", c.path, c.body, got, want.Bytes())
+		}
+		if cl := hdr.Get("Content-Length"); cl != strconv.Itoa(len(got)) {
+			t.Errorf("POST %s: Content-Length %q for a %d-byte body", c.path, cl, len(got))
+		}
+	}
+	// The two bodies with and without unknown request fields are equal
+	// but for the advisory stats: same neighbors.
+	_, plain := post("/v1/knn", `{"query":[0.1,0.2,0.3,0.4],"k":7}`)
+	_, future := post("/v1/knn", `{"query":[0.1,0.2,0.3,0.4],"k":7,"future_knob":{"depth":7}}`)
+	var a, b wire.QueryResponse
+	if json.Unmarshal(plain, &a) != nil || json.Unmarshal(future, &b) != nil || asJSON(t, a.Neighbors) != asJSON(t, b.Neighbors) {
+		t.Error("unknown request fields changed the answer")
+	}
+}
+
+// TestUnencodableAnswerIs500 pins the one answer JSON cannot carry: a
+// stored point with a non-finite coordinate. The front used to send an
+// empty 200; it is a 500 with an error body, never a silent zero.
+func TestUnencodableAnswerIs500(t *testing.T) {
+	ix, err := parsearch.Open(parsearch.Options{Dim: 2, Disks: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := ix.Build([][]float64{{0.1, 0.1}, {0.2, math.Inf(1)}, {0.3, 0.3}}); err != nil {
+		t.Fatal(err)
+	}
+	srv, err := New(ix, Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cl := client.New(newLocalServer(t, srv), client.WithMaxRetries(1))
+	if ns, err := cl.KNN(context.Background(), []float64{0.1, 0.1}, 1); err != nil || len(ns) != 1 {
+		t.Fatalf("finite answer: %+v, %v", ns, err)
+	}
+	_, err = cl.KNN(context.Background(), []float64{0.1, 0.1}, 3)
+	var ae *client.APIError
+	if !errors.As(err, &ae) || ae.Status != http.StatusInternalServerError || ae.Code != "internal" {
+		t.Errorf("answer holding an infinite coordinate: err = %v, want http 500 internal", err)
+	}
 }

@@ -141,7 +141,8 @@ type tracerKey struct{}
 // WithTracer returns a context carrying the tracer. A context tracer
 // takes precedence over Options.Tracer for queries run through the
 // *Context methods (KNNContext, RangeQueryContext, BatchKNNContext),
-// scoping a trace to one request instead of the whole index.
+// scoping a trace to one request instead of the whole index. A nil t
+// masks a tracer ctx already carries: the query reports to Options.Tracer.
 func WithTracer(ctx context.Context, t Tracer) context.Context {
 	return context.WithValue(ctx, tracerKey{}, t)
 }

@@ -168,6 +168,17 @@ func TestContextTracerOverridesOptions(t *testing.T) {
 	if got := ContextTracer(context.Background()); got != nil {
 		t.Errorf("empty context carries tracer %v", got)
 	}
+
+	// A nil tracer masks the one further out: the server's coalescer
+	// runs a leader's batch under the leader's context this way, so that
+	// every coalesced search reports to the same place.
+	masked := WithTracer(WithTracer(context.Background(), ctxTracer), nil)
+	if _, _, err := ix.KNNContext(masked, q, 2); err != nil {
+		t.Fatal(err)
+	}
+	if opt, ctx := optTracer.count(StageDone), ctxTracer.count(StageDone); opt != 2 || ctx != 1 {
+		t.Errorf("masked context tracer: Options.Tracer saw %d done events, the masked one %d; want 2 and 1", opt, ctx)
+	}
 }
 
 func TestTraceQuerySequenceDistinct(t *testing.T) {
