@@ -7,6 +7,7 @@
 package parsearch_test
 
 import (
+	"bytes"
 	"context"
 	"math/rand"
 	"testing"
@@ -115,12 +116,7 @@ func BenchmarkAblSupernodes(b *testing.B) {
 
 // Engine micro-benchmarks: the public API's hot paths.
 
-func benchIndex(b *testing.B, kind parsearch.Kind, n, d, disks int) *parsearch.Index {
-	b.Helper()
-	ix, err := parsearch.Open(parsearch.Options{Dim: d, Disks: disks, Kind: kind})
-	if err != nil {
-		b.Fatal(err)
-	}
+func benchPoints(n, d int) [][]float64 {
 	pts := make([][]float64, n)
 	rng := newBenchRand()
 	for i := range pts {
@@ -130,16 +126,77 @@ func benchIndex(b *testing.B, kind parsearch.Kind, n, d, disks int) *parsearch.I
 		}
 		pts[i] = p
 	}
-	if err := ix.Build(pts); err != nil {
+	return pts
+}
+
+func benchIndex(b *testing.B, kind parsearch.Kind, n, d, disks int) *parsearch.Index {
+	b.Helper()
+	ix, err := parsearch.Open(parsearch.Options{Dim: d, Disks: disks, Kind: kind})
+	if err != nil {
+		b.Fatal(err)
+	}
+	if err := ix.Build(benchPoints(n, d)); err != nil {
 		b.Fatal(err)
 	}
 	return ix
 }
 
-func BenchmarkIndexBuild64k(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		benchIndex(b, parsearch.NearOptimal, 65536, 10, 16)
+// buildShapes are the index shapes the build and load rows time: the
+// benchmark's lib-scale shape at a fifth of its size, and the float64
+// build the suite has always carried. Read them at -cpu 1,2: the per-disk
+// bulk loads run on min(GOMAXPROCS, disks) workers.
+var buildShapes = []struct {
+	name string
+	n    int
+	opts parsearch.Options
+}{
+	{"200k-packed", 200_000, parsearch.Options{Dim: 10, Disks: 16, Packed: true}},
+	{"64k", 65536, parsearch.Options{Dim: 10, Disks: 16}},
+}
+
+func BenchmarkBuild(b *testing.B) {
+	for _, shape := range buildShapes {
+		b.Run(shape.name, func(b *testing.B) {
+			pts := benchPoints(shape.n, shape.opts.Dim)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				ix, err := parsearch.Open(shape.opts)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if err := ix.Build(pts); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(shape.n), "ns/point")
+		})
 	}
+}
+
+// BenchmarkLoad times bringing an index back from its snapshot: decode,
+// then the same build.
+func BenchmarkLoad(b *testing.B) {
+	shape := buildShapes[0]
+	ix, err := parsearch.Open(shape.opts)
+	if err != nil {
+		b.Fatal(err)
+	}
+	if err := ix.Build(benchPoints(shape.n, shape.opts.Dim)); err != nil {
+		b.Fatal(err)
+	}
+	var snap bytes.Buffer
+	if err := ix.Save(&snap); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := parsearch.Load(bytes.NewReader(snap.Bytes())); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(shape.n), "ns/point")
 }
 
 func BenchmarkKNNQuery(b *testing.B) {

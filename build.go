@@ -2,7 +2,12 @@ package parsearch
 
 import (
 	"fmt"
+	"runtime"
+	"runtime/debug"
+	"slices"
 	"sort"
+	"sync"
+	"sync/atomic"
 
 	"parsearch/internal/core"
 	"parsearch/internal/lsh"
@@ -21,30 +26,38 @@ func splitValues(st *state) []float64 {
 }
 
 // assignCell places point i under the given state and returns its disk
-// together with the storage cell it lands in. The state's bucketer and
-// assigner are immutable, so no lock is needed beyond pinning st.
-func (ix *Index) assignCell(st *state, i int, p vec.Point) (diskNo int, key string, rect vec.Rect) {
+// together with the key of the storage cell it lands in. The state's
+// bucketer and assigner are immutable, so no lock is needed beyond
+// pinning st.
+func (ix *Index) assignCell(st *state, i int, p vec.Point) (diskNo int, key string) {
 	if rec, ok := st.assigner.(*core.Recursive); ok {
 		c := rec.AssignCell(p)
-		return c.Disk, c.Key(), c.Rect
+		return c.Disk, c.Key()
 	}
 	diskNo = st.assigner.Assign(i, p)
-	b := st.bucketer.Bucket(p)
 	// Round robin scatters a quadrant over every disk; the disk is part
 	// of the cell identity so each disk keeps its own pages per quadrant.
-	key = fmt.Sprintf("%d#%d", b, diskNo)
-	return diskNo, key, core.QuadrantRect(b, splitValues(st))
+	return diskNo, fmt.Sprintf("%d#%d", st.bucketer.Bucket(p), diskNo)
 }
 
-// addToCell records one point in its storage cell. Caller holds meta (or
-// exclusively owns st during a build).
-func addToCell(st *state, key string, diskNo int, rect vec.Rect) {
-	if idx, ok := st.cellIndex[key]; ok {
-		st.cells[idx].count++
-		return
+// addToCell records one point in its storage cell and returns the cell's
+// index. The cell's region is derived from p only when the key is new.
+// Caller holds meta (or exclusively owns st during a build).
+func addToCell(st *state, key string, diskNo int, p vec.Point) int {
+	idx, ok := st.cellIndex[key]
+	if !ok {
+		idx = len(st.cells)
+		st.cellIndex[key] = idx
+		var rect vec.Rect
+		if rec, ok := st.assigner.(*core.Recursive); ok {
+			rect = rec.AssignCell(p).Rect
+		} else {
+			rect = core.QuadrantRect(st.bucketer.Bucket(p), splitValues(st))
+		}
+		st.cells = append(st.cells, cellInfo{rect: rect, disk: diskNo})
 	}
-	st.cellIndex[key] = len(st.cells)
-	st.cells = append(st.cells, cellInfo{rect: rect, disk: diskNo, count: 1})
+	st.cells[idx].count++
+	return idx
 }
 
 func (ix *Index) treeConfig() xtree.Config {
@@ -102,12 +115,16 @@ func (ix *Index) makeAssigner(b core.Bucketer) (core.Assigner, error) {
 // and cut the result in atomically.
 func (ix *Index) buildState(points [][]float64) (st *state, pts []vec.Point, live int, err error) {
 	for i, p := range points {
-		if p != nil && len(p) != ix.opts.Dim {
+		if p == nil {
+			continue
+		}
+		if len(p) != ix.opts.Dim {
 			return nil, nil, 0, fmt.Errorf("parsearch: point %d has dimension %d, want %d", i, len(p), ix.opts.Dim)
 		}
+		live++
 	}
 	pts = make([]vec.Point, len(points))
-	var livePoints []vec.Point
+	livePoints := make([]vec.Point, 0, live)
 	for i, p := range points {
 		if p == nil {
 			continue
@@ -115,7 +132,6 @@ func (ix *Index) buildState(points [][]float64) (st *state, pts []vec.Point, liv
 		pts[i] = vec.Clone(p)
 		ix.canonPacked(pts[i])
 		livePoints = append(livePoints, pts[i])
-		live++
 	}
 
 	st = &state{cellIndex: make(map[string]int)}
@@ -136,85 +152,153 @@ func (ix *Index) buildState(points [][]float64) (st *state, pts []vec.Point, liv
 		st.assigner = assigner
 	}
 
-	// Partition into per-disk trees and bucket cells. Bucket-based
+	// Stage one, serial and deterministic: decluster. Bucket-based
 	// strategies store data per bucket, so no page spans two buckets
 	// (the paper's storage layout); round robin has no spatial
 	// grouping — each disk indexes its arrival-order sample as a whole.
 	// With a single disk there is nothing to decluster: the "parallel"
 	// index degenerates to the original sequential X-tree, so the plain
 	// layout applies (bucket grouping would only fragment pages).
-	_, isRR := st.assigner.(*core.RoundRobin)
-	plain := isRR || ix.opts.Disks == 1
-	groups := make([]map[string][]xtree.Entry, ix.opts.Disks)
-	for d := range groups {
-		groups[d] = make(map[string][]xtree.Entry)
-	}
+	//
+	// Pass 1 finds and counts every live point's cell. Under a bucket
+	// strategy disk, key and region depend on the quadrant alone and are
+	// derived once per quadrant; the recursive and round-robin assigners
+	// are asked point by point. st.cells is in first-seen (ID) order —
+	// the order Insert continues.
+	_, perBucket := st.assigner.(*core.BucketAssigner)
+	memo := make(map[core.Bucket]int)
+	cellOf := make([]int, len(pts))
 	for i, p := range pts {
 		if p == nil {
 			continue
 		}
-		d, key, rect := ix.assignCell(st, i, p)
-		addToCell(st, key, d, rect)
-		groups[d][key] = append(groups[d][key], xtree.Entry{Point: p, ID: i})
-	}
-	cfg := ix.treeConfig()
-	st.shards = make([]*shard, ix.opts.Disks)
-	for d := range st.shards {
-		st.shards[d] = loadShard(cfg, groups[d], plain)
-	}
-	if ix.opts.Replication > 0 {
-		// Chained replication: disk r hosts a second, independently
-		// packed tree over the data whose primary is disk r-1.
-		st.replicas = make([]*shard, ix.opts.Disks)
-		for d := range groups {
-			st.replicas[replicaOf(d, ix.opts.Disks)] = loadShard(cfg, groups[d], plain)
+		var b core.Bucket
+		c, known := 0, false
+		if perBucket {
+			b = st.bucketer.Bucket(p)
+			c, known = memo[b]
 		}
-	}
-	if ix.opts.LSH {
-		for _, sh := range st.shards {
-			sh.probe = lsh.Build(sh.tree, lshSeed)
-		}
-		for _, sh := range st.replicas {
-			sh.probe = lsh.Build(sh.tree, lshSeed)
-		}
-	}
-	if ix.opts.Baseline {
-		entries := make([]xtree.Entry, 0, live)
-		for i, p := range pts {
-			if p != nil {
-				entries = append(entries, xtree.Entry{Point: p, ID: i})
+		if known {
+			st.cells[c].count++
+		} else {
+			d, key := ix.assignCell(st, i, p)
+			c = addToCell(st, key, d, p)
+			if perBucket {
+				memo[b] = c
 			}
 		}
-		st.baseline = &shard{tree: xtree.New(cfg)}
-		st.baseline.tree.BulkLoad(entries)
+		cellOf[i] = c
 	}
+	// Pass 2 allocates every cell's group at exactly its count and fills
+	// it in ID order: the order the bulk loader's sorts start from, and
+	// with it how they break ties.
+	groups := make([][]xtree.Entry, len(st.cells))
+	for c, info := range st.cells {
+		groups[c] = make([]xtree.Entry, 0, info.count)
+	}
+	for i, p := range pts {
+		if p != nil {
+			groups[cellOf[i]] = append(groups[cellOf[i]], xtree.Entry{Point: p, ID: i})
+		}
+	}
+	// A disk loads its groups in the order of their cell keys, which
+	// fixes the leaf order of its tree.
+	keys := make([]string, 0, len(st.cellIndex))
+	for key := range st.cellIndex {
+		keys = append(keys, key)
+	}
+	sort.Strings(keys)
+	parts := make([][][]xtree.Entry, ix.opts.Disks)
+	for _, key := range keys {
+		c := st.cellIndex[key]
+		parts[st.cells[c].disk] = append(parts[st.cells[c].disk], groups[c])
+	}
+
+	// Stage two, parallel: every disk owns its trees and nobody else
+	// touches them, so each disk is one job, and the baseline one more.
+	_, isRR := st.assigner.(*core.RoundRobin)
+	plain := isRR || ix.opts.Disks == 1
+	st.shards = make([]*shard, ix.opts.Disks)
+	if ix.opts.Replication > 0 {
+		st.replicas = make([]*shard, ix.opts.Disks)
+	}
+	jobs := make([]func(), 0, ix.opts.Disks+1)
+	if ix.opts.Baseline {
+		// The largest job, so the first to be handed out.
+		jobs = append(jobs, func() {
+			entries := make([]xtree.Entry, 0, live)
+			for i, p := range pts {
+				if p != nil {
+					entries = append(entries, xtree.Entry{Point: p, ID: i})
+				}
+			}
+			st.baseline = &shard{tree: xtree.New(ix.treeConfig())}
+			st.baseline.tree.BulkLoad(entries)
+		})
+	}
+	for d := range st.shards {
+		jobs = append(jobs, func() {
+			st.shards[d] = ix.loadShard(parts[d], plain)
+			if st.replicas != nil {
+				// Chained replication: disk d+1 hosts a second tree over
+				// disk d's data. It follows the primary in the same job
+				// because it is, by definition, the tree loaded from the
+				// groups as the primary's load reordered them.
+				st.replicas[replicaOf(d, ix.opts.Disks)] = ix.loadShard(parts[d], plain)
+			}
+		})
+	}
+	runJobs(jobs)
 	return st, pts, live, nil
 }
 
 // loadShard bulk-loads one disk's share of the data — grouped by
 // storage cell so no page spans two cells, or flat for the plain layout
-// — into a fresh tree. Cell keys are sorted for a deterministic build.
-func loadShard(cfg xtree.Config, groups map[string][]xtree.Entry, plain bool) *shard {
-	keys := make([]string, 0, len(groups))
-	for key := range groups {
-		keys = append(keys, key)
-	}
-	sort.Strings(keys)
-	sh := &shard{tree: xtree.New(cfg)}
+// — into a fresh tree, and signs its leaves for the LSH filter.
+func (ix *Index) loadShard(groups [][]xtree.Entry, plain bool) *shard {
+	sh := &shard{tree: xtree.New(ix.treeConfig())}
 	if plain {
-		var all []xtree.Entry
-		for _, key := range keys {
-			all = append(all, groups[key]...)
-		}
-		sh.tree.BulkLoad(all)
-		return sh
+		// A copy: the flat load must not reorder the groups, which the
+		// replica's load starts from again.
+		groups = [][]xtree.Entry{slices.Concat(groups...)}
 	}
-	parts := make([][]xtree.Entry, 0, len(keys))
-	for _, key := range keys {
-		parts = append(parts, groups[key])
+	sh.tree.BulkLoadGrouped(groups)
+	if ix.opts.LSH {
+		sh.probe = lsh.Build(sh.tree, lshSeed)
 	}
-	sh.tree.BulkLoadGrouped(parts)
 	return sh
+}
+
+// runJobs runs the jobs on min(GOMAXPROCS, len(jobs)) goroutines and
+// returns when all have finished. A job that panics stops the hand-out
+// of further jobs, and its panic is raised again on the caller's
+// goroutine, where Build's callers expect it.
+func runJobs(jobs []func()) {
+	var (
+		wg      sync.WaitGroup
+		next    atomic.Int64
+		once    sync.Once
+		failure any
+	)
+	for w := min(runtime.GOMAXPROCS(0), len(jobs)); w > 0; w-- {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			defer func() {
+				if r := recover(); r != nil {
+					next.Store(int64(len(jobs)))
+					once.Do(func() { failure = fmt.Sprintf("%v\n%s", r, debug.Stack()) })
+				}
+			}()
+			for i := next.Add(1) - 1; i < int64(len(jobs)); i = next.Add(1) - 1 {
+				jobs[i]()
+			}
+		}()
+	}
+	wg.Wait()
+	if failure != nil {
+		panic(failure)
+	}
 }
 
 // Build indexes the given vectors, replacing any previous content. Vector

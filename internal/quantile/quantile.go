@@ -4,7 +4,7 @@
 // α-quantile of each dimension so that both half-spaces carry comparable
 // load.
 //
-// Two estimators are provided: Exact, which sorts a sample, and P2, the
+// Two estimators are provided: Exact, over a retained sample, and P2, the
 // constant-space streaming estimator of Jain and Chlamtac (CACM 1985) that
 // supports the paper's dynamic adaptation ("we dynamically adapt the
 // 0.5-quantile by recording the distribution") without retaining the data.
@@ -13,11 +13,14 @@ package quantile
 import (
 	"fmt"
 	"math"
+	"math/bits"
+	"slices"
 	"sort"
 )
 
 // Exact returns the q-quantile (0 <= q <= 1) of the values using linear
-// interpolation between order statistics. It copies and sorts the input.
+// interpolation between order statistics. It copies the input and selects
+// the two adjacent order statistics it needs instead of sorting the copy.
 // It panics on an empty input or a q outside [0, 1].
 func Exact(values []float64, q float64) float64 {
 	if len(values) == 0 {
@@ -27,19 +30,85 @@ func Exact(values []float64, q float64) float64 {
 		panic(fmt.Sprintf("quantile: q = %v outside [0, 1]", q))
 	}
 	s := make([]float64, len(values))
-	copy(s, values)
-	sort.Float64s(s)
+	hasNaN := false
+	for i, v := range values {
+		s[i] = v
+		hasNaN = hasNaN || v != v
+	}
 	if len(s) == 1 {
 		return s[0]
 	}
 	pos := q * float64(len(s)-1)
 	lo := int(math.Floor(pos))
 	hi := int(math.Ceil(pos))
+	if hasNaN {
+		// sort.Float64s orders NaNs first; < alone orders nothing
+		// around them, so selection does not apply.
+		sort.Float64s(s)
+	} else {
+		selectRank(s, lo, 4*bits.Len(uint(len(s))))
+		if hi > lo {
+			// Everything right of rank lo is no smaller than it; the
+			// next order statistic is the least of that.
+			s[hi] = slices.Min(s[hi:])
+		}
+	}
 	if lo == hi {
 		return s[lo]
 	}
 	frac := pos - float64(lo)
 	return s[lo]*(1-frac) + s[hi]*frac
+}
+
+// selectRank reorders s, which holds no NaN, so that s[k] is the value a
+// sort would put there, nothing left of it is larger and nothing right of
+// it smaller: quickselect with a median-of-three pivot. After budget
+// rounds — reached only when the pivots keep landing at the edge — the
+// rest is sorted, so with a logarithmic budget no input costs more than
+// O(n log n).
+func selectRank(s []float64, k, budget int) {
+	lo, hi := 0, len(s)-1
+	for ; lo < hi; budget-- {
+		if budget <= 0 {
+			sort.Float64s(s[lo : hi+1])
+			return
+		}
+		mid := lo + (hi-lo)/2
+		if s[mid] < s[lo] {
+			s[mid], s[lo] = s[lo], s[mid]
+		}
+		if s[hi] < s[lo] {
+			s[hi], s[lo] = s[lo], s[hi]
+		}
+		if s[hi] < s[mid] {
+			s[hi], s[mid] = s[mid], s[hi]
+		}
+		pivot := s[mid]
+		i, j := lo, hi
+		for i <= j {
+			for s[i] < pivot {
+				i++
+			}
+			for pivot < s[j] {
+				j--
+			}
+			if i <= j {
+				s[i], s[j] = s[j], s[i]
+				i++
+				j--
+			}
+		}
+		// s[lo..j] <= pivot <= s[i..hi] and j < i; anything between
+		// equals the pivot.
+		switch {
+		case k <= j:
+			hi = j
+		case k >= i:
+			lo = i
+		default:
+			return
+		}
+	}
 }
 
 // P2 is the P² streaming quantile estimator. It maintains five markers and

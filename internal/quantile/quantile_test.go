@@ -3,8 +3,10 @@ package quantile
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
+	"testing/quick"
 )
 
 func TestExactKnownValues(t *testing.T) {
@@ -58,6 +60,107 @@ func TestExactPanics(t *testing.T) {
 			}()
 			Exact(tc.vals, tc.q)
 		}()
+	}
+}
+
+// oracleExact is Exact as it was before it selected: sort a copy, read the
+// two order statistics off it.
+func oracleExact(values []float64, q float64) float64 {
+	s := make([]float64, len(values))
+	copy(s, values)
+	sort.Float64s(s)
+	if len(s) == 1 {
+		return s[0]
+	}
+	pos := q * float64(len(s)-1)
+	lo := int(math.Floor(pos))
+	hi := int(math.Ceil(pos))
+	if lo == hi {
+		return s[lo]
+	}
+	frac := pos - float64(lo)
+	return s[lo]*(1-frac) + s[hi]*frac
+}
+
+// sameQuantile compares bit for bit, except that it lets a zero's sign
+// differ: the sort leaves the order of -0 and +0 to chance.
+func sameQuantile(a, b float64) bool {
+	return math.Float64bits(a) == math.Float64bits(b) || (a == 0 && b == 0)
+}
+
+// TestExactMatchesSortOracle: selection returns the sort-based quantile
+// bit for bit — arbitrary float64 values (infinities, denormals), heavy
+// duplication, sorted and organ-pipe columns, with and without NaN.
+func TestExactMatchesSortOracle(t *testing.T) {
+	r := rand.New(rand.NewSource(8))
+	check := func(values []float64) bool {
+		for _, q := range []float64{0, 0.5, 1, r.Float64(), r.Float64()} {
+			if got, want := Exact(values, q), oracleExact(values, q); !sameQuantile(got, want) {
+				t.Errorf("Exact(%d values, q = %v) = %v, sort-based %v", len(values), q, got, want)
+				return false
+			}
+		}
+		return true
+	}
+	// testing/quick draws values over the whole float64 range.
+	if err := quick.Check(func(values []float64, nans uint8) bool {
+		if len(values) == 0 {
+			return true
+		}
+		for i := 0; i < int(nans%4); i++ {
+			values[r.Intn(len(values))] = math.NaN()
+		}
+		return check(values)
+	}, &quick.Config{MaxCount: 500, Rand: r}); err != nil {
+		t.Error(err)
+	}
+	shapes := map[string]func(i, n int) float64{
+		"random":     func(i, n int) float64 { return r.NormFloat64() },
+		"duplicates": func(i, n int) float64 { return float64(r.Intn(4)) },
+		"sorted":     func(i, n int) float64 { return float64(i) },
+		"reversed":   func(i, n int) float64 { return float64(n - i) },
+		"organ-pipe": func(i, n int) float64 { return float64(min(i, n-i)) },
+	}
+	for name, shape := range shapes {
+		for _, n := range []int{1, 2, 3, 4, 5, 10, 101, 1000, 2000} {
+			values := make([]float64, n)
+			for i := range values {
+				values[i] = shape(i, n)
+			}
+			if !check(values) {
+				t.Fatalf("%s, n = %d", name, n)
+			}
+			values[r.Intn(n)] = math.NaN()
+			if !check(values) {
+				t.Fatalf("%s with NaN, n = %d", name, n)
+			}
+		}
+	}
+}
+
+// TestSelectRankBudget: however few rounds the budget allows, the sort it
+// falls back on still places the rank.
+func TestSelectRankBudget(t *testing.T) {
+	r := rand.New(rand.NewSource(9))
+	for budget := 0; budget <= 6; budget++ {
+		for _, n := range []int{2, 3, 50, 999} {
+			values := make([]float64, n)
+			for i := range values {
+				values[i] = float64(r.Intn(n))
+			}
+			sorted := append([]float64(nil), values...)
+			sort.Float64s(sorted)
+			for _, k := range []int{0, n / 3, n / 2, n - 1} {
+				s := append([]float64(nil), values...)
+				selectRank(s, k, budget)
+				if s[k] != sorted[k] {
+					t.Fatalf("budget %d, n = %d: rank %d holds %v, want %v", budget, n, k, s[k], sorted[k])
+				}
+				if k+1 < n && slices.Min(s[k+1:]) < s[k] {
+					t.Fatalf("budget %d, n = %d: a value right of rank %d is smaller than it", budget, n, k)
+				}
+			}
+		}
 	}
 }
 

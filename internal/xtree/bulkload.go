@@ -3,7 +3,7 @@ package xtree
 import (
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 
 	"parsearch/internal/vec"
 )
@@ -16,48 +16,12 @@ import (
 // the same way over the node centers. Bulk loading is how the experiments
 // construct their per-disk trees.
 //
-// The entries slice is taken over by the tree and reordered; callers must
-// not reuse it.
+// The entries slice is reordered in place (into leaf order) but not
+// retained: every leaf owns a copy of its entries, so the caller may
+// reuse or drop the slice afterwards. It is BulkLoadGrouped with a single
+// group.
 func (t *Tree) BulkLoad(entries []Entry) {
-	for _, e := range entries {
-		if len(e.Point) != t.cfg.Dim {
-			panic(fmt.Sprintf("xtree: bulk loading %d-dimensional point into %d-dimensional tree", len(e.Point), t.cfg.Dim))
-		}
-	}
-	t.root = nil
-	t.size = len(entries)
-	t.stats = Stats{}
-	if len(entries) == 0 {
-		return
-	}
-
-	// Build the leaf level.
-	var leaves []*Node
-	t.partitionEntries(entries, t.cfg.LeafCapacity, 0, func(group []Entry, history uint64) {
-		own := make([]Entry, len(group))
-		copy(own, group)
-		n := &Node{leaf: true, entries: own, history: history, super: 1}
-		n.recomputeRect()
-		leaves = append(leaves, n)
-	})
-
-	// Build directory levels bottom-up until a single root remains.
-	level := leaves
-	for len(level) > 1 {
-		var next []*Node
-		t.partitionNodes(level, t.cfg.DirCapacity, 0, func(group []*Node, history uint64) {
-			own := make([]*Node, len(group))
-			copy(own, group)
-			n := &Node{leaf: false, children: own, history: history, super: 1}
-			n.recomputeRect()
-			next = append(next, n)
-		})
-		level = next
-	}
-	t.root = level[0]
-	if t.cfg.Packed {
-		t.packSubtree(t.root)
-	}
+	t.BulkLoadGrouped([][]Entry{entries})
 }
 
 // BulkLoadGrouped builds the tree like BulkLoad but with the guarantee
@@ -66,10 +30,11 @@ func (t *Tree) BulkLoad(entries []Entry) {
 // are built across groups. The parallel engine uses this to keep every
 // data page inside a single declustering bucket — the storage layout of
 // the paper, where the buckets of the quadrant grid are the storage
-// units. Empty groups are permitted. The group slices are taken over and
-// reordered.
+// units. Empty groups are permitted. The group slices are reordered in
+// place and not retained (see BulkLoad); loading the reordered groups
+// again yields the tree the engine's replicas hold.
 func (t *Tree) BulkLoadGrouped(groups [][]Entry) {
-	total := 0
+	total, largest := 0, 0
 	for _, g := range groups {
 		for _, e := range g {
 			if len(e.Point) != t.cfg.Dim {
@@ -77,6 +42,7 @@ func (t *Tree) BulkLoadGrouped(groups [][]Entry) {
 			}
 		}
 		total += len(g)
+		largest = max(largest, len(g))
 	}
 	t.root = nil
 	t.size = total
@@ -85,74 +51,143 @@ func (t *Tree) BulkLoadGrouped(groups [][]Entry) {
 		return
 	}
 
-	var leaves []*Node
+	// Build the leaf level, then directory levels bottom-up until a
+	// single root remains.
+	s := &loadScratch{cfg: t.cfg, runMin: make(vec.Point, t.cfg.Dim), runMax: make(vec.Point, t.cfg.Dim)}
+	s.reserve(largest)
+	s.entries = make([]Entry, largest)
 	for _, g := range groups {
-		if len(g) == 0 {
-			continue
+		if len(g) > 0 {
+			s.partitionEntries(g, 0)
 		}
-		t.partitionEntries(g, t.cfg.LeafCapacity, 0, func(group []Entry, history uint64) {
-			own := make([]Entry, len(group))
-			copy(own, group)
-			n := &Node{leaf: true, entries: own, history: history, super: 1}
-			n.recomputeRect()
-			leaves = append(leaves, n)
-		})
 	}
-	level := leaves
-	for len(level) > 1 {
-		var next []*Node
-		t.partitionNodes(level, t.cfg.DirCapacity, 0, func(group []*Node, history uint64) {
-			own := make([]*Node, len(group))
-			copy(own, group)
-			n := &Node{leaf: false, children: own, history: history, super: 1}
-			n.recomputeRect()
-			next = append(next, n)
-		})
-		level = next
+	for len(s.level) > 1 {
+		nodes := s.level
+		s.level = nil
+		s.reserve(len(nodes))
+		if cap(s.nodes) < len(nodes) {
+			s.nodes = make([]*Node, len(nodes))
+		}
+		s.partitionNodes(nodes, 0)
 	}
-	t.root = level[0]
+	t.root = s.level[0]
 	if t.cfg.Packed {
 		t.packSubtree(t.root)
 	}
 }
 
-// partitionEntries recursively splits entries into groups of at most cap,
-// cutting along the dimension of largest spread at a block-aligned
-// median. history accumulates the split dimensions, matching the split
-// history maintained by dynamic inserts.
-func (t *Tree) partitionEntries(entries []Entry, cap int, history uint64, emit func([]Entry, uint64)) {
-	if len(entries) <= cap {
-		emit(entries, history)
-		return
-	}
-	dim := widestEntryDim(entries, t.cfg.Dim)
-	sort.Slice(entries, func(i, j int) bool {
-		return entries[i].Point[dim] < entries[j].Point[dim]
-	})
-	cut := bestCut(len(entries), func(i int) vec.Point { return entries[i].Point },
-		func(i int) vec.Point { return entries[i].Point }, t.cfg.Dim)
-	h := history | 1<<uint(dim)
-	t.partitionEntries(entries[:cut], cap, h, emit)
-	t.partitionEntries(entries[cut:], cap, h, emit)
+// sortKey is one row of the key table the partition steps sort in place
+// of the items themselves: the item's coordinate along the cut dimension
+// and its position in the unsorted sequence. Sixteen pointer-free bytes
+// move per swap instead of an Entry and its write barriers.
+type sortKey struct {
+	key float64
+	pos int
 }
 
-// partitionNodes is partitionEntries over node centers.
-func (t *Tree) partitionNodes(nodes []*Node, cap int, history uint64, emit func([]*Node, uint64)) {
-	if len(nodes) <= cap {
-		emit(nodes, history)
+// loadScratch is the working memory of one BulkLoadGrouped call: sized by
+// the call's largest partition, reused by every recursion step, garbage
+// on return, and never shared — concurrent loads need no synchronization.
+type loadScratch struct {
+	cfg   Config
+	level []*Node // the nodes emitted for the level being built
+
+	keys       []sortKey
+	entries    []Entry     // staging for permuting entries
+	nodes      []*Node     // staging for permuting nodes
+	mins, maxs []vec.Point // item bounds in sorted order, for bestCut
+	suffixVol  []float64   // bestCut's suffix volumes over the cut window
+	// Running bounds: of bestCut's growing sides, and of the spread pass.
+	runMin, runMax vec.Point
+}
+
+// reserve grows the per-item scratch to hold n items.
+func (s *loadScratch) reserve(n int) {
+	if cap(s.keys) < n {
+		s.keys = make([]sortKey, n)
+		s.mins, s.maxs = make([]vec.Point, n), make([]vec.Point, n)
+		s.suffixVol = make([]float64, n)
+	}
+}
+
+// partitionEntries recursively splits entries into leaves of at most
+// LeafCapacity, cutting along the dimension of largest spread at a
+// block-aligned median. history accumulates the split dimensions, matching
+// the split history maintained by dynamic inserts.
+func (s *loadScratch) partitionEntries(entries []Entry, history uint64) {
+	if len(entries) <= s.cfg.LeafCapacity {
+		own := make([]Entry, len(entries))
+		copy(own, entries)
+		n := &Node{leaf: true, entries: own, history: history, super: 1}
+		n.recomputeRect()
+		s.level = append(s.level, n)
 		return
 	}
-	dim := widestNodeDim(nodes, t.cfg.Dim)
-	sort.Slice(nodes, func(i, j int) bool {
-		ci := nodes[i].rect.Min[dim] + nodes[i].rect.Max[dim]
-		cj := nodes[j].rect.Min[dim] + nodes[j].rect.Max[dim]
-		return ci < cj
-	})
-	cut := bestCut(len(nodes), func(i int) vec.Point { return nodes[i].rect.Min },
-		func(i int) vec.Point { return nodes[i].rect.Max }, t.cfg.Dim)
+	dim := s.widestEntryDim(entries)
+	keys := s.keys[:len(entries)]
+	for i := range entries {
+		keys[i] = sortKey{entries[i].Point[dim], i}
+	}
+	sortByKeys(keys, entries, s.entries)
+	points := s.mins[:len(entries)]
+	for i := range entries {
+		points[i] = entries[i].Point
+	}
+	cut := s.bestCut(points, points)
 	h := history | 1<<uint(dim)
-	t.partitionNodes(nodes[:cut], cap, h, emit)
-	t.partitionNodes(nodes[cut:], cap, h, emit)
+	s.partitionEntries(entries[:cut], h)
+	s.partitionEntries(entries[cut:], h)
+}
+
+// partitionNodes is partitionEntries over node centers, emitting
+// directory nodes of at most DirCapacity children.
+func (s *loadScratch) partitionNodes(nodes []*Node, history uint64) {
+	if len(nodes) <= s.cfg.DirCapacity {
+		own := make([]*Node, len(nodes))
+		copy(own, nodes)
+		n := &Node{leaf: false, children: own, history: history, super: 1}
+		n.recomputeRect()
+		s.level = append(s.level, n)
+		return
+	}
+	dim := s.widestNodeDim(nodes)
+	keys := s.keys[:len(nodes)]
+	for i, n := range nodes {
+		keys[i] = sortKey{n.rect.Min[dim] + n.rect.Max[dim], i}
+	}
+	sortByKeys(keys, nodes, s.nodes)
+	mins, maxs := s.mins[:len(nodes)], s.maxs[:len(nodes)]
+	for i, n := range nodes {
+		mins[i], maxs[i] = n.rect.Min, n.rect.Max
+	}
+	cut := s.bestCut(mins, maxs)
+	h := history | 1<<uint(dim)
+	s.partitionNodes(nodes[:cut], h)
+	s.partitionNodes(nodes[cut:], h)
+}
+
+// sortByKeys sorts the key table (keys[i] describes items[i]) and applies
+// the permutation to items through the staging buffer. The order is the
+// one package sort's Slice produces on the items themselves under
+// key(i) < key(j), ties included: both are instances of one generated
+// pattern-defeating quicksort, which for the same length and the same
+// less outcomes performs the same swaps, and the comparator is less
+// exactly when < is, NaN keys included.
+func sortByKeys[T any](keys []sortKey, items, stage []T) {
+	slices.SortFunc(keys, func(a, b sortKey) int {
+		if a.key < b.key {
+			return -1
+		}
+		if b.key < a.key {
+			return 1
+		}
+		return 0
+	})
+	stage = stage[:len(items)]
+	for i, k := range keys {
+		stage[i] = items[k.pos]
+	}
+	copy(items, stage)
 }
 
 // bestCut returns the cut index in the middle 40% of a sorted sequence
@@ -160,8 +195,11 @@ func (t *Tree) partitionNodes(nodes []*Node, cap int, history uint64, emit func(
 // the middle). Volume-minimal cuts fall between the data's natural
 // clusters (e.g. quadrant boundaries), keeping page MBRs tight — what a
 // dynamically built R*/X-tree achieves with its overlap-minimizing
-// splits. min and max yield the per-item bounds (identical for points).
-func bestCut(n int, min, max func(i int) vec.Point, d int) int {
+// splits. mins and maxs hold the per-item bounds (the same slice for
+// points). Both sides' bounds grow over every item, but a volume is
+// computed only where a cut may fall.
+func (s *loadScratch) bestCut(mins, maxs []vec.Point) int {
+	n := len(mins)
 	lo := n * 3 / 10
 	if lo < 1 {
 		lo = 1
@@ -170,32 +208,30 @@ func bestCut(n int, min, max func(i int) vec.Point, d int) int {
 	if hi < lo {
 		return n / 2
 	}
+	runMin, runMax := s.runMin, s.runMax
 
-	// prefixVol[k] = volume of the MBR of items [0, k); suffixVol[k] =
-	// volume of the MBR of items [k, n).
-	prefixVol := make([]float64, n+1)
-	suffixVol := make([]float64, n+1)
-	runMin := make(vec.Point, d)
-	runMax := make(vec.Point, d)
-
-	copy(runMin, min(0))
-	copy(runMax, max(0))
-	prefixVol[1] = volume(runMin, runMax)
-	for i := 1; i < n; i++ {
-		extend(runMin, runMax, min(i), max(i))
-		prefixVol[i+1] = volume(runMin, runMax)
-	}
-	copy(runMin, min(n-1))
-	copy(runMax, max(n-1))
-	suffixVol[n-1] = volume(runMin, runMax)
-	for i := n - 2; i >= 0; i-- {
-		extend(runMin, runMax, min(i), max(i))
-		suffixVol[i] = volume(runMin, runMax)
+	// suffixVol[k-lo] = volume of the MBR of items [k, n), lo <= k <= hi.
+	suffixVol := s.suffixVol[:hi-lo+1]
+	copy(runMin, mins[n-1])
+	copy(runMax, maxs[n-1])
+	for i := n - 1; i >= lo; i-- {
+		extend(runMin, runMax, mins[i], maxs[i])
+		if i <= hi {
+			suffixVol[i-lo] = volume(runMin, runMax)
+		}
 	}
 
+	// The prefix MBR of items [0, k) grows alongside the scan for the
+	// best k.
 	best, bestVol, bestDist := n/2, math.Inf(1), n
-	for k := lo; k <= hi; k++ {
-		v := prefixVol[k] + suffixVol[k]
+	copy(runMin, mins[0])
+	copy(runMax, maxs[0])
+	for k := 1; k <= hi; k++ {
+		extend(runMin, runMax, mins[k-1], maxs[k-1])
+		if k < lo {
+			continue
+		}
+		v := volume(runMin, runMax) + suffixVol[k-lo]
 		dist := k - n/2
 		if dist < 0 {
 			dist = -dist
@@ -209,12 +245,14 @@ func bestCut(n int, min, max func(i int) vec.Point, d int) int {
 
 // extend grows the running bounds to cover the item bounds.
 func extend(runMin, runMax, itemMin, itemMax vec.Point) {
+	// One bounds check a slice instead of one an element.
+	runMax, itemMin, itemMax = runMax[:len(runMin)], itemMin[:len(runMin)], itemMax[:len(runMin)]
 	for j := range runMin {
-		if itemMin[j] < runMin[j] {
-			runMin[j] = itemMin[j]
+		if v := itemMin[j]; v < runMin[j] {
+			runMin[j] = v
 		}
-		if itemMax[j] > runMax[j] {
-			runMax[j] = itemMax[j]
+		if v := itemMax[j]; v > runMax[j] {
+			runMax[j] = v
 		}
 	}
 }
@@ -228,43 +266,45 @@ func volume(min, max vec.Point) float64 {
 	return v
 }
 
-// widestEntryDim returns the dimension with the largest coordinate spread.
-func widestEntryDim(entries []Entry, d int) int {
-	best, bestSpread := 0, -1.0
-	for dim := 0; dim < d; dim++ {
-		lo, hi := entries[0].Point[dim], entries[0].Point[dim]
-		for _, e := range entries[1:] {
-			v := e.Point[dim]
-			if v < lo {
-				lo = v
-			}
-			if v > hi {
-				hi = v
-			}
-		}
-		if s := hi - lo; s > bestSpread {
-			best, bestSpread = dim, s
-		}
+// widestEntryDim returns the dimension with the largest coordinate
+// spread, from one pass over the entries.
+func (s *loadScratch) widestEntryDim(entries []Entry) int {
+	lo, hi := s.runMin, s.runMax
+	copy(lo, entries[0].Point)
+	copy(hi, entries[0].Point)
+	for _, e := range entries[1:] {
+		extend(lo, hi, e.Point, e.Point)
 	}
-	return best
+	return widest(lo, hi)
 }
 
-// widestNodeDim returns the dimension with the largest center spread.
-func widestNodeDim(nodes []*Node, d int) int {
-	best, bestSpread := 0, -1.0
-	for dim := 0; dim < d; dim++ {
-		lo := nodes[0].rect.Min[dim] + nodes[0].rect.Max[dim]
-		hi := lo
-		for _, n := range nodes[1:] {
-			v := n.rect.Min[dim] + n.rect.Max[dim]
-			if v < lo {
-				lo = v
+// widestNodeDim returns the dimension with the largest center spread,
+// from one pass over the nodes.
+func (s *loadScratch) widestNodeDim(nodes []*Node) int {
+	lo, hi := s.runMin, s.runMax
+	for j := range lo {
+		lo[j] = nodes[0].rect.Min[j] + nodes[0].rect.Max[j]
+		hi[j] = lo[j]
+	}
+	for _, n := range nodes[1:] {
+		for j := range lo {
+			v := n.rect.Min[j] + n.rect.Max[j]
+			if v < lo[j] {
+				lo[j] = v
 			}
-			if v > hi {
-				hi = v
+			if v > hi[j] {
+				hi[j] = v
 			}
 		}
-		if s := hi - lo; s > bestSpread {
+	}
+	return widest(lo, hi)
+}
+
+// widest returns the first dimension of largest extent hi - lo.
+func widest(lo, hi vec.Point) int {
+	best, bestSpread := 0, -1.0
+	for dim := range lo {
+		if s := hi[dim] - lo[dim]; s > bestSpread {
 			best, bestSpread = dim, s
 		}
 	}

@@ -511,20 +511,6 @@ func BenchmarkInsert16D(b *testing.B) {
 	}
 }
 
-func BenchmarkBulkLoad16D(b *testing.B) {
-	r := rand.New(rand.NewSource(1))
-	pts := uniformPoints(r, 20000, 16)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		entries := make([]Entry, len(pts))
-		for j, p := range pts {
-			entries[j] = Entry{Point: p, ID: j}
-		}
-		tr := New(DefaultConfig(16))
-		tr.BulkLoad(entries)
-	}
-}
-
 func TestBulkLoadGrouped(t *testing.T) {
 	r := rand.New(rand.NewSource(71))
 	const d = 4

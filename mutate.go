@@ -77,8 +77,8 @@ func (ix *Index) insertOne(st *state, p []float64) (id int, w *wal.Writer, targe
 	if ix.opts.QuantileSplits {
 		ix.observer().Observe(point)
 	}
-	d, key, rect := ix.assignCell(st, id, point)
-	addToCell(st, key, d, rect)
+	d, key := ix.assignCell(st, id, point)
+	addToCell(st, key, d, point)
 	sh := st.shards[d]
 	sh.mu.Lock()
 	sh.tree.Insert(point, id)
@@ -145,7 +145,7 @@ func (ix *Index) deleteOne(st *state, id int) (*wal.Writer, int64, error) {
 	// failed delete would silently reappear as applied after recovery.
 	// (Insert logs first because its apply cannot fail.) Log order
 	// still matches commit order: both happen under meta.
-	d, key, _ := ix.assignCell(st, id, p)
+	d, key := ix.assignCell(st, id, p)
 	sh := st.shards[d]
 	sh.mu.Lock()
 	ok := sh.tree.Delete(p, id)

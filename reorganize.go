@@ -156,7 +156,6 @@ type reorgMove struct {
 	oldDisk int
 	newDisk int
 	newKey  string
-	newRect vec.Rect
 }
 
 // reorgPlan is one step's worth of change, computed off the lock against
@@ -393,7 +392,7 @@ func (ix *Index) reorgPlanFor(st *state, points []vec.Point) *reorgPlan {
 			plan.moves = append(plan.moves, reorgMove{
 				id: m.id, p: m.p,
 				oldDisk: worst, newDisk: c2.Disk,
-				newKey: c2.Key(), newRect: c2.Rect,
+				newKey: c2.Key(),
 			})
 			if c2.Disk != worst {
 				plan.moved++
@@ -418,8 +417,8 @@ func (ix *Index) reorgApply(st *state, plan *reorgPlan) error {
 			if p == nil {
 				continue
 			}
-			d, key, rect := ix.assignCell(st, i, p)
-			addToCell(st, key, d, rect)
+			d, key := ix.assignCell(st, i, p)
+			addToCell(st, key, d, p)
 		}
 		ix.version++
 		return nil
@@ -434,7 +433,7 @@ func (ix *Index) reorgApply(st *state, plan *reorgPlan) error {
 		}
 	}
 	for _, mv := range plan.moves {
-		addToCell(st, mv.newKey, mv.newDisk, mv.newRect)
+		addToCell(st, mv.newKey, mv.newDisk, mv.p)
 		if mv.newDisk == mv.oldDisk {
 			continue
 		}
