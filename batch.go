@@ -66,11 +66,9 @@ type BatchStats struct {
 	// DistCompsSaved is the total number of exact distance computations
 	// the SQ8 pre-filter skipped across the batch (see QueryStats).
 	DistCompsSaved int
-	// PagesSkippedApprox and ProbePages total the approximate tier's
-	// per-query counters across the batch (see QueryStats). 0 on exact
-	// batches.
+	// PagesSkippedApprox totals the approximate tier's per-query counter
+	// across the batch (see QueryStats). 0 on exact batches.
 	PagesSkippedApprox int
-	ProbePages         int
 	// PerQuery holds each query's own cost statistics: PerQuery[i]
 	// describes queries[i]. Page counts are exact regardless of how the
 	// scheduler interleaved the workers; times are derived from the
@@ -290,7 +288,6 @@ func (ix *Index) runBatch(ctx context.Context, qr query) (_ [][]Neighbor, stats 
 		stats.BoundTightenings += perQuery[i].BoundTightenings
 		stats.DistCompsSaved += perQuery[i].DistCompsSaved
 		stats.PagesSkippedApprox += perQuery[i].PagesSkippedApprox
-		stats.ProbePages += perQuery[i].ProbePages
 		stats.Degraded = stats.Degraded || perQuery[i].Degraded
 	}
 	batch, err := ix.array.ReadBatch(refs)

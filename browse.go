@@ -1,7 +1,6 @@
 package parsearch
 
 import (
-	"container/heap"
 	"fmt"
 
 	"parsearch/internal/knn"
@@ -21,36 +20,8 @@ import (
 type Browser struct {
 	ix     *Index
 	st     *state
-	merge  mergeQueue
+	merge  *knn.MergedBrowser
 	closed bool
-}
-
-// mergeItem is the current head of one disk's ranking.
-type mergeItem struct {
-	disk   int
-	result knn.Result
-}
-
-type mergeQueue struct {
-	items    []mergeItem
-	browsers []*knn.Browser
-}
-
-func (q *mergeQueue) Len() int { return len(q.items) }
-func (q *mergeQueue) Less(i, j int) bool {
-	a, b := q.items[i].result, q.items[j].result
-	if a.Dist != b.Dist {
-		return a.Dist < b.Dist
-	}
-	return a.Entry.ID < b.Entry.ID
-}
-func (q *mergeQueue) Swap(i, j int)      { q.items[i], q.items[j] = q.items[j], q.items[i] }
-func (q *mergeQueue) Push(x interface{}) { q.items = append(q.items, x.(mergeItem)) }
-func (q *mergeQueue) Pop() interface{} {
-	old := q.items
-	x := old[len(old)-1]
-	q.items = old[:len(old)-1]
-	return x
 }
 
 // Browse starts an incremental ranking of all stored vectors around q.
@@ -68,34 +39,25 @@ func (ix *Index) Browse(q []float64) (*Browser, error) {
 	for _, sh := range st.shards {
 		sh.mu.RLock()
 	}
-	b := &Browser{ix: ix, st: st}
 	m := ix.metric()
-	b.merge.browsers = make([]*knn.Browser, len(st.shards))
+	browsers := make([]*knn.Browser, len(st.shards))
 	for d, sh := range st.shards {
-		b.merge.browsers[d] = knn.NewBrowserMetric(sh.tree, q, m)
-		if res, ok := b.merge.browsers[d].Next(); ok {
-			b.merge.items = append(b.merge.items, mergeItem{disk: d, result: res})
-		}
+		browsers[d] = knn.NewBrowserMetric(sh.tree, q, m)
 	}
-	heap.Init(&b.merge)
-	return b, nil
+	return &Browser{ix: ix, st: st, merge: knn.MergeBrowsers(browsers)}, nil
 }
 
 // Next returns the next-nearest vector, or ok = false when every stored
 // vector has been returned (or the browser is closed).
 func (b *Browser) Next() (Neighbor, bool) {
-	if b.closed || b.merge.Len() == 0 {
+	if b.closed {
 		return Neighbor{}, false
 	}
-	top := heap.Pop(&b.merge).(mergeItem)
-	if res, ok := b.merge.browsers[top.disk].Next(); ok {
-		heap.Push(&b.merge, mergeItem{disk: top.disk, result: res})
+	res, ok := b.merge.Next()
+	if !ok {
+		return Neighbor{}, false
 	}
-	return Neighbor{
-		ID:    top.result.Entry.ID,
-		Point: top.result.Entry.Point,
-		Dist:  top.result.Dist,
-	}, true
+	return Neighbor{ID: res.Entry.ID, Point: res.Entry.Point, Dist: res.Dist}, true
 }
 
 // Close releases the disk read locks and the index's structure lock. The

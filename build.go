@@ -10,14 +10,13 @@ import (
 	"sync/atomic"
 
 	"parsearch/internal/core"
-	"parsearch/internal/lsh"
 	"parsearch/internal/vec"
 	"parsearch/internal/xtree"
 )
 
 // This file is the build stage: it derives a complete index state
-// (bucketing, declustering assignment, per-disk trees, replicas, LSH
-// filters, baseline) from a point table, and cuts it in atomically.
+// (bucketing, declustering assignment, per-disk trees, replicas,
+// baseline) from a point table, and cuts it in atomically.
 
 // splitValues returns the current per-dimension split values of the
 // state's bucketer (both splitter implementations expose them).
@@ -254,7 +253,7 @@ func (ix *Index) buildState(points [][]float64) (st *state, pts []vec.Point, liv
 
 // loadShard bulk-loads one disk's share of the data — grouped by
 // storage cell so no page spans two cells, or flat for the plain layout
-// — into a fresh tree, and signs its leaves for the LSH filter.
+// — into a fresh tree.
 func (ix *Index) loadShard(groups [][]xtree.Entry, plain bool) *shard {
 	sh := &shard{tree: xtree.New(ix.treeConfig())}
 	if plain {
@@ -263,9 +262,6 @@ func (ix *Index) loadShard(groups [][]xtree.Entry, plain bool) *shard {
 		groups = [][]xtree.Entry{slices.Concat(groups...)}
 	}
 	sh.tree.BulkLoadGrouped(groups)
-	if ix.opts.LSH {
-		sh.probe = lsh.Build(sh.tree, lshSeed)
-	}
 	return sh
 }
 

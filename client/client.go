@@ -270,16 +270,12 @@ func (c *Client) KNN(ctx context.Context, q []float64, k int) ([]parsearch.Neigh
 	return neighbors(resp.Neighbors), err
 }
 
-// KNNApprox is KNN with explicit approximate-tier knobs: the server
-// runs the query with the given ε and recall target instead of its own
-// defaults (see parsearch.Approx). A zero Approx forces an exact
-// search regardless of the server's configuration.
+// KNNApprox is KNN with an explicit approximate-tier knob: the server
+// runs the query with the given ε instead of its own default (see
+// parsearch.Approx). A zero Approx forces an exact search regardless of
+// the server's configuration.
 func (c *Client) KNNApprox(ctx context.Context, q []float64, k int, a parsearch.Approx) ([]parsearch.Neighbor, error) {
-	resp, err := c.query(ctx, "/v1/knn", wire.KNNRequest{
-		Query: q, K: k,
-		Epsilon:      &a.Epsilon,
-		RecallTarget: &a.RecallTarget,
-	})
+	resp, err := c.query(ctx, "/v1/knn", wire.KNNRequest{Query: q, K: k, Epsilon: &a.Epsilon})
 	return neighbors(resp.Neighbors), err
 }
 
@@ -310,14 +306,10 @@ func (c *Client) BatchKNN(ctx context.Context, queries [][]float64, k int) ([][]
 	return out, err
 }
 
-// BatchKNNApprox is BatchKNN with explicit approximate-tier knobs,
+// BatchKNNApprox is BatchKNN with an explicit approximate-tier knob,
 // applied to every query of the batch (see KNNApprox).
 func (c *Client) BatchKNNApprox(ctx context.Context, queries [][]float64, k int, a parsearch.Approx) ([][]parsearch.Neighbor, error) {
-	out, _, err := c.batch(ctx, wire.BatchRequest{
-		Queries: queries, K: k,
-		Epsilon:      &a.Epsilon,
-		RecallTarget: &a.RecallTarget,
-	})
+	out, _, err := c.batch(ctx, wire.BatchRequest{Queries: queries, K: k, Epsilon: &a.Epsilon})
 	return out, err
 }
 

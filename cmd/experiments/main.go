@@ -8,12 +8,12 @@
 //	experiments -run fig12
 //	experiments -run all [-scale 0.5] [-queries 10] [-seed 42]
 //
-// The bench subcommand runs the benchmark-regression harness (see
+// The bench subcommand runs the deterministic cost ledger (see
 // internal/exp.RunBench) and writes the machine-readable report CI
-// diffs against the committed baseline:
+// compares against the committed baseline:
 //
 //	experiments bench [-profile short|full|scale] [-out BENCH_parsearch.json]
-//	                  [-baseline BENCH_parsearch.json] [-threshold 0.25] [-seed 42]
+//	                  [-baseline BENCH_parsearch.json] [-seed 42]
 package main
 
 import (
@@ -91,15 +91,15 @@ func run(args []string, stdout, stderr io.Writer) int {
 	return 0
 }
 
-// runBench implements the bench subcommand: measure, write the report,
-// and optionally gate against a baseline (exit 1 on regression).
+// runBench implements the bench subcommand: run the ledger, write the
+// report, and optionally gate against a baseline (exit 1 on any
+// difference exp.CompareBench finds).
 func runBench(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("experiments bench", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	profile := fs.String("profile", "short", "bench profile: short, full, or scale")
 	out := fs.String("out", "", "write the JSON report to this file ('-' or empty = stdout)")
 	baseline := fs.String("baseline", "", "baseline BENCH_parsearch.json to gate against")
-	threshold := fs.Float64("threshold", 0.25, "allowed fractional ns/op growth vs the baseline")
 	seed := fs.Int64("seed", 42, "random seed")
 	if err := fs.Parse(args); err != nil {
 		return 2
@@ -126,8 +126,8 @@ func runBench(args []string, stdout, stderr io.Writer) int {
 		return 1
 	}
 	for _, w := range report.Workloads {
-		fmt.Fprintf(stderr, "bench %-8s %12d ns/op %10.1f pages/query  balance %.3f  p99 %dns\n",
-			w.Name, w.NsPerOp, w.PagesPerQuery, w.Balance, w.LatencyP99Ns)
+		fmt.Fprintf(stderr, "bench %-12s %10.1f pages/query  balance %.3f  %10.1f search pages/query\n",
+			w.Name, w.PagesPerQuery, w.Balance, w.SearchPagesPerQuery)
 	}
 
 	if *baseline == "" {
@@ -143,17 +143,12 @@ func runBench(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stderr, "experiments: parsing baseline: %v\n", err)
 		return 1
 	}
-	if base.Profile != report.Profile {
-		fmt.Fprintf(stderr, "experiments: baseline profile %q does not match run profile %q — not comparing\n",
-			base.Profile, report.Profile)
-		return 0
-	}
-	if regressions := exp.CompareBench(base, report, *threshold); len(regressions) > 0 {
-		for _, r := range regressions {
-			fmt.Fprintf(stderr, "experiments: REGRESSION %s\n", r)
+	if diffs := exp.CompareBench(base, report); len(diffs) > 0 {
+		for _, d := range diffs {
+			fmt.Fprintf(stderr, "experiments: MISMATCH %s\n", d)
 		}
 		return 1
 	}
-	fmt.Fprintln(stderr, "bench: no regressions vs baseline")
+	fmt.Fprintln(stderr, "bench: the run reproduces the baseline")
 	return 0
 }

@@ -96,8 +96,8 @@ func TestKNNContextRejectedVisible(t *testing.T) {
 		_, _, err := ix.KNNApproxContext(ctx, q, 5, Approx{Epsilon: -1})
 		return err
 	})
-	assertRejected(t, ix, "shard approx", "parsearch: recall target 2 outside [0, 1]", func(ctx context.Context) error {
-		_, _, err := ix.KNNShardContext(ctx, q, 5, Approx{RecallTarget: 2}, ShardSpec{})
+	assertRejected(t, ix, "shard approx", "parsearch: bound -1, want a finite distance >= 0", func(ctx context.Context) error {
+		_, _, err := ix.KNNShardContext(ctx, q, 5, Approx{Bound: -1}, ShardSpec{})
 		return err
 	})
 	assertRejected(t, ix, "shard spec", "parsearch: 99 shard groups over 8 disks", func(ctx context.Context) error {

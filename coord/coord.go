@@ -485,7 +485,7 @@ func (c *Coordinator) KNNApprox(ctx context.Context, q []float64, k int, a parse
 		return func(ctx context.Context, cl *client.Client, spec wire.ShardSpec, out *rpcResult) error {
 			req := wire.KNNRequest{Query: q, K: k, Bound: bound, Shard: &spec}
 			if a != (parsearch.Approx{}) {
-				req.Epsilon, req.RecallTarget = &a.Epsilon, &a.RecallTarget
+				req.Epsilon = &a.Epsilon
 			}
 			ns, qs, err := cl.KNNRaw(ctx, req)
 			out.ns, out.stats = ns, qs
@@ -636,7 +636,7 @@ func (c *Coordinator) BatchKNNApprox(ctx context.Context, queries [][]float64, k
 	do := func(ctx context.Context, cl *client.Client, spec wire.ShardSpec, out *rpcResult) error {
 		req := wire.BatchRequest{Queries: queries, K: k, Shard: &spec}
 		if a != (parsearch.Approx{}) {
-			req.Epsilon, req.RecallTarget = &a.Epsilon, &a.RecallTarget
+			req.Epsilon = &a.Epsilon
 		}
 		batch, bs, err := cl.BatchKNNRaw(ctx, req)
 		out.batch, out.bstats = batch, bs

@@ -8,7 +8,7 @@ import (
 
 // tinyProfile keeps the harness test fast.
 func tinyProfile() BenchProfile {
-	return BenchProfile{Name: "tiny", Points: 600, Queries: 6, K: 4, Reps: 2}
+	return BenchProfile{Name: "tiny", Points: 600, Queries: 6, K: 4}
 }
 
 func TestRunBenchReport(t *testing.T) {
@@ -19,19 +19,22 @@ func TestRunBenchReport(t *testing.T) {
 	if report.Disks != BenchDisks || report.Profile != "tiny" {
 		t.Fatalf("report header %+v", report)
 	}
-	for _, name := range []string{"knn16", "range16", "batch16",
-		"coord-knn16", "wal-ingest", "mixed-serve16", "mixed-reorg16"} {
+	names := []string{"knn16", "knn16-eps01", "range16", "batch16", "coord-knn16"}
+	if len(report.Workloads) != len(names) {
+		t.Fatalf("%d rows, want the %d of %v", len(report.Workloads), len(names), names)
+	}
+	for _, name := range names {
 		w := report.Workload(name)
 		if w == nil {
 			t.Fatalf("workload %s missing from report", name)
-		}
-		if w.NsPerOp <= 0 {
-			t.Errorf("%s: ns/op %d", name, w.NsPerOp)
 		}
 		// The tiny range workload can select zero pages (balance 0);
 		// whenever pages were read the coefficient must be in (0, 1].
 		if w.Balance < 0 || w.Balance > 1 || (w.PagesPerQuery > 0 && w.Balance == 0) {
 			t.Errorf("%s: balance %v inconsistent with %v pages/query", name, w.Balance, w.PagesPerQuery)
+		}
+		if wantRecall := name == "knn16-eps01"; (w.Recall != 0) != wantRecall || w.Recall > 1 {
+			t.Errorf("%s: recall %v", name, w.Recall)
 		}
 	}
 	if report.Workload("knn16").PagesPerQuery <= 0 {
@@ -60,33 +63,35 @@ func TestRunBenchReport(t *testing.T) {
 		}
 	}
 
-	// Executed page costs are deterministic: a second run agrees exactly.
-	// So do the search and saved pages of the batch row, whose items
-	// search their disks one after the other; on the parallel rows they
-	// depend on goroutine timing.
+	// The property the ledger rests on: a second run reproduces every
+	// deterministic column exactly — executed pages, balance and recall
+	// on every row; search pages wherever the search does not fan out in
+	// parallel; the batch row's saved pages, whose items search their
+	// disks one after the other — and so compares clean against the
+	// first, whichever of the two is the baseline.
 	again, err := RunBench(tinyProfile(), 42)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, w := range report.Workloads {
-		if strings.HasPrefix(w.Name, "mixed-") {
-			// The mixed rows query while mutating (and, in the reorganize
-			// variant, while the tree restructures): their page costs are
-			// legitimately run-dependent.
-			continue
-		}
 		a := again.Workload(w.Name)
-		if a.PagesPerQuery != w.PagesPerQuery || a.Balance != w.Balance {
-			t.Errorf("%s: pages %v/%v balance %v/%v across identical runs",
-				w.Name, w.PagesPerQuery, a.PagesPerQuery, w.Balance, a.Balance)
+		if a.PagesPerQuery != w.PagesPerQuery || a.Balance != w.Balance || a.Recall != w.Recall {
+			t.Errorf("%s: pages %v/%v balance %v/%v recall %v/%v across identical runs",
+				w.Name, w.PagesPerQuery, a.PagesPerQuery, w.Balance, a.Balance, w.Recall, a.Recall)
 		}
-		if w.Name == "batch16" && (a.SearchPagesPerQuery != w.SearchPagesPerQuery || a.SavedPagesPerQuery != w.SavedPagesPerQuery) {
-			t.Errorf("batch16: search %v/%v saved %v/%v across identical runs",
-				w.SearchPagesPerQuery, a.SearchPagesPerQuery, w.SavedPagesPerQuery, a.SavedPagesPerQuery)
+		if !timingDependentSearch[w.Name] && a.SearchPagesPerQuery != w.SearchPagesPerQuery {
+			t.Errorf("%s: search pages %v/%v across identical runs", w.Name, w.SearchPagesPerQuery, a.SearchPagesPerQuery)
+		}
+		if w.Name == "batch16" && a.SavedPagesPerQuery != w.SavedPagesPerQuery {
+			t.Errorf("batch16: saved %v/%v across identical runs", w.SavedPagesPerQuery, a.SavedPagesPerQuery)
 		}
 	}
+	if diffs := append(CompareBench(report, again), CompareBench(again, report)...); len(diffs) != 0 {
+		t.Errorf("identical runs do not compare clean: %v", diffs)
+	}
 
-	// The report round-trips through its JSON form.
+	// The report round-trips through its JSON form, and has no clock in
+	// it: no time, no latency, no core count.
 	blob, err := MarshalBenchReport(report)
 	if err != nil {
 		t.Fatal(err)
@@ -98,6 +103,11 @@ func TestRunBenchReport(t *testing.T) {
 	if len(decoded.Workloads) != len(report.Workloads) {
 		t.Fatalf("decoded %d workloads, want %d", len(decoded.Workloads), len(report.Workloads))
 	}
+	for _, key := range []string{"ns_per_op", "latency", "gomaxprocs", "reps"} {
+		if strings.Contains(string(blob), key) {
+			t.Errorf("report carries %q:\n%s", key, blob)
+		}
+	}
 
 	if _, err := RunBench(BenchProfile{}, 1); err == nil {
 		t.Error("zero profile accepted")
@@ -105,44 +115,52 @@ func TestRunBenchReport(t *testing.T) {
 }
 
 func TestCompareBench(t *testing.T) {
-	base := BenchReport{Workloads: []BenchWorkload{
-		{Name: "knn16", NsPerOp: 1000, PagesPerQuery: 50},
-		{Name: "range16", NsPerOp: 400, PagesPerQuery: 8},
+	base := BenchReport{Profile: "short", Workloads: []BenchWorkload{
+		{Name: "knn16", PagesPerQuery: 50, Balance: 0.8, SearchPagesPerQuery: 30, SavedPagesPerQuery: 10},
+		{Name: "knn16-eps01", PagesPerQuery: 50, Balance: 0.8, SearchPagesPerQuery: 25, Recall: 1},
+		{Name: "range16", PagesPerQuery: 8, Balance: 0.7, SearchPagesPerQuery: 12},
 	}}
-	ok := BenchReport{Workloads: []BenchWorkload{
-		{Name: "knn16", NsPerOp: 1200, PagesPerQuery: 50}, // +20% < 25%
-		{Name: "range16", NsPerOp: 300, PagesPerQuery: 8},
-		{Name: "batch16", NsPerOp: 9999, PagesPerQuery: 1}, // new workload: ignored
-	}}
-	if regs := CompareBench(base, ok, 0.25); len(regs) != 0 {
-		t.Errorf("unexpected regressions: %v", regs)
+	// edit returns base with one row changed (or, with a nil change, dropped).
+	edit := func(name string, change func(*BenchWorkload)) BenchReport {
+		out := BenchReport{Profile: base.Profile}
+		for _, w := range base.Workloads {
+			if w.Name == name {
+				if change == nil {
+					continue
+				}
+				change(&w)
+			}
+			out.Workloads = append(out.Workloads, w)
+		}
+		return out
 	}
-
-	bad := BenchReport{Workloads: []BenchWorkload{
-		{Name: "knn16", NsPerOp: 1300, PagesPerQuery: 50},  // +30% > 25%
-		{Name: "range16", NsPerOp: 400, PagesPerQuery: 12}, // page cost grew
-	}}
-	regs := CompareBench(base, bad, 0.25)
-	if len(regs) != 2 {
-		t.Fatalf("%d regressions, want 2: %v", len(regs), regs)
-	}
-
-	// The mixed rows mutate while measuring: page drift is expected and
-	// not gated, and the ns threshold is tripled like the wal rows'.
-	mixBase := BenchReport{Workloads: []BenchWorkload{
-		{Name: "mixed-reorg16", NsPerOp: 1000, PagesPerQuery: 50, SearchPagesPerQuery: 30},
-	}}
-	mixOK := BenchReport{Workloads: []BenchWorkload{
-		{Name: "mixed-reorg16", NsPerOp: 1700, PagesPerQuery: 80, SearchPagesPerQuery: 60}, // +70% < 75%
-	}}
-	if regs := CompareBench(mixBase, mixOK, 0.25); len(regs) != 0 {
-		t.Errorf("mixed row within slack flagged: %v", regs)
-	}
-	mixBad := BenchReport{Workloads: []BenchWorkload{
-		{Name: "mixed-reorg16", NsPerOp: 1800, PagesPerQuery: 50}, // +80% > 75%
-	}}
-	if regs := CompareBench(mixBase, mixBad, 0.25); len(regs) != 1 {
-		t.Errorf("mixed row past tripled threshold: %d regressions, want 1: %v", len(regs), regs)
+	for _, c := range []struct {
+		name    string
+		current BenchReport
+		want    string // substring of the one expected line; "" = compares clean
+	}{
+		{"identical", edit("", nil), ""},
+		{"row only in the current report", BenchReport{Profile: "short", Workloads: append(
+			[]BenchWorkload{{Name: "batch16", PagesPerQuery: 1}}, base.Workloads...)}, ""},
+		{"saved pages are reported, not gated", edit("knn16", func(w *BenchWorkload) { w.SavedPagesPerQuery = 1 }), ""},
+		{"recall above the floor", edit("knn16-eps01", func(w *BenchWorkload) { w.Recall = 0.97 }), ""},
+		{"page cost grew", edit("range16", func(w *BenchWorkload) { w.PagesPerQuery += 1.0 / 48 }), "range16: pages/query"},
+		{"page cost fell", edit("knn16", func(w *BenchWorkload) { w.PagesPerQuery -= 1.0 / 48 }), "knn16: pages/query"},
+		{"approximate row's page cost moved", edit("knn16-eps01", func(w *BenchWorkload) { w.PagesPerQuery++ }), "knn16-eps01: pages/query"},
+		{"balance moved", edit("knn16", func(w *BenchWorkload) { w.Balance = 0.8001 }), "knn16: balance"},
+		{"deterministic search pages moved", edit("range16", func(w *BenchWorkload) { w.SearchPagesPerQuery = 12.5 }), "range16: search pages/query"},
+		{"recall below the floor", edit("knn16-eps01", func(w *BenchWorkload) { w.Recall = 0.9 }), "recall 0.900 below"},
+		{"recall no longer measured", edit("knn16-eps01", func(w *BenchWorkload) { w.Recall = 0 }), "recall 0.000 below"},
+		{"baseline row missing from the run", edit("range16", nil), "range16: in the baseline, missing"},
+		{"profile mismatch", BenchReport{Profile: "scale", Workloads: base.Workloads}, `profile "short" does not match run profile "scale"`},
+	} {
+		diffs := CompareBench(base, c.current)
+		switch {
+		case c.want == "" && len(diffs) != 0:
+			t.Errorf("%s: unexpected differences: %v", c.name, diffs)
+		case c.want != "" && (len(diffs) != 1 || !strings.Contains(diffs[0], c.want)):
+			t.Errorf("%s: differences %v, want one containing %q", c.name, diffs, c.want)
+		}
 	}
 }
 
@@ -151,18 +169,18 @@ func TestCompareBench(t *testing.T) {
 // more than 10% + 1 page is a regression.
 func TestCompareBenchSearchPages(t *testing.T) {
 	base := BenchReport{Workloads: []BenchWorkload{
-		{Name: "knn16", NsPerOp: 1000, PagesPerQuery: 50, SearchPagesPerQuery: 30, SavedPagesPerQuery: 10},
+		{Name: "knn16", PagesPerQuery: 50, SearchPagesPerQuery: 30, SavedPagesPerQuery: 10},
 	}}
 	ok := BenchReport{Workloads: []BenchWorkload{
-		{Name: "knn16", NsPerOp: 1000, PagesPerQuery: 50, SearchPagesPerQuery: 32, SavedPagesPerQuery: 8},
+		{Name: "knn16", PagesPerQuery: 50, SearchPagesPerQuery: 32, SavedPagesPerQuery: 8},
 	}}
-	if regs := CompareBench(base, ok, 0.25); len(regs) != 0 {
+	if regs := CompareBench(base, ok); len(regs) != 0 {
 		t.Errorf("unexpected regressions: %v", regs)
 	}
 	weaker := BenchReport{Workloads: []BenchWorkload{
-		{Name: "knn16", NsPerOp: 1000, PagesPerQuery: 50, SearchPagesPerQuery: 39, SavedPagesPerQuery: 1},
+		{Name: "knn16", PagesPerQuery: 50, SearchPagesPerQuery: 39, SavedPagesPerQuery: 1},
 	}}
-	if regs := CompareBench(base, weaker, 0.25); len(regs) != 1 {
+	if regs := CompareBench(base, weaker); len(regs) != 1 {
 		t.Errorf("weaker pruning: %d regressions, want 1: %v", len(regs), regs)
 	}
 }

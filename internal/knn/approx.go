@@ -1,7 +1,6 @@
 package knn
 
-// Approximate k-NN: the HS search with two optional, composable
-// relaxations.
+// Approximate k-NN: the HS search with one optional relaxation.
 //
 // ε-termination (Arya et al.): the search stops as soon as the next
 // priority-queue node's MINDIST exceeds kth/(1+ε) — equivalently, once
@@ -11,22 +10,15 @@ package knn
 // true k-th distance. The comparison happens in rank space: for a
 // Minkowski metric, ToRank is a power function, so scaling the metric
 // distance by 1/(1+ε) is scaling the rank distance by ToRank(1/(1+ε))
-// (the Shrink factor below). ε = 0 makes Shrink 1, and because the
+// (the shrink factor, see ShrinkFor). ε = 0 makes it 1, and because the
 // exact stop check runs first, the ε check can then never fire — the
 // traversal is the exact one by construction.
 //
-// LSH probe filter: an optional per-leaf predicate (built from the
-// multi-probe LSH filter over the shard's leaf layout, see package
-// lsh). A popped leaf the filter rejects is skipped unscanned. The
-// filter is only consulted once k candidates are known, so it never
-// shortens a shard's result — the filter can cost recall, never result
-// cardinality.
-//
 // Composition with the shared cross-disk bound: the ε check runs before
 // the shared-bound check, so pages the approximation skips (the pending
-// queue at ε-termination, plus LSH-rejected leaves) are charged to
-// ApproxStats.SkippedPages, never to Saved, and the shared bound's
-// savings and the approximation's stay separately attributable.
+// queue at ε-termination) are charged to ApproxStats.SkippedPages, never
+// to Saved, and the shared bound's savings and the approximation's stay
+// separately attributable.
 
 import (
 	"math"
@@ -36,18 +28,9 @@ import (
 	"parsearch/internal/xtree"
 )
 
-// ApproxSpec configures the approximate search.
-type ApproxSpec struct {
-	// Shrink is the rank-space ε-termination factor,
-	// Metric.ToRank(1/(1+ε)). 1 (or more) disables ε-termination.
-	Shrink float64
-	// Probe, when non-nil, is the LSH pre-filter: a popped leaf for
-	// which it returns false is skipped without scanning. It is only
-	// consulted once the local candidate set is full.
-	Probe func(n *xtree.Node) bool
-}
-
-// ShrinkFor returns the rank-space termination factor for ε under m.
+// ShrinkFor returns the rank-space ε-termination factor for ε under m,
+// Metric.ToRank(1/(1+ε)): what HSApprox takes as shrink. 1 (ε ≤ 0)
+// disables ε-termination.
 func ShrinkFor(epsilon float64, m vec.Metric) float64 {
 	if epsilon <= 0 {
 		return 1
@@ -60,23 +43,15 @@ func ShrinkFor(epsilon float64, m vec.Metric) float64 {
 type ApproxStats struct {
 	SharedStats
 	// SkippedPages counts pages the approximation skipped: the
-	// still-reachable pending queue at ε-termination (see queued) plus
-	// every LSH-rejected leaf.
+	// still-reachable pending queue at ε-termination (see queued).
 	SkippedPages int
-	// EpsilonFired reports whether ε-termination cut the traversal.
-	EpsilonFired bool
-	// ProbedPages counts leaf pages the LSH filter admitted;
-	// RejectedLeaves counts leaves it refused. Both stay zero while
-	// the candidate set is not yet full (the filter is not consulted).
-	ProbedPages    int
-	RejectedLeaves int
 }
 
 // HSApprox is the one Hjaltason–Samet priority-queue loop of the
 // package: HS, HSMetric and HSShared are this traversal with parts of it
 // switched off. b may be nil (no shared cross-disk bound), which is the
-// independent search HSMetric names. With an exact spec (Shrink ≥ 1, nil
-// Probe) neither relaxation can fire.
+// independent search HSMetric names. With shrink ≥ 1 (see ShrinkFor) the
+// search is exact: ε-termination cannot fire.
 //
 // Under a shared bound the search stops at the first popped node whose
 // MINDIST strictly exceeds b.Load(). Why the merged answer is still the
@@ -99,7 +74,7 @@ type ApproxStats struct {
 //
 // What the truncated search returns beyond the bound is whatever the
 // prefix had collected; the caller's merge never reaches it.
-func HSApprox(t *xtree.Tree, q vec.Point, k int, m vec.Metric, spec ApproxSpec, b *Bound, onTighten func(sqBound float64)) ([]Result, Accounting, ApproxStats) {
+func HSApprox(t *xtree.Tree, q vec.Point, k int, m vec.Metric, shrink float64, b *Bound, onTighten func(sqBound float64)) ([]Result, Accounting, ApproxStats) {
 	checkQuery(t, q, k)
 	var acc Accounting
 	var as ApproxStats
@@ -117,11 +92,10 @@ func HSApprox(t *xtree.Tree, q vec.Point, k int, m vec.Metric, spec ApproxSpec, 
 		if item.sqMinDist > bound {
 			break
 		}
-		if spec.Shrink < 1 && item.sqMinDist > spec.Shrink*bound {
+		if shrink < 1 && item.sqMinDist > shrink*bound {
 			// ε fires: k candidates are known (a finite bound), and every
 			// pending node holds only points farther than kth/(1+ε).
-			as.EpsilonFired = true
-			as.SkippedPages += queued(item, *pq, bound).PageAccesses
+			as.SkippedPages = queued(item, *pq, bound).PageAccesses
 			break
 		}
 		if b != nil {
@@ -134,14 +108,6 @@ func HSApprox(t *xtree.Tree, q vec.Point, k int, m vec.Metric, spec ApproxSpec, 
 			}
 		}
 		n := item.node
-		if n.IsLeaf() && spec.Probe != nil && len(best.heap) >= k {
-			if !spec.Probe(n) {
-				as.RejectedLeaves++
-				as.SkippedPages += n.Super()
-				continue
-			}
-			as.ProbedPages += n.Super()
-		}
 		acc.visit(n)
 		if !n.IsLeaf() {
 			pushChildren(pq, n, q, m, best.bound(), sc)

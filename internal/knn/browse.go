@@ -111,3 +111,46 @@ func (b *Browser) Next() (Result, bool) {
 
 // Accounting returns the page accesses performed so far.
 func (b *Browser) Accounting() Accounting { return b.acc }
+
+// MergedBrowser is the k-way merge of several Browsers — the per-disk
+// rankings of one query — into a single ranking in Result.Compare order.
+type MergedBrowser struct {
+	browsers []*Browser
+	heads    pqueue[mergeHead]
+}
+
+// mergeHead is the current head of one browser's ranking.
+type mergeHead struct {
+	src    int
+	result Result
+}
+
+func (a mergeHead) before(b mergeHead) bool { return a.result.Compare(b.result) < 0 }
+
+// MergeBrowsers starts the merged ranking of the given browsers, which
+// it advances from then on.
+func MergeBrowsers(browsers []*Browser) *MergedBrowser {
+	m := &MergedBrowser{browsers: browsers}
+	for src := range browsers {
+		m.advance(src)
+	}
+	return m
+}
+
+// advance queues the next result of browser src, if it has one.
+func (m *MergedBrowser) advance(src int) {
+	if res, ok := m.browsers[src].Next(); ok {
+		m.heads.push(mergeHead{src: src, result: res})
+	}
+}
+
+// Next returns the next-nearest entry over all browsers, or false when
+// every ranking is exhausted.
+func (m *MergedBrowser) Next() (Result, bool) {
+	if len(m.heads) == 0 {
+		return Result{}, false
+	}
+	top := m.heads.pop()
+	m.advance(top.src)
+	return top.result, true
+}

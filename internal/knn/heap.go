@@ -1,7 +1,8 @@
 package knn
 
 // pqueue is the binary heap behind every queue of the package: the HS
-// node queue, the k-best candidate set and the browse queue. It is
+// node queue, the k-best candidate set, the browse queue and the merge
+// of several browsers. It is
 // container/heap specialised to a typed slice, so a push or pop boxes
 // nothing into an interface and allocates only when the slice grows.
 //

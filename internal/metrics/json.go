@@ -92,7 +92,6 @@ func (r *Registry) Install(s Snapshot) error {
 		{"query_pages", s.QueryPages, &r.QueryPages},
 		{"query_time_ns", s.QueryTimeNs, &r.QueryTimeNs},
 		{"query_wall_ns", s.QueryWallNs, &r.QueryWallNs},
-		{"lsh_probe_pages", s.LSHProbePages, &r.LSHProbePages},
 	}
 	for _, h := range hists {
 		if h.s.Buckets == nil && h.s.Count == 0 && h.s.Sum == 0 {

@@ -60,6 +60,29 @@ func TestRegistryJSONRoundTrip(t *testing.T) {
 		t.Errorf("Registry JSON differs from Snapshot JSON")
 	}
 
+	// A document written while the LSH pre-filter existed still carries
+	// its histogram; today's snapshot has no such key, and the old
+	// document installs with the key ignored.
+	var doc map[string]json.RawMessage
+	if err := json.Unmarshal(blob, &doc); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := doc["lsh_probe_pages"]; ok {
+		t.Error("snapshot JSON still has lsh_probe_pages")
+	}
+	doc["lsh_probe_pages"] = doc["query_pages"]
+	oldBlob, err := json.Marshal(doc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fromOld := NewRegistry(4)
+	if err := json.Unmarshal(oldBlob, fromOld); err != nil {
+		t.Fatalf("document with lsh_probe_pages: %v", err)
+	}
+	if !reflect.DeepEqual(fromOld.Snapshot(), r.Snapshot()) {
+		t.Error("document with lsh_probe_pages installed differently")
+	}
+
 	// The binary codec sees the same values, anchoring the two formats
 	// to each other.
 	bin, err := r.MarshalBinary()

@@ -219,9 +219,9 @@ type Registry struct {
 	CatchupBytes  Counter
 
 	// Approximate-tier counters: ApproxQueries counts queries that ran
-	// with the approximate tier armed (ε > 0 or an effective LSH recall
-	// cap), PagesSkippedApprox the search pages the tier skipped
-	// (QueryStats.PagesSkippedApprox). Both stay zero on exact paths.
+	// with the approximate tier armed (ε > 0), PagesSkippedApprox the
+	// search pages the tier skipped (QueryStats.PagesSkippedApprox).
+	// Both stay zero on exact paths.
 	ApproxQueries      Counter
 	PagesSkippedApprox Counter
 
@@ -258,10 +258,11 @@ type Registry struct {
 	// nanoseconds (empty on non-durable indexes).
 	WALFsyncNs Histogram
 
-	// LSHProbePages observes, per approximate query that consulted the
-	// LSH pre-filter, how many leaf pages the filter admitted — the
-	// recall-probe profile of the approximate tier.
-	LSHProbePages Histogram
+	// retiredLSHProbePages is the fifth histogram slot of codec v6/v7,
+	// which profiled the deleted LSH pre-filter. Nothing observes it and
+	// no snapshot reports it; it stays in histograms() so that every old
+	// blob decodes and re-encodes at its length without a codec v8.
+	retiredLSHProbePages Histogram
 
 	// ShardLatencyNs observes the wall-clock latency of each shard RPC a
 	// coordinator issued, in nanoseconds (empty on shard daemons and
@@ -337,7 +338,6 @@ type Snapshot struct {
 	QueryTimeNs    HistogramSnapshot `json:"query_time_ns"`
 	QueryWallNs    HistogramSnapshot `json:"query_wall_ns"`
 	WALFsyncNs     HistogramSnapshot `json:"wal_fsync_ns"`
-	LSHProbePages  HistogramSnapshot `json:"lsh_probe_pages"`
 	ShardLatencyNs HistogramSnapshot `json:"shard_latency_ns"`
 }
 
@@ -405,7 +405,6 @@ func (r *Registry) Snapshot() Snapshot {
 		QueryTimeNs:    r.QueryTimeNs.Snapshot(),
 		QueryWallNs:    r.QueryWallNs.Snapshot(),
 		WALFsyncNs:     r.WALFsyncNs.Snapshot(),
-		LSHProbePages:  r.LSHProbePages.Snapshot(),
 		ShardLatencyNs: r.ShardLatencyNs.Snapshot(),
 	}
 	s.Balance = BalanceCoefficient(s.PagesPerDisk)
@@ -431,7 +430,7 @@ var codecLayouts = [...]struct{ scalars, hists int }{
 	{16, 3}, // v3: DistCompsSaved, QueryWallNs
 	{21, 4}, // v4: the five durability counters, WALFsyncNs
 	{24, 4}, // v5: the three live-mutation counters
-	{26, 5}, // v6: the two approximate-tier counters, LSHProbePages
+	{26, 5}, // v6: the two approximate-tier counters, retiredLSHProbePages
 	{30, 6}, // v7: the four cluster counters, ShardLatencyNs
 }
 
@@ -459,7 +458,7 @@ func (r *Registry) scalars() []*Counter {
 // histograms lists the histograms in encoding order, append-only like
 // scalars.
 func (r *Registry) histograms() []*Histogram {
-	return []*Histogram{&r.QueryPages, &r.QueryTimeNs, &r.QueryWallNs, &r.WALFsyncNs, &r.LSHProbePages, &r.ShardLatencyNs}
+	return []*Histogram{&r.QueryPages, &r.QueryTimeNs, &r.QueryWallNs, &r.WALFsyncNs, &r.retiredLSHProbePages, &r.ShardLatencyNs}
 }
 
 // MarshalBinary encodes the registry's current values.

@@ -142,6 +142,10 @@ func TestBinaryRoundTrip(t *testing.T) {
 		r.QueryPages.Observe(i)
 		r.QueryTimeNs.Observe(i * 1000)
 		r.ShardLatencyNs.Observe(i * 10000)
+		// The retired fifth slot, as a blob written while the LSH
+		// pre-filter existed holds it: no Snapshot reports it, but the
+		// codec must carry it (the byte-identical re-marshal below).
+		r.retiredLSHProbePages.Observe(i)
 	}
 
 	b, err := r.MarshalBinary()
@@ -154,6 +158,9 @@ func TestBinaryRoundTrip(t *testing.T) {
 	}
 	if !reflect.DeepEqual(r.Snapshot(), fresh.Snapshot()) {
 		t.Fatalf("round trip mismatch:\n%+v\n%+v", r.Snapshot(), fresh.Snapshot())
+	}
+	if got, want := fresh.retiredLSHProbePages.Snapshot(), r.retiredLSHProbePages.Snapshot(); !reflect.DeepEqual(got, want) || got.Count == 0 {
+		t.Fatalf("retired histogram slot round trip: got %+v, want %+v", got, want)
 	}
 
 	// A second marshal of the decoded registry is byte-identical.
@@ -344,7 +351,8 @@ func TestUnmarshalVersion4(t *testing.T) {
 }
 
 // TestUnmarshalVersion5 decodes a version-5 encoding (24 scalars, four
-// histograms, before the approximate-tier counters and LSHProbePages):
+// histograms, before the approximate-tier counters and the since-retired
+// LSHProbePages slot):
 // the prefix decodes one-to-one and the v6 additions stay zero.
 func TestUnmarshalVersion5(t *testing.T) {
 	r := NewRegistry(2)
@@ -356,14 +364,14 @@ func TestUnmarshalVersion5(t *testing.T) {
 	// are dropped from a v5 blob.
 	r.ApproxQueries.Add(5)
 	r.PagesSkippedApprox.Add(77)
-	r.LSHProbePages.Observe(12)
+	r.retiredLSHProbePages.Observe(12)
 
 	cur, err := r.MarshalBinary()
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The v5 splice drops the trailing v6 and v7 histograms (LSHProbePages
-	// and ShardLatencyNs) along with the post-v5 scalar block.
+	// The v5 splice drops the trailing v6 and v7 histograms (the retired
+	// LSHProbePages slot and ShardLatencyNs) along with the post-v5 scalar block.
 	const header = 12
 	const histBlock = 8 + 8 + 4 + HistBuckets*8
 	v5 := append([]byte{}, cur[:header+codecV5Scalars*8]...)
@@ -378,7 +386,7 @@ func TestUnmarshalVersion5(t *testing.T) {
 	if s.QueriesKNN != 3 || s.IngestBatches != 8 || s.CatchupBytes != 1<<20 || s.WALFsyncNs.Count != 1 {
 		t.Fatalf("v5 prefix mismatch: %+v", s)
 	}
-	if s.ApproxQueries != 0 || s.PagesSkippedApprox != 0 || s.LSHProbePages.Count != 0 {
+	if s.ApproxQueries != 0 || s.PagesSkippedApprox != 0 || fresh.retiredLSHProbePages.Snapshot().Count != 0 {
 		t.Fatalf("v5 decode left v6 fields non-zero: %+v", s)
 	}
 	// A current-version round-trip carries the new fields.
@@ -387,7 +395,7 @@ func TestUnmarshalVersion5(t *testing.T) {
 		t.Fatalf("current decode: %v", err)
 	}
 	s = again.Snapshot()
-	if s.ApproxQueries != 5 || s.PagesSkippedApprox != 77 || s.LSHProbePages.Count != 1 {
+	if s.ApproxQueries != 5 || s.PagesSkippedApprox != 77 || again.retiredLSHProbePages.Snapshot().Count != 1 {
 		t.Fatalf("round-trip lost approx fields: %+v", s)
 	}
 }
@@ -395,13 +403,15 @@ func TestUnmarshalVersion5(t *testing.T) {
 // TestUnmarshalVersion6 decodes a version-6 encoding (26 scalars, five
 // histograms, before the cluster counters): the prefix decodes
 // one-to-one and the v7 cluster fields stay zero. Snapshot blobs
-// written by pre-cluster builds must keep loading.
+// written by pre-cluster builds must keep loading — with a non-zero
+// fifth histogram, as an index that ran the since-deleted LSH
+// pre-filter wrote it: the retired slot decodes and is carried.
 func TestUnmarshalVersion6(t *testing.T) {
 	r := NewRegistry(2)
 	r.QueriesKNN.Add(9)
 	r.ApproxQueries.Add(4)
 	r.PagesSkippedApprox.Add(31)
-	r.LSHProbePages.Observe(6)
+	r.retiredLSHProbePages.Observe(6)
 	// v7-only fields, deliberately non-zero so the splice proves they
 	// are dropped from a v6 blob.
 	r.PagesSavedByRemoteBound.Add(123)
@@ -425,7 +435,7 @@ func TestUnmarshalVersion6(t *testing.T) {
 		t.Fatalf("v6 decode: %v", err)
 	}
 	s := fresh.Snapshot()
-	if s.QueriesKNN != 9 || s.ApproxQueries != 4 || s.PagesSkippedApprox != 31 || s.LSHProbePages.Count != 1 {
+	if s.QueriesKNN != 9 || s.ApproxQueries != 4 || s.PagesSkippedApprox != 31 || fresh.retiredLSHProbePages.Snapshot().Count != 1 {
 		t.Fatalf("v6 prefix mismatch: %+v", s)
 	}
 	if s.PagesSavedByRemoteBound != 0 || s.ShardRPCs != 0 || s.ShardRetries != 0 ||
@@ -440,6 +450,9 @@ func TestUnmarshalVersion6(t *testing.T) {
 	if got := binary.LittleEndian.Uint32(b2[4:]); got != codecVersion {
 		t.Fatalf("re-marshal version = %d, want %d", got, codecVersion)
 	}
+	if len(b2) != len(v7) {
+		t.Fatalf("v6 blob re-encodes to %d bytes, a v7 blob is %d", len(b2), len(v7))
+	}
 
 	// The full v7 round-trip carries the cluster counters and the
 	// shard-latency histogram, and re-marshals byte-identically.
@@ -449,7 +462,7 @@ func TestUnmarshalVersion6(t *testing.T) {
 	}
 	s = again.Snapshot()
 	if s.PagesSavedByRemoteBound != 123 || s.ShardRPCs != 45 || s.ShardRetries != 2 ||
-		s.RemoteBoundTightenings != 17 || s.ShardLatencyNs.Count != 1 {
+		s.RemoteBoundTightenings != 17 || s.ShardLatencyNs.Count != 1 || again.retiredLSHProbePages.Snapshot().Count != 1 {
 		t.Fatalf("v7 round-trip lost cluster fields: %+v", s)
 	}
 	b3, err := again.MarshalBinary()

@@ -68,18 +68,13 @@ func FuzzDecodeQueryRequest(f *testing.F) {
 				}
 			}
 		}
-		checkApproxKnobs := func(epsilon, recallTarget *float64) {
-			// Accepted knobs must be usable verbatim by the engine: a
+		checkApproxKnob := func(epsilon *float64) {
+			// An accepted knob must be usable verbatim by the engine: a
 			// NaN or out-of-range value smuggled past validation would
-			// corrupt the termination shrink factor or the probe cap.
+			// corrupt the termination shrink factor.
 			if epsilon != nil {
 				if e := *epsilon; math.IsNaN(e) || e < 0 || e > 1e6 {
 					t.Fatalf("accepted epsilon %v (body %q)", e, body)
-				}
-			}
-			if recallTarget != nil {
-				if rt := *recallTarget; math.IsNaN(rt) || rt < 0 || rt > 1 {
-					t.Fatalf("accepted recall_target %v (body %q)", rt, body)
 				}
 			}
 		}
@@ -112,7 +107,7 @@ func FuzzDecodeQueryRequest(f *testing.F) {
 			if req.K < 1 {
 				t.Fatalf("accepted k = %d (body %q)", req.K, body)
 			}
-			checkApproxKnobs(req.Epsilon, req.RecallTarget)
+			checkApproxKnob(req.Epsilon)
 			checkCluster(req.Bound, req.Shard)
 		case RangeRequest:
 			checkFinite("range min", req.Min)
@@ -151,7 +146,7 @@ func FuzzDecodeQueryRequest(f *testing.F) {
 			for _, q := range req.Queries {
 				checkFinite("batch query", q)
 			}
-			checkApproxKnobs(req.Epsilon, req.RecallTarget)
+			checkApproxKnob(req.Epsilon)
 			checkCluster(req.Bound, req.Shard)
 		default:
 			t.Fatalf("decoder returned unknown type %T", v)

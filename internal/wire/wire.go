@@ -27,21 +27,19 @@ const (
 	OpBatch        = "batch"
 )
 
-// KNNRequest is the body of POST /v1/knn. Epsilon and RecallTarget are
-// the approximate-tier knobs: absent (null) fields fall back to the
-// served index's defaults; present fields override them per request
-// (0 forces an exact search, and a recall_target of 1 disables the LSH
-// probe cap). Bound and Shard are the cluster fields a scatter-gather
-// coordinator sets; both are optional, and servers predating them
-// ignore the unknown keys (encoding/json discards unknown fields), so
-// a new coordinator degrades gracefully against old shard daemons —
-// an ignored bound only costs the shard its pruning, and the
-// coordinator merges whatever each shard returns.
+// KNNRequest is the body of POST /v1/knn. Epsilon is the
+// approximate-tier knob: an absent (null) field falls back to the
+// served index's default; a present field overrides it per request (0
+// forces an exact search). Bound and Shard are the cluster fields a
+// scatter-gather coordinator sets; both are optional, and servers
+// predating them ignore the unknown keys (encoding/json discards
+// unknown fields), so a new coordinator degrades gracefully against old
+// shard daemons — an ignored bound only costs the shard its pruning,
+// and the coordinator merges whatever each shard returns.
 type KNNRequest struct {
-	Query        []float64 `json:"query"`
-	K            int       `json:"k"`
-	Epsilon      *float64  `json:"epsilon,omitempty"`
-	RecallTarget *float64  `json:"recall_target,omitempty"`
+	Query   []float64 `json:"query"`
+	K       int       `json:"k"`
+	Epsilon *float64  `json:"epsilon,omitempty"`
 	// Bound, when present, makes the query a k-NN within that distance
 	// (see parsearch.Approx.Bound): the response holds the shard's
 	// points inside the bound only, possibly fewer than k or none. A
@@ -78,16 +76,14 @@ type PartialMatchRequest struct {
 	Shard *ShardSpec `json:"shard,omitempty"`
 }
 
-// BatchRequest is the body of POST /v1/batch. Epsilon, RecallTarget,
-// Bound, and Shard behave as in KNNRequest and apply to every query of
-// the batch.
+// BatchRequest is the body of POST /v1/batch. Epsilon, Bound, and Shard
+// behave as in KNNRequest and apply to every query of the batch.
 type BatchRequest struct {
-	Queries      [][]float64 `json:"queries"`
-	K            int         `json:"k"`
-	Epsilon      *float64    `json:"epsilon,omitempty"`
-	RecallTarget *float64    `json:"recall_target,omitempty"`
-	Bound        *float64    `json:"bound,omitempty"`
-	Shard        *ShardSpec  `json:"shard,omitempty"`
+	Queries [][]float64 `json:"queries"`
+	K       int         `json:"k"`
+	Epsilon *float64    `json:"epsilon,omitempty"`
+	Bound   *float64    `json:"bound,omitempty"`
+	Shard   *ShardSpec  `json:"shard,omitempty"`
 }
 
 // Neighbor mirrors parsearch.Neighbor on the wire. Dist is NaN for
@@ -245,22 +241,15 @@ func checkVector(name string, v []float64, dim int) error {
 // is a client bug (or garbage), not a meaningful recall trade.
 const maxEpsilon = 1e6
 
-// checkApprox validates the optional approximate-tier knobs of a
-// request: a present epsilon must be finite, ≥ 0, and ≤ 1e6; a present
-// recall_target must be in [0, 1]. Absent (nil) knobs are valid — the
-// server fills them from the index defaults.
-func checkApprox(epsilon, recallTarget *float64) error {
-	if epsilon != nil {
-		e := *epsilon
-		if math.IsNaN(e) || e < 0 || e > maxEpsilon {
-			return fmt.Errorf("wire: epsilon %v outside [0, %g]", e, float64(maxEpsilon))
-		}
+// checkEpsilon validates the optional approximate-tier knob of a
+// request: a present epsilon must be finite, ≥ 0, and ≤ 1e6. An absent
+// (nil) knob is valid — the server fills it from the index default.
+func checkEpsilon(epsilon *float64) error {
+	if epsilon == nil {
+		return nil
 	}
-	if recallTarget != nil {
-		rt := *recallTarget
-		if math.IsNaN(rt) || rt < 0 || rt > 1 {
-			return fmt.Errorf("wire: recall_target %v outside [0, 1]", rt)
-		}
+	if e := *epsilon; math.IsNaN(e) || e < 0 || e > maxEpsilon {
+		return fmt.Errorf("wire: epsilon %v outside [0, %g]", e, float64(maxEpsilon))
 	}
 	return nil
 }
@@ -334,7 +323,7 @@ func DecodeKNN(data []byte, dim int) (KNNRequest, error) {
 	if req.K < 1 {
 		return KNNRequest{}, fmt.Errorf("wire: k = %d, want >= 1", req.K)
 	}
-	if err := checkApprox(req.Epsilon, req.RecallTarget); err != nil {
+	if err := checkEpsilon(req.Epsilon); err != nil {
 		return KNNRequest{}, err
 	}
 	if err := checkBound(req.Bound); err != nil {
@@ -424,7 +413,7 @@ func DecodeBatch(data []byte, dim, maxQueries int) (BatchRequest, error) {
 	if req.K < 1 {
 		return BatchRequest{}, fmt.Errorf("wire: k = %d, want >= 1", req.K)
 	}
-	if err := checkApprox(req.Epsilon, req.RecallTarget); err != nil {
+	if err := checkEpsilon(req.Epsilon); err != nil {
 		return BatchRequest{}, err
 	}
 	if err := checkBound(req.Bound); err != nil {

@@ -31,43 +31,37 @@ func TestDecodeKNN(t *testing.T) {
 }
 
 func TestDecodeApproxKnobs(t *testing.T) {
-	// Knobs present and in range decode to set pointers; absent knobs
-	// stay nil so the server can distinguish "omitted" (index default)
-	// from an explicit zero.
-	req, err := DecodeKNN([]byte(`{"query":[0.1,0.2,0.3],"k":5,"epsilon":0.5,"recall_target":0.9}`), 3)
+	// A knob present and in range decodes to a set pointer; an absent
+	// knob stays nil so the server can distinguish "omitted" (index
+	// default) from an explicit zero.
+	req, err := DecodeKNN([]byte(`{"query":[0.1,0.2,0.3],"k":5,"epsilon":0.5}`), 3)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if req.Epsilon == nil || *req.Epsilon != 0.5 {
 		t.Fatalf("epsilon decoded as %v", req.Epsilon)
 	}
-	if req.RecallTarget == nil || *req.RecallTarget != 0.9 {
-		t.Fatalf("recall_target decoded as %v", req.RecallTarget)
-	}
 	plain, err := DecodeKNN([]byte(`{"query":[0.1,0.2,0.3],"k":5}`), 3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if plain.Epsilon != nil || plain.RecallTarget != nil {
-		t.Fatalf("absent knobs decoded non-nil: %+v", plain)
+	if plain.Epsilon != nil {
+		t.Fatalf("absent knob decoded non-nil: %+v", plain)
 	}
-	// Explicit zeros are valid (exact search) and distinct from nil.
-	zero, err := DecodeKNN([]byte(`{"query":[0.1,0.2,0.3],"k":5,"epsilon":0,"recall_target":1}`), 3)
+	// An explicit zero is valid (exact search) and distinct from nil.
+	zero, err := DecodeKNN([]byte(`{"query":[0.1,0.2,0.3],"k":5,"epsilon":0}`), 3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if zero.Epsilon == nil || *zero.Epsilon != 0 || zero.RecallTarget == nil || *zero.RecallTarget != 1 {
-		t.Fatalf("explicit exact knobs decoded as %+v", zero)
+	if zero.Epsilon == nil || *zero.Epsilon != 0 {
+		t.Fatalf("explicit exact knob decoded as %+v", zero)
 	}
 
 	bad := []string{
-		`{"query":[0.1,0.2,0.3],"k":5,"epsilon":-0.1}`,        // negative ε
-		`{"query":[0.1,0.2,0.3],"k":5,"epsilon":1e7}`,         // past the 1e6 cap
-		`{"query":[0.1,0.2,0.3],"k":5,"epsilon":1e999}`,       // overflows to +Inf
-		`{"query":[0.1,0.2,0.3],"k":5,"epsilon":"NaN"}`,       // non-numeric
-		`{"query":[0.1,0.2,0.3],"k":5,"recall_target":-0.5}`,  // negative target
-		`{"query":[0.1,0.2,0.3],"k":5,"recall_target":1.5}`,   // > 1
-		`{"query":[0.1,0.2,0.3],"k":5,"recall_target":1e999}`, // overflow
+		`{"query":[0.1,0.2,0.3],"k":5,"epsilon":-0.1}`,  // negative ε
+		`{"query":[0.1,0.2,0.3],"k":5,"epsilon":1e7}`,   // past the 1e6 cap
+		`{"query":[0.1,0.2,0.3],"k":5,"epsilon":1e999}`, // overflows to +Inf
+		`{"query":[0.1,0.2,0.3],"k":5,"epsilon":"NaN"}`, // non-numeric
 	}
 	for _, body := range bad {
 		if _, err := DecodeKNN([]byte(body), 3); err == nil {
@@ -188,6 +182,30 @@ func TestDecodeForwardCompat(t *testing.T) {
 	}
 	if req.K != 5 || req.Bound != nil || req.Shard != nil {
 		t.Fatalf("unknown fields bled into request: %+v", req)
+	}
+	// recall_target was a knob once (the deleted LSH pre-filter's probe
+	// cap, range-checked to [0, 1]); it is an unknown field now. Whatever
+	// an old client puts there — in range, out of range, another JSON
+	// type, null — decodes and is ignored, and the epsilon beside it is
+	// still honoured and still range-checked.
+	for _, rt := range []string{`0.9`, `7`, `"x"`, `null`} {
+		knn := `{"query":[0.1,0.2,0.3],"k":5,"epsilon":0.25,"recall_target":` + rt + `}`
+		req, err := DecodeKNN([]byte(knn), 3)
+		if err != nil {
+			t.Fatalf("DecodeKNN(%s): %v", knn, err)
+		}
+		if req.K != 5 || len(req.Query) != 3 || req.Bound != nil || req.Shard != nil ||
+			req.Epsilon == nil || *req.Epsilon != 0.25 {
+			t.Errorf("DecodeKNN(%s) = %+v, want only query, k and epsilon 0.25", knn, req)
+		}
+		batch := `{"queries":[[0.1,0.2,0.3]],"k":5,"epsilon":0.25,"recall_target":` + rt + `}`
+		if breq, err := DecodeBatch([]byte(batch), 3, 0); err != nil || breq.Epsilon == nil || *breq.Epsilon != 0.25 {
+			t.Errorf("DecodeBatch(%s) = %+v, %v, want epsilon 0.25", batch, breq, err)
+		}
+		refused := `{"query":[0.1,0.2,0.3],"k":5,"epsilon":-1,"recall_target":` + rt + `}`
+		if _, err := DecodeKNN([]byte(refused), 3); err == nil {
+			t.Errorf("DecodeKNN(%s) accepted a negative epsilon", refused)
+		}
 	}
 	for op, body := range map[string]string{
 		OpRange:        `{"min":[0,0,0],"max":[1,1,1],"future_knob":1}`,

@@ -63,8 +63,9 @@ func (t *Tree) PointSearch(p vec.Point) []Entry {
 }
 
 // Leaves returns all leaf nodes in depth-first order. It allocates the
-// whole list and touches every leaf, so it is for build-time callers and
-// tests; a query enumerates the leaves it must read with HitLeaves.
+// whole list and touches every leaf; nothing in the engine calls it. It
+// is the tests' reference enumeration — what HitLeaves, with which a
+// query enumerates the leaves it must read, is checked against.
 func (t *Tree) Leaves() []*Node {
 	var out []*Node
 	var walk func(n *Node)

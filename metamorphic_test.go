@@ -290,21 +290,20 @@ func TestMetamorphicIncrementalEqualsRebuild(t *testing.T) {
 }
 
 // TestMetamorphicApproxZeroIsExact is the approximate tier's
-// metamorphic anchor: on an LSH-equipped index, ε=0 / recall_target=1
-// is byte-identical to plain KNN — which the relations above pin to
-// the linear scan — for any disk count, replication setting, and the
-// batch path. Composed with TestMetamorphicDiskCountInvariance this
+// metamorphic anchor: ε=0 is byte-identical to plain KNN — which the
+// relations above pin to the linear scan — for any disk count,
+// replication setting, and the batch path. Composed with TestMetamorphicDiskCountInvariance this
 // makes the zero-knob approximate path layout-invariant too.
 func TestMetamorphicApproxZeroIsExact(t *testing.T) {
 	const dim, n, k = 5, 700, 7
-	zero := Approx{Epsilon: 0, RecallTarget: 1}
+	zero := Approx{Epsilon: 0}
 	for _, rv := range replicationVariants {
 		t.Run(rv.name, func(t *testing.T) {
 			pts := uniformPoints(n, dim, 81)
 			queries := data.Uniform(5, dim, 82)
 			for _, disks := range []int{2, 5, 16} {
 				ix := buildFrom(t, Options{Dim: dim, Disks: disks,
-					Replication: rv.value, LSH: true}, pts)
+					Replication: rv.value}, pts)
 				for qi, q := range queries {
 					want, _, err := ix.KNN(q, k)
 					if err != nil {
@@ -317,7 +316,7 @@ func TestMetamorphicApproxZeroIsExact(t *testing.T) {
 					if !reflect.DeepEqual(got, want) {
 						t.Fatalf("disks=%d query %d: zero-knob approx differs from exact", disks, qi)
 					}
-					if stats.PagesSkippedApprox != 0 || stats.ProbePages != 0 || stats.EffectiveEpsilon != 0 {
+					if stats.PagesSkippedApprox != 0 || stats.EffectiveEpsilon != 0 {
 						t.Fatalf("disks=%d query %d: zero-knob approx reported activity: %+v",
 							disks, qi, stats)
 					}
@@ -333,7 +332,7 @@ func TestMetamorphicApproxZeroIsExact(t *testing.T) {
 				if !reflect.DeepEqual(gotB, wantB) {
 					t.Fatalf("disks=%d: zero-knob batch differs from exact batch", disks)
 				}
-				if bs.PagesSkippedApprox != 0 || bs.ProbePages != 0 {
+				if bs.PagesSkippedApprox != 0 {
 					t.Fatalf("disks=%d: zero-knob batch reported approx activity: %+v", disks, bs)
 				}
 			}

@@ -43,7 +43,6 @@ import (
 	"parsearch/internal/core"
 	"parsearch/internal/disk"
 	"parsearch/internal/fsx"
-	"parsearch/internal/lsh"
 	"parsearch/internal/metrics"
 	"parsearch/internal/vec"
 	"parsearch/internal/wal"
@@ -202,17 +201,6 @@ type Options struct {
 	// knob. Per-query overrides: KNNApprox / BatchKNNApprox and the
 	// wire "epsilon" field. Must be finite, ≥ 0, and ≤ 1e6.
 	Epsilon float64
-	// RecallTarget is the default probe budget of the LSH pre-filter,
-	// in (0, 1]: each shard admits ceil(RecallTarget·L) of its L leaf
-	// pages, Hamming-ranked by the query's LSH signature. 0 (the
-	// default) and 1 disable the cap. Only effective with LSH.
-	RecallTarget float64
-	// LSH builds a multi-probe LSH pre-filter over every shard's leaf
-	// pages at Build/Reorganize time (random-hyperplane signatures;
-	// see internal/lsh). The filter orders and caps leaf visits under
-	// RecallTarget; with RecallTarget 0/1 it is built but never
-	// filters, so results stay exact.
-	LSH bool
 
 	// Durable arms the durability subsystem: every Insert and Delete
 	// is appended to a write-ahead log in Dir before it returns, and
@@ -358,13 +346,8 @@ type QueryStats struct {
 	// PagesSkippedApprox is the number of search pages the approximate
 	// tier skipped: the still-reachable priority queue at ε-termination
 	// (a lower bound on the avoided work — pages under unexpanded
-	// directory nodes are not counted) plus every leaf page the LSH
-	// pre-filter rejected. Always 0 on exact queries.
+	// directory nodes are not counted). Always 0 on exact queries.
 	PagesSkippedApprox int
-	// ProbePages is the number of leaf pages the LSH pre-filter
-	// admitted once the candidate set was full. 0 without an effective
-	// recall target.
-	ProbePages int
 	// EffectiveEpsilon is the ε that governed this query's termination
 	// (the per-query override, or Options.Epsilon). 0 on exact queries.
 	EffectiveEpsilon float64
@@ -379,11 +362,6 @@ type Approx struct {
 	// within a factor (1+Epsilon) of the exact answer. Must be finite,
 	// ≥ 0, and ≤ 1e6; 0 keeps the traversal exact.
 	Epsilon float64
-	// RecallTarget caps the LSH probe fraction, in (0, 1]; 0 and 1
-	// disable the cap. Ignored unless the index was opened with
-	// Options.LSH (without the filter there is nothing to cap, and the
-	// search stays exact).
-	RecallTarget float64
 	// Bound makes the query a k-NN within distance Bound, in metric
 	// space: the answer is the k nearest points at distance ≤ Bound, so
 	// it holds fewer than k results — or none, without error — when the
@@ -408,9 +386,6 @@ const maxEpsilon = 1e6
 func (a Approx) validate() error {
 	if math.IsNaN(a.Epsilon) || a.Epsilon < 0 || a.Epsilon > maxEpsilon {
 		return fmt.Errorf("parsearch: epsilon %v outside [0, %g]", a.Epsilon, maxEpsilon)
-	}
-	if math.IsNaN(a.RecallTarget) || a.RecallTarget < 0 || a.RecallTarget > 1 {
-		return fmt.Errorf("parsearch: recall target %v outside [0, 1]", a.RecallTarget)
 	}
 	if math.IsNaN(a.Bound) || math.IsInf(a.Bound, 0) || a.Bound < 0 {
 		return fmt.Errorf("parsearch: bound %v, want a finite distance >= 0", a.Bound)
@@ -482,11 +457,11 @@ func (s ShardSpec) mask(disks int) []bool {
 	return sel
 }
 
-// ApproxDefaults returns the index-level approximate-search defaults
-// (Options.Epsilon / Options.RecallTarget): what KNN and BatchKNN run
-// with, and what the server fills into requests that omit the knobs.
+// ApproxDefaults returns the index-level approximate-search default
+// (Options.Epsilon): what KNN and BatchKNN run with, and what the
+// server fills into requests that omit the knob.
 func (ix *Index) ApproxDefaults() Approx {
-	return Approx{Epsilon: ix.opts.Epsilon, RecallTarget: ix.opts.RecallTarget}
+	return Approx{Epsilon: ix.opts.Epsilon}
 }
 
 // cellInfo is one storage cell: a quadrant (or recursive sub-quadrant)
@@ -500,21 +475,10 @@ type cellInfo struct {
 // shard is one disk's partition of the index: the disk's X-tree plus the
 // read-write mutex that serializes structural tree mutation against
 // concurrent query traversals. Queries on different disks never contend.
-// probe is the shard's multi-probe LSH pre-filter (nil without
-// Options.LSH): immutable, rebuilt with the tree at Build/Reorganize;
-// leaves created by later mutations are absent from it and always
-// admitted, so a stale filter only grows more permissive.
 type shard struct {
-	mu    sync.RWMutex
-	tree  *xtree.Tree
-	probe *lsh.Filter
+	mu   sync.RWMutex
+	tree *xtree.Tree
 }
-
-// lshSeed derives every shard's LSH hyperplane family. One fixed seed
-// keeps the ranking deterministic across rebuilds, and makes a replica
-// tree (same pages as its primary) rank identically to the primary, so
-// rerouted queries probe the same data.
-const lshSeed int64 = 0x1547
 
 // state is the derived index structure — everything Build computes from
 // the stored vectors: the bucketing, the declustering assignment, the
@@ -658,7 +622,7 @@ func open(opts Options) (*Index, error) {
 	if opts.Quantize && !opts.Packed {
 		return nil, fmt.Errorf("parsearch: Quantize requires Packed")
 	}
-	if err := (Approx{Epsilon: opts.Epsilon, RecallTarget: opts.RecallTarget}).validate(); err != nil {
+	if err := (Approx{Epsilon: opts.Epsilon}).validate(); err != nil {
 		return nil, err
 	}
 	params := disk.DefaultParams()

@@ -53,9 +53,8 @@ func (ix *Index) KNNContext(ctx context.Context, q []float64, k int) ([]Neighbor
 
 // KNNApprox is KNN with per-query approximate-search knobs, overriding
 // the index defaults: the returned k-th distance is at most
-// (1+a.Epsilon) times the exact one, and with Options.LSH the probe
-// fraction is capped at a.RecallTarget. A zero Approx is an exact
-// query regardless of the index defaults.
+// (1+a.Epsilon) times the exact one. A zero Approx is an exact query
+// regardless of the index defaults.
 func (ix *Index) KNNApprox(q []float64, k int, a Approx) ([]Neighbor, QueryStats, error) {
 	return ix.KNNApproxContext(context.Background(), q, k, a)
 }
@@ -161,7 +160,7 @@ func (r *run) knnItem(qr *query, q vec.Point, item int, qs *QueryStats) (merged 
 		return nil, 0, nil, err
 	}
 	r.visits.Add(sr.record(qs))
-	if sr.approx {
+	if sr.shrink < 1 {
 		r.sp.emit(TraceEvent{Stage: StageApprox, Disk: -1, Item: item, K: qr.k,
 			Epsilon: sr.eps, Pages: qs.PagesSkippedApprox})
 	}
@@ -251,15 +250,12 @@ type shardSearch struct {
 	item  int // batch item for trace events; -1 for single queries
 	bound *knn.Bound
 
-	// Approximate tier: shrink is the rank-space ε-termination factor (1
-	// disables), eps the ε behind it, recall the LSH probe fraction (1
-	// disables); approx reports whether either is armed. An exact query
-	// hands knn.HSApprox an exact spec, under which no relaxation can
-	// fire, so exact queries stay byte-identical.
+	// Approximate tier: shrink is the rank-space ε-termination factor and
+	// eps the ε behind it. The tier is armed iff shrink < 1; an exact
+	// query hands knn.HSApprox a shrink of 1, under which ε-termination
+	// cannot fire, so exact queries stay byte-identical.
 	shrink float64
 	eps    float64
-	recall float64
-	approx bool
 
 	disks []diskSearch
 }
@@ -273,15 +269,8 @@ type diskSearch struct {
 
 func newShardSearch(r *run, q vec.Point, k int, a Approx, item int) *shardSearch {
 	sr := &shardSearch{r: r, q: q, k: k, item: item,
-		shrink: knn.ShrinkFor(a.Epsilon, r.m), eps: a.Epsilon, recall: 1,
+		shrink: knn.ShrinkFor(a.Epsilon, r.m), eps: a.Epsilon,
 		bound: knn.NewBound(), disks: make([]diskSearch, len(r.routes))}
-	// The recall cap only takes effect on an index built with
-	// Options.LSH (without the filter there is nothing to order the
-	// probes by).
-	if r.ix.opts.LSH && a.RecallTarget > 0 && a.RecallTarget < 1 {
-		sr.recall = a.RecallTarget
-	}
-	sr.approx = sr.shrink < 1 || sr.recall < 1
 	// The externally shipped k-th-distance bound of a.Bound seeds the
 	// shared bound — the receiving half of the cross-network bound
 	// protocol. The rank-space seed is rounded up to the whole metric
@@ -310,12 +299,8 @@ func (sr *shardSearch) search(d int) {
 	if r.sp.on() {
 		onTighten = func(sq float64) { tighs = append(tighs, sq) }
 	}
-	spec := knn.ApproxSpec{Shrink: sr.shrink}
 	sh.mu.RLock()
-	if sr.recall < 1 && sh.probe != nil {
-		spec.Probe = sh.probe.Admit(sr.q, sr.recall)
-	}
-	slot.local, slot.acc, slot.stats = knn.HSApprox(sh.tree, sr.q, sr.k, r.m, spec, sr.bound, onTighten)
+	slot.local, slot.acc, slot.stats = knn.HSApprox(sh.tree, sr.q, sr.k, r.m, sr.shrink, sr.bound, onTighten)
 	sh.mu.RUnlock()
 	for _, sq := range tighs {
 		r.sp.emit(TraceEvent{Stage: StageBoundTightened, Disk: d, Item: sr.item, K: sr.k,
@@ -340,9 +325,8 @@ func (sr *shardSearch) record(qs *QueryStats) (nodeVisits int64) {
 		qs.BoundTightenings += s.stats.Tightened
 		qs.PagesSavedByRemoteBound += s.stats.RemotePages
 		qs.PagesSkippedApprox += s.stats.SkippedPages
-		qs.ProbePages += s.stats.ProbedPages
 	}
-	if sr.approx {
+	if sr.shrink < 1 {
 		qs.EffectiveEpsilon = sr.eps
 	}
 	return nodeVisits

@@ -2,19 +2,18 @@ package parsearch
 
 // The statistical recall battery for the approximate tier: seeded,
 // deterministic inputs measured against a brute-force linear scan.
-// Approximation changes *which* pages a query visits (the ε check and
-// the LSH filter both compose with the timing-dependent shared bound),
-// so individual page counts are not pinned; what the battery pins is
-// the contract:
+// Approximation changes *which* pages a query visits (the ε check
+// composes with the timing-dependent shared bound), so individual page
+// counts are not pinned; what the battery pins is the contract:
 //
-//   - ε=0 with no LSH routes through the exact path and is byte-for-
-//     byte identical to KNN, stats included.
+//   - ε=0 routes through the exact path and is byte-for-byte identical
+//     to KNN, stats included.
 //   - Every neighbor an ε-query returns is within (1+ε) of the true
 //     kth distance — the termination guarantee, which holds regardless
 //     of scheduling.
 //   - Mean recall stays above the documented floor for each knob.
 //   - PagesSkippedApprox is nonzero where the tier claims a win, so
-//     the knobs are proven non-vacuous, not just non-wrong.
+//     the knob is proven non-vacuous, not just non-wrong.
 
 import (
 	"fmt"
@@ -113,8 +112,7 @@ func TestApproxRecallBattery(t *testing.T) {
 								if !reflect.DeepEqual(res, exact) {
 									t.Fatalf("query %d: ε=0 results differ from exact KNN", qi)
 								}
-								if stats.PagesSkippedApprox != 0 || stats.EffectiveEpsilon != 0 ||
-									stats.ProbePages != 0 {
+								if stats.PagesSkippedApprox != 0 || stats.EffectiveEpsilon != 0 {
 									t.Fatalf("query %d: ε=0 reported approx activity: %+v", qi, stats)
 								}
 								if exactStats.PagesSkippedApprox != 0 || exactStats.EffectiveEpsilon != 0 {
@@ -157,88 +155,6 @@ func TestApproxRecallBattery(t *testing.T) {
 	}
 }
 
-// TestLSHRecallBattery measures the multi-probe pre-filter:
-// recall_target=1 must be byte-identical to exact search even with the
-// filter built, and the capped targets must hold their recall floor
-// while actually rejecting leaves.
-func TestLSHRecallBattery(t *testing.T) {
-	const dim, disks, n, k, nq = 6, 4, 2500, 10, 40
-	pts := uniformPoints(n, dim, 103)
-	truth := make(map[int][]float64, n)
-	for id, p := range pts {
-		truth[id] = p
-	}
-	queries := data.Uniform(nq, dim, 104)
-	m, err := Euclidean.vecMetric()
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	// wantSkip asserts actual leaf rejections. The 0.9 target often
-	// rejects nothing at this scale — the MINDIST-ordered traversal
-	// rarely reaches the 10% most Hamming-distant leaves anyway — so
-	// only the aggressive cap must prove rejections; the mild cap must
-	// still prove the filter was consulted (ProbePages > 0).
-	targets := []struct {
-		target   float64
-		floor    float64
-		wantSkip bool
-	}{
-		{1.0, 1.0, false},
-		{0.9, 0.90, false},
-		{0.5, 0.70, true},
-	}
-	for _, rv := range replicationVariants {
-		for _, packed := range []bool{false, true} {
-			opts := Options{Dim: dim, Disks: disks, Replication: rv.value,
-				PageSize: 256, LSH: true, Packed: packed}
-			ix := buildFrom(t, opts, pts)
-
-			for _, tc := range targets {
-				t.Run(fmt.Sprintf("%s/packed=%v/target=%v", rv.name, packed, tc.target), func(t *testing.T) {
-					var recallSum float64
-					skipped, probed := 0, 0
-					for qi, q := range queries {
-						res, stats, err := ix.KNNApprox(q, k, Approx{RecallTarget: tc.target})
-						if err != nil {
-							t.Fatal(err)
-						}
-						if len(res) != k {
-							t.Fatalf("query %d: %d neighbors, want %d", qi, len(res), k)
-						}
-						if tc.target == 1 {
-							exact, _, err := ix.KNN(q, k)
-							if err != nil {
-								t.Fatal(err)
-							}
-							if !reflect.DeepEqual(res, exact) {
-								t.Fatalf("query %d: recall_target=1 differs from exact KNN", qi)
-							}
-							if stats.PagesSkippedApprox != 0 || stats.ProbePages != 0 {
-								t.Fatalf("query %d: recall_target=1 reported filter activity: %+v", qi, stats)
-							}
-						}
-						skipped += stats.PagesSkippedApprox
-						probed += stats.ProbePages
-						recallSum += recallOf(res, linearScanKNN(truth, q, k, m))
-					}
-					mean := recallSum / float64(len(queries))
-					if mean < tc.floor {
-						t.Errorf("mean recall %.3f below floor %.2f", mean, tc.floor)
-					}
-					if tc.wantSkip && skipped <= 0 {
-						t.Errorf("target %v rejected no pages over %d queries — the filter is vacuous",
-							tc.target, nq)
-					}
-					if tc.target < 1 && probed <= 0 {
-						t.Errorf("target %v probed no pages — LSH admission never consulted", tc.target)
-					}
-				})
-			}
-		}
-	}
-}
-
 // TestApproxOptionsDefaults pins the index-level knobs: Options.Epsilon
 // applies to plain KNN/BatchKNN, a per-query Approx overrides it, and
 // invalid knobs are rejected at Open.
@@ -275,15 +191,13 @@ func TestApproxOptionsDefaults(t *testing.T) {
 	for _, bad := range []Options{
 		{Dim: dim, Disks: disks, Epsilon: -0.5},
 		{Dim: dim, Disks: disks, Epsilon: 2e6},
-		{Dim: dim, Disks: disks, RecallTarget: -0.1},
-		{Dim: dim, Disks: disks, RecallTarget: 1.5},
 	} {
 		if _, err := Open(bad); err == nil {
 			t.Errorf("Open accepted invalid approx knobs %+v", bad)
 		}
 	}
 	for _, bad := range []Approx{
-		{Epsilon: -1}, {Epsilon: 2e6}, {RecallTarget: -0.1}, {RecallTarget: 2},
+		{Epsilon: -1}, {Epsilon: 2e6},
 	} {
 		if _, _, err := ix.KNNApprox(q, k, bad); err == nil {
 			t.Errorf("KNNApprox accepted invalid knobs %+v", bad)

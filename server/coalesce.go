@@ -35,12 +35,11 @@ type coalesceResult struct {
 }
 
 // groupKey identifies one coalescing group: requests share a batch only
-// with the same k AND the same resolved approximate-tier knobs (the knobs
-// apply batch-wide; mixing them would change a request's recall contract).
+// with the same k AND the same resolved ε (it applies batch-wide; mixing
+// values would change a request's recall contract).
 type groupKey struct {
-	k            int
-	epsilon      float64
-	recallTarget float64
+	k       int
+	epsilon float64
 }
 
 // group is one batch: a leader alone, or the queue behind a running
@@ -70,7 +69,7 @@ func newCoalescer(ix *parsearch.Index, cfg Config, stats *serverStats) *coalesce
 // submit answers one KNN request by the batch it leads or joins (stats: its
 // PerQuery share), or by ctx's error when that comes first.
 func (c *coalescer) submit(ctx context.Context, q []float64, k int, a parsearch.Approx) (res coalesceResult) {
-	key := groupKey{k: k, epsilon: a.Epsilon, recallTarget: a.RecallTarget}
+	key := groupKey{k: k, epsilon: a.Epsilon}
 	ch := make(chan coalesceResult, 1)
 	c.mu.Lock()
 	g, busy := c.busy[key]
@@ -136,7 +135,7 @@ func (c *coalescer) run(ctx context.Context, g *group, key groupKey) {
 		cancel()
 	}
 	c.mu.Unlock()
-	a := parsearch.Approx{Epsilon: key.epsilon, RecallTarget: key.recallTarget}
+	a := parsearch.Approx{Epsilon: key.epsilon}
 	results, bs, err := c.ix.BatchKNNApproxContext(ctx, g.queries, key.k, a)
 	for i, ch := range g.waiters {
 		if err != nil {

@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"slices"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -384,8 +385,35 @@ func TestCoalescerKeyIsolation(t *testing.T) {
 	if st := f.srv.Stats(); st.CoalescedBatches != 3 || st.CoalescedQueries != 3 {
 		t.Errorf("%d queries in %d batches, want three searches of one", st.CoalescedQueries, st.CoalescedBatches)
 	}
+	// recall_target is no part of the key: it is an unknown field since the
+	// LSH pre-filter went, so two old-client requests that differ only in
+	// it queue behind the held search of their k and share one batch.
+	var old sync.WaitGroup
+	for _, rt := range []string{"0.5", "0.9"} {
+		old.Add(1)
+		go func() {
+			defer old.Done()
+			body := fmt.Sprintf(`{"query":%s,"k":%d,"recall_target":%s}`, asJSON(t, randQuery(dim, 3)), k, rt)
+			resp, err := http.Post(f.url+"/v1/knn", "application/json", strings.NewReader(body))
+			if err != nil {
+				t.Errorf("recall_target %s: %v", rt, err)
+				return
+			}
+			defer resp.Body.Close()
+			var got struct{ Neighbors []json.RawMessage }
+			if err := json.NewDecoder(resp.Body).Decode(&got); err != nil || resp.StatusCode != http.StatusOK || len(got.Neighbors) != k {
+				t.Errorf("recall_target %s: status %d, %d neighbors, %v", rt, resp.StatusCode, len(got.Neighbors), err)
+			}
+		}()
+	}
+	waitQueued(t, f.coal, groupKey{k: k}, 2)
 	f.leader.open()
 	f.waitLeader()
+	old.Wait()
+	if st := f.srv.Stats(); st.CoalescedBatches != 4 || st.CoalescedQueries != 5 || st.MaxCoalescedBatch != 2 {
+		t.Errorf("%d queries in %d batches, largest %d; want the two recall_target requests in one batch of two",
+			st.CoalescedQueries, st.CoalescedBatches, st.MaxCoalescedBatch)
+	}
 	waitIdle(t, f.coal)
 }
 

@@ -173,8 +173,10 @@ func TestBadRequests(t *testing.T) {
 			{"/v1/knn", `{"query":[0.1,0.2,0.3,0.4],"k":1,"epsilon":-0.5}`},
 			{"/v1/knn", `{"query":[0.1,0.2,0.3,0.4],"k":1,"epsilon":1e7}`},
 			{"/v1/knn", `{"query":[0.1,0.2,0.3,0.4],"k":1,"epsilon":1e999}`},
-			{"/v1/knn", `{"query":[0.1,0.2,0.3,0.4],"k":1,"recall_target":1.5}`},
-			{"/v1/batch", `{"queries":[[0.1,0.2,0.3,0.4]],"k":1,"recall_target":-1}`},
+			// The retired recall_target is an unknown field: it neither
+			// rescues nor replaces the epsilon check beside it.
+			{"/v1/knn", `{"query":[0.1,0.2,0.3,0.4],"k":1,"recall_target":0.9,"epsilon":-0.5}`},
+			{"/v1/batch", `{"queries":[[0.1,0.2,0.3,0.4]],"k":1,"recall_target":"x","epsilon":1e7}`},
 			// Refused behind the seam: more groups than the index has
 			// disks, and a coordinator takes no shard field at all.
 			{"/v1/knn", `{"query":[0.1,0.2,0.3,0.4],"k":1,"shard":{"of":9,"groups":[0]}}`},
@@ -182,6 +184,16 @@ func TestBadRequests(t *testing.T) {
 		for _, c := range cases {
 			if status, code := postStatus(t, url+c.path, c.body); status != http.StatusBadRequest || code != "bad_request" {
 				t.Errorf("POST %s %q: status %d code %s, want 400 bad_request", c.path, c.body, status, code)
+			}
+		}
+		// Forward compatibility: what an old client sent as recall_target
+		// — in or out of its old range — is answered, not refused.
+		for _, c := range []struct{ path, body string }{
+			{"/v1/knn", `{"query":[0.1,0.2,0.3,0.4],"k":1,"recall_target":1.5}`},
+			{"/v1/batch", `{"queries":[[0.1,0.2,0.3,0.4]],"k":1,"recall_target":-1}`},
+		} {
+			if status, _ := postStatus(t, url+c.path, c.body); status != http.StatusOK {
+				t.Errorf("POST %s %q: status %d, want 200 (recall_target is an ignored unknown field)", c.path, c.body, status)
 			}
 		}
 		big := `{"query":[0.1,0.2,0.3,0.4],"k":1,"pad":"` + strings.Repeat("x", 512) + `"}`

@@ -175,11 +175,11 @@ type Stats struct {
 }
 
 // QueryOpts are the optional wire fields a query request may carry.
-// Epsilon and RecallTarget are the client's approximate-tier knobs;
-// Bound and Shard are what a coordinator ships to a shard.
+// Epsilon is the client's approximate-tier knob; Bound and Shard are
+// what a coordinator ships to a shard.
 type QueryOpts struct {
-	Epsilon, RecallTarget, Bound *float64
-	Shard                        *wire.ShardSpec
+	Epsilon, Bound *float64
+	Shard          *wire.ShardSpec
 }
 
 // Approx overlays the knobs the request carries on base, the backend's
@@ -187,9 +187,6 @@ type QueryOpts struct {
 func (o QueryOpts) Approx(base parsearch.Approx) parsearch.Approx {
 	if o.Epsilon != nil {
 		base.Epsilon = *o.Epsilon
-	}
-	if o.RecallTarget != nil {
-		base.RecallTarget = *o.RecallTarget
 	}
 	if o.Bound != nil {
 		base.Bound = *o.Bound
@@ -525,7 +522,7 @@ func (s *Server) handleKNN(w http.ResponseWriter, r *http.Request) {
 		if err != nil {
 			return nil, err
 		}
-		o := QueryOpts{Epsilon: req.Epsilon, RecallTarget: req.RecallTarget, Bound: req.Bound, Shard: req.Shard}
+		o := QueryOpts{Epsilon: req.Epsilon, Bound: req.Bound, Shard: req.Shard}
 		return func(ctx context.Context) (responseBody, error) {
 			return queryResponse(s.sr.KNN(ctx, req.Query, req.K, o))
 		}, nil
@@ -570,7 +567,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		if err != nil {
 			return nil, err
 		}
-		o := QueryOpts{Epsilon: req.Epsilon, RecallTarget: req.RecallTarget, Bound: req.Bound, Shard: req.Shard}
+		o := QueryOpts{Epsilon: req.Epsilon, Bound: req.Bound, Shard: req.Shard}
 		return func(ctx context.Context) (responseBody, error) {
 			results, stats, err := s.sr.BatchKNN(ctx, req.Queries, req.K, o)
 			out := make([][]wire.Neighbor, len(results))

@@ -241,10 +241,10 @@ func TestPartialMatchAndBatchEndToEnd(t *testing.T) {
 	}
 }
 
-// TestServedApproxKnobs drives the approximate-tier knobs through the
-// full serving path: explicit exact knobs (ε=0, recall_target=1) must
-// round-trip byte-identically to a direct library call even through
-// the coalescer, and engaged knobs must serve full-length result sets.
+// TestServedApproxKnobs drives the approximate-tier knob through the
+// full serving path: an explicit exact knob (ε=0) must round-trip
+// byte-identically to a direct library call even through the coalescer,
+// and an engaged knob must serve full-length result sets.
 func TestServedApproxKnobs(t *testing.T) {
 	ix := testIndex(t, 4, 800, 4, 0)
 	srv, err := New(ix, Config{MaxBatch: 8})
@@ -261,7 +261,7 @@ func TestServedApproxKnobs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	served, err := cl.KNNApprox(ctx, q, 5, parsearch.Approx{Epsilon: 0, RecallTarget: 1})
+	served, err := cl.KNNApprox(ctx, q, 5, parsearch.Approx{Epsilon: 0})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -278,7 +278,7 @@ func TestServedApproxKnobs(t *testing.T) {
 	}
 
 	batch, err := cl.BatchKNNApprox(ctx, [][]float64{q, randQuery(4, 56)}, 3,
-		parsearch.Approx{Epsilon: 0.2, RecallTarget: 0.8})
+		parsearch.Approx{Epsilon: 0.2})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -227,15 +227,15 @@ func TestSharedBoundMonotonicity(t *testing.T) {
 }
 
 // TestApproxExactParityBattery extends the equivalence battery to the
-// approximate tier: with the knobs at their exact settings (ε=0,
-// recall_target=1) an LSH-equipped index must answer byte-identically
-// to plain KNN across every strategy × replication × failed-disk
-// configuration — results and deterministic stats both (the search
-// pages of the parallel fan-out are timing-dependent between
-// invocations, so the parity check leaves them out). And with
-// the knobs engaged, approximation composes with failure: the result
-// set is exactly as long as the exact path's over the same reachable
-// data, never silently shorter.
+// approximate tier: with the knob at its exact setting (ε=0) the
+// approximate entry point must answer byte-identically to plain KNN
+// across every strategy × replication × failed-disk configuration —
+// results and deterministic stats both (the search pages of the
+// parallel fan-out are timing-dependent between invocations, so the
+// parity check leaves them out). And with the knob engaged,
+// approximation composes with failure: the result set is exactly as
+// long as the exact path's over the same reachable data, never silently
+// shorter.
 func TestApproxExactParityBattery(t *testing.T) {
 	const d, n, disks = 6, 400, 5
 	pts := data.Uniform(n, d, 31)
@@ -250,7 +250,7 @@ func TestApproxExactParityBattery(t *testing.T) {
 			for _, fail := range []bool{false, true} {
 				label := fmt.Sprintf("%s/repl=%d/fail=%v", kind, repl, fail)
 				ix, err := Open(Options{Dim: d, Disks: disks, Kind: kind,
-					Replication: repl, LSH: true})
+					Replication: repl})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -266,7 +266,7 @@ func TestApproxExactParityBattery(t *testing.T) {
 					for qi, q := range queries {
 						ql := fmt.Sprintf("%s/k=%d/q=%d", label, k, qi)
 						resE, stE, errE := ix.KNN(q, k)
-						resA, stA, errA := ix.KNNApprox(q, k, Approx{Epsilon: 0, RecallTarget: 1})
+						resA, stA, errA := ix.KNNApprox(q, k, Approx{Epsilon: 0})
 						if !errors.Is(errA, errE) && !errors.Is(errE, errA) {
 							t.Fatalf("%s: errors differ: exact %v, approx-zero %v", ql, errE, errA)
 						}
@@ -274,7 +274,7 @@ func TestApproxExactParityBattery(t *testing.T) {
 							continue
 						}
 						if !reflect.DeepEqual(resA, resE) {
-							t.Fatalf("%s: ε=0/recall_target=1 results differ from exact", ql)
+							t.Fatalf("%s: ε=0 results differ from exact", ql)
 						}
 						if stA.TotalPages != stE.TotalPages || stA.MaxPages != stE.MaxPages ||
 							!reflect.DeepEqual(stA.PagesPerDisk, stE.PagesPerDisk) ||
@@ -282,16 +282,16 @@ func TestApproxExactParityBattery(t *testing.T) {
 							t.Fatalf("%s: deterministic stats differ:\nexact %+v\napprox %+v", ql, stE, stA)
 						}
 						for who, st := range map[string]QueryStats{"exact": stE, "approx-zero": stA} {
-							if st.PagesSkippedApprox != 0 || st.ProbePages != 0 || st.EffectiveEpsilon != 0 {
+							if st.PagesSkippedApprox != 0 || st.EffectiveEpsilon != 0 {
 								t.Fatalf("%s: %s path reported approx activity: %+v", ql, who, st)
 							}
 						}
 
-						// Knobs engaged under the same (possibly failed)
+						// Knob engaged under the same (possibly failed)
 						// configuration: exactly as many neighbors as the
 						// exact path found reachable — approximation may
 						// return different points, never fewer.
-						resX, stX, errX := ix.KNNApprox(q, k, Approx{Epsilon: 0.4, RecallTarget: 0.6})
+						resX, stX, errX := ix.KNNApprox(q, k, Approx{Epsilon: 0.4})
 						if errX != nil {
 							t.Fatalf("%s: approx query failed where exact succeeded: %v", ql, errX)
 						}

@@ -57,10 +57,9 @@ const (
 	StageReorg   = "reorganize"
 	StageCatchup = "catchup"
 	// StageApprox is emitted once per query that ran with the
-	// approximate tier armed (ε > 0 or an effective LSH recall cap),
-	// after the fan-out: Epsilon carries the governing ε, Pages the
-	// pages the approximation skipped (QueryStats.PagesSkippedApprox).
-	// Exact queries never emit it.
+	// approximate tier armed (ε > 0), after the fan-out: Epsilon
+	// carries the governing ε, Pages the pages the approximation skipped
+	// (QueryStats.PagesSkippedApprox). Exact queries never emit it.
 	StageApprox = "approx"
 )
 
@@ -312,16 +311,13 @@ func (ix *Index) recordCall(kind *metrics.Counter, batch disk.BatchResult, start
 }
 
 // recordApprox folds one query's approximate-tier statistics into the
-// registry. Exact queries (EffectiveEpsilon 0, nothing probed or
-// skipped) leave every approx metric untouched, so the exact path's
-// metrics stay identical to an engine without the tier.
+// registry. Exact queries (EffectiveEpsilon 0, so nothing skipped) leave
+// every approx metric untouched, so the exact path's metrics stay
+// identical to an engine without the tier.
 func (ix *Index) recordApprox(qs *QueryStats) {
-	if qs.EffectiveEpsilon == 0 && qs.ProbePages == 0 && qs.PagesSkippedApprox == 0 {
+	if qs.EffectiveEpsilon == 0 {
 		return
 	}
 	ix.reg.ApproxQueries.Inc()
 	ix.reg.PagesSkippedApprox.Add(int64(qs.PagesSkippedApprox))
-	if qs.ProbePages > 0 {
-		ix.reg.LSHProbePages.Observe(int64(qs.ProbePages))
-	}
 }
