@@ -253,7 +253,7 @@ func TestPinnedPageCounts(t *testing.T) {
 			[]int{119, 80, 218, 253, 163, 130, 196, 160},
 			[]int{35, 27, 60, 98, 69, 44, 57, 63},
 			[]int{16, 24, 18, 21, 21, 18, 21, 18, 34, 37, 40, 38, 37, 41, 34, 35}},
-		{"l1-sq8-rerouted", Options{Dim: 8, Disks: 16, Metric: Manhattan, Packed: true, Quantize: true, Replication: 1}, 2,
+		{"l1-packed-rerouted", Options{Dim: 8, Disks: 16, Metric: Manhattan, Packed: true, Replication: 1}, 2,
 			[]int{183, 147, 247, 261, 215, 189, 227, 214},
 			[]int{105, 83, 129, 179, 120, 95, 129, 134},
 			[]int{47, 52, 0, 94, 47, 47, 47, 47, 71, 72, 73, 77, 78, 75, 74, 73}},

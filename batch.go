@@ -20,8 +20,7 @@ type BatchStats struct {
 	// Queries is the batch size.
 	Queries int
 	// Workers is the size of the worker pool that processed the batch
-	// (Options.BatchWorkers, capped at the batch size; GOMAXPROCS when
-	// unset).
+	// (GOMAXPROCS, capped at the batch size).
 	Workers int
 	// PagesPerDisk is the total number of pages each disk read for the
 	// whole batch.
@@ -63,9 +62,6 @@ type BatchStats struct {
 	// BoundTightenings counts how often the batch's searches lowered
 	// their per-query shared bounds.
 	BoundTightenings int
-	// DistCompsSaved is the total number of exact distance computations
-	// the SQ8 pre-filter skipped across the batch (see QueryStats).
-	DistCompsSaved int
 	// PagesSkippedApprox totals the approximate tier's per-query counter
 	// across the batch (see QueryStats). 0 on exact batches.
 	PagesSkippedApprox int
@@ -79,10 +75,7 @@ type BatchStats struct {
 
 // batchWorkers returns the worker-pool size for a batch of n queries.
 func (ix *Index) batchWorkers(n int) int {
-	w := ix.opts.BatchWorkers
-	if w <= 0 {
-		w = runtime.GOMAXPROCS(0)
-	}
+	w := runtime.GOMAXPROCS(0)
 	if w > n {
 		w = n
 	}
@@ -159,9 +152,9 @@ func (ix *Index) ServiceDemands(queries [][]float64, k int) ([][]float64, error)
 }
 
 // BatchKNN answers many k-NN queries as one batch: a worker pool of
-// Options.BatchWorkers goroutines (default GOMAXPROCS) processes the
-// queries, each query still fanning out over all disks, and the I/O
-// phase charges every disk the union of its page reads across the batch.
+// GOMAXPROCS goroutines processes the queries, each query still fanning
+// out over all disks, and the I/O phase charges every disk the union of
+// its page reads across the batch.
 // The i-th result corresponds to queries[i]; BatchStats.PerQuery carries
 // each query's own cost accounting. Results and statistics are
 // deterministic for a given index state regardless of the worker count
@@ -286,7 +279,6 @@ func (ix *Index) runBatch(ctx context.Context, qr query) (_ [][]Neighbor, stats 
 		stats.PagesSavedByBound += perQuery[i].PagesSavedByBound
 		stats.PagesSavedByRemoteBound += perQuery[i].PagesSavedByRemoteBound
 		stats.BoundTightenings += perQuery[i].BoundTightenings
-		stats.DistCompsSaved += perQuery[i].DistCompsSaved
 		stats.PagesSkippedApprox += perQuery[i].PagesSkippedApprox
 		stats.Degraded = stats.Degraded || perQuery[i].Degraded
 	}

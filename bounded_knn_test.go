@@ -171,13 +171,13 @@ func TestKNNTiesOnKthDistance(t *testing.T) {
 	}
 	ctx := context.Background()
 	storage := []struct {
-		name             string
-		packed, quantize bool
-	}{{"float64", false, false}, {"packed", true, false}, {"sq8", true, true}}
+		name   string
+		packed bool
+	}{{"float64", false}, {"packed", true}}
 	for _, m := range []parsearch.Metric{parsearch.Euclidean, parsearch.Manhattan, parsearch.Maximum} {
 		for _, st := range storage {
 			t.Run(fmt.Sprintf("%s/%s", m, st.name), func(t *testing.T) {
-				opts := parsearch.Options{Dim: 3, Disks: disks, Metric: m, Packed: st.packed, Quantize: st.quantize}
+				opts := parsearch.Options{Dim: 3, Disks: disks, Metric: m, Packed: st.packed}
 				q, pts := tieWorkload(t, opts)
 				ix := buildIndex(t, opts, pts)
 				co := newCoordinator(t, opts, pts, groups)

@@ -64,7 +64,6 @@ func (ix *Index) treeConfig() xtree.Config {
 	cfg.LeafCapacity = xtree.LeafCapacityForPage(ix.opts.Dim, ix.opts.PageSize)
 	cfg.DirCapacity = xtree.DirCapacityForPage(ix.opts.Dim, ix.opts.PageSize)
 	cfg.Packed = ix.opts.Packed
-	cfg.Quantize = ix.opts.Quantize
 	return cfg
 }
 

@@ -96,7 +96,6 @@ func TestThreeProcessCluster(t *testing.T) {
 	common := []string{
 		"-listen", "127.0.0.1:0",
 		"-dim", fmt.Sprint(dim), "-disks", fmt.Sprint(disks),
-		"-no-coalesce",
 	}
 
 	// Leader: seeds the durable dataset.

@@ -53,7 +53,6 @@ type config struct {
 	seed     int64
 
 	maxBatch     int
-	noCoalesce   bool
 	maxInFlight  int
 	maxQueue     int
 	timeout      time.Duration
@@ -80,7 +79,6 @@ func parseFlags(args []string) (config, error) {
 	fs.StringVar(&c.strategy, "strategy", "near-optimal", "synthetic index: declustering strategy")
 	fs.Int64Var(&c.seed, "seed", 42, "synthetic index: data seed")
 	fs.IntVar(&c.maxBatch, "max-batch", 16, "max coalesced batch size")
-	fs.BoolVar(&c.noCoalesce, "no-coalesce", false, "disable KNN request coalescing")
 	fs.IntVar(&c.maxInFlight, "max-in-flight", 64, "admission: max concurrent requests")
 	fs.IntVar(&c.maxQueue, "max-queue", 128, "admission: max queued requests (excess gets 429)")
 	fs.DurationVar(&c.timeout, "timeout", 10*time.Second, "default per-request deadline")
@@ -203,12 +201,11 @@ func run(ctx context.Context, c config, ready chan<- string) error {
 		}
 	}
 	srv, err := server.New(ix, server.Config{
-		MaxBatch:          c.maxBatch,
-		DisableCoalescing: c.noCoalesce,
-		MaxInFlight:       c.maxInFlight,
-		MaxQueue:          c.maxQueue,
-		DefaultTimeout:    c.timeout,
-		ExpvarName:        "parsearch",
+		MaxBatch:       c.maxBatch,
+		MaxInFlight:    c.maxInFlight,
+		MaxQueue:       c.maxQueue,
+		DefaultTimeout: c.timeout,
+		ExpvarName:     "parsearch",
 	})
 	if err != nil {
 		return err

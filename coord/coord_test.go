@@ -576,10 +576,9 @@ func TestCoordServerEndToEnd(t *testing.T) {
 			} `json:"shards"`
 		} `json:"cluster"`
 		Serving struct {
-			MaxQueue          int     `json:"max_queue"`
-			DefaultTimeoutMs  float64 `json:"default_timeout_ms"`
-			CoalescingEnabled bool    `json:"coalescing_enabled"`
-			Stats             struct {
+			MaxQueue         int     `json:"max_queue"`
+			DefaultTimeoutMs float64 `json:"default_timeout_ms"`
+			Stats            struct {
 				Requests int64 `json:"requests"`
 			} `json:"stats"`
 		} `json:"serving"`
@@ -597,10 +596,9 @@ func TestCoordServerEndToEnd(t *testing.T) {
 	if doc.Metrics.ShardRPCs < 1 {
 		t.Errorf("statusz shard_rpcs = %d, want >= 1", doc.Metrics.ShardRPCs)
 	}
-	// The serving block is the shard daemon's, with its defaults; the
-	// coordinator never coalesces.
-	if sv := doc.Serving; sv.MaxQueue != 128 || sv.DefaultTimeoutMs != 10000 || sv.CoalescingEnabled || sv.Stats.Requests < 1 {
-		t.Errorf("statusz serving block %+v, want max_queue 128, 10s timeout, no coalescing, >= 1 request", sv)
+	// The serving block is the shard daemon's, with its defaults.
+	if sv := doc.Serving; sv.MaxQueue != 128 || sv.DefaultTimeoutMs != 10000 || sv.Stats.Requests < 1 {
+		t.Errorf("statusz serving block %+v, want max_queue 128, 10s timeout, >= 1 request", sv)
 	}
 
 	// Drain: new queries bounce with 503/draining.

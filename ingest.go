@@ -6,7 +6,6 @@ import (
 	"sync"
 
 	"parsearch/internal/vec"
-	"parsearch/internal/wal"
 )
 
 // Batched async ingest: the serving-while-mutating write path. A batch
@@ -39,42 +38,32 @@ func (ix *Index) InsertBatch(points [][]float64) ([]int, error) {
 	if len(points) == 0 {
 		return nil, nil
 	}
-	if ix.opts.Durable {
-		ix.rotMu.RLock()
-		defer ix.rotMu.RUnlock()
+	ops := make([]mutation, len(points))
+	for i, p := range points {
+		ops[i].point = vec.Clone(p)
 	}
-	ix.mu.RLock()
-	defer ix.mu.RUnlock()
-	st := ix.st
-	ix.meta.Lock()
-	if ix.closed {
-		ix.meta.Unlock()
-		return nil, ErrClosed
-	}
-	ids := make([]int, 0, len(points))
-	var w *wal.Writer
-	var target int64
-	for _, p := range points {
-		id, bw, t, err := ix.insertOne(st, p)
-		if err != nil {
-			ix.meta.Unlock()
-			return ids, err
+	syncErr := ix.ingest(ops)
+	ids := make([]int, 0, len(ops))
+	for i := range ops {
+		if ops[i].err != nil {
+			return ids, ops[i].err
 		}
-		ids = append(ids, id)
-		w, target = bw, t
+		ids = append(ids, ops[i].id)
 	}
-	ix.reg.IngestBatches.Inc()
-	ix.meta.Unlock()
-	sp := ix.newSpan(context.Background(), "ingest")
-	sp.emit(TraceEvent{Stage: StageIngest, Disk: -1, Item: -1, Results: len(ids)})
-	if w != nil && w.Policy() == wal.SyncAlways {
-		if err := w.SyncTo(target); err != nil {
-			// Applied in memory, durability unknown; the writer is
-			// sticky-failed (see Insert).
-			return ids, fmt.Errorf("parsearch: syncing batch: %w", err)
-		}
+	return ids, syncErr
+}
+
+// ingest runs one batch through the write pipeline as a batched-ingest
+// group commit: a batch that applied something counts in IngestBatches
+// and emits one StageIngest event carrying the mutations applied.
+func (ix *Index) ingest(ops []mutation) error {
+	applied, err := ix.write(ops)
+	if applied > 0 {
+		ix.reg.IngestBatches.Inc()
+		sp := ix.newSpan(context.Background(), "ingest")
+		sp.emit(TraceEvent{Stage: StageIngest, Disk: -1, Item: -1, Results: applied})
 	}
-	return ids, nil
+	return err
 }
 
 // AsyncConfig tunes an AsyncWriter.
@@ -105,12 +94,10 @@ func (p *Pending) Wait() (int, error) {
 	return p.id, p.err
 }
 
-// asyncOp is one queued mutation (or a Flush barrier token).
+// asyncOp is one queued mutation, or — flush set — a Flush barrier token.
 type asyncOp struct {
 	pend  *Pending
-	point vec.Point // insert payload; nil for delete and flush
-	del   bool
-	id    int // delete target
+	mut   mutation
 	flush bool
 }
 
@@ -159,14 +146,14 @@ func (aw *AsyncWriter) Insert(p []float64) (*Pending, error) {
 	}
 	// Clone at the enqueue boundary: the caller may reuse its slice
 	// before the worker gets to the batch.
-	return aw.enqueue(asyncOp{point: vec.Clone(p)})
+	return aw.enqueue(asyncOp{mut: mutation{point: vec.Clone(p)}})
 }
 
 // Delete enqueues one delete by ID. Validation happens at apply time (a
 // concurrent earlier queued delete of the same ID is only visible then),
 // so "no such vector" errors surface on the handle, not here.
 func (aw *AsyncWriter) Delete(id int) (*Pending, error) {
-	return aw.enqueue(asyncOp{del: true, id: id})
+	return aw.enqueue(asyncOp{mut: mutation{id: id}})
 }
 
 // Flush enqueues a barrier and blocks until every mutation enqueued
@@ -252,86 +239,30 @@ func (aw *AsyncWriter) fill(first asyncOp) []asyncOp {
 	return batch
 }
 
-// apply applies one batch under a single lock hold, group-commits it,
-// and resolves every handle. A refused WAL append fails the rest of the
-// batch (the writer is sticky-failed; retrying in-batch is pointless),
-// but the mutations already applied keep their success — exactly the
-// applied-prefix semantics of InsertBatch.
+// apply runs one drained batch through the write pipeline and resolves
+// every handle: each mutation with its own outcome — or, if the batch
+// applied but did not sync, the sync error — exactly the applied-prefix
+// semantics of InsertBatch. Barrier tokens never enter the pipeline;
+// they resolve with their batch.
 func (aw *AsyncWriter) apply(batch []asyncOp) {
-	ix := aw.ix
-	var w *wal.Writer
-	var target int64
-	mutated := false
-	var aborted error
-
-	func() {
-		if ix.opts.Durable {
-			ix.rotMu.RLock()
-			defer ix.rotMu.RUnlock()
-		}
-		ix.mu.RLock()
-		defer ix.mu.RUnlock()
-		st := ix.st
-		ix.meta.Lock()
-		defer ix.meta.Unlock()
-		closed := ix.closed
-		for i := range batch {
-			op := &batch[i]
-			switch {
-			case op.flush:
-				// Barrier: resolved with the batch, carries no mutation.
-			case closed:
-				op.pend.err = ErrClosed
-			case aborted != nil:
-				op.pend.err = fmt.Errorf("parsearch: batch aborted: %w", aborted)
-			case op.del:
-				bw, t, err := ix.deleteOne(st, op.id)
-				if err != nil {
-					op.pend.err = err
-					if bw == nil && ix.wal != nil && ix.wal.Err() != nil {
-						aborted = err
-					}
-				} else {
-					op.pend.id = op.id
-					mutated = true
-					if bw != nil {
-						w, target = bw, t
-					}
-				}
-			default:
-				id, bw, t, err := ix.insertOne(st, op.point)
-				if err != nil {
-					op.pend.err = err
-					aborted = err
-				} else {
-					op.pend.id = id
-					mutated = true
-					if bw != nil {
-						w, target = bw, t
-					}
-				}
-			}
-		}
-		if mutated {
-			ix.reg.IngestBatches.Inc()
-		}
-	}()
-
-	if mutated {
-		sp := ix.newSpan(context.Background(), "ingest")
-		sp.emit(TraceEvent{Stage: StageIngest, Disk: -1, Item: -1, Results: len(batch)})
-	}
-	var syncErr error
-	if w != nil && w.Policy() == wal.SyncAlways {
-		if err := w.SyncTo(target); err != nil {
-			syncErr = fmt.Errorf("parsearch: syncing batch: %w", err)
-		}
-	}
+	ops := make([]mutation, 0, len(batch))
 	for i := range batch {
-		op := &batch[i]
-		if op.pend.err == nil && !op.flush && syncErr != nil {
-			op.pend.err = syncErr
+		if !batch[i].flush {
+			ops = append(ops, batch[i].mut)
 		}
-		close(op.pend.done)
+	}
+	syncErr := aw.ix.ingest(ops)
+	next := 0
+	for i := range batch {
+		pend := batch[i].pend
+		if !batch[i].flush {
+			if m := &ops[next]; m.err == nil {
+				pend.id, pend.err = m.id, syncErr
+			} else {
+				pend.err = m.err
+			}
+			next++
+		}
+		close(pend.done)
 	}
 }

@@ -173,6 +173,57 @@ func TestAsyncWriterAcksAndFlushes(t *testing.T) {
 	if err := ix.CheckIntegrity(); err != nil {
 		t.Fatal(err)
 	}
+
+	// StageIngest carries the mutations applied: three inserts, a delete
+	// of an unknown ID and a Flush barrier in one batch are one event
+	// with Results 3. This writer has no worker — the test takes the
+	// worker's one step itself, so the batch is exactly these five.
+	rec := &recordTracer{}
+	traced, err := Open(Options{Dim: 3, Disks: 4, Tracer: rec})
+	if err != nil {
+		t.Fatal(err)
+	}
+	hand := &AsyncWriter{ix: traced, maxBatch: 8, ops: make(chan asyncOp, 8)}
+	for _, p := range pts[:3] {
+		if _, err := hand.Insert(p); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := hand.Delete(99999); err != nil {
+		t.Fatal(err)
+	}
+	barrier, err := hand.enqueue(asyncOp{flush: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	hand.apply(hand.fill(<-hand.ops))
+	if _, err := barrier.Wait(); err != nil {
+		t.Fatalf("barrier: %v", err)
+	}
+	var ingests []int
+	for _, ev := range rec.events {
+		if ev.Stage == StageIngest {
+			ingests = append(ingests, ev.Results)
+		}
+	}
+	if !reflect.DeepEqual(ingests, []int{3}) {
+		t.Fatalf("ingest events carry %v applied mutations, want one event with 3", ingests)
+	}
+	if got := traced.Metrics().IngestBatches; got != 1 {
+		t.Fatalf("ingest_batches = %d, want 1", got)
+	}
+	// A batch that applies nothing — a refused delete and a barrier —
+	// is no ingest batch and emits no event.
+	if _, err := hand.Delete(99999); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := hand.enqueue(asyncOp{flush: true}); err != nil {
+		t.Fatal(err)
+	}
+	hand.apply(hand.fill(<-hand.ops))
+	if got := traced.Metrics().IngestBatches; got != 1 || len(rec.events) != 1 {
+		t.Fatalf("a batch that applied nothing left ingest_batches = %d and %d events", got, len(rec.events))
+	}
 }
 
 func TestAsyncWriterDurableAckIsDurable(t *testing.T) {

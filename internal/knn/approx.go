@@ -113,7 +113,7 @@ func HSApprox(t *xtree.Tree, q vec.Point, k int, m vec.Metric, shrink float64, b
 			pushChildren(pq, n, q, m, best.bound(), sc)
 			continue
 		}
-		acc.DistCompsSkipped += scanLeaf(n, q, m, best, sc)
+		scanLeaf(n, q, m, best, sc)
 		if b != nil {
 			if d := best.bound(); !math.IsInf(d, 1) && b.Tighten(d) {
 				as.Tightened++

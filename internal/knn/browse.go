@@ -78,9 +78,7 @@ func (b *Browser) Next() (Result, bool) {
 			if s := item.node.PageSlab(); s != nil {
 				// Packed leaf: batch all entry distances in one kernel
 				// call; the values (and so the emission order) are
-				// bitwise identical to the scalar path. Browsing emits
-				// every entry eventually, so the SQ8 pre-filter does
-				// not apply here — exact distances are always needed.
+				// bitwise identical to the scalar path.
 				out := b.sc.grow(s.Len())
 				s.DistsToPage(b.query, b.metric, out)
 				for i, e := range entries {

@@ -36,9 +36,6 @@ type Accounting struct {
 	// PageAccesses counts disk blocks: every visited node costs its
 	// supernode multiplier.
 	PageAccesses int
-	// DistCompsSkipped counts exact distance computations the SQ8
-	// pre-filter proved unnecessary (0 without quantization).
-	DistCompsSkipped int
 }
 
 // Add accumulates another query's accounting into a — the aggregation
@@ -47,7 +44,6 @@ func (a *Accounting) Add(o Accounting) {
 	a.DirAccesses += o.DirAccesses
 	a.LeafAccesses += o.LeafAccesses
 	a.PageAccesses += o.PageAccesses
-	a.DistCompsSkipped += o.DistCompsSkipped
 }
 
 func (a *Accounting) visit(n *xtree.Node) {
@@ -167,7 +163,7 @@ func RKV(t *xtree.Tree, q vec.Point, k int) ([]Result, Accounting) {
 	visit = func(n *xtree.Node) {
 		acc.visit(n)
 		if n.IsLeaf() {
-			acc.DistCompsSkipped += scanLeaf(n, q, vec.L2, &best, &sc)
+			scanLeaf(n, q, vec.L2, &best, &sc)
 			return
 		}
 		children := n.Children()

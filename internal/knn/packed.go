@@ -11,12 +11,7 @@ import (
 // batched kernels reproduce the scalar arithmetic bit for bit (see the
 // slab package), so every candidate distance, every push decision and
 // every tie-break is identical to the unpacked path — only the constant
-// factor changes. On quantized slabs the leaf scan additionally skips
-// the exact distance of points whose SQ8 lower bound already exceeds
-// the current k-th-best distance; such points could never enter the
-// k-set (kBest.offer replaces on strictly smaller distances only), so
-// the results stay identical while the skips are counted as
-// Accounting.DistCompsSkipped.
+// factor changes.
 
 // scratch holds the per-search batch buffer, grown to the largest page
 // seen, so the batched kernels allocate once per search instead of once
@@ -32,41 +27,21 @@ func (sc *scratch) grow(n int) []float64 {
 	return sc.dists[:n]
 }
 
-// scanLeaf offers every entry of the leaf to best and returns how many
-// exact distance computations the SQ8 pre-filter skipped (0 without
-// quantization or on unpacked trees).
-func scanLeaf(n *xtree.Node, q vec.Point, m vec.Metric, best *kBest, sc *scratch) int {
+// scanLeaf offers every entry of the leaf to best.
+func scanLeaf(n *xtree.Node, q vec.Point, m vec.Metric, best *kBest, sc *scratch) {
 	entries := n.Entries()
 	s := n.PageSlab()
 	if s == nil {
 		for _, e := range entries {
 			best.offer(e, m.RankDist(q, e.Point))
 		}
-		return 0
+		return
 	}
 	out := sc.grow(s.Len())
-	if s.Quantized() {
-		s.LowerBounds(q, m, out)
-		skipped := 0
-		for i, e := range entries {
-			// bound() is live: each offer may tighten it, widening the
-			// skip window for the rest of the page. A skipped point has
-			// exact distance >= lower bound > bound, and offer only
-			// replaces on strictly smaller distances, so skipping it
-			// cannot change the k-set or any tie-break.
-			if out[i] > best.bound() {
-				skipped++
-				continue
-			}
-			best.offer(e, s.DistTo(i, q, m))
-		}
-		return skipped
-	}
 	s.DistsToPage(q, m, out)
 	for i, e := range entries {
 		best.offer(e, out[i])
 	}
-	return 0
 }
 
 // pushChildren pushes every child with rank MINDIST <= bound onto the

@@ -56,7 +56,6 @@ func (r *Registry) Install(s Snapshot) error {
 		{"search_pages", s.SearchPages, &r.SearchPages},
 		{"pages_saved_by_bound", s.PagesSavedByBound, &r.PagesSavedByBound},
 		{"bound_tightenings", s.BoundTightenings, &r.BoundTightenings},
-		{"dist_comps_saved", s.DistCompsSaved, &r.DistCompsSaved},
 		{"approx_queries", s.ApproxQueries, &r.ApproxQueries},
 		{"pages_skipped_approx", s.PagesSkippedApprox, &r.PagesSkippedApprox},
 	}

@@ -60,9 +60,10 @@ func TestRegistryJSONRoundTrip(t *testing.T) {
 		t.Errorf("Registry JSON differs from Snapshot JSON")
 	}
 
-	// A document written while the LSH pre-filter existed still carries
-	// its histogram; today's snapshot has no such key, and the old
-	// document installs with the key ignored.
+	// A document written while the LSH and SQ8 pre-filters existed still
+	// carries the one's histogram and the other's counter; today's
+	// snapshot has neither key, and the old document installs with both
+	// ignored.
 	var doc map[string]json.RawMessage
 	if err := json.Unmarshal(blob, &doc); err != nil {
 		t.Fatal(err)
@@ -70,17 +71,21 @@ func TestRegistryJSONRoundTrip(t *testing.T) {
 	if _, ok := doc["lsh_probe_pages"]; ok {
 		t.Error("snapshot JSON still has lsh_probe_pages")
 	}
+	if _, ok := doc["dist_comps_saved"]; ok {
+		t.Error("snapshot JSON still has dist_comps_saved")
+	}
 	doc["lsh_probe_pages"] = doc["query_pages"]
+	doc["dist_comps_saved"] = json.RawMessage("123")
 	oldBlob, err := json.Marshal(doc)
 	if err != nil {
 		t.Fatal(err)
 	}
 	fromOld := NewRegistry(4)
 	if err := json.Unmarshal(oldBlob, fromOld); err != nil {
-		t.Fatalf("document with lsh_probe_pages: %v", err)
+		t.Fatalf("document with lsh_probe_pages and dist_comps_saved: %v", err)
 	}
 	if !reflect.DeepEqual(fromOld.Snapshot(), r.Snapshot()) {
-		t.Error("document with lsh_probe_pages installed differently")
+		t.Error("document with lsh_probe_pages and dist_comps_saved installed differently")
 	}
 
 	// The binary codec sees the same values, anchoring the two formats

@@ -191,10 +191,12 @@ type Registry struct {
 	PagesSavedByBound Counter
 	BoundTightenings  Counter
 
-	// DistCompsSaved counts the exact distance computations the SQ8
-	// pre-filter of packed quantized indexes skipped
-	// (QueryStats.DistCompsSaved).
-	DistCompsSaved Counter
+	// retiredDistCompsSaved is the sixteenth scalar slot of codec v3+,
+	// which counted the distance computations the deleted SQ8 pre-filter
+	// skipped. Nothing increments it and no snapshot reports it; it
+	// stays in scalars() so that every old blob decodes and re-encodes
+	// at its length without a codec v8.
+	retiredDistCompsSaved Counter
 
 	// Durability counters (zero on non-durable indexes): WALAppends
 	// counts log records appended, WALSyncs the fsyncs the group-commit
@@ -304,7 +306,6 @@ type Snapshot struct {
 	SearchPages       int64 `json:"search_pages"`
 	PagesSavedByBound int64 `json:"pages_saved_by_bound"`
 	BoundTightenings  int64 `json:"bound_tightenings"`
-	DistCompsSaved    int64 `json:"dist_comps_saved"`
 
 	PagesPerDisk         []int64 `json:"pages_per_disk"`
 	ServiceTimePerDiskNs []int64 `json:"service_time_per_disk_ns"`
@@ -378,7 +379,6 @@ func (r *Registry) Snapshot() Snapshot {
 		SearchPages:       r.SearchPages.Value(),
 		PagesSavedByBound: r.PagesSavedByBound.Value(),
 		BoundTightenings:  r.BoundTightenings.Value(),
-		DistCompsSaved:    r.DistCompsSaved.Value(),
 
 		PagesPerDisk:         r.PagesPerDisk.Values(),
 		ServiceTimePerDiskNs: r.ServiceTimePerDisk.Values(),
@@ -427,7 +427,7 @@ const codecMagic = uint32(0x4d545231) // "MTR1"
 var codecLayouts = [...]struct{ scalars, hists int }{
 	{12, 2}, // v1
 	{15, 2}, // v2: the three cooperative-pruning counters
-	{16, 3}, // v3: DistCompsSaved, QueryWallNs
+	{16, 3}, // v3: retiredDistCompsSaved, QueryWallNs
 	{21, 4}, // v4: the five durability counters, WALFsyncNs
 	{24, 4}, // v5: the three live-mutation counters
 	{26, 5}, // v6: the two approximate-tier counters, retiredLSHProbePages
@@ -445,7 +445,7 @@ func (r *Registry) scalars() []*Counter {
 		&r.PagesRead, &r.CellsVisited, &r.NodeVisits,
 		&r.Retries, &r.Rerouted, &r.Unreachable,
 		&r.SearchPages, &r.PagesSavedByBound, &r.BoundTightenings,
-		&r.DistCompsSaved,
+		&r.retiredDistCompsSaved,
 		&r.WALAppends, &r.WALSyncs, &r.WALBytes,
 		&r.Recoveries, &r.RecoveredRecords,
 		&r.IngestBatches, &r.ReorgBuckets, &r.CatchupBytes,

@@ -138,6 +138,9 @@ func TestBinaryRoundTrip(t *testing.T) {
 	r.ShardRPCs.Add(60)
 	r.ShardRetries.Add(3)
 	r.RemoteBoundTightenings.Add(19)
+	// The retired sixteenth scalar, as a blob written by a quantized
+	// index holds it: carried like the retired histogram below.
+	r.retiredDistCompsSaved.Add(77)
 	for i := int64(1); i < 100; i *= 3 {
 		r.QueryPages.Observe(i)
 		r.QueryTimeNs.Observe(i * 1000)
@@ -161,6 +164,9 @@ func TestBinaryRoundTrip(t *testing.T) {
 	}
 	if got, want := fresh.retiredLSHProbePages.Snapshot(), r.retiredLSHProbePages.Snapshot(); !reflect.DeepEqual(got, want) || got.Count == 0 {
 		t.Fatalf("retired histogram slot round trip: got %+v, want %+v", got, want)
+	}
+	if got := fresh.retiredDistCompsSaved.Value(); got != 77 {
+		t.Fatalf("retired scalar slot round trip: got %d, want 77", got)
 	}
 
 	// A second marshal of the decoded registry is byte-identical.
@@ -233,7 +239,7 @@ func TestUnmarshalVersion1(t *testing.T) {
 }
 
 // TestUnmarshalVersion2 decodes a version-2 encoding (15 scalars, two
-// histograms, before DistCompsSaved and QueryWallNs): the prefix
+// histograms, before retiredDistCompsSaved and QueryWallNs): the prefix
 // decodes one-to-one and the v3 additions stay zero.
 func TestUnmarshalVersion2(t *testing.T) {
 	r := NewRegistry(2)
@@ -245,7 +251,7 @@ func TestUnmarshalVersion2(t *testing.T) {
 	r.QueryTimeNs.Observe(9000)
 	// v3-only fields, deliberately non-zero so the splice proves they
 	// are dropped from a v2 blob.
-	r.DistCompsSaved.Add(123)
+	r.retiredDistCompsSaved.Add(123)
 	r.QueryWallNs.Observe(5e6)
 
 	v3, err := r.MarshalBinary()
@@ -269,7 +275,7 @@ func TestUnmarshalVersion2(t *testing.T) {
 	if s.QueryPages.Count != 1 || s.QueryTimeNs.Count != 1 {
 		t.Fatalf("v2 histograms lost: %+v", s)
 	}
-	if s.DistCompsSaved != 0 || s.QueryWallNs.Count != 0 {
+	if fresh.retiredDistCompsSaved.Value() != 0 || s.QueryWallNs.Count != 0 {
 		t.Fatalf("v2 decode left v3 fields non-zero: %+v", s)
 	}
 }
@@ -280,7 +286,7 @@ func TestUnmarshalVersion2(t *testing.T) {
 func TestUnmarshalVersion3(t *testing.T) {
 	r := NewRegistry(2)
 	r.QueriesKNN.Add(3)
-	r.DistCompsSaved.Add(123)
+	r.retiredDistCompsSaved.Add(123)
 	r.QueryWallNs.Observe(5e6)
 	// v4-only fields, deliberately non-zero so the splice proves they
 	// are dropped from a v3 blob.
@@ -304,8 +310,17 @@ func TestUnmarshalVersion3(t *testing.T) {
 		t.Fatalf("v3 decode: %v", err)
 	}
 	s := fresh.Snapshot()
-	if s.QueriesKNN != 3 || s.DistCompsSaved != 123 || s.QueryWallNs.Count != 1 {
+	if s.QueriesKNN != 3 || fresh.retiredDistCompsSaved.Value() != 123 || s.QueryWallNs.Count != 1 {
 		t.Fatalf("v3 prefix mismatch: %+v", s)
+	}
+	// The old blob re-encodes at the current length with the retired
+	// slot's value still in place.
+	again, err := fresh.MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(again) != len(v4) || binary.LittleEndian.Uint64(again[header+(codecV3Scalars-1)*8:]) != 123 {
+		t.Fatalf("v3 blob re-encoded at %d bytes (want %d) or lost its retired counter", len(again), len(v4))
 	}
 	if s.WALAppends != 0 || s.WALBytes != 0 || s.Recoveries != 0 || s.WALFsyncNs.Count != 0 {
 		t.Fatalf("v3 decode left v4 fields non-zero: %+v", s)

@@ -1,8 +1,7 @@
 // Package slab implements the packed storage layout of the engine: one
 // contiguous float32 slab per X-tree page, laid out dimension-major, with
 // batched distance kernels that compute all distances of a page in one
-// tight loop, plus an optional 8-bit scalar quantization (SQ8) side table
-// whose per-point lower bounds let k-NN skip exact distance computations.
+// tight loop.
 //
 // Exactness contract: packed mode rounds every coordinate to float32 at
 // ingest, so the float64 value stored in the tree is float32-representable
@@ -20,40 +19,20 @@ import (
 	"parsearch/internal/vec"
 )
 
-// lbShave is the relative safety margin applied to SQ8 lower bounds.
-// The per-dimension reconstruction error is measured exactly at encode
-// time (errMax), but the query-time bound arithmetic itself rounds; the
-// accumulated relative error over <= MaxDim dimensions is O(d*eps) ~
-// 1e-14, so shaving 1e-9 keeps the computed bound strictly below the
-// computed exact distance whenever the true bound is below the true
-// distance. See DESIGN.md "Packed storage" for the proof sketch.
-const lbShave = 1e-9
-
 // Slab is the packed payload of one leaf page: n points of dimension dim
 // stored dimension-major (coordinate j of point i at data[j*n+i]), so
-// the batched kernels stream each dimension's column contiguously. When
-// built with quantization it additionally carries SQ8 codes (same
-// layout) with per-dimension affine decode parameters and the measured
-// maximum reconstruction error. A Slab is immutable after Build; leaf
-// mutations rebuild the slab.
+// the batched kernels stream each dimension's column contiguously. A Slab
+// is immutable after Build; leaf mutations rebuild the slab.
 type Slab struct {
 	dim, n int
 	data   []float32
-
-	// SQ8 side table (nil codes when not quantized). A coordinate v in
-	// dimension j decodes as off[j] + float64(code)*scale[j]; the true
-	// value differs from the decoded one by at most errMax[j] (measured,
-	// not estimated, during encode).
-	codes  []uint8
-	off    []float64
-	scale  []float64
-	errMax []float64
 }
 
 // Build packs the given points (all of dimension dim, coordinates
-// float32-representable) into a slab. With quantize it also encodes the
-// SQ8 side table. Build(_, nil/empty, _) returns nil.
-func Build(dim int, pts []vec.Point, quantize bool) *Slab {
+// float32-representable) into a slab. Build(_, nil/empty, _) returns nil.
+// The third parameter is ignored: the fixed benchmark instrument
+// (bench/probe.go) passes it, and ROADMAP item 9's benchmark PR drops it.
+func Build(dim int, pts []vec.Point, _ bool) *Slab {
 	n := len(pts)
 	if n == 0 {
 		return nil
@@ -65,54 +44,7 @@ func Build(dim int, pts []vec.Point, quantize bool) *Slab {
 			col[i] = float32(p[j])
 		}
 	}
-	if quantize {
-		s.encodeSQ8(pts)
-	}
 	return s
-}
-
-// encodeSQ8 fills the slab's quantization side table from the source
-// points. Codes map [min, max] of each dimension affinely onto 0..255;
-// constant dimensions get scale 0 and decode exactly.
-func (s *Slab) encodeSQ8(pts []vec.Point) {
-	dim, n := s.dim, s.n
-	s.codes = make([]uint8, dim*n)
-	s.off = make([]float64, dim)
-	s.scale = make([]float64, dim)
-	s.errMax = make([]float64, dim)
-	for j := 0; j < dim; j++ {
-		lo, hi := pts[0][j], pts[0][j]
-		for _, p := range pts[1:] {
-			if p[j] < lo {
-				lo = p[j]
-			}
-			if p[j] > hi {
-				hi = p[j]
-			}
-		}
-		s.off[j] = lo
-		s.scale[j] = (hi - lo) / 255
-		col := s.codes[j*n : (j+1)*n]
-		for i, p := range pts {
-			var code float64
-			if s.scale[j] > 0 {
-				code = math.Round((p[j] - lo) / s.scale[j])
-				if code < 0 {
-					code = 0
-				} else if code > 255 {
-					code = 255
-				}
-			}
-			col[i] = uint8(code)
-			// Measure the actual reconstruction error with the exact
-			// decode formula the query path uses, so errMax is a true
-			// bound by construction rather than an estimate.
-			dec := s.off[j] + code*s.scale[j]
-			if e := math.Abs(p[j] - dec); e > s.errMax[j] {
-				s.errMax[j] = e
-			}
-		}
-	}
 }
 
 // Len returns the number of points in the slab.
@@ -120,9 +52,6 @@ func (s *Slab) Len() int { return s.n }
 
 // Dim returns the dimensionality of the slab's points.
 func (s *Slab) Dim() int { return s.dim }
-
-// Quantized reports whether the slab carries an SQ8 side table.
-func (s *Slab) Quantized() bool { return s.codes != nil }
 
 // DistsToPage computes the rank distance (vec.Metric.RankDist) from q to
 // every point of the page into out[:s.Len()], one dimension-major pass
@@ -168,8 +97,7 @@ func (s *Slab) DistsToPage(q vec.Point, m vec.Metric, out []float64) {
 }
 
 // DistTo computes the rank distance from q to point i alone (strided
-// column access), bitwise identical to the batched kernel's out[i]. The
-// SQ8 path uses it to re-rank exactly the points its pre-filter kept.
+// column access), bitwise identical to the batched kernel's out[i].
 func (s *Slab) DistTo(i int, q vec.Point, m vec.Metric) float64 {
 	n := s.n
 	switch m {
@@ -196,60 +124,6 @@ func (s *Slab) DistTo(i int, q vec.Point, m vec.Metric) float64 {
 		return sum
 	default:
 		panic("slab: unknown metric")
-	}
-}
-
-// LowerBounds computes, from the SQ8 codes alone, a lower bound on the
-// rank distance from q to every point into out[:s.Len()]. The bound is
-// sound: out[i] <= DistTo(i, q, m) always holds (see lbShave), so a
-// point whose bound exceeds the current kth-best distance can be skipped
-// without computing its exact distance. Panics when the slab is not
-// quantized.
-func (s *Slab) LowerBounds(q vec.Point, m vec.Metric, out []float64) {
-	if s.codes == nil {
-		panic("slab: LowerBounds on unquantized slab")
-	}
-	n := s.n
-	out = out[:n]
-	for i := range out {
-		out[i] = 0
-	}
-	switch m {
-	case vec.L2:
-		for j := 0; j < s.dim; j++ {
-			qj, off, sc, em := q[j], s.off[j], s.scale[j], s.errMax[j]
-			col := s.codes[j*n : (j+1)*n]
-			for i, c := range col {
-				if d := math.Abs(qj-(off+float64(c)*sc)) - em; d > 0 {
-					out[i] += d * d
-				}
-			}
-		}
-	case vec.L1:
-		for j := 0; j < s.dim; j++ {
-			qj, off, sc, em := q[j], s.off[j], s.scale[j], s.errMax[j]
-			col := s.codes[j*n : (j+1)*n]
-			for i, c := range col {
-				if d := math.Abs(qj-(off+float64(c)*sc)) - em; d > 0 {
-					out[i] += d
-				}
-			}
-		}
-	case vec.LInf:
-		for j := 0; j < s.dim; j++ {
-			qj, off, sc, em := q[j], s.off[j], s.scale[j], s.errMax[j]
-			col := s.codes[j*n : (j+1)*n]
-			for i, c := range col {
-				if d := math.Abs(qj-(off+float64(c)*sc)) - em; d > out[i] {
-					out[i] = d
-				}
-			}
-		}
-	default:
-		panic("slab: unknown metric")
-	}
-	for i := range out {
-		out[i] -= out[i] * lbShave
 	}
 }
 

@@ -182,40 +182,6 @@ func TestInRectMatchesContains(t *testing.T) {
 	}
 }
 
-// TestLowerBoundsSound checks the SQ8 lower bound never exceeds the
-// exact distance, for every metric, on adversarial inputs — the
-// soundness property the skip rule of the k-NN pre-filter rests on.
-func TestLowerBoundsSound(t *testing.T) {
-	const dim = 8
-	for si, pts := range adversarialPoints(dim) {
-		s := Build(dim, pts, true)
-		if !s.Quantized() {
-			t.Fatal("Build(quantize) returned unquantized slab")
-		}
-		lb := make([]float64, s.Len())
-		exact := make([]float64, s.Len())
-		for _, m := range metrics {
-			for qi, q := range queriesFor(dim) {
-				s.LowerBounds(q, m, lb)
-				s.DistsToPage(q, m, exact)
-				for i := range lb {
-					if math.IsNaN(exact[i]) {
-						continue
-					}
-					if lb[i] > exact[i] {
-						t.Fatalf("set %d metric %v query %d point %d: lower bound %v > exact %v",
-							si, m, qi, i, lb[i], exact[i])
-					}
-					if lb[i] < 0 {
-						t.Fatalf("set %d metric %v query %d point %d: negative lower bound %v",
-							si, m, qi, i, lb[i])
-					}
-				}
-			}
-		}
-	}
-}
-
 // TestBuildEmpty checks the nil-slab contract for empty pages.
 func TestBuildEmpty(t *testing.T) {
 	if s := Build(4, nil, false); s != nil {

@@ -39,7 +39,7 @@ func (t *Tree) packNode(n *Node) {
 		for i := range n.entries {
 			points[i] = n.entries[i].Point
 		}
-		n.slab = slab.Build(t.cfg.Dim, points, t.cfg.Quantize)
+		n.slab = slab.Build(t.cfg.Dim, points, false)
 		return
 	}
 	crs := make([]vec.Rect, len(n.children))

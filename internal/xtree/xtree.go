@@ -57,9 +57,6 @@ type Config struct {
 	// pack.go and the slab package) for batched distance kernels.
 	// Callers must only insert float32-representable coordinates.
 	Packed bool
-	// Quantize additionally builds the SQ8 side table of every leaf
-	// slab. Only meaningful with Packed.
-	Quantize bool
 }
 
 // PageSize is the block size used by the paper's experiments (4 KBytes).

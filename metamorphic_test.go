@@ -183,8 +183,8 @@ func TestMetamorphicDiskCountInvariance(t *testing.T) {
 // for byte), clean integrity, and disk loads within the incremental
 // balance threshold of the from-scratch build. It runs across
 // declustering strategies (including round-robin, whose reorganize is
-// the full-rebuild fallback), replication variants, and the
-// packed/quantized storage engine.
+// the full-rebuild fallback), replication variants, and the packed
+// storage engine.
 func TestMetamorphicIncrementalEqualsRebuild(t *testing.T) {
 	const dim, disks = 4, 6
 	nA, nB := 500, 400
@@ -197,7 +197,7 @@ func TestMetamorphicIncrementalEqualsRebuild(t *testing.T) {
 	}{
 		{"base", func(o *Options) {}},
 		{"quantile", func(o *Options) { o.QuantileSplits = true }},
-		{"packed-quantize", func(o *Options) { o.Packed = true; o.Quantize = true }},
+		{"packed", func(o *Options) { o.Packed = true }},
 	}
 	for _, kind := range []Kind{NearOptimal, Hilbert, RoundRobin} {
 		for _, rv := range replicationVariants {

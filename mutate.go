@@ -7,9 +7,19 @@ import (
 	"parsearch/internal/wal"
 )
 
-// This file is the point-mutation stage: Insert and Delete, logged
-// (on durable indexes) and applied under the metadata lock while queries
-// keep running.
+// This file is the point-mutation stage: every Insert, Delete,
+// InsertBatch and AsyncWriter group commit is a batch of mutations run
+// through one step, write — logged (on durable indexes) and applied
+// under the metadata lock while queries keep running.
+
+// mutation is one point mutation on its way through write: an insert of
+// point when point is set (write fills in the assigned id), a delete of
+// id otherwise. err is the op's own outcome.
+type mutation struct {
+	point vec.Point
+	id    int
+	err   error
+}
 
 // Insert adds one vector dynamically and returns its ID. Point mutations
 // are serialized with each other but run concurrently with queries. On a
@@ -19,6 +29,39 @@ func (ix *Index) Insert(p []float64) (int, error) {
 	if len(p) != ix.opts.Dim {
 		return 0, fmt.Errorf("parsearch: inserting dimension %d, want %d", len(p), ix.opts.Dim)
 	}
+	op := [1]mutation{{point: vec.Clone(p)}}
+	_, syncErr := ix.write(op[:])
+	if err := firstErr(op[0].err, syncErr); err != nil {
+		return 0, err
+	}
+	return op[0].id, nil
+}
+
+// Delete removes the vector with the given ID. The ID is not reused;
+// subsequent inserts continue from the highest ID ever assigned. On a
+// durable index the delete is logged like an insert (see Insert).
+func (ix *Index) Delete(id int) error {
+	op := [1]mutation{{id: id}}
+	_, err := ix.write(op[:])
+	return firstErr(op[0].err, err)
+}
+
+// firstErr returns the op's own refusal, else the batch's sync failure.
+func firstErr(opErr, syncErr error) error {
+	if opErr != nil {
+		return opErr
+	}
+	return syncErr
+}
+
+// write is the one write pipeline. It takes rotMu (durable indexes) and
+// mu in read mode and meta, logs and applies the ops in order — each by
+// its own contract, see insertOne and deleteOne — releases meta, and
+// waits once for the group commit of the batch's last log offset. Every
+// op's outcome is left in its err (and, for an insert, its id); applied
+// counts the ops that took effect. The returned error is the sync
+// failure of a batch that was applied.
+func (ix *Index) write(ops []mutation) (applied int, err error) {
 	if ix.opts.Durable {
 		ix.rotMu.RLock()
 		defer ix.rotMu.RUnlock()
@@ -27,48 +70,72 @@ func (ix *Index) Insert(p []float64) (int, error) {
 	defer ix.mu.RUnlock()
 	st := ix.st
 	ix.meta.Lock()
-	if ix.closed {
-		ix.meta.Unlock()
-		return 0, ErrClosed
-	}
-	id, w, target, err := ix.insertOne(st, p)
-	ix.meta.Unlock()
-	if err != nil {
-		return 0, err
-	}
-	if w != nil && w.Policy() == wal.SyncAlways {
-		if err := w.SyncTo(target); err != nil {
-			// The mutation is applied in memory but its durability is
-			// unknown; the writer is sticky-failed, so every further
-			// mutation will be refused rather than silently undurable.
-			return 0, fmt.Errorf("parsearch: syncing insert: %w", err)
+	// rotMu pins the writer for the whole step: a checkpoint may rotate
+	// it concurrently — its cut, under meta, syncs our appends first —
+	// but a Build cannot replace the generation under us.
+	w := ix.wal
+	var target int64
+	var aborted error
+	for i := range ops {
+		op := &ops[i]
+		var t int64
+		switch {
+		case ix.closed:
+			op.err = ErrClosed
+		case aborted != nil:
+			op.err = fmt.Errorf("parsearch: batch aborted: %w", aborted)
+		case op.point != nil:
+			// A refused insert aborts every op after it: the caller
+			// numbered or ordered them on the assumption it applied
+			// (InsertBatch returns an applied prefix).
+			if op.id, t, op.err = ix.insertOne(st, w, op.point); op.err != nil {
+				aborted = op.err
+			}
+		default:
+			// A refused delete aborts the rest only if the writer is
+			// failed. "The append was refused" is not the test: the
+			// writer heals a failed append by truncating the partial
+			// frame and stays usable, and then — as with a bad ID, the
+			// caller's error and nobody else's — the next op is free to
+			// succeed.
+			if t, op.err = ix.deleteOne(st, w, op.id); op.err != nil && w != nil && w.Err() != nil {
+				aborted = op.err
+			}
+		}
+		if op.err == nil {
+			applied++
+			target = t
 		}
 	}
-	return id, nil
+	ix.meta.Unlock()
+	// The sync wait happens after meta is released, so concurrent
+	// mutations share fsyncs (group commit) instead of serializing
+	// behind them.
+	if applied > 0 && w != nil && w.Policy() == wal.SyncAlways {
+		if err := w.SyncTo(target); err != nil {
+			// The batch is applied in memory but its durability is
+			// unknown; the writer is sticky-failed, so every further
+			// mutation will be refused rather than silently undurable.
+			return applied, fmt.Errorf("parsearch: syncing mutations: %w", err)
+		}
+	}
+	return applied, nil
 }
 
-// insertOne logs and applies one insert. The caller holds rotMu in read
-// mode (durable indexes), mu in read mode, and meta, has verified the
-// index is open and the dimension matches, and waits for the group
-// commit (SyncTo(target) on the returned writer) after releasing meta.
-// Batched ingest shares this primitive: a whole batch is applied under
-// one meta hold and acknowledged by a single sync to the last target.
-func (ix *Index) insertOne(st *state, p []float64) (id int, w *wal.Writer, target int64, err error) {
+// insertOne logs and applies one insert of point, which the pipeline
+// owns (the entry point cloned it), and returns its ID and log offset.
+// The caller — write — holds rotMu in read mode (durable indexes), mu in
+// read mode, and meta, has verified the index is open and the dimension
+// matches, and waits for the group commit after releasing meta.
+func (ix *Index) insertOne(st *state, w *wal.Writer, point vec.Point) (id int, target int64, err error) {
 	id = len(ix.points)
-	point := vec.Clone(p)
 	ix.canonPacked(point)
 	// Log before apply: a failed append leaves both the log and the
-	// index untouched. The sync wait happens after meta is released, so
-	// concurrent mutations share fsyncs (group commit) instead of
-	// serializing behind them. rotMu (held in read mode) pins the
-	// writer: a checkpoint may rotate it concurrently — its cut syncs
-	// this append first — but a Build cannot replace the generation
-	// under us.
-	w = ix.wal
+	// index untouched, and the apply below cannot fail.
 	if w != nil {
 		target, err = w.AppendAsync(wal.EncodeInsert(uint64(id), point))
 		if err != nil {
-			return 0, nil, 0, fmt.Errorf("parsearch: logging insert: %w", err)
+			return 0, 0, fmt.Errorf("parsearch: logging insert: %w", err)
 		}
 	}
 	ix.points = append(ix.points, point)
@@ -79,64 +146,18 @@ func (ix *Index) insertOne(st *state, p []float64) (id int, w *wal.Writer, targe
 	}
 	d, key := ix.assignCell(st, id, point)
 	addToCell(st, key, d, point)
-	sh := st.shards[d]
-	sh.mu.Lock()
-	sh.tree.Insert(point, id)
-	sh.mu.Unlock()
-	if st.replicas != nil {
-		rsh := st.replicas[replicaOf(d, ix.opts.Disks)]
-		rsh.mu.Lock()
-		rsh.tree.Insert(point, id)
-		rsh.mu.Unlock()
-	}
+	st.place(d, point, id)
 	if st.baseline != nil {
-		st.baseline.mu.Lock()
-		st.baseline.tree.Insert(point, id)
-		st.baseline.mu.Unlock()
+		st.baseline.insert(point, id)
 	}
-	return id, w, target, nil
+	return id, target, nil
 }
 
-// Delete removes the vector with the given ID. The ID is not reused;
-// subsequent inserts continue from the highest ID ever assigned. On a
-// durable index the delete is logged like an insert (see Insert).
-func (ix *Index) Delete(id int) error {
-	if ix.opts.Durable {
-		ix.rotMu.RLock()
-		defer ix.rotMu.RUnlock()
-	}
-	ix.mu.RLock()
-	defer ix.mu.RUnlock()
-	w, target, err := ix.deleteLocked(id)
-	if err != nil {
-		return err
-	}
-	if w != nil && w.Policy() == wal.SyncAlways {
-		if err := w.SyncTo(target); err != nil {
-			// Applied in memory, durability unknown; the writer is
-			// sticky-failed (see Insert).
-			return fmt.Errorf("parsearch: syncing delete: %w", err)
-		}
-	}
-	return nil
-}
-
-// deleteLocked validates, logs, and applies one delete under the
-// metadata lock; the caller waits for the group commit off the lock.
-func (ix *Index) deleteLocked(id int) (*wal.Writer, int64, error) {
-	st := ix.st
-	ix.meta.Lock()
-	defer ix.meta.Unlock()
-	if ix.closed {
-		return nil, 0, ErrClosed
-	}
-	return ix.deleteOne(st, id)
-}
-
-// deleteOne applies and logs one delete. Locking contract as insertOne.
-func (ix *Index) deleteOne(st *state, id int) (*wal.Writer, int64, error) {
+// deleteOne applies and logs one delete and returns its log offset.
+// Locking contract as insertOne.
+func (ix *Index) deleteOne(st *state, w *wal.Writer, id int) (target int64, err error) {
 	if id < 0 || id >= len(ix.points) || ix.points[id] == nil {
-		return nil, 0, fmt.Errorf("parsearch: no vector with id %d", id)
+		return 0, fmt.Errorf("parsearch: no vector with id %d", id)
 	}
 	p := ix.points[id]
 	// Apply to the trees BEFORE logging: the tree deletes are the only
@@ -146,55 +167,22 @@ func (ix *Index) deleteOne(st *state, id int) (*wal.Writer, int64, error) {
 	// (Insert logs first because its apply cannot fail.) Log order
 	// still matches commit order: both happen under meta.
 	d, key := ix.assignCell(st, id, p)
-	sh := st.shards[d]
-	sh.mu.Lock()
-	ok := sh.tree.Delete(p, id)
-	sh.mu.Unlock()
-	if !ok {
-		return nil, 0, fmt.Errorf("parsearch: internal inconsistency: id %d not found on disk %d", id, d)
-	}
-	var rsh *shard
-	if st.replicas != nil {
-		r := replicaOf(d, ix.opts.Disks)
-		rsh = st.replicas[r]
-		rsh.mu.Lock()
-		ok := rsh.tree.Delete(p, id)
-		rsh.mu.Unlock()
-		if !ok {
-			// Undo the primary so the failed delete leaves no trace.
-			sh.mu.Lock()
-			sh.tree.Insert(p, id)
-			sh.mu.Unlock()
-			return nil, 0, fmt.Errorf("parsearch: internal inconsistency: id %d not found in disk %d's replica on disk %d", id, d, r)
-		}
+	if err := st.take(d, p, id); err != nil {
+		return 0, err
 	}
 	if st.baseline != nil {
-		st.baseline.mu.Lock()
-		st.baseline.tree.Delete(p, id)
-		st.baseline.mu.Unlock()
+		st.baseline.remove(p, id)
 	}
-	w := ix.wal
-	var target int64
 	if w != nil {
-		var werr error
-		target, werr = w.AppendAsync(wal.EncodeDelete(uint64(id)))
-		if werr != nil {
+		target, err = w.AppendAsync(wal.EncodeDelete(uint64(id)))
+		if err != nil {
 			// The delete was refused, not applied: roll the trees back
 			// so memory, the log, and the error agree.
-			sh.mu.Lock()
-			sh.tree.Insert(p, id)
-			sh.mu.Unlock()
-			if rsh != nil {
-				rsh.mu.Lock()
-				rsh.tree.Insert(p, id)
-				rsh.mu.Unlock()
-			}
+			st.place(d, p, id)
 			if st.baseline != nil {
-				st.baseline.mu.Lock()
-				st.baseline.tree.Insert(p, id)
-				st.baseline.mu.Unlock()
+				st.baseline.insert(p, id)
 			}
-			return nil, 0, fmt.Errorf("parsearch: logging delete: %w", werr)
+			return 0, fmt.Errorf("parsearch: logging delete: %w", err)
 		}
 	}
 	if idx, ok := st.cellIndex[key]; ok && st.cells[idx].count > 0 {
@@ -203,5 +191,55 @@ func (ix *Index) deleteOne(st *state, id int) (*wal.Writer, int64, error) {
 	ix.points[id] = nil
 	ix.live--
 	ix.version++
-	return w, target, nil
+	return target, nil
+}
+
+// insert and remove put and take one point under the shard's write lock.
+func (sh *shard) insert(p vec.Point, id int) {
+	sh.mu.Lock()
+	sh.tree.Insert(p, id)
+	sh.mu.Unlock()
+}
+
+func (sh *shard) remove(p vec.Point, id int) bool {
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	return sh.tree.Delete(p, id)
+}
+
+// copies returns the shards that store disk d's points: the primary
+// and, on a replicated index, the chained replica. The baseline tree is
+// disk-agnostic and stays the callers'. A fixed-size array, so the
+// per-mutation path allocates nothing for it.
+func (st *state) copies(d int) ([2]*shard, int) {
+	c := [2]*shard{st.shards[d]}
+	if st.replicas == nil {
+		return c, 1
+	}
+	c[1] = st.replicas[replicaOf(d, len(st.shards))]
+	return c, 2
+}
+
+// place stores the point in every copy of disk d.
+func (st *state) place(d int, p vec.Point, id int) {
+	c, n := st.copies(d)
+	for _, sh := range c[:n] {
+		sh.insert(p, id)
+	}
+}
+
+// take removes the point from every copy of disk d, or from none: when
+// a copy does not hold it, the copies already changed are restored so
+// the failed removal leaves no trace.
+func (st *state) take(d int, p vec.Point, id int) error {
+	c, n := st.copies(d)
+	for i, sh := range c[:n] {
+		if !sh.remove(p, id) {
+			for _, undo := range c[:i] {
+				undo.insert(p, id)
+			}
+			return fmt.Errorf("parsearch: internal inconsistency: id %d not found in copy %d of disk %d", id, i, d)
+		}
+	}
+	return nil
 }

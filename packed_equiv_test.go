@@ -89,10 +89,6 @@ func checkStatsParity(t *testing.T, label string, ref, packed QueryStats, parall
 		t.Fatalf("%s: search pages differ: ref %d (+%d saved), packed %d (+%d saved)", label,
 			ref.SearchPages, ref.PagesSavedByBound, packed.SearchPages, packed.PagesSavedByBound)
 	}
-	if ref.DistCompsSaved != 0 || packed.DistCompsSaved != 0 {
-		t.Fatalf("%s: DistCompsSaved nonzero without quantization: ref %d packed %d",
-			label, ref.DistCompsSaved, packed.DistCompsSaved)
-	}
 }
 
 func TestPackedEquivalenceBattery(t *testing.T) {
@@ -312,76 +308,5 @@ func TestPackedEquivalenceAfterMutation(t *testing.T) {
 					qi, k, wantRes, gotRes)
 			}
 		}
-	}
-}
-
-// TestQuantizedEngineEquivalence checks Options.Quantize end to end:
-// the SQ8 pre-filter plus exact re-ranking returns results identical to
-// the unquantized packed path, actually skips work (DistCompsSaved),
-// and surfaces the skips in the metrics registry.
-func TestQuantizedEngineEquivalence(t *testing.T) {
-	const (
-		dim   = 6
-		disks = 4
-		n     = 400
-	)
-	raw := rawPoints(n, dim, 4321)
-	queries := rawPoints(12, dim, 55)
-
-	for _, metric := range []Metric{Euclidean, Manhattan, Maximum} {
-		t.Run(string(metric), func(t *testing.T) {
-			packed, err := Open(Options{Dim: dim, Disks: disks, Metric: metric, Packed: true})
-			if err != nil {
-				t.Fatal(err)
-			}
-			quant, err := Open(Options{Dim: dim, Disks: disks, Metric: metric, Packed: true, Quantize: true})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := packed.Build(raw); err != nil {
-				t.Fatal(err)
-			}
-			if err := quant.Build(raw); err != nil {
-				t.Fatal(err)
-			}
-			saved := 0
-			for qi, q := range queries {
-				for _, k := range []int{1, 5, 20} {
-					wantRes, wantStats, err := packed.KNN(q, k)
-					if err != nil {
-						t.Fatal(err)
-					}
-					gotRes, gotStats, err := quant.KNN(q, k)
-					if err != nil {
-						t.Fatal(err)
-					}
-					if !sameNeighbors(gotRes, wantRes) {
-						t.Fatalf("q=%d k=%d: quantized results differ:\n packed    %v\n quantized %v",
-							qi, k, wantRes, gotRes)
-					}
-					if wantStats.TotalPages != gotStats.TotalPages {
-						t.Fatalf("q=%d k=%d: TotalPages %d vs %d", qi, k, wantStats.TotalPages, gotStats.TotalPages)
-					}
-					if wantStats.DistCompsSaved != 0 {
-						t.Fatalf("unquantized index reported %d saved distance comps", wantStats.DistCompsSaved)
-					}
-					saved += gotStats.DistCompsSaved
-				}
-			}
-			if saved == 0 {
-				t.Fatal("SQ8 pre-filter never skipped an exact distance computation")
-			}
-			if got := quant.Metrics().DistCompsSaved; got == 0 {
-				t.Fatal("metrics registry DistCompsSaved stayed zero")
-			}
-		})
-	}
-}
-
-// TestQuantizeRequiresPacked pins the option validation: SQ8 codes live
-// in the slabs, so Quantize without Packed must be rejected.
-func TestQuantizeRequiresPacked(t *testing.T) {
-	if _, err := Open(Options{Dim: 3, Disks: 2, Quantize: true}); err == nil {
-		t.Fatal("Open accepted Quantize without Packed")
 	}
 }

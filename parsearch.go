@@ -156,11 +156,6 @@ type Options struct {
 	CostModel CostModel
 	// Metric selects the similarity measure; default Euclidean.
 	Metric Metric
-	// BatchWorkers caps the number of concurrent query workers of the
-	// BatchKNN scheduler; 0 selects runtime.GOMAXPROCS(0). It bounds
-	// CPU fan-out under heavy batch load, not the per-query disk
-	// parallelism.
-	BatchWorkers int
 	// Replication is the number of extra copies every storage cell
 	// keeps (0 or 1). With Replication = 1 each disk's cells are stored
 	// twice: on their primary disk (the declustering's choice) and on
@@ -187,12 +182,6 @@ type Options struct {
 	// that makes million-point indexes practical (the `scale` bench
 	// profile).
 	Packed bool
-	// Quantize additionally keeps an 8-bit scalar quantization (SQ8)
-	// of every leaf page and uses its distance lower bounds to skip
-	// exact distance computations the k-NN result provably cannot need
-	// (counted in QueryStats.DistCompsSaved). Results are identical to
-	// the unquantized packed path. Requires Packed.
-	Quantize bool
 	// Epsilon is the default ε of the approximate search tier: k-NN
 	// traversals stop once the next node's MINDIST exceeds
 	// kth/(1+ε), so every returned distance is within a factor (1+ε)
@@ -331,11 +320,6 @@ type QueryStats struct {
 	// BoundTightenings counts how often the cooperative fan-out lowered
 	// the shared bound.
 	BoundTightenings int
-	// DistCompsSaved is the number of exact distance computations the
-	// SQ8 pre-filter of Options.Quantize skipped: leaf points whose
-	// quantized lower bound already exceeded the running k-th-best
-	// distance. 0 without Quantize.
-	DistCompsSaved int
 	// PagesSavedByRemoteBound is the part of PagesSavedByBound charged to
 	// searches stopped while the shared bound still held an externally
 	// seeded value (Approx.Bound — the kth-distance bound a distributed
@@ -610,17 +594,11 @@ func open(opts Options) (*Index, error) {
 	if _, err := opts.Metric.vecMetric(); err != nil {
 		return nil, err
 	}
-	if opts.BatchWorkers < 0 {
-		return nil, fmt.Errorf("parsearch: %d batch workers", opts.BatchWorkers)
-	}
 	if opts.Replication < 0 || opts.Replication > 1 {
 		return nil, fmt.Errorf("parsearch: replication %d, want 0 or 1", opts.Replication)
 	}
 	if opts.Replication == 1 && opts.Disks < 2 {
 		return nil, fmt.Errorf("parsearch: replication needs at least 2 disks, have %d", opts.Disks)
-	}
-	if opts.Quantize && !opts.Packed {
-		return nil, fmt.Errorf("parsearch: Quantize requires Packed")
 	}
 	if err := (Approx{Epsilon: opts.Epsilon}).validate(); err != nil {
 		return nil, err

@@ -320,7 +320,6 @@ func (sr *shardSearch) record(qs *QueryStats) (nodeVisits int64) {
 		s := &sr.disks[d]
 		nodeVisits += int64(s.acc.DirAccesses + s.acc.LeafAccesses)
 		qs.SearchPages += s.acc.PageAccesses
-		qs.DistCompsSaved += s.acc.DistCompsSkipped
 		qs.PagesSavedByBound += s.stats.Saved.PageAccesses
 		qs.BoundTightenings += s.stats.Tightened
 		qs.PagesSavedByRemoteBound += s.stats.RemotePages

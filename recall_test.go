@@ -44,7 +44,7 @@ func recallOf(res []Neighbor, truth []scanHit) float64 {
 }
 
 // TestApproxRecallBattery sweeps ε ∈ {0, 0.1, 0.5} across declustering
-// strategies × replication × the packed/quantized storage engine.
+// strategies × replication × the packed storage engine.
 // Small pages make the per-shard trees deep enough that early
 // termination has real pages to skip at this workload size.
 func TestApproxRecallBattery(t *testing.T) {
@@ -73,7 +73,7 @@ func TestApproxRecallBattery(t *testing.T) {
 		mod  func(*Options)
 	}{
 		{"base", func(o *Options) {}},
-		{"packed-quantize", func(o *Options) { o.Packed = true; o.Quantize = true }},
+		{"packed", func(o *Options) { o.Packed = true }},
 	}
 
 	// Aggregated across every configuration: each ε knob must skip

@@ -405,7 +405,6 @@ func (ix *Index) reorgPlanFor(st *state, points []vec.Point) *reorgPlan {
 // reorgApply cuts one plan in. Caller holds mu (write) and meta, and has
 // verified the plan was computed against the current state and version.
 func (ix *Index) reorgApply(st *state, plan *reorgPlan) error {
-	n := ix.opts.Disks
 	if plan.wrap != nil {
 		// Wrapping changes no disk assignment (level 0 is colored by the
 		// same strategy), so the trees stay as they are; only the cell
@@ -437,30 +436,10 @@ func (ix *Index) reorgApply(st *state, plan *reorgPlan) error {
 		if mv.newDisk == mv.oldDisk {
 			continue
 		}
-		sh := st.shards[mv.oldDisk]
-		sh.mu.Lock()
-		ok := sh.tree.Delete(mv.p, mv.id)
-		sh.mu.Unlock()
-		if !ok {
-			return fmt.Errorf("parsearch: internal inconsistency: id %d not on disk %d during reorganize", mv.id, mv.oldDisk)
+		if err := st.take(mv.oldDisk, mv.p, mv.id); err != nil {
+			return fmt.Errorf("parsearch: reorganizing: %w", err)
 		}
-		nsh := st.shards[mv.newDisk]
-		nsh.mu.Lock()
-		nsh.tree.Insert(mv.p, mv.id)
-		nsh.mu.Unlock()
-		if st.replicas != nil {
-			rsh := st.replicas[replicaOf(mv.oldDisk, n)]
-			rsh.mu.Lock()
-			ok := rsh.tree.Delete(mv.p, mv.id)
-			rsh.mu.Unlock()
-			if !ok {
-				return fmt.Errorf("parsearch: internal inconsistency: id %d not in disk %d's replica during reorganize", mv.id, mv.oldDisk)
-			}
-			nrsh := st.replicas[replicaOf(mv.newDisk, n)]
-			nrsh.mu.Lock()
-			nrsh.tree.Insert(mv.p, mv.id)
-			nrsh.mu.Unlock()
-		}
+		st.place(mv.newDisk, mv.p, mv.id)
 		// The baseline tree is disk-agnostic: nothing to move.
 	}
 	ix.version++

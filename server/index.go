@@ -44,7 +44,7 @@ func (s *indexSearcher) KNN(ctx context.Context, q []float64, k int, o QueryOpts
 		return nil, nil, err
 	}
 	a := o.Approx(s.ix.ApproxDefaults())
-	if s.cfg.DisableCoalescing || shards.Enabled() || o.Bound != nil {
+	if shards.Enabled() || o.Bound != nil {
 		// Coordinator fan-out requests bypass the coalescer: their
 		// per-request bound and shard restriction are query-private and
 		// must not leak into a coalesced group's shared Approx knobs.

@@ -57,15 +57,12 @@ import (
 )
 
 // Config are the serving knobs. The zero value selects the documented
-// defaults. MaxBatch and DisableCoalescing configure the index backend's
-// coalescer and mean nothing to any other Searcher.
+// defaults. MaxBatch configures the index backend's coalescer and means
+// nothing to any other Searcher.
 type Config struct {
 	// MaxBatch caps the size of one coalesced batch; default 16. A queue
 	// that reaches it runs at once, beside the search it formed behind.
 	MaxBatch int
-	// DisableCoalescing routes every /v1/knn request directly to
-	// KNNContext.
-	DisableCoalescing bool
 	// MaxInFlight is the number of requests allowed to use the engine
 	// concurrently; default 64.
 	MaxInFlight int
@@ -251,15 +248,13 @@ func New(ix *parsearch.Index, cfg Config) (*Server, error) {
 }
 
 // NewFront returns a server over any Searcher. The front itself never
-// coalesces — whether to is the Searcher's decision — so the
-// coalescing knobs of cfg are ignored.
+// coalesces — whether to is the Searcher's decision — so cfg.MaxBatch
+// is ignored.
 func NewFront(sr Searcher, cfg Config) (*Server, error) {
 	if sr == nil {
 		return nil, fmt.Errorf("server: nil searcher")
 	}
-	cfg = cfg.withDefaults()
-	cfg.DisableCoalescing = true
-	return newServer(sr, cfg, &serverStats{}), nil
+	return newServer(sr, cfg.withDefaults(), &serverStats{}), nil
 }
 
 func newServer(sr Searcher, cfg Config, stats *serverStats) *Server {
@@ -594,12 +589,11 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 }
 
 type statuszServe struct {
-	MaxBatch          int     `json:"max_batch"`
-	CoalescingEnabled bool    `json:"coalescing_enabled"`
-	MaxInFlight       int     `json:"max_in_flight"`
-	MaxQueue          int     `json:"max_queue"`
-	DefaultTimeoutMs  float64 `json:"default_timeout_ms"`
-	Stats             Stats   `json:"stats"`
+	MaxBatch         int     `json:"max_batch"`
+	MaxInFlight      int     `json:"max_in_flight"`
+	MaxQueue         int     `json:"max_queue"`
+	DefaultTimeoutMs float64 `json:"default_timeout_ms"`
+	Stats            Stats   `json:"stats"`
 }
 
 // handleStatusz writes the backend's status sections plus the serving
@@ -607,12 +601,11 @@ type statuszServe struct {
 func (s *Server) handleStatusz(w http.ResponseWriter, r *http.Request) {
 	doc := s.sr.Status()
 	doc["serving"] = statuszServe{
-		MaxBatch:          s.cfg.MaxBatch,
-		CoalescingEnabled: !s.cfg.DisableCoalescing,
-		MaxInFlight:       s.cfg.MaxInFlight,
-		MaxQueue:          s.cfg.MaxQueue,
-		DefaultTimeoutMs:  float64(s.cfg.DefaultTimeout) / float64(time.Millisecond),
-		Stats:             s.Stats(),
+		MaxBatch:         s.cfg.MaxBatch,
+		MaxInFlight:      s.cfg.MaxInFlight,
+		MaxQueue:         s.cfg.MaxQueue,
+		DefaultTimeoutMs: float64(s.cfg.DefaultTimeout) / float64(time.Millisecond),
+		Stats:            s.Stats(),
 	}
 	doc["metrics"] = s.sr.Metrics()
 	writeJSON(w, doc)

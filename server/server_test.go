@@ -295,7 +295,7 @@ func TestServedApproxKnobs(t *testing.T) {
 // recall/latency trade-off reads these, not the library's QueryStats.
 func TestObservabilitySurfacesApproxCounters(t *testing.T) {
 	ix := testIndex(t, 4, 800, 4, 0)
-	srv, err := New(ix, Config{DisableCoalescing: true, ExpvarName: "parsearch_approx_obs_test"})
+	srv, err := New(ix, Config{ExpvarName: "parsearch_approx_obs_test"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -408,7 +408,7 @@ func TestHealthzReflectsFaults(t *testing.T) {
 // serving knobs, and a metrics snapshot that counts served queries.
 func TestStatusz(t *testing.T) {
 	ix := testIndex(t, 4, 400, 4, 0)
-	srv, err := New(ix, Config{DisableCoalescing: true})
+	srv, err := New(ix, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -436,7 +436,7 @@ func TestStatusz(t *testing.T) {
 			} `json:"stats"`
 		} `json:"serving"`
 		Metrics struct {
-			QueriesKNN int64 `json:"queries_knn"`
+			BatchQueries int64 `json:"batch_queries"`
 		} `json:"metrics"`
 	}
 	if err := json.NewDecoder(resp.Body).Decode(&doc); err != nil {
@@ -451,8 +451,10 @@ func TestStatusz(t *testing.T) {
 	if doc.Serving.Stats.Requests != 1 {
 		t.Errorf("statusz served requests = %d, want 1", doc.Serving.Stats.Requests)
 	}
-	if doc.Metrics.QueriesKNN < 1 {
-		t.Errorf("statusz metrics queries_knn = %d, want >= 1", doc.Metrics.QueriesKNN)
+	// The coalescer runs even a lone /v1/knn as a batch of one, so the
+	// engine counts it among the batched queries.
+	if doc.Metrics.BatchQueries != 1 {
+		t.Errorf("statusz metrics batch_queries = %d, want 1", doc.Metrics.BatchQueries)
 	}
 }
 

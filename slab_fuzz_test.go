@@ -10,13 +10,14 @@ import (
 	"parsearch/internal/data"
 )
 
-// packedSnapshotPayload builds a snapshot of a packed+quantized index
-// (float32 point table, flag bits 32|64) and returns its payload with
-// the trailing CRC-32 stripped, so fuzz mutations reach the parser
-// instead of dying at the checksum.
+// packedSnapshotPayload builds a snapshot of a packed index as an old
+// quantized one saved it (float32 point table, flag bits 32|64: the
+// retired bit 64 is forged on, since Save no longer writes it) and
+// returns its payload with the trailing CRC-32 stripped, so fuzz
+// mutations reach the parser instead of dying at the checksum.
 func packedSnapshotPayload(f *testing.F) []byte {
 	f.Helper()
-	ix, err := Open(Options{Dim: 5, Disks: 3, Packed: true, Quantize: true})
+	ix, err := Open(Options{Dim: 5, Disks: 3, Packed: true})
 	if err != nil {
 		f.Fatal(err)
 	}
@@ -36,13 +37,23 @@ func packedSnapshotPayload(f *testing.F) []byte {
 	if err := ix.Save(&buf); err != nil {
 		f.Fatal(err)
 	}
-	return buf.Bytes()[:buf.Len()-4]
+	payload := buf.Bytes()[:buf.Len()-4]
+	payload[snapshotFlagsOffset] |= flagQuantize
+	return payload
+}
+
+// snapshotFlagsOffset is the byte offset of the header's flag byte.
+const snapshotFlagsOffset = len(snapshotMagic) + 4*4
+
+// resealSnapshot appends the CRC-32 of a (possibly forged) payload.
+func resealSnapshot(payload []byte) []byte {
+	return binary.LittleEndian.AppendUint32(append([]byte(nil), payload...), crc32.ChecksumIEEE(payload))
 }
 
 // snapshotCountOffset walks the fixed header and the two length-prefixed
 // strings to the byte offset of the uint64 point count.
 func snapshotCountOffset(payload []byte) int {
-	off := len(snapshotMagic) + 4*4 + 1 + 8 + 8 + 8
+	off := snapshotFlagsOffset + 1 + 8 + 8 + 8
 	off += 2 + int(binary.LittleEndian.Uint16(payload[off:])) // Kind
 	off += 2 + int(binary.LittleEndian.Uint16(payload[off:])) // CostModel
 	return off
@@ -65,15 +76,14 @@ func FuzzSlabRoundtrip(f *testing.F) {
 	// loader reads 8-byte strides and must fail cleanly (short table or
 	// trailing bytes), never panic.
 	unpacked := append([]byte(nil), payload...)
-	unpacked[len(snapshotMagic)+16] &^= flagPacked
+	unpacked[snapshotFlagsOffset] &^= flagPacked
 	f.Add(unpacked)
 
-	// Quantize flag without the packed flag: Open rejects the option
-	// combination even if the table happens to parse.
-	quantOnly := append([]byte(nil), payload...)
-	quantOnly[len(snapshotMagic)+16] &^= flagPacked
-	quantOnly[len(snapshotMagic)+16] |= flagQuantize
-	f.Add(quantOnly)
+	// The same without the retired quantize bit beside it: the bit is
+	// ignored, so both fail on the stride alone.
+	unpackedPlain := append([]byte(nil), unpacked...)
+	unpackedPlain[snapshotFlagsOffset] &^= flagQuantize
+	f.Add(unpackedPlain)
 
 	// Packed flag forged onto a float64 snapshot: 4-byte strides leave
 	// half the table unread — the loader must reject the leftovers.
@@ -89,7 +99,7 @@ func FuzzSlabRoundtrip(f *testing.F) {
 		f.Fatal(err)
 	}
 	forged := buf64.Bytes()[:buf64.Len()-4]
-	forged[len(snapshotMagic)+16] |= flagPacked
+	forged[snapshotFlagsOffset] |= flagPacked
 	f.Add(forged)
 
 	// Truncated mid-point-table (count intact, coordinates missing).
@@ -104,10 +114,7 @@ func FuzzSlabRoundtrip(f *testing.F) {
 	f.Add(huge)
 
 	f.Fuzz(func(t *testing.T, b []byte) {
-		full := make([]byte, len(b)+4)
-		copy(full, b)
-		binary.LittleEndian.PutUint32(full[len(b):], crc32.ChecksumIEEE(b))
-		loaded, err := Load(bytes.NewReader(full))
+		loaded, err := Load(bytes.NewReader(resealSnapshot(b)))
 		if err != nil {
 			return
 		}
@@ -140,6 +147,66 @@ func FuzzSlabRoundtrip(f *testing.F) {
 	})
 }
 
+// TestRetiredQuantizeFlagIgnored pins the compatibility rule of the
+// retired snapshot flag: a snapshot carrying bit 64 — what an index with
+// the removed SQ8 option saved — loads as the same index, answers byte
+// for byte like its unflagged twin, and saves without the bit, whether
+// or not the packed flag sits beside it.
+func TestRetiredQuantizeFlagIgnored(t *testing.T) {
+	for _, packed := range []bool{true, false} {
+		ix, err := Open(Options{Dim: 5, Disks: 3, Packed: packed, Replication: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := ix.Build(data.Uniform(300, 5, 31)); err != nil {
+			t.Fatal(err)
+		}
+		var buf bytes.Buffer
+		if err := ix.Save(&buf); err != nil {
+			t.Fatal(err)
+		}
+		plain := buf.Bytes()
+		if plain[snapshotFlagsOffset]&flagQuantize != 0 {
+			t.Fatalf("packed=%v: Save wrote the retired flag", packed)
+		}
+		flagged := append([]byte(nil), plain[:len(plain)-4]...)
+		flagged[snapshotFlagsOffset] |= flagQuantize
+		flagged = resealSnapshot(flagged)
+
+		twin, err := Load(bytes.NewReader(plain))
+		if err != nil {
+			t.Fatal(err)
+		}
+		old, err := Load(bytes.NewReader(flagged))
+		if err != nil {
+			t.Fatalf("packed=%v: snapshot with the retired flag: %v", packed, err)
+		}
+		if old.opts.Packed != packed {
+			t.Fatalf("packed=%v: retired flag changed the storage mode", packed)
+		}
+		var again bytes.Buffer
+		if err := old.Save(&again); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(again.Bytes(), plain) {
+			t.Fatalf("packed=%v: re-saving the flagged snapshot differs from its unflagged twin", packed)
+		}
+		for qi, q := range data.Uniform(10, 5, 32) {
+			want, wantStats, err := twin.KNN(q, 7)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, gotStats, err := old.KNN(q, 7)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !sameNeighbors(got, want) || gotStats.TotalPages != wantStats.TotalPages {
+				t.Fatalf("packed=%v query %d: flagged snapshot answers differently:\n got  %v\n want %v", packed, qi, got, want)
+			}
+		}
+	}
+}
+
 // TestPreSlabGoldenSnapshot loads the committed golden snapshot written
 // by the pre-slab (float64-table) code and checks the current loader
 // still honors it: the format is append-only, old snapshots must keep
@@ -155,7 +222,7 @@ func TestPreSlabGoldenSnapshot(t *testing.T) {
 	if err != nil {
 		t.Fatalf("loading pre-slab golden snapshot: %v", err)
 	}
-	if ix.opts.Packed || ix.opts.Quantize {
+	if ix.opts.Packed {
 		t.Fatalf("pre-slab snapshot loaded with packed options: %+v", ix.opts)
 	}
 	if got := ix.Len(); got != 499 { // 500 points, ID 7 deleted

@@ -38,10 +38,13 @@ const (
 	// flagPacked marks a snapshot of a packed index (Options.Packed):
 	// its coordinates were rounded to float32 at ingest, so the point
 	// table stores 4-byte float32 coordinates — losslessly, and half the
-	// size. flagQuantize additionally records Options.Quantize (the SQ8
-	// pre-filter); it does not change the payload, since the codes are
-	// derived state rebuilt by Build.
-	flagPacked   = 32
+	// size.
+	flagPacked = 32
+	// flagQuantize is retired: it recorded the removed SQ8 pre-filter
+	// option, which never changed the payload or an answer. It is never
+	// written, and ignored on read whatever the other bits say, so an old
+	// snapshot loads as the plain index it always answered like. The
+	// constant stays so the bit is not reused.
 	flagQuantize = 64
 )
 
@@ -92,9 +95,6 @@ func (ix *Index) writeSnapshot(w io.Writer, points []vec.Point) error {
 	}
 	if ix.opts.Packed {
 		flags |= flagPacked
-	}
-	if ix.opts.Quantize {
-		flags |= flagQuantize
 	}
 	header := []interface{}{
 		uint32(snapshotVersion),
@@ -376,7 +376,6 @@ func parseSnapshotPayload(raw []byte) (*snapshotData, int, error) {
 			Baseline:       flags&flagBaseline != 0,
 			Replication:    int(flags & flagReplication >> 3),
 			Packed:         packed,
-			Quantize:       flags&flagQuantize != 0,
 			DiskParams:     &params,
 			CostModel:      CostModel(costModel),
 		},

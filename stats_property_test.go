@@ -10,6 +10,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -211,6 +212,7 @@ func TestBatchStatsConsistency(t *testing.T) {
 
 // TestBatchWorkerCountInvariance: results and page accounting must not
 // depend on the worker-pool size — one worker or many, same answers.
+// The pool is min(GOMAXPROCS, batch size), so the test varies GOMAXPROCS.
 func TestBatchWorkerCountInvariance(t *testing.T) {
 	const d, n, k, queries = 5, 900, 4, 16
 	pts := data.Uniform(n, d, 71)
@@ -229,8 +231,11 @@ func TestBatchWorkerCountInvariance(t *testing.T) {
 		stats   BatchStats
 	}
 	runs := make(map[int]run)
+	procs := runtime.GOMAXPROCS(0)
+	t.Cleanup(func() { runtime.GOMAXPROCS(procs) })
 	for _, workers := range []int{1, 2, 7} {
-		ix, err := Open(Options{Dim: d, Disks: 3, BatchWorkers: workers})
+		runtime.GOMAXPROCS(workers)
+		ix, err := Open(Options{Dim: d, Disks: 3})
 		if err != nil {
 			t.Fatal(err)
 		}

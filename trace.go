@@ -283,7 +283,6 @@ func (ix *Index) recordQuery(qs *QueryStats) {
 	ix.reg.PagesSavedByBound.Add(int64(qs.PagesSavedByBound))
 	ix.reg.PagesSavedByRemoteBound.Add(int64(qs.PagesSavedByRemoteBound))
 	ix.reg.BoundTightenings.Add(int64(qs.BoundTightenings))
-	ix.reg.DistCompsSaved.Add(int64(qs.DistCompsSaved))
 	if qs.Degraded {
 		ix.reg.DegradedQueries.Inc()
 	}
