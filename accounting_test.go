@@ -119,18 +119,19 @@ func TestAccountingMatchesLeafScan(t *testing.T) {
 	}
 	pm := []float64{0.5, Wildcard, 0.4, Wildcard, Wildcard, Wildcard}
 	const tol = 0.08
-	faults := &FaultModel{TransientProb: 0.2, MaxRetries: 12, RetryBackoff: time.Millisecond,
+	faults := FaultModel{TransientProb: 0.2, MaxRetries: 12, RetryBackoff: time.Millisecond,
 		SpikeProb: 0.1, SpikeLatency: 5 * time.Millisecond, Seed: 53}
 
 	configs := []struct {
-		name string
-		opts Options
+		name   string
+		opts   Options
+		faults bool
 	}{
-		{"plain", Options{}},
-		{"baseline", Options{Baseline: true}},
-		{"replicated+baseline+faults", Options{Replication: 1, Baseline: true, Faults: faults}},
-		{"packed+replicated+L1", Options{Packed: true, Replication: 1, Metric: Manhattan}},
-		{"packed+baseline+faults+Linf", Options{Packed: true, Baseline: true, Faults: faults, Metric: Maximum}},
+		{"plain", Options{}, false},
+		{"baseline", Options{Baseline: true}, false},
+		{"replicated+baseline+faults", Options{Replication: 1, Baseline: true}, true},
+		{"packed+replicated+L1", Options{Packed: true, Replication: 1, Metric: Manhattan}, false},
+		{"packed+baseline+faults+Linf", Options{Packed: true, Baseline: true, Metric: Maximum}, true},
 	}
 	// seen sums what the matrix exercised, so that a dead axis fails the
 	// test instead of passing it vacuously.
@@ -146,6 +147,11 @@ func TestAccountingMatchesLeafScan(t *testing.T) {
 				ix, err := Open(opts)
 				if err != nil {
 					t.Fatal(err)
+				}
+				if cfg.faults {
+					if err := ix.SetFaults(faults); err != nil {
+						t.Fatal(err)
+					}
 				}
 				if err := ix.Build(raw); err != nil {
 					t.Fatal(err)

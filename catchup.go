@@ -6,7 +6,8 @@ import (
 	"fmt"
 	"io/fs"
 	"os"
-	"path/filepath"
+
+	"parsearch/internal/fsx"
 )
 
 // Snapshot+delta shipping: a cold replica (or a restarted parsearchd)
@@ -77,51 +78,42 @@ func (ix *Index) Catchup(have bool, gen uint64, offset int64) (CatchupDelta, err
 	cut := w.Synced()
 
 	delta := CatchupDelta{Gen: cur, NextOffset: cut}
-	var total int64
+	ok := false
 	if have && gen <= cur {
-		files, ok, err := ix.catchupTail(gen, offset, cur, cut)
+		var err error
+		if delta.Files, ok, err = ix.catchupTail(gen, offset, cur, cut); err != nil {
+			return CatchupDelta{}, err
+		}
+		// Not ok: the follower's position is gone or diverged.
+	}
+	if !ok {
+		// Reset: the newest snapshot at or below the current generation,
+		// plus every log above it. With no snapshot at all the chain
+		// starts at wal-0, which always exists.
+		delta.Reset = true
+		base, haveSnap, err := ix.newestSnapshot(cur)
 		if err != nil {
 			return CatchupDelta{}, err
 		}
-		if ok {
-			delta.Files = files
-			for _, f := range files {
-				total += int64(len(f.Data))
+		if haveSnap {
+			data, err := ix.fs.ReadFile(snapName(base))
+			if err != nil {
+				return CatchupDelta{}, fmt.Errorf("parsearch: reading %s for catch-up: %w", snapName(base), err)
 			}
-			ix.reg.CatchupBytes.Add(total)
-			sp := ix.newSpan(context.Background(), "catchup")
-			sp.emit(TraceEvent{Stage: StageCatchup, Disk: -1, Item: -1,
-				Results: len(delta.Files), Pages: int(total)})
-			return delta, nil
+			delta.Files = append(delta.Files, CatchupFile{Name: snapName(base), Data: data})
+		} else {
+			base = 0
 		}
-		// Fall through: the follower's position is gone or diverged.
-	}
-
-	// Reset: the newest snapshot at or below the current generation,
-	// plus every log above it. With no snapshot at all the chain starts
-	// at wal-0, which always exists.
-	delta.Reset = true
-	base, haveSnap, err := ix.newestSnapshot(cur)
-	if err != nil {
-		return CatchupDelta{}, err
-	}
-	if haveSnap {
-		data, err := ix.fs.ReadFile(snapName(base))
+		files, ok, err := ix.catchupTail(base, 0, cur, cut)
 		if err != nil {
-			return CatchupDelta{}, fmt.Errorf("parsearch: reading %s for catch-up: %w", snapName(base), err)
+			return CatchupDelta{}, err
 		}
-		delta.Files = append(delta.Files, CatchupFile{Name: snapName(base), Data: data})
-	} else {
-		base = 0
+		if !ok {
+			return CatchupDelta{}, fmt.Errorf("parsearch: generation chain %d..%d incomplete during catch-up", base, cur)
+		}
+		delta.Files = append(delta.Files, files...)
 	}
-	files, ok, err := ix.catchupTail(base, 0, cur, cut)
-	if err != nil {
-		return CatchupDelta{}, err
-	}
-	if !ok {
-		return CatchupDelta{}, fmt.Errorf("parsearch: generation chain %d..%d incomplete during catch-up", base, cur)
-	}
-	delta.Files = append(delta.Files, files...)
+	var total int64
 	for _, f := range delta.Files {
 		total += int64(len(f.Data))
 	}
@@ -211,92 +203,109 @@ func CatchupScan(dir string) (have bool, gen uint64, offset int64, err error) {
 }
 
 // CatchupApply installs one delta into a follower's durable directory
-// (creating it if needed). On Reset it first removes the follower's
-// snapshot and WAL files. Every fragment is verified to extend the
-// local file exactly at its offset — a mismatch aborts with an error
-// before anything is corrupted — and the files are fsynced, so a
-// subsequent Open recovers the shipped state even after a crash.
+// (creating it if needed); see installDelta.
 func CatchupApply(dir string, delta CatchupDelta) error {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return fmt.Errorf("parsearch: %w", err)
-	}
-	if delta.Reset {
-		entries, err := os.ReadDir(dir)
-		if err != nil {
-			return fmt.Errorf("parsearch: %w", err)
-		}
-		for _, e := range entries {
-			name := e.Name()
-			_, isSnap := parseGen(name, snapPrefix, snapSuffix)
-			_, isWAL := parseGen(name, walPrefix, walSuffix)
-			if isSnap || isWAL {
-				if err := os.Remove(filepath.Join(dir, name)); err != nil {
-					return fmt.Errorf("parsearch: resetting follower: %w", err)
-				}
-			}
-		}
-	}
-	for _, f := range delta.Files {
-		// Only chain files with well-formed names may be written — the
-		// delta came off the wire.
-		_, isSnap := parseGen(f.Name, snapPrefix, snapSuffix)
-		_, isWAL := parseGen(f.Name, walPrefix, walSuffix)
-		if !isSnap && !isWAL || f.Name != filepath.Base(f.Name) {
-			return fmt.Errorf("parsearch: refusing catch-up file %q", f.Name)
-		}
-		if f.Offset < 0 {
-			return fmt.Errorf("parsearch: negative offset for catch-up file %q", f.Name)
-		}
-		path := filepath.Join(dir, f.Name)
-		if err := applyFragment(path, f); err != nil {
-			return err
-		}
-	}
-	// Make the new directory entries themselves durable.
-	d, err := os.Open(dir)
+	fsys, err := fsx.NewOS(dir)
 	if err != nil {
 		return fmt.Errorf("parsearch: %w", err)
 	}
-	defer d.Close()
-	if err := d.Sync(); err != nil {
-		return fmt.Errorf("parsearch: syncing %s: %w", dir, err)
+	return installDelta(fsys, delta)
+}
+
+// installDelta installs one delta into a follower's durable files. On
+// Reset it first removes the follower's snapshot and WAL files. Every
+// fragment is verified to extend the local file exactly at its offset —
+// a mismatch aborts with an error before anything is corrupted — and the
+// files are fsynced, so a subsequent Open recovers the shipped state
+// even after a crash. A crash mid-install leaves a prefix of the
+// leader's chain that Open recovers and the next round extends.
+func installDelta(fsys fsx.FS, delta CatchupDelta) error {
+	names, err := fsys.List()
+	if err != nil {
+		return fmt.Errorf("parsearch: listing follower files: %w", err)
+	}
+	local := make(map[string]bool, len(names))
+	// Newest first (logs sort after snapshots), so a reset cut short
+	// leaves a snapshot with a prefix of its logs, never logs whose
+	// snapshot is gone.
+	for i := len(names) - 1; i >= 0; i-- {
+		if _, ok := chainFile(names[i]); !ok {
+			continue
+		}
+		if !delta.Reset {
+			local[names[i]] = true
+		} else if err := fsys.Remove(names[i]); err != nil {
+			return fmt.Errorf("parsearch: resetting follower: %w", err)
+		}
+	}
+	for _, f := range delta.Files {
+		if err := installFragment(fsys, f, local[f.Name]); err != nil {
+			return err
+		}
+		local[f.Name] = true
+	}
+	// Make the new directory entries themselves durable.
+	if err := fsys.SyncDir(); err != nil {
+		return fmt.Errorf("parsearch: syncing follower directory: %w", err)
 	}
 	return nil
 }
 
-// applyFragment writes one delta fragment at its verified offset and
-// fsyncs the file.
-func applyFragment(path string, f CatchupFile) error {
-	flags := os.O_WRONLY | os.O_CREATE
-	if f.Offset == 0 {
-		flags |= os.O_TRUNC
-	} else {
-		info, err := os.Stat(path)
-		if err != nil {
-			return fmt.Errorf("parsearch: catch-up fragment for %s: %w", path, err)
-		}
-		if info.Size() != f.Offset {
-			return fmt.Errorf("parsearch: catch-up fragment for %s at offset %d, file has %d bytes",
-				path, f.Offset, info.Size())
-		}
+// chainFile reports whether name is a chain file name and whether it
+// names a snapshot. parseGen admits only prefix, generation digits and
+// suffix, so a chain name is bare: it cannot escape the directory.
+func chainFile(name string) (snap, ok bool) {
+	if _, ok := parseGen(name, snapPrefix, snapSuffix); ok {
+		return true, true
 	}
-	fl, err := os.OpenFile(path, flags, 0o644)
-	if err != nil {
-		return fmt.Errorf("parsearch: %w", err)
+	_, ok = parseGen(name, walPrefix, walSuffix)
+	return false, ok
+}
+
+// installFragment writes one fragment; exists reports whether the local
+// file is present. A leader ships snapshots whole, and one is committed
+// like the leader's own (commitFile), so a crash mid-install never
+// leaves a torn snapshot under its final name. A log fragment at offset
+// 0 creates the log; any other must land exactly at the end of the
+// local log.
+func installFragment(fsys fsx.FS, f CatchupFile, exists bool) error {
+	// The fragment came off the wire: check it before writing anything.
+	snap, ok := chainFile(f.Name)
+	switch {
+	case !ok:
+		return fmt.Errorf("parsearch: refusing catch-up file %q", f.Name)
+	case f.Offset < 0:
+		return fmt.Errorf("parsearch: negative offset for catch-up file %q", f.Name)
+	case snap && f.Offset != 0:
+		return fmt.Errorf("parsearch: catch-up snapshot %s at offset %d, not whole", f.Name, f.Offset)
+	case f.Offset > 0 && !exists:
+		return fmt.Errorf("parsearch: catch-up fragment for missing %s", f.Name)
 	}
+	write := func(w fsx.File) error {
+		_, err := w.Write(f.Data)
+		return err
+	}
+	if snap {
+		return commitFile(fsys, f.Name, write)
+	}
+	open := fsys.Create
 	if f.Offset > 0 {
-		if _, err := fl.Seek(f.Offset, 0); err != nil {
-			fl.Close()
-			return fmt.Errorf("parsearch: %w", err)
-		}
+		open = fsys.Append
 	}
-	if _, err := fl.Write(f.Data); err != nil {
-		fl.Close()
-		return fmt.Errorf("parsearch: writing %s: %w", path, err)
+	w, err := open(f.Name)
+	if err != nil {
+		return fmt.Errorf("parsearch: opening %s: %w", f.Name, err)
 	}
-	if err := fl.Sync(); err != nil {
-		fl.Close()
-		return fmt.Errorf("parsearch: syncing %s: %w", path, err)
+	size, err := w.Size()
+	if err == nil && size != f.Offset {
+		err = fmt.Errorf("file has %d bytes", size)
 	}
-	return fl.Close()
+	if err != nil {
+		w.Close()
+		return fmt.Errorf("parsearch: catch-up fragment for %s at offset %d: %w", f.Name, f.Offset, err)
+	}
+	if err := writeSynced(w, write); err != nil {
+		return fmt.Errorf("parsearch: writing %s: %w", f.Name, err)
+	}
+	return nil
 }

@@ -12,9 +12,10 @@ import (
 )
 
 // ServerConfig configures the coordinator's HTTP front: it is the
-// shard daemon's server.Config, defaults included. The coalescing
-// knobs are ignored — the coordinator never coalesces (a lone request
-// would wait out the whole window before its fan-out even starts).
+// shard daemon's server.Config, defaults included. MaxBatch is
+// ignored: a coordinator does not coalesce — its one benchmark drives a
+// single client, so no number could show whether batching a fan-out
+// pays.
 type ServerConfig = server.Config
 
 // NewServer returns the HTTP front of a coordinator: the one front of

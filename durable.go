@@ -290,11 +290,25 @@ func (ix *Index) initDurable(fs fsx.FS) error {
 	// ascending.
 
 	info := RecoveryInfo{}
+	// drop is how recovery meets damage it cannot explain by a crash: the
+	// refusal stands, unless Salvage removes the file and counts its bytes.
+	drop := func(name string, refusal error) error {
+		if !ix.opts.Salvage {
+			return refusal
+		}
+		info.Salvaged = true
+		if raw, err := fs.ReadFile(name); err == nil {
+			info.DroppedBytes += int64(len(raw))
+		}
+		_ = fs.Remove(name)
+		return nil
+	}
 
 	// Load the newest loadable snapshot. An unloadable newest snapshot
 	// is corruption, not a crash artifact — snapshots commit atomically
-	// via rename, so a half-written one cannot carry the final name —
-	// and is refused, unless Salvage falls back to an older generation.
+	// via rename (commitFile, on leader and follower alike), so a
+	// half-written one cannot carry the final name — and is refused,
+	// unless Salvage falls back to an older generation.
 	var base *snapshotData
 	for i := len(snapGens) - 1; i >= 0; i-- {
 		g := snapGens[i]
@@ -304,12 +318,9 @@ func (ix *Index) initDurable(fs fsx.FS) error {
 		}
 		sd, derr := decodeSnapshot(raw)
 		if derr != nil {
-			if !ix.opts.Salvage {
-				return fmt.Errorf("%w: %s: %v", ErrCorrupt, snapName(g), derr)
+			if err := drop(snapName(g), fmt.Errorf("%w: %s: %v", ErrCorrupt, snapName(g), derr)); err != nil {
+				return err
 			}
-			info.Salvaged = true
-			info.DroppedBytes += int64(len(raw))
-			_ = fs.Remove(snapName(g))
 			continue
 		}
 		if sd.opts.Dim != ix.opts.Dim {
@@ -331,15 +342,10 @@ func (ix *Index) initDurable(fs fsx.FS) error {
 	// generation 0; a log chain starting above 0 with no snapshot
 	// below it has lost its base and cannot be replayed honestly.
 	if base == nil && len(walGens) > 0 && walGens[0] != 0 {
-		if !ix.opts.Salvage {
-			return fmt.Errorf("%w: log chain starts at generation %d with no snapshot", ErrCorrupt, walGens[0])
-		}
-		info.Salvaged = true
 		for _, g := range walGens {
-			if raw, err := fs.ReadFile(walName(g)); err == nil {
-				info.DroppedBytes += int64(len(raw))
+			if err := drop(walName(g), fmt.Errorf("%w: log chain starts at generation %d with no snapshot", ErrCorrupt, walGens[0])); err != nil {
+				return err
 			}
-			_ = fs.Remove(walName(g))
 		}
 		walGens = nil
 	}
@@ -371,12 +377,9 @@ func (ix *Index) initDurable(fs fsx.FS) error {
 			// A torn or truncated log below a newer one violates the
 			// rotation protocol (logs are fully synced before a
 			// successor is created): the newer records are unreachable.
-			if !ix.opts.Salvage {
-				return fmt.Errorf("%w: %s follows a torn log", ErrCorrupt, walName(g))
+			if err := drop(walName(g), fmt.Errorf("%w: %s follows a torn log", ErrCorrupt, walName(g))); err != nil {
+				return err
 			}
-			info.Salvaged = true
-			info.DroppedBytes += int64(len(data))
-			_ = fs.Remove(walName(g))
 			continue
 		}
 		rs.expectCkpt = true
@@ -424,14 +427,9 @@ func (ix *Index) initDurable(fs fsx.FS) error {
 		if g <= stoppedAt {
 			continue
 		}
-		if !ix.opts.Salvage {
-			return fmt.Errorf("%w: %s is unreachable (%s is missing)", ErrCorrupt, walName(g), walName(stoppedAt))
+		if err := drop(walName(g), fmt.Errorf("%w: %s is unreachable (%s is missing)", ErrCorrupt, walName(g), walName(stoppedAt))); err != nil {
+			return err
 		}
-		info.Salvaged = true
-		if raw, err := fs.ReadFile(walName(g)); err == nil {
-			info.DroppedBytes += int64(len(raw))
-		}
-		_ = fs.Remove(walName(g))
 	}
 
 	// Rebuild the in-memory index from the recovered point table.
@@ -454,13 +452,17 @@ func (ix *Index) initDurable(fs fsx.FS) error {
 		_ = ix.reg.UnmarshalBinary(base.metrics)
 	}
 
-	// Arm the writer: resume the newest log of the chain, or start a
-	// fresh one.
+	// Arm the writer: reopen the newest log of the chain at its end when
+	// it holds bytes, else seed it. A chain log with no bytes exists but
+	// its checkpoint record never reached storage (a crash during
+	// rotation, or a salvage that dropped everything); seeding it keeps
+	// the chain invariant — every log opens with its checkpoint — for the
+	// records about to be appended. With no chain (a fresh directory, or
+	// a discarded rebase log) the log is seeded over whatever is there.
 	gen := replayFrom
+	var w *wal.Writer
 	if chainEnd > replayFrom {
 		gen = chainEnd - 1
-	}
-	if chainEnd > replayFrom {
 		f, err := fs.Append(walName(gen))
 		if err != nil {
 			return fmt.Errorf("parsearch: opening %s: %w", walName(gen), err)
@@ -470,46 +472,18 @@ func (ix *Index) initDurable(fs fsx.FS) error {
 			f.Close()
 			return fmt.Errorf("parsearch: sizing %s: %w", walName(gen), err)
 		}
-		w := ix.newWALWriter(f, size)
-		if size == 0 {
-			// The log exists but its checkpoint record never reached
-			// storage (a crash during rotation, or a salvage that
-			// dropped everything): reseed it so the chain invariant —
-			// every log opens with its checkpoint — holds for the
-			// records about to be appended.
-			if err := w.Append(wal.EncodeCheckpoint(gen, false)); err != nil {
-				_ = w.Close()
-				return fmt.Errorf("parsearch: reseeding %s: %w", walName(gen), err)
-			}
-			if err := w.Sync(); err != nil {
-				_ = w.Close()
-				return fmt.Errorf("parsearch: syncing %s: %w", walName(gen), err)
-			}
+		if size > 0 {
+			w = ix.newWALWriter(f, size)
+		} else {
+			f.Close()
 		}
-		ix.wal = w
-	} else {
-		f, err := fs.Create(walName(gen))
-		if err != nil {
-			return fmt.Errorf("parsearch: creating %s: %w", walName(gen), err)
-		}
-		w := ix.newWALWriter(f, 0)
-		if err := w.Append(wal.EncodeCheckpoint(gen, false)); err != nil {
-			_ = w.Close()
-			return fmt.Errorf("parsearch: seeding %s: %w", walName(gen), err)
-		}
-		if err := w.Sync(); err != nil {
-			_ = w.Close()
-			return fmt.Errorf("parsearch: syncing %s: %w", walName(gen), err)
-		}
-		// The log's directory entry must be durable before any mutation
-		// is acknowledged on it — fsyncing the file alone does not
-		// commit the name, and losing the file loses the whole log.
-		if err := fs.SyncDir(); err != nil {
-			_ = w.Close()
-			return fmt.Errorf("parsearch: syncing durable dir for %s: %w", walName(gen), err)
-		}
-		ix.wal = w
 	}
+	if w == nil {
+		if w, err = ix.seedLog(gen, false); err != nil {
+			return err
+		}
+	}
+	ix.wal = w
 	ix.gen = gen
 	ix.recov = info
 	if info.Recovered {
@@ -623,33 +597,14 @@ func (ix *Index) Checkpoint() error {
 		return fmt.Errorf("parsearch: syncing wal before checkpoint: %w", err)
 	}
 	newGen := ix.gen + 1
-	f, err := ix.fs.Create(walName(newGen))
+	// seedLog makes the new log's directory entry durable before any
+	// mutation is acknowledged on it: after the swap below, acked
+	// mutations live only in wal-(g+1), and a crash must not be able to
+	// erase the file itself.
+	nw, err := ix.seedLog(newGen, false)
 	if err != nil {
 		ix.meta.Unlock()
-		return fmt.Errorf("parsearch: creating %s: %w", walName(newGen), err)
-	}
-	nw := ix.newWALWriter(f, 0)
-	if err := nw.Append(wal.EncodeCheckpoint(newGen, false)); err != nil {
-		ix.meta.Unlock()
-		_ = nw.Close()
-		_ = ix.fs.Remove(walName(newGen))
-		return fmt.Errorf("parsearch: seeding %s: %w", walName(newGen), err)
-	}
-	if err := nw.Sync(); err != nil {
-		ix.meta.Unlock()
-		_ = nw.Close()
-		_ = ix.fs.Remove(walName(newGen))
-		return fmt.Errorf("parsearch: syncing %s: %w", walName(newGen), err)
-	}
-	// Make the new log's directory entry durable before any mutation is
-	// acknowledged on it: after the swap below, acked mutations live
-	// only in wal-(g+1), and a crash must not be able to erase the file
-	// itself.
-	if err := ix.fs.SyncDir(); err != nil {
-		ix.meta.Unlock()
-		_ = nw.Close()
-		_ = ix.fs.Remove(walName(newGen))
-		return fmt.Errorf("parsearch: syncing durable dir for %s: %w", walName(newGen), err)
+		return err
 	}
 	points := make([]vec.Point, len(ix.points))
 	copy(points, ix.points)
@@ -674,29 +629,70 @@ func (ix *Index) Checkpoint() error {
 	return nil
 }
 
-// writeSnapFile writes the given cut as snap-<gen> via tmp + fsync +
-// rename; the rename is the commit point.
-func (ix *Index) writeSnapFile(gen uint64, points []vec.Point) error {
-	tmp := snapName(gen) + tmpSuffix
-	f, err := ix.fs.Create(tmp)
+// seedLog starts wal-<gen> holding only its checkpoint record
+// (rebase-flagged for a durable Build), fsyncs it, and fsyncs the
+// directory: the log's directory entry must be durable before any
+// mutation is acknowledged on it — fsyncing the file alone does not
+// commit the name, and losing the file loses the whole log. On failure
+// the file is removed: a log that does not open with its checkpoint is
+// never part of the chain.
+func (ix *Index) seedLog(gen uint64, rebase bool) (*wal.Writer, error) {
+	f, err := ix.fs.Create(walName(gen))
 	if err != nil {
-		return fmt.Errorf("parsearch: creating %s: %w", tmp, err)
+		return nil, fmt.Errorf("parsearch: creating %s: %w", walName(gen), err)
 	}
-	if err := ix.writeSnapshot(f, points); err != nil {
-		f.Close()
-		return err
+	w := ix.newWALWriter(f, 0)
+	err = w.Append(wal.EncodeCheckpoint(gen, rebase))
+	if err == nil {
+		err = w.Sync()
 	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		return fmt.Errorf("parsearch: syncing %s: %w", tmp, err)
+	if err == nil {
+		err = ix.fs.SyncDir()
 	}
-	if err := f.Close(); err != nil {
-		return fmt.Errorf("parsearch: closing %s: %w", tmp, err)
+	if err != nil {
+		_ = w.Close()
+		_ = ix.fs.Remove(walName(gen))
+		return nil, fmt.Errorf("parsearch: seeding %s: %w", walName(gen), err)
 	}
-	if err := ix.fs.Rename(tmp, snapName(gen)); err != nil {
-		return fmt.Errorf("parsearch: committing %s: %w", snapName(gen), err)
+	return w, nil
+}
+
+// writeSnapFile commits the given cut as snap-<gen>.
+func (ix *Index) writeSnapFile(gen uint64, points []vec.Point) error {
+	return commitFile(ix.fs, snapName(gen), func(f fsx.File) error { return ix.writeSnapshot(f, points) })
+}
+
+// commitFile lands a whole file under name: write it to name.tmp, fsync,
+// close, rename. The rename is the commit point, so a crash before it
+// leaves only tmp residue (recovery deletes it on sight), never a torn
+// file under the final name. Leader snapshots and the snapshots a
+// follower installs both land this way.
+func commitFile(fs fsx.FS, name string, write func(fsx.File) error) error {
+	tmp := name + tmpSuffix
+	f, err := fs.Create(tmp)
+	if err == nil {
+		err = writeSynced(f, write)
+	}
+	if err == nil {
+		err = fs.Rename(tmp, name)
+	}
+	if err != nil {
+		return fmt.Errorf("parsearch: committing %s: %w", name, err)
 	}
 	return nil
+}
+
+// writeSynced runs write on f, fsyncs and closes it; f is closed on
+// every path.
+func writeSynced(f fsx.File, write func(fsx.File) error) error {
+	err := write(f)
+	if err == nil {
+		err = f.Sync()
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	return err
 }
 
 // pruneGenerations deletes snapshots and logs older than cur-1. The
@@ -749,28 +745,12 @@ func (ix *Index) rebaseDurable(st *state, pts []vec.Point, live int) error {
 	// Durable commit: rebase log first, snapshot rename last. Recovery
 	// keys off the rename — a rebase log whose snapshot is absent is
 	// discarded — so this order makes the crash window unambiguous.
-	f, err := ix.fs.Create(walName(newGen))
-	if err != nil {
-		return fmt.Errorf("parsearch: creating %s: %w", walName(newGen), err)
-	}
-	nw := ix.newWALWriter(f, 0)
-	if err := nw.Append(wal.EncodeCheckpoint(newGen, true)); err != nil {
-		_ = nw.Close()
-		_ = ix.fs.Remove(walName(newGen))
-		return fmt.Errorf("parsearch: seeding %s: %w", walName(newGen), err)
-	}
-	if err := nw.Sync(); err != nil {
-		_ = nw.Close()
-		_ = ix.fs.Remove(walName(newGen))
-		return fmt.Errorf("parsearch: syncing %s: %w", walName(newGen), err)
-	}
-	// The rebase log's name must be durable before the snapshot rename
-	// commits the generation: recovery pairs the two, and acked
+	// seedLog makes the rebase log's name durable before the snapshot
+	// rename commits the generation: recovery pairs the two, and acked
 	// mutations land in this log right after the cutover.
-	if err := ix.fs.SyncDir(); err != nil {
-		_ = nw.Close()
-		_ = ix.fs.Remove(walName(newGen))
-		return fmt.Errorf("parsearch: syncing durable dir for %s: %w", walName(newGen), err)
+	nw, err := ix.seedLog(newGen, true)
+	if err != nil {
+		return err
 	}
 	if err := ix.writeSnapFile(newGen, pts); err != nil {
 		_ = nw.Close()

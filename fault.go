@@ -2,7 +2,6 @@ package parsearch
 
 import (
 	"errors"
-	"fmt"
 	"time"
 
 	"parsearch/internal/disk"
@@ -63,8 +62,7 @@ func (m FaultModel) diskFaults() disk.FaultModel {
 }
 
 // SetFaults installs (or, with the zero model, removes) the disk fault
-// model at runtime. It takes effect for queries that start after the
-// call. The model can also be set at Open time via Options.Faults.
+// model. It takes effect for queries that start after the call.
 func (ix *Index) SetFaults(m FaultModel) error {
 	return ix.array.SetFaults(m.diskFaults())
 }
@@ -152,60 +150,4 @@ func healthyPlan(st *state) []route {
 		routes[d] = route{sh: st.shards[d], disk: d}
 	}
 	return routes
-}
-
-// VerifyReplication checks the replica layout invariants — the
-// replication counterpart of VerifyDeclustering:
-//
-//   - every disk's replica is a different disk,
-//   - replica placement is balanced: every disk hosts exactly one
-//     primary's copies,
-//   - every replica tree holds exactly as many vectors as its primary.
-//
-// It returns the violations formatted for display (nil when clean) and
-// errors when the index was opened without replication.
-func (ix *Index) VerifyReplication() ([]string, error) {
-	if ix.opts.Replication == 0 {
-		return nil, fmt.Errorf("parsearch: index opened without replication")
-	}
-	ix.mu.RLock()
-	defer ix.mu.RUnlock()
-	st := ix.st
-	ix.meta.Lock()
-	defer ix.meta.Unlock()
-
-	n := len(st.shards)
-	var out []string
-	hosts := make([]int, n) // how many primaries replicate onto each disk
-	for d := 0; d < n; d++ {
-		r := replicaOf(d, n)
-		if r == d {
-			out = append(out, fmt.Sprintf("disk %d replicates onto itself", d))
-		}
-		hosts[r]++
-	}
-	for h, c := range hosts {
-		if c != 1 {
-			out = append(out, fmt.Sprintf("disk %d hosts replicas of %d primaries, want 1", h, c))
-		}
-	}
-	if st.replicas == nil {
-		out = append(out, "replica trees missing")
-		return out, nil
-	}
-	for h, rsh := range st.replicas {
-		src := (h - 1 + n) % n
-		psh := st.shards[src]
-		psh.mu.RLock()
-		pn := psh.tree.Len()
-		psh.mu.RUnlock()
-		rsh.mu.RLock()
-		rn := rsh.tree.Len()
-		rsh.mu.RUnlock()
-		if pn != rn {
-			out = append(out, fmt.Sprintf("replica of disk %d on disk %d holds %d vectors, primary holds %d",
-				src, h, rn, pn))
-		}
-	}
-	return out, nil
 }

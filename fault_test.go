@@ -71,7 +71,6 @@ func TestReplicationOptionValidation(t *testing.T) {
 		{Dim: 4, Disks: 4, Replication: 2},
 		{Dim: 4, Disks: 4, Replication: -1},
 		{Dim: 4, Disks: 1, Replication: 1},
-		{Dim: 4, Disks: 4, Faults: &FaultModel{TransientProb: 1.5}},
 	} {
 		if _, err := Open(opts); err == nil {
 			t.Errorf("Open(%+v) should error", opts)
@@ -85,8 +84,8 @@ func TestReplicationOptionValidation(t *testing.T) {
 	if got := plain.ReplicaDisk(0); got != -1 {
 		t.Errorf("ReplicaDisk without replication = %d, want -1", got)
 	}
-	if _, err := plain.VerifyReplication(); err == nil {
-		t.Error("VerifyReplication without replication should error")
+	if err := plain.SetFaults(FaultModel{TransientProb: 1.5}); err == nil {
+		t.Error("SetFaults with a transient probability of 1.5 should error")
 	}
 
 	repl, err := Open(Options{Dim: 4, Disks: 4, Replication: 1})
@@ -112,8 +111,8 @@ func TestReplicationOptionValidation(t *testing.T) {
 func TestReplicatedSingleFailureExact(t *testing.T) {
 	const dim, disks, n = 6, 8, 2000
 	ix, expected := buildFaultIndex(t, Options{Dim: dim, Disks: disks, Replication: 1}, n)
-	if v, err := ix.VerifyReplication(); err != nil || v != nil {
-		t.Fatalf("VerifyReplication: %v %v", v, err)
+	if err := ix.CheckIntegrity(); err != nil {
+		t.Fatal(err)
 	}
 	m, err := Euclidean.vecMetric()
 	if err != nil {
@@ -331,9 +330,6 @@ func TestReplicatedInsertDelete(t *testing.T) {
 	if err := ix.CheckIntegrity(); err != nil {
 		t.Fatal(err)
 	}
-	if v, err := ix.VerifyReplication(); err != nil || v != nil {
-		t.Fatalf("VerifyReplication after mutations: %v %v", v, err)
-	}
 
 	m, err := Euclidean.vecMetric()
 	if err != nil {
@@ -375,8 +371,8 @@ func TestSnapshotRoundTripReplication(t *testing.T) {
 	if loaded.opts.Replication != 1 {
 		t.Fatalf("loaded Replication = %d, want 1", loaded.opts.Replication)
 	}
-	if v, err := loaded.VerifyReplication(); err != nil || v != nil {
-		t.Fatalf("loaded VerifyReplication: %v %v", v, err)
+	if err := loaded.CheckIntegrity(); err != nil {
+		t.Fatal(err)
 	}
 	m, err := Euclidean.vecMetric()
 	if err != nil {
@@ -401,21 +397,21 @@ func TestSnapshotRoundTripReplication(t *testing.T) {
 	}
 }
 
-// TestIndexFaultInjection: a fault model installed via Options (or
-// SetFaults) makes queries retry transient errors — visible in
+// TestIndexFaultInjection: a fault model installed with SetFaults
+// makes queries retry transient errors — visible in
 // QueryStats.Retries — and surface ErrTransient when the budget is
 // exhausted; the zero model clears it.
 func TestIndexFaultInjection(t *testing.T) {
 	const dim, disks = 5, 4
-	ix, _ := buildFaultIndex(t, Options{
-		Dim: dim, Disks: disks,
-		Faults: &FaultModel{
-			TransientProb: 0.3,
-			MaxRetries:    24,
-			RetryBackoff:  time.Millisecond,
-			Seed:          17,
-		},
-	}, 1200)
+	ix, _ := buildFaultIndex(t, Options{Dim: dim, Disks: disks}, 1200)
+	if err := ix.SetFaults(FaultModel{
+		TransientProb: 0.3,
+		MaxRetries:    24,
+		RetryBackoff:  time.Millisecond,
+		Seed:          17,
+	}); err != nil {
+		t.Fatal(err)
+	}
 
 	retries := 0
 	for _, q := range data.Uniform(8, dim, 18) {
@@ -457,11 +453,14 @@ func TestIndexFaultInjection(t *testing.T) {
 // charged sleep instead of the attempt.
 func TestRetriesCountAttemptsNotSleeps(t *testing.T) {
 	const dim, disks, n = 5, 4, 1200
-	model := func(backoff time.Duration) *FaultModel {
-		return &FaultModel{TransientProb: 0.35, MaxRetries: 32, RetryBackoff: backoff, Seed: 29}
+	faulty := func(backoff time.Duration) *Index {
+		ix, _ := buildFaultIndex(t, Options{Dim: dim, Disks: disks}, n)
+		if err := ix.SetFaults(FaultModel{TransientProb: 0.35, MaxRetries: 32, RetryBackoff: backoff, Seed: 29}); err != nil {
+			t.Fatal(err)
+		}
+		return ix
 	}
-	slow, _ := buildFaultIndex(t, Options{Dim: dim, Disks: disks, Faults: model(time.Millisecond)}, n)
-	fast, _ := buildFaultIndex(t, Options{Dim: dim, Disks: disks, Faults: model(0)}, n)
+	slow, fast := faulty(time.Millisecond), faulty(0)
 
 	totalRetries := 0
 	for qi, q := range data.Uniform(8, dim, 41) {

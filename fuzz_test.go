@@ -46,12 +46,12 @@ func FuzzLoad(f *testing.F) {
 	})
 }
 
-// metricsSnapshotPayload builds a snapshot of a queried index (so the
-// metrics section carries real counts) and returns its payload with
-// the trailing CRC-32 stripped.
-func metricsSnapshotPayload(f *testing.F) []byte {
+// metricsSnapshotPayload builds a snapshot of a queried index under
+// the given metric (so the metrics section carries real counts) and
+// returns its payload with the trailing CRC-32 stripped.
+func metricsSnapshotPayload(f *testing.F, m Metric) []byte {
 	f.Helper()
-	ix, err := Open(Options{Dim: 3, Disks: 2})
+	ix, err := Open(Options{Dim: 3, Disks: 2, Metric: m})
 	if err != nil {
 		f.Fatal(err)
 	}
@@ -90,8 +90,10 @@ func metricsSnapshotPayload(f *testing.F) []byte {
 // of dying at the checksum. A payload that loads must yield a
 // self-consistent metrics snapshot, and Save→Load must preserve it.
 func FuzzSnapshotRoundtrip(f *testing.F) {
-	payload := metricsSnapshotPayload(f)
+	payload := metricsSnapshotPayload(f, Euclidean)
 	f.Add(payload)
+	// A Manhattan index: header flag 128 and the metric string.
+	f.Add(metricsSnapshotPayload(f, Manhattan))
 
 	// Flag bit 16 cleared but the metrics section left in place: the
 	// loader must reject it as trailing bytes.

@@ -182,9 +182,9 @@ func TestMetamorphicDiskCountInvariance(t *testing.T) {
 // indistinguishable from Build(A ∪ B) — same IDs, same answers (byte
 // for byte), clean integrity, and disk loads within the incremental
 // balance threshold of the from-scratch build. It runs across
-// declustering strategies (including round-robin, whose reorganize is
-// the full-rebuild fallback), replication variants, and the packed
-// storage engine.
+// declustering strategies (including round-robin, whose arrival-order
+// layout a reorganize leaves as it is), replication variants, and the
+// packed storage engine.
 func TestMetamorphicIncrementalEqualsRebuild(t *testing.T) {
 	const dim, disks = 4, 6
 	nA, nB := 500, 400
@@ -231,12 +231,8 @@ func TestMetamorphicIncrementalEqualsRebuild(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					if kind == RoundRobin {
-						if stats.Steps > 0 && !stats.Rebuilt {
-							t.Fatalf("round-robin reorganize must be the rebuild fallback, got %+v", stats)
-						}
-					} else if stats.Rebuilt {
-						t.Fatalf("bucketed layout fell back to a full rebuild: %+v", stats)
+					if kind == RoundRobin && stats.Steps != 0 {
+						t.Fatalf("round-robin reorganize has nothing to split, got %+v", stats)
 					}
 
 					ref := buildFrom(t, opts, append(append([][]float64{}, a...), b...))

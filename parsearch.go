@@ -164,10 +164,6 @@ type Options struct {
 	// degraded speed-up, since the replica disk serves double load.
 	// Requires Disks >= 2. See README "Failure semantics".
 	Replication int
-	// Faults configures fault injection on the simulated disks
-	// (transient read errors with bounded retry, latency spikes); nil
-	// disables it. It can also be changed at runtime with SetFaults.
-	Faults *FaultModel
 	// Tracer, when non-nil, receives structured span events for every
 	// query (plan, per-disk fan-out, merge, I/O, retry/reroute
 	// decisions). It must be safe for concurrent use; a per-request
@@ -618,11 +614,6 @@ func open(opts Options) (*Index, error) {
 	ix := &Index{opts: opts, params: params}
 	ix.array = disk.NewArray(opts.Disks, params)
 	ix.reg = metrics.NewRegistry(opts.Disks)
-	if opts.Faults != nil {
-		if err := ix.array.SetFaults(opts.Faults.diskFaults()); err != nil {
-			return nil, fmt.Errorf("parsearch: %w", err)
-		}
-	}
 	st, err := ix.emptyState()
 	if err != nil {
 		return nil, err

@@ -29,9 +29,10 @@ import (
 // see either the old or the new structure, never a torn one — and since
 // every structure answers queries exactly, results are identical either
 // way. Bucket strategies that are not recursive yet are first wrapped
-// via core.NewRecursiveOver, which changes no assignment at level 0;
-// only the arrival-order round-robin layout, which has no bucket
-// structure to split, still falls back to a full rebuild.
+// via core.NewRecursiveOver, which changes no assignment at level 0.
+// The arrival-order round-robin layout has no bucket structure to
+// split and is left as it is: it puts point i on disk i mod n, so no
+// step — not even a rebuild of the same IDs — can lower a disk.
 
 // imbalanceThreshold is the below/above ratio that triggers
 // reorganization (2 = one side holds twice the other's points).
@@ -80,9 +81,6 @@ type ReorgStats struct {
 	// level deeper; PointsMoved the vectors that changed disks.
 	BucketsSplit int
 	PointsMoved  int
-	// Rebuilt reports the full-rebuild fallback ran (round-robin
-	// layouts only).
-	Rebuilt bool
 	// Checkpointed reports that a durable index sealed the new
 	// structure with a checkpoint, so a crash right after Reorganize
 	// replays (almost) no log records.
@@ -114,10 +112,6 @@ func (ix *Index) ReorganizeStats() (ReorgStats, error) {
 		stats.Steps++
 		stats.BucketsSplit += plan.buckets
 		stats.PointsMoved += plan.moved
-		if plan.rebuild {
-			stats.Rebuilt = true
-			break
-		}
 	}
 
 	// Seal the drift statistics: adopt the current quantile estimates as
@@ -162,9 +156,6 @@ type reorgMove struct {
 // a pinned state + point-table snapshot and applied under the write
 // lock (after a version re-check).
 type reorgPlan struct {
-	// rebuild: the layout has no bucket structure (round robin); fall
-	// back to a full rebuild.
-	rebuild bool
 	// wrap: replace a bucket-strategy assigner with its recursive
 	// wrapper (no point moves; level-0 assignments are identical).
 	wrap *core.Recursive
@@ -199,12 +190,6 @@ func (ix *Index) reorganizeStep() (*reorgPlan, error) {
 	if plan == nil {
 		return nil, nil
 	}
-	if plan.rebuild {
-		if err := ix.reorganizeRebuild(); err != nil {
-			return nil, err
-		}
-		return plan, nil
-	}
 
 	ix.mu.Lock()
 	defer ix.mu.Unlock()
@@ -223,12 +208,6 @@ func (ix *Index) reorganizeStep() (*reorgPlan, error) {
 		if plan == nil {
 			return nil, nil
 		}
-		if plan.rebuild {
-			// The assigner kind cannot change between plans (Build
-			// preserves it), so this is unreachable; fail loudly rather
-			// than rebuild while holding the cutover lock.
-			return nil, fmt.Errorf("parsearch: internal inconsistency: assigner became plain during reorganize")
-		}
 	}
 	if err := ix.reorgApply(st, plan); err != nil {
 		return nil, err
@@ -241,7 +220,8 @@ func (ix *Index) reorganizeStep() (*reorgPlan, error) {
 // bucket level, and split every terminal cell of that (level, disk) at
 // the per-dimension medians of its members. Returns nil when balanced
 // (within one leaf page of the overload threshold) or stuck (overloaded
-// but nothing expandable below the depth bound).
+// but nothing expandable below the depth bound, or round robin's
+// arrival-order layout, which has no bucket to split).
 func (ix *Index) reorgPlanFor(st *state, points []vec.Point) *reorgPlan {
 	n := ix.opts.Disks
 	if n == 1 {
@@ -275,21 +255,21 @@ func (ix *Index) reorgPlanFor(st *state, points []vec.Point) *reorgPlan {
 
 	rec, isRec := st.assigner.(*core.Recursive)
 	if !isRec {
-		// Plain per-point load scan for the non-recursive layouts.
+		ba, ok := st.assigner.(*core.BucketAssigner)
+		if !ok {
+			return nil // round robin: nothing to split
+		}
+		// Plain per-point load scan for a bucket layout not yet wrapped.
 		loads := make([]int, n)
 		for i, p := range points {
 			if p != nil {
-				loads[st.assigner.Assign(i, p)]++
+				loads[ba.Assign(i, p)]++
 			}
 		}
 		if balanced(maxLoad(loads)) {
 			return nil
 		}
-		if ba, ok := st.assigner.(*core.BucketAssigner); ok {
-			return &reorgPlan{wrap: core.NewRecursiveOver(ba.Bucketer(), ba.Strategy())}
-		}
-		// Round robin (arrival order): no bucket structure to split.
-		return &reorgPlan{rebuild: true}
+		return &reorgPlan{wrap: core.NewRecursiveOver(ba.Bucketer(), ba.Strategy())}
 	}
 
 	// Pass 1: per-disk loads under the recursive assignment.
@@ -445,54 +425,4 @@ func (ix *Index) reorgApply(st *state, plan *reorgPlan) error {
 	ix.version++
 	ix.reg.ReorgBuckets.Add(int64(plan.buckets))
 	return nil
-}
-
-// reorganizeRebuild is the full-rebuild fallback for layouts without
-// bucket structure: rebuild off the lock against a consistent copy of
-// the point table and cut the result in atomically (re-building under
-// the locks if a mutation raced it — slower, but lossless).
-func (ix *Index) reorganizeRebuild() error {
-	ix.meta.Lock()
-	if ix.closed {
-		ix.meta.Unlock()
-		return ErrClosed
-	}
-	points := snapshotPoints(ix.points)
-	v := ix.version
-	ix.meta.Unlock()
-
-	st, pts, live, err := ix.buildState(points)
-	if err != nil {
-		return fmt.Errorf("parsearch: reorganizing: %w", err)
-	}
-
-	ix.mu.Lock()
-	defer ix.mu.Unlock()
-	ix.meta.Lock()
-	defer ix.meta.Unlock()
-	if ix.closed {
-		return ErrClosed
-	}
-	if ix.version != v {
-		st, pts, live, err = ix.buildState(snapshotPoints(ix.points))
-		if err != nil {
-			return fmt.Errorf("parsearch: reorganizing: %w", err)
-		}
-	}
-	ix.st = st
-	ix.points = pts
-	ix.live = live
-	ix.version++
-	return nil
-}
-
-// snapshotPoints copies the point table's slice (the vectors themselves
-// are immutable once stored, so sharing them is safe). Build clones;
-// tombstones stay nil. Caller holds meta.
-func snapshotPoints(points []vec.Point) [][]float64 {
-	out := make([][]float64, len(points))
-	for i, p := range points {
-		out[i] = p
-	}
-	return out
 }

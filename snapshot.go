@@ -46,6 +46,10 @@ const (
 	// snapshot loads as the plain index it always answered like. The
 	// constant stays so the bit is not reused.
 	flagQuantize = 64
+	// flagMetric marks a snapshot of a non-Euclidean index: a metric
+	// string follows the cost-model string. A Euclidean snapshot omits
+	// both, so it keeps the bytes it had before the metric was recorded.
+	flagMetric = 128
 )
 
 // Save writes a snapshot of the index (options and vectors) to w. The
@@ -96,6 +100,9 @@ func (ix *Index) writeSnapshot(w io.Writer, points []vec.Point) error {
 	if ix.opts.Packed {
 		flags |= flagPacked
 	}
+	if ix.opts.Metric != Euclidean {
+		flags |= flagMetric
+	}
 	header := []interface{}{
 		uint32(snapshotVersion),
 		uint32(ix.opts.Dim),
@@ -116,6 +123,11 @@ func (ix *Index) writeSnapshot(w io.Writer, points []vec.Point) error {
 	}
 	if err := writeString(bw, string(ix.opts.CostModel)); err != nil {
 		return err
+	}
+	if flags&flagMetric != 0 {
+		if err := writeString(bw, string(ix.opts.Metric)); err != nil {
+			return err
+		}
 	}
 
 	if err := binary.Write(bw, binary.LittleEndian, uint64(len(points))); err != nil {
@@ -285,6 +297,14 @@ func parseSnapshotPayload(raw []byte) (*snapshotData, int, error) {
 	if err != nil {
 		return nil, 0, err
 	}
+	// Absent, the metric is Open's default (Euclidean); an unknown one
+	// fails Load in Open's validation.
+	var metric string
+	if flags&flagMetric != 0 {
+		if metric, err = readString(br); err != nil {
+			return nil, 0, err
+		}
+	}
 
 	var count uint64
 	if err := binary.Read(br, binary.LittleEndian, &count); err != nil {
@@ -378,6 +398,7 @@ func parseSnapshotPayload(raw []byte) (*snapshotData, int, error) {
 			Packed:         packed,
 			DiskParams:     &params,
 			CostModel:      CostModel(costModel),
+			Metric:         Metric(metric),
 		},
 		points:  points,
 		metrics: metricsBlob,

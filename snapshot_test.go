@@ -2,6 +2,11 @@ package parsearch
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/binary"
+	"fmt"
+	"hash/crc32"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -166,6 +171,59 @@ func TestSnapshotPreservesUnusualOptions(t *testing.T) {
 	}
 	if loaded.Strategy() != "FX" {
 		t.Errorf("strategy %q after reload", loaded.Strategy())
+	}
+}
+
+// TestSnapshotKeepsMetric: Save/Load keeps Options.Metric (header flag
+// 128), so a loaded Manhattan or Maximum index answers byte-identically
+// to the saved one instead of silently turning Euclidean. A Euclidean
+// snapshot stays byte-identical to the format without the flag — the
+// digest below is of the bytes Save wrote before the metric was
+// recorded — and an unknown metric string fails Load.
+func TestSnapshotKeepsMetric(t *testing.T) {
+	const euclideanDigest = "bf90c386c6c982bd3463e051f15c40ffdb37f322fe4711d1f177248f88b1181b"
+	for _, m := range []Metric{Euclidean, Manhattan, Maximum} {
+		ix := buildTestIndex(t, Options{Dim: 4, Disks: 4, Metric: m}, 500)
+		var buf bytes.Buffer
+		if err := ix.Save(&buf); err != nil {
+			t.Fatal(err)
+		}
+		raw := buf.Bytes()
+		if got := fmt.Sprintf("%x", sha256.Sum256(raw)); m == Euclidean && got != euclideanDigest {
+			t.Fatalf("Euclidean snapshot digest %s, want %s", got, euclideanDigest)
+		}
+		loaded, err := Load(bytes.NewReader(raw))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if loaded.opts.Metric != m {
+			t.Fatalf("%s index loaded as %s", m, loaded.opts.Metric)
+		}
+		for qi, q := range append(data.Uniform(6, 4, 7), []float64{0.5, 0.5, 0.5, 0.5}) {
+			want, _, err := ix.KNN(q, 5)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, _, err := loaded.KNN(q, 5)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("%s query %d: loaded index answers %v, saved one %v", m, qi, got, want)
+			}
+		}
+		if m != Manhattan {
+			continue
+		}
+		// The metric string follows the fixed header, the strategy and
+		// the cost model: forge it into an unknown one.
+		off := len(snapshotMagic) + 4*4 + 1 + 3*8 + 2 + len(ix.opts.Kind) + 2 + len(ix.opts.CostModel)
+		forged := append([]byte(nil), raw...)
+		copy(forged[off+2:], "l9")
+		binary.LittleEndian.PutUint32(forged[len(forged)-4:], crc32.ChecksumIEEE(forged[:len(forged)-4]))
+		if _, err := Load(bytes.NewReader(forged)); err == nil || !strings.Contains(err.Error(), "metric") {
+			t.Fatalf("snapshot with metric \"l9\" loaded: %v", err)
+		}
 	}
 }
 

@@ -337,9 +337,12 @@ func TestTraceRerouteAndUnreachable(t *testing.T) {
 
 func TestTraceRetryAndErrorEvents(t *testing.T) {
 	const dim = 3
-	ix, tr := tracedIndex(t, Options{Dim: dim, Disks: 2, Faults: &FaultModel{
+	ix, tr := tracedIndex(t, Options{Dim: dim, Disks: 2}, 500)
+	if err := ix.SetFaults(FaultModel{
 		TransientProb: 0.4, MaxRetries: 32, RetryBackoff: time.Microsecond, Seed: 3,
-	}}, 500)
+	}); err != nil {
+		t.Fatal(err)
+	}
 	for _, q := range data.Uniform(6, dim, 44) {
 		if _, _, err := ix.KNN(q, 4); err != nil {
 			t.Fatal(err)
@@ -426,6 +429,38 @@ func TestMetricsAccumulateAndReset(t *testing.T) {
 	ix.ResetMetrics()
 	if after := ix.Metrics(); after.QueriesKNN != 0 || after.PagesRead != 0 {
 		t.Errorf("metrics after reset: %+v", after)
+	}
+}
+
+// TestResetMetricsDuringQueries: ResetMetrics is safe for concurrent
+// use like every other method — it zeroes the registry queries are
+// writing to in place instead of swapping the pointer they read without
+// a lock (run under -race; swapping raced within 200 iterations).
+func TestResetMetricsDuringQueries(t *testing.T) {
+	const dim = 4
+	ix := buildTestIndex(t, Options{Dim: dim, Disks: 4}, 600)
+	queries := data.Uniform(8, dim, 12)
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for i := 0; i < 200; i++ {
+			if _, _, err := ix.KNN(queries[i%len(queries)], 3); err != nil {
+				t.Error(err)
+				return
+			}
+		}
+	}()
+	for resets := 0; ; resets++ {
+		select {
+		case <-done:
+			ix.ResetMetrics()
+			if s := ix.Metrics(); s.QueriesKNN != 0 || s.PagesRead != 0 {
+				t.Fatalf("metrics after a quiet reset: %+v", s)
+			}
+			return
+		default:
+			ix.ResetMetrics()
+		}
 	}
 }
 

@@ -255,9 +255,6 @@ func (r writeRun) checkAgainstModel(t *testing.T, ops []scriptOp) (abortedAt []i
 	if err := r.ix.CheckIntegrity(); err != nil {
 		t.Fatal(err)
 	}
-	if bad, err := r.ix.VerifyReplication(); err != nil || len(bad) != 0 {
-		t.Fatalf("replication: %v %v", bad, err)
-	}
 	re, err := openDurable(writeTestOpts(), r.fs)
 	if err != nil {
 		t.Fatal(err)
@@ -413,9 +410,6 @@ func TestWritePathsAreOnePipeline(t *testing.T) {
 	}
 	if err := ix.CheckIntegrity(); err != nil {
 		t.Fatal(err)
-	}
-	if bad, err := ix.VerifyReplication(); err != nil || len(bad) != 0 {
-		t.Fatalf("replication: %v %v", bad, err)
 	}
 	if err := ix.Close(); err != nil {
 		t.Fatal(err)
