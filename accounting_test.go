@@ -3,7 +3,10 @@ package parsearch
 import (
 	"context"
 	"fmt"
+	"math"
 	"reflect"
+	"slices"
+	"sync"
 	"testing"
 	"time"
 
@@ -60,7 +63,7 @@ func leafScanItem(t *testing.T, ix *Index, g *xtree.Region, shards ShardSpec) (Q
 	var qs, engine QueryStats
 	refs := leafScanRefs(ix.st, routes, g, &qs)
 	r := &run{ix: ix, ctx: context.Background(), st: ix.st, m: ix.metric(), routes: routes}
-	if got := r.pageRefs(g, &engine); !reflect.DeepEqual(got, refs) {
+	if got := r.pageRefs(g, nil, &engine); !reflect.DeepEqual(got, refs) {
 		t.Errorf("pageRefs yields %d reads, the leaf scan %d, or they differ", len(got), len(refs))
 	}
 	return qs, refs
@@ -241,6 +244,305 @@ func TestAccountingMatchesLeafScan(t *testing.T) {
 	}
 }
 
+// TestAccountingFromSearchLog checks the log path of the accounting
+// stage against the descent it replaced. Every query runs on two twin
+// indexes (same data, failures and fault seed); logSeam forces the
+// descent on the twin, and on the index under test checks every logged
+// per-disk count against a descent of the same tree and counts the
+// disks the frontier check sent to the fallback. The answers, the page
+// reads and every QueryStats field must agree; an exact unbounded k-NN
+// and a box query must be served from the log on every disk, so a
+// change that quietly always falls back fails here.
+func TestAccountingFromSearchLog(t *testing.T) {
+	const dim, disks, n, k = 6, 6, 3000, 10
+	ctx := context.Background()
+	raw := rawPoints(n, dim, 71)
+	queries := uniformPoints(4, dim, 72)
+	lo, hi := make([]float64, dim), make([]float64, dim)
+	for i := range lo {
+		lo[i], hi[i] = 0.2, 0.55
+	}
+	pm := []float64{0.4, Wildcard, Wildcard, 0.6, Wildcard, Wildcard}
+	faults := FaultModel{TransientProb: 0.2, MaxRetries: 12, RetryBackoff: time.Millisecond,
+		SpikeProb: 0.1, SpikeLatency: 5 * time.Millisecond, Seed: 73}
+
+	var (
+		mu                    sync.Mutex
+		twin                  *Index
+		fromLog, fallbacks    int
+		sawShort, sawFallback bool
+	)
+	logSeam = func(r *run, g *xtree.Region, logged []int) {
+		if r.ix == twin {
+			for d := range logged {
+				logged[d] = -1
+			}
+			return
+		}
+		for d, rt := range r.routes {
+			if rt.masked || rt.sh == nil {
+				continue // not searched: descended by design
+			}
+			mu.Lock()
+			if logged[d] < 0 {
+				fallbacks++
+			} else {
+				fromLog++
+			}
+			mu.Unlock()
+			if want := descendLeaves(rt.sh, g); logged[d] >= 0 && logged[d] != want {
+				t.Errorf("disk %d: the search log counts %d hit leaves, the descent %d", d, logged[d], want)
+			}
+		}
+	}
+	t.Cleanup(func() { logSeam = nil })
+	// served asserts that every searched disk since the last call was
+	// charged from its log.
+	served := func(label string) {
+		t.Helper()
+		if fallbacks > 0 {
+			t.Errorf("%s: %d disks fell back to the descent", label, fallbacks)
+		}
+		if fromLog == 0 {
+			t.Errorf("%s: no disk was charged from a search log", label)
+		}
+		sawFallback = sawFallback || fallbacks > 0
+		fromLog, fallbacks = 0, 0
+	}
+	reset := func() {
+		sawFallback = sawFallback || fallbacks > 0
+		fromLog, fallbacks = 0, 0
+	}
+	// timingFree drops what a parallel fan-out's search reads before the
+	// shared bound stops it, which depends on goroutine timing.
+	timingFree := func(qs QueryStats) QueryStats {
+		qs.SearchPages, qs.PagesSavedByBound, qs.BoundTightenings = 0, 0, 0
+		qs.PagesSavedByRemoteBound, qs.PagesSkippedApprox = 0, 0
+		return qs
+	}
+
+	configs := []struct {
+		name   string
+		opts   Options
+		failed []int
+		faults bool
+	}{
+		{"L2", Options{}, nil, false},
+		{"L2+packed+baseline", Options{Packed: true, Baseline: true}, nil, false},
+		{"L2+failed", Options{Baseline: true}, []int{1}, false},
+		{"L1+replicated+failed", Options{Replication: 1, Metric: Manhattan}, []int{1}, false},
+		{"Linf+packed+replicated+failed+faults", Options{Packed: true, Replication: 1, Baseline: true, Metric: Maximum}, []int{2}, true},
+	}
+	for _, cfg := range configs {
+		open := func() *Index {
+			opts := cfg.opts
+			opts.Dim, opts.Disks = dim, disks
+			ix, err := Open(opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if cfg.faults {
+				if err := ix.SetFaults(faults); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := ix.Build(raw); err != nil {
+				t.Fatal(err)
+			}
+			for _, d := range cfg.failed {
+				if err := ix.FailDisk(d); err != nil {
+					t.Fatal(err)
+				}
+			}
+			return ix
+		}
+		api := open()
+		twin = open()
+
+		// The exact k-th distances size the bounded queries: twice it
+		// leaves the merge full, half of it short. Both twins answer, so
+		// their fault draws stay in step.
+		kth := make([]float64, len(queries))
+		for i, q := range queries {
+			for _, ix := range []*Index{api, twin} {
+				res, _, err := ix.KNN(q, k)
+				if err != nil {
+					t.Fatal(err)
+				}
+				kth[i] = res[len(res)-1].Dist
+			}
+		}
+		slices.Sort(kth)
+		approxes := []struct {
+			name  string
+			a     Approx
+			exact bool // exact and unbounded: the log must serve every disk
+		}{
+			{"exact", Approx{}, true},
+			{"eps=0.3", Approx{Epsilon: 0.3}, false},
+			{"bound-full", Approx{Bound: 2 * kth[len(kth)-1]}, false},
+			{"bound-short", Approx{Bound: kth[0] / 2}, false},
+		}
+		for _, shards := range []ShardSpec{{}, {Of: 3, Groups: []int{0, 2}}} {
+			for _, ap := range approxes {
+				label := fmt.Sprintf("%s/shards=%v/%s", cfg.name, shards, ap.name)
+				for i, q := range queries {
+					// Under a fault model a timing-dependent answer would
+					// move the twins' fault draws apart.
+					if ap.a.Epsilon > 0 && cfg.faults {
+						break
+					}
+					reset()
+					got, gotQS, err := api.KNNShardContext(ctx, q, k, ap.a, shards)
+					if err != nil {
+						t.Fatalf("%s/knn %d: %v", label, i, err)
+					}
+					if ap.exact {
+						served(fmt.Sprintf("%s/knn %d", label, i))
+					}
+					sawShort = sawShort || len(got) < k
+					want, wantQS, err := twin.KNNShardContext(ctx, q, k, ap.a, shards)
+					if err != nil {
+						t.Fatal(err)
+					}
+					// ε-termination makes a parallel query's answer depend
+					// on timing; its accounting was checked disk by disk.
+					if ap.a.Epsilon > 0 {
+						continue
+					}
+					if !reflect.DeepEqual(got, want) || !reflect.DeepEqual(timingFree(gotQS), timingFree(wantQS)) {
+						t.Errorf("%s/knn %d:\n log     %+v\n descent %+v", label, i, gotQS, wantQS)
+					}
+				}
+
+				reset()
+				got, gotBS, err := api.BatchKNNShardContext(ctx, queries, k, ap.a, shards)
+				if err != nil {
+					t.Fatalf("%s/batch: %v", label, err)
+				}
+				if ap.exact {
+					served(label + "/batch")
+				}
+				want, wantBS, err := twin.BatchKNNShardContext(ctx, queries, k, ap.a, shards)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !reflect.DeepEqual(got, want) || !reflect.DeepEqual(gotBS, wantBS) {
+					t.Errorf("%s/batch:\n log     %+v\n descent %+v", label, gotBS, wantBS)
+				}
+			}
+
+			label := fmt.Sprintf("%s/shards=%v", cfg.name, shards)
+			for _, box := range []struct {
+				name string
+				run  func(ix *Index) ([]Neighbor, QueryStats, error)
+			}{
+				{"range", func(ix *Index) ([]Neighbor, QueryStats, error) {
+					return ix.RangeQueryShardContext(ctx, lo, hi, shards)
+				}},
+				{"partial match", func(ix *Index) ([]Neighbor, QueryStats, error) {
+					return ix.PartialMatchShardContext(ctx, pm, 0.1, shards)
+				}},
+			} {
+				reset()
+				got, gotQS, err := box.run(api)
+				if err != nil {
+					t.Fatalf("%s/%s: %v", label, box.name, err)
+				}
+				served(label + "/" + box.name)
+				want, wantQS, err := box.run(twin)
+				if err != nil {
+					t.Fatal(err)
+				}
+				// A partial match's Dist is NaN (its box center is), so
+				// the answers compare by ID.
+				if !slices.EqualFunc(got, want, func(a, b Neighbor) bool { return a.ID == b.ID }) ||
+					!reflect.DeepEqual(gotQS, wantQS) {
+					t.Errorf("%s/%s:\n log     %+v\n descent %+v", label, box.name, gotQS, wantQS)
+				}
+			}
+		}
+
+		reset()
+		got, err := api.ServiceDemands(queries, k)
+		if err != nil {
+			t.Fatal(err)
+		}
+		served(cfg.name + "/service demands")
+		want, err := twin.ServiceDemands(queries, k)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("%s/service demands: log %v, descent %v", cfg.name, got, want)
+		}
+	}
+	if !sawShort {
+		t.Error("no bounded query came up short: the short-merge accounting went unexercised")
+	}
+	if !sawFallback {
+		t.Error("no query took the fallback: the frontier check went unexercised")
+	}
+}
+
+// TestBaselineChargesAccountedBall: a bounded k-NN whose merge comes up
+// short is accounted for the whole ball of the bound, ties on its
+// surface included (ToRankCeil), and the sequential baseline must be
+// charged for that same ball — not for the ToRank sphere, which can
+// round inside it and drop a leaf the parallel side read.
+func TestBaselineChargesAccountedBall(t *testing.T) {
+	const dim, disks, n = 4, 8, 4000
+	ix, err := Open(Options{Dim: dim, Disks: disks, Baseline: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := ix.Build(rawPoints(n, dim, 81)); err != nil {
+		t.Fatal(err)
+	}
+	m := ix.metric()
+	base := ix.st.baseline.tree
+	scan := func(g *xtree.Region) (leaves int) {
+		for _, leaf := range base.Leaves() {
+			if g.Hits(leaf.Rect()) {
+				leaves++
+			}
+		}
+		return leaves
+	}
+	// Bound each query at the nearest baseline leaf's MINDIST whose
+	// metric value ToRank rounds back below it: the two spheres then
+	// differ by at least that leaf.
+	rounded := 0
+	for i, q := range uniformPoints(40, dim, 82) {
+		bound := math.Inf(1)
+		for _, leaf := range base.Leaves() {
+			if rank := m.RankMinDist(leaf.Rect(), q); rank > 0 && m.ToRank(m.FromRank(rank)) < rank {
+				bound = min(bound, m.FromRank(rank))
+			}
+		}
+		if math.IsInf(bound, 1) {
+			continue
+		}
+		res, qs, err := ix.KNNApprox(q, n, Approx{Bound: bound})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(res) == n {
+			continue // the merge is full: not the case under test
+		}
+		ball := &xtree.Region{Q: q, M: m, Rank: m.ToRankCeil(bound)}
+		if want := scan(ball); qs.SeqPages != want {
+			t.Errorf("query %d: SeqPages %d, the accounted ball hits %d baseline leaves", i, qs.SeqPages, want)
+		}
+		if scan(&xtree.Region{Q: q, M: m, Rank: m.ToRank(bound)}) < scan(ball) {
+			rounded++
+		}
+	}
+	if rounded == 0 {
+		t.Error("no query's ToRank sphere dropped a leaf of its ball: the test no longer shows the rounding")
+	}
+}
+
 // TestPinnedPageCounts pins the deterministic page counts of unseeded
 // k-NN queries to the values the engine produced before the shared
 // bound pruned for real (commit 333fb5d): what a batch item's searches
@@ -334,7 +636,7 @@ func BenchmarkKNNAccounting(b *testing.B) {
 	pages := 0
 	for i := 0; i < b.N; i++ {
 		var qs QueryStats
-		refs := r.pageRefs(regions[i%len(regions)], &qs)
+		refs := r.pageRefs(regions[i%len(regions)], nil, &qs)
 		r.baselineCost(regions[i%len(regions)], &qs)
 		pages += len(refs)
 	}

@@ -138,7 +138,7 @@ func (ix *Index) ServiceDemands(queries [][]float64, k int) ([][]float64, error)
 	demands := make([][]float64, len(queries))
 	for i, q := range queries {
 		var qs QueryStats
-		_, _, refs, err := r.knnItem(&qr, q, i, &qs)
+		_, _, _, refs, err := r.knnItem(&qr, q, i, &qs)
 		if err != nil {
 			return nil, err
 		}
@@ -236,7 +236,7 @@ func (ix *Index) runBatch(ctx context.Context, qr query) (_ [][]Neighbor, stats 
 				qs := &perQuery[i]
 				var merged []knn.Result
 				var rk float64
-				merged, rk, refsPerQuery[i], errs[i] = r.knnItem(&qr, queries[i], i, qs)
+				merged, rk, _, refsPerQuery[i], errs[i] = r.knnItem(&qr, queries[i], i, qs)
 				if errs[i] != nil {
 					continue
 				}

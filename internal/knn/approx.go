@@ -74,10 +74,16 @@ type ApproxStats struct {
 //
 // What the truncated search returns beyond the bound is whatever the
 // prefix had collected; the caller's merge never reaches it.
-func HSApprox(t *xtree.Tree, q vec.Point, k int, m vec.Metric, shrink float64, b *Bound, onTighten func(sqBound float64)) ([]Result, Accounting, ApproxStats) {
+//
+// log may be nil; otherwise the search records in it what its caller's
+// page accounting needs (see LeafLog).
+func HSApprox(t *xtree.Tree, q vec.Point, k int, m vec.Metric, shrink float64, b *Bound, log *LeafLog, onTighten func(sqBound float64)) ([]Result, Accounting, ApproxStats) {
 	checkQuery(t, q, k)
 	var acc Accounting
 	var as ApproxStats
+	if log != nil {
+		log.Ranks, log.Frontier = log.Ranks[:0], math.Inf(1)
+	}
 	if t.Root() == nil {
 		return nil, acc, as
 	}
@@ -85,17 +91,24 @@ func HSApprox(t *xtree.Tree, q vec.Point, k int, m vec.Metric, shrink float64, b
 	defer s.release()
 	pq, best, sc := &s.pq, &s.best, &s.sc
 	best.k, best.metric = k, m
+	// frontier is the smallest MINDIST of a node the search does not
+	// visit: the children pushChildren prunes, and the node whose pop
+	// ends the loop — by heap order no farther than anything still
+	// queued.
+	frontier := math.Inf(1)
 	pq.push(nodeItem{node: t.Root(), sqMinDist: m.RankMinDist(t.Root().Rect(), q)})
 	for len(*pq) > 0 {
 		item := pq.pop()
 		bound := best.bound()
 		if item.sqMinDist > bound {
+			frontier = min(frontier, item.sqMinDist)
 			break
 		}
 		if shrink < 1 && item.sqMinDist > shrink*bound {
 			// ε fires: k candidates are known (a finite bound), and every
 			// pending node holds only points farther than kth/(1+ε).
 			as.SkippedPages = queued(item, *pq, bound).PageAccesses
+			frontier = min(frontier, item.sqMinDist)
 			break
 		}
 		if b != nil {
@@ -104,16 +117,20 @@ func HSApprox(t *xtree.Tree, q vec.Point, k int, m vec.Metric, shrink float64, b
 				if b.seededAt(shared) {
 					as.RemotePages = as.Saved.PageAccesses
 				}
+				frontier = min(frontier, item.sqMinDist)
 				break
 			}
 		}
 		n := item.node
 		acc.visit(n)
 		if !n.IsLeaf() {
-			pushChildren(pq, n, q, m, best.bound(), sc)
+			frontier = min(frontier, pushChildren(pq, n, q, m, best.bound(), sc))
 			continue
 		}
 		scanLeaf(n, q, m, best, sc)
+		if log != nil {
+			log.Ranks = append(log.Ranks, item.sqMinDist)
+		}
 		if b != nil {
 			if d := best.bound(); !math.IsInf(d, 1) && b.Tighten(d) {
 				as.Tightened++
@@ -123,7 +140,54 @@ func HSApprox(t *xtree.Tree, q vec.Point, k int, m vec.Metric, shrink float64, b
 			}
 		}
 	}
+	if log != nil {
+		log.Frontier = frontier
+	}
 	return best.results(), acc, as
+}
+
+// LeafLog is what one HSApprox call records for its caller's page
+// accounting: the leaves it scanned, and how far its traversal reached.
+// It holds numbers only — no node or entry of the tree — so a log kept
+// in pooled scratch never keeps a tree alive.
+type LeafLog struct {
+	// Ranks holds the rank MINDIST each scanned leaf was popped with, in
+	// pop order: the value pushChildren computed for it, by the same
+	// kernel — batched on a packed directory page, scalar otherwise —
+	// that xtree.Tree.HitLeaves evaluates, and hence bit for bit its
+	// value (see xtree.Region.descendPacked).
+	Ranks []float64
+	// Frontier is the smallest rank MINDIST of any node the search did
+	// not visit; +inf when it visited every node it did not prune. The
+	// zero LeafLog (Frontier 0) logged nothing and serves no radius.
+	Frontier float64
+}
+
+// Hits returns the number of leaves of the searched tree that the
+// ball of rank radius rank hits — xtree.Tree.HitLeaves' count for
+// Region{Rank: rank} — read off the log. ok is false when the log cannot
+// tell, and the caller must descend the tree instead.
+//
+// The log tells iff rank < Frontier. Every node the search did not visit
+// was either pruned by pushChildren, still queued when the loop ended,
+// or the node whose pop ended it — so its MINDIST is at least Frontier
+// — or lies below such a node, whose MINDIST is at most its own (the
+// monotonicity argument at xtree.Tree.HitLeaves). With rank < Frontier
+// no unvisited leaf is hit, so the hit leaves are exactly the logged
+// leaves with MINDIST ≤ rank. The check needs nothing about the shared
+// bound or ties; what fails it is a search that stopped inside the ball:
+// ε-termination, a ball rounded past the k-th distance (ToRank), or a
+// bound seeded beyond where the search stopped.
+func (l *LeafLog) Hits(rank float64) (leaves int, ok bool) {
+	if !(rank < l.Frontier) {
+		return 0, false
+	}
+	for _, r := range l.Ranks {
+		if r <= rank {
+			leaves++
+		}
+	}
+	return leaves, true
 }
 
 // queued accounts the work a search abandons when it stops at the popped

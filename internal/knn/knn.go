@@ -141,7 +141,7 @@ func HS(t *xtree.Tree, q vec.Point, k int) ([]Result, Accounting) {
 // becomes the metric's ball; the algorithm and its optimality argument
 // carry over unchanged).
 func HSMetric(t *xtree.Tree, q vec.Point, k int, m vec.Metric) ([]Result, Accounting) {
-	res, acc, _ := HSApprox(t, q, k, m, 1, nil, nil)
+	res, acc, _ := HSApprox(t, q, k, m, 1, nil, nil, nil)
 	return res, acc
 }
 

@@ -1,6 +1,8 @@
 package knn
 
 import (
+	"math"
+
 	"parsearch/internal/vec"
 	"parsearch/internal/xtree"
 )
@@ -45,8 +47,10 @@ func scanLeaf(n *xtree.Node, q vec.Point, m vec.Metric, best *kBest, sc *scratch
 }
 
 // pushChildren pushes every child with rank MINDIST <= bound onto the
-// queue, batching the MINDIST computation on packed trees.
-func pushChildren(pq *pqueue[nodeItem], n *xtree.Node, q vec.Point, m vec.Metric, bound float64, sc *scratch) {
+// queue, batching the MINDIST computation on packed trees, and returns
+// the smallest MINDIST of the children it pruned (+inf if none).
+func pushChildren(pq *pqueue[nodeItem], n *xtree.Node, q vec.Point, m vec.Metric, bound float64, sc *scratch) (pruned float64) {
+	pruned = math.Inf(1)
 	children := n.Children()
 	if rs := n.ChildRects(); rs != nil {
 		out := sc.grow(rs.Len())
@@ -54,13 +58,18 @@ func pushChildren(pq *pqueue[nodeItem], n *xtree.Node, q vec.Point, m vec.Metric
 		for i, c := range children {
 			if out[i] <= bound {
 				pq.push(nodeItem{node: c, sqMinDist: out[i]})
+			} else {
+				pruned = min(pruned, out[i])
 			}
 		}
-		return
+		return pruned
 	}
 	for _, c := range children {
 		if d := m.RankMinDist(c.Rect(), q); d <= bound {
 			pq.push(nodeItem{node: c, sqMinDist: d})
+		} else {
+			pruned = min(pruned, d)
 		}
 	}
+	return pruned
 }

@@ -138,6 +138,6 @@ type SharedStats struct {
 // onTighten, when non-nil, is called with the new squared bound after
 // each successful tightening.
 func HSShared(t *xtree.Tree, q vec.Point, k int, m vec.Metric, b *Bound, onTighten func(sqBound float64)) ([]Result, Accounting, SharedStats) {
-	res, acc, as := HSApprox(t, q, k, m, 1, b, onTighten)
+	res, acc, as := HSApprox(t, q, k, m, 1, b, nil, onTighten)
 	return res, acc, as.SharedStats
 }

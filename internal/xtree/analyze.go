@@ -13,8 +13,8 @@ type Analysis struct {
 	// Supernodes counts nodes with a multiplier above 1; SuperBlocks is
 	// the total number of extra blocks they occupy.
 	Supernodes, SuperBlocks int
-	// LeafFill is the average leaf fill grade relative to the base leaf
-	// capacity (can exceed 1 for supernode leaves).
+	// LeafFill is the average leaf fill grade relative to the leaf
+	// capacity (at most 1: leaves are never supernodes).
 	LeafFill float64
 	// DirFill is the average directory fill grade relative to the base
 	// directory capacity.

@@ -172,11 +172,19 @@ func hitLeafRegions(r *rand.Rand, tr *Tree) []namedRegion {
 
 // TestHitLeavesMatchesLeafScan is the property the engine's page
 // accounting rests on: the pruned descent yields exactly the leaves a
-// scan of every leaf would keep — the same set in the same order.
+// scan of every leaf would keep — the same set in the same order — and
+// a box's are the leaves RangeSearch scans.
 func TestHitLeavesMatchesLeafScan(t *testing.T) {
 	for _, packed := range []bool{false, true} {
 		for _, nt := range hitLeafTrees(t, packed) {
 			tr := nt.tree
+			// A page read is one block per leaf: the engine charges a
+			// search log's leaves as single blocks.
+			for _, leaf := range tr.Leaves() {
+				if leaf.Super() != 1 {
+					t.Fatalf("packed=%v/%s: a leaf has super %d", packed, nt.name, leaf.Super())
+				}
+			}
 			for _, ng := range hitLeafRegions(rand.New(rand.NewSource(42)), tr) {
 				g := ng.g
 				var want []*Node
@@ -188,6 +196,11 @@ func TestHitLeavesMatchesLeafScan(t *testing.T) {
 				var got []*Node
 				tr.HitLeaves(g, func(leaf *Node) { got = append(got, leaf) })
 				name := fmt.Sprintf("packed=%v/%s/%s", packed, nt.name, ng.name)
+				if g.Box != nil {
+					if _, v := tr.RangeSearch(*g.Box); v.Leaves != len(want) {
+						t.Errorf("%s: RangeSearch scans %d leaves, the box hits %d", name, v.Leaves, len(want))
+					}
+				}
 				if len(got) != len(want) {
 					t.Errorf("%s: descent visits %d leaves, the scan keeps %d", name, len(got), len(want))
 					continue

@@ -6,27 +6,35 @@ import (
 	"parsearch/internal/vec"
 )
 
+// Visited counts the nodes a RangeSearch visited.
+type Visited struct {
+	// Nodes is every node visited: the page access count of the query.
+	Nodes int
+	// Leaves is the leaves among them. RangeSearch enters exactly the
+	// children whose MBR intersects the box, as HitLeaves does for
+	// Region{Box: &box}, so these are the leaves that region hits.
+	Leaves int
+}
+
 // RangeSearch returns all entries whose points lie inside r (boundary
-// inclusive). The second result is the number of nodes visited, the page
-// access count of the query.
-func (t *Tree) RangeSearch(r vec.Rect) ([]Entry, int) {
+// inclusive), and the nodes it visited.
+func (t *Tree) RangeSearch(r vec.Rect) (out []Entry, v Visited) {
 	if t.root == nil {
-		return nil, 0
+		return nil, v
 	}
-	var out []Entry
-	accesses := 0
-	var hits []bool // packed-mode scratch, grown to the largest leaf
+	var hits []bool // packed-mode scratch, sized to a full leaf
 	var walk func(n *Node)
 	walk = func(n *Node) {
-		accesses++
+		v.Nodes++
 		if n.leaf {
+			v.Leaves++
 			if s := n.slab; s != nil {
 				// Packed leaf: one batched containment pass over the
 				// slab columns instead of per-entry Contains calls.
 				// Identical semantics (boundary inclusive, float32
 				// values are the stored float64 values exactly).
 				if cap(hits) < s.Len() {
-					hits = make([]bool, s.Len())
+					hits = make([]bool, max(s.Len(), t.cfg.LeafCapacity))
 				}
 				hits = hits[:s.Len()]
 				s.InRect(r.Min, r.Max, hits)
@@ -53,7 +61,7 @@ func (t *Tree) RangeSearch(r vec.Rect) ([]Entry, int) {
 	if t.root.rect.Intersects(r) {
 		walk(t.root)
 	}
-	return out, accesses
+	return out, v
 }
 
 // PointSearch returns the entries stored exactly at p.
@@ -197,6 +205,8 @@ func (t *Tree) NodeCount() (dirs, leaves int) {
 //   - every node's MBR is the exact MBR of its payload,
 //   - every leaf entry lies inside its leaf's MBR,
 //   - node payloads respect the (supernode-adjusted) capacity,
+//   - every leaf is a single block (only directory nodes become
+//     supernodes; a query's page reads are one block per leaf),
 //   - all leaves are at the same depth,
 //   - the entry count matches Len().
 func (t *Tree) CheckInvariants() error {
@@ -216,6 +226,9 @@ func (t *Tree) CheckInvariants() error {
 		if n.leaf {
 			if len(n.entries) == 0 {
 				return fmt.Errorf("xtree: empty leaf")
+			}
+			if n.super != 1 {
+				return fmt.Errorf("xtree: leaf with super %d, leaves are single-block", n.super)
 			}
 			if len(n.entries) > t.leafCap(n) {
 				return fmt.Errorf("xtree: leaf with %d entries exceeds capacity %d", len(n.entries), t.leafCap(n))

@@ -84,7 +84,7 @@ func TestEmptyTree(t *testing.T) {
 	if err := tr.CheckInvariants(); err != nil {
 		t.Errorf("empty tree invariants: %v", err)
 	}
-	if got, acc := tr.RangeSearch(vec.UnitCube(3)); got != nil || acc != 0 {
+	if got, v := tr.RangeSearch(vec.UnitCube(3)); got != nil || v != (Visited{}) {
 		t.Error("range search on empty tree should return nothing")
 	}
 	if tr.Leaves() != nil {
@@ -179,15 +179,15 @@ func TestRangeSearchCountsAccesses(t *testing.T) {
 	r := rand.New(rand.NewSource(3))
 	pts := uniformPoints(r, 2000, 2)
 	tr := buildTree(t, pts, smallConfig(2))
-	_, accAll := tr.RangeSearch(vec.UnitCube(2))
+	_, all := tr.RangeSearch(vec.UnitCube(2))
 	dirs, leaves := tr.NodeCount()
-	if accAll != dirs+leaves {
-		t.Errorf("full-space query accessed %d nodes, tree has %d", accAll, dirs+leaves)
+	if all != (Visited{Nodes: dirs + leaves, Leaves: leaves}) {
+		t.Errorf("full-space query visited %+v, tree has %d nodes (%d leaves)", all, dirs+leaves, leaves)
 	}
 	// A tiny query must access far fewer nodes.
-	_, accTiny := tr.RangeSearch(vec.NewRect(vec.Point{0.5, 0.5}, vec.Point{0.501, 0.501}))
-	if accTiny >= accAll/4 {
-		t.Errorf("tiny query accessed %d of %d nodes", accTiny, accAll)
+	_, tiny := tr.RangeSearch(vec.NewRect(vec.Point{0.5, 0.5}, vec.Point{0.501, 0.501}))
+	if tiny.Nodes >= all.Nodes/4 {
+		t.Errorf("tiny query accessed %d of %d nodes", tiny.Nodes, all.Nodes)
 	}
 }
 

@@ -193,15 +193,22 @@ func (r *run) plan(shards ShardSpec) {
 	r.sp.planEvents(r.routes, r.degraded)
 }
 
-// hitLeaves calls visit for every leaf page of the shard's tree that the
-// query's region g hits, under the shard's read lock. The tree prunes
-// the walk to the hit pages (xtree.Tree.HitLeaves), so accounting a
-// query costs what the query reads, not what the disk holds.
-func hitLeaves(sh *shard, g *xtree.Region, visit func(leaf *xtree.Node)) {
+// descendLeaves counts the leaf pages of the shard's tree that g hits,
+// under the shard's read lock. The tree prunes the walk to the hit pages
+// (xtree.Tree.HitLeaves), so it costs what the query reads, not what the
+// disk holds.
+func descendLeaves(sh *shard, g *xtree.Region) (leaves int) {
 	sh.mu.RLock()
-	sh.tree.HitLeaves(g, visit)
+	sh.tree.HitLeaves(g, func(*xtree.Node) { leaves++ })
 	sh.mu.RUnlock()
+	return leaves
 }
+
+// logSeam, when set, is handed the search stage's per-route leaf counts
+// of every query that has them, before pageRefs completes them. Only
+// tests set it (TestAccountingFromSearchLog); a test may also overwrite
+// counts with -1 there to force the descent.
+var logSeam func(r *run, g *xtree.Region, logged []int)
 
 // pageRefs is the page-accounting stage: it collects the page reads a
 // query requires — every storage unit intersecting the query's region
@@ -214,52 +221,97 @@ func hitLeaves(sh *shard, g *xtree.Region, visit func(leaf *xtree.Node)) {
 // counts, intersected cells, and the degraded-mode accounting
 // (Unreachable, Rerouted) are recorded into qs; the returned refs feed
 // the disk array and only name disks the routing selected as live.
-// Masked disks are another process shard's to account. Each tree's hit
-// leaves are enumerated under its read lock; the cell scan of the bucket
-// model runs under meta.
-func (r *run) pageRefs(g *xtree.Region, qs *QueryStats) (refs []disk.PageRef) {
+// Masked disks are another process shard's to account.
+//
+// Under TreePages, logged[d] ≥ 0 is the number of leaves of route d's
+// tree that g hits, as the search stage read them off its own traversal
+// (see knn.LeafLog, xtree.Tree.RangeSearch); pageRefs charges them
+// without touching the tree. A negative entry, or a nil logged, makes it
+// descend the tree instead (descendLeaves): a route with no live copy
+// (its primary's pages count as Unreachable), or a search log that
+// cannot tell. pageRefs completes logged in place with the counts it
+// charged. Leaves are single blocks (xtree.Tree.CheckInvariants), so a
+// route's reads are that many one-block refs, in route order — the
+// refs the descent's leaf-by-leaf enumeration yields, value for value.
+// The cell scan of the bucket model runs under meta.
+func (r *run) pageRefs(g *xtree.Region, logged []int, qs *QueryStats) []disk.PageRef {
 	st := r.st
 	qs.PagesPerDisk = make([]int, len(st.shards))
-	// Reads are charged to the disk the routing selected; pages with no
-	// live copy are counted as Unreachable instead of being read.
-	charge := func(rt route, pages int) {
-		qs.Cells++
-		if rt.sh == nil {
-			qs.Unreachable += pages
-			return
-		}
-		if rt.rerouted {
-			qs.Rerouted += pages
-		}
-		qs.PagesPerDisk[rt.disk] += pages
-		refs = append(refs, disk.PageRef{Disk: rt.disk, Blocks: pages})
+	if r.ix.opts.CostModel == BucketPages {
+		return r.bucketRefs(g, qs)
 	}
-	switch r.ix.opts.CostModel {
-	case BucketPages:
-		leafCap := r.ix.treeConfig().LeafCapacity
-		r.ix.meta.Lock()
-		for i := range st.cells {
-			c := &st.cells[i]
-			if rt := r.routes[c.disk]; c.count > 0 && !rt.masked && g.Hits(c.rect) {
-				charge(rt, (c.count+leafCap-1)/leafCap)
-			}
+	if logged == nil {
+		logged = make([]int, len(r.routes))
+		for d := range logged {
+			logged[d] = -1
 		}
-		r.ix.meta.Unlock()
-	default: // TreePages
-		for d, rt := range r.routes {
-			if rt.masked {
-				continue
-			}
+	} else if logSeam != nil {
+		logSeam(r, g, logged)
+	}
+	total := 0
+	for d, rt := range r.routes {
+		if rt.masked {
+			continue
+		}
+		if logged[d] < 0 {
 			sh := rt.sh
 			if sh == nil {
-				// No live copy: enumerate the primary tree's pages
-				// anyway so the shortfall is visible as Unreachable.
 				sh = st.shards[d]
 			}
-			hitLeaves(sh, g, func(leaf *xtree.Node) { charge(rt, leaf.Super()) })
+			logged[d] = descendLeaves(sh, g)
+		}
+		qs.Cells += logged[d]
+		if charge(qs, rt, logged[d]) {
+			total += logged[d]
+		}
+	}
+	refs := make([]disk.PageRef, 0, total)
+	for d, rt := range r.routes {
+		if rt.masked || rt.sh == nil {
+			continue
+		}
+		for range logged[d] {
+			refs = append(refs, disk.PageRef{Disk: rt.disk, Blocks: 1})
 		}
 	}
 	return refs
+}
+
+// bucketRefs is pageRefs under BucketPages: one read of the cell's
+// bucket pages per quadrant cell g hits, charged to the disk its route
+// selected.
+func (r *run) bucketRefs(g *xtree.Region, qs *QueryStats) (refs []disk.PageRef) {
+	leafCap := r.ix.treeConfig().LeafCapacity
+	r.ix.meta.Lock()
+	defer r.ix.meta.Unlock()
+	for i := range r.st.cells {
+		c := &r.st.cells[i]
+		rt := r.routes[c.disk]
+		if c.count == 0 || rt.masked || !g.Hits(c.rect) {
+			continue
+		}
+		pages := (c.count + leafCap - 1) / leafCap
+		qs.Cells++
+		if charge(qs, rt, pages) {
+			refs = append(refs, disk.PageRef{Disk: rt.disk, Blocks: pages})
+		}
+	}
+	return refs
+}
+
+// charge records pages the query needs through route rt: read from the
+// disk the routing selected (it reports true), or counted as
+// Unreachable when no live copy holds them.
+func charge(qs *QueryStats, rt route, pages int) (read bool) {
+	if rt.sh == nil {
+		qs.Unreachable += pages
+		return false
+	}
+	if rt.rerouted {
+		qs.Rerouted += pages
+	}
+	qs.PagesPerDisk[rt.disk] += pages
+	return true
 }
 
 // finishIO is the I/O stage of a single query: it runs the page reads
@@ -294,11 +346,8 @@ func (r *run) baselineCost(g *xtree.Region, qs *QueryStats) {
 	if r.st.baseline == nil {
 		return
 	}
-	leaves := 0
-	hitLeaves(r.st.baseline, g, func(leaf *xtree.Node) {
-		qs.SeqPages += leaf.Super()
-		leaves++
-	})
+	leaves := descendLeaves(r.st.baseline, g)
+	qs.SeqPages += leaves
 	qs.BaselineTime = r.ix.params.SimulateCost(leaves, qs.SeqPages).Seconds()
 	if qs.ParallelTime > 0 {
 		qs.BaselineSpeedup = qs.BaselineTime / qs.ParallelTime

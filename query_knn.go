@@ -84,14 +84,14 @@ func (ix *Index) runKNN(ctx context.Context, qr query) (_ []Neighbor, stats Quer
 		return nil, stats, err
 	}
 	r.plan(qr.shards)
-	merged, rk, refs, err := r.knnItem(&qr, qr.point, -1, &stats)
+	merged, _, g, refs, err := r.knnItem(&qr, qr.point, -1, &stats)
 	if err != nil {
 		return nil, stats, err
 	}
 	if err = r.finishIO(&ix.reg.QueriesKNN, refs, &stats); err != nil {
 		return nil, stats, err
 	}
-	r.baselineCost(r.sphere(qr.point, rk), &stats)
+	r.baselineCost(g, &stats)
 	out := neighbors(merged)
 	r.sp.emit(TraceEvent{Stage: StageDone, Disk: -1, Item: -1, K: qr.k,
 		Results: len(out), Pages: stats.TotalPages, Degraded: stats.Degraded})
@@ -130,8 +130,11 @@ func (ix *Index) runKNN(ctx context.Context, qr query) (_ []Neighbor, stats Quer
 // empty. rk, the radius of the sphere the pages are accounted for, is
 // the k-th merged distance when the merge is full and the bound when it
 // is short — every page the answer depends on intersects that sphere.
-func (r *run) knnItem(qr *query, q vec.Point, item int, qs *QueryStats) (merged []knn.Result, rk float64, refs []disk.PageRef, err error) {
+// g is that sphere as accounted, the region a sequential baseline must
+// be charged for too.
+func (r *run) knnItem(qr *query, q vec.Point, item int, qs *QueryStats) (merged []knn.Result, rk float64, g *xtree.Region, refs []disk.PageRef, err error) {
 	sr := newShardSearch(r, q, qr.k, qr.approx, item)
+	defer sr.release()
 	seed := -1
 	if d := r.ix.homeDisk(r.st, q); r.routes[d].sh != nil {
 		seed = d
@@ -157,7 +160,7 @@ func (r *run) knnItem(qr *query, q vec.Point, item int, qs *QueryStats) (merged 
 	// unsearched; partial results would be silently wrong, so surface
 	// the cancellation before merging.
 	if err := r.ctx.Err(); err != nil {
-		return nil, 0, nil, err
+		return nil, 0, nil, nil, err
 	}
 	r.visits.Add(sr.record(qs))
 	if sr.shrink < 1 {
@@ -184,7 +187,6 @@ func (r *run) knnItem(qr *query, q vec.Point, item int, qs *QueryStats) (merged 
 	for bounded && len(merged) > 0 && merged[len(merged)-1].Dist > qr.approx.Bound {
 		merged = merged[:len(merged)-1]
 	}
-	var g *xtree.Region
 	switch {
 	case len(merged) == qr.k || (len(merged) > 0 && !bounded):
 		rk = merged[len(merged)-1].Dist
@@ -197,11 +199,11 @@ func (r *run) knnItem(qr *query, q vec.Point, item int, qs *QueryStats) (merged 
 	case r.degraded:
 		// Every live copy of the data is on a failed disk.
 		qs.Degraded = true
-		return nil, 0, nil, ErrUnavailable
+		return nil, 0, nil, nil, ErrUnavailable
 	default:
 		// Concurrent deletions emptied the index between the live
 		// check and the search.
-		return nil, 0, nil, ErrEmpty
+		return nil, 0, nil, nil, ErrEmpty
 	}
 	if item < 0 {
 		r.sp.emit(TraceEvent{Stage: StageMerge, Disk: -1, Item: -1, K: qr.k,
@@ -209,8 +211,16 @@ func (r *run) knnItem(qr *query, q vec.Point, item int, qs *QueryStats) (merged 
 	}
 
 	// Cost accounting: every disk must read its pages intersecting the
-	// NN-sphere of radius rk.
-	refs = r.pageRefs(g, qs)
+	// NN-sphere of radius rk — the leaves its search scanned inside the
+	// sphere, whenever its log can tell (see knn.LeafLog.Hits).
+	for d := range sr.disks {
+		n, ok := sr.disks[d].log.Hits(g.Rank)
+		if !ok {
+			n = -1
+		}
+		sr.logged[d] = n
+	}
+	refs = r.pageRefs(g, sr.logged, qs)
 	// Degraded only when the dead data could have changed the answer:
 	// unreachable pages intersect the NN-sphere (a dead point could be
 	// closer than rk), or an unbounded merge came up short of k (any
@@ -219,7 +229,7 @@ func (r *run) knnItem(qr *query, q vec.Point, item int, qs *QueryStats) (merged 
 	// exact — a bounded merge is short because the ball is, unless dead
 	// pages reach into it.
 	qs.Degraded = qs.Unreachable > 0 || (r.degraded && len(merged) < qr.k && !bounded)
-	return merged, rk, refs, nil
+	return merged, rk, g, refs, nil
 }
 
 // sphere returns the NN-sphere of radius rk around q.
@@ -242,7 +252,9 @@ func neighbors(merged []knn.Result) []Neighbor {
 
 // shardSearch is the per-item state of the k-NN fan-out: one result and
 // accounting slot per disk, plus the shared bound of the cooperative
-// search. search is safe to call concurrently for different disks.
+// search. search is safe to call concurrently for different disks. It
+// is pooled with its slots, so the search logs keep their capacity from
+// one query to the next.
 type shardSearch struct {
 	r     *run
 	q     vec.Point
@@ -258,19 +270,36 @@ type shardSearch struct {
 	eps    float64
 
 	disks []diskSearch
+	// logged is the accounting's per-route leaf count (see run.pageRefs).
+	logged []int
 }
 
-// diskSearch is one disk's slot of a shardSearch.
+// diskSearch is one disk's slot of a shardSearch. A slot whose disk was
+// not searched keeps the zero log, which serves no radius.
 type diskSearch struct {
 	local []knn.Result
 	acc   knn.Accounting
 	stats knn.ApproxStats
+	log   knn.LeafLog
 }
 
+// shardSearchPool holds released shardSearches. What stays reachable
+// from a pooled one is numbers only — the logs' rank slices and the
+// logged counts — so the pool never keeps a tree, a result or a query
+// alive (see release).
+var shardSearchPool = sync.Pool{New: func() any { return new(shardSearch) }}
+
 func newShardSearch(r *run, q vec.Point, k int, a Approx, item int) *shardSearch {
-	sr := &shardSearch{r: r, q: q, k: k, item: item,
+	sr := shardSearchPool.Get().(*shardSearch)
+	disks, logged := sr.disks, sr.logged
+	if n := len(r.routes); cap(disks) < n {
+		disks, logged = make([]diskSearch, n), make([]int, n)
+	} else {
+		disks, logged = disks[:n], logged[:n]
+	}
+	*sr = shardSearch{r: r, q: q, k: k, item: item,
 		shrink: knn.ShrinkFor(a.Epsilon, r.m), eps: a.Epsilon,
-		bound: knn.NewBound(), disks: make([]diskSearch, len(r.routes))}
+		bound: knn.NewBound(), disks: disks, logged: logged}
 	// The externally shipped k-th-distance bound of a.Bound seeds the
 	// shared bound — the receiving half of the cross-network bound
 	// protocol. The rank-space seed is rounded up to the whole metric
@@ -300,7 +329,7 @@ func (sr *shardSearch) search(d int) {
 		onTighten = func(sq float64) { tighs = append(tighs, sq) }
 	}
 	sh.mu.RLock()
-	slot.local, slot.acc, slot.stats = knn.HSApprox(sh.tree, sr.q, sr.k, r.m, sr.shrink, sr.bound, onTighten)
+	slot.local, slot.acc, slot.stats = knn.HSApprox(sh.tree, sr.q, sr.k, r.m, sr.shrink, sr.bound, &slot.log, onTighten)
 	sh.mu.RUnlock()
 	for _, sq := range tighs {
 		r.sp.emit(TraceEvent{Stage: StageBoundTightened, Disk: d, Item: sr.item, K: sr.k,
@@ -311,6 +340,16 @@ func (sr *shardSearch) search(d int) {
 		r.sp.emit(TraceEvent{Stage: StageSearch, Disk: d, Item: -1, K: sr.k,
 			Results: len(slot.local), Pages: slot.acc.PageAccesses})
 	}
+}
+
+// release returns sr to the pool with every slot reset to the zero log,
+// keeping only the logs' capacity.
+func (sr *shardSearch) release() {
+	for i := range sr.disks {
+		sr.disks[i] = diskSearch{log: knn.LeafLog{Ranks: sr.disks[i].log.Ranks[:0]}}
+	}
+	*sr = shardSearch{disks: sr.disks, logged: sr.logged}
+	shardSearchPool.Put(sr)
 }
 
 // record folds the finished fan-out into the query's stats and returns

@@ -57,9 +57,12 @@ func (ix *Index) runRange(ctx context.Context, qr query) (_ []Neighbor, stats Qu
 	// Search: all live shards search in parallel, each under its own
 	// tree's read lock. A failed disk's search runs against the chained
 	// replica instead; shards with no live copy are skipped, making the
-	// results best-effort (flagged Degraded).
-	found := make([][]xtree.Entry, len(r.routes))
-	visits := make([]int, len(r.routes))
+	// results best-effort (flagged Degraded). Each search also counts
+	// the leaves it scanned: exactly the leaves the box hits (see
+	// xtree.Tree.RangeSearch), which the accounting charges as they are.
+	n := len(r.routes)
+	found := make([][]xtree.Entry, n)
+	visits := make([]xtree.Visited, n)
 	var wg sync.WaitGroup
 	for d := range r.routes {
 		sh := r.routes[d].sh
@@ -73,15 +76,21 @@ func (ix *Index) runRange(ctx context.Context, qr query) (_ []Neighbor, stats Qu
 			found[d], visits[d] = sh.tree.RangeSearch(rect)
 			sh.mu.RUnlock()
 			r.sp.emit(TraceEvent{Stage: StageSearch, Disk: d, Item: -1,
-				Results: len(found[d]), Pages: visits[d]})
+				Results: len(found[d]), Pages: visits[d].Nodes})
 		}(d, sh)
 	}
 	wg.Wait()
 	// A box query has no distance bound to share across disks, so the
 	// cooperative-pruning fields stay zero; the traversal cost is still
-	// surfaced uniformly with the k-NN paths.
-	for _, v := range visits {
-		stats.SearchPages += v
+	// surfaced uniformly with the k-NN paths. A disk with no live copy
+	// was not searched: its accounting descends the primary.
+	leaves := make([]int, n)
+	for d, v := range visits {
+		stats.SearchPages += v.Nodes
+		leaves[d] = v.Leaves
+		if r.routes[d].sh == nil {
+			leaves[d] = -1
+		}
 	}
 	r.visits.Add(int64(stats.SearchPages))
 
@@ -90,7 +99,7 @@ func (ix *Index) runRange(ctx context.Context, qr query) (_ []Neighbor, stats Qu
 	// dead point could then be inside it; dead pages fully outside the
 	// box cannot hold matches, so the results are provably exact.
 	box := &xtree.Region{Box: &rect}
-	refs := r.pageRefs(box, &stats)
+	refs := r.pageRefs(box, leaves, &stats)
 	stats.Degraded = stats.Unreachable > 0
 	if err = r.finishIO(&ix.reg.QueriesRange, refs, &stats); err != nil {
 		return nil, stats, err
