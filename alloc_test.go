@@ -1,6 +1,13 @@
 package parsearch
 
-import "testing"
+import (
+	"runtime"
+	"sync/atomic"
+	"testing"
+	"time"
+
+	"parsearch/internal/xtree"
+)
 
 // raceEnabled is set by race_test.go: under the race detector sync.Pool
 // drops pooled objects at random, so allocation counts mean nothing.
@@ -8,9 +15,10 @@ var raceEnabled bool
 
 // TestQueryAllocations pins what a query allocates, so the count cannot
 // drift back unnoticed. The ceilings sit two above the level measured
-// on a 16-disk index (KNN 98, a batch of one 81, RangeQuery 95 and 111
-// packed); the accounting once descended every routed tree again and
-// grew its page list read by read, at 106, 89, 105 and 187.
+// on a 16-disk index (KNN 49, a batch of one 62, RangeQuery 95 and 111
+// packed). Sixteen per-disk searches and their merge took KNN to 98 and
+// a batch of one to 81; the accounting once descended every routed tree
+// again and grew its page list read by read, at 106, 89, 105 and 187.
 func TestQueryAllocations(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are meaningless under the race detector")
@@ -25,8 +33,8 @@ func TestQueryAllocations(t *testing.T) {
 		packed            bool
 		knn, batch, boxed float64
 	}{
-		{false, 100, 83, 97},
-		{true, 100, 83, 113},
+		{false, 51, 64, 97},
+		{true, 51, 64, 113},
 	} {
 		ix, err := Open(Options{Dim: dim, Disks: 16, Packed: tc.packed})
 		if err != nil {
@@ -51,5 +59,62 @@ func TestQueryAllocations(t *testing.T) {
 				t.Errorf("packed=%v %s: %v allocations, ceiling %v", tc.packed, c.name, got, c.ceiling)
 			}
 		}
+	}
+}
+
+// TestPooledSearchKeepsNoTree: once Build replaces the trees that
+// queries searched, every leaf of the old trees is collected while the
+// pooled search scratch is still alive: the pool keeps nothing of the
+// old trees reachable.
+func TestPooledSearchKeepsNoTree(t *testing.T) {
+	const dim = 6
+	ix, err := Open(Options{Dim: dim, Disks: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := ix.Build(rawPoints(3000, dim, 93)); err != nil {
+		t.Fatal(err)
+	}
+	queries := rawPoints(8, dim, 94)
+	for _, q := range queries {
+		if _, _, err := ix.KNN(q, 50); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, _, err := ix.BatchKNN(queries, 50); err != nil {
+		t.Fatal(err)
+	}
+	var watched, freed atomic.Int32
+	watch := func(obj any) {
+		watched.Add(1)
+		runtime.SetFinalizer(obj, func(any) { freed.Add(1) })
+	}
+	// Only leaves are watched: an object with a finalizer keeps what it
+	// references alive for one more collection.
+	var walk func(n *xtree.Node)
+	walk = func(n *xtree.Node) {
+		if n.IsLeaf() {
+			watch(n)
+		}
+		for _, c := range n.Children() {
+			walk(c)
+		}
+	}
+	ix.mu.RLock()
+	for _, sh := range ix.st.shards {
+		walk(sh.tree.Root())
+	}
+	ix.mu.RUnlock()
+	if err := ix.Build(rawPoints(3000, dim, 95)); err != nil {
+		t.Fatal(err)
+	}
+	// One collection, which leaves the pools' contents in their victim
+	// caches, must find every old tree and node unreachable.
+	runtime.GC()
+	for i := 0; i < 100 && freed.Load() < watched.Load(); i++ {
+		time.Sleep(time.Millisecond)
+	}
+	if freed.Load() != watched.Load() {
+		t.Errorf("%d of %d old leaves collected", freed.Load(), watched.Load())
 	}
 }

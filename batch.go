@@ -49,19 +49,16 @@ type BatchStats struct {
 	// errors caused across the whole batch.
 	Retries int
 	// SearchPages is the total number of index pages the batch's
-	// per-disk searches traversed; PagesSavedByBound the pages the
-	// shared bound pruned (see QueryStats). Within a batch item the
-	// shards are searched sequentially, so both totals are
-	// deterministic for a given index state.
+	// searches traversed; PagesSavedByBound totals the per-query
+	// estimate of what independent per-disk searches would have gone on
+	// to read (see QueryStats). Both are deterministic for a given index
+	// state.
 	SearchPages       int
 	PagesSavedByBound int
 	// PagesSavedByRemoteBound totals the per-query savings attributable
 	// to an externally seeded bound (see QueryStats). 0 without
 	// Approx.Bound.
 	PagesSavedByRemoteBound int
-	// BoundTightenings counts how often the batch's searches lowered
-	// their per-query shared bounds.
-	BoundTightenings int
 	// PagesSkippedApprox totals the approximate tier's per-query counter
 	// across the batch (see QueryStats). 0 on exact batches.
 	PagesSkippedApprox int
@@ -152,8 +149,8 @@ func (ix *Index) ServiceDemands(queries [][]float64, k int) ([][]float64, error)
 }
 
 // BatchKNN answers many k-NN queries as one batch: a worker pool of
-// GOMAXPROCS goroutines processes the queries, each query still fanning
-// out over all disks, and the I/O phase charges every disk the union of
+// GOMAXPROCS goroutines processes the queries, each query still
+// searching all disks, and the I/O phase charges every disk the union of
 // its page reads across the batch.
 // The i-th result corresponds to queries[i]; BatchStats.PerQuery carries
 // each query's own cost accounting. Results and statistics are
@@ -185,7 +182,7 @@ func (ix *Index) BatchKNNShardContext(ctx context.Context, queries [][]float64, 
 // BatchKNNContext is BatchKNN with a context, which may carry a
 // per-request tracer (see WithTracer) and a deadline. Batch traces
 // share one query sequence number; per-item events carry the batch
-// index in Item. Cancellation is honored between per-disk searches and
+// index in Item. Cancellation is honored within an item's search and
 // between batch items: a cancelled context makes the batch return
 // ctx.Err() without starting further shard searches or the simulated
 // I/O phase.
@@ -253,7 +250,7 @@ func (ix *Index) runBatch(ctx context.Context, qr query) (_ [][]Neighbor, stats 
 	}
 	close(next)
 	wg.Wait()
-	// Cancellation during the fan-out takes precedence over per-item
+	// Cancellation during the searches takes precedence over per-item
 	// errors: partially searched items must not look like ErrEmpty.
 	if err := ctx.Err(); err != nil {
 		return nil, stats, err
@@ -278,7 +275,6 @@ func (ix *Index) runBatch(ctx context.Context, qr query) (_ [][]Neighbor, stats 
 		stats.SearchPages += perQuery[i].SearchPages
 		stats.PagesSavedByBound += perQuery[i].PagesSavedByBound
 		stats.PagesSavedByRemoteBound += perQuery[i].PagesSavedByRemoteBound
-		stats.BoundTightenings += perQuery[i].BoundTightenings
 		stats.PagesSkippedApprox += perQuery[i].PagesSkippedApprox
 		stats.Degraded = stats.Degraded || perQuery[i].Degraded
 	}

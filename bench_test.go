@@ -359,10 +359,10 @@ func BenchmarkObservabilityRange16(b *testing.B) {
 	}
 }
 
-// BenchmarkKNNSharedBound measures the cooperative k-NN fan-out (see
-// DESIGN.md "Cooperative pruning"): pages/search is what one disk's
-// search reads before the shared bound stops it, savedpages/query what
-// the stopped searches still had queued.
+// BenchmarkKNNSharedBound measures a k-NN over sixteen disks (see
+// DESIGN.md "One queue"): pages/search is what the one queue reads on a
+// disk before the global k-th best stops it, savedpages/query what it
+// still had queued then.
 func BenchmarkKNNSharedBound(b *testing.B) {
 	const disks = 16
 	ix, queries := obsBenchIndex(b, parsearch.Options{Dim: 8, Disks: disks}, 4000)

@@ -11,6 +11,7 @@ package parsearch
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"io"
 	"math/rand"
 	"reflect"
@@ -571,7 +572,10 @@ func TestNeedsReorganizationDuringInserts(t *testing.T) {
 // TestFailHealDuringQueries is the regression test for the disk
 // fail/heal flags being read by query goroutines: flags are atomic, a
 // query either succeeds or reports the failure, and a healed array
-// serves queries again.
+// serves queries again. The plan reads the flags one disk at a time, so
+// the flipper can show a query every disk failed (each at a different
+// moment): with no replica that query has no live copy to search and
+// reports ErrUnavailable, which is the failure reported too.
 func TestFailHealDuringQueries(t *testing.T) {
 	const d = 6
 	ix, err := Open(Options{Dim: d, Disks: 4})
@@ -612,7 +616,7 @@ func TestFailHealDuringQueries(t *testing.T) {
 			rng := rand.New(rand.NewSource(int64(20 + g)))
 			for i := 0; i < stressIters(300, 80); i++ {
 				_, _, err := ix.KNN(randPoint(rng, d), 4)
-				if err != nil && !errors.Is(err, disk.ErrDiskFailed) {
+				if err != nil && !errors.Is(err, disk.ErrDiskFailed) && !errors.Is(err, ErrUnavailable) {
 					t.Errorf("KNN error other than disk failure: %v", err)
 					return
 				}
@@ -771,23 +775,19 @@ func TestFailureFlipsNeverSilentlyWrong(t *testing.T) {
 	verifyFinalState(t, ix, expected, Options{Dim: d, Disks: disks})
 }
 
-// TestSharedBoundStressConcurrent hammers the cooperative-pruning path
-// under the race detector: concurrent KNN/NN traffic (shared bound
-// active, per-query) races Insert/Delete writers and a FailDisk /
-// HealDisk flipper, with a counting tracer attached so the
-// bound_tightened events of every disk goroutine flow through user
-// code concurrently. The final quiesced index must still answer
-// exactly, and the bound must have been observably active.
+// TestSharedBoundStressConcurrent hammers the one-queue k-NN search
+// under the race detector: concurrent KNN/NN traffic, holding every
+// routed shard's read lock and stepping aside for writers, races
+// Insert/Delete writers and a FailDisk / HealDisk flipper, with a
+// counting tracer attached so the events flow through user code
+// concurrently. The final quiesced index must answer what the
+// independent per-disk searches and a linear scan answer, reading no
+// more search pages than the independent searches.
 func TestSharedBoundStressConcurrent(t *testing.T) {
 	const d, n, disks = 6, 700, 5
-	var events, tightened atomic.Int64
+	var events atomic.Int64
 	opts := Options{Dim: d, Disks: disks, Replication: 1,
-		Tracer: TracerFunc(func(ev TraceEvent) {
-			events.Add(1)
-			if ev.Stage == StageBoundTightened {
-				tightened.Add(1)
-			}
-		})}
+		Tracer: TracerFunc(func(ev TraceEvent) { events.Add(1) })}
 	ix, err := Open(opts)
 	if err != nil {
 		t.Fatal(err)
@@ -844,7 +844,11 @@ func TestSharedBoundStressConcurrent(t *testing.T) {
 			}
 		}(g)
 	}
-	for w := 0; w < 2; w++ {
+	// Each writer leaves the points it inserted and did not delete in
+	// its own map, for the final scan.
+	kept := make([]map[int][]float64, 2)
+	for w := range kept {
+		kept[w] = map[int][]float64{}
 		writers.Add(1)
 		go func(w int) {
 			defer writers.Done()
@@ -855,18 +859,21 @@ func TestSharedBoundStressConcurrent(t *testing.T) {
 					j := rng.Intn(len(own))
 					id := own[j]
 					own = append(own[:j], own[j+1:]...)
+					delete(kept[w], id)
 					if err := ix.Delete(id); err != nil {
 						t.Errorf("Delete(%d): %v", id, err)
 						return
 					}
 					continue
 				}
-				id, err := ix.Insert(randPoint(rng, d))
+				p := randPoint(rng, d)
+				id, err := ix.Insert(p)
 				if err != nil {
 					t.Errorf("Insert: %v", err)
 					return
 				}
 				own = append(own, id)
+				kept[w][id] = p
 			}
 		}(w)
 	}
@@ -884,26 +891,182 @@ func TestSharedBoundStressConcurrent(t *testing.T) {
 	if events.Load() == 0 {
 		t.Error("tracer saw no events")
 	}
-	if tightened.Load() == 0 {
-		t.Error("no bound_tightened events across the stress run")
-	}
-	m := ix.Metrics()
-	if m.SearchPages <= 0 || m.BoundTightenings <= 0 {
-		t.Errorf("registry search pages %d, tightenings %d", m.SearchPages, m.BoundTightenings)
-	}
-	if m.PagesSavedByBound < 0 {
-		t.Errorf("registry saved pages %d", m.PagesSavedByBound)
+	if m := ix.Metrics(); m.SearchPages <= 0 || m.PagesSavedByBound < 0 {
+		t.Errorf("registry search pages %d, saved pages %d", m.SearchPages, m.PagesSavedByBound)
 	}
 
-	// Quiesced, the index must agree with the independent path again.
-	q := randPoint(rand.New(rand.NewSource(83)), d)
-	res, stats, err := ix.KNN(q, 5)
+	// Quiesced, the index must agree with the independent per-disk
+	// searches and with a linear scan of what the writers left.
+	truth := make(map[int][]float64, n)
+	for i, p := range raw {
+		truth[i] = p
+	}
+	for _, own := range kept {
+		for id, p := range own {
+			truth[id] = p
+		}
+	}
+	rng := rand.New(rand.NewSource(83))
+	for i := 0; i < 5; i++ {
+		q := randPoint(rng, d)
+		res, stats, err := ix.KNN(q, 5)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, pages := independentKNN(t, ix, q, 5)
+		if !reflect.DeepEqual(res, want) {
+			t.Fatalf("quiesced query %d: one queue %v, independent searches %v", i, res, want)
+		}
+		checkBoundInvariants(t, fmt.Sprintf("quiesced query %d", i), stats, sum(pages))
+		scan := linearScanKNN(truth, q, 5, vec.L2)
+		for j := range scan {
+			if res[j].ID != scan[j].id || res[j].Dist != scan[j].dist {
+				t.Fatalf("quiesced query %d: result %d is %d at %v, the scan's %d at %v",
+					i, j, res[j].ID, res[j].Dist, scan[j].id, scan[j].dist)
+			}
+		}
+	}
+}
+
+// TestOneQueueRestartsUnderSplits races k-NN searches, which hold every
+// shard's read lock and step aside for a waiting writer, against writers
+// that insert bursts of clustered points — splitting leaves — and
+// delete them again, dissolving the leaves. The built points are never
+// deleted, so every answer must hold each of them that precedes its
+// last result in (distance, ID) order: a search that resumed across a
+// split or a dissolve without restarting could miss one. searchSeam
+// must see searches restart, or the test proved nothing.
+func TestOneQueueRestartsUnderSplits(t *testing.T) {
+	const d, n, disks, k, burst = 4, 3000, 4, 20, 60
+	ix, err := Open(Options{Dim: d, Disks: disks})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res) != 5 || stats.SearchPages+stats.PagesSavedByBound <= 0 {
-		t.Fatalf("quiesced KNN: %d results, stats %+v", len(res), stats)
+	base := uniformPoints(n, d, 41)
+	if err := ix.Build(base); err != nil {
+		t.Fatal(err)
 	}
+	var restarts, asides atomic.Int64
+	searchSeam = func(r, a int) {
+		restarts.Add(int64(r))
+		asides.Add(int64(a))
+	}
+	t.Cleanup(func() { searchSeam = nil })
+
+	// check holds one answer against the built points.
+	built := builtPoints(base)
+	check := func(q []float64, res []Neighbor) {
+		if len(res) != k {
+			t.Errorf("query %v: %d results, want %d", q, len(res), k)
+			return
+		}
+		var fromBase []int
+		for i, r := range res {
+			if want := vec.L2.Dist(q, r.Point); r.Dist != want {
+				t.Errorf("query %v: result %d (ID %d) at %v, its point is at %v", q, i, r.ID, r.Dist, want)
+			}
+			if r.ID < n {
+				if !reflect.DeepEqual(r.Point, base[r.ID]) {
+					t.Errorf("query %v: result %d (ID %d) has point %v, built %v", q, i, r.ID, r.Point, base[r.ID])
+				}
+				fromBase = append(fromBase, r.ID)
+			}
+		}
+		last := res[k-1]
+		var want []int
+		for _, h := range linearScanKNN(built, q, n, vec.L2) {
+			if h.dist > last.Dist || (h.dist == last.Dist && h.id > last.ID) {
+				break
+			}
+			want = append(want, h.id)
+		}
+		if !reflect.DeepEqual(fromBase, want) {
+			t.Errorf("query %v: built points answered %v, the scan has %v before the last result", q, fromBase, want)
+		}
+	}
+
+	// Each writer publishes the centre of its burst; readers query near
+	// it, where the leaves split and dissolve.
+	stop := make(chan struct{})
+	var centres [2]atomic.Pointer[[]float64]
+	var writers, readers sync.WaitGroup
+	for w := range centres {
+		c := randPoint(rand.New(rand.NewSource(int64(40+w))), d)
+		centres[w].Store(&c)
+		writers.Add(1)
+		go func(w int) {
+			defer writers.Done()
+			rng := rand.New(rand.NewSource(int64(50 + w)))
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				c := randPoint(rng, d)
+				centres[w].Store(&c)
+				ids := make([]int, 0, burst)
+				for i := 0; i < burst; i++ {
+					p := make([]float64, d)
+					for j := range p {
+						p[j] = c[j] + 0.01*rng.Float64()
+					}
+					id, err := ix.Insert(p)
+					if err != nil {
+						t.Errorf("Insert: %v", err)
+						return
+					}
+					ids = append(ids, id)
+				}
+				for _, id := range ids {
+					if err := ix.Delete(id); err != nil {
+						t.Errorf("Delete(%d): %v", id, err)
+						return
+					}
+				}
+			}
+		}(w)
+	}
+	minQueries := stressIters(150, 60)
+	for g := 0; g < 2; g++ {
+		readers.Add(1)
+		go func(g int) {
+			defer readers.Done()
+			rng := rand.New(rand.NewSource(int64(60 + g)))
+			// Keep querying until searches have restarted, within a cap.
+			for i := 0; i < 50*minQueries && (i < minQueries || restarts.Load() == 0); i++ {
+				q := randPoint(rng, d)
+				for j, c := range *centres[rng.Intn(len(centres))].Load() {
+					q[j] = c + 0.02*(q[j]-0.5)
+				}
+				res, _, err := ix.KNN(q, k)
+				if err != nil {
+					t.Errorf("KNN: %v", err)
+					return
+				}
+				check(q, res)
+			}
+		}(g)
+	}
+	readers.Wait()
+	close(stop)
+	writers.Wait()
+	if err := ix.CheckIntegrity(); err != nil {
+		t.Fatal(err)
+	}
+	if restarts.Load() == 0 {
+		t.Errorf("no search restarted (%d step-asides)", asides.Load())
+	}
+	t.Logf("%d restarts, %d step-asides", restarts.Load(), asides.Load())
+}
+
+// builtPoints keys points by their index, the IDs Build gives them.
+func builtPoints(pts [][]float64) map[int][]float64 {
+	m := make(map[int][]float64, len(pts))
+	for i, p := range pts {
+		m[i] = p
+	}
+	return m
 }
 
 // TestBrowserConcurrentWithReaders: an open Browser must not block

@@ -12,7 +12,7 @@ import (
 
 // Regression tests for context cancellation in the query paths: a
 // cancelled context must surface ctx.Err() promptly — before the shard
-// fan-out and the simulated I/O phase — instead of completing the query
+// search and the simulated I/O phase — instead of completing the query
 // for a client that is gone.
 
 func cancelTestIndex(t *testing.T) (*Index, [][]float64) {

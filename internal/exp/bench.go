@@ -69,12 +69,10 @@ type BenchWorkload struct {
 	// workload, read from the metrics registry. Deterministic.
 	Balance float64 `json:"balance"`
 	// SearchPagesPerQuery is the average number of tree pages the
-	// searches actually visited; SavedPagesPerQuery is the average
-	// number the k-NN searches still had queued when the cooperative
-	// cross-disk bound stopped them (zero for range queries; see
-	// parsearch.QueryStats.PagesSavedByBound). Both are
-	// timing-dependent on the parallel k-NN path and deterministic on
-	// the range and batch paths (see CompareBench).
+	// searches actually visited, deterministic on every row;
+	// SavedPagesPerQuery is the average number the k-NN searches still
+	// had queued when they stopped (zero for range queries; see
+	// parsearch.QueryStats.PagesSavedByBound).
 	SearchPagesPerQuery float64 `json:"search_pages_per_query,omitempty"`
 	SavedPagesPerQuery  float64 `json:"saved_pages_per_query,omitempty"`
 	// Recall is the mean fraction of the exact k-NN result set the
@@ -279,30 +277,19 @@ func RunBench(p BenchProfile, seed int64) (BenchReport, error) {
 	return report, nil
 }
 
-// timingDependentSearch names the rows whose searches fan out over the
-// disks in parallel: the pages a shard visits before the shared bound
-// stops it depend on goroutine timing there, so the visited count may
-// wander a little between runs. Everywhere else it is deterministic.
-var timingDependentSearch = map[string]bool{"knn16": true, "knn16-eps01": true}
-
 // CompareBench diffs a fresh report against a baseline and returns a
 // line per difference; none means the run reproduces the baseline. The
-// deterministic columns — executed pages and balance on every row,
-// search pages outside timingDependentSearch — must equal the
-// baseline's to 1e-9 in either direction: a change that moves one on
-// purpose regenerates the baseline and says by how much. A baseline row
-// the run no longer produces and a baseline of another profile are
-// differences too (the gate cannot pass by not measuring); rows only in
-// the current report are fine, the suite may grow.
-//
-// On the timingDependentSearch rows the visited count must not grow past
-// the baseline by more than 10% + 1 page. That the bound never costs
-// pages and never changes an answer is pinned by tests that run the
-// independent search beside the shared one (internal/knn
-// TestHSSharedMatchesHS, the root package's
-// TestSharedBoundEquivalenceBattery), not by this gate. Saved pages are
-// reported, never gated: on the parallel and coordinator rows they are
-// the timing-dependent split of a deterministic total.
+// deterministic columns — executed pages, balance and search pages on
+// every row — must equal the baseline's to 1e-9 in either direction: a
+// change that moves one on purpose regenerates the baseline and says by
+// how much. A baseline row the run no longer produces and a baseline of
+// another profile are differences too (the gate cannot pass by not
+// measuring); rows only in the current report are fine, the suite may
+// grow. That the one search queue never costs pages and never changes
+// an answer against independent per-disk searches is pinned by tests
+// (the root package's TestSharedBoundEquivalenceBattery), not by this
+// gate. Saved pages are reported, never gated: on the coordinator row
+// they are the timing-dependent split of a deterministic total.
 func CompareBench(baseline, current BenchReport) []string {
 	if baseline.Profile != current.Profile {
 		return []string{fmt.Sprintf("baseline profile %q does not match run profile %q",
@@ -322,13 +309,7 @@ func CompareBench(baseline, current BenchReport) []string {
 		}
 		exact(b.Name, "pages/query", c.PagesPerQuery, b.PagesPerQuery)
 		exact(b.Name, "balance", c.Balance, b.Balance)
-		if !timingDependentSearch[b.Name] {
-			exact(b.Name, "search pages/query", c.SearchPagesPerQuery, b.SearchPagesPerQuery)
-		} else if c.SearchPagesPerQuery > b.SearchPagesPerQuery*1.10+1 {
-			diffs = append(diffs, fmt.Sprintf(
-				"%s: %.1f search pages/query vs baseline %.1f (bound pruning got weaker)",
-				b.Name, c.SearchPagesPerQuery, b.SearchPagesPerQuery))
-		}
+		exact(b.Name, "search pages/query", c.SearchPagesPerQuery, b.SearchPagesPerQuery)
 	}
 	// RecallFloor is absolute, not baseline-relative: an approximate row
 	// whose measured recall dips below it fails regardless of what the

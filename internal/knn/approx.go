@@ -1,24 +1,30 @@
 package knn
 
-// Approximate k-NN: the HS search with one optional relaxation.
+// The one Hjaltason–Samet loop of the package (Search.Run), over one
+// tree or over every tree of a declustered query, with one optional
+// relaxation.
 //
-// ε-termination (Arya et al.): the search stops as soon as the next
-// priority-queue node's MINDIST exceeds kth/(1+ε) — equivalently, once
-// (1+ε)·MINDIST exceeds the current k-th best distance. Every point the
-// terminated search never sees is then provably farther than
-// kth/(1+ε), so the returned k-th distance is at most (1+ε) times the
-// true k-th distance. The comparison happens in rank space: for a
-// Minkowski metric, ToRank is a power function, so scaling the metric
-// distance by 1/(1+ε) is scaling the rank distance by ToRank(1/(1+ε))
-// (the shrink factor, see ShrinkFor). ε = 0 makes it 1, and because the
-// exact stop check runs first, the ε check can then never fire — the
-// traversal is the exact one by construction.
+// One queue across trees: the queue is seeded with every tree's root
+// and every node carries its tree's number, so the loop pops the nodes of
+// all trees in one global MINDIST order against one k-best. It stops at
+// the first node beyond the global k-th distance, and so reads exactly
+// the nodes of every tree that intersect the global NN-sphere — Hjaltason
+// and Samet's optimality argument, applied across disks. Each tree keeps
+// its own accounting and leaf log, because the disks are charged apart.
 //
-// Composition with the shared cross-disk bound: the ε check runs before
-// the shared-bound check, so pages the approximation skips (the pending
-// queue at ε-termination) are charged to ApproxStats.SkippedPages, never
-// to Saved, and the shared bound's savings and the approximation's stay
-// separately attributable.
+// ε-termination (Arya et al.) is per tree: a tree is no longer expanded
+// once its next node's MINDIST exceeds kth/(1+ε) of that tree's own k-th
+// best — equivalently, once (1+ε)·MINDIST exceeds it. Every point the
+// tree's search never sees is then provably farther than kth_t/(1+ε) ≥
+// kth/(1+ε), where kth ≤ kth_t is the answer's k-th distance, so the
+// returned k-th distance is at most (1+ε) times the true one. (A rule on
+// the global k-th best stops sooner and loses recall below the documented
+// floors.) The comparison happens in rank space: for a Minkowski metric,
+// ToRank is a power function, so scaling the metric distance by 1/(1+ε)
+// is scaling the rank distance by ToRank(1/(1+ε)) (the shrink factor,
+// see ShrinkFor). ε = 0 makes it 1, and because the exact stop check runs
+// first, the ε check can then never fire — the traversal is the exact one
+// by construction.
 
 import (
 	"math"
@@ -29,7 +35,7 @@ import (
 )
 
 // ShrinkFor returns the rank-space ε-termination factor for ε under m,
-// Metric.ToRank(1/(1+ε)): what HSApprox takes as shrink. 1 (ε ≤ 0)
+// Metric.ToRank(1/(1+ε)): what Search takes as Shrink. 1 (ε ≤ 0)
 // disables ε-termination.
 func ShrinkFor(epsilon float64, m vec.Metric) float64 {
 	if epsilon <= 0 {
@@ -38,115 +44,390 @@ func ShrinkFor(epsilon float64, m vec.Metric) float64 {
 	return m.ToRank(1 / (1 + epsilon))
 }
 
-// ApproxStats reports what the approximation (and the shared bound)
-// did for one HSApprox call.
+// ApproxStats reports what the approximation and the bounds did for one
+// tree of a search.
 type ApproxStats struct {
 	SharedStats
 	// SkippedPages counts pages the approximation skipped: the
-	// still-reachable pending queue at ε-termination (see queued).
+	// still-reachable pending queue of the tree at ε-termination (see
+	// Search.queued).
 	SkippedPages int
 }
 
-// HSApprox is the one Hjaltason–Samet priority-queue loop of the
-// package: HS, HSMetric and HSShared are this traversal with parts of it
-// switched off. b may be nil (no shared cross-disk bound), which is the
-// independent search HSMetric names. With shrink ≥ 1 (see ShrinkFor) the
-// search is exact: ε-termination cannot fire.
+// Step is what a Search's Yield hook tells the loop between two pops.
+type Step int
+
+const (
+	// Continue: carry on.
+	Continue Step = iota
+	// Resumed: the caller let go of its locks on the trees and took them
+	// back, so writers may have changed the trees. The loop compares
+	// every tree's Epoch with the one it started from and restarts from
+	// the roots if one moved (see Search.Run).
+	Resumed
+	// Stop: abandon the search; Run returns nil.
+	Stop
+)
+
+// TreeSearch is one tree's slot of a Search: the tree, and what the
+// search read in it.
+type TreeSearch struct {
+	// Tree is the tree to search; nil leaves the slot unsearched, with
+	// the zero log.
+	Tree *xtree.Tree
+	// Acc counts the nodes the search visited in the tree, Stats what the
+	// bounds and the approximation cut from it, and Log what the caller's
+	// page accounting needs (see LeafLog).
+	Acc   Accounting
+	Stats ApproxStats
+	Log   LeafLog
+
+	local   kRanks // the tree's own k best rank distances, kept while ε is armed
+	epoch   uint64 // Tree.Epoch() when the search (re)started
+	stopped bool   // ε-termination fired on the tree
+}
+
+// Search is one k-NN query over one or several trees: set the fields,
+// size Trees with Slots, and call Run. A Search is reusable; Reset drops
+// every reference into the trees it searched.
+type Search struct {
+	Q vec.Point
+	K int
+	M vec.Metric
+	// Shrink is the rank-space ε-termination factor (see ShrinkFor); ≥ 1
+	// is exact.
+	Shrink float64
+	// Seed, when > 0, is the rank bound the queue starts under: nodes
+	// beyond it are never read, so the search is a k-NN within that
+	// distance and may come up short of k. Stops the seed causes are
+	// charged to RemotePages.
+	Seed float64
+	// Shared, when non-nil, is a bound shared with searches running
+	// elsewhere: consulted at every pop like Seed, and tightened to the
+	// k-th best after every leaf (calling OnTighten, when non-nil, with
+	// each new value).
+	Shared    *Bound
+	OnTighten func(sqBound float64)
+	// Yield, when non-nil, is called once before every pop (see Step).
+	Yield func() Step
+	// Trees holds one slot per tree; Restarts counts the restarts of the
+	// last Run.
+	Trees    []TreeSearch
+	Restarts int
+
+	pq   pqueue[nodeItem]
+	best kBest
+	sc   scratch
+	lone bool // at most one tree has a root: its own k-th best is best's
+}
+
+// Slots sizes Trees to n zeroed slots, keeping the capacity of their
+// logs and k-best buffers, and returns it.
+func (s *Search) Slots(n int) []TreeSearch {
+	if cap(s.Trees) < n {
+		s.Trees = append(s.Trees[:cap(s.Trees)], make([]TreeSearch, n-cap(s.Trees))...)
+	}
+	s.Trees = s.Trees[:n]
+	for i := range s.Trees {
+		ts := &s.Trees[i]
+		*ts = TreeSearch{Log: LeafLog{Ranks: ts.Log.Ranks[:0]}, local: kRanks{heap: ts.local.heap[:0]}}
+	}
+	return s.Trees
+}
+
+// Reset drops every tree, node and entry the search can reach, keeping
+// its buffers' capacity: a pooled Search must not keep a
+// reorganized-away tree alive.
+func (s *Search) Reset() {
+	clear(s.pq[:cap(s.pq)])
+	clear(s.best.heap[:cap(s.best.heap)])
+	s.pq, s.best.heap = s.pq[:0], s.best.heap[:0]
+	s.Slots(len(s.Trees))
+	s.Q, s.Shared, s.OnTighten = nil, nil, nil
+}
+
+// Run answers the query: the k nearest entries over every slot's tree,
+// sorted by (distance, ID), with metric distances. Under Seed or Shared
+// the entries beyond the bound are whatever the search had collected.
 //
-// Under a shared bound the search stops at the first popped node whose
-// MINDIST strictly exceeds b.Load(). Why the merged answer is still the
-// independent searches' answer, ties included:
+// Writers that run while Yield has let go of the trees are safe. A
+// change that only appends a point to a leaf or removes one, growing or
+// shrinking MBRs, cannot hide a point that was there for the whole
+// search: the node that held it still does, and the MINDIST the node was
+// queued with is still a lower bound on the point's distance. A change
+// that moves points between nodes — a split, a dissolve with
+// reinsertion, a new root — bumps the tree's Epoch, and the search
+// starts again from the roots.
+func (s *Search) Run() []Result {
+	s.Restarts = 0
+	for {
+		res, restart := s.run()
+		if !restart {
+			return res
+		}
+		s.Restarts++
+	}
+}
+
+// run is one pass of the loop from the roots; restart reports that a
+// tree's epoch moved while Yield let go of the trees.
+func (s *Search) run() (_ []Result, restart bool) {
+	s.pq = s.pq[:0]
+	s.best = kBest{k: s.K, metric: s.M, heap: s.best.heap[:0]}
+	live := 0
+	for i := range s.Trees {
+		ts := &s.Trees[i]
+		if ts.Tree == nil {
+			continue
+		}
+		checkQuery(ts.Tree, s.Q, s.K)
+		ts.Acc, ts.Stats, ts.stopped = Accounting{}, ApproxStats{}, false
+		ts.local = kRanks{k: s.K, heap: ts.local.heap[:0]}
+		ts.Log.Ranks, ts.Log.Frontier = ts.Log.Ranks[:0], math.Inf(1)
+		ts.epoch = ts.Tree.Epoch()
+		if root := ts.Tree.Root(); root != nil {
+			s.pq.push(nodeItem{node: root, sqMinDist: s.M.RankMinDist(root.Rect(), s.Q), tree: i})
+			live++
+		}
+	}
+	s.lone = live <= 1
+	// frontier is the smallest MINDIST of a node the search does not
+	// visit: the children pushChildren prunes, and the node whose pop ends
+	// the loop — by heap order no farther than anything still queued. A
+	// tree ε stopped has its own, smaller one in its log.
+	frontier := math.Inf(1)
+	for len(s.pq) > 0 {
+		if s.Yield != nil {
+			switch s.Yield() {
+			case Stop:
+				return nil, false
+			case Resumed:
+				if s.moved() {
+					return nil, true
+				}
+			}
+		}
+		item := s.pq.pop()
+		ts := &s.Trees[item.tree]
+		kth := s.best.bound()
+		if item.sqMinDist > kth {
+			frontier = min(frontier, item.sqMinDist)
+			s.abandon(item, false)
+			break
+		}
+		if ts.stopped {
+			continue
+		}
+		if s.Shrink < 1 && item.sqMinDist > s.Shrink*ts.local.bound() {
+			// ε fires: the tree's k candidates are known (a finite bound),
+			// and every node of it still pending holds only points farther
+			// than its kth/(1+ε).
+			ts.stopped = true
+			ts.Stats.SkippedPages = s.queued(item, item.tree).PageAccesses
+			ts.Log.Frontier = item.sqMinDist
+			if live--; live == 0 {
+				break
+			}
+			continue
+		}
+		bound, remote := s.limit()
+		if item.sqMinDist > bound {
+			frontier = min(frontier, item.sqMinDist)
+			s.abandon(item, remote)
+			break
+		}
+		n := item.node
+		ts.Acc.visit(n)
+		if !n.IsLeaf() {
+			frontier = min(frontier, pushChildren(&s.pq, n, item.tree, s.Q, s.M, kth, &s.sc))
+			continue
+		}
+		var local *kRanks
+		if s.Shrink < 1 {
+			local = &ts.local
+		}
+		scanLeaf(n, s.Q, s.M, &s.best, local, &s.sc)
+		ts.Log.Ranks = append(ts.Log.Ranks, item.sqMinDist)
+		if s.Shared != nil {
+			if d := s.best.bound(); !math.IsInf(d, 1) && s.Shared.Tighten(d) {
+				ts.Stats.Tightened++
+				if s.OnTighten != nil {
+					s.OnTighten(d)
+				}
+			}
+		}
+	}
+	for i := range s.Trees {
+		if ts := &s.Trees[i]; ts.Tree != nil {
+			ts.Log.Frontier = min(ts.Log.Frontier, frontier)
+		}
+	}
+	if len(s.best.heap) == 0 {
+		return nil, false
+	}
+	return s.best.results(), false
+}
+
+// limit returns the bound from outside the search in force at this pop —
+// Seed, tightened by Shared — and whether it is still the seeded value
+// (see SharedStats.RemotePages). +inf when there is none.
+func (s *Search) limit() (bound float64, seeded bool) {
+	bound = math.Inf(1)
+	if s.Seed > 0 {
+		bound, seeded = s.Seed, true
+	}
+	if s.Shared != nil {
+		if v := s.Shared.Load(); v < bound {
+			bound, seeded = v, s.Shared.seededAt(v)
+		}
+	}
+	return bound, seeded
+}
+
+// moved reports whether a tree changed its structure since the search
+// started from its root.
+func (s *Search) moved() bool {
+	for i := range s.Trees {
+		if t := s.Trees[i].Tree; t != nil && t.Epoch() != s.Trees[i].epoch {
+			return true
+		}
+	}
+	return false
+}
+
+// abandon charges the work the loop gives up when a bound stops it at
+// the popped item: per tree not ε-stopped, the pending nodes inside the
+// tree's own bound (see own) — to RemotePages as well when the stopping
+// bound was the seeded one. With one tree and no outside bound it is
+// nothing: the tree's own k-th best is the one that stopped it.
+func (s *Search) abandon(item nodeItem, remote bool) {
+	s.save(item)
+	for _, pend := range s.pq {
+		s.save(pend)
+	}
+	if !remote {
+		return
+	}
+	for i := range s.Trees {
+		s.Trees[i].Stats.RemotePages = s.Trees[i].Stats.Saved.PageAccesses
+	}
+}
+
+func (s *Search) save(it nodeItem) {
+	if ts := &s.Trees[it.tree]; !ts.stopped && it.sqMinDist <= s.own(ts) {
+		ts.Stats.Saved.visit(it.node)
+	}
+}
+
+// own returns the rank bound an independent search of the tree would
+// stop at, as far as the search knows it: the tree's own k-th best while
+// ε is armed, the one k-th best on a lone tree, and +inf otherwise — an
+// exact search over several trees keeps no per-tree k-best, which would
+// cost it a sixth of its time, so every node it still held counts.
+func (s *Search) own(ts *TreeSearch) float64 {
+	switch {
+	case s.Shrink < 1:
+		return ts.local.bound()
+	case s.lone:
+		return s.best.bound()
+	}
+	return math.Inf(1)
+}
+
+// queued accounts the work tree number tree abandons when it stops at
+// the popped node item: item itself and every node of the tree still
+// queued whose MINDIST does not exceed the tree's own bound — the pages
+// it still held inside its own candidate sphere. Nodes beyond that bound
+// would never have been visited (the bound only decreases), so they
+// don't count. This estimates what carrying on would have read; it is
+// not that count. Pages below a queued directory node are not expanded —
+// on a tree of three or more levels that is most of them — while a
+// queued node that a later tightening of the bound would have ruled out
+// is counted.
+func (s *Search) queued(item nodeItem, tree int) (a Accounting) {
+	bound := s.Trees[tree].local.bound()
+	a.visit(item.node)
+	for _, pend := range s.pq {
+		if pend.tree == tree && pend.sqMinDist <= bound {
+			a.visit(pend.node)
+		}
+	}
+	return a
+}
+
+// kRanks collects the k smallest rank distances offered: one tree's own
+// k-th best, which its ε rule and the abandoned-work estimates read.
+type kRanks struct {
+	k    int
+	heap pqueue[farther]
+}
+
+// farther orders a max-heap of rank distances.
+type farther float64
+
+func (a farther) before(b farther) bool { return a > b }
+
+func (b *kRanks) offer(d float64) {
+	if len(b.heap) < b.k {
+		b.heap.push(farther(d))
+	} else if farther(d) < b.heap[0] {
+		b.heap[0] = farther(d)
+		b.heap.fix(0)
+	}
+}
+
+// bound returns the k-th smallest rank distance offered, or +inf while
+// fewer than k were.
+func (b *kRanks) bound() float64 {
+	if len(b.heap) < b.k {
+		return math.Inf(1)
+	}
+	return float64(b.heap[0])
+}
+
+// HSShared is Search.Run over the one tree t under the shared bound b:
+// the search stops at the first node whose MINDIST strictly exceeds the
+// bound, and tightens the bound whenever its k-best improves. b may be
+// nil, which is the independent search HS and HSMetric name.
+//
+// The returned neighbors at or inside the final bound are exactly the
+// independent search's, in the same order; beyond it the result holds
+// whatever the truncated search had collected, and may be short of k.
+// Why, ties included:
 //
 //   - Pops come in MINDIST order and the bound only decreases, so every
 //     later node would be pruned too: the traversal that stops here is a
 //     prefix of the independent one, and it offered the same candidates
 //     in the same order.
 //   - The tail it never reads lies in nodes with MINDIST > the bound,
-//     and every value a search publishes to the bound is a distance k
-//     candidates of the index have already achieved. The tail therefore
-//     holds only points strictly beyond the global k-th distance. (A
+//     and every value published to the bound is a distance k candidates
+//     have already achieved. The tail therefore holds only points
+//     strictly beyond the k-th distance of the union of the searches. (A
 //     bound seeded by the caller instead defines the ball the answer is
 //     taken from; see Bound.Seed.)
-//   - Offering such a point to the local k-best can only evict a
-//     candidate farther still, so the tail neither adds nor evicts a
-//     result at or inside the global k-th distance. The comparison is
-//     strict, so a node at exactly that distance — a tie — is read.
+//   - Offering such a point to the k-best can only evict a candidate
+//     farther still, so the tail neither adds nor evicts a result at or
+//     inside that distance. The comparison is strict, so a node at
+//     exactly that distance — a tie — is read.
 //
-// What the truncated search returns beyond the bound is whatever the
-// prefix had collected; the caller's merge never reaches it.
+// The same argument is why one queue over several trees answers what
+// their independent searches merged would: the global k-th best is a
+// bound every tree's search may stop at.
 //
-// log may be nil; otherwise the search records in it what its caller's
-// page accounting needs (see LeafLog).
-func HSApprox(t *xtree.Tree, q vec.Point, k int, m vec.Metric, shrink float64, b *Bound, log *LeafLog, onTighten func(sqBound float64)) ([]Result, Accounting, ApproxStats) {
+// onTighten, when non-nil, is called with the new rank bound after each
+// successful tightening.
+func HSShared(t *xtree.Tree, q vec.Point, k int, m vec.Metric, b *Bound, onTighten func(sqBound float64)) ([]Result, Accounting, SharedStats) {
 	checkQuery(t, q, k)
-	var acc Accounting
-	var as ApproxStats
-	if log != nil {
-		log.Ranks, log.Frontier = log.Ranks[:0], math.Inf(1)
-	}
-	if t.Root() == nil {
-		return nil, acc, as
-	}
-	s := searchPool.Get().(*search)
+	s := searchPool.Get().(*Search)
 	defer s.release()
-	pq, best, sc := &s.pq, &s.best, &s.sc
-	best.k, best.metric = k, m
-	// frontier is the smallest MINDIST of a node the search does not
-	// visit: the children pushChildren prunes, and the node whose pop
-	// ends the loop — by heap order no farther than anything still
-	// queued.
-	frontier := math.Inf(1)
-	pq.push(nodeItem{node: t.Root(), sqMinDist: m.RankMinDist(t.Root().Rect(), q)})
-	for len(*pq) > 0 {
-		item := pq.pop()
-		bound := best.bound()
-		if item.sqMinDist > bound {
-			frontier = min(frontier, item.sqMinDist)
-			break
-		}
-		if shrink < 1 && item.sqMinDist > shrink*bound {
-			// ε fires: k candidates are known (a finite bound), and every
-			// pending node holds only points farther than kth/(1+ε).
-			as.SkippedPages = queued(item, *pq, bound).PageAccesses
-			frontier = min(frontier, item.sqMinDist)
-			break
-		}
-		if b != nil {
-			if shared := b.Load(); item.sqMinDist > shared {
-				as.Saved = queued(item, *pq, bound)
-				if b.seededAt(shared) {
-					as.RemotePages = as.Saved.PageAccesses
-				}
-				frontier = min(frontier, item.sqMinDist)
-				break
-			}
-		}
-		n := item.node
-		acc.visit(n)
-		if !n.IsLeaf() {
-			frontier = min(frontier, pushChildren(pq, n, q, m, best.bound(), sc))
-			continue
-		}
-		scanLeaf(n, q, m, best, sc)
-		if log != nil {
-			log.Ranks = append(log.Ranks, item.sqMinDist)
-		}
-		if b != nil {
-			if d := best.bound(); !math.IsInf(d, 1) && b.Tighten(d) {
-				as.Tightened++
-				if onTighten != nil {
-					onTighten(d)
-				}
-			}
-		}
-	}
-	if log != nil {
-		log.Frontier = frontier
-	}
-	return best.results(), acc, as
+	s.Q, s.K, s.M, s.Shrink, s.Seed, s.Shared, s.OnTighten = q, k, m, 1, 0, b, onTighten
+	ts := &s.Slots(1)[0]
+	ts.Tree = t
+	res := s.Run()
+	return res, ts.Acc, ts.Stats.SharedStats
 }
 
-// LeafLog is what one HSApprox call records for its caller's page
+// LeafLog is what a search records per tree for its caller's page
 // accounting: the leaves it scanned, and how far its traversal reached.
 // It holds numbers only — no node or entry of the tree — so a log kept
 // in pooled scratch never keeps a tree alive.
@@ -157,9 +438,12 @@ type LeafLog struct {
 	// that xtree.Tree.HitLeaves evaluates, and hence bit for bit its
 	// value (see xtree.Region.descendPacked).
 	Ranks []float64
-	// Frontier is the smallest rank MINDIST of any node the search did
-	// not visit; +inf when it visited every node it did not prune. The
-	// zero LeafLog (Frontier 0) logged nothing and serves no radius.
+	// Frontier is a lower bound on the rank MINDIST of every node of the
+	// tree the search did not visit; +inf when it visited every node it
+	// did not prune. A search over several trees gives every log the one
+	// global frontier — no larger than any tree's own — and an ε-stopped
+	// tree the node it stopped at, if smaller. The zero LeafLog (Frontier
+	// 0) logged nothing and serves no radius.
 	Frontier float64
 }
 
@@ -174,8 +458,8 @@ type LeafLog struct {
 // — or lies below such a node, whose MINDIST is at most its own (the
 // monotonicity argument at xtree.Tree.HitLeaves). With rank < Frontier
 // no unvisited leaf is hit, so the hit leaves are exactly the logged
-// leaves with MINDIST ≤ rank. The check needs nothing about the shared
-// bound or ties; what fails it is a search that stopped inside the ball:
+// leaves with MINDIST ≤ rank. The check needs nothing about the bounds
+// or ties; what fails it is a search that stopped inside the ball:
 // ε-termination, a ball rounded past the k-th distance (ToRank), or a
 // bound seeded beyond where the search stopped.
 func (l *LeafLog) Hits(rank float64) (leaves int, ok bool) {
@@ -190,42 +474,11 @@ func (l *LeafLog) Hits(rank float64) (leaves int, ok bool) {
 	return leaves, true
 }
 
-// queued accounts the work a search abandons when it stops at the popped
-// node item: item itself and every node still in the queue whose MINDIST
-// does not exceed the local bound — the pages the search still held
-// inside its own candidate sphere. Nodes beyond the local bound would
-// never have been visited (the bound only decreases), so they don't
-// count. This estimates what carrying on would have read; it is not
-// that count. Pages below a queued directory node are not expanded — on
-// a tree of three or more levels that is most of them — while a queued
-// node that a later tightening of the local bound would have ruled out
-// is counted.
-func queued(item nodeItem, pq pqueue[nodeItem], bound float64) (a Accounting) {
-	a.visit(item.node)
-	for _, pend := range pq {
-		if pend.sqMinDist <= bound {
-			a.visit(pend.node)
-		}
-	}
-	return a
-}
+// searchPool holds the Searches of HSShared, so that a search allocates
+// only the result slice it hands to its caller.
+var searchPool = sync.Pool{New: func() any { return new(Search) }}
 
-// search is the scratch of one HSApprox call — node queue, k-best heap,
-// batch buffer — pooled so that a search allocates only the result slice
-// it hands to its caller.
-type search struct {
-	pq   pqueue[nodeItem]
-	best kBest
-	sc   scratch
-}
-
-var searchPool = sync.Pool{New: func() any { return new(search) }}
-
-// release returns s to the pool with no tree node or entry reachable from
-// it: a pooled queue must not keep a reorganized-away tree alive.
-func (s *search) release() {
-	clear(s.pq[:cap(s.pq)])
-	clear(s.best.heap[:cap(s.best.heap)])
-	s.pq, s.best.heap = s.pq[:0], s.best.heap[:0]
+func (s *Search) release() {
+	s.Reset()
 	searchPool.Put(s)
 }

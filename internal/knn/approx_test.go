@@ -1,0 +1,85 @@
+package knn
+
+import (
+	"fmt"
+	"math/rand"
+	"reflect"
+	"testing"
+
+	"parsearch/internal/vec"
+	"parsearch/internal/xtree"
+)
+
+// TestSearchAcrossTrees runs one Search over four trees — the third a
+// copy of the first under other IDs, so the k-th distance is often a
+// tie across trees — and requires the answer of a linear scan of their
+// union, ties broken by ID. Every tree reads exactly the leaves its
+// share of the NN-sphere hits: the leaves Tree.HitLeaves finds for the
+// answer's k-th distance, which is what the tree is charged for.
+func TestSearchAcrossTrees(t *testing.T) {
+	const dim = 6
+	rng := rand.New(rand.NewSource(3))
+	var trees []*xtree.Tree
+	var all []xtree.Entry
+	var first []xtree.Entry
+	for ti := 0; ti < 4; ti++ {
+		entries := make([]xtree.Entry, 3000)
+		for i := range entries {
+			var p vec.Point
+			if ti == 2 {
+				p = first[i].Point
+			} else {
+				p = make(vec.Point, dim)
+				for j := range p {
+					p[j] = float64(float32(rng.Float64()))
+				}
+			}
+			entries[i] = xtree.Entry{Point: p, ID: ti*len(entries) + i}
+		}
+		if ti == 0 {
+			first = entries
+		}
+		cfg := xtree.DefaultConfig(dim)
+		cfg.Packed = ti%2 == 1
+		tr := xtree.New(cfg)
+		tr.BulkLoad(entries)
+		trees = append(trees, tr)
+		all = append(all, entries...)
+	}
+	var s Search
+	for _, m := range []vec.Metric{vec.L2, vec.L1, vec.LInf} {
+		for qi := 0; qi < 10; qi++ {
+			q := make(vec.Point, dim)
+			for j := range q {
+				q[j] = float64(float32(rng.Float64()))
+			}
+			if qi == 0 {
+				q = first[7].Point // a tie at distance 0
+			}
+			for _, k := range []int{1, 5, 50} {
+				label := fmt.Sprintf("%v/q%d/k%d", m, qi, k)
+				s.Q, s.K, s.M, s.Shrink = q, k, m, 1
+				slots := s.Slots(len(trees))
+				for i := range slots {
+					slots[i].Tree = trees[i]
+				}
+				got := s.Run()
+				if want := LinearMetric(all, q, k, m); !reflect.DeepEqual(got, want) {
+					t.Fatalf("%s: one queue\n %v\nlinear scan\n %v", label, got, want)
+				}
+				kth := m.RankDist(q, got[k-1].Entry.Point)
+				for i, tr := range trees {
+					ts := &s.Trees[i]
+					hit := 0
+					tr.HitLeaves(&xtree.Region{Q: q, M: m, Rank: kth}, func(*xtree.Node) { hit++ })
+					logged, ok := ts.Log.Hits(kth)
+					if ts.Acc.LeafAccesses != hit || !ok || logged != hit || len(ts.Log.Ranks) != hit {
+						t.Fatalf("%s: tree %d read %d leaves (log %d, %d inside, ok %v), the sphere hits %d",
+							label, i, ts.Acc.LeafAccesses, len(ts.Log.Ranks), logged, ok, hit)
+					}
+				}
+				s.Reset()
+			}
+		}
+	}
+}

@@ -64,12 +64,18 @@ func (r Result) Compare(o Result) int {
 	return cmp.Compare(r.Entry.ID, o.Entry.ID)
 }
 
-// before orders the k-best heap farthest candidate first (a max-heap by
-// rank distance), so the root is the one a closer candidate replaces.
-func (r Result) before(o Result) bool { return r.Dist > o.Dist }
+// before orders the k-best heap last candidate first — a max-heap by
+// (rank distance, ID) — so the root is the one a nearer candidate, or an
+// equally near one with a smaller ID, replaces.
+func (r Result) before(o Result) bool {
+	return r.Dist > o.Dist || (r.Dist == o.Dist && r.Entry.ID > o.Entry.ID)
+}
 
 // kBest collects the k nearest candidates seen so far, ordered by rank
-// distance (see vec.Metric.RankDist).
+// distance (see vec.Metric.RankDist), ties by ID: which k of several
+// candidates at the k-th distance it keeps does not depend on the order
+// they were offered in — across the trees of one search, the order the
+// old per-disk merge sorted them by.
 type kBest struct {
 	k      int
 	metric vec.Metric
@@ -91,8 +97,8 @@ func (b *kBest) offer(e xtree.Entry, sqDist float64) {
 		b.heap.push(Result{Entry: e, Dist: sqDist})
 		return
 	}
-	if sqDist < b.heap[0].Dist {
-		b.heap[0] = Result{Entry: e, Dist: sqDist}
+	if root := &b.heap[0]; sqDist < root.Dist || (sqDist == root.Dist && e.ID < root.Entry.ID) {
+		*root = Result{Entry: e, Dist: sqDist}
 		b.heap.fix(0)
 	}
 }
@@ -118,10 +124,12 @@ func checkQuery(t *xtree.Tree, q vec.Point, k int) {
 	}
 }
 
-// nodeItem is a priority-queue element for the HS algorithm.
+// nodeItem is a priority-queue element for the HS algorithm: a node of
+// the search's tree number tree.
 type nodeItem struct {
 	node      *xtree.Node
 	sqMinDist float64
+	tree      int
 }
 
 // before orders the node queue by increasing MINDIST.
@@ -141,7 +149,7 @@ func HS(t *xtree.Tree, q vec.Point, k int) ([]Result, Accounting) {
 // becomes the metric's ball; the algorithm and its optimality argument
 // carry over unchanged).
 func HSMetric(t *xtree.Tree, q vec.Point, k int, m vec.Metric) ([]Result, Accounting) {
-	res, acc, _ := HSApprox(t, q, k, m, 1, nil, nil, nil)
+	res, acc, _ := HSShared(t, q, k, m, nil, nil)
 	return res, acc
 }
 
@@ -163,7 +171,7 @@ func RKV(t *xtree.Tree, q vec.Point, k int) ([]Result, Accounting) {
 	visit = func(n *xtree.Node) {
 		acc.visit(n)
 		if n.IsLeaf() {
-			scanLeaf(n, q, vec.L2, &best, &sc)
+			scanLeaf(n, q, vec.L2, &best, nil, &sc)
 			return
 		}
 		children := n.Children()

@@ -29,27 +29,35 @@ func (sc *scratch) grow(n int) []float64 {
 	return sc.dists[:n]
 }
 
-// scanLeaf offers every entry of the leaf to best.
-func scanLeaf(n *xtree.Node, q vec.Point, m vec.Metric, best *kBest, sc *scratch) {
+// scanLeaf offers every entry of the leaf to best and, when local is
+// not nil, its rank distance to local (the leaf's tree's own k best).
+func scanLeaf(n *xtree.Node, q vec.Point, m vec.Metric, best *kBest, local *kRanks, sc *scratch) {
 	entries := n.Entries()
-	s := n.PageSlab()
-	if s == nil {
-		for _, e := range entries {
-			best.offer(e, m.RankDist(q, e.Point))
+	var out []float64
+	if s := n.PageSlab(); s != nil {
+		out = sc.grow(s.Len())
+		s.DistsToPage(q, m, out)
+	} else {
+		out = sc.grow(len(entries))
+		for i, e := range entries {
+			out[i] = m.RankDist(q, e.Point)
 		}
-		return
 	}
-	out := sc.grow(s.Len())
-	s.DistsToPage(q, m, out)
 	for i, e := range entries {
 		best.offer(e, out[i])
+	}
+	if local != nil {
+		for _, d := range out {
+			local.offer(d)
+		}
 	}
 }
 
 // pushChildren pushes every child with rank MINDIST <= bound onto the
-// queue, batching the MINDIST computation on packed trees, and returns
-// the smallest MINDIST of the children it pruned (+inf if none).
-func pushChildren(pq *pqueue[nodeItem], n *xtree.Node, q vec.Point, m vec.Metric, bound float64, sc *scratch) (pruned float64) {
+// queue as a node of tree number tree, batching the MINDIST computation
+// on packed trees, and returns the smallest MINDIST of the children it
+// pruned (+inf if none).
+func pushChildren(pq *pqueue[nodeItem], n *xtree.Node, tree int, q vec.Point, m vec.Metric, bound float64, sc *scratch) (pruned float64) {
 	pruned = math.Inf(1)
 	children := n.Children()
 	if rs := n.ChildRects(); rs != nil {
@@ -57,7 +65,7 @@ func pushChildren(pq *pqueue[nodeItem], n *xtree.Node, q vec.Point, m vec.Metric
 		rs.MinDistsToPage(q, m, out)
 		for i, c := range children {
 			if out[i] <= bound {
-				pq.push(nodeItem{node: c, sqMinDist: out[i]})
+				pq.push(nodeItem{node: c, sqMinDist: out[i], tree: tree})
 			} else {
 				pruned = min(pruned, out[i])
 			}
@@ -66,7 +74,7 @@ func pushChildren(pq *pqueue[nodeItem], n *xtree.Node, q vec.Point, m vec.Metric
 	}
 	for _, c := range children {
 		if d := m.RankMinDist(c.Rect(), q); d <= bound {
-			pq.push(nodeItem{node: c, sqMinDist: d})
+			pq.push(nodeItem{node: c, sqMinDist: d, tree: tree})
 		} else {
 			pruned = min(pruned, d)
 		}

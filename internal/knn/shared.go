@@ -1,30 +1,26 @@
 package knn
 
-// Cooperative cross-disk pruning for the parallel NN algorithm: the
-// shards of a declustered index share one global upper bound on the
-// k-th-best distance, so every disk stops at the first priority-queue
-// node that only the *merged* result would discard — it reads the pages
-// intersecting the global NN-sphere, not its own local one. The bound is
-// a lock-free atomic (see Bound); HSShared is the HS search consulting
-// and tightening it (one traversal, HSApprox, serves every variant).
+// A bound shared between searches that run apart: every search stops at
+// the first priority-queue node beyond the smallest k-th-best distance any
+// of them has reached, and publishes its own. The bound is a lock-free
+// atomic (see Bound); HSShared is the one-tree Search consulting and
+// tightening it. Inside one process the engine needs none: one Search
+// queue over a query's trees already stops every tree at the global k-th
+// best, and a bound shipped from another process (the coordinator's)
+// seeds that queue (Search.Seed).
 //
 // Exactness argument: the shared bound only ever holds a distance that
-// k candidates somewhere in the index have already achieved (each shard
-// publishes its local k-th-best distance, and the global k-th-best is
-// at most the minimum of the local ones). A node pruned because its
+// k candidates somewhere have already achieved. A node pruned because its
 // MINDIST strictly exceeds the bound can only contain points strictly
 // farther than k already-known candidates, so none of its points can
-// enter the merged global top k — under any tie-breaking rule. The
-// bound is monotonically non-increasing, so the argument holds even
-// though other shards keep tightening it concurrently. The tie-break
-// half of the argument is written at HSApprox, where the loop lives.
+// enter the merged global top k. The bound is monotonically
+// non-increasing, so the argument holds even though other searches keep
+// tightening it concurrently. The tie-break half of the argument is
+// written at HSShared.
 
 import (
 	"math"
 	"sync/atomic"
-
-	"parsearch/internal/vec"
-	"parsearch/internal/xtree"
 )
 
 // Bound is a lock-free shared upper bound on the squared (rank)
@@ -44,7 +40,7 @@ type Bound struct {
 	bits atomic.Uint64
 	// seed is the externally provided squared bound installed by Seed
 	// (NaN when the bound was never seeded). It is written once before
-	// the search fan-out starts and only read afterwards, so it needs no
+	// the searches start and only read afterwards, so it needs no
 	// atomicity; NaN compares unequal to everything, which makes the
 	// attribution check below vacuously false on unseeded bounds.
 	seed float64
@@ -71,8 +67,8 @@ func NewBound() *Bound {
 // exactly that distance is a tie the merge may need (see
 // vec.Metric.ToRankCeil).
 //
-// Seed must be called before the search fan-out starts (it writes a
-// plain field the attribution check reads).
+// Seed must be called before the searches start (it writes a plain field
+// the attribution check reads).
 func (b *Bound) Seed(sq float64) {
 	b.seed = sq
 	b.Tighten(sq)
@@ -102,42 +98,25 @@ func (b *Bound) Tighten(d float64) bool {
 	}
 }
 
-// SharedStats reports what the shared bound did for one HSShared call.
+// SharedStats reports what the bounds did for one tree of a search.
 type SharedStats struct {
-	// Saved accounts the work the search abandoned when the shared bound
-	// stopped it: the node it had just popped and the queued nodes its
-	// own local bound had not ruled out (see queued). Pages below a
-	// queued directory node are not counted, so on trees of three or
-	// more levels this is normally far below the pages an independent
-	// search would go on to read; it is zero exactly when the bound cut
-	// nothing.
+	// Saved accounts the work the tree's search abandoned when a bound
+	// stopped it — the k-th best over every tree of a Search, a Seed or
+	// a Shared bound: the queued nodes of the tree inside its own bound
+	// (see Search.abandon and Search.own). Pages below a queued
+	// directory node are not counted, so on trees of three or more
+	// levels this is normally far below the pages an independent search
+	// would go on to read; on a lone tree it is zero exactly when the
+	// bound cut nothing.
 	Saved Accounting
-	// Tightened counts how many times this search lowered the shared
+	// Tightened counts how many times the search lowered the Shared
 	// bound.
 	Tightened int
 	// RemotePages is Saved.PageAccesses when the bound that stopped the
-	// search still held its externally seeded value (Bound.Seed):
-	// pruning attributable to the remote bound rather than to local
-	// tightening. Always 0 on unseeded bounds, and 0 once a local
-	// tightening has improved on the seed, even though the seed alone
-	// might still have pruned.
+	// search still held its externally seeded value (Search.Seed,
+	// Bound.Seed): pruning attributable to the remote bound rather than
+	// to the search's own candidates. Always 0 without a seed, and 0 once
+	// the search's own k-th best has improved on the seed, even though
+	// the seed alone might still have pruned.
 	RemotePages int
-}
-
-// HSShared is HSMetric under a shared bound: the search stops at the
-// first node whose MINDIST strictly exceeds the bound, and tightens the
-// bound whenever its local k-best improves — the cooperative variant of
-// the parallel NN algorithm, where every disk prunes against the global
-// candidate distance instead of only its own.
-//
-// The returned neighbors at or inside the final bound are exactly
-// HSMetric's, in the same order (see HSApprox); beyond it the result
-// holds whatever the truncated search had collected, and may be short
-// of k.
-//
-// onTighten, when non-nil, is called with the new squared bound after
-// each successful tightening.
-func HSShared(t *xtree.Tree, q vec.Point, k int, m vec.Metric, b *Bound, onTighten func(sqBound float64)) ([]Result, Accounting, SharedStats) {
-	res, acc, as := HSApprox(t, q, k, m, 1, b, nil, onTighten)
-	return res, acc, as.SharedStats
 }

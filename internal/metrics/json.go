@@ -55,7 +55,6 @@ func (r *Registry) Install(s Snapshot) error {
 		{"unreachable", s.Unreachable, &r.Unreachable},
 		{"search_pages", s.SearchPages, &r.SearchPages},
 		{"pages_saved_by_bound", s.PagesSavedByBound, &r.PagesSavedByBound},
-		{"bound_tightenings", s.BoundTightenings, &r.BoundTightenings},
 		{"approx_queries", s.ApproxQueries, &r.ApproxQueries},
 		{"pages_skipped_approx", s.PagesSkippedApprox, &r.PagesSkippedApprox},
 	}

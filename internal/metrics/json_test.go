@@ -23,7 +23,6 @@ func populate(r *Registry) {
 	r.Unreachable.Add(1)
 	r.SearchPages.Add(321)
 	r.PagesSavedByBound.Add(45)
-	r.BoundTightenings.Add(6)
 	for d := 0; d < r.Disks(); d++ {
 		r.PagesPerDisk.Add(d, int64(10+d))
 		r.ServiceTimePerDisk.Add(d, int64(1e6*(d+1)))
@@ -60,10 +59,10 @@ func TestRegistryJSONRoundTrip(t *testing.T) {
 		t.Errorf("Registry JSON differs from Snapshot JSON")
 	}
 
-	// A document written while the LSH and SQ8 pre-filters existed still
-	// carries the one's histogram and the other's counter; today's
-	// snapshot has neither key, and the old document installs with both
-	// ignored.
+	// A document written while the LSH and SQ8 pre-filters and the
+	// shared fan-out bound existed still carries the first's histogram
+	// and the others' counters; today's snapshot has none of the keys,
+	// and the old document installs with all of them ignored.
 	var doc map[string]json.RawMessage
 	if err := json.Unmarshal(blob, &doc); err != nil {
 		t.Fatal(err)
@@ -74,18 +73,22 @@ func TestRegistryJSONRoundTrip(t *testing.T) {
 	if _, ok := doc["dist_comps_saved"]; ok {
 		t.Error("snapshot JSON still has dist_comps_saved")
 	}
+	if _, ok := doc["bound_tightenings"]; ok {
+		t.Error("snapshot JSON still has bound_tightenings")
+	}
 	doc["lsh_probe_pages"] = doc["query_pages"]
 	doc["dist_comps_saved"] = json.RawMessage("123")
+	doc["bound_tightenings"] = json.RawMessage("6")
 	oldBlob, err := json.Marshal(doc)
 	if err != nil {
 		t.Fatal(err)
 	}
 	fromOld := NewRegistry(4)
 	if err := json.Unmarshal(oldBlob, fromOld); err != nil {
-		t.Fatalf("document with lsh_probe_pages and dist_comps_saved: %v", err)
+		t.Fatalf("document with lsh_probe_pages, dist_comps_saved and bound_tightenings: %v", err)
 	}
 	if !reflect.DeepEqual(fromOld.Snapshot(), r.Snapshot()) {
-		t.Error("document with lsh_probe_pages and dist_comps_saved installed differently")
+		t.Error("document with lsh_probe_pages, dist_comps_saved and bound_tightenings installed differently")
 	}
 
 	// The binary codec sees the same values, anchoring the two formats

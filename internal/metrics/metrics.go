@@ -182,14 +182,19 @@ type Registry struct {
 	Rerouted    Counter
 	Unreachable Counter
 
-	// Cooperative-pruning counters, mirroring the QueryStats fields:
-	// SearchPages counts the index pages the per-disk searches actually
-	// traversed, PagesSavedByBound the pages the shared bound of the
-	// parallel k-NN fan-out pruned, and BoundTightenings how often a
-	// disk's search lowered the shared bound.
+	// Search-work counters, mirroring the QueryStats fields: SearchPages
+	// counts the index pages the searches actually traversed,
+	// PagesSavedByBound the pages the k-NN searches still had queued
+	// when they stopped.
 	SearchPages       Counter
 	PagesSavedByBound Counter
-	BoundTightenings  Counter
+
+	// retiredBoundTightenings is the fifteenth scalar slot of codec v2+,
+	// which counted how often the per-disk searches of the old parallel
+	// fan-out lowered their shared bound. Nothing increments it and no
+	// snapshot reports it; it stays in scalars() so that every old blob
+	// decodes and re-encodes at its length without a codec v8.
+	retiredBoundTightenings Counter
 
 	// retiredDistCompsSaved is the sixteenth scalar slot of codec v3+,
 	// which counted the distance computations the deleted SQ8 pre-filter
@@ -305,7 +310,6 @@ type Snapshot struct {
 
 	SearchPages       int64 `json:"search_pages"`
 	PagesSavedByBound int64 `json:"pages_saved_by_bound"`
-	BoundTightenings  int64 `json:"bound_tightenings"`
 
 	PagesPerDisk         []int64 `json:"pages_per_disk"`
 	ServiceTimePerDiskNs []int64 `json:"service_time_per_disk_ns"`
@@ -378,7 +382,6 @@ func (r *Registry) Snapshot() Snapshot {
 
 		SearchPages:       r.SearchPages.Value(),
 		PagesSavedByBound: r.PagesSavedByBound.Value(),
-		BoundTightenings:  r.BoundTightenings.Value(),
 
 		PagesPerDisk:         r.PagesPerDisk.Values(),
 		ServiceTimePerDiskNs: r.ServiceTimePerDisk.Values(),
@@ -426,7 +429,7 @@ const codecMagic = uint32(0x4d545231) // "MTR1"
 // or a histogram is one appended row here and one appended entry there.
 var codecLayouts = [...]struct{ scalars, hists int }{
 	{12, 2}, // v1
-	{15, 2}, // v2: the three cooperative-pruning counters
+	{15, 2}, // v2: the three cooperative-pruning counters (the third now retiredBoundTightenings)
 	{16, 3}, // v3: retiredDistCompsSaved, QueryWallNs
 	{21, 4}, // v4: the five durability counters, WALFsyncNs
 	{24, 4}, // v5: the three live-mutation counters
@@ -444,7 +447,7 @@ func (r *Registry) scalars() []*Counter {
 		&r.QueryErrors, &r.DegradedQueries,
 		&r.PagesRead, &r.CellsVisited, &r.NodeVisits,
 		&r.Retries, &r.Rerouted, &r.Unreachable,
-		&r.SearchPages, &r.PagesSavedByBound, &r.BoundTightenings,
+		&r.SearchPages, &r.PagesSavedByBound, &r.retiredBoundTightenings,
 		&r.retiredDistCompsSaved,
 		&r.WALAppends, &r.WALSyncs, &r.WALBytes,
 		&r.Recoveries, &r.RecoveredRecords,

@@ -130,7 +130,10 @@ func TestBinaryRoundTrip(t *testing.T) {
 	r.Unreachable.Add(7)
 	r.SearchPages.Add(2048)
 	r.PagesSavedByBound.Add(512)
-	r.BoundTightenings.Add(33)
+	// The retired fifteenth and sixteenth scalars, as a blob written by
+	// the old parallel fan-out and by a quantized index holds them:
+	// carried like the retired histogram below.
+	r.retiredBoundTightenings.Add(33)
 	r.PagesPerDisk.Add(0, 10)
 	r.PagesPerDisk.Add(2, 30)
 	r.ServiceTimePerDisk.Add(1, 5e8)
@@ -138,8 +141,6 @@ func TestBinaryRoundTrip(t *testing.T) {
 	r.ShardRPCs.Add(60)
 	r.ShardRetries.Add(3)
 	r.RemoteBoundTightenings.Add(19)
-	// The retired sixteenth scalar, as a blob written by a quantized
-	// index holds it: carried like the retired histogram below.
 	r.retiredDistCompsSaved.Add(77)
 	for i := int64(1); i < 100; i *= 3 {
 		r.QueryPages.Observe(i)
@@ -168,6 +169,9 @@ func TestBinaryRoundTrip(t *testing.T) {
 	if got := fresh.retiredDistCompsSaved.Value(); got != 77 {
 		t.Fatalf("retired scalar slot round trip: got %d, want 77", got)
 	}
+	if got := fresh.retiredBoundTightenings.Value(); got != 33 {
+		t.Fatalf("retired scalar slot round trip: got %d, want 33", got)
+	}
 
 	// A second marshal of the decoded registry is byte-identical.
 	b2, err := fresh.MarshalBinary()
@@ -193,7 +197,7 @@ func TestUnmarshalVersion1(t *testing.T) {
 	// proves they are dropped from (not smuggled through) a v1 blob.
 	r.SearchPages.Add(555)
 	r.PagesSavedByBound.Add(66)
-	r.BoundTightenings.Add(7)
+	r.retiredBoundTightenings.Add(7)
 
 	v3, err := r.MarshalBinary()
 	if err != nil {
@@ -217,7 +221,7 @@ func TestUnmarshalVersion1(t *testing.T) {
 	if s.QueriesKNN != 7 || s.PagesRead != 1234 || s.PagesPerDisk[1] != 9 {
 		t.Fatalf("v1 prefix mismatch: %+v", s)
 	}
-	if s.SearchPages != 0 || s.PagesSavedByBound != 0 || s.BoundTightenings != 0 {
+	if s.SearchPages != 0 || s.PagesSavedByBound != 0 || fresh.retiredBoundTightenings.Value() != 0 {
 		t.Fatalf("v1 decode left newer counters non-zero: %+v", s)
 	}
 	// Re-encoding always writes the current version.
@@ -246,7 +250,7 @@ func TestUnmarshalVersion2(t *testing.T) {
 	r.QueriesKNN.Add(3)
 	r.SearchPages.Add(555)
 	r.PagesSavedByBound.Add(66)
-	r.BoundTightenings.Add(7)
+	r.retiredBoundTightenings.Add(7)
 	r.QueryPages.Observe(42)
 	r.QueryTimeNs.Observe(9000)
 	// v3-only fields, deliberately non-zero so the splice proves they
@@ -269,7 +273,7 @@ func TestUnmarshalVersion2(t *testing.T) {
 		t.Fatalf("v2 decode: %v", err)
 	}
 	s := fresh.Snapshot()
-	if s.QueriesKNN != 3 || s.SearchPages != 555 || s.PagesSavedByBound != 66 || s.BoundTightenings != 7 {
+	if s.QueriesKNN != 3 || s.SearchPages != 555 || s.PagesSavedByBound != 66 || fresh.retiredBoundTightenings.Value() != 7 {
 		t.Fatalf("v2 prefix mismatch: %+v", s)
 	}
 	if s.QueryPages.Count != 1 || s.QueryTimeNs.Count != 1 {

@@ -47,6 +47,7 @@ func (t *Tree) BulkLoadGrouped(groups [][]Entry) {
 	t.root = nil
 	t.size = total
 	t.stats = Stats{}
+	t.epoch++
 	if total == 0 {
 		return
 	}

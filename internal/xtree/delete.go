@@ -27,6 +27,7 @@ func (t *Tree) Delete(p vec.Point, id int) bool {
 
 	// Shrink the root: an empty root leaf disappears; a directory root
 	// with a single child is replaced by that child.
+	oldRoot := t.root
 	if t.root.leaf {
 		if len(t.root.entries) == 0 {
 			t.root = nil
@@ -37,6 +38,9 @@ func (t *Tree) Delete(p vec.Point, id int) bool {
 		for !t.root.leaf && len(t.root.children) == 1 {
 			t.root = t.root.children[0]
 		}
+	}
+	if t.root != oldRoot {
+		t.epoch++
 	}
 	if t.cfg.Packed && t.root != nil {
 		t.refreshPacked(t.root)
@@ -77,6 +81,7 @@ func (t *Tree) remove(n *Node, p vec.Point, id int, orphans *[]Entry) bool {
 		if t.underfull(c) {
 			// Dissolve the child: collect its entries for
 			// reinsertion and drop it.
+			t.epoch++
 			collectEntries(c, orphans)
 			n.children = append(n.children[:i], n.children[i+1:]...)
 		}

@@ -12,6 +12,7 @@ import (
 // leaves never become supernodes.
 func (t *Tree) splitLeaf(n *Node) *Node {
 	t.stats.Splits++
+	t.epoch++
 	axis, k := t.chooseLeafSplit(n.entries)
 	sortEntriesByAxis(n.entries, axis)
 
@@ -166,6 +167,7 @@ func bestOverlapFreeCut(children []*Node, history uint64, d int) (dim, cut int, 
 // is recomputed from its actual size (supernodes shrink back to normal
 // nodes when a split makes that possible).
 func (t *Tree) finishDirSplit(n *Node, k, axis int) *Node {
+	t.epoch++
 	right := make([]*Node, len(n.children)-k)
 	copy(right, n.children[k:])
 	n.children = n.children[:k]

@@ -123,6 +123,7 @@ type Tree struct {
 	root  *Node
 	size  int
 	stats Stats
+	epoch uint64
 }
 
 // Stats counts structural events since the tree was created.
@@ -192,6 +193,15 @@ func (t *Tree) Root() *Node { return t.root }
 // Stats returns the structural event counters.
 func (t *Tree) Stats() Stats { return t.stats }
 
+// Epoch counts the changes that move entries or nodes between nodes: a
+// split, a dissolve with reinsertion, a new root, a bulk load. An insert
+// that only appends to a leaf and a delete that only removes one entry
+// leave it alone — they grow or shrink MBRs, but every other entry stays
+// in the node it was in. A search that lets go of the tree's lock
+// between two steps resumes safely iff the epoch did not move (see
+// knn.Search.Run).
+func (t *Tree) Epoch() uint64 { return t.epoch }
+
 // Height returns the number of levels (0 for an empty tree, 1 for a
 // root-only leaf).
 func (t *Tree) Height() int {
@@ -215,6 +225,7 @@ func (t *Tree) Insert(p vec.Point, id int) {
 	if t.root == nil {
 		t.root = &Node{leaf: true, rect: vec.PointRect(e.Point), entries: []Entry{e}, super: 1, packDirty: true}
 		t.size = 1
+		t.epoch++
 		if t.cfg.Packed {
 			t.refreshPacked(t.root)
 		}

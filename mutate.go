@@ -148,7 +148,7 @@ func (ix *Index) insertOne(st *state, w *wal.Writer, point vec.Point) (id int, t
 	addToCell(st, key, d, point)
 	st.place(d, point, id)
 	if st.baseline != nil {
-		st.baseline.insert(point, id)
+		st.insert(st.baseline, point, id)
 	}
 	return id, target, nil
 }
@@ -171,7 +171,7 @@ func (ix *Index) deleteOne(st *state, w *wal.Writer, id int) (target int64, err 
 		return 0, err
 	}
 	if st.baseline != nil {
-		st.baseline.remove(p, id)
+		st.remove(st.baseline, p, id)
 	}
 	if w != nil {
 		target, err = w.AppendAsync(wal.EncodeDelete(uint64(id)))
@@ -180,7 +180,7 @@ func (ix *Index) deleteOne(st *state, w *wal.Writer, id int) (target int64, err 
 			// so memory, the log, and the error agree.
 			st.place(d, p, id)
 			if st.baseline != nil {
-				st.baseline.insert(p, id)
+				st.insert(st.baseline, p, id)
 			}
 			return 0, fmt.Errorf("parsearch: logging delete: %w", err)
 		}
@@ -194,15 +194,25 @@ func (ix *Index) deleteOne(st *state, w *wal.Writer, id int) (target int64, err 
 	return target, nil
 }
 
-// insert and remove put and take one point under the shard's write lock.
-func (sh *shard) insert(p vec.Point, id int) {
+// lockShard takes sh's write lock for a tree mutation. The writer is
+// counted in st.writers while it waits, so a k-NN search holding sh's
+// read lock among others lets go of them between two node pops (see
+// shardSearch.yield) instead of making the writer wait out its search.
+func (st *state) lockShard(sh *shard) {
+	st.writers.Add(1)
 	sh.mu.Lock()
+	st.writers.Add(-1)
+}
+
+// insert and remove put and take one point under the shard's write lock.
+func (st *state) insert(sh *shard, p vec.Point, id int) {
+	st.lockShard(sh)
 	sh.tree.Insert(p, id)
 	sh.mu.Unlock()
 }
 
-func (sh *shard) remove(p vec.Point, id int) bool {
-	sh.mu.Lock()
+func (st *state) remove(sh *shard, p vec.Point, id int) bool {
+	st.lockShard(sh)
 	defer sh.mu.Unlock()
 	return sh.tree.Delete(p, id)
 }
@@ -224,7 +234,7 @@ func (st *state) copies(d int) ([2]*shard, int) {
 func (st *state) place(d int, p vec.Point, id int) {
 	c, n := st.copies(d)
 	for _, sh := range c[:n] {
-		sh.insert(p, id)
+		st.insert(sh, p, id)
 	}
 }
 
@@ -234,9 +244,9 @@ func (st *state) place(d int, p vec.Point, id int) {
 func (st *state) take(d int, p vec.Point, id int) error {
 	c, n := st.copies(d)
 	for i, sh := range c[:n] {
-		if !sh.remove(p, id) {
+		if !st.remove(sh, p, id) {
 			for _, undo := range c[:i] {
-				undo.insert(p, id)
+				st.insert(undo, p, id)
 			}
 			return fmt.Errorf("parsearch: internal inconsistency: id %d not found in copy %d of disk %d", id, i, d)
 		}

@@ -71,12 +71,10 @@ func rawPoints(n, dim int, seed int64) [][]float64 {
 	return roundF32(raw)
 }
 
-// checkStatsParity compares the deterministic cost fields of one query
-// run on the reference and packed indexes. What a shard of the parallel
-// k-NN fan-out reads before the shared bound stops it is
-// timing-dependent, so parallel mode leaves the search pages out; a
-// range query's walk is fully deterministic and compares them.
-func checkStatsParity(t *testing.T, label string, ref, packed QueryStats, parallel bool) {
+// checkStatsParity compares the cost fields of one query run on the
+// reference and packed indexes, search pages included: the k-NN search
+// and the range walk are both deterministic.
+func checkStatsParity(t *testing.T, label string, ref, packed QueryStats) {
 	t.Helper()
 	if ref.TotalPages != packed.TotalPages || ref.MaxPages != packed.MaxPages {
 		t.Fatalf("%s: page accounting differs: ref total=%d max=%d, packed total=%d max=%d",
@@ -85,7 +83,7 @@ func checkStatsParity(t *testing.T, label string, ref, packed QueryStats, parall
 	if ref.Unreachable != packed.Unreachable || ref.Rerouted != packed.Rerouted || ref.Degraded != packed.Degraded {
 		t.Fatalf("%s: fault accounting differs: ref %+v packed %+v", label, ref, packed)
 	}
-	if !parallel && (ref.SearchPages != packed.SearchPages || ref.PagesSavedByBound != packed.PagesSavedByBound) {
+	if ref.SearchPages != packed.SearchPages || ref.PagesSavedByBound != packed.PagesSavedByBound {
 		t.Fatalf("%s: search pages differ: ref %d (+%d saved), packed %d (+%d saved)", label,
 			ref.SearchPages, ref.PagesSavedByBound, packed.SearchPages, packed.PagesSavedByBound)
 	}
@@ -170,7 +168,7 @@ func TestPackedEquivalenceBattery(t *testing.T) {
 							if !sameNeighbors(gotRes, wantRes) {
 								t.Fatalf("%s: results differ:\n ref    %v\n packed %v", label, wantRes, gotRes)
 							}
-							checkStatsParity(t, label, wantStats, gotStats, true)
+							checkStatsParity(t, label, wantStats, gotStats)
 						}
 					}
 					if shared {
@@ -187,7 +185,7 @@ func TestPackedEquivalenceBattery(t *testing.T) {
 							if !sameNeighbors(gotRes[qi], wantRes[qi]) {
 								t.Fatalf("%s: results differ:\n ref    %v\n packed %v", label, wantRes[qi], gotRes[qi])
 							}
-							checkStatsParity(t, label, wantStats.PerQuery[qi], gotStats.PerQuery[qi], false)
+							checkStatsParity(t, label, wantStats.PerQuery[qi], gotStats.PerQuery[qi])
 						}
 					}
 					for qi, q := range queries {
@@ -219,7 +217,7 @@ func TestPackedEquivalenceBattery(t *testing.T) {
 						if !sameNeighbors(gotRes, wantRes) {
 							t.Fatalf("%s: results differ:\n ref    %v\n packed %v", label, wantRes, gotRes)
 						}
-						checkStatsParity(t, label, wantStats, gotStats, false)
+						checkStatsParity(t, label, wantStats, gotStats)
 					}
 
 					// Partial-match queries: two specified dimensions, the
@@ -239,7 +237,7 @@ func TestPackedEquivalenceBattery(t *testing.T) {
 						if !sameNeighbors(gotRes, wantRes) {
 							t.Fatalf("%s: results differ:\n ref    %v\n packed %v", label, wantRes, gotRes)
 						}
-						checkStatsParity(t, label, wantStats, gotStats, false)
+						checkStatsParity(t, label, wantStats, gotStats)
 					}
 				})
 			}

@@ -165,7 +165,7 @@ type Options struct {
 	// Requires Disks >= 2. See README "Failure semantics".
 	Replication int
 	// Tracer, when non-nil, receives structured span events for every
-	// query (plan, per-disk fan-out, merge, I/O, retry/reroute
+	// query (plan, per-disk search, merge, I/O, retry/reroute
 	// decisions). It must be safe for concurrent use; a per-request
 	// tracer can instead be carried in a context via WithTracer and the
 	// *Context query methods. See README "Observability".
@@ -294,34 +294,28 @@ type QueryStats struct {
 	// Retries is the number of read retries the fault model's transient
 	// errors caused (0 without fault injection).
 	Retries int
-	// SearchPages is the number of index pages the per-disk searches
-	// actually traversed while answering the query (the Hjaltason–Samet
-	// fan-out of a k-NN query, the tree walk of a range query) — the
-	// engine's own I/O, as opposed to the cost-model accounting of
-	// PagesPerDisk/TotalPages, which charges the pages the paper's
-	// storage model must read for the final NN-sphere or box.
+	// SearchPages is the number of index pages the search actually
+	// traversed while answering the query, over every disk (the one
+	// Hjaltason–Samet queue of a k-NN query, the tree walk of a range
+	// query) — the engine's own I/O, as opposed to the cost-model
+	// accounting of PagesPerDisk/TotalPages, which charges the pages the
+	// paper's storage model must read for the final NN-sphere or box.
 	SearchPages int
-	// PagesSavedByBound counts the search pages the per-disk searches
-	// still had queued, inside their own local k-th-best sphere, when
-	// the shared bound of the cooperative k-NN fan-out stopped them.
-	// It estimates the pages an independent per-disk search would have
-	// gone on to read and is not that count: pages below a queued
-	// directory page are not counted (on deep trees it reads about
-	// half), while a queued page the search's own later tightening
-	// would have ruled out is (on two-level trees it can read a quarter
-	// high). It is 0 exactly when the bound stopped no search, and for
-	// range queries (a box has no distance bound to share). See
-	// DESIGN.md "Cooperative pruning".
+	// PagesSavedByBound counts the pages the k-NN search still had
+	// queued when it stopped: an estimate of the pages independent
+	// per-disk searches would have gone on to read, not that count.
+	// Pages below a queued directory page are not counted. Where the
+	// search knows a disk's own k-th best — an ε query, or a query on
+	// one disk — only the pages inside it count; otherwise every queued
+	// page does, including those a disk's own search would have ruled
+	// out. 0 for range queries (a box has no distance bound). See
+	// DESIGN.md "One queue".
 	PagesSavedByBound int
-	// BoundTightenings counts how often the cooperative fan-out lowered
-	// the shared bound.
-	BoundTightenings int
-	// PagesSavedByRemoteBound is the part of PagesSavedByBound charged to
-	// searches stopped while the shared bound still held an externally
-	// seeded value (Approx.Bound — the kth-distance bound a distributed
-	// coordinator ships with follow-up shard requests): pruning
-	// attributable to the remote bound rather than to this query's own
-	// local tightenings. Always 0 without a seeded bound.
+	// PagesSavedByRemoteBound is PagesSavedByBound when the search was
+	// stopped by an externally seeded bound (Approx.Bound — the
+	// kth-distance bound a distributed coordinator ships with follow-up
+	// shard requests) before its own k-th best improved on it: pruning
+	// attributable to the remote bound. Always 0 without a seeded bound.
 	PagesSavedByRemoteBound int
 	// PagesSkippedApprox is the number of search pages the approximate
 	// tier skipped: the still-reachable priority queue at ε-termination
@@ -453,8 +447,9 @@ type cellInfo struct {
 }
 
 // shard is one disk's partition of the index: the disk's X-tree plus the
-// read-write mutex that serializes structural tree mutation against
-// concurrent query traversals. Queries on different disks never contend.
+// read-write mutex that serializes tree mutation against concurrent
+// query traversals. A k-NN search read-locks every shard it routes to;
+// a writer locks one shard at a time (see state.lockShard).
 type shard struct {
 	mu   sync.RWMutex
 	tree *xtree.Tree
@@ -478,6 +473,10 @@ type state struct {
 	baseline  *shard // nil unless Options.Baseline
 	cells     []cellInfo
 	cellIndex map[string]int
+	// writers counts the tree mutations blocked on, or about to block
+	// on, a shard's write lock (see lockShard). A k-NN search holding
+	// every routed shard's read lock polls it and steps aside.
+	writers atomic.Int32
 }
 
 // Index is a parallel similarity-search index, safe for concurrent use
@@ -489,7 +488,9 @@ type state struct {
 //	→ rotMu (R by durable mutations, W by durable Build and Close)
 //	→ mu (R by queries and point mutations, W by Build/Reorganize cutover)
 //	→ meta (point table, live count, cell loads, quantile estimators)
-//	→ shard.mu per disk (R by tree traversals, W by tree mutation)
+//	→ shard.mu per disk (R by tree traversals, W by tree mutation; a
+//	  k-NN search read-locks its routed shards in disk order, a writer
+//	  holds one at a time)
 type Index struct {
 	opts   Options
 	params disk.Params

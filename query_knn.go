@@ -3,7 +3,6 @@ package parsearch
 import (
 	"context"
 	"fmt"
-	"slices"
 	"sync"
 
 	"parsearch/internal/disk"
@@ -13,8 +12,8 @@ import (
 )
 
 // This file is the k-NN search stage of the query pipeline (query.go):
-// the single-query entry points, and the per-item step — home-shard
-// probe, per-disk fan-out, merge, NN-sphere page accounting — that a
+// the single-query entry points, and the per-item step — one search
+// queue over every routed disk, NN-sphere page accounting — that a
 // single query, every batch item and every ServiceDemands row run.
 
 // NN returns the nearest neighbor of q.
@@ -34,19 +33,17 @@ func (ix *Index) NNContext(ctx context.Context, q []float64) (Neighbor, QuerySta
 	return res[0], stats, nil
 }
 
-// KNN returns the k nearest neighbors of q, searching all disks in
-// parallel, together with the query's cost statistics.
+// KNN returns the k nearest neighbors of q over all disks, together
+// with the query's cost statistics.
 func (ix *Index) KNN(q []float64, k int) ([]Neighbor, QueryStats, error) {
 	return ix.KNNContext(context.Background(), q, k)
 }
 
 // KNNContext is KNN with a context, which may carry a per-request
-// tracer (see WithTracer) and a deadline. Cancellation is honored at
-// the fan-out granularity: the query checks ctx between per-disk
-// searches and before the simulated I/O phase, so a cancelled context
-// returns ctx.Err() promptly without charging further disk reads. A
-// disk search already underway completes (the simulated disks execute
-// a planned read batch atomically).
+// tracer (see WithTracer) and a deadline. The search checks ctx every
+// few dozen node pops and again before the simulated I/O phase, so a
+// cancelled context returns ctx.Err() promptly without charging disk
+// reads (the simulated disks execute a planned read batch atomically).
 func (ix *Index) KNNContext(ctx context.Context, q []float64, k int) ([]Neighbor, QueryStats, error) {
 	return ix.runKNN(ctx, query{op: opKNN, point: q, k: k, approx: ix.ApproxDefaults()})
 }
@@ -103,86 +100,46 @@ func (ix *Index) runKNN(ctx context.Context, qr query) (_ []Neighbor, stats Quer
 // into qs (search work, per-disk pages, degraded-mode counters). item is
 // the batch index, or -1 for a single query.
 //
-// Search: every live shard finds its local k nearest neighbors (the
-// union of the local results contains the global result over the
-// reachable data). A failed disk's search runs against the chained
-// replica instead; shards with no live copy are skipped. Each search
-// holds only its own tree's read lock, so a concurrent insert on one
-// disk never blocks the searches on the others.
+// Search: one Hjaltason–Samet queue over every routed tree (knn.Search)
+// pops the nodes of all disks in global MINDIST order against one k-best,
+// so every disk stops at the global k-th distance and reads only the
+// pages intersecting the global NN-sphere (see DESIGN.md "One queue"). A
+// failed disk is searched through its chained replica; a shard with no
+// live copy is skipped. The search holds the read lock of every routed
+// shard and steps aside for a waiting writer (see shardSearch.yield).
 //
-// Cooperative pruning: the shards share one lock-free bound on the
-// global k-th-best distance (knn.Bound). The query's home shard — the
-// disk its quadrant is declustered to, the likeliest holder of near
-// neighbors — is probed synchronously first so the bound is tight
-// before the fan-out starts; every other shard then stops at the first
-// priority-queue node beyond the live bound and tightens the bound as
-// its local k-best improves. The merged answer is provably the
-// independent searches' (see DESIGN.md "Cooperative pruning").
-//
-// A single query fans out with one goroutine per shard. A batch item
-// (item ≥ 0) searches its shards one after the other on its worker's
-// goroutine — the batch is already parallel across items — so the
-// bound's trajectory, and with it the pages searched and saved, is
-// deterministic, unlike the parallel fan-out.
-//
-// Under Approx.Bound the item is a k-NN within that distance: the merge
+// Under Approx.Bound the item is a k-NN within that distance: the answer
 // keeps only results inside the bound and may come up short of k, or
 // empty. rk, the radius of the sphere the pages are accounted for, is
-// the k-th merged distance when the merge is full and the bound when it
-// is short — every page the answer depends on intersects that sphere.
-// g is that sphere as accounted, the region a sequential baseline must
-// be charged for too.
+// the k-th distance when the answer is full and the bound when it is
+// short — every page the answer depends on intersects that sphere. g is
+// that sphere as accounted, the region a sequential baseline must be
+// charged for too.
 func (r *run) knnItem(qr *query, q vec.Point, item int, qs *QueryStats) (merged []knn.Result, rk float64, g *xtree.Region, refs []disk.PageRef, err error) {
-	sr := newShardSearch(r, q, qr.k, qr.approx, item)
+	sr := newShardSearch(r, q, qr.k, qr.approx)
 	defer sr.release()
-	seed := -1
-	if d := r.ix.homeDisk(r.st, q); r.routes[d].sh != nil {
-		seed = d
-		sr.search(d)
-	}
-	var wg sync.WaitGroup
-	for d := range r.routes {
-		if r.routes[d].sh == nil || d == seed {
-			continue
-		}
-		if item >= 0 {
-			sr.search(d)
-			continue
-		}
-		wg.Add(1)
-		go func(d int) {
-			defer wg.Done()
-			sr.search(d)
-		}(d)
-	}
-	wg.Wait()
-	// A context cancelled during the fan-out leaves some disks
-	// unsearched; partial results would be silently wrong, so surface
-	// the cancellation before merging.
+	merged = sr.run()
+	// A context cancelled during the search leaves it partial; partial
+	// results would be silently wrong, so surface the cancellation.
 	if err := r.ctx.Err(); err != nil {
 		return nil, 0, nil, nil, err
 	}
 	r.visits.Add(sr.record(qs))
-	if sr.shrink < 1 {
+	if item < 0 && r.sp.on() {
+		for d := range sr.s.Trees {
+			if ts := &sr.s.Trees[d]; ts.Tree != nil {
+				r.sp.emit(TraceEvent{Stage: StageSearch, Disk: d, Item: -1, K: qr.k, Pages: ts.Acc.PageAccesses})
+			}
+		}
+	}
+	if sr.s.Shrink < 1 {
+		qs.EffectiveEpsilon = qr.approx.Epsilon
 		r.sp.emit(TraceEvent{Stage: StageApprox, Disk: -1, Item: item, K: qr.k,
-			Epsilon: sr.eps, Pages: qs.PagesSkippedApprox})
+			Epsilon: qr.approx.Epsilon, Pages: qs.PagesSkippedApprox})
 	}
 
-	// Merge to the global k nearest inside the caller's bound. A shard the
-	// shared bound stopped may hand back candidates beyond the bound; the
-	// top k of a full merge never reaches them (see knn.HSApprox).
-	total := 0
-	for d := range sr.disks {
-		total += len(sr.disks[d].local)
-	}
-	merged = make([]knn.Result, 0, total)
-	for d := range sr.disks {
-		merged = append(merged, sr.disks[d].local...)
-	}
-	slices.SortFunc(merged, knn.Result.Compare)
-	if len(merged) > qr.k {
-		merged = merged[:qr.k]
-	}
+	// The answer inside the caller's bound: the search may have collected
+	// candidates beyond it before the bound stopped it.
 	bounded := qr.approx.Bound > 0
 	for bounded && len(merged) > 0 && merged[len(merged)-1].Dist > qr.approx.Bound {
 		merged = merged[:len(merged)-1]
@@ -213,8 +170,8 @@ func (r *run) knnItem(qr *query, q vec.Point, item int, qs *QueryStats) (merged 
 	// Cost accounting: every disk must read its pages intersecting the
 	// NN-sphere of radius rk — the leaves its search scanned inside the
 	// sphere, whenever its log can tell (see knn.LeafLog.Hits).
-	for d := range sr.disks {
-		n, ok := sr.disks[d].log.Hits(g.Rank)
+	for d := range sr.s.Trees {
+		n, ok := sr.s.Trees[d].Log.Hits(g.Rank)
 		if !ok {
 			n = -1
 		}
@@ -223,10 +180,10 @@ func (r *run) knnItem(qr *query, q vec.Point, item int, qs *QueryStats) (merged 
 	refs = r.pageRefs(g, sr.logged, qs)
 	// Degraded only when the dead data could have changed the answer:
 	// unreachable pages intersect the NN-sphere (a dead point could be
-	// closer than rk), or an unbounded merge came up short of k (any
+	// closer than rk), or an unbounded answer came up short of k (any
 	// dead point would have made the cut). Otherwise every dead page
 	// lies strictly outside the sphere and the results are provably
-	// exact — a bounded merge is short because the ball is, unless dead
+	// exact — a bounded answer is short because the ball is, unless dead
 	// pages reach into it.
 	qs.Degraded = qs.Unreachable > 0 || (r.degraded && len(merged) < qr.k && !bounded)
 	return merged, rk, g, refs, nil
@@ -250,131 +207,142 @@ func neighbors(merged []knn.Result) []Neighbor {
 	return out
 }
 
-// shardSearch is the per-item state of the k-NN fan-out: one result and
-// accounting slot per disk, plus the shared bound of the cooperative
-// search. search is safe to call concurrently for different disks. It
-// is pooled with its slots, so the search logs keep their capacity from
-// one query to the next.
+// shardSearch is the per-item state of the k-NN search: the one
+// knn.Search over the routed trees, one slot per route, and the
+// accounting's per-route leaf counts. It is pooled, so the search's
+// queue, heaps and logs keep their capacity from one query to the next.
 type shardSearch struct {
-	r     *run
-	q     vec.Point
-	k     int
-	item  int // batch item for trace events; -1 for single queries
-	bound *knn.Bound
-
-	// Approximate tier: shrink is the rank-space ε-termination factor and
-	// eps the ε behind it. The tier is armed iff shrink < 1; an exact
-	// query hands knn.HSApprox a shrink of 1, under which ε-termination
-	// cannot fire, so exact queries stay byte-identical.
-	shrink float64
-	eps    float64
-
-	disks []diskSearch
+	r *run
+	s knn.Search
 	// logged is the accounting's per-route leaf count (see run.pageRefs).
 	logged []int
-}
-
-// diskSearch is one disk's slot of a shardSearch. A slot whose disk was
-// not searched keeps the zero log, which serves no radius.
-type diskSearch struct {
-	local []knn.Result
-	acc   knn.Accounting
-	stats knn.ApproxStats
-	log   knn.LeafLog
+	// pops counts the search's pops, asides its step-asides (see yield).
+	pops, asides int
 }
 
 // shardSearchPool holds released shardSearches. What stays reachable
 // from a pooled one is numbers only — the logs' rank slices and the
-// logged counts — so the pool never keeps a tree, a result or a query
-// alive (see release).
-var shardSearchPool = sync.Pool{New: func() any { return new(shardSearch) }}
+// logged counts — and the yield hook bound to itself, so the pool never
+// keeps a tree, a result or a query alive (see release).
+var shardSearchPool = sync.Pool{New: func() any {
+	sr := new(shardSearch)
+	sr.s.Yield = sr.yield
+	return sr
+}}
 
-func newShardSearch(r *run, q vec.Point, k int, a Approx, item int) *shardSearch {
+func newShardSearch(r *run, q vec.Point, k int, a Approx) *shardSearch {
 	sr := shardSearchPool.Get().(*shardSearch)
-	disks, logged := sr.disks, sr.logged
-	if n := len(r.routes); cap(disks) < n {
-		disks, logged = make([]diskSearch, n), make([]int, n)
-	} else {
-		disks, logged = disks[:n], logged[:n]
-	}
-	*sr = shardSearch{r: r, q: q, k: k, item: item,
-		shrink: knn.ShrinkFor(a.Epsilon, r.m), eps: a.Epsilon,
-		bound: knn.NewBound(), disks: disks, logged: logged}
+	sr.r, sr.pops, sr.asides = r, 0, 0
+	s := &sr.s
+	s.Q, s.K, s.M = q, k, r.m
+	s.Shrink = knn.ShrinkFor(a.Epsilon, r.m)
 	// The externally shipped k-th-distance bound of a.Bound seeds the
-	// shared bound — the receiving half of the cross-network bound
-	// protocol. The rank-space seed is rounded up to the whole metric
-	// ball: a point at exactly a.Bound is a tie the merge needs.
+	// queue — the receiving half of the cross-network bound protocol. The
+	// rank-space seed is rounded up to the whole metric ball: a point at
+	// exactly a.Bound is a tie the answer needs.
+	s.Seed = 0
 	if a.Bound > 0 {
-		sr.bound.Seed(r.m.ToRankCeil(a.Bound))
+		s.Seed = r.m.ToRankCeil(a.Bound)
 	}
+	trees := s.Slots(len(r.routes))
+	for d, rt := range r.routes {
+		if rt.sh != nil {
+			trees[d].Tree = rt.sh.tree
+		}
+	}
+	if cap(sr.logged) < len(r.routes) {
+		sr.logged = make([]int, len(r.routes))
+	}
+	sr.logged = sr.logged[:len(r.routes)]
 	return sr
 }
 
-// search runs disk d's local search via its route, under the routed
-// tree's read lock. A cancelled query context skips the disk entirely —
-// the fan-out checks cancellation between per-disk searches so a
-// disconnected client stops burning traversal work; the caller surfaces
-// ctx.Err() after the fan-out. Bound tightenings are buffered and
-// emitted after the lock is released so no user code (the tracer) ever
-// runs under a shard lock.
-func (sr *shardSearch) search(d int) {
-	r := sr.r
-	if r.ctx.Err() != nil {
-		return
+// maxAsides bounds the step-asides of one search, and with them its
+// restarts: past it a search holds its locks to the end, and writers
+// wait for it as they wait for a range query.
+const maxAsides = 8
+
+// searchSeam, when set, is handed every finished k-NN search's restarts
+// and step-asides. Only tests set it (TestOneQueueRestartsUnderSplits).
+var searchSeam func(restarts, asides int)
+
+// run searches the routed trees under their shards' read locks, taken in
+// route order. Writers hold one shard lock at a time, so the order cannot
+// deadlock. A query whose context is already done searches nothing.
+func (sr *shardSearch) run() []knn.Result {
+	if sr.r.ctx.Err() != nil {
+		return nil
 	}
-	sh, slot := r.routes[d].sh, &sr.disks[d]
-	var tighs []float64
-	var onTighten func(float64)
-	if r.sp.on() {
-		onTighten = func(sq float64) { tighs = append(tighs, sq) }
+	sr.lock()
+	res := sr.s.Run()
+	sr.unlock()
+	if searchSeam != nil {
+		searchSeam(sr.s.Restarts, sr.asides)
 	}
-	sh.mu.RLock()
-	slot.local, slot.acc, slot.stats = knn.HSApprox(sh.tree, sr.q, sr.k, r.m, sr.shrink, sr.bound, &slot.log, onTighten)
-	sh.mu.RUnlock()
-	for _, sq := range tighs {
-		r.sp.emit(TraceEvent{Stage: StageBoundTightened, Disk: d, Item: sr.item, K: sr.k,
-			Radius: r.m.FromRank(sq)})
+	return res
+}
+
+func (sr *shardSearch) lock() {
+	for _, rt := range sr.r.routes {
+		if rt.sh != nil {
+			rt.sh.mu.RLock()
+		}
 	}
-	// Batch items emit one search event per item, not per disk.
-	if sr.item < 0 {
-		r.sp.emit(TraceEvent{Stage: StageSearch, Disk: d, Item: -1, K: sr.k,
-			Results: len(slot.local), Pages: slot.acc.PageAccesses})
+}
+
+func (sr *shardSearch) unlock() {
+	for _, rt := range sr.r.routes {
+		if rt.sh != nil {
+			rt.sh.mu.RUnlock()
+		}
 	}
+}
+
+// yield is the search's hook between pops. Every 32 pops it checks the
+// query's context. When a writer waits for a shard lock (state.lockShard
+// counts it) it lets go of every routed shard and takes them back, which
+// lets the writer in first: a waiting writer blocks new read locks. The
+// search then resumes, or restarts if a tree's structure moved (see
+// knn.Search.Run).
+func (sr *shardSearch) yield() knn.Step {
+	sr.pops++
+	if sr.pops%32 == 0 && sr.r.ctx.Err() != nil {
+		return knn.Stop
+	}
+	if sr.asides < maxAsides && sr.r.st.writers.Load() > 0 {
+		sr.asides++
+		sr.unlock()
+		sr.lock()
+		return knn.Resumed
+	}
+	return knn.Continue
 }
 
 // release returns sr to the pool with every slot reset to the zero log,
-// keeping only the logs' capacity.
+// keeping only the buffers' capacity.
 func (sr *shardSearch) release() {
-	for i := range sr.disks {
-		sr.disks[i] = diskSearch{log: knn.LeafLog{Ranks: sr.disks[i].log.Ranks[:0]}}
-	}
-	*sr = shardSearch{disks: sr.disks, logged: sr.logged}
+	sr.s.Reset()
+	sr.r = nil
 	shardSearchPool.Put(sr)
 }
 
-// record folds the finished fan-out into the query's stats and returns
+// record folds the finished search into the query's stats and returns
 // the node-visit count for the registry.
 func (sr *shardSearch) record(qs *QueryStats) (nodeVisits int64) {
-	for d := range sr.disks {
-		s := &sr.disks[d]
-		nodeVisits += int64(s.acc.DirAccesses + s.acc.LeafAccesses)
-		qs.SearchPages += s.acc.PageAccesses
-		qs.PagesSavedByBound += s.stats.Saved.PageAccesses
-		qs.BoundTightenings += s.stats.Tightened
-		qs.PagesSavedByRemoteBound += s.stats.RemotePages
-		qs.PagesSkippedApprox += s.stats.SkippedPages
-	}
-	if sr.shrink < 1 {
-		qs.EffectiveEpsilon = sr.eps
+	for d := range sr.s.Trees {
+		ts := &sr.s.Trees[d]
+		nodeVisits += int64(ts.Acc.DirAccesses + ts.Acc.LeafAccesses)
+		qs.SearchPages += ts.Acc.PageAccesses
+		qs.PagesSavedByBound += ts.Stats.Saved.PageAccesses
+		qs.PagesSavedByRemoteBound += ts.Stats.RemotePages
+		qs.PagesSkippedApprox += ts.Stats.SkippedPages
 	}
 	return nodeVisits
 }
 
 // homeDisk returns the disk the declustering assigns the query point's
-// own cell to — the shard likeliest to hold near neighbors, and hence
-// the seeding probe of the cooperative search. Point-based assigners
-// (round robin) have no home quadrant and seed disk 0; any probe warms
-// the bound, correctness never depends on the choice.
+// own cell to — the shard likeliest to hold near neighbors. Point-based
+// assigners (round robin) have no home quadrant and answer disk 0.
 func (ix *Index) homeDisk(st *state, q vec.Point) int {
 	return st.assigner.Assign(0, q)
 }

@@ -2,9 +2,8 @@ package parsearch
 
 // The statistical recall battery for the approximate tier: seeded,
 // deterministic inputs measured against a brute-force linear scan.
-// Approximation changes *which* pages a query visits (the ε check
-// composes with the timing-dependent shared bound), so individual page
-// counts are not pinned; what the battery pins is the contract:
+// Approximation changes *which* pages a query visits, so individual
+// page counts are not pinned; what the battery pins is the contract:
 //
 //   - ε=0 routes through the exact path and is byte-for-byte identical
 //     to KNN, stats included.

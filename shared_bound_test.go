@@ -12,19 +12,18 @@ import (
 	"parsearch/internal/vec"
 )
 
-// Tests of the cooperative cross-disk pruning (see DESIGN.md
-// "Cooperative pruning"): the shared bound only ever stops a per-disk
-// search early, so a query must be indistinguishable from the
+// Tests of the one search queue across a query's disks (see DESIGN.md
+// "One queue"): the global k-th best only ever stops a disk's share of
+// the search early, so a query must be indistinguishable from the
 // independent per-disk searches merged — identical results, never more
-// search pages — with the pruning visible only in
-// QueryStats.PagesSavedByBound. The battery sweeps every declustering
-// strategy crossed with replication and a failed disk, because the
-// bound interacts with the seeding probe (home-disk assignment differs
-// per strategy) and with failure routing.
+// search pages — and from a linear scan. The battery sweeps every
+// declustering strategy crossed with replication and a failed disk,
+// because the queue's order depends on the declustering and on failure
+// routing.
 
 // independentKNN answers q one disk at a time — a ShardSpec of a single
 // disk per query, so no bound ever crosses disks — and merges the
-// answers by (dist, id): the independent fan-out the cooperative one is
+// answers by (dist, id): the independent searches the one queue is
 // measured against. pages[d] is the search pages disk d's own search
 // read; a disk with no live copy or no points contributes nothing.
 func independentKNN(t *testing.T, ix *Index, q []float64, k int) (merged []Neighbor, pages []int) {
@@ -40,7 +39,7 @@ func independentKNN(t *testing.T, ix *Index, q []float64, k int) (merged []Neigh
 			t.Fatal(err)
 		}
 		if st.PagesSavedByBound != 0 {
-			t.Fatalf("disk %d searched alone reports %d pages saved by a shared bound", d, st.PagesSavedByBound)
+			t.Fatalf("disk %d searched alone reports %d pages saved by another disk's bound", d, st.PagesSavedByBound)
 		}
 		pages[d] = st.SearchPages
 		merged = append(merged, res...)
@@ -64,19 +63,14 @@ func sum(xs []int) (s int) {
 	return s
 }
 
-// checkBoundInvariants asserts what the shared bound may and may not do
-// to one query's search work, against the independent searches' page
-// count: it never adds a page, and it reports a saving exactly when it
-// removed one.
+// checkBoundInvariants asserts what the one queue may and may not do to
+// one query's search work, against the independent searches' page
+// count: it never adds a page.
 func checkBoundInvariants(t *testing.T, label string, st QueryStats, indepPages int) {
 	t.Helper()
 	if st.SearchPages > indepPages {
-		t.Errorf("%s: shared visited %d pages, independent %d — bound added work",
+		t.Errorf("%s: one queue visited %d pages, independent searches %d — the queue added work",
 			label, st.SearchPages, indepPages)
-	}
-	if (st.PagesSavedByBound > 0) != (st.SearchPages < indepPages) {
-		t.Errorf("%s: saved %d pages, yet visited %d against independent %d",
-			label, st.PagesSavedByBound, st.SearchPages, indepPages)
 	}
 	if st.PagesSavedByRemoteBound != 0 {
 		t.Errorf("%s: unseeded query charged %d pages to a remote bound", label, st.PagesSavedByRemoteBound)
@@ -85,7 +79,7 @@ func checkBoundInvariants(t *testing.T, label string, st QueryStats, indepPages 
 
 // TestSharedBoundEquivalenceBattery sweeps all six declustering
 // strategies × replication on/off × a failed disk × k ∈ {1, 5, n} and
-// requires the cooperative results to be identical — not merely
+// requires the one queue's results to be identical — not merely
 // equally near — to the independent per-disk searches, and (on
 // non-degraded configurations) to a brute-force linear scan.
 func TestSharedBoundEquivalenceBattery(t *testing.T) {
@@ -129,7 +123,7 @@ func TestSharedBoundEquivalenceBattery(t *testing.T) {
 						}
 						want, pages := independentKNN(t, ix, q, k)
 						if !reflect.DeepEqual(res, want) {
-							t.Fatalf("%s: shared and independent results differ", ql)
+							t.Fatalf("%s: one queue and independent results differ", ql)
 						}
 						checkBoundInvariants(t, ql, st, sum(pages))
 						if st.Degraded && exact {
@@ -150,8 +144,8 @@ func TestSharedBoundEquivalenceBattery(t *testing.T) {
 					}
 				}
 
-				// The batch path shares the per-item bound machinery;
-				// one batch per configuration keeps it honest too.
+				// A batch item runs the same per-item search; one batch
+				// per configuration keeps it honest too.
 				res, bs, err := ix.BatchKNN(queries, 5)
 				if err != nil {
 					t.Fatalf("%s: batch: %v", label, err)
@@ -169,16 +163,18 @@ func TestSharedBoundEquivalenceBattery(t *testing.T) {
 }
 
 // TestSharedBoundMonotonicity drives 200 seeded queries through a
-// 16-disk index and checks, per query, that the shared bound never
-// visits more search pages than the independent searches and reports a
-// saving exactly when it visits fewer; over the whole run the bound
-// must actually save something.
+// 16-disk index and checks, per query, that the one queue answers what
+// the independent searches and a linear scan answer and never visits
+// more search pages than the independent searches; over the whole run
+// it must visit fewer.
 func TestSharedBoundMonotonicity(t *testing.T) {
 	const d, n, disks = 8, 3000, 16
 	pts := data.Uniform(n, d, 21)
 	raw := make([][]float64, n)
+	truth := make(map[int][]float64, n)
 	for i, p := range pts {
 		raw[i] = p
+		truth[i] = p
 	}
 	ix, err := Open(Options{Dim: d, Disks: disks})
 	if err != nil {
@@ -199,17 +195,11 @@ func TestSharedBoundMonotonicity(t *testing.T) {
 		totalSaved += stats[qi].PagesSavedByBound
 		totalSearch += stats[qi].SearchPages
 	}
-	if totalSaved <= 0 {
-		t.Fatalf("200 queries saved %d pages — the bound never pruned", totalSaved)
-	}
 	// The registry mirrors the per-query stats.
 	m := ix.Metrics()
 	if m.PagesSavedByBound != int64(totalSaved) || m.SearchPages != int64(totalSearch) {
 		t.Errorf("registry saved %d / searched %d pages, queries observed %d / %d",
 			m.PagesSavedByBound, m.SearchPages, totalSaved, totalSearch)
-	}
-	if m.BoundTightenings <= 0 {
-		t.Errorf("registry tightenings %d", m.BoundTightenings)
 	}
 
 	totalIndep := 0
@@ -218,11 +208,17 @@ func TestSharedBoundMonotonicity(t *testing.T) {
 		if !reflect.DeepEqual(results[qi], want) {
 			t.Fatalf("query %d: results differ", qi)
 		}
+		for i, w := range linearScanKNN(truth, q, 10, vec.L2) {
+			if results[qi][i].ID != w.id || results[qi][i].Dist != w.dist {
+				t.Fatalf("query %d: result %d is %d at %v, the scan's %d at %v",
+					qi, i, results[qi][i].ID, results[qi][i].Dist, w.id, w.dist)
+			}
+		}
 		checkBoundInvariants(t, fmt.Sprintf("query %d", qi), stats[qi], sum(pages))
 		totalIndep += sum(pages)
 	}
 	if totalSearch >= totalIndep {
-		t.Errorf("cooperative searches read %d pages, independent %d", totalSearch, totalIndep)
+		t.Errorf("one queue read %d pages, independent searches %d", totalSearch, totalIndep)
 	}
 }
 
@@ -230,9 +226,7 @@ func TestSharedBoundMonotonicity(t *testing.T) {
 // approximate tier: with the knob at its exact setting (ε=0) the
 // approximate entry point must answer byte-identically to plain KNN
 // across every strategy × replication × failed-disk configuration —
-// results and deterministic stats both (the search pages of the
-// parallel fan-out are timing-dependent between invocations, so the
-// parity check leaves them out). And with the knob engaged,
+// results and deterministic stats both. And with the knob engaged,
 // approximation composes with failure: the result set is exactly as
 // long as the exact path's over the same reachable data, never silently
 // shorter.

@@ -16,8 +16,8 @@ import (
 // updates (Index.Metrics, PublishExpvar). See README "Observability".
 
 // The trace stages, in the order a query emits them. A k-NN query
-// traces plan → (reroute | unreachable)* → (bound_tightened | search)*
-// per disk → merge → io → (retry)? → done; range queries skip merge;
+// traces plan → (reroute | unreachable)* → search per routed disk →
+// merge → io → (retry)? → done; range queries skip merge;
 // batch queries emit one search event per batch item (Item ≥ 0) around
 // the shared plan and io events. Errors surface as a final "error"
 // event.
@@ -25,7 +25,7 @@ const (
 	StagePlan        = "plan"        // failure routing decided
 	StageReroute     = "reroute"     // Disk's reads will be served by its replica
 	StageUnreachable = "unreachable" // Disk has no live copy; its data is invisible
-	StageSearch      = "search"      // one disk's (or batch item's) local search finished
+	StageSearch      = "search"      // one disk's share (or one batch item) of the search finished
 	StageMerge       = "merge"       // local results merged to the global k
 	StageIO          = "io"          // the disk array executed the page reads
 	StageRetry       = "retry"       // transient faults forced re-read attempts
@@ -39,13 +39,6 @@ const (
 	// index-wide Options.Tracer (ops "recovery" / "checkpoint").
 	StageRecovery   = "recovery"
 	StageCheckpoint = "checkpoint"
-	// StageBoundTightened is emitted by the cooperative k-NN fan-out
-	// each time a disk's search lowers the shared global bound; Radius
-	// carries the new bound as a metric distance. Events of one disk are
-	// delivered after its search releases the shard lock (tracers never
-	// run under engine locks), so per-disk event groups may interleave
-	// with other disks' tightenings.
-	StageBoundTightened = "bound_tightened"
 	// StageIngest is emitted once per applied mutation batch (InsertBatch
 	// and each AsyncWriter group commit): Results carries the mutations
 	// applied. StageReorg is emitted once per Reorganize call: Results
@@ -57,7 +50,7 @@ const (
 	StageReorg   = "reorganize"
 	StageCatchup = "catchup"
 	// StageApprox is emitted once per query that ran with the
-	// approximate tier armed (ε > 0), after the fan-out: Epsilon
+	// approximate tier armed (ε > 0), after the search: Epsilon
 	// carries the governing ε, Pages the pages the approximation skipped
 	// (QueryStats.PagesSkippedApprox). Exact queries never emit it.
 	StageApprox = "approx"
@@ -82,11 +75,11 @@ type TraceEvent struct {
 	Item int
 	// K is the query's k (0 for range queries).
 	K int
-	// Results counts neighbors: a disk's local candidates at search, the
-	// merged total at merge, the final count at done.
+	// Results counts neighbors: a batch item's or a range query disk's
+	// at search, the merged total at merge, the final count at done.
 	Results int
-	// Pages counts disk blocks: a disk's visited tree pages at search,
-	// the executed total at io and done.
+	// Pages counts disk blocks: a disk's visited tree pages at search
+	// (a batch item's executed pages), the executed total at io and done.
 	Pages int
 	// Retries is the number of re-read attempts at the retry stage.
 	Retries int
@@ -120,9 +113,8 @@ func (ev TraceEvent) String() string {
 }
 
 // Tracer receives the span events of traced queries. Implementations
-// must be safe for concurrent use: the per-disk fan-out emits search
-// events from one goroutine per disk, and concurrent queries interleave
-// their events. A nil Tracer (the default) disables tracing with no
+// must be safe for concurrent use: a batch emits its items' events from
+// its workers, and concurrent queries interleave their events. A nil Tracer (the default) disables tracing with no
 // per-query cost beyond one pointer check.
 type Tracer interface {
 	Event(TraceEvent)
@@ -182,8 +174,8 @@ func (ix *Index) newSpan(ctx context.Context, op string) span {
 }
 
 // emit sends one event, filling the span-wide fields. Safe to call
-// concurrently from the per-disk fan-out goroutines (Tracer
-// implementations must tolerate that; see Tracer).
+// concurrently from a batch's workers (Tracer implementations must
+// tolerate that; see Tracer).
 func (s *span) emit(ev TraceEvent) {
 	if s.tr == nil {
 		return
@@ -287,7 +279,6 @@ func (ix *Index) recordQuery(qs *QueryStats) {
 	ix.reg.SearchPages.Add(int64(qs.SearchPages))
 	ix.reg.PagesSavedByBound.Add(int64(qs.PagesSavedByBound))
 	ix.reg.PagesSavedByRemoteBound.Add(int64(qs.PagesSavedByRemoteBound))
-	ix.reg.BoundTightenings.Add(int64(qs.BoundTightenings))
 	if qs.Degraded {
 		ix.reg.DegradedQueries.Inc()
 	}

@@ -17,7 +17,7 @@ import (
 )
 
 // recordTracer collects events under a mutex so traced queries stay
-// race-clean (the per-disk fan-out emits concurrently).
+// race-clean (a batch's workers emit concurrently).
 type recordTracer struct {
 	mu     sync.Mutex
 	events []TraceEvent
