@@ -60,6 +60,11 @@ func (e *APIError) Unwrap() error {
 	}
 }
 
+// ErrEncode marks a request the client could not encode as JSON — a
+// non-finite number among the caller's arguments. No server was
+// contacted, and no other server would do better.
+var ErrEncode = errors.New("client: encoding request")
+
 // Client talks to one parsearch server. Create with New; the zero
 // value is not usable. Client is safe for concurrent use.
 type Client struct {
@@ -154,7 +159,7 @@ func (c *Client) post(ctx context.Context, path string, reqBody any, decode func
 
 	payload, err := json.Marshal(reqBody)
 	if err != nil {
-		return fmt.Errorf("client: encoding request: %w", err)
+		return fmt.Errorf("%w: %w", ErrEncode, err)
 	}
 	var lastErr error
 	for attempt := 0; attempt < c.maxRetries; attempt++ {

@@ -100,8 +100,10 @@ func TestBenchSubcommand(t *testing.T) {
 	if report.Disks != exp.BenchDisks || len(report.Workloads) != 5 {
 		t.Fatalf("report %+v", report)
 	}
-	if w := report.Workload("coord-knn16"); w == nil || w.SavedPagesPerQuery <= 0 {
-		t.Fatalf("report lacks a cluster row with remote-bound savings: %+v", w)
+	// The cluster row runs each k-NN in one round: it executes pages,
+	// and no shipped bound saves any.
+	if w := report.Workload("coord-knn16"); w == nil || w.PagesPerQuery <= 0 || w.SavedPagesPerQuery != 0 {
+		t.Fatalf("report lacks a one-round cluster row (pages > 0, none saved): %+v", w)
 	}
 	if w := report.Workload("knn16-eps01"); w == nil || w.Recall < exp.RecallFloor || w.Recall > 1 {
 		t.Fatalf("approximate row %+v, want a recall in [%v, 1]", w, exp.RecallFloor)

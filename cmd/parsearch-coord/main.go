@@ -11,8 +11,12 @@
 // Shard i primarily serves group i of the disk → disk mod m partition;
 // every shard holds the full snapshot (bootstrap one with
 // parsearchd -catchup-from), so a dead shard's groups fail over to the
-// next live shard. The coordinator re-probes shard health every
-// -health-interval and on every GET /healthz.
+// next live shard. A k-NN query asks every shard at once, in one
+// round. The coordinator re-probes shard health every -health-interval
+// and on every GET /healthz.
+//
+// The -strategy flag is removed: it picked the home shard of the old
+// two-round k-NN, and a one-round query has none.
 //
 // Endpoints: POST /v1/{knn,range,partialmatch,batch}; GET /healthz,
 // /varz, /statusz — the same surface as parsearchd, so package client
@@ -29,17 +33,15 @@ import (
 	"strings"
 	"time"
 
-	"parsearch"
 	"parsearch/coord"
 )
 
 // config collects the flag values.
 type config struct {
-	shards   string
-	listen   string
-	dim      int
-	disks    int
-	strategy string
+	shards string
+	listen string
+	dim    int
+	disks  int
 
 	maxInFlight    int
 	maxQueue       int
@@ -55,7 +57,6 @@ func parseFlags(args []string) (config, error) {
 	fs.StringVar(&c.listen, "listen", ":7090", "listen address")
 	fs.IntVar(&c.dim, "dim", 10, "vector dimensionality of the served index")
 	fs.IntVar(&c.disks, "disks", 16, "declustered disk count of the served index")
-	fs.StringVar(&c.strategy, "strategy", "near-optimal", "declustering strategy (drives home-group routing)")
 	fs.IntVar(&c.maxInFlight, "max-in-flight", 64, "admission: max concurrent fan-outs")
 	fs.IntVar(&c.maxQueue, "max-queue", 128, "admission: max queued requests (excess gets 429)")
 	fs.DurationVar(&c.timeout, "timeout", 10*time.Second, "default per-request deadline")
@@ -76,12 +77,7 @@ func run(ctx context.Context, c config, ready chan<- string) error {
 			shards = append(shards, s)
 		}
 	}
-	co, err := coord.New(coord.Config{
-		Shards: shards,
-		Dim:    c.dim,
-		Disks:  c.disks,
-		Kind:   parsearch.Kind(c.strategy),
-	})
+	co, err := coord.New(coord.Config{Shards: shards, Dim: c.dim, Disks: c.disks})
 	if err != nil {
 		return err
 	}

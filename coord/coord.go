@@ -14,15 +14,14 @@
 // live shard can serve degrades the query — results are provably
 // degraded, never silently wrong.
 //
-// k-NN queries run the two-phase cross-network bound protocol: phase 1
-// queries the shard serving the query point's home group (the group
-// likeliest to hold near neighbors); if it returns a full k results,
-// the k-th distance ships to the remaining shards as the wire "bound"
-// field. A phase-2 shard then answers with its points inside that
-// distance only (see parsearch.Approx.Bound) — fewer than k, or none,
-// is a normal answer. The merged top k never depends on the bound,
-// because k points at or inside it are already known from phase 1;
-// what the bound saves is surfaced as Stats.PagesSavedByRemoteBound.
+// A k-NN query runs in one round, as the paper's parallel search runs
+// over all disks at once: every shard searches its groups unbounded
+// and answers with its own k best, and the coordinator keeps the k
+// nearest of the union. A caller's Approx.Bound is forwarded to every
+// shard, which answers with its points inside it only — fewer than k,
+// or none, is a normal answer — so the merged answer is the library's
+// under the same bound. Shard daemons keep honoring the wire "bound"
+// field that older coordinators shipped in a second round.
 package coord
 
 import (
@@ -49,10 +48,6 @@ type Config struct {
 	// Dim and Disks mirror the served index's geometry. Required;
 	// Disks must be >= len(Shards) so every group is non-empty.
 	Dim, Disks int
-	// Kind is the declustering strategy of the served index; it drives
-	// the home-group routing of the two-phase bound protocol. Optional
-	// — a mismatch only degrades pruning, never correctness.
-	Kind parsearch.Kind
 	// ClientOptions configure the per-shard HTTP clients (timeouts,
 	// retries, backoff).
 	ClientOptions []client.Option
@@ -79,12 +74,8 @@ type Stats struct {
 	// ShardRetries counts failover re-issues: RPCs repeated against
 	// another shard after their first target failed mid-query.
 	ShardRetries int `json:"shard_retries"`
-	// RemoteBound is the k-th distance phase 1 shipped to the
-	// remaining shards (0 = no bound was available).
-	RemoteBound float64 `json:"remote_bound"`
-	// PagesSavedByRemoteBound sums the page reads the shipped bound
-	// pruned across phase-2 shards — the cross-network half of the
-	// cooperative pruning ledger.
+	// PagesSavedByRemoteBound sums the page reads a forwarded
+	// Approx.Bound pruned across the shards; 0 without a bound.
 	PagesSavedByRemoteBound int `json:"pages_saved_by_remote_bound"`
 	// TotalPages sums the simulated page reads across all shards.
 	TotalPages int `json:"total_pages"`
@@ -103,7 +94,6 @@ type Stats struct {
 // with New; safe for concurrent use.
 type Coordinator struct {
 	cfg    Config
-	router *parsearch.Index // empty index: deterministic home-disk routing only
 	shards []*shardState
 	reg    *metrics.Registry // per-disk slots hold per-shard data
 }
@@ -121,15 +111,7 @@ func New(cfg Config) (*Coordinator, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
-	router, err := parsearch.Open(parsearch.Options{Dim: cfg.Dim, Disks: cfg.Disks, Kind: cfg.Kind})
-	if err != nil {
-		return nil, fmt.Errorf("coord: building router: %w", err)
-	}
-	co := &Coordinator{
-		cfg:    cfg,
-		router: router,
-		reg:    metrics.NewRegistry(len(cfg.Shards)),
-	}
+	co := &Coordinator{cfg: cfg, reg: metrics.NewRegistry(len(cfg.Shards))}
 	for _, base := range cfg.Shards {
 		co.shards = append(co.shards, &shardState{base: base, cl: client.New(base, cfg.ClientOptions...)})
 	}
@@ -146,9 +128,8 @@ func (c *Coordinator) Dim() int { return c.cfg.Dim }
 func (c *Coordinator) Disks() int { return c.cfg.Disks }
 
 // Metrics snapshots the coordinator registry. The per-disk slots hold
-// per-shard page totals; shard_rpcs / shard_retries /
-// remote_bound_tightenings and the shard_latency_ns histogram are the
-// cluster-specific counters.
+// per-shard page totals; shard_rpcs / shard_retries and the
+// shard_latency_ns histogram are the cluster-specific counters.
 func (c *Coordinator) Metrics() metrics.Snapshot { return c.reg.Snapshot() }
 
 // ShardStatus is one shard daemon's place in the cluster: shard i
@@ -269,15 +250,18 @@ type rpcResult struct {
 // set. Implementations fill the matching rpcResult fields.
 type shardCall func(ctx context.Context, cl *client.Client, spec wire.ShardSpec, out *rpcResult) error
 
-// scatter issues do for every group in groups against the shards
-// currently serving them, failing a dead shard's groups over to the
+// scatter issues do for every group against the shards currently
+// serving them, all at once, failing a dead shard's groups over to the
 // next live shard. It returns the successful per-shard results, the
 // groups no live shard could serve, and the number of failover
 // re-issues. A non-transient error (bad request, shard-internal
 // failure, the caller's own deadline) aborts the query instead of
 // failing over — those would return the same answer anywhere.
-func (c *Coordinator) scatter(ctx context.Context, groups []int, do shardCall) (results []rpcResult, unserved []int, retries int, err error) {
-	pending := append([]int(nil), groups...)
+func (c *Coordinator) scatter(ctx context.Context, do shardCall) (results []rpcResult, unserved []int, retries int, err error) {
+	pending := make([]int, len(c.shards))
+	for g := range pending {
+		pending[g] = g
+	}
 	// Each round either serves every pending group or observes at
 	// least one new dead shard, so m+1 rounds always suffice.
 	for round := 0; len(pending) > 0 && round <= len(c.shards); round++ {
@@ -317,7 +301,7 @@ func (c *Coordinator) scatter(ctx context.Context, groups []int, do shardCall) (
 					// A shard whose index (or whose share of it) holds no
 					// points contributes zero results; the cluster-level
 					// "index is empty" verdict is the caller's once every
-					// group has answered. A shard the shipped bound pruned
+					// group has answered. A shard a forwarded bound pruned
 					// to nothing is not this case: it answers without
 					// error.
 					out.empty, callErr = true, nil
@@ -355,9 +339,11 @@ func (c *Coordinator) scatter(ctx context.Context, groups []int, do shardCall) (
 // transient reports whether a shard RPC failure warrants failover:
 // transport-level errors and unavailability (the shard died, drains,
 // or lost disks) do — another shard holds the same snapshot; the
-// caller's own deadline and request-shaped errors do not.
+// caller's own deadline and request-shaped errors, a request the
+// client could not even encode among them, do not.
 func (c *Coordinator) transient(ctx context.Context, err error) bool {
-	if ctx.Err() != nil || errors.Is(err, context.DeadlineExceeded) || errors.Is(err, context.Canceled) {
+	if ctx.Err() != nil || errors.Is(err, context.DeadlineExceeded) || errors.Is(err, context.Canceled) ||
+		errors.Is(err, client.ErrEncode) {
 		return false
 	}
 	var ae *client.APIError
@@ -367,13 +353,30 @@ func (c *Coordinator) transient(ctx context.Context, err error) bool {
 	return true // transport-level: connection refused, reset, ...
 }
 
-// allGroups returns [0, m).
-func (c *Coordinator) allGroups() []int {
-	gs := make([]int, len(c.shards))
-	for i := range gs {
-		gs[i] = i
+// invalid counts a query refused before any shard was asked; nil
+// passes through. The coordinator applies the shards' own request
+// rules, so a bad argument never reaches the wire, where it would fail
+// every shard alike.
+func (c *Coordinator) invalid(err error) error {
+	if err != nil {
+		c.reg.QueryErrors.Inc()
 	}
-	return gs
+	return err
+}
+
+// gather scatters do over every group and folds the outcome into the
+// query's stats (see finish).
+func (c *Coordinator) gather(ctx context.Context, do shardCall) ([]rpcResult, Stats, error) {
+	var st Stats
+	results, unserved, retries, err := c.scatter(ctx, do)
+	if err != nil {
+		c.reg.QueryErrors.Inc()
+		return nil, st, err
+	}
+	for _, r := range results {
+		st.fold(r)
+	}
+	return results, st, c.finish(&st, results, unserved, retries)
 }
 
 // fold accumulates one RPC's accounting into the query stats.
@@ -468,112 +471,58 @@ func (c *Coordinator) KNN(ctx context.Context, q []float64, k int) ([]parsearch.
 // KNNApprox is KNN with explicit approximate-tier knobs, forwarded to
 // every shard. The epsilon guarantee composes across the merge: each
 // group's candidates are within (1+ε) of that group's exact answer, so
-// the merged top-k is within (1+ε) of the exact global answer.
+// the merged top-k is within (1+ε) of the exact global answer. So does
+// the bound: each shard returns its k nearest inside it, and the k
+// nearest of their union are the library's k nearest inside it.
 func (c *Coordinator) KNNApprox(ctx context.Context, q []float64, k int, a parsearch.Approx) ([]parsearch.Neighbor, Stats, error) {
-	var st Stats
-	if len(q) != c.cfg.Dim {
-		c.reg.QueryErrors.Inc()
-		return nil, st, fmt.Errorf("coord: query dimension %d, want %d", len(q), c.cfg.Dim)
-	}
-	if k < 1 {
-		c.reg.QueryErrors.Inc()
-		return nil, st, fmt.Errorf("coord: k = %d, want >= 1", k)
+	req := wire.KNNRequest{Query: q, K: k}
+	req.Epsilon, req.Bound = approxKnobs(&a)
+	if err := c.invalid(req.Validate(c.cfg.Dim)); err != nil {
+		return nil, Stats{}, err
 	}
 	c.reg.QueriesKNN.Inc()
-
-	doKNN := func(bound *float64) shardCall {
-		return func(ctx context.Context, cl *client.Client, spec wire.ShardSpec, out *rpcResult) error {
-			req := wire.KNNRequest{Query: q, K: k, Bound: bound, Shard: &spec}
-			if a != (parsearch.Approx{}) {
-				req.Epsilon = &a.Epsilon
-			}
-			ns, qs, err := cl.KNNRaw(ctx, req)
-			out.ns, out.stats = ns, qs
-			return err
-		}
-	}
-
-	// Phase 1: the shard serving the query's home group searches
-	// unbounded. Its groups are whatever that shard currently owns, so
-	// failover never queries the same shard twice.
-	home, err := c.router.HomeDisk(q)
+	results, st, err := c.gather(ctx, func(ctx context.Context, cl *client.Client, spec wire.ShardSpec, out *rpcResult) error {
+		r := req
+		r.Shard = &spec
+		ns, qs, err := cl.KNNRaw(ctx, r)
+		out.ns, out.stats = ns, qs
+		return err
+	})
 	if err != nil {
-		c.reg.QueryErrors.Inc()
-		return nil, st, err
-	}
-	hg := home % len(c.shards)
-	var (
-		results  []rpcResult
-		unserved []int
-		retries  int
-	)
-	phase2 := c.allGroups()
-	if owner := c.owner(hg); owner >= 0 {
-		var p1groups []int
-		phase2 = phase2[:0]
-		for _, g := range c.allGroups() {
-			if c.owner(g) == owner {
-				p1groups = append(p1groups, g)
-			} else {
-				phase2 = append(phase2, g)
-			}
-		}
-		r1, u1, ret1, err := c.scatter(ctx, p1groups, doKNN(nil))
-		if err != nil {
-			c.reg.QueryErrors.Inc()
-			return nil, st, err
-		}
-		results, unserved, retries = r1, u1, ret1
-	}
-
-	// Phase 2: the remaining shards search within the k-th distance
-	// phase 1 achieved, if it found a full k.
-	var bound *float64
-	if len(phase2) > 0 {
-		if ns := mergeTopK(results, k); len(ns) == k {
-			b := ns[k-1].Dist
-			bound = &b
-			st.RemoteBound = b
-			c.reg.RemoteBoundTightenings.Inc()
-		}
-		r2, u2, ret2, err := c.scatter(ctx, phase2, doKNN(bound))
-		if err != nil {
-			c.reg.QueryErrors.Inc()
-			return nil, st, err
-		}
-		results = append(results, r2...)
-		unserved = append(unserved, u2...)
-		retries += ret2
-	}
-
-	for _, r := range results {
-		st.fold(r)
-	}
-	sort.Ints(unserved)
-	if err := c.finish(&st, results, unserved, retries); err != nil {
 		return nil, st, err
 	}
 	return mergeTopK(results, k), st, nil
 }
 
+// approxKnobs returns the wire's epsilon and bound fields for a: a zero
+// Approx leaves both absent, so the shard applies its index default ε;
+// any other Approx is sent as the exact ε it asks for, and a bound
+// only when it has one.
+func approxKnobs(a *parsearch.Approx) (epsilon, bound *float64) {
+	if *a != (parsearch.Approx{}) {
+		epsilon = &a.Epsilon
+	}
+	if a.Bound != 0 {
+		bound = &a.Bound
+	}
+	return epsilon, bound
+}
+
 // Range finds all points inside the box [min, max] across the cluster.
 func (c *Coordinator) Range(ctx context.Context, min, max []float64) ([]parsearch.Neighbor, Stats, error) {
-	var st Stats
+	req := wire.RangeRequest{Min: min, Max: max}
+	if err := c.invalid(req.Validate(c.cfg.Dim)); err != nil {
+		return nil, Stats{}, err
+	}
 	c.reg.QueriesRange.Inc()
-	do := func(ctx context.Context, cl *client.Client, spec wire.ShardSpec, out *rpcResult) error {
-		ns, qs, err := cl.RangeRaw(ctx, wire.RangeRequest{Min: min, Max: max, Shard: &spec})
+	results, st, err := c.gather(ctx, func(ctx context.Context, cl *client.Client, spec wire.ShardSpec, out *rpcResult) error {
+		r := req
+		r.Shard = &spec
+		ns, qs, err := cl.RangeRaw(ctx, r)
 		out.ns, out.stats = ns, qs
 		return err
-	}
-	results, unserved, retries, err := c.scatter(ctx, c.allGroups(), do)
+	})
 	if err != nil {
-		c.reg.QueryErrors.Inc()
-		return nil, st, err
-	}
-	for _, r := range results {
-		st.fold(r)
-	}
-	if err := c.finish(&st, results, unserved, retries); err != nil {
 		return nil, st, err
 	}
 	return mergeByID(results), st, nil
@@ -582,22 +531,19 @@ func (c *Coordinator) Range(ctx context.Context, min, max []float64) ([]parsearc
 // PartialMatch runs a partial-match query across the cluster; spec
 // uses parsearch.Wildcard for unspecified dimensions.
 func (c *Coordinator) PartialMatch(ctx context.Context, spec []float64, eps float64) ([]parsearch.Neighbor, Stats, error) {
-	var st Stats
+	req := wire.PartialMatchRequest{Spec: wirePartialSpec(spec), Eps: eps}
+	if err := c.invalid(req.Validate(c.cfg.Dim)); err != nil {
+		return nil, Stats{}, err
+	}
 	c.reg.QueriesRange.Inc()
-	do := func(ctx context.Context, cl *client.Client, sp wire.ShardSpec, out *rpcResult) error {
-		ns, qs, err := cl.PartialMatchRaw(ctx, wire.PartialMatchRequest{Spec: wirePartialSpec(spec), Eps: eps, Shard: &sp})
+	results, st, err := c.gather(ctx, func(ctx context.Context, cl *client.Client, sp wire.ShardSpec, out *rpcResult) error {
+		r := req
+		r.Shard = &sp
+		ns, qs, err := cl.PartialMatchRaw(ctx, r)
 		out.ns, out.stats = ns, qs
 		return err
-	}
-	results, unserved, retries, err := c.scatter(ctx, c.allGroups(), do)
+	})
 	if err != nil {
-		c.reg.QueryErrors.Inc()
-		return nil, st, err
-	}
-	for _, r := range results {
-		st.fold(r)
-	}
-	if err := c.finish(&st, results, unserved, retries); err != nil {
 		return nil, st, err
 	}
 	return mergeByID(results), st, nil
@@ -617,40 +563,30 @@ func wirePartialSpec(spec []float64) []*float64 {
 }
 
 // BatchKNN answers many k-NN queries in one cluster round: the whole
-// batch fans out to every shard with its group restriction
-// (single-phase — per-item home routing would shatter the batch), and
-// each item's per-shard k-bests merge independently.
+// batch fans out to every shard with its group restriction, and each
+// item's per-shard k-bests merge independently.
 func (c *Coordinator) BatchKNN(ctx context.Context, queries [][]float64, k int) ([][]parsearch.Neighbor, Stats, error) {
 	return c.BatchKNNApprox(ctx, queries, k, parsearch.Approx{})
 }
 
-// BatchKNNApprox is BatchKNN with explicit approximate-tier knobs.
+// BatchKNNApprox is BatchKNN with explicit approximate-tier knobs,
+// forwarded to every shard as in KNNApprox.
 func (c *Coordinator) BatchKNNApprox(ctx context.Context, queries [][]float64, k int, a parsearch.Approx) ([][]parsearch.Neighbor, Stats, error) {
-	var st Stats
-	if len(queries) == 0 {
-		c.reg.QueryErrors.Inc()
-		return nil, st, fmt.Errorf("coord: empty batch")
+	req := wire.BatchRequest{Queries: queries, K: k}
+	req.Epsilon, req.Bound = approxKnobs(&a)
+	if err := c.invalid(req.Validate(c.cfg.Dim, 0)); err != nil {
+		return nil, Stats{}, err
 	}
 	c.reg.QueriesBatch.Inc()
 	c.reg.BatchQueries.Add(int64(len(queries)))
-	do := func(ctx context.Context, cl *client.Client, spec wire.ShardSpec, out *rpcResult) error {
-		req := wire.BatchRequest{Queries: queries, K: k, Shard: &spec}
-		if a != (parsearch.Approx{}) {
-			req.Epsilon = &a.Epsilon
-		}
-		batch, bs, err := cl.BatchKNNRaw(ctx, req)
+	results, st, err := c.gather(ctx, func(ctx context.Context, cl *client.Client, spec wire.ShardSpec, out *rpcResult) error {
+		r := req
+		r.Shard = &spec
+		batch, bs, err := cl.BatchKNNRaw(ctx, r)
 		out.batch, out.bstats = batch, bs
 		return err
-	}
-	results, unserved, retries, err := c.scatter(ctx, c.allGroups(), do)
+	})
 	if err != nil {
-		c.reg.QueryErrors.Inc()
-		return nil, st, err
-	}
-	for _, r := range results {
-		st.fold(r)
-	}
-	if err := c.finish(&st, results, unserved, retries); err != nil {
 		return nil, st, err
 	}
 

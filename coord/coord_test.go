@@ -1,9 +1,11 @@
 package coord
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
+	"io"
 	"math"
 	"math/rand"
 	"net/http"
@@ -16,6 +18,8 @@ import (
 
 	"parsearch"
 	"parsearch/client"
+	"parsearch/internal/data"
+	"parsearch/internal/wire"
 	"parsearch/server"
 )
 
@@ -59,6 +63,13 @@ func buildIndex(t testing.TB, pts [][]float64, dim, disks, replication int) *par
 // builds make the copies identical, modeling full-snapshot replicas.
 func newCluster(t testing.TB, dim, n, disks, m, replication int) *cluster {
 	t.Helper()
+	return newClusterWith(t, dim, n, disks, m, replication, nil)
+}
+
+// newClusterWith is newCluster with every shard's handler passed
+// through wrap, when it is not nil.
+func newClusterWith(t testing.TB, dim, n, disks, m, replication int, wrap func(http.Handler) http.Handler) *cluster {
+	t.Helper()
 	pts := testPoints(n, dim, 42)
 	c := &cluster{lib: buildIndex(t, pts, dim, disks, replication)}
 	bases := make([]string, m)
@@ -68,7 +79,11 @@ func newCluster(t testing.TB, dim, n, disks, m, replication int) *cluster {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ts := httptest.NewServer(srv.Handler())
+		h := srv.Handler()
+		if wrap != nil {
+			h = wrap(h)
+		}
+		ts := httptest.NewServer(h)
 		t.Cleanup(ts.Close)
 		c.shards = append(c.shards, ts)
 		bases[i] = ts.URL
@@ -201,40 +216,213 @@ func TestClusterByteIdentity(t *testing.T) {
 	}
 }
 
-// TestClusterRemoteBound proves the two-phase cross-network bound
-// protocol actually prunes: on the 16-disk / 3-shard profile, phase 1
-// regularly returns a full k, the shipped k-th distance seeds the
-// phase-2 shards, and the remote-bound ledger comes back positive —
-// while the results stay byte-identical (k points at or inside the
-// shipped distance are already known).
-func TestClusterRemoteBound(t *testing.T) {
-	c := newCluster(t, 4, 3000, 16, 3, 0)
+// TestClusterOneRound pins the cost of a cluster k-NN: exactly one
+// RPC to each shard that owns a group, all of them unbounded — no
+// first round, no shipped k-th distance — and the same answer as the
+// library, before and after a shard dies.
+func TestClusterOneRound(t *testing.T) {
+	var bounded, knnBodies atomic.Int64
+	sniff := func(h http.Handler) http.Handler {
+		return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			if r.URL.Path == "/v1/knn" {
+				body, err := io.ReadAll(r.Body)
+				if err != nil {
+					t.Error(err)
+				}
+				var fields map[string]json.RawMessage
+				if json.Unmarshal(body, &fields) == nil {
+					knnBodies.Add(1)
+					if _, ok := fields["bound"]; ok {
+						bounded.Add(1)
+					}
+				}
+				r.Body = io.NopCloser(bytes.NewReader(body))
+			}
+			h.ServeHTTP(w, r)
+		})
+	}
+	c := newClusterWith(t, 4, 3000, 16, 3, 0, sniff)
 	ctx := context.Background()
 
-	var savedTotal, boundsShipped int
-	for i := 0; i < 20; i++ {
-		q := randQuery(4, 200+i)
-		want, _, err := c.lib.KNNContext(ctx, q, 16)
+	run := func(first, owners int) {
+		t.Helper()
+		for i := first; i < first+10; i++ {
+			q := randQuery(4, 200+i)
+			for _, k := range []int{1, 16} {
+				want, _, err := c.lib.KNNContext(ctx, q, k)
+				if err != nil {
+					t.Fatal(err)
+				}
+				before := c.co.Metrics().ShardRPCs
+				got, st, err := c.co.KNN(ctx, q, k)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if asJSON(t, got) != asJSON(t, want) {
+					t.Fatalf("KNN(q%d, k=%d): cluster result differs from library", i, k)
+				}
+				if rpcs := c.co.Metrics().ShardRPCs - before; rpcs != int64(owners) || st.ShardsQueried != owners {
+					t.Fatalf("KNN(q%d, k=%d): %d shard RPCs, %d shards queried, want %d of each", i, k, rpcs, st.ShardsQueried, owners)
+				}
+				if st.PagesSavedByRemoteBound != 0 {
+					t.Fatalf("KNN(q%d, k=%d): %d pages saved by a bound nobody shipped", i, k, st.PagesSavedByRemoteBound)
+				}
+			}
+		}
+	}
+	run(0, 3)
+	c.kill(1)
+	if live := c.co.CheckHealth(ctx); live != 2 {
+		t.Fatalf("%d live shards after a kill, want 2", live)
+	}
+	run(10, 2)
+
+	if n := knnBodies.Load(); n != 20*3+20*2 {
+		t.Errorf("shards saw %d k-NN bodies, want %d", n, 20*3+20*2)
+	}
+	if n := bounded.Load(); n != 0 {
+		t.Errorf("%d shard requests carried a bound, want none", n)
+	}
+	snap := c.co.Metrics()
+	if snap.ShardLatencyNs.Count != snap.ShardRPCs {
+		t.Errorf("shard latency histogram observed %d RPCs of %d", snap.ShardLatencyNs.Count, snap.ShardRPCs)
+	}
+}
+
+// TestClusterOldCoordinatorBound is the mixed-version half: a
+// coordinator of the two-round protocol asks the home group's shard
+// first and ships its k-th distance to the others as the wire "bound".
+// Those hand-built second-round requests still get bounded answers from
+// today's shards — the shard-restricted library query under that bound,
+// often fewer than k or none — and the old merge over them is still
+// the library's answer, byte for byte.
+func TestClusterOldCoordinatorBound(t *testing.T) {
+	c := newCluster(t, 4, 3000, 16, 3, 0)
+	ctx := context.Background()
+	clients := make([]*client.Client, len(c.shards))
+	for i, ts := range c.shards {
+		clients[i] = client.New(ts.URL)
+	}
+	short, empty, saved := 0, 0, 0
+	for i := 0; i < 12; i++ {
+		q := randQuery(4, 500+i)
+		home, err := c.lib.HomeDisk(q)
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, st, err := c.co.KNN(ctx, q, 16)
+		hg := home % 3
+		for _, k := range []int{1, 16} {
+			want, _, err := c.lib.KNNContext(ctx, q, k)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ns, _, err := clients[hg].KNNRaw(ctx, wire.KNNRequest{Query: q, K: k, Shard: &wire.ShardSpec{Of: 3, Groups: []int{hg}}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(ns) != k {
+				t.Fatalf("KNN(q%d, k=%d): home group answered %d of %d", i, k, len(ns), k)
+			}
+			results, bound := []rpcResult{{ns: ns}}, ns[k-1].Dist
+			for g := 0; g < 3; g++ {
+				if g == hg {
+					continue
+				}
+				spec := wire.ShardSpec{Of: 3, Groups: []int{g}}
+				got, st, err := clients[g].KNNRaw(ctx, wire.KNNRequest{Query: q, K: k, Bound: &bound, Shard: &spec})
+				if err != nil {
+					t.Fatalf("KNN(q%d, k=%d) group %d under bound %v: %v", i, k, g, bound, err)
+				}
+				lib, _, err := c.lib.KNNShardContext(ctx, q, k, parsearch.Approx{Bound: bound}, parsearch.ShardSpec{Of: 3, Groups: []int{g}})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if asJSON(t, got) != asJSON(t, lib) {
+					t.Fatalf("KNN(q%d, k=%d) group %d under bound %v: shard %s, library %s", i, k, g, bound, asJSON(t, got), asJSON(t, lib))
+				}
+				switch {
+				case len(got) == 0:
+					empty++
+				case len(got) < k:
+					short++
+				}
+				saved += st.PagesSavedByRemoteBound
+				results = append(results, rpcResult{ns: got})
+			}
+			if got := mergeTopK(results, k); asJSON(t, got) != asJSON(t, want) {
+				t.Fatalf("KNN(q%d, k=%d): two-round merge differs from library", i, k)
+			}
+		}
+	}
+	if short == 0 || empty == 0 {
+		t.Errorf("%d short and %d empty second-round answers: want both kinds exercised", short, empty)
+	}
+	if saved == 0 {
+		t.Error("the shipped bounds saved no page on any shard")
+	}
+}
+
+// TestClusterForwardsBound: a caller's Approx.Bound reaches every
+// shard, so the coordinator answers a bounded k-NN — full, short or
+// empty — byte-identically to the library, for single queries and
+// batches, and the pages the bound saved add up in the registry and
+// on /statusz.
+func TestClusterForwardsBound(t *testing.T) {
+	c := newCluster(t, 4, 3000, 16, 3, 0)
+	ctx := context.Background()
+	const k = 10
+	short, empty, savedTotal := 0, 0, 0
+	var batch [][]float64
+	for i := 0; i < 8; i++ {
+		q := randQuery(4, 700+i)
+		batch = append(batch, q)
+		exact, _, err := c.lib.KNNContext(ctx, q, k)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, bound := range []float64{0.05, exact[0].Dist / 2, exact[k/2].Dist, exact[k-1].Dist, 2 * exact[k-1].Dist} {
+			a := parsearch.Approx{Bound: bound}
+			want, _, err := c.lib.KNNApprox(q, k, a)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, st, err := c.co.KNNApprox(ctx, q, k, a)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if asJSON(t, got) != asJSON(t, want) {
+				t.Fatalf("KNNApprox(q%d, bound %v): cluster %d results, library %d", i, bound, len(got), len(want))
+			}
+			switch {
+			case len(want) == 0:
+				empty++
+			case len(want) < k:
+				short++
+			}
+			savedTotal += st.PagesSavedByRemoteBound
+		}
+	}
+	if short == 0 || empty == 0 {
+		t.Errorf("%d short and %d empty bounded answers: want both kinds exercised", short, empty)
+	}
+	for _, bound := range []float64{0.05, 0.2} {
+		a := parsearch.Approx{Bound: bound}
+		want, _, err := c.lib.BatchKNNApprox(batch, k, a)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, st, err := c.co.BatchKNNApprox(ctx, batch, k, a)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if asJSON(t, got) != asJSON(t, want) {
-			t.Fatalf("KNN(q%d): bounded cluster result differs from library", i)
-		}
-		if st.RemoteBound > 0 {
-			boundsShipped++
+			t.Fatalf("BatchKNNApprox(bound %v): cluster result differs from library", bound)
 		}
 		savedTotal += st.PagesSavedByRemoteBound
 	}
-	if boundsShipped == 0 {
-		t.Error("no query shipped a phase-1 bound (20 queries, k=16, 3000 points)")
-	}
+
 	if savedTotal == 0 {
-		t.Error("PagesSavedByRemoteBound = 0 across 20 queries: the shipped bound never pruned")
+		t.Error("PagesSavedByRemoteBound = 0 across every bounded query")
 	}
 	snap := c.co.Metrics()
 	if snap.PagesSavedByRemoteBound != int64(savedTotal) {
@@ -257,62 +445,78 @@ func TestClusterRemoteBound(t *testing.T) {
 	if doc.Metrics.PagesSavedByRemoteBound != int64(savedTotal) {
 		t.Errorf("/statusz pages_saved_by_remote_bound = %d, want %d", doc.Metrics.PagesSavedByRemoteBound, savedTotal)
 	}
-	if snap.RemoteBoundTightenings < int64(boundsShipped) {
-		t.Errorf("registry remote_bound_tightenings = %d, want >= %d", snap.RemoteBoundTightenings, boundsShipped)
-	}
-	if snap.ShardRPCs < 40 {
-		t.Errorf("registry shard_rpcs = %d, want >= 40 (2 phases x 20 queries)", snap.ShardRPCs)
-	}
-	if snap.ShardLatencyNs.Count < snap.ShardRPCs {
-		t.Errorf("shard latency histogram observed %d RPCs of %d", snap.ShardLatencyNs.Count, snap.ShardRPCs)
-	}
-	t.Logf("remote bound: %d/20 queries shipped a bound, %d pages saved across phase-2 shards", boundsShipped, savedTotal)
 }
 
-// TestClusterShortPhase2Answers: a phase-2 shard answers with its points
-// inside the shipped bound only — often fewer than k, at k = 1 usually
-// none, and neither is an error — and the merge over such answers is
-// still the library's answer. What the phase-2 shards returned is
-// reproduced on the library index, which answers a shard-restricted,
-// bounded query exactly as they do.
-func TestClusterShortPhase2Answers(t *testing.T) {
-	c := newCluster(t, 4, 3000, 16, 3, 0)
+// TestClusterBadArgumentsKeepShardsUp: an argument no shard would
+// accept — one JSON cannot even carry — is the caller's error. It is
+// refused before any RPC, and a request the client cannot encode is
+// never taken for a dead shard: the cluster stays whole and the next
+// query is answered as before.
+func TestClusterBadArgumentsKeepShardsUp(t *testing.T) {
+	c := newCluster(t, 4, 1500, 16, 3, 0)
 	ctx := context.Background()
-	short, empty := 0, 0
-	for i := 0; i < 12; i++ {
-		q := randQuery(4, 500+i)
-		for _, k := range []int{1, 16} {
-			want, _, err := c.lib.KNNContext(ctx, q, k)
-			if err != nil {
-				t.Fatal(err)
-			}
-			got, st, err := c.co.KNN(ctx, q, k)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if asJSON(t, got) != asJSON(t, want) {
-				t.Fatalf("KNN(q%d, k=%d): cluster result differs from library", i, k)
-			}
-			if st.RemoteBound == 0 {
-				continue
-			}
-			for g := 0; g < 3; g++ {
-				part, _, err := c.lib.KNNShardContext(ctx, q, k, parsearch.Approx{Bound: st.RemoteBound},
-					parsearch.ShardSpec{Of: 3, Groups: []int{g}})
-				if err != nil {
-					t.Fatalf("KNN(q%d, k=%d) group %d under the shipped bound: %v", i, k, g, err)
-				}
-				switch {
-				case len(part) == 0:
-					empty++
-				case len(part) < k:
-					short++
-				}
-			}
+	q := randQuery(4, 900)
+	nan, inf := math.NaN(), math.Inf(1)
+	bad := map[string]func() error{
+		"knn NaN coordinate": func() error { _, _, err := c.co.KNN(ctx, []float64{0.5, nan, 0.5, 0.5}, 5); return err },
+		"knn Inf coordinate": func() error { _, _, err := c.co.KNN(ctx, []float64{0.5, inf, 0.5, 0.5}, 5); return err },
+		"knn dimension":      func() error { _, _, err := c.co.KNN(ctx, q[:3], 5); return err },
+		"knn k = 0":          func() error { _, _, err := c.co.KNN(ctx, q, 0); return err },
+		"knn epsilon +Inf":   func() error { _, _, err := c.co.KNNApprox(ctx, q, 5, parsearch.Approx{Epsilon: inf}); return err },
+		"knn epsilon NaN":    func() error { _, _, err := c.co.KNNApprox(ctx, q, 5, parsearch.Approx{Epsilon: nan}); return err },
+		"knn bound NaN":      func() error { _, _, err := c.co.KNNApprox(ctx, q, 5, parsearch.Approx{Bound: nan}); return err },
+		"knn bound +Inf":     func() error { _, _, err := c.co.KNNApprox(ctx, q, 5, parsearch.Approx{Bound: inf}); return err },
+		"knn bound < 0":      func() error { _, _, err := c.co.KNNApprox(ctx, q, 5, parsearch.Approx{Bound: -1}); return err },
+		"batch NaN":          func() error { _, _, err := c.co.BatchKNN(ctx, [][]float64{q, {nan, 0, 0, 0}}, 5); return err },
+		"batch empty":        func() error { _, _, err := c.co.BatchKNN(ctx, nil, 5); return err },
+		"batch epsilon +Inf": func() error {
+			_, _, err := c.co.BatchKNNApprox(ctx, [][]float64{q}, 5, parsearch.Approx{Epsilon: inf})
+			return err
+		},
+		"range NaN":      func() error { _, _, err := c.co.Range(ctx, []float64{nan, 0, 0, 0}, []float64{1, 1, 1, 1}); return err },
+		"range inverted": func() error { _, _, err := c.co.Range(ctx, []float64{1, 0, 0, 0}, []float64{0, 1, 1, 1}); return err },
+		"partial eps +Inf": func() error {
+			_, _, err := c.co.PartialMatch(ctx, []float64{0.5, parsearch.Wildcard, 0.5, 0.5}, inf)
+			return err
+		},
+		"partial Inf spec": func() error {
+			_, _, err := c.co.PartialMatch(ctx, []float64{inf, parsearch.Wildcard, 0.5, 0.5}, 0.1)
+			return err
+		},
+	}
+	for name, call := range bad {
+		if err := call(); err == nil {
+			t.Errorf("%s: accepted", name)
 		}
 	}
-	if short == 0 || empty == 0 {
-		t.Errorf("%d short and %d empty phase-2 answers: want both kinds exercised", short, empty)
+	snap := c.co.Metrics()
+	if snap.ShardRPCs != 0 || snap.QueryErrors != int64(len(bad)) {
+		t.Errorf("after %d refused queries: %d shard RPCs, %d query errors; want 0 and %d", len(bad), snap.ShardRPCs, snap.QueryErrors, len(bad))
+	}
+
+	// A request that slipped past the checks and fails to encode aborts
+	// its query without demoting the shards.
+	_, _, _, err := c.co.scatter(ctx, func(ctx context.Context, cl *client.Client, spec wire.ShardSpec, out *rpcResult) error {
+		_, _, err := cl.KNNRaw(ctx, wire.KNNRequest{Query: []float64{nan, 0, 0, 0}, K: 1, Shard: &spec})
+		return err
+	})
+	if !errors.Is(err, client.ErrEncode) {
+		t.Errorf("unencodable shard request: err = %v, want client.ErrEncode", err)
+	}
+
+	if h := c.co.Health(); h.Status != "ok" {
+		t.Errorf("cluster health %q after bad arguments, want ok", h.Status)
+	}
+	want, _, err := c.lib.KNNContext(ctx, q, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, st, err := c.co.KNN(ctx, q, 5)
+	if err != nil {
+		t.Fatalf("query after bad arguments: %v", err)
+	}
+	if asJSON(t, got) != asJSON(t, want) || st.Rerouted || st.ShardRetries != 0 || st.ShardsQueried != 3 {
+		t.Errorf("query after bad arguments: stats %+v, identical %v", st, asJSON(t, got) == asJSON(t, want))
 	}
 }
 
@@ -607,5 +811,52 @@ func TestCoordServerEndToEnd(t *testing.T) {
 	}
 	if _, err := cl.KNN(ctx, q, 3); !errors.Is(err, parsearch.ErrUnavailable) {
 		t.Errorf("post-drain query err = %v, want ErrUnavailable", err)
+	}
+}
+
+// BenchmarkClusterKNN drives k-NN queries through a coordinator over
+// three shard fronts on loopback, one at a time, on the cluster
+// benchmark's data shape: 50,000 Fourier points in 16 dimensions,
+// packed, quantile splits, 16 disks, k = 10, queries jittered from the
+// data. A CPU profile of it splits what a shard RPC costs beyond the
+// shard's own search:
+//
+//	go test -run '^$' -bench ClusterKNN -cpuprofile cpu.out ./coord
+func BenchmarkClusterKNN(b *testing.B) {
+	const dim, disks = 16, 16
+	fourier := data.Fourier(50000, dim, 12, 0.15, 1)
+	pts := make([][]float64, len(fourier))
+	for i, p := range fourier {
+		pts[i] = p
+	}
+	var shards []string
+	for i := 0; i < 3; i++ {
+		ix, err := parsearch.Open(parsearch.Options{Dim: dim, Disks: disks, Packed: true, QuantileSplits: true})
+		if err != nil {
+			b.Fatal(err)
+		}
+		if err := ix.Build(pts); err != nil {
+			b.Fatal(err)
+		}
+		srv, err := server.New(ix, server.Config{})
+		if err != nil {
+			b.Fatal(err)
+		}
+		ts := httptest.NewServer(srv.Handler())
+		b.Cleanup(ts.Close)
+		shards = append(shards, ts.URL)
+	}
+	co, err := New(Config{Shards: shards, Dim: dim, Disks: disks})
+	if err != nil {
+		b.Fatal(err)
+	}
+	queries := data.QueriesFromData(fourier, 256, 0.02, 2)
+	ctx := context.Background()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, _, err := co.KNN(ctx, queries[i%len(queries)], 10); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

@@ -139,8 +139,8 @@ func RunBench(p BenchProfile, seed int64) (BenchReport, error) {
 	// a scatter-gather coordinator over three shard groups, each served
 	// by a full replica — here one HTTP front over the same engine named
 	// three times, which models replicas exactly because builds are
-	// deterministic — so the ledger tracks what the cross-network
-	// k-th-distance bound leaves each group to execute.
+	// deterministic — so the ledger tracks what each group executes when
+	// every group searches unbounded, in one round.
 	hsrv, err := server.New(ix, server.Config{})
 	if err != nil {
 		return BenchReport{}, err
@@ -233,11 +233,9 @@ func RunBench(p BenchProfile, seed int64) (BenchReport, error) {
 		}},
 		{"coord-knn16", func() (benchCost, error) {
 			// The coordinator's stats aggregate the per-shard executed
-			// pages (deterministic: each group charges the sphere of
-			// min(its k-th distance, the shipped bound)); saved counts the
-			// phase-2 pages attributed to the shipped remote bound — its
-			// split against the shards' own local tightening is
-			// timing-dependent, so only the executed total is gated.
+			// pages (deterministic: each group charges the sphere of its
+			// own k-th distance); saved counts the pages a shipped bound
+			// pruned, 0 since no round ships one.
 			var c benchCost
 			for _, q := range queries {
 				_, st, err := co.KNN(context.Background(), q, p.K)
@@ -288,8 +286,8 @@ func RunBench(p BenchProfile, seed int64) (BenchReport, error) {
 // grow. That the one search queue never costs pages and never changes
 // an answer against independent per-disk searches is pinned by tests
 // (the root package's TestSharedBoundEquivalenceBattery), not by this
-// gate. Saved pages are reported, never gated: on the coordinator row
-// they are the timing-dependent split of a deterministic total.
+// gate. Saved pages are reported, never gated: they estimate pages no
+// search read.
 func CompareBench(baseline, current BenchReport) []string {
 	if baseline.Profile != current.Profile {
 		return []string{fmt.Sprintf("baseline profile %q does not match run profile %q",

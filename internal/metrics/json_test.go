@@ -59,10 +59,11 @@ func TestRegistryJSONRoundTrip(t *testing.T) {
 		t.Errorf("Registry JSON differs from Snapshot JSON")
 	}
 
-	// A document written while the LSH and SQ8 pre-filters and the
-	// shared fan-out bound existed still carries the first's histogram
-	// and the others' counters; today's snapshot has none of the keys,
-	// and the old document installs with all of them ignored.
+	// A document written while the LSH and SQ8 pre-filters, the shared
+	// fan-out bound and the two-round cluster k-NN existed still carries
+	// the first's histogram and the others' counters; today's snapshot
+	// has none of the keys, and the old document installs with all of
+	// them ignored.
 	var doc map[string]json.RawMessage
 	if err := json.Unmarshal(blob, &doc); err != nil {
 		t.Fatal(err)
@@ -76,19 +77,23 @@ func TestRegistryJSONRoundTrip(t *testing.T) {
 	if _, ok := doc["bound_tightenings"]; ok {
 		t.Error("snapshot JSON still has bound_tightenings")
 	}
+	if _, ok := doc["remote_bound_tightenings"]; ok {
+		t.Error("snapshot JSON still has remote_bound_tightenings")
+	}
 	doc["lsh_probe_pages"] = doc["query_pages"]
 	doc["dist_comps_saved"] = json.RawMessage("123")
 	doc["bound_tightenings"] = json.RawMessage("6")
+	doc["remote_bound_tightenings"] = json.RawMessage("4")
 	oldBlob, err := json.Marshal(doc)
 	if err != nil {
 		t.Fatal(err)
 	}
 	fromOld := NewRegistry(4)
 	if err := json.Unmarshal(oldBlob, fromOld); err != nil {
-		t.Fatalf("document with lsh_probe_pages, dist_comps_saved and bound_tightenings: %v", err)
+		t.Fatalf("document with the retired keys: %v", err)
 	}
 	if !reflect.DeepEqual(fromOld.Snapshot(), r.Snapshot()) {
-		t.Error("document with lsh_probe_pages, dist_comps_saved and bound_tightenings installed differently")
+		t.Error("document with the retired keys installed differently")
 	}
 
 	// The binary codec sees the same values, anchoring the two formats

@@ -237,15 +237,20 @@ type Registry struct {
 	// shared bound still held a remotely seeded value
 	// (QueryStats.PagesSavedByRemoteBound). On a coordinator — whose
 	// registry treats the process shards as its "disks" — ShardRPCs
-	// counts the shard requests fanned out, ShardRetries the failover
-	// re-issues after a shard RPC failed, and RemoteBoundTightenings the
-	// queries whose first phase produced a finite k-th-distance bound
-	// that was shipped to the remaining shards. All four stay zero on a
+	// counts the shard requests fanned out and ShardRetries the failover
+	// re-issues after a shard RPC failed. All three stay zero on a
 	// single-process index.
 	PagesSavedByRemoteBound Counter
 	ShardRPCs               Counter
 	ShardRetries            Counter
-	RemoteBoundTightenings  Counter
+
+	// retiredRemoteBoundTightenings is the thirtieth scalar slot of codec
+	// v7, which counted the queries whose first phase shipped a k-th
+	// distance to the other shards when a cluster k-NN ran in two
+	// rounds. Nothing increments it and no snapshot reports it; it stays
+	// in scalars() so that every old blob decodes and re-encodes at its
+	// length without a codec v8.
+	retiredRemoteBoundTightenings Counter
 
 	// PagesPerDisk accumulates the blocks charged to each disk;
 	// ServiceTimePerDisk the simulated service time (nanoseconds) each
@@ -337,7 +342,6 @@ type Snapshot struct {
 	PagesSavedByRemoteBound int64 `json:"pages_saved_by_remote_bound"`
 	ShardRPCs               int64 `json:"shard_rpcs"`
 	ShardRetries            int64 `json:"shard_retries"`
-	RemoteBoundTightenings  int64 `json:"remote_bound_tightenings"`
 
 	QueryPages     HistogramSnapshot `json:"query_pages"`
 	QueryTimeNs    HistogramSnapshot `json:"query_time_ns"`
@@ -402,7 +406,6 @@ func (r *Registry) Snapshot() Snapshot {
 		PagesSavedByRemoteBound: r.PagesSavedByRemoteBound.Value(),
 		ShardRPCs:               r.ShardRPCs.Value(),
 		ShardRetries:            r.ShardRetries.Value(),
-		RemoteBoundTightenings:  r.RemoteBoundTightenings.Value(),
 
 		QueryPages:     r.QueryPages.Snapshot(),
 		QueryTimeNs:    r.QueryTimeNs.Snapshot(),
@@ -434,7 +437,7 @@ var codecLayouts = [...]struct{ scalars, hists int }{
 	{21, 4}, // v4: the five durability counters, WALFsyncNs
 	{24, 4}, // v5: the three live-mutation counters
 	{26, 5}, // v6: the two approximate-tier counters, retiredLSHProbePages
-	{30, 6}, // v7: the four cluster counters, ShardLatencyNs
+	{30, 6}, // v7: the four cluster counters (the fourth now retiredRemoteBoundTightenings), ShardLatencyNs
 }
 
 const codecVersion = uint32(len(codecLayouts))
@@ -454,7 +457,7 @@ func (r *Registry) scalars() []*Counter {
 		&r.IngestBatches, &r.ReorgBuckets, &r.CatchupBytes,
 		&r.ApproxQueries, &r.PagesSkippedApprox,
 		&r.PagesSavedByRemoteBound, &r.ShardRPCs, &r.ShardRetries,
-		&r.RemoteBoundTightenings,
+		&r.retiredRemoteBoundTightenings,
 	}
 }
 

@@ -140,7 +140,7 @@ func TestBinaryRoundTrip(t *testing.T) {
 	r.PagesSavedByRemoteBound.Add(256)
 	r.ShardRPCs.Add(60)
 	r.ShardRetries.Add(3)
-	r.RemoteBoundTightenings.Add(19)
+	r.retiredRemoteBoundTightenings.Add(19)
 	r.retiredDistCompsSaved.Add(77)
 	for i := int64(1); i < 100; i *= 3 {
 		r.QueryPages.Observe(i)
@@ -171,6 +171,9 @@ func TestBinaryRoundTrip(t *testing.T) {
 	}
 	if got := fresh.retiredBoundTightenings.Value(); got != 33 {
 		t.Fatalf("retired scalar slot round trip: got %d, want 33", got)
+	}
+	if got := fresh.retiredRemoteBoundTightenings.Value(); got != 19 {
+		t.Fatalf("retired cluster slot round trip: got %d, want 19", got)
 	}
 
 	// A second marshal of the decoded registry is byte-identical.
@@ -436,7 +439,7 @@ func TestUnmarshalVersion6(t *testing.T) {
 	r.PagesSavedByRemoteBound.Add(123)
 	r.ShardRPCs.Add(45)
 	r.ShardRetries.Add(2)
-	r.RemoteBoundTightenings.Add(17)
+	r.retiredRemoteBoundTightenings.Add(17)
 	r.ShardLatencyNs.Observe(3e6)
 
 	v7, err := r.MarshalBinary()
@@ -458,7 +461,7 @@ func TestUnmarshalVersion6(t *testing.T) {
 		t.Fatalf("v6 prefix mismatch: %+v", s)
 	}
 	if s.PagesSavedByRemoteBound != 0 || s.ShardRPCs != 0 || s.ShardRetries != 0 ||
-		s.RemoteBoundTightenings != 0 || s.ShardLatencyNs.Count != 0 {
+		fresh.retiredRemoteBoundTightenings.Value() != 0 || s.ShardLatencyNs.Count != 0 {
 		t.Fatalf("v6 decode left cluster fields non-zero: %+v", s)
 	}
 	// Re-encoding always writes the current version.
@@ -481,7 +484,7 @@ func TestUnmarshalVersion6(t *testing.T) {
 	}
 	s = again.Snapshot()
 	if s.PagesSavedByRemoteBound != 123 || s.ShardRPCs != 45 || s.ShardRetries != 2 ||
-		s.RemoteBoundTightenings != 17 || s.ShardLatencyNs.Count != 1 || again.retiredLSHProbePages.Snapshot().Count != 1 {
+		again.retiredRemoteBoundTightenings.Value() != 17 || s.ShardLatencyNs.Count != 1 || again.retiredLSHProbePages.Snapshot().Count != 1 {
 		t.Fatalf("v7 round-trip lost cluster fields: %+v", s)
 	}
 	b3, err := again.MarshalBinary()

@@ -1,6 +1,7 @@
 package wire
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"math"
@@ -104,6 +105,61 @@ func appendFloat(dst []byte, f float64) []byte {
 	return dst
 }
 
+// The decoders read the bytes AppendJSON writes, and the newline the
+// server's writeBody puts after them, in one strict scan with no
+// reflection: fixed keys in fixed order, numbers parsed by strconv as
+// encoding/json parses them, one []float64 per point. Any other byte
+// sequence — whitespace, reordered or unknown keys, a malformed body —
+// is handed to json.Unmarshal, so the result, or the error, is always
+// what encoding/json returns.
+
+// DecodeQueryResponse decodes a single-query response body to what
+// json.Unmarshal into a QueryResponse yields.
+func DecodeQueryResponse(data []byte) (QueryResponse, error) {
+	s := newScanner(data)
+	s.expect(`{"neighbors":`)
+	r := QueryResponse{Neighbors: s.neighbors()}
+	if r.Stats = s.end(); !s.bad {
+		return r, nil
+	}
+	var w struct {
+		Neighbors []wireNeighbor  `json:"neighbors"`
+		Stats     json.RawMessage `json:"stats"`
+	}
+	if err := json.Unmarshal(data, &w); err != nil {
+		return QueryResponse{}, err
+	}
+	return QueryResponse{Neighbors: fromWire(w.Neighbors), Stats: w.Stats}, nil
+}
+
+// DecodeBatchResponse is DecodeQueryResponse for a /v1/batch body.
+func DecodeBatchResponse(data []byte) (BatchResponse, error) {
+	s := newScanner(data)
+	s.expect(`{"results":`)
+	var r BatchResponse
+	if s.list(func() { r.Results = append(r.Results, s.neighbors()) }) && r.Results == nil {
+		r.Results = [][]Neighbor{}
+	}
+	if r.Stats = s.end(); !s.bad {
+		return r, nil
+	}
+	var w struct {
+		Results [][]wireNeighbor `json:"results"`
+		Stats   json.RawMessage  `json:"stats"`
+	}
+	if err := json.Unmarshal(data, &w); err != nil {
+		return BatchResponse{}, err
+	}
+	out := BatchResponse{Stats: w.Stats}
+	if w.Results != nil {
+		out.Results = make([][]Neighbor, len(w.Results))
+		for i, ws := range w.Results {
+			out.Results[i] = fromWire(ws)
+		}
+	}
+	return out, nil
+}
+
 // fromWire converts decoded neighbors, keeping nil apart from empty.
 func fromWire(ws []wireNeighbor) []Neighbor {
 	if ws == nil {
@@ -116,34 +172,173 @@ func fromWire(ws []wireNeighbor) []Neighbor {
 	return ns
 }
 
-// DecodeQueryResponse decodes a single-query response body to what
-// json.Unmarshal into a QueryResponse yields.
-func DecodeQueryResponse(data []byte) (QueryResponse, error) {
-	var r struct {
-		Neighbors []wireNeighbor  `json:"neighbors"`
-		Stats     json.RawMessage `json:"stats"`
-	}
-	if err := json.Unmarshal(data, &r); err != nil {
-		return QueryResponse{}, err
-	}
-	return QueryResponse{Neighbors: fromWire(r.Neighbors), Stats: r.Stats}, nil
+// scanner is the strict reader of a response body. Once bad is set,
+// every later step consumes nothing and the caller falls back.
+type scanner struct {
+	data []byte
+	pos  int
+	bad  bool
+	// all backs every neighbor list of the body, sized by counting the
+	// neighbors' opening bytes; dim is the length of the previous point,
+	// -1 before the first.
+	all []Neighbor
+	dim int
 }
 
-// DecodeBatchResponse is DecodeQueryResponse for a /v1/batch body.
-func DecodeBatchResponse(data []byte) (BatchResponse, error) {
-	var r struct {
-		Results [][]wireNeighbor `json:"results"`
-		Stats   json.RawMessage  `json:"stats"`
+func newScanner(data []byte) *scanner {
+	return &scanner{data: data, all: make([]Neighbor, 0, bytes.Count(data, []byte(`{"id":`))), dim: -1}
+}
+
+// skip consumes lit if the body continues with it.
+func (s *scanner) skip(lit string) bool {
+	if rest := s.data[s.pos:]; s.bad || len(rest) < len(lit) || string(rest[:len(lit)]) != lit {
+		return false
 	}
-	if err := json.Unmarshal(data, &r); err != nil {
-		return BatchResponse{}, err
+	s.pos += len(lit)
+	return true
+}
+
+// expect is skip that fails the scan when lit does not come next.
+func (s *scanner) expect(lit string) {
+	if !s.skip(lit) {
+		s.bad = true
 	}
-	out := BatchResponse{Stats: r.Stats}
-	if r.Results != nil {
-		out.Results = make([][]Neighbor, len(r.Results))
-		for i, ws := range r.Results {
-			out.Results[i] = fromWire(ws)
+}
+
+// list scans null, reporting false, or an array, calling elem for each
+// element.
+func (s *scanner) list(elem func()) bool {
+	if s.skip("null") {
+		return false
+	}
+	if s.expect("["); !s.bad && !s.skip("]") {
+		for elem(); s.skip(","); elem() {
 		}
+		s.expect("]")
 	}
-	return out, nil
+	return true
+}
+
+// neighbors scans null or an array of neighbors.
+func (s *scanner) neighbors() []Neighbor {
+	first := len(s.all)
+	if !s.list(func() { s.all = append(s.all, s.neighbor()) }) {
+		return nil
+	}
+	return s.all[first:len(s.all):len(s.all)]
+}
+
+// neighbor scans what appendNeighbor writes.
+func (s *scanner) neighbor() Neighbor {
+	s.expect(`{"id":`)
+	n := Neighbor{ID: s.int()}
+	s.expect(`,"point":`)
+	n.Point = s.point()
+	s.expect(`,"dist":`)
+	if n.Dist = math.NaN(); !s.skip("null") {
+		n.Dist = s.float()
+	}
+	s.expect("}")
+	return n
+}
+
+// point scans null or an array of coordinates into a slice with the
+// room of the previous point; the first point counts its commas.
+func (s *scanner) point() []float64 {
+	if s.skip("null") {
+		return nil
+	}
+	if s.dim < 0 {
+		rest := s.data[s.pos:]
+		s.dim = bytes.Count(rest[:max(bytes.IndexByte(rest, ']'), 0)], []byte(",")) + 1
+	}
+	p := make([]float64, 0, s.dim)
+	s.list(func() { p = append(p, s.float()) })
+	s.dim = len(p)
+	return p
+}
+
+// number consumes one JSON number, -?(0|[1-9][0-9]*)(.[0-9]+)?([eE][+-]?[0-9]+)?,
+// and returns its text and whether it is an integer literal.
+func (s *scanner) number() (text []byte, integer bool) {
+	if s.bad {
+		return nil, false
+	}
+	b, i := s.data, s.pos
+	digits := func() bool {
+		start := i
+		for i < len(b) && '0' <= b[i] && b[i] <= '9' {
+			i++
+		}
+		return i > start
+	}
+	if i < len(b) && b[i] == '-' {
+		i++
+	}
+	lead := i
+	ok := digits() && (b[lead] != '0' || i == lead+1)
+	integer = true
+	if ok && i < len(b) && b[i] == '.' {
+		i++
+		ok, integer = digits(), false
+	}
+	if ok && i < len(b) && (b[i] == 'e' || b[i] == 'E') {
+		if i++; i < len(b) && (b[i] == '+' || b[i] == '-') {
+			i++
+		}
+		ok, integer = digits(), false
+	}
+	if !ok {
+		s.bad = true
+		return nil, false
+	}
+	text, s.pos = b[s.pos:i], i
+	return text, integer
+}
+
+// float scans a number as encoding/json decodes one into a float64.
+func (s *scanner) float() float64 {
+	text, _ := s.number()
+	if s.bad {
+		return 0
+	}
+	f, err := strconv.ParseFloat(string(text), 64)
+	s.bad = err != nil
+	return f
+}
+
+// int scans an integer literal as encoding/json decodes one into an int;
+// a fraction, an exponent or an overflow falls back.
+func (s *scanner) int() int {
+	text, integer := s.number()
+	if s.bad || !integer {
+		s.bad = true
+		return 0
+	}
+	v, err := strconv.ParseInt(string(text), 10, strconv.IntSize)
+	s.bad = err != nil
+	return int(v)
+}
+
+// end scans the optional stats member and the end of the body, "}" and
+// the newline the server writes after it, and returns a copy of the
+// stats. Stats is taken verbatim when it is a whole JSON object.
+func (s *scanner) end() json.RawMessage {
+	body := bytes.TrimSuffix(s.data, []byte("\n"))
+	if s.bad || len(body) == 0 || body[len(body)-1] != '}' || s.pos >= len(body) {
+		s.bad = true
+		return nil
+	}
+	body = body[:len(body)-1]
+	var stats json.RawMessage
+	if s.skip(`,"stats":`) {
+		raw := body[s.pos:]
+		if len(raw) < 2 || raw[0] != '{' || raw[len(raw)-1] != '}' || !json.Valid(raw) {
+			s.bad = true
+			return nil
+		}
+		stats, s.pos = append(json.RawMessage(nil), raw...), len(body)
+	}
+	s.bad = s.bad || s.pos != len(body)
+	return stats
 }

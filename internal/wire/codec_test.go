@@ -277,8 +277,34 @@ func TestDecodeResponseMatchesUnmarshal(t *testing.T) {
 	for i := 0; i < 200; i++ {
 		q, _ := QueryResponse{Neighbors: randNeighbors(rng, true), Stats: randStats(rng)}.AppendJSON(nil)
 		checkDecode(t, q)
+		checkDecode(t, append(q, '\n'))
 		b, _ := BatchResponse{Results: [][]Neighbor{randNeighbors(rng, true), randNeighbors(rng, true)}}.AppendJSON(nil)
 		checkDecode(t, b)
+		checkDecode(t, append(b, '\n'))
+	}
+}
+
+// serverBodies are what the server's writeBody sends for the benchmark
+// responses: AppendJSON's bytes and a newline.
+func serverBodies() (query, batch []byte) {
+	q, b := benchResponses()
+	query, _ = q.AppendJSON(nil)
+	batch, _ = b.AppendJSON(nil)
+	return append(query, '\n'), append(batch, '\n')
+}
+
+// TestDecodeServerBodyAllocs pins that the server's bytes take the
+// strict scan: one point slice per neighbor, one backing array for the
+// neighbors and a copy of the stats. encoding/json's path costs 75
+// allocations for the query body and over a thousand for the batch, so
+// a body that falls back fails the ceiling.
+func TestDecodeServerBodyAllocs(t *testing.T) {
+	query, batch := serverBodies()
+	if n := testing.AllocsPerRun(100, func() { _, _ = DecodeQueryResponse(query) }); n > 16 {
+		t.Errorf("query body (k = 10, d = 16): %v allocations per decode, want <= 16", n)
+	}
+	if n := testing.AllocsPerRun(20, func() { _, _ = DecodeBatchResponse(batch) }); n > 180 {
+		t.Errorf("batch body (16 x k = 10, d = 16): %v allocations per decode, want <= 180", n)
 	}
 }
 
@@ -332,7 +358,8 @@ func benchResponses() (QueryResponse, BatchResponse) {
 
 // BenchmarkResponseCodec is the pair behind the codec: encoding/json
 // against AppendJSON into a reused buffer, json.Unmarshal against the
-// single-pass decoder, on the same bytes.
+// strict decoder, on the same bytes. The +newline rows decode what the
+// server sends, AppendJSON's bytes and a newline.
 func BenchmarkResponseCodec(b *testing.B) {
 	q, batch := benchResponses()
 	qBody, _ := json.Marshal(q)
@@ -376,6 +403,13 @@ func BenchmarkResponseCodec(b *testing.B) {
 			_, _ = DecodeQueryResponse(qBody)
 		}
 	})
+	query, batchNL := serverBodies()
+	b.Run("decode+newline/DecodeQueryResponse", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			_, _ = DecodeQueryResponse(query)
+		}
+	})
 	b.Run("decode-batch16/json.Unmarshal", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
@@ -387,6 +421,12 @@ func BenchmarkResponseCodec(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			_, _ = DecodeBatchResponse(bBody)
+		}
+	})
+	b.Run("decode-batch16+newline/DecodeBatchResponse", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			_, _ = DecodeBatchResponse(batchNL)
 		}
 	})
 }

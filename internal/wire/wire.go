@@ -33,9 +33,7 @@ const (
 // forces an exact search). Bound and Shard are the cluster fields a
 // scatter-gather coordinator sets; both are optional, and servers
 // predating them ignore the unknown keys (encoding/json discards
-// unknown fields), so a new coordinator degrades gracefully against old
-// shard daemons — an ignored bound only costs the shard its pruning,
-// and the coordinator merges whatever each shard returns.
+// unknown fields).
 type KNNRequest struct {
 	Query   []float64 `json:"query"`
 	K       int       `json:"k"`
@@ -43,8 +41,9 @@ type KNNRequest struct {
 	// Bound, when present, makes the query a k-NN within that distance
 	// (see parsearch.Approx.Bound): the response holds the shard's
 	// points inside the bound only, possibly fewer than k or none. A
-	// coordinator ships the k-th distance another shard group already
-	// achieved, which leaves its merged top k unchanged.
+	// coordinator forwards its caller's bound; an older one shipped the
+	// k-th distance another shard group had already achieved, which
+	// leaves the merged top k unchanged.
 	Bound *float64 `json:"bound,omitempty"`
 	// Shard, when present, restricts the query to a subset of the
 	// declustered disks (see parsearch.ShardSpec).
@@ -317,22 +316,29 @@ func DecodeKNN(data []byte, dim int) (KNNRequest, error) {
 	if err := decode(data, &req); err != nil {
 		return KNNRequest{}, err
 	}
-	if err := checkVector("query", req.Query, dim); err != nil {
-		return KNNRequest{}, err
-	}
-	if req.K < 1 {
-		return KNNRequest{}, fmt.Errorf("wire: k = %d, want >= 1", req.K)
-	}
-	if err := checkEpsilon(req.Epsilon); err != nil {
-		return KNNRequest{}, err
-	}
-	if err := checkBound(req.Bound); err != nil {
-		return KNNRequest{}, err
-	}
-	if err := checkShard(req.Shard); err != nil {
+	if err := req.Validate(dim); err != nil {
 		return KNNRequest{}, err
 	}
 	return req, nil
+}
+
+// Validate checks a k-NN request against the index dimensionality by
+// the rules DecodeKNN applies to a body, so a sender can refuse what
+// the server would: a request that passes always encodes as JSON.
+func (req KNNRequest) Validate(dim int) error {
+	if err := checkVector("query", req.Query, dim); err != nil {
+		return err
+	}
+	if req.K < 1 {
+		return fmt.Errorf("wire: k = %d, want >= 1", req.K)
+	}
+	if err := checkEpsilon(req.Epsilon); err != nil {
+		return err
+	}
+	if err := checkBound(req.Bound); err != nil {
+		return err
+	}
+	return checkShard(req.Shard)
 }
 
 // DecodeRange decodes and validates a /v1/range body.
@@ -341,21 +347,26 @@ func DecodeRange(data []byte, dim int) (RangeRequest, error) {
 	if err := decode(data, &req); err != nil {
 		return RangeRequest{}, err
 	}
-	if err := checkVector("min", req.Min, dim); err != nil {
-		return RangeRequest{}, err
-	}
-	if err := checkVector("max", req.Max, dim); err != nil {
-		return RangeRequest{}, err
-	}
-	for i := range req.Min {
-		if req.Min[i] > req.Max[i] {
-			return RangeRequest{}, fmt.Errorf("wire: min > max in dimension %d", i)
-		}
-	}
-	if err := checkShard(req.Shard); err != nil {
+	if err := req.Validate(dim); err != nil {
 		return RangeRequest{}, err
 	}
 	return req, nil
+}
+
+// Validate is KNNRequest.Validate for a range request.
+func (req RangeRequest) Validate(dim int) error {
+	if err := checkVector("min", req.Min, dim); err != nil {
+		return err
+	}
+	if err := checkVector("max", req.Max, dim); err != nil {
+		return err
+	}
+	for i := range req.Min {
+		if req.Min[i] > req.Max[i] {
+			return fmt.Errorf("wire: min > max in dimension %d", i)
+		}
+	}
+	return checkShard(req.Shard)
 }
 
 // DecodePartialMatch decodes and validates a /v1/partialmatch body.
@@ -366,8 +377,16 @@ func DecodePartialMatch(data []byte, dim int) (PartialMatchRequest, error) {
 	if err := decode(data, &req); err != nil {
 		return PartialMatchRequest{}, err
 	}
+	if err := req.Validate(dim); err != nil {
+		return PartialMatchRequest{}, err
+	}
+	return req, nil
+}
+
+// Validate is KNNRequest.Validate for a partial-match request.
+func (req PartialMatchRequest) Validate(dim int) error {
 	if len(req.Spec) != dim {
-		return PartialMatchRequest{}, fmt.Errorf("wire: spec has dimension %d, want %d", len(req.Spec), dim)
+		return fmt.Errorf("wire: spec has dimension %d, want %d", len(req.Spec), dim)
 	}
 	specified := 0
 	for i, v := range req.Spec {
@@ -375,20 +394,17 @@ func DecodePartialMatch(data []byte, dim int) (PartialMatchRequest, error) {
 			continue
 		}
 		if math.IsNaN(*v) || math.IsInf(*v, 0) {
-			return PartialMatchRequest{}, fmt.Errorf("wire: spec component %d is not finite", i)
+			return fmt.Errorf("wire: spec component %d is not finite", i)
 		}
 		specified++
 	}
 	if specified == 0 {
-		return PartialMatchRequest{}, fmt.Errorf("wire: partial-match spec specifies no dimension")
+		return fmt.Errorf("wire: partial-match spec specifies no dimension")
 	}
 	if math.IsNaN(req.Eps) || math.IsInf(req.Eps, 0) || req.Eps < 0 {
-		return PartialMatchRequest{}, fmt.Errorf("wire: invalid tolerance %v", req.Eps)
+		return fmt.Errorf("wire: invalid tolerance %v", req.Eps)
 	}
-	if err := checkShard(req.Shard); err != nil {
-		return PartialMatchRequest{}, err
-	}
-	return req, nil
+	return checkShard(req.Shard)
 }
 
 // DecodeBatch decodes and validates a /v1/batch body. maxQueries
@@ -399,30 +415,36 @@ func DecodeBatch(data []byte, dim, maxQueries int) (BatchRequest, error) {
 	if err := decode(data, &req); err != nil {
 		return BatchRequest{}, err
 	}
-	if len(req.Queries) == 0 {
-		return BatchRequest{}, fmt.Errorf("wire: batch holds no queries")
-	}
-	if maxQueries > 0 && len(req.Queries) > maxQueries {
-		return BatchRequest{}, fmt.Errorf("wire: batch holds %d queries, limit %d", len(req.Queries), maxQueries)
-	}
-	for i, q := range req.Queries {
-		if err := checkVector(fmt.Sprintf("query %d", i), q, dim); err != nil {
-			return BatchRequest{}, err
-		}
-	}
-	if req.K < 1 {
-		return BatchRequest{}, fmt.Errorf("wire: k = %d, want >= 1", req.K)
-	}
-	if err := checkEpsilon(req.Epsilon); err != nil {
-		return BatchRequest{}, err
-	}
-	if err := checkBound(req.Bound); err != nil {
-		return BatchRequest{}, err
-	}
-	if err := checkShard(req.Shard); err != nil {
+	if err := req.Validate(dim, maxQueries); err != nil {
 		return BatchRequest{}, err
 	}
 	return req, nil
+}
+
+// Validate is KNNRequest.Validate for a batch of at most maxQueries
+// queries (0 = unbounded).
+func (req BatchRequest) Validate(dim, maxQueries int) error {
+	if len(req.Queries) == 0 {
+		return fmt.Errorf("wire: batch holds no queries")
+	}
+	if maxQueries > 0 && len(req.Queries) > maxQueries {
+		return fmt.Errorf("wire: batch holds %d queries, limit %d", len(req.Queries), maxQueries)
+	}
+	for i, q := range req.Queries {
+		if err := checkVector(fmt.Sprintf("query %d", i), q, dim); err != nil {
+			return err
+		}
+	}
+	if req.K < 1 {
+		return fmt.Errorf("wire: k = %d, want >= 1", req.K)
+	}
+	if err := checkEpsilon(req.Epsilon); err != nil {
+		return err
+	}
+	if err := checkBound(req.Bound); err != nil {
+		return err
+	}
+	return checkShard(req.Shard)
 }
 
 // DecodeCatchup decodes and validates a /v1/catchup body.

@@ -312,10 +312,10 @@ type QueryStats struct {
 	// DESIGN.md "One queue".
 	PagesSavedByBound int
 	// PagesSavedByRemoteBound is PagesSavedByBound when the search was
-	// stopped by an externally seeded bound (Approx.Bound — the
-	// kth-distance bound a distributed coordinator ships with follow-up
-	// shard requests) before its own k-th best improved on it: pruning
-	// attributable to the remote bound. Always 0 without a seeded bound.
+	// stopped by an externally seeded bound (Approx.Bound, which a
+	// cluster coordinator forwards to every shard) before its own k-th
+	// best improved on it: pruning attributable to the remote bound.
+	// Always 0 without a seeded bound.
 	PagesSavedByRemoteBound int
 	// PagesSkippedApprox is the number of search pages the approximate
 	// tier skipped: the still-reachable priority queue at ε-termination
@@ -340,13 +340,13 @@ type Approx struct {
 	// space: the answer is the k nearest points at distance ≤ Bound, so
 	// it holds fewer than k results — or none, without error — when the
 	// ball does, and pages beyond the ball are neither searched nor
-	// accounted. It seeds the cooperative k-NN bound and is the
-	// cross-network half of the shared-bound protocol: a coordinator
-	// ships the k-th distance one shard group has already achieved so
-	// the other groups stop at it; because k points at that distance or
-	// closer are known, the merged global answer is unchanged. A caller
-	// supplying a Bound below the true k-th distance gets the narrower
-	// answer it asked for. The pruning surfaces as
+	// accounted. It seeds the k-NN search queue. A cluster coordinator
+	// forwards it to every shard, so the merged answer is this bounded
+	// answer; an older coordinator shipped the k-th distance one shard
+	// group had already achieved, which leaves the merged top k
+	// unchanged because k points at that distance or closer are known.
+	// A caller supplying a Bound below the true k-th distance gets the
+	// narrower answer it asked for. The pruning surfaces as
 	// QueryStats.PagesSavedByRemoteBound. 0 (the default) means no
 	// bound; must be finite and ≥ 0.
 	Bound float64

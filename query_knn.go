@@ -67,8 +67,7 @@ func (ix *Index) KNNApproxContext(ctx context.Context, q []float64, k int, a App
 // excluded disks are neither searched nor accounted, and never flag the
 // query Degraded (another process shard serves them). A coordinator
 // merging every group's results obtains exactly the unrestricted
-// query's answer; with a.Bound it can additionally ship one group's
-// k-th distance to the others (see Approx.Bound).
+// query's answer, or with a.Bound the bounded one (see Approx.Bound).
 func (ix *Index) KNNShardContext(ctx context.Context, q []float64, k int, a Approx, shards ShardSpec) ([]Neighbor, QueryStats, error) {
 	return ix.runKNN(ctx, query{op: opKNN, point: q, k: k, approx: a, shards: shards})
 }
@@ -348,10 +347,11 @@ func (ix *Index) homeDisk(st *state, q vec.Point) int {
 }
 
 // HomeDisk returns the disk the declustering assigns the query point's
-// cell to — the disk likeliest to hold q's near neighbors. A
-// multi-node coordinator uses it to pick the first shard group of the
-// two-phase bound protocol (group HomeDisk(q) mod number of shards);
-// correctness never depends on the choice, only pruning quality does.
+// cell to — the disk likeliest to hold q's near neighbors. Nothing in
+// the engine or the cluster routes by it: a cluster k-NN asks every
+// shard at once. It names the shard group (HomeDisk(q) mod number of
+// shards) an older, two-round coordinator asked first, and lets tests
+// and tools see where the declustering put a point.
 func (ix *Index) HomeDisk(q []float64) (int, error) {
 	if len(q) != ix.opts.Dim {
 		return 0, fmt.Errorf("parsearch: query dimension %d, want %d", len(q), ix.opts.Dim)
