@@ -140,7 +140,9 @@ func runMixedWorkload(t *testing.T, opts Options) {
 							break
 						}
 					}
-					b.Close()
+					if !tolerableQueryErr(b.Err()) {
+						t.Errorf("Browse page: %v", b.Err())
+					}
 				case 4:
 					ix.Len()
 					ix.DiskLoads()
@@ -1070,8 +1072,8 @@ func builtPoints(pts [][]float64) map[int][]float64 {
 }
 
 // TestBrowserConcurrentWithReaders: an open Browser must not block
-// queries (only writers), must emit globally sorted results, and writers
-// must proceed once it closes.
+// queries and must emit globally sorted results. That it blocks no
+// writer either is TestOpenBrowserStallsNoQuery's.
 func TestBrowserConcurrentWithReaders(t *testing.T) {
 	const d = 4
 	ix, err := Open(Options{Dim: d, Disks: 3})
@@ -1093,8 +1095,7 @@ func TestBrowserConcurrentWithReaders(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Readers keep working while the browser is open (no writer is
-	// pending yet, so shard read locks are granted immediately).
+	// Readers keep working while the browser drains.
 	var wg sync.WaitGroup
 	for g := 0; g < 3; g++ {
 		wg.Add(1)
@@ -1109,14 +1110,6 @@ func TestBrowserConcurrentWithReaders(t *testing.T) {
 			}
 		}(g)
 	}
-	wg.Wait()
-
-	// A writer started mid-browse blocks until the browser closes.
-	inserted := make(chan error, 1)
-	go func() {
-		_, err := ix.Insert(make([]float64, d))
-		inserted <- err
-	}()
 
 	prev := -1.0
 	count := 0
@@ -1131,15 +1124,9 @@ func TestBrowserConcurrentWithReaders(t *testing.T) {
 		prev = n.Dist
 		count++
 	}
+	wg.Wait()
 	if count != len(pts) {
 		t.Fatalf("browser returned %d results, want %d", count, len(pts))
-	}
-	b.Close()
-	if err := <-inserted; err != nil {
-		t.Fatalf("insert after browse: %v", err)
-	}
-	if got := ix.Len(); got != len(pts)+1 {
-		t.Fatalf("Len = %d, want %d", got, len(pts)+1)
 	}
 }
 

@@ -54,13 +54,11 @@ func ExampleIndex_Browse() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	defer b.Close()
-	for {
-		nb, ok := b.Next()
-		if !ok {
-			break
-		}
+	for nb, ok := b.Next(); ok; nb, ok = b.Next() {
 		fmt.Printf("id %d at %.2f\n", nb.ID, nb.Dist)
+	}
+	if err := b.Err(); err != nil {
+		log.Fatal(err)
 	}
 	// Output:
 	// id 1 at 0.07

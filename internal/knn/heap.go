@@ -1,10 +1,9 @@
 package knn
 
 // pqueue is the binary heap behind every queue of the package: the HS
-// node queue, the k-best candidate set, the browse queue and the merge
-// of several browsers. It is
-// container/heap specialised to a typed slice, so a push or pop boxes
-// nothing into an interface and allocates only when the slice grows.
+// node queue and the k-best candidate set. It is container/heap
+// specialised to a typed slice, so a push or pop boxes nothing into an
+// interface and allocates only when the slice grows.
 //
 // up and down are container/heap's, statement for statement: the same
 // comparisons in the same order make the same swaps, so elements with

@@ -21,8 +21,8 @@ import (
 	"parsearch/internal/xtree"
 )
 
-// Result is one neighbor: the stored entry and its Euclidean distance to
-// the query point.
+// Result is one neighbor: the stored entry and its distance to the query
+// point under the search's metric.
 type Result struct {
 	Entry xtree.Entry
 	Dist  float64

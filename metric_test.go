@@ -140,7 +140,6 @@ func TestBrowseUnderManhattan(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer b.Close()
 	prev := -1.0
 	for i := 0; i < 50; i++ {
 		nb, ok := b.Next()

@@ -4,8 +4,9 @@
 // Kriegel; ACM SIGMOD 1997).
 //
 // Feature vectors are declustered over a bank of simulated disks; each
-// disk holds an X-tree over its share of the data, and k-nearest-neighbor
-// queries run against all disks in parallel (one goroutine per disk). The
+// disk holds an X-tree over its share of the data. A k-nearest-neighbor
+// query searches all disks' trees with one best-first queue, and only
+// its simulated page reads fan out to the disks in parallel. The
 // declustering strategy decides how well the pages a query must read are
 // spread over the disks, and hence the speed-up; the paper's near-optimal
 // strategy guarantees that all directly and indirectly neighboring

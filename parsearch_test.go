@@ -4,6 +4,7 @@ import (
 	"errors"
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"parsearch/internal/data"
@@ -64,6 +65,42 @@ func TestQueryValidation(t *testing.T) {
 	}
 	if _, _, err := ix.KNN([]float64{0.5, 0.5}, 0); err == nil {
 		t.Error("expected k error")
+	}
+}
+
+// TestQueryRefusesNonFinitePoints: a k-NN query point with a NaN or
+// infinite component ranks nothing — every distance is NaN or +Inf — so
+// every k-NN entry point refuses it, naming the component. Partial
+// match keeps NaN as its wildcard and a range box its infinite sides.
+func TestQueryRefusesNonFinitePoints(t *testing.T) {
+	ix := buildTestIndex(t, Options{Dim: 3, Disks: 2}, 50)
+	ok := []float64{0.5, 0.5, 0.5}
+	entries := []struct {
+		name string
+		run  func(q []float64) error
+	}{
+		{"KNN", func(q []float64) error { _, _, err := ix.KNN(q, 5); return err }},
+		{"NN", func(q []float64) error { _, _, err := ix.NN(q); return err }},
+		{"KNNApprox", func(q []float64) error { _, _, err := ix.KNNApprox(q, 5, Approx{Epsilon: 1}); return err }},
+		{"BatchKNN", func(q []float64) error { _, _, err := ix.BatchKNN([][]float64{ok, q}, 5); return err }},
+		{"ServiceDemands", func(q []float64) error { _, err := ix.ServiceDemands([][]float64{ok, q}, 5); return err }},
+		{"Browse", func(q []float64) error { _, err := ix.Browse(q); return err }},
+	}
+	for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		q := []float64{0.5, 0.5, bad}
+		for _, e := range entries {
+			err := e.run(q)
+			if err == nil || !strings.Contains(err.Error(), "component 2") {
+				t.Errorf("%s(%v): err %v, want a refusal naming component 2", e.name, q, err)
+			}
+		}
+	}
+	if _, _, err := ix.PartialMatch([]float64{0.5, Wildcard, Wildcard}, 0.1); err != nil {
+		t.Errorf("PartialMatch with wildcards: %v", err)
+	}
+	inf := math.Inf(1)
+	if _, _, err := ix.RangeQuery([]float64{-inf, -inf, -inf}, []float64{inf, inf, inf}); err != nil {
+		t.Errorf("RangeQuery over the whole space: %v", err)
 	}
 }
 
@@ -422,7 +459,6 @@ func TestConcurrentMixedWorkload(t *testing.T) {
 					return
 				}
 				b.Next()
-				b.Close()
 			}
 			done <- nil
 		}(w)

@@ -80,6 +80,9 @@ func (qr *query) validate(dim, disks int) error {
 		if qr.k < 1 {
 			return fmt.Errorf("parsearch: k = %d", qr.k)
 		}
+		if i := nonFinite(qr.point); i >= 0 {
+			return fmt.Errorf("parsearch: query component %d is %v, not finite", i, qr.point[i])
+		}
 	case opBatch:
 		if qr.k < 1 {
 			return fmt.Errorf("parsearch: k = %d", qr.k)
@@ -87,6 +90,9 @@ func (qr *query) validate(dim, disks int) error {
 		for i, q := range qr.batch {
 			if len(q) != dim {
 				return fmt.Errorf("parsearch: query %d has dimension %d, want %d", i, len(q), dim)
+			}
+			if j := nonFinite(q); j >= 0 {
+				return fmt.Errorf("parsearch: query %d component %d is %v, not finite", i, j, q[j])
 			}
 		}
 	case opPartialMatch:
@@ -122,6 +128,18 @@ func (qr *query) validate(dim, disks int) error {
 		}
 	}
 	return nil
+}
+
+// nonFinite returns the first NaN or infinite component of a k-NN query
+// point, or -1. Such a point is refused: its distances would be NaN or
+// +Inf, which rank nothing.
+func nonFinite(p []float64) int {
+	for i, v := range p {
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			return i
+		}
+	}
+	return -1
 }
 
 // run is the state one query carries through the pipeline stages.
