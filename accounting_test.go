@@ -24,22 +24,22 @@ import (
 
 // leafScanRefs is the TreePages branch of run.pageRefs with the leaf
 // enumeration replaced by a scan of Tree.Leaves.
-func leafScanRefs(st *state, routes []route, g *xtree.Region, qs *QueryStats) (refs []disk.PageRef) {
-	qs.PagesPerDisk = make([]int, len(st.shards))
+func leafScanRefs(v *version, routes []route, g *xtree.Region, qs *QueryStats) (refs []disk.PageRef) {
+	qs.PagesPerDisk = make([]int, len(v.shards))
 	for d, rt := range routes {
 		if rt.masked {
 			continue
 		}
-		sh := rt.sh
-		if sh == nil {
-			sh = st.shards[d]
+		tree := rt.tree
+		if tree == nil {
+			tree = v.shards[d]
 		}
-		for _, leaf := range sh.tree.Leaves() {
+		for _, leaf := range tree.Leaves() {
 			if !g.Hits(leaf.Rect()) {
 				continue
 			}
 			qs.Cells++
-			if rt.sh == nil {
+			if rt.tree == nil {
 				qs.Unreachable += leaf.Super()
 				continue
 			}
@@ -59,10 +59,11 @@ func leafScanRefs(st *state, routes []route, g *xtree.Region, qs *QueryStats) (r
 // their order shows only in internal/xtree's own property test.)
 func leafScanItem(t *testing.T, ix *Index, g *xtree.Region, shards ShardSpec) (QueryStats, []disk.PageRef) {
 	t.Helper()
-	routes, _ := ix.plan(ix.st, shards.mask(ix.opts.Disks))
+	v := ix.st.pub.Load()
+	routes, _ := ix.plan(v, shards.mask(ix.opts.Disks))
 	var qs, engine QueryStats
-	refs := leafScanRefs(ix.st, routes, g, &qs)
-	r := &run{ix: ix, ctx: context.Background(), st: ix.st, m: ix.metric(), routes: routes}
+	refs := leafScanRefs(v, routes, g, &qs)
+	r := &run{ix: ix, ctx: context.Background(), st: ix.st, v: v, m: ix.metric(), routes: routes}
 	if got := r.pageRefs(g, nil, &engine); !reflect.DeepEqual(got, refs) {
 		t.Errorf("pageRefs yields %d reads, the leaf scan %d, or they differ", len(got), len(refs))
 	}
@@ -82,9 +83,9 @@ func leafScanQuery(t *testing.T, ix *Index, g *xtree.Region, shards ShardSpec) Q
 	}
 	qs.MaxPages, qs.TotalPages, qs.Retries = batch.MaxPerDisk, batch.Total, batch.Retries
 	qs.Speedup = batch.Speedup()
-	if base := ix.st.baseline; base != nil {
+	if base := ix.st.pub.Load().baseline; base != nil {
 		leaves := 0
-		for _, leaf := range base.tree.Leaves() {
+		for _, leaf := range base.Leaves() {
 			if g.Hits(leaf.Rect()) {
 				qs.SeqPages += leaf.Super()
 				leaves++
@@ -280,7 +281,7 @@ func TestAccountingFromSearchLog(t *testing.T) {
 			return
 		}
 		for d, rt := range r.routes {
-			if rt.masked || rt.sh == nil {
+			if rt.masked || rt.tree == nil {
 				continue // not searched: descended by design
 			}
 			mu.Lock()
@@ -290,7 +291,7 @@ func TestAccountingFromSearchLog(t *testing.T) {
 				fromLog++
 			}
 			mu.Unlock()
-			if want := descendLeaves(rt.sh, g); logged[d] >= 0 && logged[d] != want {
+			if want := descendLeaves(rt.tree, g); logged[d] >= 0 && logged[d] != want {
 				t.Errorf("disk %d: the search log counts %d hit leaves, the descent %d", d, logged[d], want)
 			}
 		}
@@ -483,7 +484,7 @@ func TestBaselineChargesAccountedBall(t *testing.T) {
 		t.Fatal(err)
 	}
 	m := ix.metric()
-	base := ix.st.baseline.tree
+	base := ix.st.pub.Load().baseline
 	scan := func(g *xtree.Region) (leaves int) {
 		for _, leaf := range base.Leaves() {
 			if g.Hits(leaf.Rect()) {
@@ -608,7 +609,8 @@ func BenchmarkKNNAccounting(b *testing.B) {
 	}
 	queries := uniformPoints(64, dim, 62)
 	regions := make([]*xtree.Region, len(queries))
-	r := &run{ix: ix, ctx: context.Background(), st: ix.st, m: ix.metric(), routes: healthyPlan(ix.st)}
+	v := ix.st.pub.Load()
+	r := &run{ix: ix, ctx: context.Background(), st: ix.st, v: v, m: ix.metric(), routes: healthyPlan(v)}
 	for i, q := range queries {
 		res, _, err := ix.KNN(q, k)
 		if err != nil {

@@ -101,8 +101,8 @@ func TestPooledSearchKeepsNoTree(t *testing.T) {
 		}
 	}
 	ix.mu.RLock()
-	for _, sh := range ix.st.shards {
-		walk(sh.tree.Root())
+	for _, tree := range ix.st.shards {
+		walk(tree.Root())
 	}
 	ix.mu.RUnlock()
 	if err := ix.Build(rawPoints(3000, dim, 95)); err != nil {

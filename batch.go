@@ -131,7 +131,8 @@ func (ix *Index) ServiceDemands(queries [][]float64, k int) ([][]float64, error)
 	if err := ix.admit(&qr); err != nil {
 		return nil, err
 	}
-	r := &run{ix: ix, ctx: context.Background(), st: ix.st, m: ix.metric(), routes: healthyPlan(ix.st)}
+	v := ix.st.pub.Load()
+	r := &run{ix: ix, ctx: context.Background(), st: ix.st, v: v, m: ix.metric(), routes: healthyPlan(v)}
 	demands := make([][]float64, len(queries))
 	for i, q := range queries {
 		var qs QueryStats
@@ -200,9 +201,9 @@ func (ix *Index) runBatch(ctx context.Context, qr query) (_ [][]Neighbor, stats 
 	if err != nil {
 		return nil, stats, err
 	}
-	queries, st := qr.batch, r.st
+	queries, disks := qr.batch, len(r.v.shards)
 	stats.Queries = len(queries)
-	stats.PagesPerDisk = make([]int, len(st.shards))
+	stats.PagesPerDisk = make([]int, disks)
 	if len(queries) == 0 {
 		return nil, stats, nil
 	}
@@ -288,7 +289,7 @@ func (ix *Index) runBatch(ctx context.Context, qr query) (_ [][]Neighbor, stats 
 	if stats.MakespanSeconds > 0 {
 		stats.QueriesPerSecond = float64(stats.Queries) / stats.MakespanSeconds
 		stats.Utilization = batch.SequentialTime.Seconds() /
-			(stats.MakespanSeconds * float64(len(st.shards)))
+			(stats.MakespanSeconds * float64(disks))
 	}
 	r.sp.ioEvents(batch)
 	// The batch counts as one QueriesBatch call over len(queries)

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"runtime"
 	"sort"
 	"sync"
 	"testing"
@@ -301,11 +300,6 @@ func TestOpenBrowserStallsNoQuery(t *testing.T) {
 		_, err := ix.Insert([]float64{0.3, 0.3, 0.3, 0.3})
 		done <- err
 	}()
-	// Let the writer queue first: a reader arriving behind a waiting
-	// writer is what a held read lock stalls.
-	for ix.st.writers.Load() == 0 && len(done) == 0 {
-		runtime.Gosched()
-	}
 	go func() {
 		_, _, err := ix.KNN([]float64{0.9, 0.9, 0.9, 0.9}, 5)
 		done <- err

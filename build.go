@@ -110,8 +110,10 @@ func (ix *Index) makeAssigner(b core.Bucketer) (core.Assigner, error) {
 // buildState constructs a fresh derived state (and the cloned point
 // table) from the given vectors. It reads only immutable index fields, so
 // it runs without any lock — Build and Reorganize call it off the lock
-// and cut the result in atomically.
-func (ix *Index) buildState(points [][]float64) (st *state, pts []vec.Point, live int, err error) {
+// and cut the result in atomically. With finite set, a vector with a NaN
+// or infinite component as stored is refused, as by Insert; recovery and
+// Load rebuild whatever was stored.
+func (ix *Index) buildState(points [][]float64, finite bool) (st *state, pts []vec.Point, live int, err error) {
 	for i, p := range points {
 		if p == nil {
 			continue
@@ -129,6 +131,11 @@ func (ix *Index) buildState(points [][]float64) (st *state, pts []vec.Point, liv
 		}
 		pts[i] = vec.Clone(p)
 		ix.canonPacked(pts[i])
+		if finite {
+			if j := nonFinite(pts[i]); j >= 0 {
+				return nil, nil, 0, fmt.Errorf("parsearch: point %d component %d is %v, not finite", i, j, pts[i][j])
+			}
+		}
 		livePoints = append(livePoints, pts[i])
 	}
 
@@ -216,9 +223,9 @@ func (ix *Index) buildState(points [][]float64) (st *state, pts []vec.Point, liv
 	// touches them, so each disk is one job, and the baseline one more.
 	_, isRR := st.assigner.(*core.RoundRobin)
 	plain := isRR || ix.opts.Disks == 1
-	st.shards = make([]*shard, ix.opts.Disks)
+	st.shards = make([]*xtree.Tree, ix.opts.Disks)
 	if ix.opts.Replication > 0 {
-		st.replicas = make([]*shard, ix.opts.Disks)
+		st.replicas = make([]*xtree.Tree, ix.opts.Disks)
 	}
 	jobs := make([]func(), 0, ix.opts.Disks+1)
 	if ix.opts.Baseline {
@@ -230,8 +237,8 @@ func (ix *Index) buildState(points [][]float64) (st *state, pts []vec.Point, liv
 					entries = append(entries, xtree.Entry{Point: p, ID: i})
 				}
 			}
-			st.baseline = &shard{tree: xtree.New(ix.treeConfig())}
-			st.baseline.tree.BulkLoad(entries)
+			st.baseline = xtree.New(ix.treeConfig())
+			st.baseline.BulkLoad(entries)
 		})
 	}
 	for d := range st.shards {
@@ -247,21 +254,22 @@ func (ix *Index) buildState(points [][]float64) (st *state, pts []vec.Point, liv
 		})
 	}
 	runJobs(jobs)
+	st.publish()
 	return st, pts, live, nil
 }
 
 // loadShard bulk-loads one disk's share of the data — grouped by
 // storage cell so no page spans two cells, or flat for the plain layout
 // — into a fresh tree.
-func (ix *Index) loadShard(groups [][]xtree.Entry, plain bool) *shard {
-	sh := &shard{tree: xtree.New(ix.treeConfig())}
+func (ix *Index) loadShard(groups [][]xtree.Entry, plain bool) *xtree.Tree {
+	t := xtree.New(ix.treeConfig())
 	if plain {
 		// A copy: the flat load must not reorder the groups, which the
 		// replica's load starts from again.
 		groups = [][]xtree.Entry{slices.Concat(groups...)}
 	}
-	sh.tree.BulkLoadGrouped(groups)
-	return sh
+	t.BulkLoadGrouped(groups)
+	return t
 }
 
 // runJobs runs the jobs on min(GOMAXPROCS, len(jobs)) goroutines and
@@ -307,8 +315,15 @@ func runJobs(jobs []func()) {
 // against the old contents meanwhile — and swapped in as an atomic
 // cutover. A concurrent Insert or Delete serializes either before the
 // cutover (its effect is replaced, as if it preceded Build) or after it.
+// A vector with a NaN or infinite component is refused, as by Insert.
 func (ix *Index) Build(points [][]float64) error {
-	st, pts, live, err := ix.buildState(points)
+	return ix.build(points, true)
+}
+
+// build is Build; without finite it takes non-finite coordinates, which
+// Load rebuilds from a snapshot as they were saved.
+func (ix *Index) build(points [][]float64, finite bool) error {
+	st, pts, live, err := ix.buildState(points, finite)
 	if err != nil {
 		return err
 	}

@@ -930,15 +930,14 @@ func TestSharedBoundStressConcurrent(t *testing.T) {
 	}
 }
 
-// TestOneQueueRestartsUnderSplits races k-NN searches, which hold every
-// shard's read lock and step aside for a waiting writer, against writers
-// that insert bursts of clustered points — splitting leaves — and
-// delete them again, dissolving the leaves. The built points are never
-// deleted, so every answer must hold each of them that precedes its
-// last result in (distance, ID) order: a search that resumed across a
-// split or a dissolve without restarting could miss one. searchSeam
-// must see searches restart, or the test proved nothing.
-func TestOneQueueRestartsUnderSplits(t *testing.T) {
+// TestOneQueueUnderSplits races k-NN searches, which read a published
+// version of every tree, against writers that insert bursts of
+// clustered points — splitting leaves — and delete them again,
+// dissolving the leaves. The built points are never deleted, so every
+// answer must hold each of them that precedes its last result in
+// (distance, ID) order: a search that saw a split or a dissolve half
+// done could miss one.
+func TestOneQueueUnderSplits(t *testing.T) {
 	const d, n, disks, k, burst = 4, 3000, 4, 20, 60
 	ix, err := Open(Options{Dim: d, Disks: disks})
 	if err != nil {
@@ -948,13 +947,6 @@ func TestOneQueueRestartsUnderSplits(t *testing.T) {
 	if err := ix.Build(base); err != nil {
 		t.Fatal(err)
 	}
-	var restarts, asides atomic.Int64
-	searchSeam = func(r, a int) {
-		restarts.Add(int64(r))
-		asides.Add(int64(a))
-	}
-	t.Cleanup(func() { searchSeam = nil })
-
 	// check holds one answer against the built points.
 	built := builtPoints(base)
 	check := func(q []float64, res []Neighbor) {
@@ -1035,8 +1027,7 @@ func TestOneQueueRestartsUnderSplits(t *testing.T) {
 		go func(g int) {
 			defer readers.Done()
 			rng := rand.New(rand.NewSource(int64(60 + g)))
-			// Keep querying until searches have restarted, within a cap.
-			for i := 0; i < 50*minQueries && (i < minQueries || restarts.Load() == 0); i++ {
+			for i := 0; i < minQueries; i++ {
 				q := randPoint(rng, d)
 				for j, c := range *centres[rng.Intn(len(centres))].Load() {
 					q[j] = c + 0.02*(q[j]-0.5)
@@ -1056,10 +1047,6 @@ func TestOneQueueRestartsUnderSplits(t *testing.T) {
 	if err := ix.CheckIntegrity(); err != nil {
 		t.Fatal(err)
 	}
-	if restarts.Load() == 0 {
-		t.Errorf("no search restarted (%d step-asides)", asides.Load())
-	}
-	t.Logf("%d restarts, %d step-asides", restarts.Load(), asides.Load())
 }
 
 // builtPoints keys points by their index, the IDs Build gives them.

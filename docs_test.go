@@ -167,7 +167,7 @@ func TestDocsNameRealDeclarations(t *testing.T) {
 // not declared, and resolves the forms it must accept.
 func TestDocsScanCatchesStaleNames(t *testing.T) {
 	decls := repoDecls(t)
-	doc := "`knn.Browser`, `knn.Search.Run`, `xtree.Tree.Epoch`, `parsearch.Options{Dim: 2}`, " +
+	doc := "`knn.Browser`, `knn.Search.Run`, `xtree.Tree.Freeze`, `parsearch.Options{Dim: 2}`, " +
 		"`xtree.Tree.Close`, `coord.phase1_share`, `coord/server.go`, `parsearch.go`, `ix.mu.RLock`"
 	pkgs, names := docRefs(doc, decls)
 	var stale []string

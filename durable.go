@@ -1,6 +1,7 @@
 package parsearch
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
@@ -327,6 +328,10 @@ func (ix *Index) initDurable(fs fsx.FS) error {
 			return fmt.Errorf("parsearch: durable dir holds dimension-%d data, options say %d",
 				sd.opts.Dim, ix.opts.Dim)
 		}
+		// A snapshot without a recorded metric (flag 128) is Euclidean.
+		if m := cmp.Or(sd.opts.Metric, Euclidean); m != ix.opts.Metric {
+			return fmt.Errorf("parsearch: durable dir holds %s data, options say %s", m, ix.opts.Metric)
+		}
 		base = sd
 		info.HaveSnapshot = true
 		info.SnapshotGen = g
@@ -434,7 +439,7 @@ func (ix *Index) initDurable(fs fsx.FS) error {
 
 	// Rebuild the in-memory index from the recovered point table.
 	if len(rs.points) > 0 {
-		st, pts, live, err := ix.buildState(rs.points)
+		st, pts, live, err := ix.buildState(rs.points, false)
 		if err != nil {
 			return fmt.Errorf("parsearch: rebuilding recovered state: %w", err)
 		}

@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"parsearch/internal/disk"
+	"parsearch/internal/xtree"
 )
 
 // This file is the fault-tolerance layer of the index: replicated
@@ -85,14 +86,14 @@ func (ix *Index) ReplicaDisk(d int) int {
 }
 
 // route describes how one logical shard is served during a query: the
-// tree to search and the physical disk charged for its page reads. sh
+// tree to search and the physical disk charged for its page reads. tree
 // is nil (and disk -1) when neither the primary nor the replica disk is
 // live — the shard's data is unreachable. masked marks a disk a
 // ShardSpec excluded from the query: it is neither searched nor
 // accounted (another process shard serves it), unlike an unreachable
 // disk, whose absence is charged as Unreachable/Degraded.
 type route struct {
-	sh       *shard
+	tree     *xtree.Tree
 	disk     int
 	rerouted bool
 	masked   bool
@@ -112,8 +113,8 @@ type route struct {
 // mask, when non-nil, is a ShardSpec's disk selection: excluded disks
 // get a masked route — skipped entirely, with no degraded accounting
 // (they are another process shard's responsibility, not lost data).
-func (ix *Index) plan(st *state, mask []bool) (routes []route, degraded bool) {
-	n := len(st.shards)
+func (ix *Index) plan(v *version, mask []bool) (routes []route, degraded bool) {
+	n := len(v.shards)
 	routes = make([]route, n)
 	for d := 0; d < n; d++ {
 		if mask != nil && !mask[d] {
@@ -121,22 +122,19 @@ func (ix *Index) plan(st *state, mask []bool) (routes []route, degraded bool) {
 			continue
 		}
 		if !ix.array.Failed(d) {
-			routes[d] = route{sh: st.shards[d], disk: d}
+			routes[d] = route{tree: v.shards[d], disk: d}
 			continue
 		}
-		if st.replicas != nil {
+		if v.replicas != nil {
 			if r := replicaOf(d, n); !ix.array.Failed(r) {
-				routes[d] = route{sh: st.replicas[r], disk: r, rerouted: true}
+				routes[d] = route{tree: v.replicas[r], disk: r, rerouted: true}
 				continue
 			}
 		}
 		routes[d] = route{disk: -1}
-		sh := st.shards[d]
-		sh.mu.RLock()
-		if sh.tree.Len() > 0 {
+		if v.shards[d].Len() > 0 {
 			degraded = true
 		}
-		sh.mu.RUnlock()
 	}
 	return routes, degraded
 }
@@ -144,10 +142,10 @@ func (ix *Index) plan(st *state, mask []bool) (routes []route, degraded bool) {
 // healthyPlan routes every shard to its own disk regardless of the
 // failure flags — the accounting path of capacity planning
 // (ServiceDemands), which models the healthy system.
-func healthyPlan(st *state) []route {
-	routes := make([]route, len(st.shards))
+func healthyPlan(v *version) []route {
+	routes := make([]route, len(v.shards))
 	for d := range routes {
-		routes[d] = route{sh: st.shards[d], disk: d}
+		routes[d] = route{tree: v.shards[d], disk: d}
 	}
 	return routes
 }

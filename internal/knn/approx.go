@@ -54,21 +54,6 @@ type ApproxStats struct {
 	SkippedPages int
 }
 
-// Step is what a Search's Yield hook tells the loop between two pops.
-type Step int
-
-const (
-	// Continue: carry on.
-	Continue Step = iota
-	// Resumed: the caller let go of its locks on the trees and took them
-	// back, so writers may have changed the trees. The loop compares
-	// every tree's Epoch with the one it started from and restarts from
-	// the roots if one moved (see Search.Run).
-	Resumed
-	// Stop: abandon the search; Run returns nil.
-	Stop
-)
-
 // TreeSearch is one tree's slot of a Search: the tree, and what the
 // search read in it.
 type TreeSearch struct {
@@ -83,7 +68,6 @@ type TreeSearch struct {
 	Log   LeafLog
 
 	local   kRanks // the tree's own k best rank distances, kept while ε is armed
-	epoch   uint64 // Tree.Epoch() when the search (re)started
 	stopped bool   // ε-termination fired on the tree
 }
 
@@ -108,12 +92,11 @@ type Search struct {
 	// each new value).
 	Shared    *Bound
 	OnTighten func(sqBound float64)
-	// Yield, when non-nil, is called once before every pop (see Step).
-	Yield func() Step
-	// Trees holds one slot per tree; Restarts counts the restarts of the
-	// last Run.
-	Trees    []TreeSearch
-	Restarts int
+	// Done, when non-nil, is polled every 32 pops: once it reports
+	// true, the search is abandoned and Run returns nil.
+	Done func() bool
+	// Trees holds one slot per tree.
+	Trees []TreeSearch
 
 	pq   pqueue[nodeItem]
 	best kBest
@@ -149,29 +132,9 @@ func (s *Search) Reset() {
 // Run answers the query: the k nearest entries over every slot's tree,
 // sorted by (distance, ID), with metric distances. Under Seed or Shared
 // the entries beyond the bound are whatever the search had collected.
-//
-// Writers that run while Yield has let go of the trees are safe. A
-// change that only appends a point to a leaf or removes one, growing or
-// shrinking MBRs, cannot hide a point that was there for the whole
-// search: the node that held it still does, and the MINDIST the node was
-// queued with is still a lower bound on the point's distance. A change
-// that moves points between nodes — a split, a dissolve with
-// reinsertion, a new root — bumps the tree's Epoch, and the search
-// starts again from the roots.
+// The trees must not change during the search: a caller whose trees
+// have writers searches versions of them (xtree.Tree.Freeze).
 func (s *Search) Run() []Result {
-	s.Restarts = 0
-	for {
-		res, restart := s.run()
-		if !restart {
-			return res
-		}
-		s.Restarts++
-	}
-}
-
-// run is one pass of the loop from the roots; restart reports that a
-// tree's epoch moved while Yield let go of the trees.
-func (s *Search) run() (_ []Result, restart bool) {
 	s.pq = s.pq[:0]
 	s.best = kBest{k: s.K, metric: s.M, heap: s.best.heap[:0]}
 	live := 0
@@ -184,7 +147,6 @@ func (s *Search) run() (_ []Result, restart bool) {
 		ts.Acc, ts.Stats, ts.stopped = Accounting{}, ApproxStats{}, false
 		ts.local = kRanks{k: s.K, heap: ts.local.heap[:0]}
 		ts.Log.Ranks, ts.Log.Frontier = ts.Log.Ranks[:0], math.Inf(1)
-		ts.epoch = ts.Tree.Epoch()
 		if root := ts.Tree.Root(); root != nil {
 			s.pq.push(nodeItem{node: root, sqMinDist: s.M.RankMinDist(root.Rect(), s.Q), tree: i})
 			live++
@@ -196,16 +158,9 @@ func (s *Search) run() (_ []Result, restart bool) {
 	// the loop — by heap order no farther than anything still queued. A
 	// tree ε stopped has its own, smaller one in its log.
 	frontier := math.Inf(1)
-	for len(s.pq) > 0 {
-		if s.Yield != nil {
-			switch s.Yield() {
-			case Stop:
-				return nil, false
-			case Resumed:
-				if s.moved() {
-					return nil, true
-				}
-			}
+	for pops := 1; len(s.pq) > 0; pops++ {
+		if s.Done != nil && pops%32 == 0 && s.Done() {
+			return nil
 		}
 		item := s.pq.pop()
 		ts := &s.Trees[item.tree]
@@ -263,9 +218,9 @@ func (s *Search) run() (_ []Result, restart bool) {
 		}
 	}
 	if len(s.best.heap) == 0 {
-		return nil, false
+		return nil
 	}
-	return s.best.results(), false
+	return s.best.results()
 }
 
 // limit returns the bound from outside the search in force at this pop —
@@ -282,17 +237,6 @@ func (s *Search) limit() (bound float64, seeded bool) {
 		}
 	}
 	return bound, seeded
-}
-
-// moved reports whether a tree changed its structure since the search
-// started from its root.
-func (s *Search) moved() bool {
-	for i := range s.Trees {
-		if t := s.Trees[i].Tree; t != nil && t.Epoch() != s.Trees[i].epoch {
-			return true
-		}
-	}
-	return false
 }
 
 // abandon charges the work the loop gives up when a bound stops it at

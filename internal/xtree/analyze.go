@@ -46,7 +46,7 @@ func (t *Tree) Analyze() Analysis {
 	walk = func(n *Node) {
 		if n.super > 1 {
 			a.Supernodes++
-			a.SuperBlocks += n.super - 1
+			a.SuperBlocks += int(n.super) - 1
 		}
 		if n.leaf {
 			a.LeafNodes++

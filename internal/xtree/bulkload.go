@@ -44,17 +44,17 @@ func (t *Tree) BulkLoadGrouped(groups [][]Entry) {
 		total += len(g)
 		largest = max(largest, len(g))
 	}
+	t.mutable()
 	t.root = nil
 	t.size = total
 	t.stats = Stats{}
-	t.epoch++
 	if total == 0 {
 		return
 	}
 
 	// Build the leaf level, then directory levels bottom-up until a
 	// single root remains.
-	s := &loadScratch{cfg: t.cfg, runMin: make(vec.Point, t.cfg.Dim), runMax: make(vec.Point, t.cfg.Dim)}
+	s := &loadScratch{cfg: t.cfg, gen: t.gen, runMin: make(vec.Point, t.cfg.Dim), runMax: make(vec.Point, t.cfg.Dim)}
 	s.reserve(largest)
 	s.entries = make([]Entry, largest)
 	for _, g := range groups {
@@ -91,6 +91,7 @@ type sortKey struct {
 // on return, and never shared — concurrent loads need no synchronization.
 type loadScratch struct {
 	cfg   Config
+	gen   uint64  // the tree's generation, which the new nodes carry
 	level []*Node // the nodes emitted for the level being built
 
 	keys       []sortKey
@@ -119,7 +120,7 @@ func (s *loadScratch) partitionEntries(entries []Entry, history uint64) {
 	if len(entries) <= s.cfg.LeafCapacity {
 		own := make([]Entry, len(entries))
 		copy(own, entries)
-		n := &Node{leaf: true, entries: own, history: history, super: 1}
+		n := &Node{leaf: true, entries: own, history: history, super: 1, gen: s.gen}
 		n.recomputeRect()
 		s.level = append(s.level, n)
 		return
@@ -146,7 +147,7 @@ func (s *loadScratch) partitionNodes(nodes []*Node, history uint64) {
 	if len(nodes) <= s.cfg.DirCapacity {
 		own := make([]*Node, len(nodes))
 		copy(own, nodes)
-		n := &Node{leaf: false, children: own, history: history, super: 1}
+		n := &Node{leaf: false, children: own, history: history, super: 1, gen: s.gen}
 		n.recomputeRect()
 		s.level = append(s.level, n)
 		return

@@ -18,16 +18,17 @@ func (t *Tree) Delete(p vec.Point, id int) bool {
 		panic(fmt.Sprintf("xtree: deleting %d-dimensional point from %d-dimensional tree", len(p), t.cfg.Dim))
 	}
 
+	t.mutable()
 	var orphans []Entry
-	removed := t.remove(t.root, p, id, &orphans)
-	if !removed {
+	root := t.remove(t.root, p, id, &orphans)
+	if root == nil {
 		return false
 	}
+	t.root = root
 	t.size--
 
 	// Shrink the root: an empty root leaf disappears; a directory root
 	// with a single child is replaced by that child.
-	oldRoot := t.root
 	if t.root.leaf {
 		if len(t.root.entries) == 0 {
 			t.root = nil
@@ -38,9 +39,6 @@ func (t *Tree) Delete(p vec.Point, id int) bool {
 		for !t.root.leaf && len(t.root.children) == 1 {
 			t.root = t.root.children[0]
 		}
-	}
-	if t.root != oldRoot {
-		t.epoch++
 	}
 	if t.cfg.Packed && t.root != nil {
 		t.refreshPacked(t.root)
@@ -54,43 +52,49 @@ func (t *Tree) Delete(p vec.Point, id int) bool {
 	return true
 }
 
-// remove deletes the entry from the subtree under n. Nodes that underflow
-// are emptied into orphans and removed from their parent by the caller.
-func (t *Tree) remove(n *Node, p vec.Point, id int, orphans *[]Entry) bool {
+// remove deletes the entry from the subtree under n and returns the node
+// it rewrote in n's place — n itself or its copy (see own) — or nil when
+// the subtree does not hold the entry. Nodes that underflow are emptied
+// into orphans and dropped from their parent.
+func (t *Tree) remove(n *Node, p vec.Point, id int, orphans *[]Entry) *Node {
 	if n.leaf {
 		for i, e := range n.entries {
 			if e.ID == id && vec.Equal(e.Point, p) {
+				n = t.own(n)
 				n.packDirty = true
 				n.entries = append(n.entries[:i], n.entries[i+1:]...)
 				if len(n.entries) > 0 {
 					n.recomputeRect()
 				}
-				return true
+				return n
 			}
 		}
-		return false
+		return nil
 	}
 	for i, c := range n.children {
 		if !c.rect.Contains(p) {
 			continue
 		}
-		if !t.remove(c, p, id, orphans) {
+		c = t.remove(c, p, id, orphans)
+		if c == nil {
 			continue
 		}
+		n = t.own(n)
 		n.packDirty = true
 		if t.underfull(c) {
 			// Dissolve the child: collect its entries for
 			// reinsertion and drop it.
-			t.epoch++
 			collectEntries(c, orphans)
 			n.children = append(n.children[:i], n.children[i+1:]...)
+		} else {
+			n.children[i] = c
 		}
 		if len(n.children) > 0 {
 			n.recomputeRect()
 		}
-		return true
+		return n
 	}
-	return false
+	return nil
 }
 
 // underfull reports whether a node has fallen below the minimum fill and

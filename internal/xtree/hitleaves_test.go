@@ -36,7 +36,7 @@ func wideSupernodeTree(t *testing.T, r *rand.Rand, cfg Config) *Tree {
 	t.Helper()
 	const fanout = maxBatchedFanout + 7
 	tr := New(cfg)
-	root := &Node{super: (fanout + cfg.DirCapacity - 1) / cfg.DirCapacity}
+	root := &Node{super: int32((fanout + cfg.DirCapacity - 1) / cfg.DirCapacity)}
 	id := 0
 	for i := 0; i < fanout; i++ {
 		leaf := &Node{leaf: true, super: 1}

@@ -14,9 +14,9 @@ import (
 // walking []Entry / []*Node. The caches are maintained eagerly by the
 // mutating operations: every node a mutation touches is flagged dirty,
 // and the public entry points (Insert, Delete, the bulk loaders) finish
-// by re-packing exactly the dirty spine before returning. Readers
-// therefore only ever observe complete caches; no lazy rebuild happens
-// under a read lock.
+// by re-packing exactly the dirty spine before returning. A version
+// (Tree.Freeze) therefore only ever holds complete caches, and its
+// readers never rebuild one.
 //
 // Correctness relies on one structural fact: mutations proceed along
 // root-to-leaf paths, so every ancestor of a dirty node is itself dirty

@@ -71,9 +71,9 @@ func (t *Tree) PointSearch(p vec.Point) []Entry {
 }
 
 // Leaves returns all leaf nodes in depth-first order. It allocates the
-// whole list and touches every leaf; nothing in the engine calls it. It
-// is the tests' reference enumeration — what HitLeaves, with which a
-// query enumerates the leaves it must read, is checked against.
+// whole list and touches every leaf; no query calls it, only integrity
+// checks. It is the tests' reference enumeration — what HitLeaves, with
+// which a query enumerates the leaves it must read, is checked against.
 func (t *Tree) Leaves() []*Node {
 	var out []*Node
 	var walk func(n *Node)
@@ -208,6 +208,8 @@ func (t *Tree) NodeCount() (dirs, leaves int) {
 //   - every leaf is a single block (only directory nodes become
 //     supernodes; a query's page reads are one block per leaf),
 //   - all leaves are at the same depth,
+//   - no node is newer than its parent, so every node a version shares
+//     has only shared descendants (see Tree.own),
 //   - the entry count matches Len().
 func (t *Tree) CheckInvariants() error {
 	if t.root == nil {
@@ -258,6 +260,9 @@ func (t *Tree) CheckInvariants() error {
 		for _, c := range n.children {
 			if !n.rect.ContainsRect(c.rect) {
 				return fmt.Errorf("xtree: child MBR %v escapes parent %v", c.rect, n.rect)
+			}
+			if c.gen > n.gen {
+				return fmt.Errorf("xtree: child of generation %d under a parent of generation %d", c.gen, n.gen)
 			}
 			if err := walk(c, depth+1); err != nil {
 				return err

@@ -12,7 +12,6 @@ import (
 // leaves never become supernodes.
 func (t *Tree) splitLeaf(n *Node) *Node {
 	t.stats.Splits++
-	t.epoch++
 	axis, k := t.chooseLeafSplit(n.entries)
 	sortEntriesByAxis(n.entries, axis)
 
@@ -20,7 +19,7 @@ func (t *Tree) splitLeaf(n *Node) *Node {
 	copy(right, n.entries[k:])
 	n.entries = n.entries[:k]
 
-	sibling := &Node{leaf: true, entries: right, super: 1, packDirty: true}
+	sibling := &Node{leaf: true, entries: right, super: 1, packDirty: true, gen: t.gen}
 	n.history |= 1 << uint(axis)
 	sibling.history = n.history
 	n.recomputeRect()
@@ -167,12 +166,11 @@ func bestOverlapFreeCut(children []*Node, history uint64, d int) (dim, cut int, 
 // is recomputed from its actual size (supernodes shrink back to normal
 // nodes when a split makes that possible).
 func (t *Tree) finishDirSplit(n *Node, k, axis int) *Node {
-	t.epoch++
 	right := make([]*Node, len(n.children)-k)
 	copy(right, n.children[k:])
 	n.children = n.children[:k]
 
-	sibling := &Node{leaf: false, children: right, super: superFor(len(right), t.cfg.DirCapacity), packDirty: true}
+	sibling := &Node{leaf: false, children: right, super: superFor(len(right), t.cfg.DirCapacity), packDirty: true, gen: t.gen}
 	n.super = superFor(len(n.children), t.cfg.DirCapacity)
 	n.history |= 1 << uint(axis)
 	sibling.history = n.history
@@ -183,12 +181,12 @@ func (t *Tree) finishDirSplit(n *Node, k, axis int) *Node {
 
 // superFor returns the smallest supernode multiplier that fits count
 // children with the given base capacity, at least 1.
-func superFor(count, capacity int) int {
+func superFor(count, capacity int) int32 {
 	s := (count + capacity - 1) / capacity
 	if s < 1 {
 		s = 1
 	}
-	return s
+	return int32(s)
 }
 
 // chooseDirSplit is the R* topological split for directory children.

@@ -118,12 +118,23 @@ func (c Config) validate() {
 }
 
 // Tree is an X-tree over d-dimensional points.
+//
+// Versions: Freeze returns a read-only version of the tree in O(1), and
+// the tree's mutations copy the nodes they would write that a version
+// shares — the root-to-leaf path an insert or delete changes — so a
+// version never changes and readers of it need no lock (see own).
 type Tree struct {
 	cfg   Config
 	root  *Node
 	size  int
 	stats Stats
-	epoch uint64
+	// gen is the generation of the nodes a mutation may write in place;
+	// every older node is shared with a version. view is the version
+	// Freeze last returned, nil once a mutation followed it; frozen
+	// marks a version.
+	gen    uint64
+	view   *Tree
+	frozen bool
 }
 
 // Stats counts structural events since the tree was created.
@@ -141,19 +152,22 @@ type Stats struct {
 // Node is a tree node. Fields are unexported; read-only accessors expose
 // the structure to search algorithms.
 type Node struct {
-	leaf     bool
+	leaf bool
+	// packDirty is the flag the mutation paths set so the packed refresh
+	// walk re-packs exactly the touched spine (see pack.go).
+	packDirty bool
+	super     int32 // capacity multiplier; 1 = normal node
+
 	rect     vec.Rect
 	entries  []Entry // leaf payload
 	children []*Node // directory payload
 	history  uint64  // bitmask of dimensions this node's region was split along
-	super    int     // capacity multiplier; 1 = normal node
+	gen      uint64  // the tree generation that created or copied the node
 
 	// Packed-mode caches (see pack.go): the leaf payload / child MBRs
-	// in the slab layout, and the flag the mutation paths set so the
-	// refresh walk re-packs exactly the touched spine.
-	slab      *slab.Slab
-	crects    *slab.RectSlab
-	packDirty bool
+	// in the slab layout.
+	slab   *slab.Slab
+	crects *slab.RectSlab
 }
 
 // IsLeaf reports whether the node stores data entries.
@@ -173,7 +187,7 @@ func (n *Node) Children() []*Node { return n.children }
 
 // Super returns the node's supernode multiplier (1 for a normal node; a
 // supernode of multiplier s occupies s disk blocks).
-func (n *Node) Super() int { return n.super }
+func (n *Node) Super() int { return int(n.super) }
 
 // New returns an empty X-tree with the given configuration.
 func New(cfg Config) *Tree {
@@ -193,14 +207,50 @@ func (t *Tree) Root() *Node { return t.root }
 // Stats returns the structural event counters.
 func (t *Tree) Stats() Stats { return t.stats }
 
-// Epoch counts the changes that move entries or nodes between nodes: a
-// split, a dissolve with reinsertion, a new root, a bulk load. An insert
-// that only appends to a leaf and a delete that only removes one entry
-// leave it alone — they grow or shrink MBRs, but every other entry stays
-// in the node it was in. A search that lets go of the tree's lock
-// between two steps resumes safely iff the epoch did not move (see
-// knn.Search.Run).
-func (t *Tree) Epoch() uint64 { return t.epoch }
+// Freeze returns a read-only version of the tree as it is now, in O(1):
+// the version shares every node with the tree, and the tree's later
+// mutations copy a shared node before they write it, so the version
+// never changes. It may be read concurrently with those mutations and
+// must not be mutated itself. Freezing an unchanged tree again returns
+// the same version.
+func (t *Tree) Freeze() *Tree {
+	if t.view == nil {
+		v := *t
+		v.frozen = true
+		t.view = &v
+		t.gen++
+	}
+	return t.view
+}
+
+// mutable readies the tree for a mutation: the version Freeze returned
+// stays as it is, and the next Freeze returns a new one.
+func (t *Tree) mutable() {
+	if t.frozen {
+		panic("xtree: mutating a frozen version")
+	}
+	t.view = nil
+}
+
+// own returns n ready to be written: n itself when the tree created or
+// copied it since the last Freeze, else a copy of its header, MBR and
+// payload array that the caller must link in n's place. A node a
+// version can reach is therefore never written.
+func (t *Tree) own(n *Node) *Node {
+	if n.gen == t.gen {
+		return n
+	}
+	c := *n
+	c.gen = t.gen
+	c.rect = n.rect.Clone()
+	// Room for the entry or split sibling an insert appends next.
+	if n.leaf {
+		c.entries = append(make([]Entry, 0, len(n.entries)+1), n.entries...)
+	} else {
+		c.children = append(make([]*Node, 0, len(n.children)+1), n.children...)
+	}
+	return &c
+}
 
 // Height returns the number of levels (0 for an empty tree, 1 for a
 // root-only leaf).
@@ -221,16 +271,17 @@ func (t *Tree) Insert(p vec.Point, id int) {
 	if len(p) != t.cfg.Dim {
 		panic(fmt.Sprintf("xtree: inserting %d-dimensional point into %d-dimensional tree", len(p), t.cfg.Dim))
 	}
+	t.mutable()
 	e := Entry{Point: vec.Clone(p), ID: id}
 	if t.root == nil {
-		t.root = &Node{leaf: true, rect: vec.PointRect(e.Point), entries: []Entry{e}, super: 1, packDirty: true}
+		t.root = &Node{leaf: true, rect: vec.PointRect(e.Point), entries: []Entry{e}, super: 1, packDirty: true, gen: t.gen}
 		t.size = 1
-		t.epoch++
 		if t.cfg.Packed {
 			t.refreshPacked(t.root)
 		}
 		return
 	}
+	t.root = t.own(t.root)
 	if sibling := t.insert(t.root, e); sibling != nil {
 		// Root split: grow the tree by one level.
 		old := t.root
@@ -240,6 +291,7 @@ func (t *Tree) Insert(p vec.Point, id int) {
 			children:  []*Node{old, sibling},
 			super:     1,
 			packDirty: true,
+			gen:       t.gen,
 		}
 	}
 	t.size++
@@ -249,7 +301,7 @@ func (t *Tree) Insert(p vec.Point, id int) {
 }
 
 // insert descends to a leaf, adds the entry, and propagates splits upward.
-// It returns the new sibling if n was split.
+// n is owned (see own); it returns the new sibling if n was split.
 func (t *Tree) insert(n *Node, e Entry) *Node {
 	n.packDirty = true
 	n.rect.Extend(e.Point)
@@ -260,7 +312,9 @@ func (t *Tree) insert(n *Node, e Entry) *Node {
 		}
 		return nil
 	}
-	child := t.chooseSubtree(n, e.Point)
+	i := t.chooseSubtree(n, e.Point)
+	child := t.own(n.children[i])
+	n.children[i] = child
 	if s := t.insert(child, e); s != nil {
 		n.children = append(n.children, s)
 		if len(n.children) > t.dirCap(n) {
@@ -272,21 +326,22 @@ func (t *Tree) insert(n *Node, e Entry) *Node {
 
 // leafCap returns the effective capacity of a leaf node including its
 // supernode multiplier.
-func (t *Tree) leafCap(n *Node) int { return t.cfg.LeafCapacity * n.super }
+func (t *Tree) leafCap(n *Node) int { return t.cfg.LeafCapacity * int(n.super) }
 
 // dirCap returns the effective capacity of a directory node including its
 // supernode multiplier.
-func (t *Tree) dirCap(n *Node) int { return t.cfg.DirCapacity * n.super }
+func (t *Tree) dirCap(n *Node) int { return t.cfg.DirCapacity * int(n.super) }
 
 // chooseSubtree implements the R*-tree descent criterion: among the
 // children of n, pick the one whose MBR needs the least overlap
 // enlargement when the child level is a leaf level, and the least area
-// enlargement otherwise (ties: smaller area).
-func (t *Tree) chooseSubtree(n *Node, p vec.Point) *Node {
+// enlargement otherwise (ties: smaller area). It returns the child's
+// index, so the caller can replace the child with its copy.
+func (t *Tree) chooseSubtree(n *Node, p vec.Point) int {
 	pr := vec.PointRect(p)
 	childrenAreLeaves := n.children[0].leaf
 
-	best := n.children[0]
+	best, bi := n.children[0], 0
 	if childrenAreLeaves {
 		bestOverlapInc := overlapEnlargement(n.children, 0, pr)
 		bestAreaInc := best.rect.Enlargement(pr)
@@ -296,19 +351,19 @@ func (t *Tree) chooseSubtree(n *Node, p vec.Point) *Node {
 			if oi < bestOverlapInc ||
 				(oi == bestOverlapInc && ai < bestAreaInc) ||
 				(oi == bestOverlapInc && ai == bestAreaInc && c.rect.Area() < best.rect.Area()) {
-				best, bestOverlapInc, bestAreaInc = c, oi, ai
+				best, bi, bestOverlapInc, bestAreaInc = c, i+1, oi, ai
 			}
 		}
-		return best
+		return bi
 	}
 	bestAreaInc := best.rect.Enlargement(pr)
-	for _, c := range n.children[1:] {
+	for i, c := range n.children[1:] {
 		ai := c.rect.Enlargement(pr)
 		if ai < bestAreaInc || (ai == bestAreaInc && c.rect.Area() < best.rect.Area()) {
-			best, bestAreaInc = c, ai
+			best, bi, bestAreaInc = c, i+1, ai
 		}
 	}
-	return best
+	return bi
 }
 
 // overlapEnlargement computes how much the overlap of children[i] with its

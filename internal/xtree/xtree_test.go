@@ -608,7 +608,7 @@ func TestSuperFor(t *testing.T) {
 		{0, 6, 1}, {1, 6, 1}, {6, 6, 1}, {7, 6, 2}, {12, 6, 2}, {13, 6, 3},
 	}
 	for _, tt := range tests {
-		if got := superFor(tt.count, tt.cap); got != tt.want {
+		if got := superFor(tt.count, tt.cap); int(got) != tt.want {
 			t.Errorf("superFor(%d, %d) = %d, want %d", tt.count, tt.cap, got, tt.want)
 		}
 	}

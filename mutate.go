@@ -5,12 +5,14 @@ import (
 
 	"parsearch/internal/vec"
 	"parsearch/internal/wal"
+	"parsearch/internal/xtree"
 )
 
 // This file is the point-mutation stage: every Insert, Delete,
 // InsertBatch and AsyncWriter group commit is a batch of mutations run
 // through one step, write — logged (on durable indexes) and applied
-// under the metadata lock while queries keep running.
+// under the metadata lock, then published as one version, while queries
+// keep running on the version before it.
 
 // mutation is one point mutation on its way through write: an insert of
 // point when point is set (write fills in the assigned id), a delete of
@@ -56,8 +58,9 @@ func firstErr(opErr, syncErr error) error {
 
 // write is the one write pipeline. It takes rotMu (durable indexes) and
 // mu in read mode and meta, logs and applies the ops in order — each by
-// its own contract, see insertOne and deleteOne — releases meta, and
-// waits once for the group commit of the batch's last log offset. Every
+// its own contract, see insertOne and deleteOne — publishes the trees
+// the batch left (state.publish), releases meta, and waits once for the
+// group commit of the batch's last log offset. Every
 // op's outcome is left in its err (and, for an insert, its id); applied
 // counts the ops that took effect. The returned error is the sync
 // failure of a batch that was applied.
@@ -107,6 +110,9 @@ func (ix *Index) write(ops []mutation) (applied int, err error) {
 			target = t
 		}
 	}
+	if applied > 0 {
+		st.publish()
+	}
 	ix.meta.Unlock()
 	// The sync wait happens after meta is released, so concurrent
 	// mutations share fsyncs (group commit) instead of serializing
@@ -124,12 +130,17 @@ func (ix *Index) write(ops []mutation) (applied int, err error) {
 
 // insertOne logs and applies one insert of point, which the pipeline
 // owns (the entry point cloned it), and returns its ID and log offset.
+// A point with a NaN or infinite component, as stored, is refused: its
+// distances rank nothing, and its MBRs break the trees' invariants.
 // The caller — write — holds rotMu in read mode (durable indexes), mu in
 // read mode, and meta, has verified the index is open and the dimension
 // matches, and waits for the group commit after releasing meta.
 func (ix *Index) insertOne(st *state, w *wal.Writer, point vec.Point) (id int, target int64, err error) {
 	id = len(ix.points)
 	ix.canonPacked(point)
+	if i := nonFinite(point); i >= 0 {
+		return 0, 0, fmt.Errorf("parsearch: insert component %d is %v, not finite", i, point[i])
+	}
 	// Log before apply: a failed append leaves both the log and the
 	// index untouched, and the apply below cannot fail.
 	if w != nil {
@@ -148,7 +159,7 @@ func (ix *Index) insertOne(st *state, w *wal.Writer, point vec.Point) (id int, t
 	addToCell(st, key, d, point)
 	st.place(d, point, id)
 	if st.baseline != nil {
-		st.insert(st.baseline, point, id)
+		st.baseline.Insert(point, id)
 	}
 	return id, target, nil
 }
@@ -171,7 +182,7 @@ func (ix *Index) deleteOne(st *state, w *wal.Writer, id int) (target int64, err 
 		return 0, err
 	}
 	if st.baseline != nil {
-		st.remove(st.baseline, p, id)
+		st.baseline.Delete(p, id)
 	}
 	if w != nil {
 		target, err = w.AppendAsync(wal.EncodeDelete(uint64(id)))
@@ -180,7 +191,7 @@ func (ix *Index) deleteOne(st *state, w *wal.Writer, id int) (target int64, err 
 			// so memory, the log, and the error agree.
 			st.place(d, p, id)
 			if st.baseline != nil {
-				st.insert(st.baseline, p, id)
+				st.baseline.Insert(p, id)
 			}
 			return 0, fmt.Errorf("parsearch: logging delete: %w", err)
 		}
@@ -194,35 +205,12 @@ func (ix *Index) deleteOne(st *state, w *wal.Writer, id int) (target int64, err 
 	return target, nil
 }
 
-// lockShard takes sh's write lock for a tree mutation. The writer is
-// counted in st.writers while it waits, so a k-NN search holding sh's
-// read lock among others lets go of them between two node pops (see
-// shardSearch.yield) instead of making the writer wait out its search.
-func (st *state) lockShard(sh *shard) {
-	st.writers.Add(1)
-	sh.mu.Lock()
-	st.writers.Add(-1)
-}
-
-// insert and remove put and take one point under the shard's write lock.
-func (st *state) insert(sh *shard, p vec.Point, id int) {
-	st.lockShard(sh)
-	sh.tree.Insert(p, id)
-	sh.mu.Unlock()
-}
-
-func (st *state) remove(sh *shard, p vec.Point, id int) bool {
-	st.lockShard(sh)
-	defer sh.mu.Unlock()
-	return sh.tree.Delete(p, id)
-}
-
-// copies returns the shards that store disk d's points: the primary
+// copies returns the trees that store disk d's points: the primary
 // and, on a replicated index, the chained replica. The baseline tree is
 // disk-agnostic and stays the callers'. A fixed-size array, so the
 // per-mutation path allocates nothing for it.
-func (st *state) copies(d int) ([2]*shard, int) {
-	c := [2]*shard{st.shards[d]}
+func (st *state) copies(d int) ([2]*xtree.Tree, int) {
+	c := [2]*xtree.Tree{st.shards[d]}
 	if st.replicas == nil {
 		return c, 1
 	}
@@ -233,8 +221,8 @@ func (st *state) copies(d int) ([2]*shard, int) {
 // place stores the point in every copy of disk d.
 func (st *state) place(d int, p vec.Point, id int) {
 	c, n := st.copies(d)
-	for _, sh := range c[:n] {
-		st.insert(sh, p, id)
+	for _, t := range c[:n] {
+		t.Insert(p, id)
 	}
 }
 
@@ -243,10 +231,10 @@ func (st *state) place(d int, p vec.Point, id int) {
 // the failed removal leaves no trace.
 func (st *state) take(d int, p vec.Point, id int) error {
 	c, n := st.copies(d)
-	for i, sh := range c[:n] {
-		if !st.remove(sh, p, id) {
+	for i, t := range c[:n] {
+		if !t.Delete(p, id) {
 			for _, undo := range c[:i] {
-				st.insert(undo, p, id)
+				undo.Insert(p, id)
 			}
 			return fmt.Errorf("parsearch: internal inconsistency: id %d not found in copy %d of disk %d", id, i, d)
 		}

@@ -37,6 +37,7 @@ package parsearch
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -447,37 +448,61 @@ type cellInfo struct {
 	count int
 }
 
-// shard is one disk's partition of the index: the disk's X-tree plus the
-// read-write mutex that serializes tree mutation against concurrent
-// query traversals. A k-NN search read-locks every shard it routes to;
-// a writer locks one shard at a time (see state.lockShard).
-type shard struct {
-	mu   sync.RWMutex
-	tree *xtree.Tree
-}
-
 // state is the derived index structure — everything Build computes from
 // the stored vectors: the bucketing, the declustering assignment, the
-// per-disk shards, the optional sequential baseline, and the storage-cell
+// per-disk trees, the optional sequential baseline, and the storage-cell
 // accounting. Build and Reorganize construct a replacement state off the
 // lock and cut it in under the index write lock, so queries never observe
 // a half-built index. bucketer and assigner are immutable within a state;
 // cells/cellIndex are mutated by Insert/Delete under Index.meta.
+//
+// The trees are the writers': only a mutation under Index.meta touches
+// them. Queries read the version the state last published (see publish).
 type state struct {
 	bucketer core.Bucketer
 	assigner core.Assigner
-	shards   []*shard
+	shards   []*xtree.Tree
 	// replicas are the replica trees, indexed by the disk *hosting*
 	// them: replicas[r] holds a copy of the data whose primary disk is
 	// r-1 mod n (chained declustering). nil unless Options.Replication.
-	replicas  []*shard
-	baseline  *shard // nil unless Options.Baseline
+	replicas  []*xtree.Tree
+	baseline  *xtree.Tree // nil unless Options.Baseline
 	cells     []cellInfo
 	cellIndex map[string]int
-	// writers counts the tree mutations blocked on, or about to block
-	// on, a shard's write lock (see lockShard). A k-NN search holding
-	// every routed shard's read lock polls it and steps aside.
-	writers atomic.Int32
+	// pub is the published version: what every query reads.
+	pub atomic.Pointer[version]
+}
+
+// version is what a query reads: a frozen version (xtree.Tree.Freeze) of
+// every tree of a state — shards, replicas and baseline — as one whole
+// write batch, reorganize step or build left them. Nothing writes a
+// version, so a query reads it without a lock and answers exactly over
+// it.
+type version struct {
+	shards, replicas []*xtree.Tree
+	baseline         *xtree.Tree
+}
+
+// publish freezes the state's trees into a new version and makes it the
+// one queries load. Writers call it under meta (or before the state is
+// shared) once their trees hold a whole batch.
+func (st *state) publish() {
+	v := &version{shards: freeze(st.shards), replicas: freeze(st.replicas)}
+	if st.baseline != nil {
+		v.baseline = st.baseline.Freeze()
+	}
+	st.pub.Store(v)
+}
+
+func freeze(trees []*xtree.Tree) []*xtree.Tree {
+	if trees == nil {
+		return nil
+	}
+	out := make([]*xtree.Tree, len(trees))
+	for i, t := range trees {
+		out[i] = t.Freeze()
+	}
+	return out
 }
 
 // Index is a parallel similarity-search index, safe for concurrent use
@@ -488,10 +513,14 @@ type state struct {
 //	ckptMu (serializes Checkpoint / durable Build / Close)
 //	→ rotMu (R by durable mutations, W by durable Build and Close)
 //	→ mu (R by queries and point mutations, W by Build/Reorganize cutover)
-//	→ meta (point table, live count, cell loads, quantile estimators)
-//	→ shard.mu per disk (R by tree traversals, W by tree mutation; a
-//	  k-NN search read-locks its routed shards in disk order, a writer
-//	  holds one at a time)
+//	→ meta (point table, live count, cell loads, quantile estimators,
+//	  and the trees, which only writers touch)
+//
+// The trees take no lock of their own. A query loads the state's
+// published version once (see state.publish) and is answered exactly
+// over it: the state after some whole write batch. A write batch
+// publishes before it returns, so an Insert that returned is visible
+// to the next query.
 type Index struct {
 	opts   Options
 	params disk.Params
@@ -637,19 +666,20 @@ func (ix *Index) emptyState() (*state, error) {
 	}
 	st.assigner = assigner
 	cfg := ix.treeConfig()
-	st.shards = make([]*shard, ix.opts.Disks)
+	st.shards = make([]*xtree.Tree, ix.opts.Disks)
 	for i := range st.shards {
-		st.shards[i] = &shard{tree: xtree.New(cfg)}
+		st.shards[i] = xtree.New(cfg)
 	}
 	if ix.opts.Replication > 0 {
-		st.replicas = make([]*shard, ix.opts.Disks)
+		st.replicas = make([]*xtree.Tree, ix.opts.Disks)
 		for i := range st.replicas {
-			st.replicas[i] = &shard{tree: xtree.New(cfg)}
+			st.replicas[i] = xtree.New(cfg)
 		}
 	}
 	if ix.opts.Baseline {
-		st.baseline = &shard{tree: xtree.New(cfg)}
+		st.baseline = xtree.New(cfg)
 	}
+	st.publish()
 	return st, nil
 }
 
@@ -710,11 +740,10 @@ func (ix *Index) DiskFailed(d int) bool {
 func (ix *Index) DiskLoads() []int {
 	ix.mu.RLock()
 	defer ix.mu.RUnlock()
-	loads := make([]int, len(ix.st.shards))
-	for i, sh := range ix.st.shards {
-		sh.mu.RLock()
-		loads[i] = sh.tree.Len()
-		sh.mu.RUnlock()
+	v := ix.st.pub.Load()
+	loads := make([]int, len(v.shards))
+	for i, t := range v.shards {
+		loads[i] = t.Len()
 	}
 	return loads
 }
@@ -744,7 +773,9 @@ func (ix *Index) CellLoads() []int {
 //   - the tree sizes sum to the live count,
 //   - with Options.Replication, every replica tree passes the same
 //     invariant check and holds exactly its primary disk's vectors,
-//   - the baseline tree (if any) holds exactly the live points.
+//   - the baseline tree (if any) holds exactly the live points,
+//   - the published version of every tree holds exactly the tree's
+//     entries.
 //
 // It takes the same locks as a writer, so the check is atomic with
 // respect to concurrent mutations.
@@ -771,14 +802,12 @@ func (ix *Index) CheckIntegrity() error {
 		}
 		cellLoads[c.disk] += c.count
 	}
+	v := st.pub.Load()
 	total := 0
 	treeLens := make([]int, len(st.shards))
-	for d, sh := range st.shards {
-		sh.mu.RLock()
-		n := sh.tree.Len()
-		err := sh.tree.CheckInvariants()
-		sh.mu.RUnlock()
-		if err != nil {
+	for d, t := range st.shards {
+		n := t.Len()
+		if err := checkTree(t, v.shards[d]); err != nil {
 			return fmt.Errorf("parsearch: disk %d: %w", d, err)
 		}
 		if cellLoads[d] != n {
@@ -796,34 +825,50 @@ func (ix *Index) CheckIntegrity() error {
 	}
 	if st.replicas != nil {
 		n := len(st.shards)
-		for h, rsh := range st.replicas {
+		for h, rt := range st.replicas {
 			src := (h - 1 + n) % n
-			rsh.mu.RLock()
-			rn := rsh.tree.Len()
-			err := rsh.tree.CheckInvariants()
-			rsh.mu.RUnlock()
-			if err != nil {
+			if err := checkTree(rt, v.replicas[h]); err != nil {
 				return fmt.Errorf("parsearch: replica of disk %d on disk %d: %w", src, h, err)
 			}
-			if rn != treeLens[src] {
+			if rn := rt.Len(); rn != treeLens[src] {
 				return fmt.Errorf("parsearch: replica of disk %d on disk %d holds %d vectors, primary holds %d",
 					src, h, rn, treeLens[src])
 			}
 		}
 	}
 	if st.baseline != nil {
-		st.baseline.mu.RLock()
-		n := st.baseline.tree.Len()
-		err := st.baseline.tree.CheckInvariants()
-		st.baseline.mu.RUnlock()
-		if err != nil {
+		if err := checkTree(st.baseline, v.baseline); err != nil {
 			return fmt.Errorf("parsearch: baseline: %w", err)
 		}
-		if n != ix.live {
+		if n := st.baseline.Len(); n != ix.live {
 			return fmt.Errorf("parsearch: baseline holds %d vectors, live count %d", n, ix.live)
 		}
 	}
 	return nil
+}
+
+// checkTree checks a writer's tree against its invariants, and the
+// published version of it against the tree: the version must hold
+// exactly the tree's entries.
+func checkTree(t, pub *xtree.Tree) error {
+	if err := t.CheckInvariants(); err != nil {
+		return err
+	}
+	have, want := entriesByID(pub), entriesByID(t)
+	if !slices.EqualFunc(have, want, func(a, b xtree.Entry) bool { return a.ID == b.ID && vec.Equal(a.Point, b.Point) }) {
+		return fmt.Errorf("published version holds %d entries that differ from the tree's %d", len(have), len(want))
+	}
+	return nil
+}
+
+// entriesByID returns every entry of t, sorted by ID.
+func entriesByID(t *xtree.Tree) []xtree.Entry {
+	var out []xtree.Entry
+	for _, leaf := range t.Leaves() {
+		out = append(out, leaf.Entries()...)
+	}
+	slices.SortFunc(out, func(a, b xtree.Entry) int { return a.ID - b.ID })
+	return out
 }
 
 // VerifyDeclustering checks the active bucket-based strategy against the

@@ -149,7 +149,9 @@ type run struct {
 	sp    span
 	start time.Time
 	st    *state
-	m     vec.Metric
+	// v is the version of st's trees the query reads, loaded once.
+	v *version
+	m vec.Metric
 	// routes and degraded are the plan stage's output: the failure
 	// routing of every disk, and whether a non-empty shard has no live
 	// copy.
@@ -174,9 +176,10 @@ func (ix *Index) admit(qr *query) error {
 }
 
 // begin opens a query: it starts the trace span, takes the index read
-// lock, pins the state, and admits the query. The lock is held on every
-// return, error or not, so the caller always defers end — which is also
-// what counts and traces the rejection: no query fails outside a span.
+// lock, pins the state, loads its published version, and admits the
+// query. The lock is held on every return, error or not, so the caller
+// always defers end — which is also what counts and traces the
+// rejection: no query fails outside a span.
 func (ix *Index) begin(ctx context.Context, qr *query) (*run, error) {
 	r := &run{ix: ix, ctx: ctx, start: time.Now(), m: ix.metric()}
 	// The span starts before the lock, so a wait behind Reorganize's
@@ -184,6 +187,7 @@ func (ix *Index) begin(ctx context.Context, qr *query) (*run, error) {
 	r.sp = ix.newSpan(ctx, spanOps[qr.op])
 	ix.mu.RLock()
 	r.st = ix.st
+	r.v = r.st.pub.Load()
 	if err := ix.admit(qr); err != nil {
 		return r, err
 	}
@@ -207,18 +211,15 @@ func (r *run) end(err *error) {
 // search and the I/O accounting and the query sees one consistent
 // failure state. A batch plans once for all its items.
 func (r *run) plan(shards ShardSpec) {
-	r.routes, r.degraded = r.ix.plan(r.st, shards.mask(r.ix.opts.Disks))
+	r.routes, r.degraded = r.ix.plan(r.v, shards.mask(r.ix.opts.Disks))
 	r.sp.planEvents(r.routes, r.degraded)
 }
 
-// descendLeaves counts the leaf pages of the shard's tree that g hits,
-// under the shard's read lock. The tree prunes the walk to the hit pages
-// (xtree.Tree.HitLeaves), so it costs what the query reads, not what the
-// disk holds.
-func descendLeaves(sh *shard, g *xtree.Region) (leaves int) {
-	sh.mu.RLock()
-	sh.tree.HitLeaves(g, func(*xtree.Node) { leaves++ })
-	sh.mu.RUnlock()
+// descendLeaves counts the leaf pages of the tree that g hits. The tree
+// prunes the walk to the hit pages (xtree.Tree.HitLeaves), so it costs
+// what the query reads, not what the disk holds.
+func descendLeaves(t *xtree.Tree, g *xtree.Region) (leaves int) {
+	t.HitLeaves(g, func(*xtree.Node) { leaves++ })
 	return leaves
 }
 
@@ -253,8 +254,7 @@ var logSeam func(r *run, g *xtree.Region, logged []int)
 // refs the descent's leaf-by-leaf enumeration yields, value for value.
 // The cell scan of the bucket model runs under meta.
 func (r *run) pageRefs(g *xtree.Region, logged []int, qs *QueryStats) []disk.PageRef {
-	st := r.st
-	qs.PagesPerDisk = make([]int, len(st.shards))
+	qs.PagesPerDisk = make([]int, len(r.v.shards))
 	if r.ix.opts.CostModel == BucketPages {
 		return r.bucketRefs(g, qs)
 	}
@@ -272,11 +272,11 @@ func (r *run) pageRefs(g *xtree.Region, logged []int, qs *QueryStats) []disk.Pag
 			continue
 		}
 		if logged[d] < 0 {
-			sh := rt.sh
-			if sh == nil {
-				sh = st.shards[d]
+			t := rt.tree
+			if t == nil {
+				t = r.v.shards[d]
 			}
-			logged[d] = descendLeaves(sh, g)
+			logged[d] = descendLeaves(t, g)
 		}
 		qs.Cells += logged[d]
 		if charge(qs, rt, logged[d]) {
@@ -285,7 +285,7 @@ func (r *run) pageRefs(g *xtree.Region, logged []int, qs *QueryStats) []disk.Pag
 	}
 	refs := make([]disk.PageRef, 0, total)
 	for d, rt := range r.routes {
-		if rt.masked || rt.sh == nil {
+		if rt.masked || rt.tree == nil {
 			continue
 		}
 		for range logged[d] {
@@ -321,7 +321,7 @@ func (r *run) bucketRefs(g *xtree.Region, qs *QueryStats) (refs []disk.PageRef) 
 // disk the routing selected (it reports true), or counted as
 // Unreachable when no live copy holds them.
 func charge(qs *QueryStats, rt route, pages int) (read bool) {
-	if rt.sh == nil {
+	if rt.tree == nil {
 		qs.Unreachable += pages
 		return false
 	}
@@ -361,10 +361,10 @@ func (r *run) finishIO(kind *metrics.Counter, refs []disk.PageRef, qs *QueryStat
 // intersects, and the speed-up of the parallel search — already costed
 // in qs — over reading them from a single disk.
 func (r *run) baselineCost(g *xtree.Region, qs *QueryStats) {
-	if r.st.baseline == nil {
+	if r.v.baseline == nil {
 		return
 	}
-	leaves := descendLeaves(r.st.baseline, g)
+	leaves := descendLeaves(r.v.baseline, g)
 	qs.SeqPages += leaves
 	qs.BaselineTime = r.ix.params.SimulateCost(leaves, qs.SeqPages).Seconds()
 	if qs.ParallelTime > 0 {

@@ -104,8 +104,8 @@ func (ix *Index) runKNN(ctx context.Context, qr query) (_ []Neighbor, stats Quer
 // so every disk stops at the global k-th distance and reads only the
 // pages intersecting the global NN-sphere (see DESIGN.md "One queue"). A
 // failed disk is searched through its chained replica; a shard with no
-// live copy is skipped. The search holds the read lock of every routed
-// shard and steps aside for a waiting writer (see shardSearch.yield).
+// live copy is skipped. The trees are the query's version, which no
+// writer touches, so the search takes no lock.
 //
 // Under Approx.Bound the item is a k-NN within that distance: the answer
 // keeps only results inside the bound and may come up short of k, or
@@ -215,23 +215,21 @@ type shardSearch struct {
 	s knn.Search
 	// logged is the accounting's per-route leaf count (see run.pageRefs).
 	logged []int
-	// pops counts the search's pops, asides its step-asides (see yield).
-	pops, asides int
 }
 
 // shardSearchPool holds released shardSearches. What stays reachable
 // from a pooled one is numbers only — the logs' rank slices and the
-// logged counts — and the yield hook bound to itself, so the pool never
-// keeps a tree, a result or a query alive (see release).
+// logged counts — and the cancellation check bound to itself, so the
+// pool never keeps a tree, a result or a query alive (see release).
 var shardSearchPool = sync.Pool{New: func() any {
 	sr := new(shardSearch)
-	sr.s.Yield = sr.yield
+	sr.s.Done = func() bool { return sr.r.ctx.Err() != nil }
 	return sr
 }}
 
 func newShardSearch(r *run, q vec.Point, k int, a Approx) *shardSearch {
 	sr := shardSearchPool.Get().(*shardSearch)
-	sr.r, sr.pops, sr.asides = r, 0, 0
+	sr.r = r
 	s := &sr.s
 	s.Q, s.K, s.M = q, k, r.m
 	s.Shrink = knn.ShrinkFor(a.Epsilon, r.m)
@@ -245,9 +243,7 @@ func newShardSearch(r *run, q vec.Point, k int, a Approx) *shardSearch {
 	}
 	trees := s.Slots(len(r.routes))
 	for d, rt := range r.routes {
-		if rt.sh != nil {
-			trees[d].Tree = rt.sh.tree
-		}
+		trees[d].Tree = rt.tree
 	}
 	if cap(sr.logged) < len(r.routes) {
 		sr.logged = make([]int, len(r.routes))
@@ -256,65 +252,13 @@ func newShardSearch(r *run, q vec.Point, k int, a Approx) *shardSearch {
 	return sr
 }
 
-// maxAsides bounds the step-asides of one search, and with them its
-// restarts: past it a search holds its locks to the end, and writers
-// wait for it as they wait for a range query.
-const maxAsides = 8
-
-// searchSeam, when set, is handed every finished k-NN search's restarts
-// and step-asides. Only tests set it (TestOneQueueRestartsUnderSplits).
-var searchSeam func(restarts, asides int)
-
-// run searches the routed trees under their shards' read locks, taken in
-// route order. Writers hold one shard lock at a time, so the order cannot
-// deadlock. A query whose context is already done searches nothing.
+// run searches the routed trees. A query whose context is already done
+// searches nothing.
 func (sr *shardSearch) run() []knn.Result {
 	if sr.r.ctx.Err() != nil {
 		return nil
 	}
-	sr.lock()
-	res := sr.s.Run()
-	sr.unlock()
-	if searchSeam != nil {
-		searchSeam(sr.s.Restarts, sr.asides)
-	}
-	return res
-}
-
-func (sr *shardSearch) lock() {
-	for _, rt := range sr.r.routes {
-		if rt.sh != nil {
-			rt.sh.mu.RLock()
-		}
-	}
-}
-
-func (sr *shardSearch) unlock() {
-	for _, rt := range sr.r.routes {
-		if rt.sh != nil {
-			rt.sh.mu.RUnlock()
-		}
-	}
-}
-
-// yield is the search's hook between pops. Every 32 pops it checks the
-// query's context. When a writer waits for a shard lock (state.lockShard
-// counts it) it lets go of every routed shard and takes them back, which
-// lets the writer in first: a waiting writer blocks new read locks. The
-// search then resumes, or restarts if a tree's structure moved (see
-// knn.Search.Run).
-func (sr *shardSearch) yield() knn.Step {
-	sr.pops++
-	if sr.pops%32 == 0 && sr.r.ctx.Err() != nil {
-		return knn.Stop
-	}
-	if sr.asides < maxAsides && sr.r.st.writers.Load() > 0 {
-		sr.asides++
-		sr.unlock()
-		sr.lock()
-		return knn.Resumed
-	}
-	return knn.Continue
+	return sr.s.Run()
 }
 
 // release returns sr to the pool with every slot reset to the zero log,

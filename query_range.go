@@ -54,30 +54,28 @@ func (ix *Index) runRange(ctx context.Context, qr query) (_ []Neighbor, stats Qu
 	center := rect.Center()
 	r.plan(qr.shards)
 
-	// Search: all live shards search in parallel, each under its own
-	// tree's read lock. A failed disk's search runs against the chained
-	// replica instead; shards with no live copy are skipped, making the
-	// results best-effort (flagged Degraded). Each search also counts
-	// the leaves it scanned: exactly the leaves the box hits (see
+	// Search: all live shards search the query's version in parallel. A
+	// failed disk's search runs against the chained replica instead;
+	// shards with no live copy are skipped, making the results
+	// best-effort (flagged Degraded). Each search also counts the leaves
+	// it scanned: exactly the leaves the box hits (see
 	// xtree.Tree.RangeSearch), which the accounting charges as they are.
 	n := len(r.routes)
 	found := make([][]xtree.Entry, n)
 	visits := make([]xtree.Visited, n)
 	var wg sync.WaitGroup
 	for d := range r.routes {
-		sh := r.routes[d].sh
-		if sh == nil {
+		t := r.routes[d].tree
+		if t == nil {
 			continue
 		}
 		wg.Add(1)
-		go func(d int, sh *shard) {
+		go func(d int, t *xtree.Tree) {
 			defer wg.Done()
-			sh.mu.RLock()
-			found[d], visits[d] = sh.tree.RangeSearch(rect)
-			sh.mu.RUnlock()
+			found[d], visits[d] = t.RangeSearch(rect)
 			r.sp.emit(TraceEvent{Stage: StageSearch, Disk: d, Item: -1,
 				Results: len(found[d]), Pages: visits[d].Nodes})
-		}(d, sh)
+		}(d, t)
 	}
 	wg.Wait()
 	// A box query has no distance bound to share across disks, so the
@@ -88,7 +86,7 @@ func (ix *Index) runRange(ctx context.Context, qr query) (_ []Neighbor, stats Qu
 	for d, v := range visits {
 		stats.SearchPages += v.Nodes
 		leaves[d] = v.Leaves
-		if r.routes[d].sh == nil {
+		if r.routes[d].tree == nil {
 			leaves[d] = -1
 		}
 	}

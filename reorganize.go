@@ -382,8 +382,9 @@ func (ix *Index) reorgPlanFor(st *state, points []vec.Point) *reorgPlan {
 	return plan
 }
 
-// reorgApply cuts one plan in. Caller holds mu (write) and meta, and has
-// verified the plan was computed against the current state and version.
+// reorgApply cuts one plan in and publishes the trees it left (see
+// state.publish). Caller holds mu (write) and meta, and has verified the
+// plan was computed against the current state and version.
 func (ix *Index) reorgApply(st *state, plan *reorgPlan) error {
 	if plan.wrap != nil {
 		// Wrapping changes no disk assignment (level 0 is colored by the
@@ -406,6 +407,7 @@ func (ix *Index) reorgApply(st *state, plan *reorgPlan) error {
 	// Swap the assigner first so assignCell (and any error path below)
 	// agrees with the new cell table; queries are excluded by mu.
 	st.assigner = plan.next
+	defer st.publish()
 	for _, key := range plan.oldKeys {
 		if idx, ok := st.cellIndex[key]; ok {
 			st.cells[idx].count = 0

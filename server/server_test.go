@@ -3,9 +3,11 @@ package server
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"io"
 	"math"
 	"math/rand"
@@ -647,7 +649,21 @@ func TestUnencodableAnswerIs500(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := ix.Build([][]float64{{0.1, 0.1}, {0.2, math.Inf(1)}, {0.3, 0.3}}); err != nil {
+	if err := ix.Build([][]float64{{0.1, 0.1}, {0.2, 0.25}, {0.3, 0.3}}); err != nil {
+		t.Fatal(err)
+	}
+	// Build and Insert refuse a non-finite coordinate, but a snapshot
+	// saved before they did still loads one: forge it, fixing the CRC-32
+	// footer.
+	var snap bytes.Buffer
+	if err := ix.Save(&snap); err != nil {
+		t.Fatal(err)
+	}
+	raw := snap.Bytes()
+	at := bytes.Index(raw, binary.LittleEndian.AppendUint64(nil, math.Float64bits(0.25)))
+	binary.LittleEndian.PutUint64(raw[at:], math.Float64bits(math.Inf(1)))
+	binary.LittleEndian.PutUint32(raw[len(raw)-4:], crc32.ChecksumIEEE(raw[:len(raw)-4]))
+	if ix, err = parsearch.Load(bytes.NewReader(raw)); err != nil {
 		t.Fatal(err)
 	}
 	srv, err := New(ix, Config{})

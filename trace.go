@@ -198,7 +198,7 @@ func (s *span) planEvents(routes []route, degraded bool) {
 	}
 	for d := range routes {
 		switch {
-		case routes[d].sh == nil:
+		case routes[d].tree == nil:
 			s.emit(TraceEvent{Stage: StageUnreachable, Disk: d, Item: -1})
 		case routes[d].rerouted:
 			s.emit(TraceEvent{Stage: StageReroute, Disk: d, Item: -1, Rerouted: true})
