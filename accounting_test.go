@@ -59,11 +59,11 @@ func leafScanRefs(v *version, routes []route, g *xtree.Region, qs *QueryStats) (
 // their order shows only in internal/xtree's own property test.)
 func leafScanItem(t *testing.T, ix *Index, g *xtree.Region, shards ShardSpec) (QueryStats, []disk.PageRef) {
 	t.Helper()
-	v := ix.st.pub.Load()
+	v := ix.pub.Load()
 	routes, _ := ix.plan(v, shards.mask(ix.opts.Disks))
 	var qs, engine QueryStats
 	refs := leafScanRefs(v, routes, g, &qs)
-	r := &run{ix: ix, ctx: context.Background(), st: ix.st, v: v, m: ix.metric(), routes: routes}
+	r := &run{ix: ix, ctx: context.Background(), v: v, m: ix.metric(), routes: routes}
 	if got := r.pageRefs(g, nil, &engine); !reflect.DeepEqual(got, refs) {
 		t.Errorf("pageRefs yields %d reads, the leaf scan %d, or they differ", len(got), len(refs))
 	}
@@ -83,7 +83,7 @@ func leafScanQuery(t *testing.T, ix *Index, g *xtree.Region, shards ShardSpec) Q
 	}
 	qs.MaxPages, qs.TotalPages, qs.Retries = batch.MaxPerDisk, batch.Total, batch.Retries
 	qs.Speedup = batch.Speedup()
-	if base := ix.st.pub.Load().baseline; base != nil {
+	if base := ix.pub.Load().baseline; base != nil {
 		leaves := 0
 		for _, leaf := range base.Leaves() {
 			if g.Hits(leaf.Rect()) {
@@ -484,7 +484,7 @@ func TestBaselineChargesAccountedBall(t *testing.T) {
 		t.Fatal(err)
 	}
 	m := ix.metric()
-	base := ix.st.pub.Load().baseline
+	base := ix.pub.Load().baseline
 	scan := func(g *xtree.Region) (leaves int) {
 		for _, leaf := range base.Leaves() {
 			if g.Hits(leaf.Rect()) {
@@ -609,8 +609,8 @@ func BenchmarkKNNAccounting(b *testing.B) {
 	}
 	queries := uniformPoints(64, dim, 62)
 	regions := make([]*xtree.Region, len(queries))
-	v := ix.st.pub.Load()
-	r := &run{ix: ix, ctx: context.Background(), st: ix.st, v: v, m: ix.metric(), routes: healthyPlan(v)}
+	v := ix.pub.Load()
+	r := &run{ix: ix, ctx: context.Background(), v: v, m: ix.metric(), routes: healthyPlan(v)}
 	for i, q := range queries {
 		res, _, err := ix.KNN(q, k)
 		if err != nil {

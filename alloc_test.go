@@ -100,11 +100,9 @@ func TestPooledSearchKeepsNoTree(t *testing.T) {
 			walk(c)
 		}
 	}
-	ix.mu.RLock()
-	for _, tree := range ix.st.shards {
+	for _, tree := range ix.pub.Load().shards {
 		walk(tree.Root())
 	}
-	ix.mu.RUnlock()
 	if err := ix.Build(rawPoints(3000, dim, 95)); err != nil {
 		t.Fatal(err)
 	}

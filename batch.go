@@ -126,13 +126,11 @@ func fillQueryCost(qs *QueryStats, refs []disk.PageRef, params disk.Params) {
 // disks, the registry or a tracer.
 func (ix *Index) ServiceDemands(queries [][]float64, k int) ([][]float64, error) {
 	qr := query{op: opBatch, batch: queries, k: k, approx: ix.ApproxDefaults()}
-	ix.mu.RLock()
-	defer ix.mu.RUnlock()
-	if err := ix.admit(&qr); err != nil {
+	v := ix.pub.Load()
+	if err := ix.admit(v, &qr); err != nil {
 		return nil, err
 	}
-	v := ix.st.pub.Load()
-	r := &run{ix: ix, ctx: context.Background(), st: ix.st, v: v, m: ix.metric(), routes: healthyPlan(v)}
+	r := &run{ix: ix, ctx: context.Background(), v: v, m: ix.metric(), routes: healthyPlan(v)}
 	demands := make([][]float64, len(queries))
 	for i, q := range queries {
 		var qs QueryStats

@@ -109,11 +109,11 @@ func (ix *Index) makeAssigner(b core.Bucketer) (core.Assigner, error) {
 
 // buildState constructs a fresh derived state (and the cloned point
 // table) from the given vectors. It reads only immutable index fields, so
-// it runs without any lock — Build and Reorganize call it off the lock
-// and cut the result in atomically. With finite set, a vector with a NaN
-// or infinite component as stored is refused, as by Insert; recovery and
-// Load rebuild whatever was stored.
-func (ix *Index) buildState(points [][]float64, finite bool) (st *state, pts []vec.Point, live int, err error) {
+// it runs without any lock — Build and recovery call it off the lock
+// and publish the result. A vector with a NaN or infinite component as
+// stored is refused, as by Insert, whether a caller, a snapshot or a
+// log supplied it.
+func (ix *Index) buildState(points [][]float64) (st *state, pts []vec.Point, live int, err error) {
 	for i, p := range points {
 		if p == nil {
 			continue
@@ -131,10 +131,8 @@ func (ix *Index) buildState(points [][]float64, finite bool) (st *state, pts []v
 		}
 		pts[i] = vec.Clone(p)
 		ix.canonPacked(pts[i])
-		if finite {
-			if j := nonFinite(pts[i]); j >= 0 {
-				return nil, nil, 0, fmt.Errorf("parsearch: point %d component %d is %v, not finite", i, j, pts[i][j])
-			}
+		if j := nonFinite(pts[i]); j >= 0 {
+			return nil, nil, 0, fmt.Errorf("parsearch: point %d component %d is %v, not finite", i, j, pts[i][j])
 		}
 		livePoints = append(livePoints, pts[i])
 	}
@@ -254,7 +252,6 @@ func (ix *Index) buildState(points [][]float64, finite bool) (st *state, pts []v
 		})
 	}
 	runJobs(jobs)
-	st.publish()
 	return st, pts, live, nil
 }
 
@@ -312,18 +309,12 @@ func runJobs(jobs []func()) {
 // disks are recursively declustered (both extensions of §4.3).
 //
 // The new structure is computed off the lock — queries keep running
-// against the old contents meanwhile — and swapped in as an atomic
+// against the old contents meanwhile — and published as an atomic
 // cutover. A concurrent Insert or Delete serializes either before the
 // cutover (its effect is replaced, as if it preceded Build) or after it.
 // A vector with a NaN or infinite component is refused, as by Insert.
 func (ix *Index) Build(points [][]float64) error {
-	return ix.build(points, true)
-}
-
-// build is Build; without finite it takes non-finite coordinates, which
-// Load rebuilds from a snapshot as they were saved.
-func (ix *Index) build(points [][]float64, finite bool) error {
-	st, pts, live, err := ix.buildState(points, finite)
+	st, pts, live, err := ix.buildState(points)
 	if err != nil {
 		return err
 	}
@@ -332,16 +323,13 @@ func (ix *Index) build(points [][]float64, finite bool) error {
 		// committed as a snapshot before the cutover (see durable.go).
 		return ix.rebaseDurable(st, pts, live)
 	}
-	ix.mu.Lock()
-	defer ix.mu.Unlock()
 	ix.meta.Lock()
 	defer ix.meta.Unlock()
 	if ix.closed {
 		return ErrClosed
 	}
-	ix.st = st
 	ix.points = pts
 	ix.live = live
-	ix.version++
+	ix.publish(st)
 	return nil
 }

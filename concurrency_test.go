@@ -19,6 +19,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"parsearch/internal/data"
 	"parsearch/internal/disk"
@@ -1173,6 +1174,73 @@ verify:
 		if n := loaded.Len(); n < len(pts) || n > len(pts)+inserts {
 			t.Fatalf("snapshot %d holds %d vectors, expected within [%d, %d]",
 				i, n, len(pts), len(pts)+inserts)
+		}
+	}
+}
+
+// TestQueriesTakeNoLock: no query waits for a writer. With meta held, as
+// a write batch's apply or Reorganize's re-plan holds it, every query
+// method and every accessor a query serves still returns, at once, over
+// the published version.
+func TestQueriesTakeNoLock(t *testing.T) {
+	const d, n = 4, 1000
+	ix := buildTestIndex(t, Options{Dim: d, Disks: 4}, n)
+	q, hi := make([]float64, d), []float64{1, 1, 1, 1}
+	ops := map[string]func() error{
+		"KNN":        func() error { _, _, err := ix.KNN(q, 5); return err },
+		"KNNApprox":  func() error { _, _, err := ix.KNNApprox(q, 5, Approx{Epsilon: 0.5}); return err },
+		"NN":         func() error { _, _, err := ix.NN(q); return err },
+		"RangeQuery": func() error { _, _, err := ix.RangeQuery(q, hi); return err },
+		"PartialMatch": func() error {
+			_, _, err := ix.PartialMatch([]float64{0.5, Wildcard, Wildcard, Wildcard}, 0.1)
+			return err
+		},
+		"BatchKNN":       func() error { _, _, err := ix.BatchKNN([][]float64{q, hi}, 5); return err },
+		"ServiceDemands": func() error { _, err := ix.ServiceDemands([][]float64{q, hi}, 5); return err },
+		"Browse": func() error {
+			b, err := ix.Browse(q)
+			if err != nil {
+				return err
+			}
+			if _, ok := b.Next(); !ok {
+				return fmt.Errorf("no first result: %v", b.Err())
+			}
+			return nil
+		},
+		"Len": func() error {
+			if got := ix.Len(); got != n {
+				return fmt.Errorf("%d points, want %d", got, n)
+			}
+			return nil
+		},
+		"DiskLoads": func() error { ix.DiskLoads(); return nil },
+		"Strategy":  func() error { ix.Strategy(); return nil },
+		"HomeDisk":  func() error { _, err := ix.HomeDisk(q); return err },
+	}
+
+	ix.meta.Lock()
+	defer ix.meta.Unlock()
+	type result struct {
+		op  string
+		err error
+	}
+	done := make(chan result, len(ops))
+	for op, run := range ops {
+		go func() { done <- result{op, run()} }()
+	}
+	deadline := time.After(5 * time.Second)
+	for range len(ops) {
+		select {
+		case res := <-done:
+			if res.err != nil {
+				t.Errorf("%s: %v", res.op, res.err)
+			}
+			delete(ops, res.op)
+		case <-deadline:
+			for op := range ops {
+				t.Errorf("%s waits for meta", op)
+			}
+			return
 		}
 	}
 }

@@ -13,8 +13,8 @@ import (
 )
 
 // repoDecls maps every non-main package of the repository, by name, to
-// the names it declares: its top-level identifiers, and Type.Member for
-// each method, struct field and interface method.
+// the names it declares: its top-level identifiers, Type.Member for each
+// method, struct field and interface method, and "Type." for each type.
 func repoDecls(t *testing.T) map[string]map[string]bool {
 	t.Helper()
 	decls := map[string]map[string]bool{}
@@ -67,6 +67,7 @@ func repoDecls(t *testing.T) map[string]map[string]bool {
 						}
 					case *ast.TypeSpec:
 						names[spec.Name.Name] = true
+						names[spec.Name.Name+"."] = true
 						addMembers(names, spec.Name.Name, spec.Type)
 					}
 				}
@@ -114,19 +115,26 @@ var (
 	// fence is a fenced code block; only inline code spans are checked.
 	fence    = regexp.MustCompile("(?s)```.*?```")
 	codeSpan = regexp.MustCompile("`[^`\n]+`")
-	// qualified is pkg.Name or pkg.Name.Member, not part of a path or a
-	// longer selector.
-	qualified = regexp.MustCompile(`(^|[^\w./-])([a-z]\w*)\.(\w+)(\.\w+)?`)
+	// qualified is pkg.Name, pkg.Name.Member or Type.Member, not part of
+	// a path or a longer selector.
+	qualified = regexp.MustCompile(`(^|[^\w./-])([A-Za-z]\w*)\.(\w+)(\.\w+)?`)
 )
 
+// root is the package of the repository's root directory, whose types
+// the docs name unqualified.
+const root = "parsearch"
+
 // docRefs returns every pkg.Name or pkg.Name.Member inside an inline
-// code span of doc, where pkg is one of the packages in decls. A name
-// with an underscore is a metric name and pkg.go a file, not Go
-// identifiers.
+// code span of doc, where pkg is one of the packages in decls, and every
+// Type.Member where Type is a type of the root package. A name with an
+// underscore is a metric name and pkg.go a file, not Go identifiers.
 func docRefs(doc string, decls map[string]map[string]bool) (pkgs, names []string) {
 	for _, span := range codeSpan.FindAllString(fence.ReplaceAllString(doc, ""), -1) {
 		for _, m := range qualified.FindAllStringSubmatch(span, -1) {
 			pkg, name, member := m[2], m[3], strings.TrimPrefix(m[4], ".")
+			if decls[pkg] == nil && name != "go" && decls[root][pkg+"."] {
+				pkg, name, member = root, pkg, name
+			}
 			if decls[pkg] == nil || name == "go" || strings.Contains(name+member, "_") {
 				continue
 			}
@@ -141,8 +149,9 @@ func docRefs(doc string, decls map[string]map[string]bool) (pkgs, names []string
 
 // TestDocsNameRealDeclarations: every Go identifier README.md and
 // DESIGN.md name with its package — `pkg.Name` or `pkg.Name.Member` in
-// a code span — is declared in that package, so a paragraph about a
-// renamed or deleted API fails the build instead of going stale.
+// a code span — or with a type of the root package — `Type.Member` — is
+// declared there, so a paragraph about a renamed or deleted API fails
+// the build instead of going stale.
 func TestDocsNameRealDeclarations(t *testing.T) {
 	decls := repoDecls(t)
 	for _, file := range []string{"README.md", "DESIGN.md"} {
@@ -168,7 +177,8 @@ func TestDocsNameRealDeclarations(t *testing.T) {
 func TestDocsScanCatchesStaleNames(t *testing.T) {
 	decls := repoDecls(t)
 	doc := "`knn.Browser`, `knn.Search.Run`, `xtree.Tree.Freeze`, `parsearch.Options{Dim: 2}`, " +
-		"`xtree.Tree.Close`, `coord.phase1_share`, `coord/server.go`, `parsearch.go`, `ix.mu.RLock`"
+		"`xtree.Tree.Close`, `coord.phase1_share`, `coord/server.go`, `parsearch.go`, `ix.mu.RLock`, " +
+		"`Index.KNN(q, k)`, `Index.mu`, `version.live`, `Options.Dim`, `Options.LSH`, `query.go`"
 	pkgs, names := docRefs(doc, decls)
 	var stale []string
 	for i, name := range names {
@@ -176,7 +186,8 @@ func TestDocsScanCatchesStaleNames(t *testing.T) {
 			stale = append(stale, pkgs[i]+"."+name)
 		}
 	}
-	if want := []string{"knn.Browser", "xtree.Tree.Close"}; strings.Join(stale, " ") != strings.Join(want, " ") || len(names) != 5 {
-		t.Fatalf("scanned %v, flagged %v; want 5 names with only %v stale", names, stale, want)
+	want := []string{"knn.Browser", "xtree.Tree.Close", "parsearch.Index.mu", "parsearch.Options.LSH"}
+	if strings.Join(stale, " ") != strings.Join(want, " ") || len(names) != 10 {
+		t.Fatalf("scanned %v, flagged %v; want 10 names with only %v stale", names, stale, want)
 	}
 }

@@ -439,13 +439,13 @@ func (ix *Index) initDurable(fs fsx.FS) error {
 
 	// Rebuild the in-memory index from the recovered point table.
 	if len(rs.points) > 0 {
-		st, pts, live, err := ix.buildState(rs.points, false)
+		st, pts, live, err := ix.buildState(rs.points)
 		if err != nil {
 			return fmt.Errorf("parsearch: rebuilding recovered state: %w", err)
 		}
-		ix.st = st
 		ix.points = pts
 		ix.live = live
+		ix.publish(st)
 	}
 	if base != nil || info.Records > 0 || info.WALsReplayed > 0 {
 		info.Recovered = true
@@ -548,6 +548,9 @@ func (rs *replayState) apply(rec wal.Record) error {
 		}
 		if len(rec.Point) != rs.dim {
 			return fmt.Errorf("%w: insert dimension %d, index has %d", ErrCorrupt, len(rec.Point), rs.dim)
+		}
+		if i := nonFinite(rec.Point); i >= 0 {
+			return fmt.Errorf("%w: insert id %d component %d is %v, not finite", ErrCorrupt, rec.ID, i, rec.Point[i])
 		}
 		rs.points = append(rs.points, rec.Point)
 	case wal.RecDelete:
@@ -764,17 +767,14 @@ func (ix *Index) rebaseDurable(st *state, pts []vec.Point, live int) error {
 	}
 
 	// Committed. Cut over memory and the writer; mutations are still
-	// excluded by rotMu, queries switch atomically under mu.
-	ix.mu.Lock()
+	// excluded by rotMu, and queries switch at the publish.
 	ix.meta.Lock()
-	ix.st = st
 	ix.points = pts
 	ix.live = live
-	ix.version++
+	ix.publish(st)
 	ix.wal = nw
 	ix.gen = newGen
 	ix.meta.Unlock()
-	ix.mu.Unlock()
 	_ = old.Close()
 	ix.pruneGenerations(newGen)
 

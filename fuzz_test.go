@@ -4,14 +4,17 @@ import (
 	"bytes"
 	"encoding/binary"
 	"hash/crc32"
+	"math"
 	"reflect"
 	"testing"
 
 	"parsearch/internal/data"
+	"parsearch/internal/vec"
 )
 
 // Fuzzing the snapshot loader: arbitrary bytes must never panic — they
-// either load as a valid index or return an error.
+// either load as an index that passes CheckIntegrity or return an
+// error.
 func FuzzLoad(f *testing.F) {
 	// Seed with a valid snapshot and a few mutations.
 	ix, err := Open(Options{Dim: 3, Disks: 2})
@@ -29,11 +32,22 @@ func FuzzLoad(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte("PARSRCH1"))
 	f.Add(bytes.Repeat([]byte{0xFF}, 64))
+	// Snapshots holding a non-finite coordinate, which Load refuses.
+	for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		buf.Reset()
+		if err := ix.writeSnapshot(&buf, []vec.Point{{0.1, 0.2, 0.3}, {0.5, v, 0.5}}); err != nil {
+			f.Fatal(err)
+		}
+		f.Add(bytes.Clone(buf.Bytes()))
+	}
 
 	f.Fuzz(func(t *testing.T, b []byte) {
 		loaded, err := Load(bytes.NewReader(b))
 		if err != nil {
 			return
+		}
+		if err := loaded.CheckIntegrity(); err != nil {
+			t.Fatalf("loaded index fails its integrity check: %v", err)
 		}
 		// A successfully loaded index must be queryable (or empty).
 		if loaded.Len() == 0 {

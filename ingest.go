@@ -111,7 +111,7 @@ type AsyncWriter struct {
 	maxBatch int
 	ops      chan asyncOp
 	quit     chan struct{}
-	mu       sync.RWMutex // guards closed against racing enqueues
+	closedMu sync.RWMutex // guards closed against racing enqueues
 	closed   bool
 	stopOnce sync.Once
 	wg       sync.WaitGroup
@@ -177,9 +177,9 @@ func (aw *AsyncWriter) Close() error {
 		// Taking the write lock waits out in-flight enqueues, so by the
 		// time quit closes, everything accepted is in the queue and the
 		// worker's final drain resolves it.
-		aw.mu.Lock()
+		aw.closedMu.Lock()
 		aw.closed = true
-		aw.mu.Unlock()
+		aw.closedMu.Unlock()
 		close(aw.quit)
 	})
 	aw.wg.Wait()
@@ -191,8 +191,8 @@ func (aw *AsyncWriter) Close() error {
 // queue only blocks while the worker is draining it, and Close cannot
 // slip between the closed check and the send.
 func (aw *AsyncWriter) enqueue(op asyncOp) (*Pending, error) {
-	aw.mu.RLock()
-	defer aw.mu.RUnlock()
+	aw.closedMu.RLock()
+	defer aw.closedMu.RUnlock()
 	if aw.closed {
 		return nil, ErrClosed
 	}

@@ -56,10 +56,10 @@ func firstErr(opErr, syncErr error) error {
 	return syncErr
 }
 
-// write is the one write pipeline. It takes rotMu (durable indexes) and
-// mu in read mode and meta, logs and applies the ops in order — each by
-// its own contract, see insertOne and deleteOne — publishes the trees
-// the batch left (state.publish), releases meta, and waits once for the
+// write is the one write pipeline. It takes rotMu (durable indexes) in
+// read mode and meta, logs and applies the ops in order — each by its
+// own contract, see insertOne and deleteOne — publishes the state the
+// batch left (Index.publish), releases meta, and waits once for the
 // group commit of the batch's last log offset. Every
 // op's outcome is left in its err (and, for an insert, its id); applied
 // counts the ops that took effect. The returned error is the sync
@@ -69,10 +69,8 @@ func (ix *Index) write(ops []mutation) (applied int, err error) {
 		ix.rotMu.RLock()
 		defer ix.rotMu.RUnlock()
 	}
-	ix.mu.RLock()
-	defer ix.mu.RUnlock()
-	st := ix.st
 	ix.meta.Lock()
+	st := ix.st
 	// rotMu pins the writer for the whole step: a checkpoint may rotate
 	// it concurrently — its cut, under meta, syncs our appends first —
 	// but a Build cannot replace the generation under us.
@@ -111,7 +109,7 @@ func (ix *Index) write(ops []mutation) (applied int, err error) {
 		}
 	}
 	if applied > 0 {
-		st.publish()
+		ix.publish(st)
 	}
 	ix.meta.Unlock()
 	// The sync wait happens after meta is released, so concurrent
@@ -132,8 +130,8 @@ func (ix *Index) write(ops []mutation) (applied int, err error) {
 // owns (the entry point cloned it), and returns its ID and log offset.
 // A point with a NaN or infinite component, as stored, is refused: its
 // distances rank nothing, and its MBRs break the trees' invariants.
-// The caller — write — holds rotMu in read mode (durable indexes), mu in
-// read mode, and meta, has verified the index is open and the dimension
+// The caller — write — holds rotMu in read mode (durable indexes) and
+// meta, has verified the index is open and the dimension
 // matches, and waits for the group commit after releasing meta.
 func (ix *Index) insertOne(st *state, w *wal.Writer, point vec.Point) (id int, target int64, err error) {
 	id = len(ix.points)
@@ -151,7 +149,6 @@ func (ix *Index) insertOne(st *state, w *wal.Writer, point vec.Point) (id int, t
 	}
 	ix.points = append(ix.points, point)
 	ix.live++
-	ix.version++
 	if ix.opts.QuantileSplits {
 		ix.observer().Observe(point)
 	}
@@ -201,7 +198,6 @@ func (ix *Index) deleteOne(st *state, w *wal.Writer, id int) (target int64, err 
 	}
 	ix.points[id] = nil
 	ix.live--
-	ix.version++
 	return target, nil
 }
 

@@ -28,10 +28,12 @@
 // query methods (NN, KNN, RangeQuery, PartialMatch, BatchKNN, Browse,
 // ServiceDemands, Save) may run concurrently with each other and with the
 // mutating methods (Insert, Delete, FailDisk, HealDisk, Reorganize,
-// Build). Build and Reorganize replace the index structure as an atomic
-// cutover: a query observes either the old or the new structure, never a
-// half-built one. See DESIGN.md ("Concurrency contract") for the exact
-// guarantees and the lock hierarchy.
+// Build). A query takes no lock: it reads the one version the index last
+// published, which a whole write batch, Reorganize step or Build cuts in
+// atomically, so it observes either the old or the new structure, never
+// a half-built one, and never waits for a writer. See DESIGN.md
+// ("Concurrency contract") for the exact guarantees and the lock
+// hierarchy.
 package parsearch
 
 import (
@@ -451,13 +453,11 @@ type cellInfo struct {
 // state is the derived index structure — everything Build computes from
 // the stored vectors: the bucketing, the declustering assignment, the
 // per-disk trees, the optional sequential baseline, and the storage-cell
-// accounting. Build and Reorganize construct a replacement state off the
-// lock and cut it in under the index write lock, so queries never observe
-// a half-built index. bucketer and assigner are immutable within a state;
-// cells/cellIndex are mutated by Insert/Delete under Index.meta.
-//
-// The trees are the writers': only a mutation under Index.meta touches
-// them. Queries read the version the state last published (see publish).
+// accounting. Build constructs a replacement state off the lock and
+// cuts it in under meta, so queries never observe a half-built index.
+// A state belongs to the writers: its trees, cells and assigner change
+// only under Index.meta. Queries read the version the index last
+// published (see Index.publish).
 type state struct {
 	bucketer core.Bucketer
 	assigner core.Assigner
@@ -469,29 +469,36 @@ type state struct {
 	baseline  *xtree.Tree // nil unless Options.Baseline
 	cells     []cellInfo
 	cellIndex map[string]int
-	// pub is the published version: what every query reads.
-	pub atomic.Pointer[version]
 }
 
 // version is what a query reads: a frozen version (xtree.Tree.Freeze) of
-// every tree of a state — shards, replicas and baseline — as one whole
-// write batch, reorganize step or build left them. Nothing writes a
-// version, so a query reads it without a lock and answers exactly over
-// it.
+// every tree of a state — shards, replicas and baseline — with the
+// assigner and the live count, as one whole write batch, reorganize
+// step or build left them. Nothing writes a version, so a query reads
+// it without a lock and answers exactly over it.
 type version struct {
 	shards, replicas []*xtree.Tree
 	baseline         *xtree.Tree
+	assigner         core.Assigner
+	live             int
+	// st is the state the version was frozen from. Only the BucketPages
+	// cell scan reads through it, under meta; CheckIntegrity checks it
+	// is the writers' state.
+	st *state
 }
 
-// publish freezes the state's trees into a new version and makes it the
-// one queries load. Writers call it under meta (or before the state is
-// shared) once their trees hold a whole batch.
-func (st *state) publish() {
-	v := &version{shards: freeze(st.shards), replicas: freeze(st.replicas)}
+// publish makes st the writers' state and freezes its trees, assigner
+// and the live count into the version queries load. Writers call it
+// under meta (or before the index is shared) once st holds a whole
+// write batch, reorganize step or build.
+func (ix *Index) publish(st *state) {
+	ix.st = st
+	v := &version{shards: freeze(st.shards), replicas: freeze(st.replicas),
+		assigner: st.assigner, live: ix.live, st: st}
 	if st.baseline != nil {
 		v.baseline = st.baseline.Freeze()
 	}
-	st.pub.Store(v)
+	ix.pub.Store(v)
 }
 
 func freeze(trees []*xtree.Tree) []*xtree.Tree {
@@ -512,15 +519,14 @@ func freeze(trees []*xtree.Tree) []*xtree.Tree {
 //
 //	ckptMu (serializes Checkpoint / durable Build / Close)
 //	→ rotMu (R by durable mutations, W by durable Build and Close)
-//	→ mu (R by queries and point mutations, W by Build/Reorganize cutover)
-//	→ meta (point table, live count, cell loads, quantile estimators,
-//	  and the trees, which only writers touch)
+//	→ meta (the writers' state, point table, live count, cell loads,
+//	  quantile estimators)
 //
-// The trees take no lock of their own. A query loads the state's
-// published version once (see state.publish) and is answered exactly
-// over it: the state after some whole write batch. A write batch
-// publishes before it returns, so an Insert that returned is visible
-// to the next query.
+// A query takes none of them. It loads the published version once
+// (see publish) and is answered exactly over it: the state after some
+// whole write batch, reorganize step or build. A write batch publishes
+// before it returns, so an Insert that returned is visible to the next
+// query.
 type Index struct {
 	opts   Options
 	params disk.Params
@@ -531,22 +537,17 @@ type Index struct {
 	reg      *metrics.Registry
 	querySeq atomic.Uint64
 
-	// mu is the cutover lock: queries and single-point mutations hold
-	// it in read mode; Build and Reorganize take it in write mode only
-	// for the moment they swap in a freshly built state, so a rebuild
-	// is atomic without blocking readers while it is computed.
-	mu sync.RWMutex
-	st *state
+	// pub is the published version: what every query reads.
+	pub atomic.Pointer[version]
 
-	// meta guards the point table and everything maintained per point:
-	// the ID space, the live count, the storage-cell loads of the
-	// current state, the adaptive quantile estimators, and the
-	// mutation version counter.
+	// meta guards the writers' state and the point table with
+	// everything maintained per point: the ID space, the live count,
+	// the storage-cell loads, and the adaptive quantile estimators.
 	meta     sync.Mutex
+	st       *state
 	points   []vec.Point // index = ID; nil entries are deleted (tombstones)
 	live     int         // number of non-tombstone points
 	adaptive *core.AdaptiveSplitter
-	version  uint64 // bumped by every mutation; Reorganize's conflict check
 
 	// Durability state (durable.go); fs and recov are set once at
 	// Open, wal/gen/closed are guarded by meta. ckptMu serializes
@@ -649,7 +650,7 @@ func open(opts Options) (*Index, error) {
 	if err != nil {
 		return nil, err
 	}
-	ix.st = st
+	ix.publish(st)
 	return ix, nil
 }
 
@@ -679,15 +680,12 @@ func (ix *Index) emptyState() (*state, error) {
 	if ix.opts.Baseline {
 		st.baseline = xtree.New(cfg)
 	}
-	st.publish()
 	return st, nil
 }
 
 // Strategy returns the name of the active declustering strategy.
 func (ix *Index) Strategy() string {
-	ix.mu.RLock()
-	defer ix.mu.RUnlock()
-	return ix.st.assigner.Name()
+	return ix.pub.Load().assigner.Name()
 }
 
 // Disks returns the number of disks.
@@ -702,9 +700,7 @@ func (ix *Index) Replication() int { return ix.opts.Replication }
 
 // Len returns the number of indexed (non-deleted) vectors.
 func (ix *Index) Len() int {
-	ix.meta.Lock()
-	defer ix.meta.Unlock()
-	return ix.live
+	return ix.pub.Load().live
 }
 
 // FailDisk marks a simulated disk as failed. Queries starting after
@@ -738,9 +734,7 @@ func (ix *Index) DiskFailed(d int) bool {
 
 // DiskLoads returns the number of vectors stored on each disk.
 func (ix *Index) DiskLoads() []int {
-	ix.mu.RLock()
-	defer ix.mu.RUnlock()
-	v := ix.st.pub.Load()
+	v := ix.pub.Load()
 	loads := make([]int, len(v.shards))
 	for i, t := range v.shards {
 		loads[i] = t.Len()
@@ -752,11 +746,9 @@ func (ix *Index) DiskLoads() []int {
 // storage cells. By construction it equals DiskLoads after any
 // interleaving of operations; CheckIntegrity verifies exactly that.
 func (ix *Index) CellLoads() []int {
-	ix.mu.RLock()
-	defer ix.mu.RUnlock()
-	st := ix.st
 	ix.meta.Lock()
 	defer ix.meta.Unlock()
+	st := ix.st
 	loads := make([]int, len(st.shards))
 	for _, c := range st.cells {
 		loads[c.disk] += c.count
@@ -774,17 +766,15 @@ func (ix *Index) CellLoads() []int {
 //   - with Options.Replication, every replica tree passes the same
 //     invariant check and holds exactly its primary disk's vectors,
 //   - the baseline tree (if any) holds exactly the live points,
-//   - the published version of every tree holds exactly the tree's
-//     entries.
+//   - the published version is of the writers' state, carries the live
+//     count, and holds exactly every tree's entries.
 //
-// It takes the same locks as a writer, so the check is atomic with
-// respect to concurrent mutations.
+// It takes meta, as a writer does, so the check is atomic with respect
+// to concurrent mutations.
 func (ix *Index) CheckIntegrity() error {
-	ix.mu.RLock()
-	defer ix.mu.RUnlock()
-	st := ix.st
 	ix.meta.Lock()
 	defer ix.meta.Unlock()
+	st := ix.st
 
 	stored := 0
 	for _, p := range ix.points {
@@ -802,7 +792,10 @@ func (ix *Index) CheckIntegrity() error {
 		}
 		cellLoads[c.disk] += c.count
 	}
-	v := st.pub.Load()
+	v := ix.pub.Load()
+	if v.st != st || v.live != ix.live {
+		return fmt.Errorf("parsearch: the published version is not the writers' state of %d points", ix.live)
+	}
 	total := 0
 	treeLens := make([]int, len(st.shards))
 	for d, t := range st.shards {
@@ -877,9 +870,7 @@ func entriesByID(t *xtree.Tree) []xtree.Entry {
 // assignments are point-based and return an error, as do dimensions too
 // large to enumerate.
 func (ix *Index) VerifyDeclustering(max int) ([]string, error) {
-	ix.mu.RLock()
-	assigner := ix.st.assigner
-	ix.mu.RUnlock()
+	assigner := ix.pub.Load().assigner
 	ba, ok := assigner.(*core.BucketAssigner)
 	if !ok {
 		return nil, fmt.Errorf("parsearch: strategy %q is not bucket-based", assigner.Name())

@@ -148,8 +148,7 @@ type run struct {
 	ctx   context.Context
 	sp    span
 	start time.Time
-	st    *state
-	// v is the version of st's trees the query reads, loaded once.
+	// v is the version the query reads, loaded once.
 	v *version
 	m vec.Metric
 	// routes and degraded are the plan stage's output: the failure
@@ -164,46 +163,38 @@ type run struct {
 }
 
 // admit is the argument and liveness check every query passes before it
-// is planned. The caller holds the index read lock.
-func (ix *Index) admit(qr *query) error {
+// is planned, against the version it reads.
+func (ix *Index) admit(v *version, qr *query) error {
 	if err := qr.validate(ix.opts.Dim, ix.opts.Disks); err != nil {
 		return err
 	}
-	if ix.Len() == 0 {
+	if v.live == 0 {
 		return ErrEmpty
 	}
 	return nil
 }
 
-// begin opens a query: it starts the trace span, takes the index read
-// lock, pins the state, loads its published version, and admits the
-// query. The lock is held on every return, error or not, so the caller
-// always defers end — which is also what counts and traces the
-// rejection: no query fails outside a span.
+// begin opens a query: it starts the trace span, loads the published
+// version, and admits the query. The caller always defers end, error or
+// not — which is what counts and traces the rejection: no query fails
+// outside a span.
 func (ix *Index) begin(ctx context.Context, qr *query) (*run, error) {
-	r := &run{ix: ix, ctx: ctx, start: time.Now(), m: ix.metric()}
-	// The span starts before the lock, so a wait behind Reorganize's
-	// write lock shows up in the events' Elapsed.
+	r := &run{ix: ix, ctx: ctx, start: time.Now(), m: ix.metric(), v: ix.pub.Load()}
 	r.sp = ix.newSpan(ctx, spanOps[qr.op])
-	ix.mu.RLock()
-	r.st = ix.st
-	r.v = r.st.pub.Load()
-	if err := ix.admit(qr); err != nil {
+	if err := ix.admit(r.v, qr); err != nil {
 		return r, err
 	}
 	return r, ctx.Err()
 }
 
-// end closes the query begin opened: it charges the traversal work,
-// counts and traces the error the query is about to return (if any), and
-// releases the index lock.
+// end closes the query begin opened: it charges the traversal work, and
+// counts and traces the error the query is about to return (if any).
 func (r *run) end(err *error) {
 	r.ix.reg.NodeVisits.Add(r.visits.Load())
 	if *err != nil {
 		r.ix.reg.QueryErrors.Inc()
 		r.sp.errEvent(*err)
 	}
-	r.ix.mu.RUnlock()
 }
 
 // plan is the routing stage: it plans the failure routing once (see
@@ -302,8 +293,8 @@ func (r *run) bucketRefs(g *xtree.Region, qs *QueryStats) (refs []disk.PageRef) 
 	leafCap := r.ix.treeConfig().LeafCapacity
 	r.ix.meta.Lock()
 	defer r.ix.meta.Unlock()
-	for i := range r.st.cells {
-		c := &r.st.cells[i]
+	for i := range r.v.st.cells {
+		c := &r.v.st.cells[i]
 		rt := r.routes[c.disk]
 		if c.count == 0 || rt.masked || !g.Hits(c.rect) {
 			continue

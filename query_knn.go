@@ -283,24 +283,16 @@ func (sr *shardSearch) record(qs *QueryStats) (nodeVisits int64) {
 	return nodeVisits
 }
 
-// homeDisk returns the disk the declustering assigns the query point's
-// own cell to — the shard likeliest to hold near neighbors. Point-based
-// assigners (round robin) have no home quadrant and answer disk 0.
-func (ix *Index) homeDisk(st *state, q vec.Point) int {
-	return st.assigner.Assign(0, q)
-}
-
 // HomeDisk returns the disk the declustering assigns the query point's
 // cell to — the disk likeliest to hold q's near neighbors. Nothing in
 // the engine or the cluster routes by it: a cluster k-NN asks every
 // shard at once. It names the shard group (HomeDisk(q) mod number of
 // shards) an older, two-round coordinator asked first, and lets tests
-// and tools see where the declustering put a point.
+// and tools see where the declustering put a point. A point-based
+// assigner (round robin) has no home quadrant and answers disk 0.
 func (ix *Index) HomeDisk(q []float64) (int, error) {
 	if len(q) != ix.opts.Dim {
 		return 0, fmt.Errorf("parsearch: query dimension %d, want %d", len(q), ix.opts.Dim)
 	}
-	ix.mu.RLock()
-	defer ix.mu.RUnlock()
-	return ix.homeDisk(ix.st, q), nil
+	return ix.pub.Load().assigner.Assign(0, q), nil
 }

@@ -25,11 +25,13 @@ import (
 // contents (quantile re-estimation, per cell), children re-colored
 // across the disks. Only the points of the split cells move; every other
 // cell, tree page, and the point table itself stay untouched. Each step
-// is cut in atomically under the index write lock, so concurrent queries
-// see either the old or the new structure, never a torn one — and since
-// every structure answers queries exactly, results are identical either
-// way. Bucket strategies that are not recursive yet are first wrapped
-// via core.NewRecursiveOver, which changes no assignment at level 0.
+// is planned off every lock, applied under meta and published as one
+// version, so concurrent queries — which take no lock — see either the
+// old or the new structure, never a torn one, and never wait for a
+// step; since every structure answers queries exactly, results are
+// identical either way. Bucket strategies that are not recursive yet
+// are first wrapped via core.NewRecursiveOver, which changes no
+// assignment at level 0.
 // The arrival-order round-robin layout has no bucket structure to
 // split and is left as it is: it puts point i on disk i mod n, so no
 // step — not even a rebuild of the same IDs — can lower a disk.
@@ -153,8 +155,8 @@ type reorgMove struct {
 }
 
 // reorgPlan is one step's worth of change, computed off the lock against
-// a pinned state + point-table snapshot and applied under the write
-// lock (after a version re-check).
+// a pinned version + point-table snapshot and applied under meta (after
+// a check that nothing was published since).
 type reorgPlan struct {
 	// wrap: replace a bucket-strategy assigner with its recursive
 	// wrapper (no point moves; level-0 assignments are identical).
@@ -169,47 +171,41 @@ type reorgPlan struct {
 }
 
 // reorganizeStep performs one incremental step: plan optimistically off
-// the lock, then cut in atomically (re-planning under the locks if a
-// mutation raced the planner). It returns nil when the disks are
-// balanced or nothing splittable remains.
+// the lock against the published version, then cut in under meta
+// (re-planning there if a write batch, step or build published since).
+// It returns nil when the disks are balanced or nothing splittable
+// remains.
 func (ix *Index) reorganizeStep() (*reorgPlan, error) {
-	ix.mu.RLock()
-	st := ix.st
 	ix.meta.Lock()
 	if ix.closed {
 		ix.meta.Unlock()
-		ix.mu.RUnlock()
 		return nil, ErrClosed
 	}
-	v := ix.version
+	pinned := ix.pub.Load()
 	points := append([]vec.Point(nil), ix.points...)
 	ix.meta.Unlock()
-	ix.mu.RUnlock()
 
-	plan := ix.reorgPlanFor(st, points)
+	plan := ix.reorgPlanFor(pinned.assigner, points)
 	if plan == nil {
 		return nil, nil
 	}
 
-	ix.mu.Lock()
-	defer ix.mu.Unlock()
 	ix.meta.Lock()
 	defer ix.meta.Unlock()
 	if ix.closed {
 		return nil, ErrClosed
 	}
-	if ix.st != st || ix.version != v {
+	if ix.pub.Load() != pinned {
 		// The point table (or the whole state) changed while the
-		// optimistic planner ran. Re-plan from the current contents
-		// under the locks: slower (it blocks queries for the duration),
-		// but atomic and lossless.
-		st = ix.st
-		plan = ix.reorgPlanFor(st, ix.points)
+		// optimistic planner ran: every change publishes. Re-plan from
+		// the current contents under meta: slower (it blocks writers,
+		// not queries, for the duration), but atomic and lossless.
+		plan = ix.reorgPlanFor(ix.st.assigner, ix.points)
 		if plan == nil {
 			return nil, nil
 		}
 	}
-	if err := ix.reorgApply(st, plan); err != nil {
+	if err := ix.reorgApply(plan); err != nil {
 		return nil, err
 	}
 	return plan, nil
@@ -222,7 +218,7 @@ func (ix *Index) reorganizeStep() (*reorgPlan, error) {
 // (within one leaf page of the overload threshold) or stuck (overloaded
 // but nothing expandable below the depth bound, or round robin's
 // arrival-order layout, which has no bucket to split).
-func (ix *Index) reorgPlanFor(st *state, points []vec.Point) *reorgPlan {
+func (ix *Index) reorgPlanFor(assigner core.Assigner, points []vec.Point) *reorgPlan {
 	n := ix.opts.Disks
 	if n == 1 {
 		return nil // nothing to decluster
@@ -253,9 +249,9 @@ func (ix *Index) reorgPlanFor(st *state, points []vec.Point) *reorgPlan {
 		return m
 	}
 
-	rec, isRec := st.assigner.(*core.Recursive)
+	rec, isRec := assigner.(*core.Recursive)
 	if !isRec {
-		ba, ok := st.assigner.(*core.BucketAssigner)
+		ba, ok := assigner.(*core.BucketAssigner)
 		if !ok {
 			return nil // round robin: nothing to split
 		}
@@ -382,10 +378,12 @@ func (ix *Index) reorgPlanFor(st *state, points []vec.Point) *reorgPlan {
 	return plan
 }
 
-// reorgApply cuts one plan in and publishes the trees it left (see
-// state.publish). Caller holds mu (write) and meta, and has verified the
-// plan was computed against the current state and version.
-func (ix *Index) reorgApply(st *state, plan *reorgPlan) error {
+// reorgApply cuts one plan into the writers' state and publishes it (see
+// Index.publish). Caller holds meta, and has verified the plan was
+// computed against the current state and point table.
+func (ix *Index) reorgApply(plan *reorgPlan) error {
+	st := ix.st
+	defer ix.publish(st)
 	if plan.wrap != nil {
 		// Wrapping changes no disk assignment (level 0 is colored by the
 		// same strategy), so the trees stay as they are; only the cell
@@ -400,14 +398,12 @@ func (ix *Index) reorgApply(st *state, plan *reorgPlan) error {
 			d, key := ix.assignCell(st, i, p)
 			addToCell(st, key, d, p)
 		}
-		ix.version++
 		return nil
 	}
 
 	// Swap the assigner first so assignCell (and any error path below)
-	// agrees with the new cell table; queries are excluded by mu.
+	// agrees with the new cell table.
 	st.assigner = plan.next
-	defer st.publish()
 	for _, key := range plan.oldKeys {
 		if idx, ok := st.cellIndex[key]; ok {
 			st.cells[idx].count = 0
@@ -424,7 +420,6 @@ func (ix *Index) reorgApply(st *state, plan *reorgPlan) error {
 		st.place(mv.newDisk, mv.p, mv.id)
 		// The baseline tree is disk-agnostic: nothing to move.
 	}
-	ix.version++
 	ix.reg.ReorgBuckets.Add(int64(plan.buckets))
 	return nil
 }

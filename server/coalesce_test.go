@@ -37,8 +37,8 @@ func errForLen(got, want int) error {
 }
 
 // holdTracer parks engine queries at their plan event: the first event a
-// query emits, on the goroutine that called the engine, holding nothing
-// but the index read lock. It also keeps the error every query ended with.
+// query emits, on the goroutine that called the engine, holding no lock.
+// It also keeps the error every query ended with.
 type holdTracer struct {
 	mu    sync.Mutex
 	gates map[string]*gate // by TraceEvent.Op

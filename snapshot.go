@@ -197,7 +197,7 @@ func (sd *snapshotData) newIndex() (*Index, error) {
 	if err != nil {
 		return nil, fmt.Errorf("parsearch: snapshot options invalid: %w", err)
 	}
-	if err := ix.build(sd.points, false); err != nil {
+	if err := ix.Build(sd.points); err != nil {
 		return nil, fmt.Errorf("parsearch: rebuilding from snapshot: %w", err)
 	}
 	if sd.metrics != nil {

@@ -253,55 +253,6 @@ func TestRangeAndBatchTraceSpans(t *testing.T) {
 	}
 }
 
-// TestTraceElapsedIncludesLockWait pins that a query's clock starts
-// before it takes the index lock: a query parked behind a writer (as
-// behind Reorganize's cut-in) reports the wait in its events' Elapsed.
-func TestTraceElapsedIncludesLockWait(t *testing.T) {
-	const dim, wait = 4, 20 * time.Millisecond
-	ix, tr := tracedIndex(t, Options{Dim: dim, Disks: 3}, 300)
-	lo, hi := make([]float64, dim), make([]float64, dim)
-	for i := range hi {
-		hi[i] = 1
-	}
-	ops := map[string]func() error{
-		"knn":   func() error { _, _, err := ix.KNN(hi, 3); return err },
-		"range": func() error { _, _, err := ix.RangeQuery(lo, hi); return err },
-		"batch": func() error { _, _, err := ix.BatchKNN([][]float64{lo, hi}, 3); return err },
-	}
-	for op, run := range ops {
-		tr.mu.Lock()
-		tr.events = nil
-		tr.mu.Unlock()
-
-		ix.mu.Lock()
-		seq := ix.querySeq.Load()
-		done := make(chan error, 1)
-		go func() { done <- run() }()
-		// The span is open once the query has drawn its sequence number.
-		deadline := time.Now().Add(5 * time.Second)
-		for ix.querySeq.Load() == seq && time.Now().Before(deadline) {
-			time.Sleep(time.Millisecond)
-		}
-		started := ix.querySeq.Load() != seq
-		time.Sleep(wait)
-		ix.mu.Unlock()
-		if err := <-done; err != nil {
-			t.Fatalf("%s: %v", op, err)
-		}
-		if !started {
-			t.Errorf("%s: the span did not start while the index lock was held", op)
-			continue
-		}
-		tr.mu.Lock()
-		for _, ev := range tr.events {
-			if ev.Elapsed < wait {
-				t.Errorf("%s: %s event at Elapsed %v, before the %v lock wait ended", op, ev.Stage, ev.Elapsed, wait)
-			}
-		}
-		tr.mu.Unlock()
-	}
-}
-
 func TestTraceRerouteAndUnreachable(t *testing.T) {
 	const dim, disks = 4, 4
 	ix, tr := tracedIndex(t, Options{Dim: dim, Disks: disks, Replication: 1}, 800)

@@ -1,7 +1,9 @@
 package parsearch
 
 import (
+	"bytes"
 	"cmp"
+	"errors"
 	"math"
 	"math/rand"
 	"strings"
@@ -10,6 +12,8 @@ import (
 	"testing"
 
 	"parsearch/internal/fsx"
+	"parsearch/internal/vec"
+	"parsearch/internal/wal"
 )
 
 // TestNonFiniteInsertRefused: a NaN or infinite coordinate is refused by
@@ -70,6 +74,70 @@ func TestNonFiniteInsertRefused(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestNonFiniteLoadAndReplayRefused: a NaN or infinite coordinate that
+// reached storage is refused on the way back in. Load refuses a snapshot
+// holding one, naming the component; durable recovery refuses a logged
+// insert of one as ErrCorrupt, and Salvage keeps the log's prefix before
+// it, which passes CheckIntegrity and answers over exactly its points.
+func TestNonFiniteLoadAndReplayRefused(t *testing.T) {
+	bad := map[string]float64{"NaN": math.NaN(), "+Inf": math.Inf(1), "-Inf": math.Inf(-1)}
+	good := [][]float64{{0.1, 0.2, 0.3}, {0.4, 0.5, 0.6}, {0.7, 0.8, 0.9}}
+	for name, v := range bad {
+		p := []float64{0.5, v, 0.5}
+		t.Run("Load/"+name, func(t *testing.T) {
+			ix, err := Open(Options{Dim: 3, Disks: 2})
+			if err != nil {
+				t.Fatal(err)
+			}
+			var buf bytes.Buffer
+			if err := ix.writeSnapshot(&buf, []vec.Point{good[0], p, good[1]}); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := Load(&buf); err == nil || !strings.Contains(err.Error(), "component 1") {
+				t.Errorf("err %v, want a refusal naming component 1", err)
+			}
+		})
+		t.Run("replay/"+name, func(t *testing.T) {
+			fs := fsx.NewMem()
+			opts := Options{Dim: 3, Disks: 2, Durable: true}
+			ix, err := openDurable(opts, fs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, q := range good {
+				if _, err := ix.Insert(q); err != nil {
+					t.Fatal(err)
+				}
+			}
+			log, err := fs.ReadFile(walName(0))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := rewriteFile(fs, walName(0), append(log, wal.EncodeInsert(uint64(len(good)), p)...)); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := openDurable(opts, fs); !errors.Is(err, ErrCorrupt) {
+				t.Fatalf("reopen: err %v, want ErrCorrupt", err)
+			}
+			opts.Salvage = true
+			re, err := openDurable(opts, fs)
+			if err != nil {
+				t.Fatalf("salvage: %v", err)
+			}
+			if !re.Recovery().Salvaged || re.Len() != len(good) {
+				t.Errorf("salvage kept %d points (%+v), want the prefix of %d", re.Len(), re.Recovery(), len(good))
+			}
+			if err := re.CheckIntegrity(); err != nil {
+				t.Error(err)
+			}
+			res, _, err := re.RangeQuery([]float64{0, 0, 0}, []float64{1, 1, 1})
+			if err != nil || len(res) != len(good) {
+				t.Errorf("the unit cube holds %d points (%v), want %d", len(res), err, len(good))
+			}
+		})
 	}
 }
 
