@@ -154,7 +154,8 @@ func (s *Search) Run() []Result {
 	}
 	s.lone = live <= 1
 	// frontier is the smallest MINDIST of a node the search does not
-	// visit: the children pushChildren prunes, and the node whose pop ends
+	// visit (a partial one for a child the staged kernel dropped): the
+	// children pushChildren prunes, and the node whose pop ends
 	// the loop — by heap order no farther than anything still queued. A
 	// tree ε stopped has its own, smaller one in its log.
 	frontier := math.Inf(1)
@@ -386,8 +387,11 @@ type LeafLog struct {
 	// tree the search did not visit; +inf when it visited every node it
 	// did not prune. A search over several trees gives every log the one
 	// global frontier — no larger than any tree's own — and an ε-stopped
-	// tree the node it stopped at, if smaller. The zero LeafLog (Frontier
-	// 0) logged nothing and serves no radius.
+	// tree the node it stopped at, if smaller. A child the staged kernel
+	// dropped counts with its partial MINDIST (see pushChildren), a
+	// smaller lower bound on its MINDIST but still above the k-th distance
+	// that pruned it. The zero LeafLog (Frontier 0) logged nothing and
+	// serves no radius.
 	Frontier float64
 }
 

@@ -83,3 +83,49 @@ func TestSearchAcrossTrees(t *testing.T) {
 		}
 	}
 }
+
+// TestKNNTiesOnKthDistanceLaterLeaf: a later leaf holds a point at
+// exactly the k-th distance the search has reached when it starts, with
+// a smaller ID than the k-th candidate, so it must replace it. Its offset
+// from q lies in the first dimension alone, so a staged kernel's partial
+// already equals the bound: a filter that drops ties (< instead of <=)
+// returns the larger ID. Tree a's leaf covers q and is read first; tree
+// b's leaf lies at MINDIST d.
+func TestKNNTiesOnKthDistanceLaterLeaf(t *testing.T) {
+	const d = 1.0 / 8
+	q := vec.Point{0.5, 0.5, 0.5}
+	at := func(dx, dy, dz float64) vec.Point { return vec.Point{q[0] + dx, q[1] + dy, q[2] + dz} }
+	groups := [][]xtree.Entry{
+		{{Point: at(d, 0, 0), ID: 1}, {Point: at(-0.3, -0.3, -0.3), ID: 2}, {Point: at(0.3, 0.3, 0.3), ID: 3}},
+		{{Point: at(-d, 0, 0), ID: 0}, {Point: at(-0.4, 0.3, 0.3), ID: 4}, {Point: at(-0.4, -0.3, -0.3), ID: 5}},
+	}
+	for _, packed := range []bool{false, true} {
+		var trees []*xtree.Tree
+		var all []xtree.Entry
+		for _, g := range groups {
+			cfg := xtree.DefaultConfig(len(q))
+			cfg.Packed = packed
+			tr := xtree.New(cfg)
+			for _, e := range g {
+				tr.Insert(e.Point, e.ID)
+			}
+			trees = append(trees, tr)
+			all = append(all, g...)
+		}
+		for _, m := range []vec.Metric{vec.L2, vec.L1, vec.LInf} {
+			var s Search
+			s.Q, s.K, s.M, s.Shrink = q, 1, m, 1
+			slots := s.Slots(len(trees))
+			for i := range slots {
+				slots[i].Tree = trees[i]
+			}
+			got := s.Run()
+			if want := LinearMetric(all, q, 1, m); !reflect.DeepEqual(got, want) || got[0].Entry.ID != 0 {
+				t.Fatalf("packed=%v %v: one queue %v, linear scan %v", packed, m, got, want)
+			}
+			if s.Trees[1].Acc.LeafAccesses != 1 {
+				t.Fatalf("packed=%v %v: tree b read %d leaves, want 1", packed, m, s.Trees[1].Acc.LeafAccesses)
+			}
+		}
+	}
+}

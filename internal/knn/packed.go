@@ -9,17 +9,20 @@ import (
 
 // Packed-mode fast paths: when the tree maintains slab caches
 // (xtree.Config.Packed), the leaf and directory scans below replace the
-// per-entry scalar kernels with one batched kernel call per page. The
-// batched kernels reproduce the scalar arithmetic bit for bit (see the
-// slab package), so every candidate distance, every push decision and
-// every tie-break is identical to the unpacked path — only the constant
-// factor changes.
+// per-entry scalar kernels with one staged kernel call per page, which
+// stops a page's distances at the search's bound (slab.Slab.DistsWithin).
+// The distances it finishes are the scalar arithmetic's bit for bit (see
+// the slab package), and the ones it stops are provably above the bound,
+// where they could neither enter the k-best nor be pushed — so every
+// candidate, every push decision and every tie-break is identical to the
+// unpacked path; only the constant factor changes.
 
-// scratch holds the per-search batch buffer, grown to the largest page
+// scratch holds the per-search batch buffers, grown to the largest page
 // seen, so the batched kernels allocate once per search instead of once
 // per page.
 type scratch struct {
 	dists []float64
+	keep  []int32
 }
 
 func (sc *scratch) grow(n int) []float64 {
@@ -29,40 +32,50 @@ func (sc *scratch) grow(n int) []float64 {
 	return sc.dists[:n]
 }
 
-// scanLeaf offers every entry of the leaf to best and, when local is
-// not nil, its rank distance to local (the leaf's tree's own k best).
+// scanLeaf offers the leaf's entries to best and, when local is not nil,
+// their rank distances to local (the leaf's tree's own k best). On a
+// packed leaf the kernel stops at the larger of the two bounds at the
+// page's start, and only the entries it finishes are offered: an entry
+// beyond that bound improves neither.
 func scanLeaf(n *xtree.Node, q vec.Point, m vec.Metric, best *kBest, local *kRanks, sc *scratch) {
 	entries := n.Entries()
-	var out []float64
-	if s := n.PageSlab(); s != nil {
-		out = sc.grow(s.Len())
-		s.DistsToPage(q, m, out)
-	} else {
-		out = sc.grow(len(entries))
-		for i, e := range entries {
-			out[i] = m.RankDist(q, e.Point)
+	s := n.PageSlab()
+	if s == nil {
+		for _, e := range entries {
+			d := m.RankDist(q, e.Point)
+			best.offer(e, d)
+			if local != nil {
+				local.offer(d)
+			}
 		}
+		return
 	}
-	for i, e := range entries {
-		best.offer(e, out[i])
-	}
+	bound := best.bound()
 	if local != nil {
-		for _, d := range out {
-			local.offer(d)
+		bound = max(bound, local.bound())
+	}
+	out := sc.grow(s.Len())
+	sc.keep = s.DistsWithin(q, m, bound, out, sc.keep)
+	for _, i := range sc.keep {
+		best.offer(entries[i], out[i])
+		if local != nil {
+			local.offer(out[i])
 		}
 	}
 }
 
 // pushChildren pushes every child with rank MINDIST <= bound onto the
-// queue as a node of tree number tree, batching the MINDIST computation
-// on packed trees, and returns the smallest MINDIST of the children it
-// pruned (+inf if none).
+// queue as a node of tree number tree, staging the MINDIST computation at
+// bound on packed trees, and returns the smallest MINDIST of the children
+// it pruned (+inf if none). A child the staged kernel dropped contributes
+// its partial MINDIST: smaller than its MINDIST, so still a lower bound
+// on it, and above bound.
 func pushChildren(pq *pqueue[nodeItem], n *xtree.Node, tree int, q vec.Point, m vec.Metric, bound float64, sc *scratch) (pruned float64) {
 	pruned = math.Inf(1)
 	children := n.Children()
 	if rs := n.ChildRects(); rs != nil {
 		out := sc.grow(rs.Len())
-		rs.MinDistsToPage(q, m, out)
+		sc.keep = rs.MinDistsWithin(q, m, bound, out, sc.keep)
 		for i, c := range children {
 			if out[i] <= bound {
 				pq.push(nodeItem{node: c, sqMinDist: out[i], tree: tree})

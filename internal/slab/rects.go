@@ -1,10 +1,6 @@
 package slab
 
-import (
-	"math"
-
-	"parsearch/internal/vec"
-)
+import "parsearch/internal/vec"
 
 // RectSlab is the packed form of a directory page: the n child MBRs
 // stored as dimension-major float32 min/max columns, so the batched
@@ -54,14 +50,19 @@ func (rs *RectSlab) RectAt(i int, min, max []float64) {
 // q to every rectangle of the page into out[:rs.Len()], accumulating per
 // rectangle in ascending dimension order exactly like the scalar kernel.
 func (rs *RectSlab) MinDistsToPage(q vec.Point, m vec.Metric, out []float64) {
+	out = out[:rs.n]
+	clear(out)
+	rs.addDims(q, m, out, 0, rs.dim)
+}
+
+// addDims is the dense MINDIST kernel: it folds dimensions [from, to) of
+// every rectangle's rank MINDIST into out.
+func (rs *RectSlab) addDims(q vec.Point, m vec.Metric, out []float64, from, to int) {
 	n := rs.n
-	out = out[:n]
-	for i := range out {
-		out[i] = 0
-	}
+	out = out[:n] // lets the compiler drop the bounds checks on out[i]
 	switch m {
 	case vec.L2:
-		for j := 0; j < rs.dim; j++ {
+		for j := from; j < to; j++ {
 			qj := q[j]
 			minCol := rs.min[j*n : (j+1)*n]
 			maxCol := rs.max[j*n : (j+1)*n]
@@ -77,7 +78,7 @@ func (rs *RectSlab) MinDistsToPage(q vec.Point, m vec.Metric, out []float64) {
 			}
 		}
 	case vec.L1:
-		for j := 0; j < rs.dim; j++ {
+		for j := from; j < to; j++ {
 			qj := q[j]
 			minCol := rs.min[j*n : (j+1)*n]
 			maxCol := rs.max[j*n : (j+1)*n]
@@ -91,7 +92,7 @@ func (rs *RectSlab) MinDistsToPage(q vec.Point, m vec.Metric, out []float64) {
 			}
 		}
 	case vec.LInf:
-		for j := 0; j < rs.dim; j++ {
+		for j := from; j < to; j++ {
 			qj := q[j]
 			minCol := rs.min[j*n : (j+1)*n]
 			maxCol := rs.max[j*n : (j+1)*n]
@@ -113,15 +114,46 @@ func (rs *RectSlab) MinDistsToPage(q vec.Point, m vec.Metric, out []float64) {
 	}
 }
 
-// Representable reports whether every coordinate of p survives a
-// float64→float32→float64 round trip, i.e. satisfies packed mode's
-// rounding-at-ingest contract. NaN coordinates are representable (NaN
-// round-trips to NaN).
-func Representable(p vec.Point) bool {
-	for _, x := range p {
-		if float64(float32(x)) != x && !math.IsNaN(x) {
-			return false
+// MinDistsWithin is MinDistsToPage staged at bound, with the contract of
+// Slab.DistsWithin: a kept rectangle's out[i] is MinDistsToPage's value
+// bit for bit, a dropped one's is a partial MINDIST above bound — a
+// smaller but still valid lower bound on its MINDIST.
+func (rs *RectSlab) MinDistsWithin(q vec.Point, m vec.Metric, bound float64, out []float64, keep []int32) []int32 {
+	return rs.minDistsWithin(q, m, bound, out, keep, split(rs.dim))
+}
+
+func (rs *RectSlab) minDistsWithin(q vec.Point, m vec.Metric, bound float64, out []float64, keep []int32, h int) []int32 {
+	out = out[:rs.n]
+	clear(out)
+	rs.addDims(q, m, out, 0, h)
+	if keep = within(out, bound, keep); len(keep) == rs.n {
+		rs.addDims(q, m, out, h, rs.dim)
+		return keep
+	}
+	n := rs.n
+	for j := h; j < rs.dim; j++ {
+		qj := q[j]
+		minCol := rs.min[j*n : (j+1)*n]
+		maxCol := rs.max[j*n : (j+1)*n]
+		for _, i := range keep {
+			var d float64
+			switch lo, hi := float64(minCol[i]), float64(maxCol[i]); {
+			case qj < lo:
+				d = lo - qj
+			case qj > hi:
+				d = qj - hi
+			default:
+				continue
+			}
+			switch m {
+			case vec.L2:
+				out[i] += d * d
+			case vec.L1:
+				out[i] += d
+			case vec.LInf:
+				out[i] = max(out[i], d)
+			}
 		}
 	}
-	return true
+	return keep
 }

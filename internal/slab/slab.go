@@ -11,6 +11,18 @@
 // vec.Metric.RankDist — so batched and scalar distances are bitwise
 // identical, and the packed engine returns byte-identical results to the
 // float64 reference path.
+//
+// The staged kernels (Slab.DistsWithin, RectSlab.MinDistsWithin) stop a
+// page's distances at a bound. They accumulate a prefix of the
+// dimensions for every entry and finish only the entries whose partial
+// is not above the bound. A finished entry runs the same summation in
+// the same order, so its value is the full kernel's bit for bit. A
+// dropped entry's full value is above the bound too: every term is
+// non-negative and IEEE addition is monotone, so the finished sum is at
+// least the partial (under LInf a running maximum, likewise). Ties are
+// kept — the filter is <=, never < — because an entry at exactly the
+// k-th distance can still enter a k-best on its smaller ID. Inputs are
+// finite, as at ingest, so no distance is NaN.
 package slab
 
 import (
@@ -58,14 +70,19 @@ func (s *Slab) Dim() int { return s.dim }
 // per dimension. The per-point accumulation order is ascending dimension
 // order, matching the scalar kernels bit for bit.
 func (s *Slab) DistsToPage(q vec.Point, m vec.Metric, out []float64) {
+	out = out[:s.n]
+	clear(out)
+	s.addDims(q, m, out, 0, s.dim)
+}
+
+// addDims is the dense kernel: it folds dimensions [from, to) of every
+// point's rank distance into out, streaming one column per dimension.
+func (s *Slab) addDims(q vec.Point, m vec.Metric, out []float64, from, to int) {
 	n := s.n
-	out = out[:n]
-	for i := range out {
-		out[i] = 0
-	}
+	out = out[:n] // lets the compiler drop the bounds checks on out[i]
 	switch m {
 	case vec.L2:
-		for j := 0; j < s.dim; j++ {
+		for j := from; j < to; j++ {
 			qj := q[j]
 			col := s.data[j*n : (j+1)*n]
 			for i, v := range col {
@@ -74,7 +91,7 @@ func (s *Slab) DistsToPage(q vec.Point, m vec.Metric, out []float64) {
 			}
 		}
 	case vec.L1:
-		for j := 0; j < s.dim; j++ {
+		for j := from; j < to; j++ {
 			qj := q[j]
 			col := s.data[j*n : (j+1)*n]
 			for i, v := range col {
@@ -82,7 +99,7 @@ func (s *Slab) DistsToPage(q vec.Point, m vec.Metric, out []float64) {
 			}
 		}
 	case vec.LInf:
-		for j := 0; j < s.dim; j++ {
+		for j := from; j < to; j++ {
 			qj := q[j]
 			col := s.data[j*n : (j+1)*n]
 			for i, v := range col {
@@ -96,34 +113,90 @@ func (s *Slab) DistsToPage(q vec.Point, m vec.Metric, out []float64) {
 	}
 }
 
-// DistTo computes the rank distance from q to point i alone (strided
-// column access), bitwise identical to the batched kernel's out[i].
-func (s *Slab) DistTo(i int, q vec.Point, m vec.Metric) float64 {
+// DistsWithin is DistsToPage staged at bound: it accumulates the first
+// split(Dim) dimensions of every point, keeps the points whose partial
+// is not above bound, finishes only those, and returns their indices in
+// ascending order, in keep's storage when it is large enough. A kept
+// point's out[i] is DistsToPage's value bit for bit; a dropped point's
+// out[i] is a partial above bound, and so is its full distance (see the
+// package comment). An infinite bound keeps every point.
+func (s *Slab) DistsWithin(q vec.Point, m vec.Metric, bound float64, out []float64, keep []int32) []int32 {
+	return s.distsWithin(q, m, bound, out, keep, split(s.dim))
+}
+
+func (s *Slab) distsWithin(q vec.Point, m vec.Metric, bound float64, out []float64, keep []int32, h int) []int32 {
+	out = out[:s.n]
+	clear(out)
+	s.addDims(q, m, out, 0, h)
+	if keep = within(out, bound, keep); len(keep) == s.n {
+		s.addDims(q, m, out, h, s.dim)
+		return keep
+	}
 	n := s.n
 	switch m {
 	case vec.L2:
-		var sum float64
-		for j := 0; j < s.dim; j++ {
-			d := q[j] - float64(s.data[j*n+i])
-			sum += d * d
-		}
-		return sum
-	case vec.L1:
-		var sum float64
-		for j := 0; j < s.dim; j++ {
-			sum += math.Abs(q[j] - float64(s.data[j*n+i]))
-		}
-		return sum
-	case vec.LInf:
-		var sum float64
-		for j := 0; j < s.dim; j++ {
-			if d := math.Abs(q[j] - float64(s.data[j*n+i])); d > sum {
-				sum = d
+		for j := h; j < s.dim; j++ {
+			qj := q[j]
+			col := s.data[j*n : (j+1)*n]
+			for _, i := range keep {
+				d := qj - float64(col[i])
+				out[i] += d * d
 			}
 		}
-		return sum
-	default:
-		panic("slab: unknown metric")
+	case vec.L1:
+		for j := h; j < s.dim; j++ {
+			qj := q[j]
+			col := s.data[j*n : (j+1)*n]
+			for _, i := range keep {
+				out[i] += math.Abs(qj - float64(col[i]))
+			}
+		}
+	case vec.LInf:
+		for j := h; j < s.dim; j++ {
+			qj := q[j]
+			col := s.data[j*n : (j+1)*n]
+			for _, i := range keep {
+				if d := math.Abs(qj - float64(col[i])); d > out[i] {
+					out[i] = d
+				}
+			}
+		}
+	}
+	return keep
+}
+
+// split is the number of dimensions the staged kernels accumulate for
+// every entry before they drop the ones above the bound: half, rounded
+// up, which was the fastest leaf split at both d = 10 and d = 16
+// (BenchmarkStagedSplit).
+func split(dim int) int { return (dim + 1) / 2 }
+
+// within returns, in keep's storage when it is large enough, the index
+// of every partial of out that is not above bound. A tie is kept: an
+// entry at exactly the bound can still enter a k-best on its ID. The
+// filter stores every index and advances only past the kept ones, so
+// it does not branch on the comparison.
+func within(out []float64, bound float64, keep []int32) []int32 {
+	if cap(keep) < len(out) {
+		keep = make([]int32, len(out))
+	}
+	keep = keep[:len(out)]
+	k := 0
+	for i, d := range out {
+		keep[k] = int32(i)
+		if d <= bound {
+			k++
+		}
+	}
+	return keep[:k]
+}
+
+// PointAt writes point i's coordinates (widened to float64) into p,
+// which must have length Dim. Used by invariant checks to compare the
+// packed copy against the stored points.
+func (s *Slab) PointAt(i int, p []float64) {
+	for j := 0; j < s.dim; j++ {
+		p[j] = float64(s.data[j*s.n+i])
 	}
 }
 

@@ -92,9 +92,13 @@ func (t *Tree) checkPacked(n *Node) error {
 		if s == nil || s.Len() != len(n.entries) {
 			return fmt.Errorf("xtree: leaf slab out of sync (%d entries)", len(n.entries))
 		}
+		p := make([]float64, t.cfg.Dim)
 		for i, e := range n.entries {
-			if d := s.DistTo(i, e.Point, vec.L2); d != 0 {
-				return fmt.Errorf("xtree: leaf slab entry %d differs from payload (sq dist %g)", i, d)
+			s.PointAt(i, p)
+			for j := range p {
+				if p[j] != e.Point[j] {
+					return fmt.Errorf("xtree: leaf slab entry %d differs from payload in dimension %d", i, j)
+				}
 			}
 		}
 		return nil

@@ -169,6 +169,23 @@ func TestPackedEquivalenceBattery(t *testing.T) {
 								t.Fatalf("%s: results differ:\n ref    %v\n packed %v", label, wantRes, gotRes)
 							}
 							checkStatsParity(t, label, wantStats, gotStats)
+							// ε-termination reads each disk's own k-th
+							// best, which the packed leaf scan must still
+							// feed every entry that could enter it.
+							for _, eps := range []float64{0.1, 0.5} {
+								label := fmt.Sprintf("%s eps=%v", label, eps)
+								wantRes, wantStats, wantErr := ref.KNNApprox(q, k, Approx{Epsilon: eps})
+								gotRes, gotStats, gotErr := packed.KNNApprox(q, k, Approx{Epsilon: eps})
+								if (wantErr == nil) != (gotErr == nil) {
+									t.Fatalf("%s: error mismatch: ref %v, packed %v", label, wantErr, gotErr)
+								}
+								if !sameNeighbors(gotRes, wantRes) {
+									t.Fatalf("%s: results differ:\n ref    %v\n packed %v", label, wantRes, gotRes)
+								}
+								if !reflect.DeepEqual(gotStats, wantStats) {
+									t.Fatalf("%s: stats differ:\n ref    %+v\n packed %+v", label, wantStats, gotStats)
+								}
+							}
 						}
 					}
 					if shared {
