@@ -238,6 +238,53 @@ func BenchmarkInsertDynamic(b *testing.B) {
 	}
 }
 
+// BenchmarkInsertLive times an insert into the shape of the live-durable
+// workload's index, in process and without a log: 100k points, d = 10,
+// 16 disks, packed, quantile splits, 8% of the points in the lowest
+// corner, and every insert into that corner (coordinates scaled by 0.3
+// and rounded to float32, as the packed engine stores them).
+func BenchmarkInsertLive(b *testing.B) {
+	const n, d, cornerShare = 100_000, 10, 8
+	toCorner := func(p []float64) {
+		for j := range p {
+			p[j] = float64(float32(p[j] * 0.3))
+		}
+	}
+	pts := benchPoints(n, d)
+	for i, p := range pts {
+		if i < n*cornerShare/100 {
+			toCorner(p)
+		}
+		for j := range p {
+			p[j] = float64(float32(p[j]))
+		}
+	}
+	ix, err := parsearch.Open(parsearch.Options{Dim: d, Disks: 16, Packed: true, QuantileSplits: true})
+	if err != nil {
+		b.Fatal(err)
+	}
+	if err := ix.Build(pts); err != nil {
+		b.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(100))
+	inserts := make([][]float64, b.N)
+	for i := range inserts {
+		p := make([]float64, d)
+		for j := range p {
+			p[j] = rng.Float64()
+		}
+		toCorner(p)
+		inserts[i] = p
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for _, p := range inserts {
+		if _, err := ix.Insert(p); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // newBenchRand gives benchmarks a fixed-seed source.
 func newBenchRand() *rand.Rand { return rand.New(rand.NewSource(99)) }
 

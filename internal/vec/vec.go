@@ -277,30 +277,26 @@ func (r Rect) Intersection(s Rect) (Rect, bool) {
 	}
 	out := Rect{Min: make(Point, len(r.Min)), Max: make(Point, len(r.Min))}
 	for i := range r.Min {
-		out.Min[i] = math.Max(r.Min[i], s.Min[i])
-		out.Max[i] = math.Min(r.Max[i], s.Max[i])
+		out.Min[i] = max(r.Min[i], s.Min[i])
+		out.Max[i] = min(r.Max[i], s.Max[i])
 	}
 	return out, true
 }
 
 // OverlapArea returns the volume of the intersection of r and s, or 0 if
-// they are disjoint.
+// they are disjoint. The builtin min and max give math.Min's and
+// math.Max's results for NaN, ±0 and ±Inf, inline.
 func (r Rect) OverlapArea(s Rect) float64 {
 	a := 1.0
 	for i := range r.Min {
-		lo := math.Max(r.Min[i], s.Min[i])
-		hi := math.Min(r.Max[i], s.Max[i])
+		lo := max(r.Min[i], s.Min[i])
+		hi := min(r.Max[i], s.Max[i])
 		if hi <= lo {
 			return 0
 		}
 		a *= hi - lo
 	}
 	return a
-}
-
-// Enlargement returns the increase in area required for r to contain s.
-func (r Rect) Enlargement(s Rect) float64 {
-	return r.Union(s).Area() - r.Area()
 }
 
 // SqMinDist returns MINDIST(q, r)^2 under the Euclidean metric: the squared

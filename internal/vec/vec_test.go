@@ -162,9 +162,6 @@ func TestRectBasics(t *testing.T) {
 	if got := r.OverlapArea(s); got != 2 {
 		t.Errorf("OverlapArea = %v, want 2", got)
 	}
-	if got := r.Enlargement(s); got != u.Area()-r.Area() {
-		t.Errorf("Enlargement = %v", got)
-	}
 	inter, ok := r.Intersection(s)
 	if !ok || !Equal(inter.Min, Point{1, 1}) || !Equal(inter.Max, Point{2, 3}) {
 		t.Errorf("Intersection = %v ok=%v", inter, ok)

@@ -27,37 +27,10 @@ func (t *Tree) splitLeaf(n *Node) *Node {
 	return sibling
 }
 
-// chooseLeafSplit implements the R* split for point entries: the split
-// axis minimizes the total margin over all distributions; the split index
-// minimizes overlap (ties: total area).
+// chooseLeafSplit is the R* topological split for point entries.
 func (t *Tree) chooseLeafSplit(entries []Entry) (axis, k int) {
-	n := len(entries)
-	m := t.minFillOf(n)
-
-	bestAxis, bestMargin := 0, math.Inf(1)
-	for a := 0; a < t.cfg.Dim; a++ {
-		sortEntriesByAxis(entries, a)
-		margin := 0.0
-		for s := m; s <= n-m; s++ {
-			margin += mbrOfEntries(entries[:s]).Margin() + mbrOfEntries(entries[s:]).Margin()
-		}
-		if margin < bestMargin {
-			bestAxis, bestMargin = a, margin
-		}
-	}
-
-	sortEntriesByAxis(entries, bestAxis)
-	bestK, bestOverlap, bestArea := m, math.Inf(1), math.Inf(1)
-	for s := m; s <= n-m; s++ {
-		r1 := mbrOfEntries(entries[:s])
-		r2 := mbrOfEntries(entries[s:])
-		ov := r1.OverlapArea(r2)
-		area := r1.Area() + r2.Area()
-		if ov < bestOverlap || (ov == bestOverlap && area < bestArea) {
-			bestK, bestOverlap, bestArea = s, ov, area
-		}
-	}
-	return bestAxis, bestK
+	return t.chooseSplit(len(entries), func(a int) { sortEntriesByAxis(entries, a) },
+		func(i int) (lo, hi vec.Point) { return entries[i].Point, entries[i].Point })
 }
 
 // splitDir splits an overfull directory node. It first tries the R*
@@ -191,26 +164,39 @@ func superFor(count, capacity int) int32 {
 
 // chooseDirSplit is the R* topological split for directory children.
 func (t *Tree) chooseDirSplit(children []*Node) (axis, k int) {
-	n := len(children)
+	return t.chooseSplit(len(children), func(a int) { sortNodesByAxis(children, a) },
+		func(i int) (lo, hi vec.Point) { return children[i].rect.Min, children[i].rect.Max })
+}
+
+// chooseSplit implements the R* split over n boxes (a point is a
+// degenerate box) that sortBy orders along an axis: the split axis
+// minimizes the total margin over all distributions; the split index
+// minimizes overlap (ties: total area). Both sides of every cut come
+// from one prefix and suffix sweep per axis (see mbrSweep), so each
+// axis costs O(n·d) instead of O(n²·d).
+func (t *Tree) chooseSplit(n int, sortBy func(axis int), box func(i int) (lo, hi vec.Point)) (axis, k int) {
 	m := t.minFillOf(n)
+	w := newMBRSweep(n, t.cfg.Dim)
 
 	bestAxis, bestMargin := 0, math.Inf(1)
 	for a := 0; a < t.cfg.Dim; a++ {
-		sortNodesByAxis(children, a)
+		sortBy(a)
+		w.fill(box)
 		margin := 0.0
 		for s := m; s <= n-m; s++ {
-			margin += mbrOfNodes(children[:s]).Margin() + mbrOfNodes(children[s:]).Margin()
+			r1, r2 := w.cut(s)
+			margin += r1.Margin() + r2.Margin()
 		}
 		if margin < bestMargin {
 			bestAxis, bestMargin = a, margin
 		}
 	}
 
-	sortNodesByAxis(children, bestAxis)
+	sortBy(bestAxis)
+	w.fill(box)
 	bestK, bestOverlap, bestArea := m, math.Inf(1), math.Inf(1)
 	for s := m; s <= n-m; s++ {
-		r1 := mbrOfNodes(children[:s])
-		r2 := mbrOfNodes(children[s:])
+		r1, r2 := w.cut(s)
 		ov := r1.OverlapArea(r2)
 		area := r1.Area() + r2.Area()
 		if ov < bestOverlap || (ov == bestOverlap && area < bestArea) {
@@ -218,6 +204,60 @@ func (t *Tree) chooseDirSplit(children []*Node) (axis, k int) {
 		}
 	}
 	return bestAxis, bestK
+}
+
+// mbrSweep holds the MBR of every prefix and every suffix of n boxes in
+// their current order, each rectangle 2·d floats (Min, then Max).
+//
+// A prefix extends boxes 0, 1, … in mbrOfEntries' and mbrOfNodes' order
+// with their comparisons, so it is bit for bit their MBR. A suffix
+// extends from the last box down: its min and max per dimension are the
+// same values, differing at most in the sign of a zero, which compares
+// equal — so every margin, overlap and area comparison decides as on the
+// forward MBR (coordinates are never NaN: the index refuses them). The
+// rectangles are scratch; a split's nodes get their MBRs from
+// recomputeRect.
+type mbrSweep struct {
+	n, d     int
+	pre, suf []float64
+}
+
+func newMBRSweep(n, d int) *mbrSweep {
+	return &mbrSweep{n: n, d: d, pre: make([]float64, 2*d*n), suf: make([]float64, 2*d*n)}
+}
+
+// rect returns rectangle i of a sweep array.
+func (w *mbrSweep) rect(rs []float64, i int) vec.Rect {
+	o := 2 * w.d * i
+	return vec.Rect{Min: rs[o : o+w.d : o+w.d], Max: rs[o+w.d : o+2*w.d : o+2*w.d]}
+}
+
+// fill sweeps the boxes in their current order.
+func (w *mbrSweep) fill(box func(i int) (lo, hi vec.Point)) {
+	w.sweep(w.pre, 0, 1, box)
+	w.sweep(w.suf, w.n-1, -1, box)
+}
+
+// sweep fills rs[i] with the MBR of boxes first … i, for i stepping
+// from first by step.
+func (w *mbrSweep) sweep(rs []float64, first, step int, box func(i int) (lo, hi vec.Point)) {
+	lo, hi := box(first)
+	r := w.rect(rs, first)
+	copy(r.Min, lo)
+	copy(r.Max, hi)
+	for i := first + step; i >= 0 && i < w.n; i += step {
+		prev := r
+		r = w.rect(rs, i)
+		copy(r.Min, prev.Min)
+		copy(r.Max, prev.Max)
+		lo, hi := box(i)
+		r.ExtendRect(vec.Rect{Min: lo, Max: hi})
+	}
+}
+
+// cut returns the MBRs of boxes [0, s) and [s, n).
+func (w *mbrSweep) cut(s int) (left, right vec.Rect) {
+	return w.rect(w.pre, s-1), w.rect(w.suf, s)
 }
 
 // minFillOf returns the minimum number of items per side when splitting a

@@ -337,46 +337,93 @@ func (t *Tree) dirCap(n *Node) int { return t.cfg.DirCapacity * int(n.super) }
 // enlargement when the child level is a leaf level, and the least area
 // enlargement otherwise (ties: smaller area). It returns the child's
 // index, so the caller can replace the child with its copy.
+//
+// Every value is bit for bit the textbook one, and so is every choice;
+// two things make the leaf level linear in practice. An overlap
+// enlargement is never negative (or it is NaN): each sibling's overlap
+// with the enlarged MBR is at least its overlap with the MBR, and both
+// sums add them in the same order. So once the best overlap enlargement
+// is 0, a child can win only with an overlap enlargement of 0 and a
+// smaller area enlargement, or an equal one and a smaller area — and a
+// child that fails that test needs no overlap enlargement at all. The
+// children are visited in their order: with a NaN key the comparison is
+// not transitive, and another order could change the winner.
 func (t *Tree) chooseSubtree(n *Node, p vec.Point) int {
-	pr := vec.PointRect(p)
+	var buf [2 * stackDims]float64
+	scratch := buf[:]
+	if 2*len(p) > len(buf) {
+		scratch = make([]float64, 2*len(p))
+	}
+	enlarged := vec.Rect{Min: scratch[:len(p)], Max: scratch[len(p) : 2*len(p)]}
 	childrenAreLeaves := n.children[0].leaf
 
-	best, bi := n.children[0], 0
+	bi := 0
+	bestAreaInc, bestArea := enlarge(enlarged, n.children[0].rect, p)
+	bestOverlapInc := 0.0
 	if childrenAreLeaves {
-		bestOverlapInc := overlapEnlargement(n.children, 0, pr)
-		bestAreaInc := best.rect.Enlargement(pr)
-		for i, c := range n.children[1:] {
-			oi := overlapEnlargement(n.children, i+1, pr)
-			ai := c.rect.Enlargement(pr)
-			if oi < bestOverlapInc ||
-				(oi == bestOverlapInc && ai < bestAreaInc) ||
-				(oi == bestOverlapInc && ai == bestAreaInc && c.rect.Area() < best.rect.Area()) {
-				best, bi, bestOverlapInc, bestAreaInc = c, i+1, oi, ai
-			}
-		}
-		return bi
+		bestOverlapInc = overlapEnlargement(n.children, 0, enlarged)
 	}
-	bestAreaInc := best.rect.Enlargement(pr)
-	for i, c := range n.children[1:] {
-		ai := c.rect.Enlargement(pr)
-		if ai < bestAreaInc || (ai == bestAreaInc && c.rect.Area() < best.rect.Area()) {
-			best, bi, bestAreaInc = c, i+1, ai
+	for i := 1; i < len(n.children); i++ {
+		ai, area := enlarge(enlarged, n.children[i].rect, p)
+		areaWins := ai < bestAreaInc || (ai == bestAreaInc && area < bestArea)
+		if !childrenAreLeaves {
+			if areaWins {
+				bi, bestAreaInc, bestArea = i, ai, area
+			}
+			continue
+		}
+		if bestOverlapInc == 0 && !areaWins {
+			continue
+		}
+		oi := overlapEnlargement(n.children, i, enlarged)
+		if oi < bestOverlapInc || (oi == bestOverlapInc && areaWins) {
+			bi, bestOverlapInc, bestAreaInc, bestArea = i, oi, ai, area
 		}
 	}
 	return bi
 }
 
+// stackDims is the dimensionality up to which chooseSubtree's scratch
+// rectangle lives on the stack.
+const stackDims = 32
+
+// enlarge sets e to r extended to cover p, with vec.Rect.Extend's
+// comparisons, and returns the area enlargement and r's area, each
+// product taken in vec.Rect.Area's order: the enlargement is bit for bit
+// r.Union(vec.PointRect(p)).Area() - r.Area().
+func enlarge(e, r vec.Rect, p vec.Point) (inc, area float64) {
+	ea, area := 1.0, 1.0
+	for i := range e.Min {
+		lo, hi := r.Min[i], r.Max[i]
+		area *= hi - lo
+		if p[i] < lo {
+			lo = p[i]
+		}
+		if p[i] > hi {
+			hi = p[i]
+		}
+		e.Min[i], e.Max[i] = lo, hi
+		ea *= hi - lo
+	}
+	return ea - area, area
+}
+
 // overlapEnlargement computes how much the overlap of children[i] with its
-// siblings grows when children[i] is extended to cover r.
-func overlapEnlargement(children []*Node, i int, r vec.Rect) float64 {
-	enlarged := children[i].rect.Union(r)
+// siblings grows when children[i] is extended to enlarged. A sibling that
+// enlarged does not overlap adds 0 to both sums — children[i], inside
+// enlarged, does not overlap it either — so it is skipped.
+func overlapEnlargement(children []*Node, i int, enlarged vec.Rect) float64 {
 	var before, after float64
 	for j, c := range children {
 		if j == i {
 			continue
 		}
+		o := enlarged.OverlapArea(c.rect)
+		if o == 0 {
+			continue
+		}
 		before += children[i].rect.OverlapArea(c.rect)
-		after += enlarged.OverlapArea(c.rect)
+		after += o
 	}
 	return after - before
 }
