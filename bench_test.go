@@ -174,29 +174,44 @@ func BenchmarkBuild(b *testing.B) {
 	}
 }
 
-// BenchmarkLoad times bringing an index back from its snapshot: decode,
-// then the same build.
+// BenchmarkLoad times bringing an index back from its snapshot. as-built
+// loads the snapshot of an index unchanged since its build, which
+// records the trees: decode them, then stage one. rebuild loads the
+// snapshot of the same index after one Insert, which holds the point
+// table: decode it, then the same build.
 func BenchmarkLoad(b *testing.B) {
 	shape := buildShapes[0]
-	ix, err := parsearch.Open(shape.opts)
-	if err != nil {
-		b.Fatal(err)
+	for _, c := range []struct {
+		name   string
+		insert bool
+	}{{"as-built", false}, {"rebuild", true}} {
+		b.Run(c.name, func(b *testing.B) {
+			ix, err := parsearch.Open(shape.opts)
+			if err != nil {
+				b.Fatal(err)
+			}
+			if err := ix.Build(benchPoints(shape.n, shape.opts.Dim)); err != nil {
+				b.Fatal(err)
+			}
+			if c.insert {
+				if _, err := ix.Insert(make([]float64, shape.opts.Dim)); err != nil {
+					b.Fatal(err)
+				}
+			}
+			var snap bytes.Buffer
+			if err := ix.Save(&snap); err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := parsearch.Load(bytes.NewReader(snap.Bytes())); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(shape.n), "ns/point")
+		})
 	}
-	if err := ix.Build(benchPoints(shape.n, shape.opts.Dim)); err != nil {
-		b.Fatal(err)
-	}
-	var snap bytes.Buffer
-	if err := ix.Save(&snap); err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := parsearch.Load(bytes.NewReader(snap.Bytes())); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(shape.n), "ns/point")
 }
 
 func BenchmarkKNNQuery(b *testing.B) {

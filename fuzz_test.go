@@ -35,7 +35,7 @@ func FuzzLoad(f *testing.F) {
 	// Snapshots holding a non-finite coordinate, which Load refuses.
 	for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
 		buf.Reset()
-		if err := ix.writeSnapshot(&buf, []vec.Point{{0.1, 0.2, 0.3}, {0.5, v, 0.5}}); err != nil {
+		if err := ix.writeSnapshot(&buf, []vec.Point{{0.1, 0.2, 0.3}, {0.5, v, 0.5}}, nil); err != nil {
 			f.Fatal(err)
 		}
 		f.Add(bytes.Clone(buf.Bytes()))
@@ -160,6 +160,96 @@ func FuzzSnapshotRoundtrip(f *testing.F) {
 		}
 		if got := reloaded.Metrics(); !reflect.DeepEqual(got, s) {
 			t.Fatalf("metrics changed across round-trip:\n got %+v\nwant %+v", got, s)
+		}
+	})
+}
+
+// layoutSnapshotPayload builds a small as-built index and returns its
+// version-2 snapshot with the trailing CRC-32 stripped.
+func layoutSnapshotPayload(f *testing.F, opts Options, pts [][]float64) []byte {
+	f.Helper()
+	ix, err := Open(opts)
+	if err != nil {
+		f.Fatal(err)
+	}
+	if err := ix.Build(pts); err != nil {
+		f.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := ix.Save(&buf); err != nil {
+		f.Fatal(err)
+	}
+	if v := snapshotVersionOf(buf.Bytes()); v != snapshotTrees {
+		f.Fatalf("an as-built index wrote version %d", v)
+	}
+	return buf.Bytes()[:buf.Len()-4]
+}
+
+// FuzzLoadLayout fuzzes the version-2 tree sections with
+// FuzzSnapshotRoundtrip's harness: a valid CRC-32 is appended so that
+// mutations reach the layout reader. A payload that loads must pass
+// CheckIntegrity, and its k-NN answers must be a linear scan's.
+func FuzzLoadLayout(f *testing.F) {
+	uniform := func(n, d int, seed int64) [][]float64 { return data.Uniform(n, d, seed) }
+	tombstones := uniform(60, 3, 5)
+	for i := 0; i < len(tombstones); i += 4 {
+		tombstones[i] = nil
+	}
+	skewed := append(uniform(40, 3, 6), data.Clustered(40, 3, 1, 0.04, 7)...)
+	for _, seed := range []struct {
+		opts Options
+		pts  [][]float64
+	}{
+		{Options{Dim: 3, Disks: 3, PageSize: 256, Replication: 1}, uniform(60, 3, 1)},
+		{Options{Dim: 3, Disks: 3, PageSize: 256, Baseline: true, Packed: true}, uniform(60, 3, 2)},
+		{Options{Dim: 3, Disks: 4, PageSize: 256, Recursive: true, QuantileSplits: true}, skewed},
+		{Options{Dim: 3, Disks: 3, PageSize: 256, Kind: RoundRobin, Replication: 1}, uniform(60, 3, 3)},
+		{Options{Dim: 3, Disks: 1, PageSize: 256, Packed: true}, uniform(60, 3, 4)},
+		{Options{Dim: 3, Disks: 3, PageSize: 256, QuantileSplits: true, Replication: 1, Baseline: true}, tombstones},
+	} {
+		f.Add(layoutSnapshotPayload(f, seed.opts, seed.pts))
+	}
+	queries := append(data.Uniform(4, 3, 8), []float64{0, 0, 0}, []float64{1, 1, 1})
+
+	f.Fuzz(func(t *testing.T, b []byte) {
+		full := binary.LittleEndian.AppendUint32(bytes.Clone(b), crc32.ChecksumIEEE(b))
+		loaded, err := Load(bytes.NewReader(full))
+		if err != nil {
+			return
+		}
+		if err := loaded.CheckIntegrity(); err != nil {
+			t.Fatalf("loaded index fails its integrity check: %v", err)
+		}
+		if loaded.Len() == 0 {
+			return
+		}
+		m, err := loaded.opts.Metric.vecMetric()
+		if err != nil {
+			t.Fatal(err)
+		}
+		live := make(map[int][]float64)
+		for id, p := range loaded.points {
+			if p != nil {
+				live[id] = p
+			}
+		}
+		dim := loaded.opts.Dim
+		for _, q3 := range queries {
+			q := make([]float64, dim)
+			copy(q, q3)
+			got, _, err := loaded.KNN(q, 5)
+			if err != nil {
+				t.Fatalf("loaded index cannot be queried: %v", err)
+			}
+			want := linearScanKNN(live, q, 5, m)
+			if len(got) != len(want) {
+				t.Fatalf("k-NN answered %d neighbors, a linear scan %d", len(got), len(want))
+			}
+			for i := range want {
+				if got[i].ID != want[i].id || got[i].Dist != want[i].dist {
+					t.Fatalf("neighbor %d is %d at %v, a linear scan's %d at %v", i, got[i].ID, got[i].Dist, want[i].id, want[i].dist)
+				}
+			}
 		}
 	})
 }

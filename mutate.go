@@ -214,8 +214,10 @@ func (st *state) copies(d int) ([2]*xtree.Tree, int) {
 	return c, 2
 }
 
-// place stores the point in every copy of disk d.
+// place stores the point in every copy of disk d. The trees are no
+// longer the ones a build makes (state.asBuilt), nor after take.
 func (st *state) place(d int, p vec.Point, id int) {
+	st.asBuilt = false
 	c, n := st.copies(d)
 	for _, t := range c[:n] {
 		t.Insert(p, id)
@@ -226,6 +228,7 @@ func (st *state) place(d int, p vec.Point, id int) {
 // a copy does not hold it, the copies already changed are restored so
 // the failed removal leaves no trace.
 func (st *state) take(d int, p vec.Point, id int) error {
+	st.asBuilt = false
 	c, n := st.copies(d)
 	for i, t := range c[:n] {
 		if !t.Delete(p, id) {

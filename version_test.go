@@ -93,7 +93,7 @@ func TestNonFiniteLoadAndReplayRefused(t *testing.T) {
 				t.Fatal(err)
 			}
 			var buf bytes.Buffer
-			if err := ix.writeSnapshot(&buf, []vec.Point{good[0], p, good[1]}); err != nil {
+			if err := ix.writeSnapshot(&buf, []vec.Point{good[0], p, good[1]}, nil); err != nil {
 				t.Fatal(err)
 			}
 			if _, err := Load(&buf); err == nil || !strings.Contains(err.Error(), "component 1") {
