@@ -13,6 +13,7 @@ import (
 	"testing"
 
 	"parsearch"
+	"parsearch/internal/data"
 	"parsearch/internal/exp"
 )
 
@@ -174,43 +175,58 @@ func BenchmarkBuild(b *testing.B) {
 	}
 }
 
+// loadShapes are the index shapes the load rows time: the build rows'
+// lib-scale shape, and the serve-mixed shape (Fourier descriptors under
+// quantile splits, packed), whose load gathers the quantile columns too.
+var loadShapes = []struct {
+	name   string
+	points func() [][]float64
+	opts   parsearch.Options
+}{
+	{"200k-packed", func() [][]float64 { return benchPoints(200_000, 10) }, buildShapes[0].opts},
+	{"50k-fourier-quantile", func() [][]float64 { return data.Fourier(50_000, 16, 12, 0.15, 1) },
+		parsearch.Options{Dim: 16, Disks: 16, Packed: true, QuantileSplits: true}},
+}
+
 // BenchmarkLoad times bringing an index back from its snapshot. as-built
 // loads the snapshot of an index unchanged since its build, which
 // records the trees: decode them, then stage one. rebuild loads the
 // snapshot of the same index after one Insert, which holds the point
 // table: decode it, then the same build.
 func BenchmarkLoad(b *testing.B) {
-	shape := buildShapes[0]
-	for _, c := range []struct {
-		name   string
-		insert bool
-	}{{"as-built", false}, {"rebuild", true}} {
-		b.Run(c.name, func(b *testing.B) {
-			ix, err := parsearch.Open(shape.opts)
-			if err != nil {
-				b.Fatal(err)
-			}
-			if err := ix.Build(benchPoints(shape.n, shape.opts.Dim)); err != nil {
-				b.Fatal(err)
-			}
-			if c.insert {
-				if _, err := ix.Insert(make([]float64, shape.opts.Dim)); err != nil {
+	for _, shape := range loadShapes {
+		pts := shape.points()
+		for _, c := range []struct {
+			name   string
+			insert bool
+		}{{"as-built", false}, {"rebuild", true}} {
+			b.Run(shape.name+"/"+c.name, func(b *testing.B) {
+				ix, err := parsearch.Open(shape.opts)
+				if err != nil {
 					b.Fatal(err)
 				}
-			}
-			var snap bytes.Buffer
-			if err := ix.Save(&snap); err != nil {
-				b.Fatal(err)
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := parsearch.Load(bytes.NewReader(snap.Bytes())); err != nil {
+				if err := ix.Build(pts); err != nil {
 					b.Fatal(err)
 				}
-			}
-			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(shape.n), "ns/point")
-		})
+				if c.insert {
+					if _, err := ix.Insert(make([]float64, shape.opts.Dim)); err != nil {
+						b.Fatal(err)
+					}
+				}
+				var snap bytes.Buffer
+				if err := ix.Save(&snap); err != nil {
+					b.Fatal(err)
+				}
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					if _, err := parsearch.Load(bytes.NewReader(snap.Bytes())); err != nil {
+						b.Fatal(err)
+					}
+				}
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(len(pts)), "ns/point")
+			})
+		}
 	}
 }
 

@@ -135,7 +135,7 @@ func (ix *Index) buildState(points [][]float64) (st *state, pts []vec.Point, liv
 			return nil, nil, 0, fmt.Errorf("parsearch: point %d component %d is %v, not finite", i, j, pts[i][j])
 		}
 	}
-	st, cellOf, err := ix.decluster(pts, live)
+	st, cellOf, err := ix.decluster(pts, live, nil)
 	if err != nil {
 		return nil, nil, 0, err
 	}
@@ -144,38 +144,57 @@ func (ix *Index) buildState(points [][]float64) (st *state, pts []vec.Point, liv
 	return st, pts, live, nil
 }
 
-// decluster is stage one of a build, serial and deterministic: it
-// chooses the bucketing and the assigner over the live points, and
-// finds and counts every live point's storage cell. It returns the state
-// without trees, and each point's index in st.cells (tombstones' slots
-// unused).
+// decluster is stage one of a build, deterministic: it chooses the
+// bucketing and the assigner over the live points, and finds and counts
+// every live point's storage cell. It returns the state without trees,
+// and each point's index in st.cells (tombstones' slots unused).
+//
+// stored, when not nil, are trees whose leaves hold every live point of
+// pts once, in place (an assembly's primaries): the passes that read
+// every point — the quantile columns and the bucket pass — read them
+// there, in leaf order, where a page's points lie side by side. Without
+// them they read pts in ID order.
 //
 // Bucket-based strategies store data per bucket, so no page spans two
 // buckets (the paper's storage layout); round robin has no spatial
 // grouping — each disk indexes its arrival-order sample as a whole.
 // Under a bucket strategy disk, key and region depend on the quadrant
-// alone and are derived once per quadrant; the recursive and
-// round-robin assigners are asked point by point. st.cells is in
-// first-seen (ID) order — the order Insert continues.
-func (ix *Index) decluster(pts []vec.Point, live int) (*state, []int, error) {
+// alone: bucketCells computes the quadrants in parallel and derives each
+// cell once. The recursive and round-robin assigners are asked point by
+// point, in ID order. st.cells is in first-seen (ID) order — the order
+// Insert continues.
+func (ix *Index) decluster(pts []vec.Point, live int, stored []*xtree.Tree) (*state, []int, error) {
 	st := &state{cellIndex: make(map[string]int)}
-	var livePoints []vec.Point
-	if ix.opts.QuantileSplits || ix.opts.Recursive {
-		livePoints = make([]vec.Point, 0, live)
+	// The recursive assigner breaks its ties in ID order; the quantile
+	// splits are order statistics, the same in any order.
+	var byID []vec.Point
+	if ix.opts.Recursive || ix.opts.QuantileSplits && stored == nil {
+		byID = make([]vec.Point, 0, live)
 		for _, p := range pts {
 			if p != nil {
-				livePoints = append(livePoints, p)
+				byID = append(byID, p)
 			}
 		}
 	}
 	// Choose the bucketing per the configured extensions.
 	if ix.opts.QuantileSplits && live > 0 {
-		st.bucketer = core.NewQuantileSplitter(livePoints, 0.5)
+		columns := byID
+		if stored != nil {
+			columns = make([]vec.Point, 0, live)
+			for _, t := range stored {
+				t.EachLeaf(func(leaf *xtree.Node) {
+					for _, e := range leaf.Entries() {
+						columns = append(columns, e.Point)
+					}
+				})
+			}
+		}
+		st.bucketer = core.NewQuantileSplitter(columns, 0.5)
 	} else {
 		st.bucketer = core.NewMidpointSplitter(ix.opts.Dim)
 	}
 	if ix.opts.Recursive {
-		st.assigner = core.BuildRecursive(livePoints, st.bucketer, ix.opts.Disks,
+		st.assigner = core.BuildRecursive(byID, st.bucketer, ix.opts.Disks,
 			core.DefaultRecursiveConfig(ix.opts.Disks))
 	} else {
 		assigner, err := ix.makeAssigner(st.bucketer)
@@ -184,31 +203,74 @@ func (ix *Index) decluster(pts []vec.Point, live int) (*state, []int, error) {
 		}
 		st.assigner = assigner
 	}
-	_, perBucket := st.assigner.(*core.BucketAssigner)
+	if _, perBucket := st.assigner.(*core.BucketAssigner); perBucket {
+		return st, ix.bucketCells(st, pts, stored), nil
+	}
+	cellOf := make([]int, len(pts))
+	for i, p := range pts {
+		if p != nil {
+			d, key := ix.assignCell(st, i, p)
+			cellOf[i] = addToCell(st, key, d, p)
+		}
+	}
+	return st, cellOf, nil
+}
+
+// bucketChunk is how many IDs of the point table one job of the bucket
+// pass reads when no trees hold the points.
+const bucketChunk = 1 << 14
+
+// bucketCells finds the cells under a per-bucket assigner, in two
+// passes. The bucket pass computes every live point's quadrant on
+// runJobs' workers where the points lie: one job a stored tree, walking
+// its leaves, or else one a chunk of IDs. Then one serial pass in ID
+// order creates the cells in first-seen order — assignCell (the strategy
+// call, the key) and the region run once a cell — counts them, and
+// returns each point's cell.
+func (ix *Index) bucketCells(st *state, pts []vec.Point, stored []*xtree.Tree) []int {
+	buckets := make([]core.Bucket, len(pts))
+	var jobs []func()
+	if stored != nil {
+		for _, t := range stored {
+			jobs = append(jobs, func() {
+				t.EachLeaf(func(leaf *xtree.Node) {
+					for _, e := range leaf.Entries() {
+						buckets[e.ID] = st.bucketer.Bucket(e.Point)
+					}
+				})
+			})
+		}
+	} else {
+		for lo := 0; lo < len(pts); lo += bucketChunk {
+			hi := min(lo+bucketChunk, len(pts))
+			jobs = append(jobs, func() {
+				for i, p := range pts[lo:hi] {
+					if p != nil {
+						buckets[lo+i] = st.bucketer.Bucket(p)
+					}
+				}
+			})
+		}
+	}
+	runJobs(jobs)
+
 	memo := make(map[core.Bucket]int)
 	cellOf := make([]int, len(pts))
 	for i, p := range pts {
 		if p == nil {
 			continue
 		}
-		var b core.Bucket
-		c, known := 0, false
-		if perBucket {
-			b = st.bucketer.Bucket(p)
-			c, known = memo[b]
-		}
+		c, known := memo[buckets[i]]
 		if known {
 			st.cells[c].count++
 		} else {
 			d, key := ix.assignCell(st, i, p)
 			c = addToCell(st, key, d, p)
-			if perBucket {
-				memo[b] = c
-			}
+			memo[buckets[i]] = c
 		}
 		cellOf[i] = c
 	}
-	return st, cellOf, nil
+	return cellOf
 }
 
 // bulkLoad is stage two of a build from points: it groups the live
@@ -281,15 +343,15 @@ func (ix *Index) bulkLoad(st *state, pts []vec.Point, cellOf []int, live int) {
 
 // assembleState is stage two from a version-2 snapshot instead of a bulk
 // load: it reads the recorded trees back as they were built, then runs
-// stage one (decluster) over the points they hold, unchanged. Every
-// primary is read on a runJobs worker, then every replica and the
-// baseline, and a leaf's points share one array. It refuses, before
-// anything is published: an ID out of range or held twice (by one tree
-// or two primaries), a non-finite coordinate, a point on a disk other
-// than the one stage one assigns it, a replica that does not hold
-// exactly its primary's IDs, a baseline that does not hold exactly the
-// live ones, and every structure CheckInvariants rejects (see
-// xtree.ReadLayout).
+// stage one (decluster) over the points where the primaries' leaves
+// hold them. Every primary is read on a runJobs worker, then every
+// replica and the baseline, and a leaf's points share one array. It
+// refuses, before anything is published: an ID out of range or held
+// twice (by one tree or two primaries), a non-finite coordinate, a point
+// on a disk other than the one stage one assigns it, a replica that
+// does not hold exactly its primary's IDs, a baseline that does not hold
+// exactly the live ones, and every structure CheckInvariants rejects
+// (see xtree.ReadLayout).
 func (ix *Index) assembleState(tl *treeLayout) (st *state, pts []vec.Point, live int, err error) {
 	n, cfg := ix.opts.Disks, ix.treeConfig()
 	shards, pts, owner, err := ix.readPrimaries(tl)
@@ -313,7 +375,7 @@ func (ix *Index) assembleState(tl *treeLayout) (st *state, pts []vec.Point, live
 			d := (r + n - 1) % n // replicaOf(d, n) == r
 			jobs = append(jobs, func() {
 				replicas[r], errs[n+r] = xtree.ReadLayout(cfg, tl.sections[n+r], false, func(id int, _ vec.Point) (vec.Point, error) {
-					if id >= len(pts) || owner[id].Load() != int32(d+1) || inReplica[id] {
+					if id >= len(pts) || owner[id] != int32(d+1) || inReplica[id] {
 						return nil, fmt.Errorf("parsearch: the replica on disk %d holds ID %d, not once a point of disk %d", r, id, d)
 					}
 					inReplica[id] = true
@@ -346,7 +408,7 @@ func (ix *Index) assembleState(tl *treeLayout) (st *state, pts []vec.Point, live
 		return nil, nil, 0, err
 	}
 
-	st, cellOf, err := ix.decluster(pts, live)
+	st, cellOf, err := ix.decluster(pts, live, shards)
 	if err != nil {
 		return nil, nil, 0, err
 	}
@@ -354,7 +416,7 @@ func (ix *Index) assembleState(tl *treeLayout) (st *state, pts []vec.Point, live
 		if p == nil {
 			continue
 		}
-		if d, want := int(owner[id].Load())-1, st.cells[cellOf[id]].disk; d != want {
+		if d, want := int(owner[id])-1, st.cells[cellOf[id]].disk; d != want {
 			return nil, nil, 0, fmt.Errorf("parsearch: ID %d is on disk %d, the assigner puts it on disk %d", id, d, want)
 		}
 	}
@@ -364,33 +426,47 @@ func (ix *Index) assembleState(tl *treeLayout) (st *state, pts []vec.Point, live
 }
 
 // readPrimaries reads the primaries' layouts on runJobs' workers into
-// their trees and a point table whose points lie in their leaves' arrays.
-// owner[id] is one more than the disk whose primary holds id: the
-// primaries claim their IDs with a compare-and-swap, so no two workers
-// ever write one slot of pts.
-func (ix *Index) readPrimaries(tl *treeLayout) (shards []*xtree.Tree, pts []vec.Point, owner []atomic.Int32, err error) {
+// their trees, whose leaves hold the points, a leaf's in one array. Then
+// one serial walk of their leaves claims the IDs: pts[id] becomes the
+// point in its leaf and owner[id] one more than the disk whose primary
+// holds it, and an ID met twice, in one tree or two, is refused. The
+// workers share nothing while they read.
+func (ix *Index) readPrimaries(tl *treeLayout) (shards []*xtree.Tree, pts []vec.Point, owner []int32, err error) {
 	cfg := ix.treeConfig()
-	pts = make([]vec.Point, tl.ids)
-	owner = make([]atomic.Int32, tl.ids)
 	shards = make([]*xtree.Tree, ix.opts.Disks)
 	errs := make([]error, len(shards))
 	jobs := make([]func(), len(shards))
 	for d := range jobs {
 		jobs[d] = func() {
 			shards[d], errs[d] = xtree.ReadLayout(cfg, tl.sections[d], true, func(id int, p vec.Point) (vec.Point, error) {
-				if id >= len(pts) {
-					return nil, fmt.Errorf("parsearch: disk %d holds ID %d of %d", d, id, len(pts))
+				if id >= tl.ids {
+					return nil, fmt.Errorf("parsearch: disk %d holds ID %d of %d", d, id, tl.ids)
 				}
-				if !owner[id].CompareAndSwap(0, int32(d+1)) {
-					return nil, fmt.Errorf("parsearch: ID %d is held twice", id)
-				}
-				pts[id] = p
 				return p, nil
 			})
 		}
 	}
 	runJobs(jobs)
-	return shards, pts, owner, errors.Join(errs...)
+	if err := errors.Join(errs...); err != nil {
+		return nil, nil, nil, err
+	}
+	pts = make([]vec.Point, tl.ids)
+	owner = make([]int32, tl.ids)
+	for d, t := range shards {
+		t.EachLeaf(func(leaf *xtree.Node) {
+			for _, e := range leaf.Entries() {
+				if owner[e.ID] != 0 && err == nil {
+					err = fmt.Errorf("parsearch: ID %d is held twice", e.ID)
+				}
+				owner[e.ID] = int32(d + 1)
+				pts[e.ID] = e.Point
+			}
+		})
+		if err != nil {
+			return nil, nil, nil, err
+		}
+	}
+	return shards, pts, owner, nil
 }
 
 // loadShard bulk-loads one disk's share of the data — grouped by

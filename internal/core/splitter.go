@@ -44,8 +44,8 @@ func NewSplitter(splits []float64) *Splitter {
 
 // NewQuantileSplitter splits each dimension at the α-quantile of the given
 // points, the paper's first extension for skewed data: with α = 0.5 both
-// sides of every split carry the same number of points. It panics if no
-// points are given.
+// sides of every split carry the same number of points. The splits do not
+// depend on the order of the points. It panics if no points are given.
 func NewQuantileSplitter(points []vec.Point, alpha float64) *Splitter {
 	if len(points) == 0 {
 		panic("core: NewQuantileSplitter with no points")
@@ -59,6 +59,13 @@ func NewQuantileSplitter(points []vec.Point, alpha float64) *Splitter {
 			col[j] = p[i]
 		}
 		splits[i] = quantile.Exact(col, alpha)
+		// The order statistics are the same values in any order of the
+		// points, but of equal values selection keeps whichever it met
+		// first: a zero split is +0, so that no split depends on the
+		// order the points come in.
+		if splits[i] == 0 {
+			splits[i] = 0
+		}
 	}
 	return &Splitter{splits: splits}
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 
@@ -90,6 +91,44 @@ func TestQuantileSplitterMedianBalances(t *testing.T) {
 	}
 	if frac := float64(above) / n; frac > 0.40 {
 		t.Errorf("midpoint split unexpectedly balanced (%.2f) — workload not skewed?", frac)
+	}
+}
+
+// TestQuantileSplitterIgnoresOrder: the splits are the same bits in any
+// order of the points — an assembled index gathers its columns in leaf
+// order, a build in ID order. Zeros of both signs sit at the median, where
+// selection would otherwise keep whichever it met first.
+func TestQuantileSplitterIgnoresOrder(t *testing.T) {
+	r := rand.New(rand.NewSource(22))
+	negZero := math.Copysign(0, -1)
+	pts := make([]vec.Point, 41)
+	for i := range pts {
+		// Dimension 0: zeros of both signs in the middle of the order;
+		// dimension 1: ties everywhere; dimension 2: distinct values.
+		z := 0.0
+		if i%2 == 1 {
+			z = negZero
+		}
+		switch {
+		case i < 12:
+			z = -r.Float64()
+		case i > 28:
+			z = r.Float64()
+		}
+		pts[i] = vec.Point{z, float64(i % 3), r.Float64()}
+	}
+	want := NewQuantileSplitter(pts, 0.5).Splits()
+	if want[0] != 0 || math.Signbit(want[0]) {
+		t.Fatalf("dimension 0 split is %v (sign bit %v), want +0", want[0], math.Signbit(want[0]))
+	}
+	for trial := 0; trial < 200; trial++ {
+		r.Shuffle(len(pts), func(i, j int) { pts[i], pts[j] = pts[j], pts[i] })
+		got := NewQuantileSplitter(pts, 0.5).Splits()
+		for j := range want {
+			if math.Float64bits(got[j]) != math.Float64bits(want[j]) {
+				t.Fatalf("trial %d: dimension %d splits at %v, in the first order at %v", trial, j, got[j], want[j])
+			}
+		}
 	}
 }
 

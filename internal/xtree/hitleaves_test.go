@@ -245,3 +245,38 @@ func TestHitLeavesAllocatesNothing(t *testing.T) {
 		}
 	}
 }
+
+// TestEachLeafMatchesLeaves: the walk the load path reads its points
+// with visits exactly Leaves' list, in its order, on every tree shape,
+// and allocates nothing.
+func TestEachLeafMatchesLeaves(t *testing.T) {
+	for _, packed := range []bool{false, true} {
+		for _, nt := range hitLeafTrees(t, packed) {
+			want := nt.tree.Leaves()
+			var got []*Node
+			nt.tree.EachLeaf(func(leaf *Node) { got = append(got, leaf) })
+			name := fmt.Sprintf("packed=%v/%s", packed, nt.name)
+			if len(got) != len(want) {
+				t.Errorf("%s: EachLeaf visits %d leaves, Leaves lists %d", name, len(got), len(want))
+				continue
+			}
+			for i := range got {
+				if got[i] != want[i] {
+					t.Errorf("%s: leaf %d of %d differs from Leaves'", name, i, len(got))
+					break
+				}
+			}
+			entries := 0
+			allocs := testing.AllocsPerRun(20, func() {
+				entries = 0
+				nt.tree.EachLeaf(func(leaf *Node) { entries += len(leaf.entries) })
+			})
+			if allocs != 0 {
+				t.Errorf("%s: %v allocations per walk", name, allocs)
+			}
+			if entries != nt.tree.Len() {
+				t.Errorf("%s: the walk met %d entries of %d", name, entries, nt.tree.Len())
+			}
+		}
+	}
+}

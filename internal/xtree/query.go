@@ -73,7 +73,8 @@ func (t *Tree) PointSearch(p vec.Point) []Entry {
 // Leaves returns all leaf nodes in depth-first order. It allocates the
 // whole list and touches every leaf; no query calls it, only integrity
 // checks. It is the tests' reference enumeration — what HitLeaves, with
-// which a query enumerates the leaves it must read, is checked against.
+// which a query enumerates the leaves it must read, and EachLeaf are
+// checked against.
 func (t *Tree) Leaves() []*Node {
 	var out []*Node
 	var walk func(n *Node)
@@ -90,6 +91,26 @@ func (t *Tree) Leaves() []*Node {
 		walk(t.root)
 	}
 	return out
+}
+
+// EachLeaf calls visit for every leaf in the order Leaves yields them,
+// and allocates nothing. A loaded tree's leaves hold its points, a
+// leaf's in one array, so a pass over every point of the tree reads
+// memory in order when it walks them.
+func (t *Tree) EachLeaf(visit func(leaf *Node)) {
+	if t.root != nil {
+		eachLeaf(t.root, visit)
+	}
+}
+
+func eachLeaf(n *Node, visit func(leaf *Node)) {
+	if n.leaf {
+		visit(n)
+		return
+	}
+	for _, c := range n.children {
+		eachLeaf(c, visit)
+	}
 }
 
 // Region is the part of the data space a query must read: the box of a

@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"math"
+	"math/rand"
 	"os"
 	"reflect"
 	"runtime"
@@ -536,6 +537,138 @@ func TestLoadRefusals(t *testing.T) {
 			if _, err := Load(bytes.NewReader(cut)); err == nil {
 				t.Fatalf("a payload cut at byte %d of %d loaded under a fresh CRC", i, len(raw)-4)
 			}
+		}
+	}
+}
+
+// TestStageOneIgnoresLeafOrder: the order in which a snapshot's leaves
+// hold the points does not reach stage one. A version-2 snapshot whose
+// primaries hold their points shuffled into other leaves loads, and stage
+// one over its read primaries — whose bucket pass and quantile columns
+// walk their leaves — yields what Build's stage one yields over the
+// point table in ID order: the same splits, the same cell table (keys,
+// order, counts, disks, regions), and the same cell for every ID. The
+// loaded index carries that cell table too. Midpoint, quantile and
+// recursive configurations, at GOMAXPROCS 1 and 2.
+func TestStageOneIgnoresLeafOrder(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	withTombstones := func(pts [][]float64) [][]float64 {
+		for i := 0; i < len(pts); i += 5 {
+			pts[i] = nil
+		}
+		return pts
+	}
+	// A quarter uniform, the rest one tight cluster, which overloads its
+	// disk.
+	skewed := append(data.Uniform(100, 2, 62), data.Clustered(300, 2, 1, 0.04, 63)...)
+	midpoint := Options{Dim: 2, Disks: 3, PageSize: 256, Replication: 1, Baseline: true}
+	quantile, recursive := midpoint, midpoint
+	quantile.QuantileSplits = true
+	recursive.Recursive = true
+	for _, c := range []struct {
+		name string
+		opts Options
+		pts  [][]float64
+	}{
+		{"midpoint", midpoint, withTombstones(data.Uniform(400, 2, 61))},
+		{"quantile", quantile, withTombstones(data.Uniform(400, 2, 61))},
+		{"recursive", recursive, withTombstones(skewed)},
+	} {
+		for _, procs := range []int{1, 2} {
+			runtime.GOMAXPROCS(procs)
+			name := fmt.Sprintf("%s at GOMAXPROCS %d", c.name, procs)
+			ix, err := Open(c.opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := ix.Build(c.pts); err != nil {
+				t.Fatal(err)
+			}
+			want, wantCellOf, err := ix.decluster(ix.points, ix.live, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if c.opts.Recursive && !recursed(want) {
+				t.Fatalf("%s: the recursive assigner expanded no cell", name)
+			}
+
+			var buf bytes.Buffer
+			if err := ix.Save(&buf); err != nil {
+				t.Fatal(err)
+			}
+			head, _, tail := splitTrees(t, buf.Bytes())
+			rng := rand.New(rand.NewSource(64))
+			f := &forged{}
+			for _, tr := range ix.st.shards {
+				es := slices.Clone(leafEntries(tr))
+				rng.Shuffle(len(es), func(i, j int) { es[i], es[j] = es[j], es[i] })
+				f.primaries = append(f.primaries, es)
+			}
+			raw := joinTrees(head, f.sections(), tail)
+			loaded, err := Load(bytes.NewReader(raw))
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			sameStageOne(t, name+", loaded", want, loaded.st)
+
+			sd, _, err := parseSnapshotPayload(raw)
+			if err != nil {
+				t.Fatal(err)
+			}
+			shards, pts, _, err := ix.readPrimaries(sd.trees)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, gotCellOf, err := ix.decluster(pts, ix.live, shards)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sameStageOne(t, name+", assembled", want, got)
+			for id, p := range ix.points {
+				if p != nil && gotCellOf[id] != wantCellOf[id] {
+					t.Errorf("%s: ID %d is in cell %d, Build puts it in cell %d", name, id, gotCellOf[id], wantCellOf[id])
+					break
+				}
+			}
+		}
+	}
+}
+
+// recursed reports whether a recursive assigner's cell table holds a
+// cell below the first level, whose key is longer than a quadrant's.
+func recursed(st *state) bool {
+	short, long := math.MaxInt, 0
+	for key := range st.cellIndex {
+		short, long = min(short, len(key)), max(long, len(key))
+	}
+	return long > short
+}
+
+// sameStageOne compares what stage one decides: the splits bit for bit,
+// and the cell table in stored order with each cell's key, disk, count
+// and region.
+func sameStageOne(t *testing.T, name string, want, got *state) {
+	t.Helper()
+	if w, g := splitValues(want), splitValues(got); !slices.EqualFunc(w, g, func(a, b float64) bool {
+		return math.Float64bits(a) == math.Float64bits(b)
+	}) {
+		t.Errorf("%s: splits %v, Build's %v", name, g, w)
+	}
+	keysOf := func(st *state) []string {
+		keys := make([]string, len(st.cells))
+		for key, c := range st.cellIndex {
+			keys[c] = key
+		}
+		return keys
+	}
+	if w, g := keysOf(want), keysOf(got); !slices.Equal(w, g) {
+		t.Errorf("%s: cells keyed %q, Build's %q", name, g, w)
+		return
+	}
+	for i, w := range want.cells {
+		g := got.cells[i]
+		if g.disk != w.disk || g.count != w.count || !reflect.DeepEqual(g.rect, w.rect) {
+			t.Errorf("%s: cell %d is %+v, Build's %+v", name, i, g, w)
 		}
 	}
 }
