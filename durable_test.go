@@ -5,10 +5,12 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
 	"parsearch/internal/fsx"
+	"parsearch/internal/vec"
 )
 
 // durableOpts is the baseline configuration of the durability tests:
@@ -32,12 +34,8 @@ func durPoint(id, dim int) []float64 {
 func tableOf(ix *Index) [][]float64 {
 	ix.meta.Lock()
 	defer ix.meta.Unlock()
-	out := make([][]float64, len(ix.points))
-	for i, p := range ix.points {
-		if p != nil {
-			out[i] = append([]float64(nil), p...)
-		}
-	}
+	out := make([][]float64, ix.tbl.len())
+	ix.tbl.each(func(id int, p vec.Point) { out[id] = slices.Clone(p) })
 	return out
 }
 

@@ -35,7 +35,10 @@ func FuzzLoad(f *testing.F) {
 	// Snapshots holding a non-finite coordinate, which Load refuses.
 	for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
 		buf.Reset()
-		if err := ix.writeSnapshot(&buf, []vec.Point{{0.1, 0.2, 0.3}, {0.5, v, 0.5}}, nil); err != nil {
+		tbl := newTable(3, ix.opts.Packed, 2)
+		tbl.add(vec.Point{0.1, 0.2, 0.3})
+		tbl.add(vec.Point{0.5, v, 0.5})
+		if err := ix.writeSnapshot(&buf, tbl, nil); err != nil {
 			f.Fatal(err)
 		}
 		f.Add(bytes.Clone(buf.Bytes()))
@@ -228,7 +231,7 @@ func FuzzLoadLayout(f *testing.F) {
 			t.Fatal(err)
 		}
 		live := make(map[int][]float64)
-		for id, p := range loaded.points {
+		for id, p := range tableOf(loaded) {
 			if p != nil {
 				live[id] = p
 			}

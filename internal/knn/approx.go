@@ -221,7 +221,7 @@ func (s *Search) Run() []Result {
 	if len(s.best.heap) == 0 {
 		return nil
 	}
-	return s.best.results()
+	return s.best.results(len(s.Q))
 }
 
 // limit returns the bound from outside the search in force at this pop —
@@ -423,7 +423,7 @@ func (l *LeafLog) Hits(rank float64) (leaves int, ok bool) {
 }
 
 // searchPool holds the Searches of HSShared, so that a search allocates
-// only the result slice it hands to its caller.
+// only what it hands to its caller: the result slice and its points.
 var searchPool = sync.Pool{New: func() any { return new(Search) }}
 
 func (s *Search) release() {

@@ -7,15 +7,15 @@ import (
 	"parsearch/internal/xtree"
 )
 
-// Packed-mode fast paths: when the tree maintains slab caches
-// (xtree.Config.Packed), the leaf and directory scans below replace the
-// per-entry scalar kernels with one staged kernel call per page, which
-// stops a page's distances at the search's bound (slab.Slab.DistsWithin).
-// The distances it finishes are the scalar arithmetic's bit for bit (see
-// the slab package), and the ones it stops are provably above the bound,
-// where they could neither enter the k-best nor be pushed — so every
-// candidate, every push decision and every tie-break is identical to the
-// unpacked path; only the constant factor changes.
+// Batched kernels: a leaf's scan is one staged kernel call on its block,
+// which stops the page's distances at the search's bound
+// (slab.Page.DistsWithin), on float32 and float64 blocks alike; on packed
+// trees the directory scan is one batched MINDIST call on the child
+// rectangle slab as well. The distances the kernels finish are the scalar
+// arithmetic's bit for bit (see the slab package), and the ones they stop
+// are provably above the bound, where they could neither enter the k-best
+// nor be pushed — so every candidate, every push decision and every
+// tie-break is the scalar loop's; only the constant factor changes.
 
 // scratch holds the per-search batch buffers, grown to the largest page
 // seen, so the batched kernels allocate once per search instead of once
@@ -33,31 +33,19 @@ func (sc *scratch) grow(n int) []float64 {
 }
 
 // scanLeaf offers the leaf's entries to best and, when local is not nil,
-// their rank distances to local (the leaf's tree's own k best). On a
-// packed leaf the kernel stops at the larger of the two bounds at the
-// page's start, and only the entries it finishes are offered: an entry
-// beyond that bound improves neither.
+// their rank distances to local (the leaf's tree's own k best). The
+// kernel stops at the larger of the two bounds at the page's start, and
+// only the entries it finishes are offered: an entry beyond that bound
+// improves neither.
 func scanLeaf(n *xtree.Node, q vec.Point, m vec.Metric, best *kBest, local *kRanks, sc *scratch) {
-	entries := n.Entries()
-	s := n.PageSlab()
-	if s == nil {
-		for _, e := range entries {
-			d := m.RankDist(q, e.Point)
-			best.offer(e, d)
-			if local != nil {
-				local.offer(d)
-			}
-		}
-		return
-	}
 	bound := best.bound()
 	if local != nil {
 		bound = max(bound, local.bound())
 	}
-	out := sc.grow(s.Len())
-	sc.keep = s.DistsWithin(q, m, bound, out, sc.keep)
+	out := sc.grow(n.Len())
+	sc.keep = n.Block().DistsWithin(q, m, bound, out, sc.keep)
 	for _, i := range sc.keep {
-		best.offer(entries[i], out[i])
+		best.offer(n, int(i), out[i])
 		if local != nil {
 			local.offer(out[i])
 		}

@@ -50,7 +50,7 @@ func (t *Tree) Analyze() Analysis {
 		}
 		if n.leaf {
 			a.LeafNodes++
-			leafFillSum += float64(len(n.entries)) / float64(t.cfg.LeafCapacity)
+			leafFillSum += float64(len(n.ids)) / float64(t.cfg.LeafCapacity)
 			return
 		}
 		a.DirNodes++

@@ -17,9 +17,10 @@ import (
 // construct their per-disk trees.
 //
 // The entries slice is reordered in place (into leaf order) but not
-// retained: every leaf owns a copy of its entries, so the caller may
-// reuse or drop the slice afterwards. It is BulkLoadGrouped with a single
-// group.
+// retained: every leaf copies its entries' IDs and points into its own
+// block (rounding them to float32 on a packed tree), so the caller may
+// reuse or drop the slice and the points afterwards. It is
+// BulkLoadGrouped with a single group.
 func (t *Tree) BulkLoad(entries []Entry) {
 	t.BulkLoadGrouped([][]Entry{entries})
 }
@@ -40,6 +41,7 @@ func (t *Tree) BulkLoadGrouped(groups [][]Entry) {
 			if len(e.Point) != t.cfg.Dim {
 				panic(fmt.Sprintf("xtree: bulk loading %d-dimensional point into %d-dimensional tree", len(e.Point), t.cfg.Dim))
 			}
+			checkID(e.ID)
 		}
 		total += len(g)
 		largest = max(largest, len(g))
@@ -118,9 +120,8 @@ func (s *loadScratch) reserve(n int) {
 // the split history maintained by dynamic inserts.
 func (s *loadScratch) partitionEntries(entries []Entry, history uint64) {
 	if len(entries) <= s.cfg.LeafCapacity {
-		own := make([]Entry, len(entries))
-		copy(own, entries)
-		n := &Node{leaf: true, entries: own, history: history, super: 1, gen: s.gen}
+		n := &Node{leaf: true, history: history, super: 1, gen: s.gen}
+		s.cfg.setLeaf(n, entries)
 		n.recomputeRect()
 		s.level = append(s.level, n)
 		return

@@ -259,8 +259,8 @@ func TestBulkLoadLeavesMatchOracle(t *testing.T) {
 			}
 			var got []string
 			for _, leaf := range tr.Leaves() {
-				ids := make([]int, len(leaf.entries))
-				for i, e := range leaf.entries {
+				ids := make([]int, leaf.Len())
+				for i, e := range leaf.Entries() {
 					ids[i] = e.ID
 				}
 				got = append(got, fmt.Sprint(leaf.history, ids))

@@ -453,3 +453,13 @@ func FuzzInsertChoices(f *testing.F) {
 		checkChoices(t, in)
 	})
 }
+
+// mbrOfEntries returns the MBR of the given entries in order, as a leaf's
+// MBR is computed from its block.
+func mbrOfEntries(entries []Entry) vec.Rect {
+	r := vec.PointRect(entries[0].Point)
+	for _, e := range entries[1:] {
+		r.Extend(e.Point)
+	}
+	return r
+}

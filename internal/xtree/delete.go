@@ -2,6 +2,7 @@ package xtree
 
 import (
 	"fmt"
+	"math"
 
 	"parsearch/internal/vec"
 )
@@ -18,7 +19,11 @@ func (t *Tree) Delete(p vec.Point, id int) bool {
 		panic(fmt.Sprintf("xtree: deleting %d-dimensional point from %d-dimensional tree", len(p), t.cfg.Dim))
 	}
 
+	if id < 0 || id > math.MaxInt32 {
+		return false
+	}
 	t.mutable()
+	p = t.stored(p)
 	var orphans []Entry
 	root := t.remove(t.root, p, id, &orphans)
 	if root == nil {
@@ -30,7 +35,7 @@ func (t *Tree) Delete(p vec.Point, id int) bool {
 	// Shrink the root: an empty root leaf disappears; a directory root
 	// with a single child is replaced by that child.
 	if t.root.leaf {
-		if len(t.root.entries) == 0 {
+		if len(t.root.ids) == 0 {
 			t.root = nil
 		}
 	} else if len(t.root.children) == 0 {
@@ -58,12 +63,13 @@ func (t *Tree) Delete(p vec.Point, id int) bool {
 // into orphans and dropped from their parent.
 func (t *Tree) remove(n *Node, p vec.Point, id int, orphans *[]Entry) *Node {
 	if n.leaf {
-		for i, e := range n.entries {
-			if e.ID == id && vec.Equal(e.Point, p) {
+		for i, e := range n.ids {
+			if int(e) == id && n.block.Equal(i, p) {
 				n = t.own(n)
 				n.packDirty = true
-				n.entries = append(n.entries[:i], n.entries[i+1:]...)
-				if len(n.entries) > 0 {
+				entries := t.gather(n, 0)
+				t.setLeaf(n, append(entries[:i], entries[i+1:]...))
+				if len(n.ids) > 0 {
 					n.recomputeRect()
 				}
 				return n
@@ -102,7 +108,7 @@ func (t *Tree) remove(n *Node, p vec.Point, id int, orphans *[]Entry) *Node {
 // nodes with fewer than two children qualify.
 func (t *Tree) underfull(n *Node) bool {
 	if n.leaf {
-		return len(n.entries) < t.minFillOf(t.cfg.LeafCapacity)/2+1
+		return len(n.ids) < t.minFillOf(t.cfg.LeafCapacity)/2+1
 	}
 	return len(n.children) < 2
 }
@@ -110,7 +116,7 @@ func (t *Tree) underfull(n *Node) bool {
 // collectEntries gathers every entry in the subtree under n.
 func collectEntries(n *Node, out *[]Entry) {
 	if n.leaf {
-		*out = append(*out, n.entries...)
+		*out = append(*out, n.Entries()...)
 		return
 	}
 	for _, c := range n.children {

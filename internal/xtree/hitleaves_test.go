@@ -40,10 +40,12 @@ func wideSupernodeTree(t *testing.T, r *rand.Rand, cfg Config) *Tree {
 	id := 0
 	for i := 0; i < fanout; i++ {
 		leaf := &Node{leaf: true, super: 1}
+		var entries []Entry
 		for _, p := range float32Points(r, 3, cfg.Dim) {
-			leaf.entries = append(leaf.entries, Entry{Point: p, ID: id})
+			entries = append(entries, Entry{Point: p, ID: id})
 			id++
 		}
+		tr.setLeaf(leaf, entries)
 		leaf.recomputeRect()
 		root.children = append(root.children, leaf)
 	}
@@ -135,7 +137,7 @@ func hitLeafRegions(r *rand.Rand, tr *Tree) []namedRegion {
 			ranks := []float64{0, math.Inf(1)}
 			if len(leaves) > 0 {
 				leaf := leaves[r.Intn(len(leaves))]
-				ranks = append(ranks, m.RankMinDist(leaf.rect, q), m.RankDist(q, leaf.entries[0].Point))
+				ranks = append(ranks, m.RankMinDist(leaf.rect, q), m.RankDist(q, leaf.Entries()[0].Point))
 			}
 			for _, rank := range ranks {
 				out = append(out, namedRegion{
@@ -269,7 +271,7 @@ func TestEachLeafMatchesLeaves(t *testing.T) {
 			entries := 0
 			allocs := testing.AllocsPerRun(20, func() {
 				entries = 0
-				nt.tree.EachLeaf(func(leaf *Node) { entries += len(leaf.entries) })
+				nt.tree.EachLeaf(func(leaf *Node) { entries += leaf.Len() })
 			})
 			if allocs != 0 {
 				t.Errorf("%s: %v allocations per walk", name, allocs)

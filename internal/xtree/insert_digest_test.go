@@ -168,8 +168,8 @@ func digestTree(h hash.Hash, tr *Tree) {
 		put(n.history)
 		putPoint(n.rect.Min)
 		putPoint(n.rect.Max)
-		put(uint64(len(n.entries)))
-		for _, e := range n.entries {
+		put(uint64(n.Len()))
+		for _, e := range n.Entries() {
 			put(uint64(e.ID))
 			putPoint(e.Point)
 		}

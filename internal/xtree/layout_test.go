@@ -16,11 +16,12 @@ import (
 // coordinate bits.
 func sameNodes(a, b *Node) bool {
 	if a.leaf != b.leaf || a.super != b.super || a.history != b.history ||
-		!rectsEqual(a.rect, b.rect) || len(a.entries) != len(b.entries) || len(a.children) != len(b.children) {
+		!rectsEqual(a.rect, b.rect) || a.Len() != b.Len() || len(a.children) != len(b.children) {
 		return false
 	}
-	for i, e := range a.entries {
-		f := b.entries[i]
+	be := b.Entries()
+	for i, e := range a.Entries() {
+		f := be[i]
 		if e.ID != f.ID || len(e.Point) != len(f.Point) {
 			return false
 		}
@@ -42,11 +43,14 @@ func sameNodes(a, b *Node) bool {
 func byID(tr *Tree) Resolver {
 	pts := make(map[int]vec.Point)
 	for _, n := range tr.Leaves() {
-		for _, e := range n.entries {
+		for _, e := range n.Entries() {
 			pts[e.ID] = e.Point
 		}
 	}
-	return func(id int, _ vec.Point) (vec.Point, error) { return pts[id], nil }
+	return func(id int, p vec.Point) error {
+		copy(p, pts[id])
+		return nil
+	}
 }
 
 // TestLayoutRoundTrip: a bulk-loaded tree and an insert-built one (with
@@ -100,7 +104,7 @@ func TestLayoutRoundTrip(t *testing.T) {
 				b := tr.AppendLayout(nil, points)
 				resolve := byID(tr)
 				if points {
-					resolve = func(_ int, p vec.Point) (vec.Point, error) { return p, nil }
+					resolve = func(int, vec.Point) error { return nil }
 				}
 				got, err := ReadLayout(cfg, b, points, resolve)
 				if err != nil {
@@ -141,7 +145,7 @@ func TestReadLayoutRefusals(t *testing.T) {
 	}
 	leaf := func(ids ...int) []byte { return entries(header(nil, 1, uint32(len(ids)), 0, 1), ids...) }
 	cat := func(parts ...[]byte) []byte { return bytes.Join(parts, nil) }
-	same := func(_ int, p vec.Point) (vec.Point, error) { return p, nil }
+	same := func(int, vec.Point) error { return nil }
 	nan := entries(header(nil, 1, 1, 0, 1), 0)
 	binary.LittleEndian.PutUint64(nan[len(nan)-8:], math.Float64bits(math.NaN()))
 	for _, c := range []struct {

@@ -7,39 +7,29 @@ import (
 	"parsearch/internal/vec"
 )
 
-// Packed storage: with Config.Packed every node carries a cache of its
-// payload in the slab package's contiguous float32 layout — a point slab
-// per leaf, a rectangle slab of the child MBRs per directory node — so
-// the search algorithms can use the batched distance kernels instead of
-// walking []Entry / []*Node. The caches are maintained eagerly by the
-// mutating operations: every node a mutation touches is flagged dirty,
-// and the public entry points (Insert, Delete, the bulk loaders) finish
-// by re-packing exactly the dirty spine before returning. A version
-// (Tree.Freeze) therefore only ever holds complete caches, and its
-// readers never rebuild one.
+// Packed storage: with Config.Packed a leaf's block holds float32
+// coordinates (see leaf.go), and every directory node carries a cache of
+// its child MBRs in the slab package's contiguous float32 layout, so the
+// search algorithms can use the batched MINDIST kernel instead of walking
+// []*Node. The caches are maintained eagerly by the mutating operations:
+// every node a mutation touches is flagged dirty, and the public entry
+// points (Insert, Delete, the bulk loaders) finish by re-packing exactly
+// the dirty spine before returning. A version (Tree.Freeze) therefore
+// only ever holds complete caches, and its readers never rebuild one.
 //
 // Correctness relies on one structural fact: mutations proceed along
 // root-to-leaf paths, so every ancestor of a dirty node is itself dirty
 // and the refresh walk can prune clean subtrees without missing anything
 // (split siblings and new roots are flagged explicitly where they are
-// created).
-
-// PageSlab returns the packed payload cache of a leaf (nil for
-// directory nodes or unpacked trees).
-func (n *Node) PageSlab() *slab.Slab { return n.slab }
+// created). A leaf has no cache: its block is its storage.
 
 // ChildRects returns the packed child-MBR cache of a directory node
 // (nil for leaves or unpacked trees).
 func (n *Node) ChildRects() *slab.RectSlab { return n.crects }
 
-// packNode rebuilds one node's packed cache from its payload.
+// packNode rebuilds a directory node's packed cache from its children.
 func (t *Tree) packNode(n *Node) {
 	if n.leaf {
-		points := make([]vec.Point, len(n.entries))
-		for i := range n.entries {
-			points[i] = n.entries[i].Point
-		}
-		n.slab = slab.Build(t.cfg.Dim, points, false)
 		return
 	}
 	crs := make([]vec.Rect, len(n.children))
@@ -88,19 +78,6 @@ func (t *Tree) checkPacked(n *Node) error {
 		return fmt.Errorf("xtree: packed node left dirty")
 	}
 	if n.leaf {
-		s := n.slab
-		if s == nil || s.Len() != len(n.entries) {
-			return fmt.Errorf("xtree: leaf slab out of sync (%d entries)", len(n.entries))
-		}
-		p := make([]float64, t.cfg.Dim)
-		for i, e := range n.entries {
-			s.PointAt(i, p)
-			for j := range p {
-				if p[j] != e.Point[j] {
-					return fmt.Errorf("xtree: leaf slab entry %d differs from payload in dimension %d", i, j)
-				}
-			}
-		}
 		return nil
 	}
 	if n.crects == nil || n.crects.Len() != len(n.children) {

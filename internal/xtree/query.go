@@ -3,6 +3,7 @@ package xtree
 import (
 	"fmt"
 
+	"parsearch/internal/slab"
 	"parsearch/internal/vec"
 )
 
@@ -17,51 +18,80 @@ type Visited struct {
 }
 
 // RangeSearch returns all entries whose points lie inside r (boundary
-// inclusive), and the nodes it visited.
-func (t *Tree) RangeSearch(r vec.Rect) (out []Entry, v Visited) {
-	if t.root == nil {
+// inclusive), their points copied into one new array, and the nodes it
+// visited.
+func (t *Tree) RangeSearch(r vec.Rect) ([]Entry, Visited) {
+	type hit struct {
+		leaf *Node
+		i    int
+	}
+	var hits []hit
+	v := t.RangeVisit(r, func(leaf *Node, i int) { hits = append(hits, hit{leaf, i}) })
+	if len(hits) == 0 {
 		return nil, v
 	}
-	var hits []bool // packed-mode scratch, sized to a full leaf
-	var walk func(n *Node)
-	walk = func(n *Node) {
-		v.Nodes++
-		if n.leaf {
-			v.Leaves++
-			if s := n.slab; s != nil {
-				// Packed leaf: one batched containment pass over the
-				// slab columns instead of per-entry Contains calls.
-				// Identical semantics (boundary inclusive, float32
-				// values are the stored float64 values exactly).
-				if cap(hits) < s.Len() {
-					hits = make([]bool, max(s.Len(), t.cfg.LeafCapacity))
-				}
-				hits = hits[:s.Len()]
-				s.InRect(r.Min, r.Max, hits)
-				for i, in := range hits {
-					if in {
-						out = append(out, n.entries[i])
-					}
-				}
-				return
-			}
-			for _, e := range n.entries {
-				if r.Contains(e.Point) {
-					out = append(out, e)
-				}
-			}
-			return
-		}
-		for _, c := range n.children {
-			if c.rect.Intersects(r) {
-				walk(c)
-			}
-		}
-	}
-	if t.root.rect.Intersects(r) {
-		walk(t.root)
+	d := t.cfg.Dim
+	out := make([]Entry, len(hits))
+	coords := make([]float64, len(hits)*d)
+	for k, h := range hits {
+		p := coords[k*d : (k+1)*d : (k+1)*d]
+		h.leaf.PointAt(h.i, p)
+		out[k] = Entry{Point: p, ID: h.leaf.ID(h.i)}
 	}
 	return out, v
+}
+
+// RangeVisit calls visit with every leaf entry whose point lies inside r
+// (boundary inclusive), leaf by leaf in Leaves order, and returns the
+// nodes it visited. A leaf is tested with one batched containment pass
+// over its block.
+func (t *Tree) RangeVisit(r vec.Rect, visit func(leaf *Node, i int)) Visited {
+	w := rangeWalk{r: r, visit: visit}
+	if t.root != nil && t.root.rect.Intersects(r) {
+		if t.cfg.LeafCapacity > len(w.buf) {
+			w.hits = make([]bool, t.cfg.LeafCapacity)
+		} else {
+			w.hits = w.buf[:]
+		}
+		w.walk(t.root)
+	}
+	return w.v
+}
+
+// rangeWalk is one RangeVisit: the box, the visitor, the containment
+// scratch (on the stack up to 256 entries a leaf) and the count.
+type rangeWalk struct {
+	r     vec.Rect
+	visit func(leaf *Node, i int)
+	v     Visited
+	hits  []bool
+	buf   [256]bool
+}
+
+func (w *rangeWalk) walk(n *Node) {
+	w.v.Nodes++
+	if n.leaf {
+		w.v.Leaves++
+		hits := w.hits[:len(n.ids)]
+		// On the concrete page type, so that hits does not escape.
+		switch b := n.block.(type) {
+		case *slab.Page[float32]:
+			b.InRect(w.r.Min, w.r.Max, hits)
+		case *slab.Page[float64]:
+			b.InRect(w.r.Min, w.r.Max, hits)
+		}
+		for i, in := range hits {
+			if in {
+				w.visit(n, i)
+			}
+		}
+		return
+	}
+	for _, c := range n.children {
+		if c.rect.Intersects(w.r) {
+			w.walk(c)
+		}
+	}
 }
 
 // PointSearch returns the entries stored exactly at p.
@@ -247,25 +277,28 @@ func (t *Tree) CheckInvariants() error {
 			return fmt.Errorf("xtree: node with super %d", n.super)
 		}
 		if n.leaf {
-			if len(n.entries) == 0 {
+			if len(n.ids) == 0 {
 				return fmt.Errorf("xtree: empty leaf")
+			}
+			if err := t.checkLeaf(n); err != nil {
+				return err
 			}
 			if n.super != 1 {
 				return fmt.Errorf("xtree: leaf with super %d, leaves are single-block", n.super)
 			}
-			if len(n.entries) > t.leafCap(n) {
-				return fmt.Errorf("xtree: leaf with %d entries exceeds capacity %d", len(n.entries), t.leafCap(n))
+			if len(n.ids) > t.leafCap(n) {
+				return fmt.Errorf("xtree: leaf with %d entries exceeds capacity %d", len(n.ids), t.leafCap(n))
 			}
 			if leafDepth == -1 {
 				leafDepth = depth
 			} else if depth != leafDepth {
 				return fmt.Errorf("xtree: leaf at depth %d, expected %d", depth, leafDepth)
 			}
-			exact := mbrOfEntries(n.entries)
+			exact := leafMBR(n)
 			if !rectsEqual(exact, n.rect) {
 				return fmt.Errorf("xtree: leaf MBR %v is not tight (exact %v)", n.rect, exact)
 			}
-			count += len(n.entries)
+			count += len(n.ids)
 			return nil
 		}
 		if len(n.children) == 0 {

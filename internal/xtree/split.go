@@ -7,19 +7,18 @@ import (
 	"parsearch/internal/vec"
 )
 
-// splitLeaf splits an overfull leaf with the R*-tree topological split and
-// returns the new sibling. Point data always admits a balanced split, so
-// leaves never become supernodes.
-func (t *Tree) splitLeaf(n *Node) *Node {
+// splitLeaf splits an overfull leaf, whose entries (in the tree's
+// scratch) are given, with the R*-tree topological split and returns the
+// new sibling. Point data always admits a balanced split, so leaves never
+// become supernodes.
+func (t *Tree) splitLeaf(n *Node, entries []Entry) *Node {
 	t.stats.Splits++
-	axis, k := t.chooseLeafSplit(n.entries)
-	sortEntriesByAxis(n.entries, axis)
+	axis, k := t.chooseLeafSplit(entries)
+	sortEntriesByAxis(entries, axis)
 
-	right := make([]Entry, len(n.entries)-k)
-	copy(right, n.entries[k:])
-	n.entries = n.entries[:k]
-
-	sibling := &Node{leaf: true, entries: right, super: 1, packDirty: true, gen: t.gen}
+	sibling := &Node{leaf: true, super: 1, packDirty: true, gen: t.gen}
+	t.setLeaf(n, entries[:k])
+	t.setLeaf(sibling, entries[k:])
 	n.history |= 1 << uint(axis)
 	sibling.history = n.history
 	n.recomputeRect()
@@ -209,7 +208,7 @@ func (t *Tree) chooseSplit(n int, sortBy func(axis int), box func(i int) (lo, hi
 // mbrSweep holds the MBR of every prefix and every suffix of n boxes in
 // their current order, each rectangle 2·d floats (Min, then Max).
 //
-// A prefix extends boxes 0, 1, … in mbrOfEntries' and mbrOfNodes' order
+// A prefix extends boxes 0, 1, … in leafMBR's and mbrOfNodes' order
 // with their comparisons, so it is bit for bit their MBR. A suffix
 // extends from the last box down: its min and max per dimension are the
 // same values, differing at most in the sign of a zero, which compares
@@ -290,20 +289,10 @@ func overlapRatio(a, b vec.Rect) float64 {
 // recomputeRect rebuilds the node's MBR from its payload.
 func (n *Node) recomputeRect() {
 	if n.leaf {
-		n.rect = mbrOfEntries(n.entries)
+		n.rect = leafMBR(n)
 		return
 	}
 	n.rect = mbrOfNodes(n.children)
-}
-
-// mbrOfEntries returns the MBR of the given entries. It panics on an
-// empty slice (empty nodes are removed, never kept).
-func mbrOfEntries(entries []Entry) vec.Rect {
-	r := vec.PointRect(entries[0].Point)
-	for _, e := range entries[1:] {
-		r.Extend(e.Point)
-	}
-	return r
 }
 
 // mbrOfNodes returns the MBR of the given nodes' rectangles.

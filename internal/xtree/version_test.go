@@ -7,6 +7,7 @@ import (
 	"hash"
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 	"unsafe"
 
@@ -22,15 +23,17 @@ func dumpTree(t *Tree) string {
 	put(uint64(t.Len()))
 	var walk func(n *Node)
 	walk = func(n *Node) {
-		put(uint64(len(n.entries)))
+		put(uint64(n.Len()))
 		put(uint64(len(n.children)))
 		put(uint64(n.super))
 		put(n.history)
 		putPoint(h, n.rect.Min)
 		putPoint(h, n.rect.Max)
-		put(uint64(uintptr(unsafe.Pointer(n.slab))))
+		if n.block != nil {
+			put(uint64(reflect.ValueOf(n.block).Pointer()))
+		}
 		put(uint64(uintptr(unsafe.Pointer(n.crects))))
-		for _, e := range n.entries {
+		for _, e := range n.Entries() {
 			put(uint64(e.ID))
 			putPoint(h, e.Point)
 		}

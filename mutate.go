@@ -2,6 +2,7 @@ package parsearch
 
 import (
 	"fmt"
+	"math"
 
 	"parsearch/internal/vec"
 	"parsearch/internal/wal"
@@ -134,7 +135,10 @@ func (ix *Index) write(ops []mutation) (applied int, err error) {
 // meta, has verified the index is open and the dimension
 // matches, and waits for the group commit after releasing meta.
 func (ix *Index) insertOne(st *state, w *wal.Writer, point vec.Point) (id int, target int64, err error) {
-	id = len(ix.points)
+	id = ix.tbl.len()
+	if id > math.MaxInt32 {
+		return 0, 0, fmt.Errorf("parsearch: the ID space is full at %d", id)
+	}
 	ix.canonPacked(point)
 	if i := nonFinite(point); i >= 0 {
 		return 0, 0, fmt.Errorf("parsearch: insert component %d is %v, not finite", i, point[i])
@@ -147,7 +151,7 @@ func (ix *Index) insertOne(st *state, w *wal.Writer, point vec.Point) (id int, t
 			return 0, 0, fmt.Errorf("parsearch: logging insert: %w", err)
 		}
 	}
-	ix.points = append(ix.points, point)
+	ix.tbl.add(point)
 	ix.live++
 	if ix.opts.QuantileSplits {
 		ix.observer().Observe(point)
@@ -164,10 +168,10 @@ func (ix *Index) insertOne(st *state, w *wal.Writer, point vec.Point) (id int, t
 // deleteOne applies and logs one delete and returns its log offset.
 // Locking contract as insertOne.
 func (ix *Index) deleteOne(st *state, w *wal.Writer, id int) (target int64, err error) {
-	if id < 0 || id >= len(ix.points) || ix.points[id] == nil {
+	if !ix.tbl.has(id) {
 		return 0, fmt.Errorf("parsearch: no vector with id %d", id)
 	}
-	p := ix.points[id]
+	p := ix.tbl.point(id, make(vec.Point, ix.opts.Dim))
 	// Apply to the trees BEFORE logging: the tree deletes are the only
 	// remaining failure modes, and a delete record must never become
 	// durable unless the delete is actually applied — otherwise a
@@ -196,7 +200,7 @@ func (ix *Index) deleteOne(st *state, w *wal.Writer, id int) (target int64, err 
 	if idx, ok := st.cellIndex[key]; ok && st.cells[idx].count > 0 {
 		st.cells[idx].count--
 	}
-	ix.points[id] = nil
+	ix.tbl.kill(id)
 	ix.live--
 	return target, nil
 }

@@ -59,9 +59,11 @@ func (ix *Index) runRange(ctx context.Context, qr query) (_ []Neighbor, stats Qu
 	// shards with no live copy are skipped, making the results
 	// best-effort (flagged Degraded). Each search also counts the leaves
 	// it scanned: exactly the leaves the box hits (see
-	// xtree.Tree.RangeSearch), which the accounting charges as they are.
+	// xtree.Tree.RangeVisit), which the accounting charges as they are.
+	// A search records where its hits lie; the answer copies their
+	// points once the searches are done.
 	n := len(r.routes)
-	found := make([][]xtree.Entry, n)
+	found := make([][]rangeHit, n)
 	visits := make([]xtree.Visited, n)
 	var wg sync.WaitGroup
 	for d := range r.routes {
@@ -72,7 +74,9 @@ func (ix *Index) runRange(ctx context.Context, qr query) (_ []Neighbor, stats Qu
 		wg.Add(1)
 		go func(d int, t *xtree.Tree) {
 			defer wg.Done()
-			found[d], visits[d] = t.RangeSearch(rect)
+			visits[d] = t.RangeVisit(rect, func(leaf *xtree.Node, i int) {
+				found[d] = append(found[d], rangeHit{leaf, i})
+			})
 			r.sp.emit(TraceEvent{Stage: StageSearch, Disk: d, Item: -1,
 				Results: len(found[d]), Pages: visits[d].Nodes})
 		}(d, t)
@@ -104,16 +108,42 @@ func (ix *Index) runRange(ctx context.Context, qr query) (_ []Neighbor, stats Qu
 	}
 	r.baselineCost(box, &stats)
 
-	var out []Neighbor
-	for _, entries := range found {
-		for _, e := range entries {
-			out = append(out, Neighbor{ID: e.ID, Point: e.Point, Dist: vec.Dist(center, e.Point)})
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
+	out := rangeAnswer(found, center)
 	r.sp.emit(TraceEvent{Stage: StageDone, Disk: -1, Item: -1,
 		Results: len(out), Pages: stats.TotalPages, Degraded: stats.Degraded})
 	return out, stats, nil
+}
+
+// rangeHit is where a box search found a point: slot i of leaf.
+type rangeHit struct {
+	leaf *xtree.Node
+	i    int
+}
+
+// rangeAnswer materializes the hits as the answer, ordered by ID, their
+// points copied into one array of the answer's own; an empty answer is
+// nil.
+func rangeAnswer(found [][]rangeHit, center vec.Point) []Neighbor {
+	total := 0
+	for _, hits := range found {
+		total += len(hits)
+	}
+	if total == 0 {
+		return nil
+	}
+	d := len(center)
+	out := make([]Neighbor, 0, total)
+	coords := make([]float64, total*d)
+	for _, hits := range found {
+		for _, h := range hits {
+			k := len(out)
+			p := coords[k*d : (k+1)*d : (k+1)*d]
+			h.leaf.PointAt(h.i, p)
+			out = append(out, Neighbor{ID: h.leaf.ID(h.i), Point: p, Dist: vec.Dist(center, p)})
+		}
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
+	return out
 }
 
 // Wildcard marks a dimension as unspecified in a PartialMatch query.

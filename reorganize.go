@@ -155,7 +155,7 @@ type reorgMove struct {
 }
 
 // reorgPlan is one step's worth of change, computed off the lock against
-// a pinned version + point-table snapshot and applied under meta (after
+// a pinned version and a cut of the point table, and applied under meta (after
 // a check that nothing was published since).
 type reorgPlan struct {
 	// wrap: replace a bucket-strategy assigner with its recursive
@@ -182,10 +182,10 @@ func (ix *Index) reorganizeStep() (*reorgPlan, error) {
 		return nil, ErrClosed
 	}
 	pinned := ix.pub.Load()
-	points := append([]vec.Point(nil), ix.points...)
+	tbl := ix.tbl.cut()
 	ix.meta.Unlock()
 
-	plan := ix.reorgPlanFor(pinned.assigner, points)
+	plan := ix.reorgPlanFor(pinned.assigner, tbl)
 	if plan == nil {
 		return nil, nil
 	}
@@ -200,7 +200,7 @@ func (ix *Index) reorganizeStep() (*reorgPlan, error) {
 		// optimistic planner ran: every change publishes. Re-plan from
 		// the current contents under meta: slower (it blocks writers,
 		// not queries, for the duration), but atomic and lossless.
-		plan = ix.reorgPlanFor(ix.st.assigner, ix.points)
+		plan = ix.reorgPlanFor(ix.st.assigner, ix.tbl)
 		if plan == nil {
 			return nil, nil
 		}
@@ -211,24 +211,19 @@ func (ix *Index) reorganizeStep() (*reorgPlan, error) {
 	return plan, nil
 }
 
-// reorgPlanFor computes one step's plan against a consistent point-table
-// snapshot: find the most overloaded disk, pick its heaviest terminal
+// reorgPlanFor computes one step's plan against a consistent cut of the
+// point table: find the most overloaded disk, pick its heaviest terminal
 // bucket level, and split every terminal cell of that (level, disk) at
 // the per-dimension medians of its members. Returns nil when balanced
 // (within one leaf page of the overload threshold) or stuck (overloaded
 // but nothing expandable below the depth bound, or round robin's
 // arrival-order layout, which has no bucket to split).
-func (ix *Index) reorgPlanFor(assigner core.Assigner, points []vec.Point) *reorgPlan {
+func (ix *Index) reorgPlanFor(assigner core.Assigner, tbl *pointTable) *reorgPlan {
 	n := ix.opts.Disks
 	if n == 1 {
 		return nil // nothing to decluster
 	}
-	live := 0
-	for _, p := range points {
-		if p != nil {
-			live++
-		}
-	}
+	live := tbl.live()
 	if live == 0 {
 		return nil
 	}
@@ -257,11 +252,7 @@ func (ix *Index) reorgPlanFor(assigner core.Assigner, points []vec.Point) *reorg
 		}
 		// Plain per-point load scan for a bucket layout not yet wrapped.
 		loads := make([]int, n)
-		for i, p := range points {
-			if p != nil {
-				loads[ba.Assign(i, p)]++
-			}
-		}
+		tbl.each(func(i int, p vec.Point) { loads[ba.Assign(i, p)]++ })
 		if balanced(maxLoad(loads)) {
 			return nil
 		}
@@ -270,11 +261,7 @@ func (ix *Index) reorgPlanFor(assigner core.Assigner, points []vec.Point) *reorg
 
 	// Pass 1: per-disk loads under the recursive assignment.
 	diskLoads := make([]int, n)
-	for _, p := range points {
-		if p != nil {
-			diskLoads[rec.AssignCell(p).Disk]++
-		}
-	}
+	tbl.each(func(_ int, p vec.Point) { diskLoads[rec.AssignCell(p).Disk]++ })
 	worst, worstLoad := 0, 0
 	for d, l := range diskLoads {
 		if l > worstLoad {
@@ -285,25 +272,22 @@ func (ix *Index) reorgPlanFor(assigner core.Assigner, points []vec.Point) *reorg
 		return nil
 	}
 
-	// Pass 2: the worst disk's terminal cells, grouped by level.
-	type member struct {
-		id int
-		p  vec.Point
-	}
+	// Pass 2: the worst disk's terminal cells, grouped by level, each
+	// with its members' IDs and coordinates (member i's at [i·dim,
+	// (i+1)·dim)), which the plan's moves keep.
+	dim := ix.opts.Dim
 	type cellMembers struct {
-		rect    vec.Rect
-		members []member
+		rect   vec.Rect
+		ids    []int
+		coords []float64
 	}
 	cells := make(map[string]*cellMembers)
 	levelCount := make(map[int]int)
 	levelOf := make(map[string]int)
-	for i, p := range points {
-		if p == nil {
-			continue
-		}
+	tbl.each(func(i int, p vec.Point) {
 		c := rec.AssignCell(p)
 		if c.Disk != worst {
-			continue
+			return
 		}
 		key := c.Key()
 		cm := cells[key]
@@ -312,9 +296,10 @@ func (ix *Index) reorgPlanFor(assigner core.Assigner, points []vec.Point) *reorg
 			cells[key] = cm
 			levelOf[key] = c.Level
 		}
-		cm.members = append(cm.members, member{id: i, p: p})
+		cm.ids = append(cm.ids, i)
+		cm.coords = append(cm.coords, p...)
 		levelCount[c.Level]++
-	}
+	})
 	// The heaviest expandable terminal level of the worst disk, as in
 	// BuildRecursive.
 	bestLevel, bestCount := -1, 0
@@ -341,15 +326,14 @@ func (ix *Index) reorgPlanFor(assigner core.Assigner, points []vec.Point) *reorg
 		}
 	}
 	sort.Strings(keys) // deterministic plan order
-	dim := ix.opts.Dim
 	coords := make([]float64, 0, 64)
 	for _, key := range keys {
 		cm := cells[key]
 		splits := make([]float64, dim)
 		for j := 0; j < dim; j++ {
 			coords = coords[:0]
-			for _, m := range cm.members {
-				coords = append(coords, m.p[j])
+			for m := range cm.ids {
+				coords = append(coords, cm.coords[m*dim+j])
 			}
 			sort.Float64s(coords)
 			med := coords[(len(coords)-1)/2]
@@ -363,10 +347,11 @@ func (ix *Index) reorgPlanFor(assigner core.Assigner, points []vec.Point) *reorg
 		clone.SetSubSplits(key, splits)
 		plan.oldKeys = append(plan.oldKeys, key)
 		plan.buckets++
-		for _, m := range cm.members {
-			c2 := clone.AssignCell(m.p)
+		for m, id := range cm.ids {
+			p := cm.coords[m*dim : (m+1)*dim : (m+1)*dim]
+			c2 := clone.AssignCell(p)
 			plan.moves = append(plan.moves, reorgMove{
-				id: m.id, p: m.p,
+				id: id, p: p,
 				oldDisk: worst, newDisk: c2.Disk,
 				newKey: c2.Key(),
 			})
@@ -391,13 +376,10 @@ func (ix *Index) reorgApply(plan *reorgPlan) error {
 		st.assigner = plan.wrap
 		st.cells = nil
 		st.cellIndex = make(map[string]int)
-		for i, p := range ix.points {
-			if p == nil {
-				continue
-			}
+		ix.tbl.each(func(i int, p vec.Point) {
 			d, key := ix.assignCell(st, i, p)
 			addToCell(st, key, d, p)
-		}
+		})
 		return nil
 	}
 

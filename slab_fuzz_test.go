@@ -251,13 +251,11 @@ func TestPreSlabGoldenSnapshot(t *testing.T) {
 		t.Fatal(err)
 	}
 	pts := make([][]float64, 0, ix.Len())
-	ix.meta.Lock()
-	for _, p := range ix.points {
+	for _, p := range tableOf(ix) {
 		if p != nil {
 			pts = append(pts, p)
 		}
 	}
-	ix.meta.Unlock()
 	if err := packed.Build(pts); err != nil {
 		t.Fatal(err)
 	}

@@ -11,7 +11,6 @@ import (
 	"time"
 
 	"parsearch/internal/core"
-	"parsearch/internal/vec"
 	"parsearch/internal/xtree"
 )
 
@@ -79,21 +78,20 @@ const (
 // durable counterpart.
 func (ix *Index) Save(w io.Writer) error {
 	ix.meta.Lock()
-	points, trees := ix.cut()
+	tbl, trees := ix.cut()
 	ix.meta.Unlock()
-	return ix.writeSnapshot(w, points, trees)
+	return ix.writeSnapshot(w, tbl, trees)
 }
 
-// cut copies the point table and, while the index is as built, returns
-// the published version, whose trees are those of the same instant and
-// never change. Caller holds meta.
-func (ix *Index) cut() ([]vec.Point, *version) {
-	points := make([]vec.Point, len(ix.points))
-	copy(points, ix.points)
+// cut takes a cut of the point table (see pointTable.cut) and, while the
+// index is as built, returns the published version, whose trees are
+// those of the same instant and never change. Caller holds meta.
+func (ix *Index) cut() (*pointTable, *version) {
+	tbl := ix.tbl.cut()
 	if !ix.st.asBuilt {
-		return points, nil
+		return tbl, nil
 	}
-	return points, ix.pub.Load()
+	return tbl, ix.pub.Load()
 }
 
 // writeSnapshot encodes the given cut (see Save) to w: the trees as
@@ -102,7 +100,7 @@ func (ix *Index) cut() ([]vec.Point, *version) {
 // It reads only immutable options, the trees of a version and the
 // lock-free metrics registry, so it runs without any index lock — Save
 // and Checkpoint hand it a consistent cut and stream off-lock.
-func (ix *Index) writeSnapshot(w io.Writer, points []vec.Point, trees *version) error {
+func (ix *Index) writeSnapshot(w io.Writer, tbl *pointTable, trees *version) error {
 	crc := crc32.NewIEEE()
 	bw := bufio.NewWriter(io.MultiWriter(w, crc))
 
@@ -137,17 +135,11 @@ func (ix *Index) writeSnapshot(w io.Writer, points []vec.Point, trees *version) 
 		coordSize = 4
 	}
 	format := uint32(snapshotPoints)
-	if trees != nil && uint64(len(points)) <= math.MaxUint32 {
+	if trees != nil && uint64(tbl.len()) <= math.MaxUint32 {
 		// A reader bounds the ID space by the bytes left (tombstones
 		// cost none), so the trees are written only when their primary
 		// entries alone are at least that many bytes.
-		live := 0
-		for _, p := range points {
-			if p != nil {
-				live++
-			}
-		}
-		if len(points) <= live*(4+coordSize*ix.opts.Dim) {
+		if tbl.len() <= tbl.live()*(4+coordSize*ix.opts.Dim) {
 			format = snapshotTrees
 		}
 	}
@@ -178,14 +170,14 @@ func (ix *Index) writeSnapshot(w io.Writer, points []vec.Point, trees *version) 
 		}
 	}
 
-	if err := binary.Write(bw, binary.LittleEndian, uint64(len(points))); err != nil {
+	if err := binary.Write(bw, binary.LittleEndian, uint64(tbl.len())); err != nil {
 		return fmt.Errorf("parsearch: writing snapshot: %w", err)
 	}
 	if format == snapshotTrees {
 		if err := writeTrees(bw, trees); err != nil {
 			return fmt.Errorf("parsearch: writing snapshot: %w", err)
 		}
-	} else if err := ix.writePoints(bw, points, coordSize); err != nil {
+	} else if err := writePoints(bw, tbl); err != nil {
 		return fmt.Errorf("parsearch: writing snapshot: %w", err)
 	}
 	if err := binary.Write(bw, binary.LittleEndian, uint32(len(metricsBlob))); err != nil {
@@ -207,27 +199,26 @@ func (ix *Index) writeSnapshot(w io.Writer, points []vec.Point, trees *version) 
 // writePoints writes the version-1 point table. Each slot is a presence
 // byte followed by the coordinates; deleted IDs (tombstones) are a
 // single zero byte, so IDs stay stable across save/load. Packed indexes
-// hold float32-representable coordinates only (rounded at ingest), so
-// the snapshot stores them as 4-byte float32s without loss.
-func (ix *Index) writePoints(bw *bufio.Writer, points []vec.Point, coordSize int) error {
-	buf := make([]byte, coordSize*ix.opts.Dim)
-	for _, p := range points {
-		if p == nil {
+// hold float32 coordinates (rounded at ingest), so the snapshot stores
+// them as 4-byte float32s, as the table does.
+func writePoints(bw *bufio.Writer, tbl *pointTable) error {
+	var buf []byte
+	for id, dead := range tbl.dead {
+		if dead {
 			if err := bw.WriteByte(0); err != nil {
 				return err
 			}
 			continue
 		}
-		if err := bw.WriteByte(1); err != nil {
-			return err
-		}
-		if ix.opts.Packed {
-			for j, x := range p {
-				binary.LittleEndian.PutUint32(buf[4*j:], math.Float32bits(float32(x)))
+		buf = append(buf[:0], 1)
+		lo, hi := id*tbl.dim, (id+1)*tbl.dim
+		if tbl.packed {
+			for _, x := range tbl.f32[lo:hi] {
+				buf = binary.LittleEndian.AppendUint32(buf, math.Float32bits(x))
 			}
 		} else {
-			for j, x := range p {
-				binary.LittleEndian.PutUint64(buf[8*j:], math.Float64bits(x))
+			for _, x := range tbl.f64[lo:hi] {
+				buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(x))
 			}
 		}
 		if _, err := bw.Write(buf); err != nil {
@@ -238,7 +229,8 @@ func (ix *Index) writePoints(bw *bufio.Writer, points []vec.Point, coordSize int
 }
 
 // writeTrees writes the version-2 tree sections: primaries with their
-// points, then replicas and the baseline with IDs only.
+// points, read from the leaves' blocks, then replicas and the baseline
+// with IDs only.
 func writeTrees(bw *bufio.Writer, v *version) error {
 	var buf []byte
 	section := func(t *xtree.Tree, points bool) error {
@@ -266,12 +258,11 @@ func writeTrees(bw *bufio.Writer, v *version) error {
 }
 
 // snapshotData is a fully decoded and validated snapshot: the options
-// to open the index with, the point table (nil entries are tombstones)
-// of version 1 or the trees of version 2, and the metrics blob when
-// present.
+// to open the index with, the point table of version 1 or the trees of
+// version 2, and the metrics blob when present.
 type snapshotData struct {
 	opts    Options
-	points  [][]float64
+	table   *pointTable
 	trees   *treeLayout
 	metrics []byte
 }
@@ -293,14 +284,14 @@ func (sd *snapshotData) newIndex() (*Index, error) {
 		return nil, fmt.Errorf("parsearch: snapshot options invalid: %w", err)
 	}
 	if sd.trees != nil {
-		st, pts, live, err := ix.assembleState(sd.trees)
+		st, tbl, live, err := ix.assembleState(sd.trees)
 		if err != nil {
 			return nil, fmt.Errorf("parsearch: assembling from snapshot: %w", err)
 		}
-		if err := ix.cutOver(st, pts, live); err != nil {
+		if err := ix.cutOver(st, tbl, live); err != nil {
 			return nil, err
 		}
-	} else if err := ix.Build(sd.points); err != nil {
+	} else if err := ix.build(sd.table); err != nil {
 		return nil, fmt.Errorf("parsearch: rebuilding from snapshot: %w", err)
 	}
 	if sd.metrics != nil {
@@ -431,13 +422,13 @@ func parseSnapshotPayload(raw []byte) (*snapshotData, int, error) {
 	}
 	packed := flags&flagPacked != 0
 	var (
-		points [][]float64
-		trees  *treeLayout
+		table *pointTable
+		trees *treeLayout
 	)
 	if version == snapshotTrees {
 		trees, err = parseTrees(raw, br, int(count), int(disks), flags)
 	} else {
-		points, err = parsePoints(br, int(count), int(dim), packed)
+		table, err = parsePoints(br, int(count), int(dim), packed)
 	}
 	if err != nil {
 		return nil, 0, err
@@ -481,7 +472,7 @@ func parseSnapshotPayload(raw []byte) (*snapshotData, int, error) {
 			CostModel:      CostModel(costModel),
 			Metric:         Metric(metric),
 		},
-		points:  points,
+		table:   table,
 		trees:   trees,
 		metrics: metricsBlob,
 	}
@@ -489,29 +480,31 @@ func parseSnapshotPayload(raw []byte) (*snapshotData, int, error) {
 }
 
 // parsePoints reads a version-1 point table of count slots.
-func parsePoints(br *bytes.Reader, count, dim int, packed bool) ([][]float64, error) {
+func parsePoints(br *bytes.Reader, count, dim int, packed bool) (*pointTable, error) {
 	coordSize := 8
 	if packed {
 		coordSize = 4
 	}
-	points := make([][]float64, count)
+	// Sized by the points the bytes left can hold, not by the claim.
+	t := newTable(dim, packed, min(count, br.Len()/(1+coordSize*dim)))
 	buf := make([]byte, coordSize*dim)
-	for i := range points {
+	p := make([]float64, dim)
+	for i := 0; i < count; i++ {
 		presence, err := br.ReadByte()
 		if err != nil {
 			return nil, fmt.Errorf("parsearch: reading snapshot point %d: %w", i, err)
 		}
 		switch presence {
 		case 0: // tombstone
+			t.addDead(1)
 		case 1:
 			if _, err := io.ReadFull(br, buf); err != nil {
 				return nil, fmt.Errorf("parsearch: reading snapshot point %d: %w", i, err)
 			}
-			p := make([]float64, dim)
 			if packed {
-				// Widening float32 → float64 is exact, so the round trip
-				// restores the ingested (pre-rounded) coordinates bit for
-				// bit.
+				// Widening float32 → float64 is exact, and the table
+				// narrows it back: the round trip restores the ingested
+				// (pre-rounded) coordinates bit for bit.
 				for j := range p {
 					p[j] = float64(math.Float32frombits(binary.LittleEndian.Uint32(buf[4*j:])))
 				}
@@ -520,12 +513,12 @@ func parsePoints(br *bytes.Reader, count, dim int, packed bool) ([][]float64, er
 					p[j] = math.Float64frombits(binary.LittleEndian.Uint64(buf[8*j:]))
 				}
 			}
-			points[i] = p
+			t.add(p)
 		default:
 			return nil, fmt.Errorf("parsearch: invalid presence byte %d at point %d", presence, i)
 		}
 	}
-	return points, nil
+	return t, nil
 }
 
 // parseTrees reads the version-2 tree sections: one a disk, one more a

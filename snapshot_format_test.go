@@ -15,7 +15,6 @@ import (
 	"slices"
 	"strings"
 	"testing"
-	"unsafe"
 
 	"parsearch/internal/data"
 	"parsearch/internal/fsx"
@@ -139,39 +138,26 @@ func snapshotVersionOf(raw []byte) uint32 {
 	return binary.LittleEndian.Uint32(raw[len(snapshotMagic):])
 }
 
-// assembledTrees reports whether every leaf of every tree of the index holds
-// points that lie side by side in one array: a version-2 load's
-// assembly, where a build holds one array a point.
-func assembledTrees(ix *Index) bool {
-	var leafShared func(n *xtree.Node) bool
-	leafShared = func(n *xtree.Node) bool {
-		if !n.IsLeaf() {
-			for _, c := range n.Children() {
-				if !leafShared(c) {
-					return false
-				}
-			}
-			return true
-		}
-		es := n.Entries()
-		for i := 1; i < len(es); i++ {
-			d := len(es[i].Point)
-			if unsafe.Pointer(&es[i].Point[0]) != unsafe.Add(unsafe.Pointer(&es[i-1].Point[0]), d*8) {
-				return false
-			}
-		}
-		return true
-	}
-	shared := 0
+// leafIDs returns the IDs of each primary of the index in leaf order.
+func leafIDs(ix *Index) [][]int {
+	var out [][]int
 	for _, t := range ix.st.shards {
-		if root := t.Root(); root != nil {
-			if !leafShared(root) {
-				return false
-			}
-			shared++
+		var ids []int
+		for _, e := range leafEntries(t) {
+			ids = append(ids, e.ID)
 		}
+		out = append(out, ids)
 	}
-	return shared > 0
+	return out
+}
+
+// entryIDs returns the IDs of the entries in order.
+func entryIDs(es []xtree.Entry) []int {
+	ids := make([]int, len(es))
+	for i, e := range es {
+		ids[i] = e.ID
+	}
+	return ids
 }
 
 // TestLoadDigest: for every build configuration, at GOMAXPROCS 1, 2 and
@@ -211,9 +197,6 @@ func TestLoadDigest(t *testing.T) {
 			if err := loaded.CheckIntegrity(); err != nil {
 				t.Errorf("%s: %v", c.name, err)
 			}
-			if v := snapshotVersionOf(raw); v == snapshotTrees && ix.Len() > 1 && !assembledTrees(loaded) {
-				t.Errorf("%s: a version-2 snapshot loaded without assembling its trees", c.name)
-			}
 			buf.Reset()
 			if err := loaded.Save(&buf); err != nil {
 				t.Fatal(err)
@@ -244,9 +227,6 @@ func TestLoadDigest(t *testing.T) {
 			}
 			if got := stateDigest(re); got != want {
 				t.Errorf("%s at GOMAXPROCS %d: reopened digest\n  %s\nwant\n  %s", c.name, procs, got, want)
-			}
-			if snapshotVersionOf(raw) == snapshotTrees && ix.Len() > 1 && !assembledTrees(re) {
-				t.Errorf("%s: durable recovery rebuilt what it could assemble", c.name)
 			}
 			if err := re.CheckIntegrity(); err != nil {
 				t.Errorf("%s: %v", c.name, err)
@@ -427,7 +407,7 @@ func TestLoadRefusals(t *testing.T) {
 	}
 	raw := buf.Bytes()
 	head, _, tail := splitTrees(t, raw)
-	ids := len(ix.points)
+	ids := ix.tbl.len()
 	base := func() *forged {
 		f := &forged{}
 		for _, tr := range ix.st.shards {
@@ -544,9 +524,9 @@ func TestLoadRefusals(t *testing.T) {
 // TestStageOneIgnoresLeafOrder: the order in which a snapshot's leaves
 // hold the points does not reach stage one. A version-2 snapshot whose
 // primaries hold their points shuffled into other leaves loads, and stage
-// one over its read primaries — whose bucket pass and quantile columns
-// walk their leaves — yields what Build's stage one yields over the
-// point table in ID order: the same splits, the same cell table (keys,
+// one over the point table its read primaries fill — leaf by leaf, in
+// their shuffled order — yields what Build's stage one yields over its
+// point table: the same splits, the same cell table (keys,
 // order, counts, disks, regions), and the same cell for every ID. The
 // loaded index carries that cell table too. Midpoint, quantile and
 // recursive configurations, at GOMAXPROCS 1 and 2.
@@ -584,7 +564,7 @@ func TestStageOneIgnoresLeafOrder(t *testing.T) {
 			if err := ix.Build(c.pts); err != nil {
 				t.Fatal(err)
 			}
-			want, wantCellOf, err := ix.decluster(ix.points, ix.live, nil)
+			want, wantCellOf, err := ix.decluster(ix.tbl, ix.live, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -610,22 +590,27 @@ func TestStageOneIgnoresLeafOrder(t *testing.T) {
 				t.Fatalf("%s: %v", name, err)
 			}
 			sameStageOne(t, name+", loaded", want, loaded.st)
+			for d, ids := range leafIDs(loaded) {
+				if !slices.Equal(ids, entryIDs(f.primaries[d])) {
+					t.Fatalf("%s: a version-2 snapshot loaded without assembling its trees", name)
+				}
+			}
 
 			sd, _, err := parseSnapshotPayload(raw)
 			if err != nil {
 				t.Fatal(err)
 			}
-			shards, pts, _, err := ix.readPrimaries(sd.trees)
+			_, tbl, _, err := ix.readPrimaries(sd.trees)
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, gotCellOf, err := ix.decluster(pts, ix.live, shards)
+			got, gotCellOf, err := ix.decluster(tbl, ix.live, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
 			sameStageOne(t, name+", assembled", want, got)
-			for id, p := range ix.points {
-				if p != nil && gotCellOf[id] != wantCellOf[id] {
+			for id := range ix.tbl.len() {
+				if ix.tbl.has(id) && gotCellOf[id] != wantCellOf[id] {
 					t.Errorf("%s: ID %d is in cell %d, Build puts it in cell %d", name, id, gotCellOf[id], wantCellOf[id])
 					break
 				}
@@ -733,9 +718,6 @@ func TestDurableRecoveryFromTrees(t *testing.T) {
 		if err := re.CheckIntegrity(); err != nil {
 			t.Fatal(err)
 		}
-		if assembledTrees(re) {
-			t.Fatal("trees followed by logged mutations were assembled, not rebuilt")
-		}
 	})
 
 	t.Run("other options", func(t *testing.T) {
@@ -753,13 +735,11 @@ func TestDurableRecoveryFromTrees(t *testing.T) {
 		if got, want := stateDigest(re), twin(t, other, table); got != want {
 			t.Fatalf("recovered digest\n  %s\nwant the build's\n  %s", got, want)
 		}
-		if assembledTrees(re) {
-			t.Fatal("trees recorded under other options were assembled")
-		}
 	})
 
-	// A snapshot whose disk 0 holds an ID twice, under a fresh CRC.
-	forge := func(t *testing.T, fs *fsx.Mem) {
+	// forge rewrites the snapshot under a fresh CRC with disk 0's entries,
+	// in leaf order, edited.
+	forge := func(t *testing.T, fs *fsx.Mem, edit func(es []xtree.Entry)) {
 		name := snapName(1)
 		raw, err := fs.ReadFile(name)
 		if err != nil {
@@ -769,12 +749,12 @@ func TestDurableRecoveryFromTrees(t *testing.T) {
 		cfg := xtree.DefaultConfig(4)
 		cfg.LeafCapacity = xtree.LeafCapacityForPage(4, 512)
 		cfg.DirCapacity = xtree.DirCapacityForPage(4, 512)
-		tr, err := xtree.ReadLayout(cfg, secs[0], true, func(_ int, p vec.Point) (vec.Point, error) { return p, nil })
+		tr, err := xtree.ReadLayout(cfg, secs[0], true, func(int, vec.Point) error { return nil })
 		if err != nil {
 			t.Fatal(err)
 		}
 		es := leafEntries(tr)
-		es[1].ID = es[0].ID
+		edit(es)
 		secs = slices.Clone(secs)
 		secs[0] = flat(es).layout(nil, true)
 		f, err := fs.Create(name)
@@ -788,6 +768,27 @@ func TestDurableRecoveryFromTrees(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	// Trees Build would not make, but valid, are assembled as they are:
+	// disk 0's entries reversed in leaf order.
+	t.Run("assembled", func(t *testing.T) {
+		fs := built(t)
+		var want []int
+		forge(t, fs, func(es []xtree.Entry) {
+			slices.Reverse(es)
+			want = entryIDs(es)
+		})
+		re, err := openDurable(opts, fs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !slices.Equal(leafIDs(re)[0], want) {
+			t.Fatal("durable recovery rebuilt what it could assemble")
+		}
+		if err := re.CheckIntegrity(); err != nil {
+			t.Fatal(err)
+		}
+	})
+
 	// The snapshot is checked whether recovery keeps its trees, rebuilds
 	// them after a logged mutation, or rebuilds under other options.
 	other := opts
@@ -807,7 +808,8 @@ func TestDurableRecoveryFromTrees(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		forge(t, fs)
+		// A snapshot whose disk 0 holds an ID twice.
+		forge(t, fs, func(es []xtree.Entry) { es[1].ID = es[0].ID })
 		if _, err := openDurable(c.reopen, fs); !errors.Is(err, ErrCorrupt) || !strings.Contains(err.Error(), "held twice") {
 			t.Errorf("%s: a forged layout reopened with %v, want ErrCorrupt naming the ID held twice", c.name, err)
 		}

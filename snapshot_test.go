@@ -192,7 +192,7 @@ func TestSnapshotKeepsMetric(t *testing.T) {
 		// The index is as built, so Save wrote its trees (version 2); the
 		// digest is of the point table the same cut writes as version 1.
 		var v1 bytes.Buffer
-		if err := ix.writeSnapshot(&v1, ix.points, nil); err != nil {
+		if err := ix.writeSnapshot(&v1, ix.tbl, nil); err != nil {
 			t.Fatal(err)
 		}
 		if got := fmt.Sprintf("%x", sha256.Sum256(v1.Bytes())); m == Euclidean && got != euclideanDigest {

@@ -12,7 +12,6 @@ import (
 	"testing"
 
 	"parsearch/internal/fsx"
-	"parsearch/internal/vec"
 	"parsearch/internal/wal"
 )
 
@@ -93,7 +92,11 @@ func TestNonFiniteLoadAndReplayRefused(t *testing.T) {
 				t.Fatal(err)
 			}
 			var buf bytes.Buffer
-			if err := ix.writeSnapshot(&buf, []vec.Point{good[0], p, good[1]}, nil); err != nil {
+			tbl := newTable(3, false, 3)
+			for _, row := range [][]float64{good[0], p, good[1]} {
+				tbl.add(row)
+			}
+			if err := ix.writeSnapshot(&buf, tbl, nil); err != nil {
 				t.Fatal(err)
 			}
 			if _, err := Load(&buf); err == nil || !strings.Contains(err.Error(), "component 1") {
