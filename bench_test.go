@@ -230,6 +230,46 @@ func BenchmarkLoad(b *testing.B) {
 	}
 }
 
+// BenchmarkSave times writing the version-2 snapshot of an as-built
+// index of BenchmarkLoad's 200k shape: fresh-build saves the index Build
+// made, loaded the one Load assembled from its snapshot. Both write from
+// the leaves' blocks.
+func BenchmarkSave(b *testing.B) {
+	shape := loadShapes[0]
+	built, err := parsearch.Open(shape.opts)
+	if err != nil {
+		b.Fatal(err)
+	}
+	if err := built.Build(shape.points()); err != nil {
+		b.Fatal(err)
+	}
+	var snap bytes.Buffer
+	if err := built.Save(&snap); err != nil {
+		b.Fatal(err)
+	}
+	loaded, err := parsearch.Load(bytes.NewReader(snap.Bytes()))
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, c := range []struct {
+		name string
+		ix   *parsearch.Index
+	}{{"fresh-build", built}, {"loaded", loaded}} {
+		b.Run(c.name, func(b *testing.B) {
+			var out bytes.Buffer
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				out.Reset()
+				if err := c.ix.Save(&out); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(built.Len()), "ns/point")
+		})
+	}
+}
+
 func BenchmarkKNNQuery(b *testing.B) {
 	ix := benchIndex(b, parsearch.NearOptimal, 65536, 10, 16)
 	rng := newBenchRand()
