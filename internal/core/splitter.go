@@ -50,14 +50,25 @@ func NewQuantileSplitter(points []vec.Point, alpha float64) *Splitter {
 	if len(points) == 0 {
 		panic("core: NewQuantileSplitter with no points")
 	}
-	d := len(points[0])
-	checkDim(d)
-	splits := make([]float64, d)
-	col := make([]float64, len(points))
-	for i := 0; i < d; i++ {
+	return NewQuantileSplitterOf(len(points[0]), len(points), func(i int, col []float64) {
 		for j, p := range points {
 			col[j] = p[i]
 		}
+	}, alpha)
+}
+
+// NewQuantileSplitterOf is NewQuantileSplitter over n points of dimension
+// d held elsewhere: column(i, col) writes coordinate i of every point into
+// col, in any order.
+func NewQuantileSplitterOf(d, n int, column func(i int, col []float64), alpha float64) *Splitter {
+	if n == 0 {
+		panic("core: NewQuantileSplitter with no points")
+	}
+	checkDim(d)
+	splits := make([]float64, d)
+	col := make([]float64, n)
+	for i := 0; i < d; i++ {
+		column(i, col)
 		splits[i] = quantile.Exact(col, alpha)
 		// The order statistics are the same values in any order of the
 		// points, but of equal values selection keeps whichever it met
