@@ -134,8 +134,8 @@ func TestAccountingMatchesLeafScan(t *testing.T) {
 		{"plain", Options{}, false},
 		{"baseline", Options{Baseline: true}, false},
 		{"replicated+baseline+faults", Options{Replication: 1, Baseline: true}, true},
-		{"packed+replicated+L1", Options{Packed: true, Replication: 1, Metric: Manhattan}, false},
-		{"packed+baseline+faults+Linf", Options{Packed: true, Baseline: true, Metric: Maximum}, true},
+		{"replicated+L1", Options{Replication: 1, Metric: Manhattan}, false},
+		{"baseline+faults+Linf", Options{Baseline: true, Metric: Maximum}, true},
 	}
 	// seen sums what the matrix exercised, so that a dead axis fails the
 	// test instead of passing it vacuously.
@@ -322,10 +322,10 @@ func TestAccountingFromSearchLog(t *testing.T) {
 		faults bool
 	}{
 		{"L2", Options{}, nil, false},
-		{"L2+packed+baseline", Options{Packed: true, Baseline: true}, nil, false},
+		{"L2+baseline", Options{Baseline: true}, nil, false},
 		{"L2+failed", Options{Baseline: true}, []int{1}, false},
 		{"L1+replicated+failed", Options{Replication: 1, Metric: Manhattan}, []int{1}, false},
-		{"Linf+packed+replicated+failed+faults", Options{Packed: true, Replication: 1, Baseline: true, Metric: Maximum}, []int{2}, true},
+		{"Linf+replicated+failed+faults", Options{Replication: 1, Baseline: true, Metric: Maximum}, []int{2}, true},
 	}
 	for _, cfg := range configs {
 		open := func() *Index {
@@ -547,7 +547,7 @@ func TestPinnedPageCounts(t *testing.T) {
 			[]int{51, 43, 76, 114, 85, 60, 73, 79},
 			[]int{35, 27, 60, 98, 69, 44, 57, 63},
 			[]int{16, 24, 18, 21, 21, 18, 21, 18, 34, 37, 40, 38, 37, 41, 34, 35}},
-		{"l1-packed-rerouted", Options{Dim: 8, Disks: 16, Metric: Manhattan, Packed: true, Replication: 1}, 2,
+		{"l1-rerouted", Options{Dim: 8, Disks: 16, Metric: Manhattan, Replication: 1}, 2,
 			[]int{121, 99, 145, 195, 136, 111, 145, 150},
 			[]int{105, 83, 129, 179, 120, 95, 129, 134},
 			[]int{47, 52, 0, 94, 47, 47, 47, 47, 71, 72, 73, 77, 78, 75, 74, 73}},
@@ -600,7 +600,7 @@ func TestPinnedPageCounts(t *testing.T) {
 // sequential baseline), beside the whole-query BenchmarkKNNSharedBound.
 func BenchmarkKNNAccounting(b *testing.B) {
 	const dim, disks, n, k = 8, 16, 100000, 10
-	ix, err := Open(Options{Dim: dim, Disks: disks, Packed: true, Baseline: true})
+	ix, err := Open(Options{Dim: dim, Disks: disks, Baseline: true})
 	if err != nil {
 		b.Fatal(err)
 	}

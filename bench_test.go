@@ -151,7 +151,7 @@ var buildShapes = []struct {
 	n    int
 	opts parsearch.Options
 }{
-	{"200k-packed", 200_000, parsearch.Options{Dim: 10, Disks: 16, Packed: true}},
+	{"200k-packed", 200_000, parsearch.Options{Dim: 10, Disks: 16}},
 	{"64k", 65536, parsearch.Options{Dim: 10, Disks: 16}},
 }
 
@@ -177,7 +177,7 @@ func BenchmarkBuild(b *testing.B) {
 
 // loadShapes are the index shapes the load rows time: the build rows'
 // lib-scale shape, and the serve-mixed shape (Fourier descriptors under
-// quantile splits, packed), whose load gathers the quantile columns too.
+// quantile splits), whose load gathers the quantile columns too.
 var loadShapes = []struct {
 	name   string
 	points func() [][]float64
@@ -185,7 +185,7 @@ var loadShapes = []struct {
 }{
 	{"200k-packed", func() [][]float64 { return benchPoints(200_000, 10) }, buildShapes[0].opts},
 	{"50k-fourier-quantile", func() [][]float64 { return data.Fourier(50_000, 16, 12, 0.15, 1) },
-		parsearch.Options{Dim: 16, Disks: 16, Packed: true, QuantileSplits: true}},
+		parsearch.Options{Dim: 16, Disks: 16, QuantileSplits: true}},
 }
 
 // BenchmarkLoad times bringing an index back from its snapshot. as-built
@@ -311,9 +311,9 @@ func BenchmarkInsertDynamic(b *testing.B) {
 
 // BenchmarkInsertLive times an insert into the shape of the live-durable
 // workload's index, in process and without a log: 100k points, d = 10,
-// 16 disks, packed, quantile splits, 8% of the points in the lowest
-// corner, and every insert into that corner (coordinates scaled by 0.3
-// and rounded to float32, as the packed engine stores them).
+// 16 disks, quantile splits, 8% of the points in the lowest corner, and
+// every insert into that corner (coordinates scaled by 0.3 and rounded
+// to float32, as the index stores them).
 func BenchmarkInsertLive(b *testing.B) {
 	const n, d, cornerShare = 100_000, 10, 8
 	toCorner := func(p []float64) {
@@ -330,7 +330,7 @@ func BenchmarkInsertLive(b *testing.B) {
 			p[j] = float64(float32(p[j]))
 		}
 	}
-	ix, err := parsearch.Open(parsearch.Options{Dim: d, Disks: 16, Packed: true, QuantileSplits: true})
+	ix, err := parsearch.Open(parsearch.Options{Dim: d, Disks: 16, QuantileSplits: true})
 	if err != nil {
 		b.Fatal(err)
 	}

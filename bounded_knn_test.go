@@ -24,45 +24,20 @@ import (
 // bit for bit. They live in the external test package because the
 // cluster half needs coord, which imports parsearch.
 
-// distFuncs are the linear scan's own distance functions, written to
-// accumulate in the engine's order so equal points give equal bits.
-var distFuncs = map[parsearch.Metric]func(a, b []float64) float64{
-	parsearch.Euclidean: func(a, b []float64) float64 {
-		var s float64
-		for i := range a {
-			d := a[i] - b[i]
-			s += d * d
-		}
-		return math.Sqrt(s)
-	},
-	parsearch.Manhattan: func(a, b []float64) float64 {
-		var s float64
-		for i := range a {
-			s += math.Abs(a[i] - b[i])
-		}
-		return s
-	},
-	parsearch.Maximum: func(a, b []float64) float64 {
-		var s float64
-		for i := range a {
-			s = math.Max(s, math.Abs(a[i]-b[i]))
-		}
-		return s
-	},
-}
-
-// scanKNN is the oracle: the k nearest of the points keep admits, at
-// distance <= bound, ordered by (dist, id).
+// scanKNN is the oracle (parsearch.ScanKNN): the k nearest of the
+// points keep admits, at distance <= bound, ordered by (dist, id).
 func scanKNN(pts [][]float64, q []float64, k int, m parsearch.Metric, bound float64, keep func(id int) bool) []parsearch.Neighbor {
-	var hits []parsearch.Neighbor
+	live := make(map[int][]float64, len(pts))
 	for id, p := range pts {
-		if d := distFuncs[m](q, p); d <= bound && (keep == nil || keep(id)) {
-			hits = append(hits, parsearch.Neighbor{ID: id, Point: p, Dist: d})
+		if keep == nil || keep(id) {
+			live[id] = p
 		}
 	}
-	sortNeighbors(hits)
-	if len(hits) > k {
-		hits = hits[:k]
+	hits := parsearch.ScanKNN(live, q, k, m)
+	for i, h := range hits {
+		if h.Dist > bound {
+			return hits[:i]
+		}
 	}
 	return hits
 }
@@ -112,7 +87,7 @@ func newCoordinator(t *testing.T, opts parsearch.Options, pts [][]float64, shard
 // Offsets of the tie ring: q ± (ringA, ringB, 0) in any arrangement lies
 // at one distance from q under L2, L1 and L∞ alike, and every
 // coordinate is a dyadic rational, so the distances are equal to the
-// bit and survive packed storage's float32 rounding. Under L2 the
+// bit and survive the float32 rounding at ingest. Under L2 the
 // squared distance ringA² + ringB² is one that the square of its own
 // square root rounds below — the case a shipped bound must survive.
 const ringA, ringB = 1.0 / 64, 1.0 / 8
@@ -122,8 +97,9 @@ const ringA, ringB = 1.0 / 64, 1.0 / 8
 // and filler that is farther than the ring from q in every single
 // dimension. One ring point a disk, because a disk's own k-best keeps
 // the first of two equal candidates it meets, not the lower ID — the
-// tie-break under test is the one across disks.
-func tieWorkload(t *testing.T, opts parsearch.Options) (q []float64, pts [][]float64) {
+// tie-break under test is the one across disks. With rounded, the filler
+// is float32 already; else the index rounds it at ingest.
+func tieWorkload(t *testing.T, opts parsearch.Options, rounded bool) (q []float64, pts [][]float64) {
 	t.Helper()
 	router, err := parsearch.Open(opts)
 	if err != nil {
@@ -151,12 +127,15 @@ func tieWorkload(t *testing.T, opts parsearch.Options) (q []float64, pts [][]flo
 	for len(pts) < 700 {
 		p := make([]float64, 3)
 		for j := range p {
-			// |p[j] - 0.5| in [0.2, 0.5), rounded through float32.
+			// |p[j] - 0.5| in [0.2, 0.5).
 			off := 0.2 + 0.3*rng.Float64()
 			if rng.Intn(2) == 0 {
 				off = -off
 			}
-			p[j] = float64(float32(0.5 + off))
+			p[j] = 0.5 + off
+			if rounded {
+				p[j] = float64(float32(p[j]))
+			}
 		}
 		pts = append(pts, p)
 	}
@@ -170,15 +149,16 @@ func TestKNNTiesOnKthDistance(t *testing.T) {
 		t.Fatal("the ring's squared distance survives the round trip through its square root: pick other offsets")
 	}
 	ctx := context.Background()
+	// The storage names say whether the filler is float32 already.
 	storage := []struct {
-		name   string
-		packed bool
+		name    string
+		rounded bool
 	}{{"float64", false}, {"packed", true}}
 	for _, m := range []parsearch.Metric{parsearch.Euclidean, parsearch.Manhattan, parsearch.Maximum} {
 		for _, st := range storage {
 			t.Run(fmt.Sprintf("%s/%s", m, st.name), func(t *testing.T) {
-				opts := parsearch.Options{Dim: 3, Disks: disks, Metric: m, Packed: st.packed}
-				q, pts := tieWorkload(t, opts)
+				opts := parsearch.Options{Dim: 3, Disks: disks, Metric: m}
+				q, pts := tieWorkload(t, opts, st.rounded)
 				ix := buildIndex(t, opts, pts)
 				co := newCoordinator(t, opts, pts, groups)
 

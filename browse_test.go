@@ -22,21 +22,6 @@ func drainBrowser(b *Browser) []Neighbor {
 	return out
 }
 
-// requireScan requires a drain to be the linear scan's ranking: the
-// same IDs in the same order at bit-identical distances.
-func requireScan(t *testing.T, got []Neighbor, want []scanHit) {
-	t.Helper()
-	if len(got) != len(want) {
-		t.Fatalf("drained %d results, want %d", len(got), len(want))
-	}
-	for i := range got {
-		if got[i].ID != want[i].id || got[i].Dist != want[i].dist {
-			t.Fatalf("rank %d: got (id %d, %v), want (id %d, %v)",
-				i, got[i].ID, got[i].Dist, want[i].id, want[i].dist)
-		}
-	}
-}
-
 func TestBrowseFullRanking(t *testing.T) {
 	const d, n = 4, 1000
 	pts := data.Uniform(n, d, 61)
@@ -55,7 +40,7 @@ func TestBrowseFullRanking(t *testing.T) {
 
 	want := make([]float64, n)
 	for i, p := range pts {
-		want[i] = vec.Dist(q, p)
+		want[i] = vec.Dist(q, rounded(p))
 	}
 	sort.Float64s(want)
 
@@ -130,37 +115,46 @@ func TestBrowseEmptyIndex(t *testing.T) {
 }
 
 // TestBrowseMatchesLinearScan: a full drain is the linear scan's
-// (distance, ID) ranking under every metric, on packed and float64
-// storage, under an approximate index default, through the ties of duplicated points: around raw[0] its 21
-// copies tie at distance 0 across the first page boundary. The points
-// are float32 values, which packed storage holds exactly.
+// (distance, ID) ranking under every metric, under an approximate index
+// default, through the ties of duplicated points: around raw[0] its 21
+// copies tie across the first page boundary. A subtest's packed= says
+// whether the points are float32 values already; else the index rounds
+// them at ingest.
 func TestBrowseMatchesLinearScan(t *testing.T) {
 	const d, n, dups = 5, 3000, 20
 	raw := make([][]float64, 0, n+dups)
 	for _, p := range data.Uniform(n, d, 64) {
 		raw = append(raw, p)
 	}
-	raw = roundF32(raw)
 	for range dups {
 		raw = append(raw, raw[0])
 	}
 	points := builtPoints(raw)
 	queries := [][]float64{data.Uniform(1, d, 65)[0], raw[0]}
-	var configs []Options
+	type config struct {
+		opts    Options
+		rounded bool
+	}
+	var configs []config
 	for _, metric := range []Metric{Euclidean, Manhattan, Maximum} {
-		for _, packed := range []bool{false, true} {
-			configs = append(configs, Options{Dim: d, Disks: 8, Metric: metric, Packed: packed})
+		for _, rounded := range []bool{false, true} {
+			configs = append(configs, config{Options{Dim: d, Disks: 8, Metric: metric}, rounded})
 		}
 	}
 	// The index's default ε does not make the ranking approximate.
-	configs = append(configs, Options{Dim: d, Disks: 8, Metric: Euclidean, Epsilon: 1})
-	for _, opts := range configs {
-		t.Run(fmt.Sprintf("%s/packed=%v/eps=%v", opts.Metric, opts.Packed, opts.Epsilon), func(t *testing.T) {
+	configs = append(configs, config{Options{Dim: d, Disks: 8, Metric: Euclidean, Epsilon: 1}, false})
+	for _, c := range configs {
+		opts := c.opts
+		t.Run(fmt.Sprintf("%s/packed=%v/eps=%v", opts.Metric, c.rounded, opts.Epsilon), func(t *testing.T) {
 			ix, err := Open(opts)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if err := ix.Build(raw); err != nil {
+			pts := raw
+			if c.rounded {
+				pts = roundF32(raw)
+			}
+			if err := ix.Build(pts); err != nil {
 				t.Fatal(err)
 			}
 			for _, q := range queries {
@@ -168,7 +162,7 @@ func TestBrowseMatchesLinearScan(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				requireScan(t, drainBrowser(b), linearScanKNN(points, q, len(points), ix.metric()))
+				requireScan(t, "drain", drainBrowser(b), scanKNN(points, q, len(points), ix.metric()))
 				if b.Err() != nil || b.Degraded() {
 					t.Fatalf("Err %v, Degraded %v", b.Err(), b.Degraded())
 				}
@@ -193,7 +187,7 @@ func TestBrowseFailedDisk(t *testing.T) {
 		t.Fatal(err)
 	}
 	b, _ := ix.Browse(q)
-	requireScan(t, drainBrowser(b), linearScanKNN(expected, q, n, m))
+	requireScan(t, "replicated drain", drainBrowser(b), scanKNN(expected, q, n, m))
 	if b.Err() != nil || b.Degraded() {
 		t.Fatalf("replicated: Err %v, Degraded %v", b.Err(), b.Degraded())
 	}
@@ -207,7 +201,7 @@ func TestBrowseFailedDisk(t *testing.T) {
 		t.Fatal("the failed disk held no data — test is vacuous")
 	}
 	b, _ = ix.Browse(q)
-	requireScan(t, drainBrowser(b), linearScanKNN(live, q, n, m))
+	requireScan(t, "unreplicated drain", drainBrowser(b), scanKNN(live, q, n, m))
 	if b.Err() != nil || !b.Degraded() {
 		t.Fatalf("unreplicated: Err %v, Degraded %v", b.Err(), b.Degraded())
 	}

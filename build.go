@@ -64,19 +64,14 @@ func (ix *Index) treeConfig() xtree.Config {
 	cfg := xtree.DefaultConfig(ix.opts.Dim)
 	cfg.LeafCapacity = xtree.LeafCapacityForPage(ix.opts.Dim, ix.opts.PageSize)
 	cfg.DirCapacity = xtree.DirCapacityForPage(ix.opts.Dim, ix.opts.PageSize)
-	cfg.Packed = ix.opts.Packed
 	return cfg
 }
 
-// canonPacked applies packed mode's rounding-at-ingest contract to a
-// freshly cloned point: every coordinate is rounded to the nearest
-// float32, so the tree's float64 values and the slabs' float32 copies
-// are the same numbers and the batched kernels match the scalar ones
-// bit for bit. A no-op on unpacked indexes.
-func (ix *Index) canonPacked(p vec.Point) {
-	if !ix.opts.Packed {
-		return
-	}
+// canon applies the rounding-at-ingest contract to a freshly cloned
+// point: every coordinate is rounded to the nearest float32, so the
+// tree's float64 values and the slabs' float32 copies are the same
+// numbers and the batched kernels match the scalar ones bit for bit.
+func canon(p vec.Point) {
 	for j := range p {
 		p[j] = float64(float32(p[j]))
 	}
@@ -108,16 +103,15 @@ func (ix *Index) makeAssigner(b core.Bucketer) (core.Assigner, error) {
 	}
 }
 
-// tableOf copies the given vectors into a point table in the index's
-// element type (rounding to float32 on a packed index); a nil vector is
-// a tombstone.
+// tableOf copies the given vectors into a point table, rounding them to
+// float32; a nil vector is a tombstone.
 func (ix *Index) tableOf(points [][]float64) (*pointTable, error) {
 	for i, p := range points {
 		if p != nil && len(p) != ix.opts.Dim {
 			return nil, fmt.Errorf("parsearch: point %d has dimension %d, want %d", i, len(p), ix.opts.Dim)
 		}
 	}
-	t := newTable(ix.opts.Dim, ix.opts.Packed, len(points))
+	t := newTable(ix.opts.Dim, len(points))
 	for _, p := range points {
 		if p == nil {
 			t.addDead(1)
@@ -128,16 +122,15 @@ func (ix *Index) tableOf(points [][]float64) (*pointTable, error) {
 	return t, nil
 }
 
-// buildState constructs a fresh derived state from a point table of the
-// index's element type, and counts its live points. It reads only
-// immutable index fields, so it runs without any lock — Build and
-// recovery call it off the lock and publish the result.
+// buildState constructs a fresh derived state from a point table, and
+// counts its live points. It reads only immutable index fields, so it
+// runs without any lock — Build and recovery call it off the lock and
+// publish the result.
 // A point with a NaN or infinite component as stored is refused, as by
 // Insert, whether a caller, a snapshot or a log supplied it.
 //
-// The bulk loader sorts float64 points: on a packed index the table's
-// rows are a transient widened copy, garbage once the leaves' blocks are
-// written.
+// The bulk loader sorts float64 points: the table's rows are a transient
+// widened copy, garbage once the leaves' blocks are written.
 func (ix *Index) buildState(tbl *pointTable) (st *state, live int, err error) {
 	pts := tbl.rows()
 	for id, p := range pts {
@@ -364,12 +357,12 @@ func (ix *Index) assembleState(tl *treeLayout) (st *state, tbl *pointTable, live
 		for r := range replicas {
 			d := (r + n - 1) % n // replicaOf(d, n) == r
 			jobs = append(jobs, func() {
-				replicas[r], errs[n+r] = xtree.ReadLayout(cfg, tl.sections[n+r], false, func(id int, p vec.Point) error {
+				replicas[r], errs[n+r] = xtree.ReadLayout(cfg, tl.sections[n+r], 0, func(id int, p vec.Point) error {
 					if id >= tl.ids || owner[id] != int32(d+1) || inReplica[id] {
 						return fmt.Errorf("parsearch: the replica on disk %d holds ID %d, not once a point of disk %d", r, id, d)
 					}
 					inReplica[id] = true
-					copy(p, tbl.point(id, p))
+					tbl.point(id, p)
 					return nil
 				})
 				if errs[n+r] == nil && replicas[r].Len() != shards[d].Len() {
@@ -382,12 +375,12 @@ func (ix *Index) assembleState(tl *treeLayout) (st *state, tbl *pointTable, live
 		last := len(tl.sections) - 1
 		inBaseline := make([]bool, tl.ids)
 		jobs = append(jobs, func() {
-			baseline, errs[last] = xtree.ReadLayout(cfg, tl.sections[last], false, func(id int, p vec.Point) error {
+			baseline, errs[last] = xtree.ReadLayout(cfg, tl.sections[last], 0, func(id int, p vec.Point) error {
 				if !tbl.has(id) || inBaseline[id] {
 					return fmt.Errorf("parsearch: the baseline holds ID %d, not once a live point", id)
 				}
 				inBaseline[id] = true
-				copy(p, tbl.point(id, p))
+				tbl.point(id, p)
 				return nil
 			})
 			if errs[last] == nil && baseline.Len() != live {
@@ -432,7 +425,7 @@ func (ix *Index) readPrimaries(tl *treeLayout) (shards []*xtree.Tree, tbl *point
 	jobs := make([]func(), len(shards))
 	for d := range jobs {
 		jobs[d] = func() {
-			shards[d], errs[d] = xtree.ReadLayout(cfg, tl.sections[d], true, func(id int, _ vec.Point) error {
+			shards[d], errs[d] = xtree.ReadLayout(cfg, tl.sections[d], tl.coord, func(id int, _ vec.Point) error {
 				if id >= tl.ids {
 					return fmt.Errorf("parsearch: disk %d holds ID %d of %d", d, id, tl.ids)
 				}
@@ -444,7 +437,7 @@ func (ix *Index) readPrimaries(tl *treeLayout) (shards []*xtree.Tree, tbl *point
 	if err := errors.Join(errs...); err != nil {
 		return nil, nil, nil, err
 	}
-	tbl = newTable(ix.opts.Dim, ix.opts.Packed, tl.ids)
+	tbl = newTable(ix.opts.Dim, tl.ids)
 	tbl.addDead(tl.ids)
 	owner = make([]int32, tl.ids)
 	for d, t := range shards {

@@ -15,7 +15,6 @@ import (
 	"io"
 	"math/rand"
 	"reflect"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -313,71 +312,17 @@ func verifyFinalState(t *testing.T, ix *Index, expected map[int][]float64, opts 
 		if err != nil {
 			t.Fatalf("final KNN: %v", err)
 		}
-		want := linearScanKNN(expected, q, k, m)
-		if len(got) != len(want) {
-			t.Fatalf("query %d: got %d neighbors, want %d", i, len(got), len(want))
-		}
-		for j := range got {
-			if got[j].ID != want[j].id || got[j].Dist != want[j].dist {
-				t.Fatalf("query %d neighbor %d: got (id %d, dist %v), want (id %d, dist %v)",
-					i, j, got[j].ID, got[j].Dist, want[j].id, want[j].dist)
-			}
-		}
+		requireScan(t, fmt.Sprintf("query %d", i), got, scanKNN(expected, q, k, m))
 
 		lo, hi := randBox(rng, opts.Dim)
 		res, _, err := ix.RangeQuery(lo, hi)
 		if err != nil {
 			t.Fatalf("final RangeQuery: %v", err)
 		}
-		var gotIDs []int
-		for _, n := range res {
-			gotIDs = append(gotIDs, n.ID)
-		}
-		var wantIDs []int
-		for id, p := range expected {
-			if inBox(p, lo, hi) {
-				wantIDs = append(wantIDs, id)
-			}
-		}
-		sort.Ints(wantIDs)
-		if !reflect.DeepEqual(gotIDs, wantIDs) {
+		if gotIDs, wantIDs := resultIDs(res), scanBox(expected, lo, hi); !reflect.DeepEqual(gotIDs, wantIDs) {
 			t.Fatalf("range query %d: got ids %v, want %v", i, gotIDs, wantIDs)
 		}
 	}
-}
-
-type scanHit struct {
-	id   int
-	dist float64
-}
-
-// linearScanKNN is the ground truth: distances to every live point,
-// sorted by (dist, id), truncated to k — the same semantics as the tree
-// algorithms.
-func linearScanKNN(points map[int][]float64, q []float64, k int, m vec.Metric) []scanHit {
-	hits := make([]scanHit, 0, len(points))
-	for id, p := range points {
-		hits = append(hits, scanHit{id: id, dist: m.FromRank(m.RankDist(q, p))})
-	}
-	sort.Slice(hits, func(i, j int) bool {
-		if hits[i].dist != hits[j].dist {
-			return hits[i].dist < hits[j].dist
-		}
-		return hits[i].id < hits[j].id
-	})
-	if len(hits) > k {
-		hits = hits[:k]
-	}
-	return hits
-}
-
-func inBox(p, lo, hi []float64) bool {
-	for i := range p {
-		if p[i] < lo[i] || p[i] > hi[i] {
-			return false
-		}
-	}
-	return true
 }
 
 func randPoint(rng *rand.Rand, d int) []float64 {
@@ -655,36 +600,36 @@ func checkFailureOutcome(t *testing.T, expected map[int][]float64, q []float64, 
 		}
 		return
 	}
-	prev := scanHit{id: -1, dist: -1}
+	prev := Neighbor{ID: -1, Dist: -1}
 	for _, nb := range got {
 		p, ok := expected[nb.ID]
 		if !ok {
 			t.Errorf("result id %d is not a live point", nb.ID)
 			return
 		}
-		if want := m.FromRank(m.RankDist(q, p)); nb.Dist != want {
+		if want := m.FromRank(m.RankDist(q, rounded(p))); nb.Dist != want {
 			t.Errorf("result id %d at dist %v, true dist %v", nb.ID, nb.Dist, want)
 			return
 		}
-		if nb.Dist < prev.dist || (nb.Dist == prev.dist && nb.ID <= prev.id) {
+		if nb.Dist < prev.Dist || (nb.Dist == prev.Dist && nb.ID <= prev.ID) {
 			t.Errorf("results out of order: (id %d, %v) after (id %d, %v)",
-				nb.ID, nb.Dist, prev.id, prev.dist)
+				nb.ID, nb.Dist, prev.ID, prev.Dist)
 			return
 		}
-		prev = scanHit{id: nb.ID, dist: nb.Dist}
+		prev = nb
 	}
 	if degraded {
 		return // best-effort results, honestly flagged
 	}
-	want := linearScanKNN(expected, q, k, m)
+	want := scanKNN(expected, q, k, m)
 	if len(got) != len(want) {
 		t.Errorf("non-degraded query returned %d neighbors, want %d", len(got), len(want))
 		return
 	}
 	for j := range got {
-		if got[j].ID != want[j].id || got[j].Dist != want[j].dist {
+		if got[j].ID != want[j].ID || got[j].Dist != want[j].Dist {
 			t.Errorf("non-degraded query wrong at %d: got (id %d, %v), want (id %d, %v)",
-				j, got[j].ID, got[j].Dist, want[j].id, want[j].dist)
+				j, got[j].ID, got[j].Dist, want[j].ID, want[j].Dist)
 			return
 		}
 	}
@@ -921,11 +866,11 @@ func TestSharedBoundStressConcurrent(t *testing.T) {
 			t.Fatalf("quiesced query %d: one queue %v, independent searches %v", i, res, want)
 		}
 		checkBoundInvariants(t, fmt.Sprintf("quiesced query %d", i), stats, sum(pages))
-		scan := linearScanKNN(truth, q, 5, vec.L2)
+		scan := scanKNN(truth, q, 5, vec.L2)
 		for j := range scan {
-			if res[j].ID != scan[j].id || res[j].Dist != scan[j].dist {
+			if res[j].ID != scan[j].ID || res[j].Dist != scan[j].Dist {
 				t.Fatalf("quiesced query %d: result %d is %d at %v, the scan's %d at %v",
-					i, j, res[j].ID, res[j].Dist, scan[j].id, scan[j].dist)
+					i, j, res[j].ID, res[j].Dist, scan[j].ID, scan[j].Dist)
 			}
 		}
 	}
@@ -961,7 +906,7 @@ func TestOneQueueUnderSplits(t *testing.T) {
 				t.Errorf("query %v: result %d (ID %d) at %v, its point is at %v", q, i, r.ID, r.Dist, want)
 			}
 			if r.ID < n {
-				if !reflect.DeepEqual(r.Point, base[r.ID]) {
+				if !reflect.DeepEqual(r.Point, rounded(base[r.ID])) {
 					t.Errorf("query %v: result %d (ID %d) has point %v, built %v", q, i, r.ID, r.Point, base[r.ID])
 				}
 				fromBase = append(fromBase, r.ID)
@@ -969,11 +914,11 @@ func TestOneQueueUnderSplits(t *testing.T) {
 		}
 		last := res[k-1]
 		var want []int
-		for _, h := range linearScanKNN(built, q, n, vec.L2) {
-			if h.dist > last.Dist || (h.dist == last.Dist && h.id > last.ID) {
+		for _, h := range scanKNN(built, q, n, vec.L2) {
+			if h.Dist > last.Dist || (h.Dist == last.Dist && h.ID > last.ID) {
 				break
 			}
-			want = append(want, h.id)
+			want = append(want, h.ID)
 		}
 		if !reflect.DeepEqual(fromBase, want) {
 			t.Errorf("query %v: built points answered %v, the scan has %v before the last result", q, fromBase, want)

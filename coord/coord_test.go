@@ -817,7 +817,7 @@ func TestCoordServerEndToEnd(t *testing.T) {
 // BenchmarkClusterKNN drives k-NN queries through a coordinator over
 // three shard fronts on loopback, one at a time, on the cluster
 // benchmark's data shape: 50,000 Fourier points in 16 dimensions,
-// packed, quantile splits, 16 disks, k = 10, queries jittered from the
+// quantile splits, 16 disks, k = 10, queries jittered from the
 // data. A CPU profile of it splits what a shard RPC costs beyond the
 // shard's own search:
 //
@@ -831,7 +831,7 @@ func BenchmarkClusterKNN(b *testing.B) {
 	}
 	var shards []string
 	for i := 0; i < 3; i++ {
-		ix, err := parsearch.Open(parsearch.Options{Dim: dim, Disks: disks, Packed: true, QuantileSplits: true})
+		ix, err := parsearch.Open(parsearch.Options{Dim: dim, Disks: disks, QuantileSplits: true})
 		if err != nil {
 			b.Fatal(err)
 		}

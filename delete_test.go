@@ -186,7 +186,7 @@ func TestDynamicReorganization(t *testing.T) {
 		t.Errorf("Len = %d after reorganization", ix.Len())
 	}
 	// Queries still correct after the rebuild.
-	nb, _, err := ix.NN(raw[0])
+	nb, _, err := ix.NN(rounded(raw[0]))
 	if err != nil {
 		t.Fatal(err)
 	}

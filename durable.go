@@ -343,12 +343,10 @@ func (ix *Index) initDurable(fs fsx.FS) error {
 		break
 	}
 
-	// The log's inserts are rows of this index's element type, so the
-	// replay starts from the base's table converted to it (a snapshot
-	// written under the other storage mode).
-	points := newTable(ix.opts.Dim, ix.opts.Packed, 0)
+	// The replay starts from the base's table.
+	points := newTable(ix.opts.Dim, 0)
 	if base != nil {
-		points = base.table.as(ix.opts.Packed)
+		points = base.table
 	}
 
 	// The replay base must be the snapshot or the empty state of
@@ -540,7 +538,7 @@ func (ix *Index) assembleBase(sd *snapshotData) (*assembled, error) {
 	}
 	src := ix
 	o, s := ix.opts, sd.opts
-	if o.Disks != s.Disks || o.Kind != s.Kind || o.PageSize != s.PageSize || o.Packed != s.Packed ||
+	if o.Disks != s.Disks || o.Kind != s.Kind || o.PageSize != s.PageSize ||
 		o.QuantileSplits != s.QuantileSplits || o.Recursive != s.Recursive ||
 		o.Replication != s.Replication || o.Baseline != s.Baseline {
 		s, err := checkOptions(s)

@@ -11,8 +11,8 @@ package parsearch
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"reflect"
-	"sort"
 	"testing"
 	"time"
 
@@ -138,16 +138,7 @@ func TestReplicatedSingleFailureExact(t *testing.T) {
 				t.Fatalf("disk %d query %d charged pages to the failed disk", d, qi)
 			}
 			rerouted += stats.Rerouted
-			want := linearScanKNN(expected, q, k, m)
-			if len(got) != len(want) {
-				t.Fatalf("disk %d query %d: %d neighbors, want %d", d, qi, len(got), len(want))
-			}
-			for j := range got {
-				if got[j].ID != want[j].id || got[j].Dist != want[j].dist {
-					t.Fatalf("disk %d query %d neighbor %d: got (id %d, %v), want (id %d, %v)",
-						d, qi, j, got[j].ID, got[j].Dist, want[j].id, want[j].dist)
-				}
-			}
+			requireScan(t, fmt.Sprintf("disk %d query %d", d, qi), got, scanKNN(expected, q, k, m))
 
 			// BatchKNN must agree with the one-at-a-time path.
 			batchRes, bstats, err := ix.BatchKNN([][]float64{q}, k)
@@ -177,17 +168,7 @@ func TestReplicatedSingleFailureExact(t *testing.T) {
 		if stats.Degraded || stats.Unreachable != 0 {
 			t.Fatalf("disk %d RangeQuery flagged degraded: %+v", d, stats)
 		}
-		var gotIDs, wantIDs []int
-		for _, nb := range res {
-			gotIDs = append(gotIDs, nb.ID)
-		}
-		for id, p := range expected {
-			if inBox(p, lo, hi) {
-				wantIDs = append(wantIDs, id)
-			}
-		}
-		sort.Ints(wantIDs)
-		if !reflect.DeepEqual(gotIDs, wantIDs) {
+		if gotIDs, wantIDs := resultIDs(res), scanBox(expected, lo, hi); !reflect.DeepEqual(gotIDs, wantIDs) {
 			t.Fatalf("disk %d RangeQuery: got %d ids, want %d", d, len(gotIDs), len(wantIDs))
 		}
 
@@ -224,7 +205,7 @@ func TestDegradedPairFailure(t *testing.T) {
 		t.Fatal("killing a primary and its replica lost no data — test is vacuous")
 	}
 	for id, p := range live {
-		if !reflect.DeepEqual(expected[id], p) {
+		if !reflect.DeepEqual(rounded(expected[id]), p) {
 			t.Fatalf("degraded range query returned corrupted point %d", id)
 		}
 	}
@@ -248,17 +229,7 @@ func TestDegradedPairFailure(t *testing.T) {
 			}
 			truth = live
 		}
-		want := linearScanKNN(truth, q, k, m)
-		if len(got) != len(want) {
-			t.Fatalf("query %d (degraded %v): %d neighbors, want %d",
-				qi, stats.Degraded, len(got), len(want))
-		}
-		for j := range got {
-			if got[j].ID != want[j].id || got[j].Dist != want[j].dist {
-				t.Fatalf("query %d (degraded %v) neighbor %d: got (id %d, %v), want (id %d, %v)",
-					qi, stats.Degraded, j, got[j].ID, got[j].Dist, want[j].id, want[j].dist)
-			}
-		}
+		requireScan(t, fmt.Sprintf("query %d (degraded %v)", qi, stats.Degraded), got, scanKNN(truth, q, k, m))
 	}
 	if !sawDegraded {
 		t.Error("no query was flagged Degraded with a dead shard — test is vacuous")
@@ -344,11 +315,11 @@ func TestReplicatedInsertDelete(t *testing.T) {
 		if err != nil || stats.Degraded {
 			t.Fatalf("KNN after mutations + failure: err %v, degraded %v", err, stats.Degraded)
 		}
-		want := linearScanKNN(expected, q, k, m)
+		want := scanKNN(expected, q, k, m)
 		for j := range got {
-			if got[j].ID != want[j].id || got[j].Dist != want[j].dist {
+			if got[j].ID != want[j].ID || got[j].Dist != want[j].Dist {
 				t.Fatalf("neighbor %d: got (id %d, %v), want (id %d, %v)",
-					j, got[j].ID, got[j].Dist, want[j].id, want[j].dist)
+					j, got[j].ID, got[j].Dist, want[j].ID, want[j].Dist)
 			}
 		}
 	}
@@ -387,11 +358,11 @@ func TestSnapshotRoundTripReplication(t *testing.T) {
 		if err != nil || stats.Degraded {
 			t.Fatalf("loaded degraded query: err %v, degraded %v", err, stats.Degraded)
 		}
-		want := linearScanKNN(expected, q, k, m)
+		want := scanKNN(expected, q, k, m)
 		for j := range got {
-			if got[j].ID != want[j].id || got[j].Dist != want[j].dist {
+			if got[j].ID != want[j].ID || got[j].Dist != want[j].Dist {
 				t.Fatalf("loaded neighbor %d: got (id %d, %v), want (id %d, %v)",
-					j, got[j].ID, got[j].Dist, want[j].id, want[j].dist)
+					j, got[j].ID, got[j].Dist, want[j].ID, want[j].Dist)
 			}
 		}
 	}

@@ -35,7 +35,7 @@ func FuzzLoad(f *testing.F) {
 	// Snapshots holding a non-finite coordinate, which Load refuses.
 	for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
 		buf.Reset()
-		tbl := newTable(3, ix.opts.Packed, 2)
+		tbl := newTable(3, 2)
 		tbl.add(vec.Point{0.1, 0.2, 0.3})
 		tbl.add(vec.Point{0.5, v, 0.5})
 		if err := ix.writeSnapshot(&buf, tbl, nil); err != nil {
@@ -204,10 +204,10 @@ func FuzzLoadLayout(f *testing.F) {
 		pts  [][]float64
 	}{
 		{Options{Dim: 3, Disks: 3, PageSize: 256, Replication: 1}, uniform(60, 3, 1)},
-		{Options{Dim: 3, Disks: 3, PageSize: 256, Baseline: true, Packed: true}, uniform(60, 3, 2)},
+		{Options{Dim: 3, Disks: 3, PageSize: 256, Baseline: true}, uniform(60, 3, 2)},
 		{Options{Dim: 3, Disks: 4, PageSize: 256, Recursive: true, QuantileSplits: true}, skewed},
 		{Options{Dim: 3, Disks: 3, PageSize: 256, Kind: RoundRobin, Replication: 1}, uniform(60, 3, 3)},
-		{Options{Dim: 3, Disks: 1, PageSize: 256, Packed: true}, uniform(60, 3, 4)},
+		{Options{Dim: 3, Disks: 1, PageSize: 256}, uniform(60, 3, 4)},
 		{Options{Dim: 3, Disks: 3, PageSize: 256, QuantileSplits: true, Replication: 1, Baseline: true}, tombstones},
 	} {
 		f.Add(layoutSnapshotPayload(f, seed.opts, seed.pts))
@@ -244,13 +244,13 @@ func FuzzLoadLayout(f *testing.F) {
 			if err != nil {
 				t.Fatalf("loaded index cannot be queried: %v", err)
 			}
-			want := linearScanKNN(live, q, 5, m)
+			want := scanKNN(live, q, 5, m)
 			if len(got) != len(want) {
 				t.Fatalf("k-NN answered %d neighbors, a linear scan %d", len(got), len(want))
 			}
 			for i := range want {
-				if got[i].ID != want[i].id || got[i].Dist != want[i].dist {
-					t.Fatalf("neighbor %d is %d at %v, a linear scan's %d at %v", i, got[i].ID, got[i].Dist, want[i].id, want[i].dist)
+				if got[i].ID != want[i].ID || got[i].Dist != want[i].Dist {
+					t.Fatalf("neighbor %d is %d at %v, a linear scan's %d at %v", i, got[i].ID, got[i].Dist, want[i].ID, want[i].Dist)
 				}
 			}
 		}

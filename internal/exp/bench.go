@@ -23,24 +23,21 @@ import (
 	"parsearch/server"
 )
 
-// BenchProfile sizes a ledger run. Packed builds the measured index
-// with Options.Packed (contiguous float32 leaf slabs and batched
-// distance kernels).
+// BenchProfile sizes a ledger run.
 type BenchProfile struct {
 	Name    string `json:"name"`
 	Points  int    `json:"points"`
 	Queries int    `json:"queries"`
 	K       int    `json:"k"`
-	Packed  bool   `json:"packed,omitempty"`
 }
 
 // BenchProfiles are the named run sizes: "short" for the per-PR CI
 // gate, "full" for the recorded EXPERIMENTS.md numbers, "scale" the
-// million-point packed-storage run.
+// million-point run.
 var BenchProfiles = map[string]BenchProfile{
 	"short": {Name: "short", Points: 6000, Queries: 48, K: 10},
 	"full":  {Name: "full", Points: 40000, Queries: 200, K: 10},
-	"scale": {Name: "scale", Points: 1_000_000, Queries: 32, K: 10, Packed: true},
+	"scale": {Name: "scale", Points: 1_000_000, Queries: 32, K: 10},
 }
 
 // BenchDisks is the disk configuration the harness measures — the
@@ -109,7 +106,7 @@ func RunBench(p BenchProfile, seed int64) (BenchReport, error) {
 	if p.Points < 1 || p.Queries < 1 || p.K < 1 {
 		return BenchReport{}, fmt.Errorf("exp: invalid bench profile %+v", p)
 	}
-	ix, err := parsearch.Open(parsearch.Options{Dim: benchDim, Disks: BenchDisks, Packed: p.Packed})
+	ix, err := parsearch.Open(parsearch.Options{Dim: benchDim, Disks: BenchDisks})
 	if err != nil {
 		return BenchReport{}, err
 	}

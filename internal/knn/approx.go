@@ -378,10 +378,9 @@ func HSShared(t *xtree.Tree, q vec.Point, k int, m vec.Metric, b *Bound, onTight
 // in pooled scratch never keeps a tree alive.
 type LeafLog struct {
 	// Ranks holds the rank MINDIST each scanned leaf was popped with, in
-	// pop order: the value pushChildren computed for it, by the same
-	// kernel — batched on a packed directory page, scalar otherwise —
-	// that xtree.Tree.HitLeaves evaluates, and hence bit for bit its
-	// value (see xtree.Region.descendPacked).
+	// pop order: the value pushChildren computed for it with the batched
+	// kernel, which is bit for bit the value xtree.Tree.HitLeaves
+	// evaluates (see xtree.Region.descendPacked).
 	Ranks []float64
 	// Frontier is a lower bound on the rank MINDIST of every node of the
 	// tree the search did not visit; +inf when it visited every node it

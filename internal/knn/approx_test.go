@@ -39,9 +39,7 @@ func TestSearchAcrossTrees(t *testing.T) {
 		if ti == 0 {
 			first = entries
 		}
-		cfg := xtree.DefaultConfig(dim)
-		cfg.Packed = ti%2 == 1
-		tr := xtree.New(cfg)
+		tr := xtree.New(xtree.DefaultConfig(dim))
 		tr.BulkLoad(entries)
 		trees = append(trees, tr)
 		all = append(all, entries...)
@@ -99,33 +97,29 @@ func TestKNNTiesOnKthDistanceLaterLeaf(t *testing.T) {
 		{{Point: at(d, 0, 0), ID: 1}, {Point: at(-0.3, -0.3, -0.3), ID: 2}, {Point: at(0.3, 0.3, 0.3), ID: 3}},
 		{{Point: at(-d, 0, 0), ID: 0}, {Point: at(-0.4, 0.3, 0.3), ID: 4}, {Point: at(-0.4, -0.3, -0.3), ID: 5}},
 	}
-	for _, packed := range []bool{false, true} {
-		var trees []*xtree.Tree
-		var all []xtree.Entry
-		for _, g := range groups {
-			cfg := xtree.DefaultConfig(len(q))
-			cfg.Packed = packed
-			tr := xtree.New(cfg)
-			for _, e := range g {
-				tr.Insert(e.Point, e.ID)
-			}
-			trees = append(trees, tr)
-			all = append(all, g...)
+	var trees []*xtree.Tree
+	var all []xtree.Entry
+	for _, g := range groups {
+		tr := xtree.New(xtree.DefaultConfig(len(q)))
+		for _, e := range g {
+			tr.Insert(e.Point, e.ID)
 		}
-		for _, m := range []vec.Metric{vec.L2, vec.L1, vec.LInf} {
-			var s Search
-			s.Q, s.K, s.M, s.Shrink = q, 1, m, 1
-			slots := s.Slots(len(trees))
-			for i := range slots {
-				slots[i].Tree = trees[i]
-			}
-			got := s.Run()
-			if want := LinearMetric(all, q, 1, m); !reflect.DeepEqual(got, want) || got[0].Entry.ID != 0 {
-				t.Fatalf("packed=%v %v: one queue %v, linear scan %v", packed, m, got, want)
-			}
-			if s.Trees[1].Acc.LeafAccesses != 1 {
-				t.Fatalf("packed=%v %v: tree b read %d leaves, want 1", packed, m, s.Trees[1].Acc.LeafAccesses)
-			}
+		trees = append(trees, tr)
+		all = append(all, g...)
+	}
+	for _, m := range []vec.Metric{vec.L2, vec.L1, vec.LInf} {
+		var s Search
+		s.Q, s.K, s.M, s.Shrink = q, 1, m, 1
+		slots := s.Slots(len(trees))
+		for i := range slots {
+			slots[i].Tree = trees[i]
+		}
+		got := s.Run()
+		if want := LinearMetric(all, q, 1, m); !reflect.DeepEqual(got, want) || got[0].Entry.ID != 0 {
+			t.Fatalf("%v: one queue %v, linear scan %v", m, got, want)
+		}
+		if s.Trees[1].Acc.LeafAccesses != 1 {
+			t.Fatalf("%v: tree b read %d leaves, want 1", m, s.Trees[1].Acc.LeafAccesses)
 		}
 	}
 }

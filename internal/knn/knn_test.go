@@ -9,12 +9,14 @@ import (
 	"parsearch/internal/xtree"
 )
 
+// uniformEntries draws n entries uniform in [0, 1)^d, rounded to float32
+// as a tree stores them, so that Linear scans what the tree holds.
 func uniformEntries(r *rand.Rand, n, d int) []xtree.Entry {
 	entries := make([]xtree.Entry, n)
 	for i := range entries {
 		p := make(vec.Point, d)
 		for j := range p {
-			p[j] = r.Float64()
+			p[j] = float64(float32(r.Float64()))
 		}
 		entries[i] = xtree.Entry{Point: p, ID: i}
 	}

@@ -9,13 +9,13 @@ import (
 
 // Batched kernels: a leaf's scan is one staged kernel call on its block,
 // which stops the page's distances at the search's bound
-// (slab.Page.DistsWithin), on float32 and float64 blocks alike; on packed
-// trees the directory scan is one batched MINDIST call on the child
-// rectangle slab as well. The distances the kernels finish are the scalar
-// arithmetic's bit for bit (see the slab package), and the ones they stop
-// are provably above the bound, where they could neither enter the k-best
-// nor be pushed — so every candidate, every push decision and every
-// tie-break is the scalar loop's; only the constant factor changes.
+// (slab.Slab.DistsWithin), and a directory's scan is one staged MINDIST
+// call on its child rectangle slab. The distances the kernels finish are
+// the scalar arithmetic's bit for bit (see the slab package), and the
+// ones they stop are provably above the bound, where they could neither
+// enter the k-best nor be pushed — so every candidate, every push
+// decision and every tie-break is the scalar loop's; only the constant
+// factor changes.
 
 // scratch holds the per-search batch buffers, grown to the largest page
 // seen, so the batched kernels allocate once per search instead of once
@@ -54,30 +54,20 @@ func scanLeaf(n *xtree.Node, q vec.Point, m vec.Metric, best *kBest, local *kRan
 
 // pushChildren pushes every child with rank MINDIST <= bound onto the
 // queue as a node of tree number tree, staging the MINDIST computation at
-// bound on packed trees, and returns the smallest MINDIST of the children
-// it pruned (+inf if none). A child the staged kernel dropped contributes
-// its partial MINDIST: smaller than its MINDIST, so still a lower bound
-// on it, and above bound.
+// bound, and returns the smallest MINDIST of the children it pruned (+inf
+// if none). A child the staged kernel dropped contributes its partial
+// MINDIST: smaller than its MINDIST, so still a lower bound on it, and
+// above bound.
 func pushChildren(pq *pqueue[nodeItem], n *xtree.Node, tree int, q vec.Point, m vec.Metric, bound float64, sc *scratch) (pruned float64) {
 	pruned = math.Inf(1)
-	children := n.Children()
-	if rs := n.ChildRects(); rs != nil {
-		out := sc.grow(rs.Len())
-		sc.keep = rs.MinDistsWithin(q, m, bound, out, sc.keep)
-		for i, c := range children {
-			if out[i] <= bound {
-				pq.push(nodeItem{node: c, sqMinDist: out[i], tree: tree})
-			} else {
-				pruned = min(pruned, out[i])
-			}
-		}
-		return pruned
-	}
-	for _, c := range children {
-		if d := m.RankMinDist(c.Rect(), q); d <= bound {
-			pq.push(nodeItem{node: c, sqMinDist: d, tree: tree})
+	rs := n.ChildRects()
+	out := sc.grow(rs.Len())
+	sc.keep = rs.MinDistsWithin(q, m, bound, out, sc.keep)
+	for i, c := range n.Children() {
+		if out[i] <= bound {
+			pq.push(nodeItem{node: c, sqMinDist: out[i], tree: tree})
 		} else {
-			pruned = min(pruned, d)
+			pruned = min(pruned, out[i])
 		}
 	}
 	return pruned

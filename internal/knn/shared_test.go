@@ -88,10 +88,9 @@ func sharedTestTree(n, dim int, seed int64) (*xtree.Tree, []xtree.Entry) {
 // bulkTestTree bulk-loads n float32-representable points: at 20000
 // points the tree has three levels, so a stopped search leaves directory
 // nodes in its queue.
-func bulkTestTree(n, dim int, seed int64, packed bool) *xtree.Tree {
+func bulkTestTree(n, dim int, seed int64) *xtree.Tree {
 	rng := rand.New(rand.NewSource(seed))
 	cfg := xtree.DefaultConfig(dim)
-	cfg.Packed = packed
 	entries := make([]xtree.Entry, n)
 	for i := range entries {
 		p := make(vec.Point, dim)
@@ -128,9 +127,8 @@ func TestHSSharedMatchesHS(t *testing.T) {
 		name string
 		tree *xtree.Tree
 	}{
-		{"two-level", bulkTestTree(600, 6, 7, false)},
-		{"three-level", bulkTestTree(20000, 6, 7, false)},
-		{"packed", bulkTestTree(20000, 6, 7, true)},
+		{"two-level", bulkTestTree(600, 6, 7)},
+		{"three-level", bulkTestTree(20000, 6, 7)},
 	}
 	for _, tc := range trees {
 		tr := tc.tree
@@ -187,7 +185,7 @@ func TestHSSharedMatchesHS(t *testing.T) {
 // its saving to the remote bound; once a local tightening improves on
 // the seed, nothing more is.
 func TestHSSharedSeededBound(t *testing.T) {
-	tr := bulkTestTree(20000, 6, 7, false)
+	tr := bulkTestTree(20000, 6, 7)
 	q := vec.Point{0.25, 0.5, 0.75, 0.5, 0.25, 0.5}
 	want, _ := HSMetric(tr, q, 5, vec.L2)
 	kth := vec.L2.RankDist(q, want[4].Entry.Point)

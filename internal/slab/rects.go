@@ -5,7 +5,7 @@ import "parsearch/internal/vec"
 // RectSlab is the packed form of a directory page: the n child MBRs
 // stored as dimension-major float32 min/max columns, so the batched
 // MINDIST kernel streams two contiguous columns per dimension. MBR
-// coordinates are coordinates of stored points, which packed mode rounds
+// coordinates are coordinates of stored points, which the index rounds
 // to float32 at ingest, so the float32 copy is lossless and the batched
 // MINDIST matches vec.Metric.RankMinDist bit for bit.
 type RectSlab struct {
@@ -31,6 +31,27 @@ func BuildRects(dim int, rects []vec.Rect) *RectSlab {
 		}
 	}
 	return rs
+}
+
+// Grown returns a copy of the slab with room for n >= Len rectangles:
+// the first Len are the slab's, the rest zero for Set to fill. A slab
+// that a tree version may share is copied so, never written.
+func (rs *RectSlab) Grown(n int) *RectSlab {
+	cols := make([]float32, 2*rs.dim*n)
+	c := &RectSlab{dim: rs.dim, n: n, min: cols[:rs.dim*n], max: cols[rs.dim*n:]}
+	for j := 0; j < rs.dim; j++ {
+		copy(c.min[j*n:], rs.min[j*rs.n:(j+1)*rs.n])
+		copy(c.max[j*n:], rs.max[j*rs.n:(j+1)*rs.n])
+	}
+	return c
+}
+
+// Set writes rectangle i's bounds, rounded to float32.
+func (rs *RectSlab) Set(i int, r vec.Rect) {
+	for j := 0; j < rs.dim; j++ {
+		rs.min[j*rs.n+i] = float32(r.Min[j])
+		rs.max[j*rs.n+i] = float32(r.Max[j])
+	}
 }
 
 // Len returns the number of rectangles in the slab.

@@ -3,16 +3,15 @@
 // batched distance kernels that compute all distances of a page in one
 // tight loop. A leaf's block is the only copy of its points.
 //
-// A block holds float32 coordinates on a packed index and float64 ones
-// otherwise (Page[float32], Page[float64]); the kernels are the same
-// code. Exactness contract: packed mode rounds every coordinate to
-// float32 at ingest, so a float32 block holds the stored values exactly.
-// The batched kernels widen each coordinate to float64 and accumulate
-// per point in ascending dimension order — the same floating-point
-// operation sequence as the scalar vec.Metric.RankDist — so batched and
-// scalar distances are bitwise identical, in either element type.
+// A block holds float32 coordinates. Exactness contract: the index
+// rounds every coordinate to float32 at ingest, so a block holds the
+// stored values exactly. The batched kernels widen each coordinate to
+// float64 and accumulate per point in ascending dimension order — the
+// same floating-point operation sequence as the scalar
+// vec.Metric.RankDist — so batched and scalar distances are bitwise
+// identical.
 //
-// The staged kernels (Page.DistsWithin, RectSlab.MinDistsWithin) stop a
+// The staged kernels (Slab.DistsWithin, RectSlab.MinDistsWithin) stop a
 // page's distances at a bound. They accumulate a prefix of the
 // dimensions for every entry and finish only the entries whose partial
 // is not above the bound. A finished entry runs the same summation in
@@ -31,29 +30,23 @@ import (
 	"parsearch/internal/vec"
 )
 
-// Elem is a block's coordinate type.
-type Elem interface{ float32 | float64 }
-
-// Page is one leaf page's points: n points of dimension dim stored
-// dimension-major (coordinate j of point i at data[j*n+i]), so the
-// batched kernels stream each dimension's column contiguously. A page is
-// filled (Set) before it is shared and never written after: a leaf
-// mutation writes a new page.
-type Page[T Elem] struct {
+// Slab is one leaf page's points: n points of dimension dim stored as
+// float32, dimension-major (coordinate j of point i at data[j*n+i]), so
+// the batched kernels stream each dimension's column contiguously. A
+// slab is filled (Set) before it is shared and never written after: a
+// leaf mutation writes a new slab.
+type Slab struct {
 	dim, n int
-	data   []T
+	data   []float32
 }
 
-// Slab is a float32 page, a packed leaf's block.
-type Slab = Page[float32]
-
-// NewPage returns a zeroed page of n points for Set to fill.
-func NewPage[T Elem](dim, n int) *Page[T] {
-	return &Page[T]{dim: dim, n: n, data: make([]T, dim*n)}
+// New returns a zeroed slab of n points for Set to fill.
+func New(dim, n int) *Slab {
+	return &Slab{dim: dim, n: n, data: make([]float32, dim*n)}
 }
 
 // Build packs the given points (all of dimension dim, coordinates
-// float32-representable) into a float32 page. Build(_, nil/empty, _)
+// float32-representable) into a slab. Build(_, nil/empty, _)
 // returns nil. The third parameter is ignored: the fixed benchmark
 // instrument (bench/probe.go) passes it, and ROADMAP item 9's benchmark
 // PR drops it.
@@ -61,22 +54,22 @@ func Build(dim int, pts []vec.Point, _ bool) *Slab {
 	if len(pts) == 0 {
 		return nil
 	}
-	s := NewPage[float32](dim, len(pts))
+	s := New(dim, len(pts))
 	for i, p := range pts {
 		s.Set(i, p)
 	}
 	return s
 }
 
-// Set writes point i's coordinates, converted to the element type.
-func (s *Page[T]) Set(i int, p vec.Point) {
+// Set writes point i's coordinates, rounded to float32.
+func (s *Slab) Set(i int, p vec.Point) {
 	for j, x := range p[:s.dim] {
-		s.data[j*s.n+i] = T(x)
+		s.data[j*s.n+i] = float32(x)
 	}
 }
 
 // Equal reports whether point i's coordinates are p's.
-func (s *Page[T]) Equal(i int, p vec.Point) bool {
+func (s *Slab) Equal(i int, p vec.Point) bool {
 	for j, x := range p[:s.dim] {
 		if float64(s.data[j*s.n+i]) != x {
 			return false
@@ -89,7 +82,7 @@ func (s *Page[T]) Equal(i int, p vec.Point) bool {
 // dimension the first minimum and the first maximum in slot order, which
 // is what vec.Rect.Extend makes of the points in slot order, bit for bit.
 // The page must not be empty.
-func (s *Page[T]) Bounds(min, max []float64) {
+func (s *Slab) Bounds(min, max []float64) {
 	for j := 0; j < s.dim; j++ {
 		col := s.data[j*s.n : (j+1)*s.n]
 		lo, hi := col[0], col[0]
@@ -106,16 +99,16 @@ func (s *Page[T]) Bounds(min, max []float64) {
 }
 
 // Len returns the number of points in the slab.
-func (s *Page[T]) Len() int { return s.n }
+func (s *Slab) Len() int { return s.n }
 
 // Dim returns the dimensionality of the slab's points.
-func (s *Page[T]) Dim() int { return s.dim }
+func (s *Slab) Dim() int { return s.dim }
 
 // DistsToPage computes the rank distance (vec.Metric.RankDist) from q to
 // every point of the page into out[:s.Len()], one dimension-major pass
 // per dimension. The per-point accumulation order is ascending dimension
 // order, matching the scalar kernels bit for bit.
-func (s *Page[T]) DistsToPage(q vec.Point, m vec.Metric, out []float64) {
+func (s *Slab) DistsToPage(q vec.Point, m vec.Metric, out []float64) {
 	out = out[:s.n]
 	clear(out)
 	s.addDims(q, m, out, 0, s.dim)
@@ -123,7 +116,7 @@ func (s *Page[T]) DistsToPage(q vec.Point, m vec.Metric, out []float64) {
 
 // addDims is the dense kernel: it folds dimensions [from, to) of every
 // point's rank distance into out, streaming one column per dimension.
-func (s *Page[T]) addDims(q vec.Point, m vec.Metric, out []float64, from, to int) {
+func (s *Slab) addDims(q vec.Point, m vec.Metric, out []float64, from, to int) {
 	n := s.n
 	out = out[:n] // lets the compiler drop the bounds checks on out[i]
 	switch m {
@@ -166,11 +159,11 @@ func (s *Page[T]) addDims(q vec.Point, m vec.Metric, out []float64, from, to int
 // point's out[i] is DistsToPage's value bit for bit; a dropped point's
 // out[i] is a partial above bound, and so is its full distance (see the
 // package comment). An infinite bound keeps every point.
-func (s *Page[T]) DistsWithin(q vec.Point, m vec.Metric, bound float64, out []float64, keep []int32) []int32 {
+func (s *Slab) DistsWithin(q vec.Point, m vec.Metric, bound float64, out []float64, keep []int32) []int32 {
 	return s.distsWithin(q, m, bound, out, keep, split(s.dim))
 }
 
-func (s *Page[T]) distsWithin(q vec.Point, m vec.Metric, bound float64, out []float64, keep []int32, h int) []int32 {
+func (s *Slab) distsWithin(q vec.Point, m vec.Metric, bound float64, out []float64, keep []int32, h int) []int32 {
 	out = out[:s.n]
 	clear(out)
 	s.addDims(q, m, out, 0, h)
@@ -239,7 +232,7 @@ func within(out []float64, bound float64, keep []int32) []int32 {
 
 // PointAt writes point i's coordinates (widened to float64) into p,
 // which must have length Dim.
-func (s *Page[T]) PointAt(i int, p []float64) {
+func (s *Slab) PointAt(i int, p []float64) {
 	for j := 0; j < s.dim; j++ {
 		p[j] = float64(s.data[j*s.n+i])
 	}
@@ -248,7 +241,7 @@ func (s *Page[T]) PointAt(i int, p []float64) {
 // InRect reports, for every point of the page, whether it lies inside
 // [min, max] (boundary inclusive, like vec.Rect.Contains) into
 // out[:s.Len()].
-func (s *Page[T]) InRect(min, max vec.Point, out []bool) {
+func (s *Slab) InRect(min, max vec.Point, out []bool) {
 	n := s.n
 	out = out[:n]
 	for i := range out {

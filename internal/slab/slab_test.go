@@ -12,8 +12,8 @@ import (
 
 var metrics = []vec.Metric{vec.L2, vec.L1, vec.LInf}
 
-// r32 rounds a point to float32-representable coordinates — the packed
-// ingest contract every slab input satisfies.
+// r32 rounds a point to float32-representable coordinates — the ingest
+// contract every slab input satisfies.
 func r32(p vec.Point) vec.Point {
 	out := make(vec.Point, len(p))
 	for j, x := range p {

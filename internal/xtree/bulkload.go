@@ -18,7 +18,7 @@ import (
 //
 // The entries slice is reordered in place (into leaf order) but not
 // retained: every leaf copies its entries' IDs and points into its own
-// block (rounding them to float32 on a packed tree), so the caller may
+// block (rounding them to float32), so the caller may
 // reuse or drop the slice and the points afterwards. It is
 // BulkLoadGrouped with a single group.
 func (t *Tree) BulkLoad(entries []Entry) {
@@ -74,9 +74,7 @@ func (t *Tree) BulkLoadGrouped(groups [][]Entry) {
 		s.partitionNodes(nodes, 0)
 	}
 	t.root = s.level[0]
-	if t.cfg.Packed {
-		t.packSubtree(t.root)
-	}
+	t.packSubtree(t.root)
 }
 
 // sortKey is one row of the key table the partition steps sort in place

@@ -306,14 +306,10 @@ func TestInsertChoicesMatchReference(t *testing.T) {
 }
 
 // TestChooserOracleOnTreeNodes runs the choosers on real trees' nodes:
-// every directory node of the float64 insert-digest runs (packed runs
-// choose with the same code), with one point of each child's subtree as
-// an insert candidate.
+// every directory node of the insert-digest runs, with one point of each
+// child's subtree as an insert candidate.
 func TestChooserOracleOnTreeNodes(t *testing.T) {
 	for _, c := range insertCases() {
-		if c.packed {
-			continue
-		}
 		tr, _ := runInserts(t, c)
 		var walk func(n *Node)
 		walk = func(n *Node) {

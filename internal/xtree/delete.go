@@ -23,7 +23,7 @@ func (t *Tree) Delete(p vec.Point, id int) bool {
 		return false
 	}
 	t.mutable()
-	p = t.stored(p)
+	p = stored(p)
 	var orphans []Entry
 	root := t.remove(t.root, p, id, &orphans)
 	if root == nil {
@@ -45,9 +45,7 @@ func (t *Tree) Delete(p vec.Point, id int) bool {
 			t.root = t.root.children[0]
 		}
 	}
-	if t.cfg.Packed && t.root != nil {
-		t.refreshPacked(t.root)
-	}
+	t.refreshPacked(t.root)
 
 	// Reinsert entries orphaned by dissolved nodes.
 	for _, e := range orphans {
@@ -66,7 +64,7 @@ func (t *Tree) remove(n *Node, p vec.Point, id int, orphans *[]Entry) *Node {
 		for i, e := range n.ids {
 			if int(e) == id && n.block.Equal(i, p) {
 				n = t.own(n)
-				n.packDirty = true
+				n.flag(packRebuild)
 				entries := t.gather(n, 0)
 				t.setLeaf(n, append(entries[:i], entries[i+1:]...))
 				if len(n.ids) > 0 {
@@ -86,10 +84,11 @@ func (t *Tree) remove(n *Node, p vec.Point, id int, orphans *[]Entry) *Node {
 			continue
 		}
 		n = t.own(n)
-		n.packDirty = true
+		n.flag(packPatch)
 		if t.underfull(c) {
 			// Dissolve the child: collect its entries for
 			// reinsertion and drop it.
+			n.flag(packRebuild)
 			collectEntries(c, orphans)
 			n.children = append(n.children[:i], n.children[i+1:]...)
 		} else {

@@ -9,18 +9,6 @@ import (
 	"parsearch/internal/vec"
 )
 
-// float32Points are uniform points whose coordinates survive the float32
-// round trip, which packed trees require.
-func float32Points(r *rand.Rand, n, d int) []vec.Point {
-	pts := uniformPoints(r, n, d)
-	for _, p := range pts {
-		for j := range p {
-			p[j] = float64(float32(p[j]))
-		}
-	}
-	return pts
-}
-
 func entriesOf(pts []vec.Point) []Entry {
 	es := make([]Entry, len(pts))
 	for i, p := range pts {
@@ -30,8 +18,8 @@ func entriesOf(pts []vec.Point) []Entry {
 }
 
 // wideSupernodeTree hand-builds a root directory supernode with more
-// children than maxBatchedFanout, so a packed sphere descent takes the
-// scalar loop on it.
+// children than maxBatchedFanout, so a sphere descent takes the scalar
+// loop on it.
 func wideSupernodeTree(t *testing.T, r *rand.Rand, cfg Config) *Tree {
 	t.Helper()
 	const fanout = maxBatchedFanout + 7
@@ -41,7 +29,7 @@ func wideSupernodeTree(t *testing.T, r *rand.Rand, cfg Config) *Tree {
 	for i := 0; i < fanout; i++ {
 		leaf := &Node{leaf: true, super: 1}
 		var entries []Entry
-		for _, p := range float32Points(r, 3, cfg.Dim) {
+		for _, p := range uniformPoints(r, 3, cfg.Dim) {
 			entries = append(entries, Entry{Point: p, ID: id})
 			id++
 		}
@@ -51,9 +39,7 @@ func wideSupernodeTree(t *testing.T, r *rand.Rand, cfg Config) *Tree {
 	}
 	root.recomputeRect()
 	tr.root, tr.size = root, id
-	if cfg.Packed {
-		tr.packSubtree(root)
-	}
+	tr.packSubtree(root)
 	return tr
 }
 
@@ -64,25 +50,23 @@ type namedTree struct {
 
 // hitLeafTrees builds the tree shapes the descent must agree with the
 // leaf scan on.
-func hitLeafTrees(t *testing.T, packed bool) []namedTree {
+func hitLeafTrees(t *testing.T) []namedTree {
 	t.Helper()
 	r := rand.New(rand.NewSource(41))
 	small := smallConfig(3)
-	small.Packed = packed
 	high := DefaultConfig(16)
-	high.Packed = packed
 
 	trees := []namedTree{
 		{"empty", New(small)},
-		{"root-only leaf", buildTree(t, float32Points(r, 5, 3), small)},
+		{"root-only leaf", buildTree(t, uniformPoints(r, 5, 3), small)},
 	}
 
 	bulk := New(small)
-	bulk.BulkLoad(entriesOf(float32Points(r, 3000, 3)))
+	bulk.BulkLoad(entriesOf(uniformPoints(r, 3000, 3)))
 	trees = append(trees, namedTree{"bulk-loaded", bulk})
 
 	// Inserts interleaved with deletes, which dissolve and reinsert.
-	pts := float32Points(r, 2500, 3)
+	pts := uniformPoints(r, 2500, 3)
 	mixed := New(small)
 	for i, p := range pts {
 		mixed.Insert(p, i)
@@ -97,7 +81,7 @@ func hitLeafTrees(t *testing.T, packed bool) []namedTree {
 	}
 	trees = append(trees, namedTree{"insert-built with deletes", mixed})
 
-	super := buildTree(t, float32Points(r, 2500, 16), high)
+	super := buildTree(t, uniformPoints(r, 2500, 16), high)
 	if super.Stats().Supernodes == 0 {
 		t.Fatal("the 16-dimensional tree has no supernode")
 	}
@@ -177,41 +161,39 @@ func hitLeafRegions(r *rand.Rand, tr *Tree) []namedRegion {
 // scan of every leaf would keep — the same set in the same order — and
 // a box's are the leaves RangeSearch scans.
 func TestHitLeavesMatchesLeafScan(t *testing.T) {
-	for _, packed := range []bool{false, true} {
-		for _, nt := range hitLeafTrees(t, packed) {
-			tr := nt.tree
-			// A page read is one block per leaf: the engine charges a
-			// search log's leaves as single blocks.
+	for _, nt := range hitLeafTrees(t) {
+		tr := nt.tree
+		// A page read is one block per leaf: the engine charges a
+		// search log's leaves as single blocks.
+		for _, leaf := range tr.Leaves() {
+			if leaf.Super() != 1 {
+				t.Fatalf("%s: a leaf has super %d", nt.name, leaf.Super())
+			}
+		}
+		for _, ng := range hitLeafRegions(rand.New(rand.NewSource(42)), tr) {
+			g := ng.g
+			var want []*Node
 			for _, leaf := range tr.Leaves() {
-				if leaf.Super() != 1 {
-					t.Fatalf("packed=%v/%s: a leaf has super %d", packed, nt.name, leaf.Super())
+				if g.Hits(leaf.rect) {
+					want = append(want, leaf)
 				}
 			}
-			for _, ng := range hitLeafRegions(rand.New(rand.NewSource(42)), tr) {
-				g := ng.g
-				var want []*Node
-				for _, leaf := range tr.Leaves() {
-					if g.Hits(leaf.rect) {
-						want = append(want, leaf)
-					}
+			var got []*Node
+			tr.HitLeaves(g, func(leaf *Node) { got = append(got, leaf) })
+			name := fmt.Sprintf("%s/%s", nt.name, ng.name)
+			if g.Box != nil {
+				if _, v := tr.RangeSearch(*g.Box); v.Leaves != len(want) {
+					t.Errorf("%s: RangeSearch scans %d leaves, the box hits %d", name, v.Leaves, len(want))
 				}
-				var got []*Node
-				tr.HitLeaves(g, func(leaf *Node) { got = append(got, leaf) })
-				name := fmt.Sprintf("packed=%v/%s/%s", packed, nt.name, ng.name)
-				if g.Box != nil {
-					if _, v := tr.RangeSearch(*g.Box); v.Leaves != len(want) {
-						t.Errorf("%s: RangeSearch scans %d leaves, the box hits %d", name, v.Leaves, len(want))
-					}
-				}
-				if len(got) != len(want) {
-					t.Errorf("%s: descent visits %d leaves, the scan keeps %d", name, len(got), len(want))
-					continue
-				}
-				for i := range got {
-					if got[i] != want[i] {
-						t.Errorf("%s: leaf %d of %d differs from the scan's", name, i, len(got))
-						break
-					}
+			}
+			if len(got) != len(want) {
+				t.Errorf("%s: descent visits %d leaves, the scan keeps %d", name, len(got), len(want))
+				continue
+			}
+			for i := range got {
+				if got[i] != want[i] {
+					t.Errorf("%s: leaf %d of %d differs from the scan's", name, i, len(got))
+					break
 				}
 			}
 		}
@@ -221,29 +203,25 @@ func TestHitLeavesMatchesLeafScan(t *testing.T) {
 // The descent must also be what makes it worth having: it allocates
 // nothing, and on a small region it touches a fraction of the tree.
 func TestHitLeavesAllocatesNothing(t *testing.T) {
-	for _, packed := range []bool{false, true} {
-		cfg := smallConfig(3)
-		cfg.Packed = packed
-		tr := New(cfg)
-		tr.BulkLoad(entriesOf(float32Points(rand.New(rand.NewSource(43)), 3000, 3)))
-		q := vec.Point{0.5, 0.5, 0.5}
-		box := vec.Rect{Min: vec.Point{0.4, 0.4, 0.4}, Max: vec.Point{0.5, 0.5, 0.5}}
-		for _, ng := range []namedRegion{
-			{"sphere", &Region{Q: q, M: vec.L2, Rank: 0.01}},
-			{"box", &Region{Box: &box}},
-		} {
-			name, g := ng.name, ng.g
-			hits := 0
-			allocs := testing.AllocsPerRun(20, func() {
-				hits = 0
-				tr.HitLeaves(g, func(*Node) { hits++ })
-			})
-			if allocs != 0 {
-				t.Errorf("packed=%v %s: %v allocations per walk", packed, name, allocs)
-			}
-			if _, leaves := tr.NodeCount(); hits == 0 || hits*4 > leaves {
-				t.Errorf("packed=%v %s: %d of %d leaves hit, want a small non-empty share", packed, name, hits, leaves)
-			}
+	tr := New(smallConfig(3))
+	tr.BulkLoad(entriesOf(uniformPoints(rand.New(rand.NewSource(43)), 3000, 3)))
+	q := vec.Point{0.5, 0.5, 0.5}
+	box := vec.Rect{Min: vec.Point{0.4, 0.4, 0.4}, Max: vec.Point{0.5, 0.5, 0.5}}
+	for _, ng := range []namedRegion{
+		{"sphere", &Region{Q: q, M: vec.L2, Rank: 0.01}},
+		{"box", &Region{Box: &box}},
+	} {
+		name, g := ng.name, ng.g
+		hits := 0
+		allocs := testing.AllocsPerRun(20, func() {
+			hits = 0
+			tr.HitLeaves(g, func(*Node) { hits++ })
+		})
+		if allocs != 0 {
+			t.Errorf("%s: %v allocations per walk", name, allocs)
+		}
+		if _, leaves := tr.NodeCount(); hits == 0 || hits*4 > leaves {
+			t.Errorf("%s: %d of %d leaves hit, want a small non-empty share", name, hits, leaves)
 		}
 	}
 }
@@ -252,33 +230,31 @@ func TestHitLeavesAllocatesNothing(t *testing.T) {
 // with visits exactly Leaves' list, in its order, on every tree shape,
 // and allocates nothing.
 func TestEachLeafMatchesLeaves(t *testing.T) {
-	for _, packed := range []bool{false, true} {
-		for _, nt := range hitLeafTrees(t, packed) {
-			want := nt.tree.Leaves()
-			var got []*Node
-			nt.tree.EachLeaf(func(leaf *Node) { got = append(got, leaf) })
-			name := fmt.Sprintf("packed=%v/%s", packed, nt.name)
-			if len(got) != len(want) {
-				t.Errorf("%s: EachLeaf visits %d leaves, Leaves lists %d", name, len(got), len(want))
-				continue
+	for _, nt := range hitLeafTrees(t) {
+		want := nt.tree.Leaves()
+		var got []*Node
+		nt.tree.EachLeaf(func(leaf *Node) { got = append(got, leaf) })
+		name := nt.name
+		if len(got) != len(want) {
+			t.Errorf("%s: EachLeaf visits %d leaves, Leaves lists %d", name, len(got), len(want))
+			continue
+		}
+		for i := range got {
+			if got[i] != want[i] {
+				t.Errorf("%s: leaf %d of %d differs from Leaves'", name, i, len(got))
+				break
 			}
-			for i := range got {
-				if got[i] != want[i] {
-					t.Errorf("%s: leaf %d of %d differs from Leaves'", name, i, len(got))
-					break
-				}
-			}
-			entries := 0
-			allocs := testing.AllocsPerRun(20, func() {
-				entries = 0
-				nt.tree.EachLeaf(func(leaf *Node) { entries += leaf.Len() })
-			})
-			if allocs != 0 {
-				t.Errorf("%s: %v allocations per walk", name, allocs)
-			}
-			if entries != nt.tree.Len() {
-				t.Errorf("%s: the walk met %d entries of %d", name, entries, nt.tree.Len())
-			}
+		}
+		entries := 0
+		allocs := testing.AllocsPerRun(20, func() {
+			entries = 0
+			nt.tree.EachLeaf(func(leaf *Node) { entries += leaf.Len() })
+		})
+		if allocs != 0 {
+			t.Errorf("%s: %v allocations per walk", name, allocs)
+		}
+		if entries != nt.tree.Len() {
+			t.Errorf("%s: the walk met %d entries of %d", name, entries, nt.tree.Len())
 		}
 	}
 }

@@ -26,18 +26,17 @@ const insertDigestGolden = "testdata/insert_digests.golden"
 
 type insertCase struct {
 	d, pageBytes, n int
-	packed, corner  bool
+	corner          bool
 }
 
+// String names the case; "packed" is what the golden's lines have always
+// called the float32 trees.
 func (c insertCase) String() string {
-	data, mode := "uniform", "float64"
+	data := "uniform"
 	if c.corner {
 		data = "corner"
 	}
-	if c.packed {
-		mode = "packed"
-	}
-	return fmt.Sprintf("d=%d/%s/%s", c.d, mode, data)
+	return fmt.Sprintf("d=%d/packed/%s", c.d, data)
 }
 
 // insertCases: d = 1 and 2 on small pages (deep trees of wide nodes),
@@ -49,10 +48,8 @@ func insertCases() []insertCase {
 	for _, s := range []struct{ d, pageBytes, n int }{
 		{1, 1024, 4000}, {2, 1024, 4000}, {10, 2048, 2500}, {16, PageSize, 4000}, {40, PageSize, 1500},
 	} {
-		for _, packed := range []bool{false, true} {
-			for _, corner := range []bool{false, true} {
-				cs = append(cs, insertCase{s.d, s.pageBytes, s.n, packed, corner})
-			}
+		for _, corner := range []bool{false, true} {
+			cs = append(cs, insertCase{s.d, s.pageBytes, s.n, corner})
 		}
 	}
 	return cs
@@ -61,11 +58,11 @@ func insertCases() []insertCase {
 // insertRunPoints draws the points of a run: uniform, or — like the live
 // benchmark — 8% of the first half and all of the second half scaled into
 // the lowest corner, with every fifth corner point on a 1/16 grid
-// (duplicates, points on shared faces) and some coordinates ±0.
-// Packed runs round them to float32.
+// (duplicates, points on shared faces) and some coordinates ±0, all
+// rounded to float32.
 func insertRunPoints(c insertCase, seed int64) []vec.Point {
 	r := rand.New(rand.NewSource(seed))
-	pts := uniformPoints(r, c.n+c.n/4, c.d)
+	pts := rawPoints(r, c.n+c.n/4, c.d)
 	if c.corner {
 		for i, p := range pts {
 			if i < c.n/2 && i%12 != 0 {
@@ -82,11 +79,9 @@ func insertRunPoints(c insertCase, seed int64) []vec.Point {
 			}
 		}
 	}
-	if c.packed {
-		for _, p := range pts {
-			for j := range p {
-				p[j] = float64(float32(p[j]))
-			}
+	for _, p := range pts {
+		for j := range p {
+			p[j] = float64(float32(p[j]))
 		}
 	}
 	return pts
@@ -102,7 +97,6 @@ func runInserts(t *testing.T, c insertCase) (*Tree, string) {
 	cfg := DefaultConfig(c.d)
 	cfg.LeafCapacity = LeafCapacityForPage(c.d, c.pageBytes)
 	cfg.DirCapacity = DirCapacityForPage(c.d, c.pageBytes)
-	cfg.Packed = c.packed
 	tr := New(cfg)
 	pts := insertRunPoints(c, int64(1000*c.d+c.n))
 	h := sha256.New()

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math"
 
+	"parsearch/internal/slab"
 	"parsearch/internal/vec"
 )
 
@@ -16,11 +17,12 @@ import (
 //	kind byte (0 directory, 1 leaf) · count uint32 · history uint64 · super uint32
 //
 // followed, on a leaf, by its count entries: a uint32 ID and, when the
-// layout carries points, the coordinates as the leaf's block holds them —
-// float32 on a packed tree, float64 otherwise. A
-// directory's children follow it in order. MBRs are not written: the
-// reader recomputes them bottom-up, leaf entries and children in the
-// order the bulk loader computed them, so they come back bit for bit.
+// layout carries points, the coordinates as the leaf's block holds them,
+// float32. (Trees that stored float64 wrote 8-byte coordinates;
+// ReadLayout reads those too.) A directory's children follow it in
+// order. MBRs are not written: the reader recomputes them bottom-up, leaf
+// entries and children in the order the bulk loader computed them, so
+// they come back bit for bit.
 // An empty tree is an empty layout. All integers are little-endian.
 
 // layoutHeader is the size of a node header.
@@ -65,11 +67,7 @@ func (t *Tree) appendNode(b []byte, n *Node, points bool, p vec.Point) []byte {
 		}
 		n.block.PointAt(i, p)
 		for _, x := range p {
-			if t.cfg.Packed {
-				b = binary.LittleEndian.AppendUint32(b, math.Float32bits(float32(x)))
-			} else {
-				b = binary.LittleEndian.AppendUint64(b, math.Float64bits(x))
-			}
+			b = binary.LittleEndian.AppendUint32(b, math.Float32bits(float32(x)))
 		}
 	}
 	return b
@@ -78,11 +76,14 @@ func (t *Tree) appendNode(b []byte, n *Node, points bool, p vec.Point) []byte {
 // Resolver checks one leaf entry while ReadLayout reads it, and decides
 // its point when the layout carries none. With points, p holds the
 // entry's decoded coordinates, finite; without, the resolver writes the
-// entry's coordinates into p. The reader stores p in the leaf's block.
-// An error refuses the layout.
+// entry's coordinates into p. The reader stores p, rounded to float32,
+// in the leaf's block. An error refuses the layout.
 type Resolver func(id int, p vec.Point) error
 
-// ReadLayout assembles the tree that AppendLayout wrote into b, checking
+// ReadLayout assembles the tree that AppendLayout wrote into b, whose
+// leaf entries carry coordinates of coord bytes each: 0 for a layout
+// without points, 4 for one with, or 8 for the float64 coordinates of a
+// tree that stored them, which it rounds to float32. It checks
 // everything as it reads: it refuses a node kind other than 0 or 1, an
 // empty node, a node over its capacity, a leaf whose super is not 1,
 // leaves at different depths, a tree deeper than 64 levels, a history
@@ -90,18 +91,18 @@ type Resolver func(id int, p vec.Point) error
 // math.MaxInt32, a count that the remaining bytes cannot hold (before
 // allocating for it), and bytes after the walk. resolve sees every entry
 // in layout order, and each decoded leaf is written straight into its
-// block. The tree it returns passes CheckInvariants; on a packed
-// configuration its caches are built.
-func ReadLayout(cfg Config, b []byte, points bool, resolve Resolver) (*Tree, error) {
+// block. The tree it returns passes CheckInvariants, its caches built.
+func ReadLayout(cfg Config, b []byte, coord int, resolve Resolver) (*Tree, error) {
+	if coord != 0 && coord != 4 && coord != 8 {
+		return nil, fmt.Errorf("xtree: layout coordinates of %d bytes", coord)
+	}
 	t := New(cfg)
-	r := &layoutReader{cfg: cfg, b: b, points: points, resolve: resolve, p: make(vec.Point, cfg.Dim)}
+	r := &layoutReader{cfg: cfg, b: b, coord: coord, resolve: resolve, p: make(vec.Point, cfg.Dim)}
 	if err := r.read(); err != nil {
 		return nil, err
 	}
 	t.root, t.size = r.root, r.size
-	if cfg.Packed && t.root != nil {
-		t.packSubtree(t.root)
-	}
+	t.packSubtree(t.root)
 	return t, nil
 }
 
@@ -109,7 +110,7 @@ func ReadLayout(cfg Config, b []byte, points bool, resolve Resolver) (*Tree, err
 type layoutReader struct {
 	cfg     Config
 	b       []byte // what is left to read
-	points  bool
+	coord   int    // bytes a coordinate, 0 without points
 	resolve Resolver
 	p       vec.Point // the entry being read
 
@@ -124,14 +125,7 @@ func (r *layoutReader) read() error {
 	if len(r.b) == 0 {
 		return nil
 	}
-	r.entryBytes, r.leafDepth = 4, -1
-	if r.points {
-		coord := 8
-		if r.cfg.Packed {
-			coord = 4
-		}
-		r.entryBytes += coord * r.cfg.Dim
-	}
+	r.entryBytes, r.leafDepth = 4+r.coord*r.cfg.Dim, -1
 	root, err := r.node(0)
 	if err != nil {
 		return err
@@ -201,7 +195,7 @@ func (r *layoutReader) node(depth int) (*Node, error) {
 		return nil, fmt.Errorf("xtree: layout claims %d entries in %d bytes", count, len(r.b))
 	}
 	n.ids = make([]int32, count)
-	n.block = r.cfg.newBlock(int(count))
+	n.block = slab.New(r.cfg.Dim, int(count))
 	p := r.p
 	for i := range n.ids {
 		id := binary.LittleEndian.Uint32(r.b)
@@ -209,14 +203,14 @@ func (r *layoutReader) node(depth int) (*Node, error) {
 		if id > math.MaxInt32 {
 			return nil, fmt.Errorf("xtree: entry ID %d above %d", id, math.MaxInt32)
 		}
-		if r.points {
-			if r.cfg.Packed {
+		if r.coord != 0 {
+			if r.coord == 4 {
 				for j := range p {
 					p[j] = float64(math.Float32frombits(binary.LittleEndian.Uint32(r.b[4*j:])))
 				}
 			} else {
 				for j := range p {
-					p[j] = math.Float64frombits(binary.LittleEndian.Uint64(r.b[8*j:]))
+					p[j] = float64(float32(math.Float64frombits(binary.LittleEndian.Uint64(r.b[8*j:]))))
 				}
 			}
 			r.b = r.b[r.entryBytes-4:]

@@ -54,72 +54,66 @@ func byID(tr *Tree) Resolver {
 }
 
 // TestLayoutRoundTrip: a bulk-loaded tree and an insert-built one (with
-// supernodes), float64 and packed, read back node for node — MBRs bit for
+// supernodes), read back node for node — MBRs bit for
 // bit — pass CheckInvariants, and write the same layout again; with
 // points and with IDs only.
 func TestLayoutRoundTrip(t *testing.T) {
 	r := rand.New(rand.NewSource(3))
-	for _, packed := range []bool{false, true} {
-		for _, shape := range []struct {
-			name string
-			tree func(cfg Config) *Tree
-		}{
-			{"bulk", func(cfg Config) *Tree {
-				pts := uniformPoints(r, 3000, cfg.Dim)
-				for i := 0; i < len(pts); i += 3 {
-					pts[i][0] = math.Copysign(0, -1) // signed zeros: the MBRs keep the first seen
-				}
-				es := make([]Entry, len(pts))
-				for i, p := range pts {
-					for j := range p {
-						p[j] = float64(float32(p[j]))
-					}
-					es[i] = Entry{Point: p, ID: i}
-				}
-				tr := New(cfg)
-				tr.BulkLoad(es)
-				return tr
-			}},
-			{"inserted", func(cfg Config) *Tree {
-				cfg.LeafCapacity, cfg.DirCapacity = 8, 6
-				tr := New(cfg)
-				for i, p := range uniformPoints(r, 3000, cfg.Dim) {
-					for j := range p {
-						p[j] = float64(float32(p[j]))
-					}
-					tr.Insert(p, i)
-				}
-				if tr.Stats().Supernodes == 0 {
-					t.Fatal("the insert-built tree has no supernode")
-				}
-				return tr
-			}},
-			{"empty", func(cfg Config) *Tree { return New(cfg) }},
-		} {
-			cfg := DefaultConfig(16)
-			cfg.Packed = packed
-			tr := shape.tree(cfg)
-			cfg = tr.Config()
-			for _, points := range []bool{true, false} {
-				b := tr.AppendLayout(nil, points)
-				resolve := byID(tr)
-				if points {
-					resolve = func(int, vec.Point) error { return nil }
-				}
-				got, err := ReadLayout(cfg, b, points, resolve)
-				if err != nil {
-					t.Fatalf("%s packed=%v points=%v: %v", shape.name, packed, points, err)
-				}
-				if err := got.CheckInvariants(); err != nil {
-					t.Fatalf("%s packed=%v points=%v: %v", shape.name, packed, points, err)
-				}
-				if got.Len() != tr.Len() || (tr.root == nil) != (got.root == nil) ||
-					(tr.root != nil && !sameNodes(tr.root, got.root)) {
-					t.Fatalf("%s packed=%v points=%v: the tree read back differs", shape.name, packed, points)
-				}
-				if again := got.AppendLayout(nil, points); !bytes.Equal(again, b) {
-					t.Fatalf("%s packed=%v points=%v: the tree read back writes other bytes", shape.name, packed, points)
-				}
+	for _, shape := range []struct {
+		name string
+		tree func(cfg Config) *Tree
+	}{
+		{"bulk", func(cfg Config) *Tree {
+			pts := uniformPoints(r, 3000, cfg.Dim)
+			for i := 0; i < len(pts); i += 3 {
+				pts[i][0] = math.Copysign(0, -1) // signed zeros: the MBRs keep the first seen
+			}
+			es := make([]Entry, len(pts))
+			for i, p := range pts {
+				es[i] = Entry{Point: p, ID: i}
+			}
+			tr := New(cfg)
+			tr.BulkLoad(es)
+			return tr
+		}},
+		{"inserted", func(cfg Config) *Tree {
+			cfg.LeafCapacity, cfg.DirCapacity = 8, 6
+			tr := New(cfg)
+			for i, p := range uniformPoints(r, 3000, cfg.Dim) {
+				tr.Insert(p, i)
+			}
+			if tr.Stats().Supernodes == 0 {
+				t.Fatal("the insert-built tree has no supernode")
+			}
+			return tr
+		}},
+		{"empty", func(cfg Config) *Tree { return New(cfg) }},
+	} {
+		tr := shape.tree(DefaultConfig(16))
+		cfg := tr.Config()
+		for _, points := range []bool{true, false} {
+			b := tr.AppendLayout(nil, points)
+			resolve := byID(tr)
+			if points {
+				resolve = func(int, vec.Point) error { return nil }
+			}
+			coord := 0
+			if points {
+				coord = 4
+			}
+			got, err := ReadLayout(cfg, b, coord, resolve)
+			if err != nil {
+				t.Fatalf("%s points=%v: %v", shape.name, points, err)
+			}
+			if err := got.CheckInvariants(); err != nil {
+				t.Fatalf("%s points=%v: %v", shape.name, points, err)
+			}
+			if got.Len() != tr.Len() || (tr.root == nil) != (got.root == nil) ||
+				(tr.root != nil && !sameNodes(tr.root, got.root)) {
+				t.Fatalf("%s points=%v: the tree read back differs", shape.name, points)
+			}
+			if again := got.AppendLayout(nil, points); !bytes.Equal(again, b) {
+				t.Fatalf("%s points=%v: the tree read back writes other bytes", shape.name, points)
 			}
 		}
 	}
@@ -170,7 +164,7 @@ func TestReadLayoutRefusals(t *testing.T) {
 		{"bytes after the walk", cat(leaf(0), []byte{0}), "bytes after"},
 		{"truncated header", leaf(0)[:5], "truncated"},
 	} {
-		_, err := ReadLayout(cfg, c.b, true, same)
+		_, err := ReadLayout(cfg, c.b, 8, same)
 		switch {
 		case c.want == "" && err != nil:
 			t.Errorf("%s: %v", c.name, err)
@@ -182,7 +176,10 @@ func TestReadLayoutRefusals(t *testing.T) {
 	for i := 0; i < maxLayoutDepth; i++ {
 		deep = header(deep, 0, 1, 0, 1)
 	}
-	if _, err := ReadLayout(cfg, cat(deep, leaf(0)), true, same); err == nil || !strings.Contains(err.Error(), "deeper") {
+	if _, err := ReadLayout(cfg, cat(deep, leaf(0)), 8, same); err == nil || !strings.Contains(err.Error(), "deeper") {
 		t.Errorf("a tree %d levels deep: %v", maxLayoutDepth+1, err)
+	}
+	if _, err := ReadLayout(cfg, leaf(0), 3, same); err == nil || !strings.Contains(err.Error(), "3 bytes") {
+		t.Errorf("coordinates of 3 bytes: %v", err)
 	}
 }

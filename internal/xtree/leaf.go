@@ -10,9 +10,9 @@ import (
 )
 
 // Leaves: a leaf stores its entries as IDs (ids[i]) beside one
-// dimension-major coordinate block (slot i), float32 on a packed tree
-// and float64 otherwise. The block is the only copy of the leaf's
-// points; nothing else in the tree holds a point.
+// dimension-major float32 coordinate block (slot i, a slab.Slab). The
+// block is the only copy of the leaf's points; nothing else in the tree
+// holds a point.
 //
 // A leaf's IDs and block are never written once the leaf holds them: a
 // mutation gathers the leaf's entries into the tree's scratch, changes
@@ -20,28 +20,6 @@ import (
 // leaf a new IDs array and a new block (setLeaf). A copy of a leaf
 // (Tree.own) may therefore share both with the version it was copied
 // from.
-
-// Block is a leaf's coordinate block: a *slab.Page[float32] on a packed
-// tree, a *slab.Page[float64] otherwise.
-type Block interface {
-	Len() int
-	Dim() int
-	// Set writes point i; only before the block is shared.
-	Set(i int, p vec.Point)
-	PointAt(i int, p []float64)
-	// Equal reports whether point i is p, coordinate for coordinate.
-	Equal(i int, p vec.Point) bool
-	Bounds(min, max []float64)
-	DistsWithin(q vec.Point, m vec.Metric, bound float64, out []float64, keep []int32) []int32
-}
-
-// newBlock returns a zeroed block of n points in the tree's element type.
-func (c Config) newBlock(n int) Block {
-	if c.Packed {
-		return slab.NewPage[float32](c.Dim, n)
-	}
-	return slab.NewPage[float64](c.Dim, n)
-}
 
 // Len returns the number of entries of a leaf (0 for a directory node).
 func (n *Node) Len() int { return len(n.ids) }
@@ -55,7 +33,7 @@ func (n *Node) PointAt(i int, p []float64) { n.block.PointAt(i, p) }
 
 // Block returns a leaf's coordinate block (nil for a directory node),
 // which the batched kernels search. Callers must not write it.
-func (n *Node) Block() Block { return n.block }
+func (n *Node) Block() *slab.Slab { return n.block }
 
 // Entries returns a copy of a leaf's entries, their points in one new
 // array (nil for a directory node). It allocates; a search reads the
@@ -92,14 +70,12 @@ func checkID(id int) {
 	}
 }
 
-// stored returns the copy of p the tree stores: rounded to float32 on a
-// packed tree, where a block holds float32 values.
-func (t *Tree) stored(p vec.Point) vec.Point {
+// stored returns the copy of p the tree stores: rounded to float32, the
+// values a block holds.
+func stored(p vec.Point) vec.Point {
 	c := vec.Clone(p)
-	if t.cfg.Packed {
-		for j, x := range c {
-			c[j] = float64(float32(x))
-		}
+	for j, x := range c {
+		c[j] = float64(float32(x))
 	}
 	return c
 }
@@ -130,7 +106,7 @@ func (c Config) setLeaf(n *Node, entries []Entry) {
 		return
 	}
 	n.ids = make([]int32, len(entries))
-	n.block = c.newBlock(len(entries))
+	n.block = slab.New(c.Dim, len(entries))
 	for i, e := range entries {
 		n.ids[i] = int32(e.ID)
 		n.block.Set(i, e.Point)
@@ -138,7 +114,7 @@ func (c Config) setLeaf(n *Node, entries []Entry) {
 }
 
 // leafMBR returns the MBR of the leaf's points: vec.PointRect of the
-// first, extended by the others in slot order (see slab.Page.Bounds). It
+// first, extended by the others in slot order (see slab.Slab.Bounds). It
 // panics on an empty leaf (empty nodes are removed, never kept).
 func leafMBR(n *Node) vec.Rect {
 	d := n.block.Dim()
@@ -149,14 +125,10 @@ func leafMBR(n *Node) vec.Rect {
 }
 
 // checkLeaf verifies a leaf's payload: one ID a slot of a block of the
-// tree's dimension and element type.
+// tree's dimension.
 func (t *Tree) checkLeaf(n *Node) error {
-	b := n.block
-	if b == nil || b.Len() != len(n.ids) || b.Dim() != t.cfg.Dim {
+	if b := n.block; b == nil || b.Len() != len(n.ids) || b.Dim() != t.cfg.Dim {
 		return fmt.Errorf("xtree: leaf block does not hold its %d entries", len(n.ids))
-	}
-	if _, narrow := b.(*slab.Slab); narrow != t.cfg.Packed {
-		return fmt.Errorf("xtree: leaf block of float32 = %v on a tree with Packed = %v", narrow, t.cfg.Packed)
 	}
 	return nil
 }

@@ -13,72 +13,68 @@ import (
 
 // TestLeafBlockModel runs seeded random inserts and deletes — a growing
 // phase that splits leaves, then a shrinking one whose deletes dissolve
-// them — against a map from ID to point, on float32 and float64 blocks,
-// freezing a version every few operations. After every operation every
+// them — against a map from ID to point, rounded to float32 as the
+// blocks hold it, freezing a version every few operations. After every operation every
 // leaf's IDs and coordinates are the model's, bit for bit, every MBR is
 // tight (CheckInvariants), and every version frozen so far still shows
 // what it showed when it was frozen and answers its range query as it
 // did then.
 func TestLeafBlockModel(t *testing.T) {
-	for _, packed := range []bool{false, true} {
-		for _, d := range []int{3, 16} {
-			name := fmt.Sprintf("packed=%v d=%d", packed, d)
-			cfg := DefaultConfig(d)
-			cfg.LeafCapacity, cfg.DirCapacity, cfg.Packed = 6, 4, packed
-			r := rand.New(rand.NewSource(int64(40 + d)))
-			tr := New(cfg)
-			model := make(map[int]vec.Point)
-			type frozen struct {
-				v     *Tree
-				model map[int]vec.Point
-				box   vec.Rect
-				hits  string
+	for _, d := range []int{3, 16} {
+		name := fmt.Sprintf("d=%d", d)
+		cfg := DefaultConfig(d)
+		cfg.LeafCapacity, cfg.DirCapacity = 6, 4
+		r := rand.New(rand.NewSource(int64(40 + d)))
+		tr := New(cfg)
+		model := make(map[int]vec.Point)
+		type frozen struct {
+			v     *Tree
+			model map[int]vec.Point
+			box   vec.Rect
+			hits  string
+		}
+		var versions []frozen
+		next := 0
+		for op := 0; op < 400; op++ {
+			grow := op < 200
+			if len(model) == 0 || (r.Intn(5) != 0) == grow {
+				p := make(vec.Point, d)
+				for j := range p {
+					p[j] = r.Float64()
+				}
+				tr.Insert(p, next)
+				for j := range p {
+					p[j] = float64(float32(p[j]))
+				}
+				model[next] = p
+				next++
+			} else {
+				ids := make([]int, 0, len(model))
+				for id := range model {
+					ids = append(ids, id)
+				}
+				slices.Sort(ids)
+				id := ids[r.Intn(len(ids))]
+				if !tr.Delete(model[id], id) {
+					t.Fatalf("%s, op %d: deleting ID %d found nothing", name, op, id)
+				}
+				delete(model, id)
 			}
-			var versions []frozen
-			next := 0
-			for op := 0; op < 400; op++ {
-				grow := op < 200
-				if len(model) == 0 || (r.Intn(5) != 0) == grow {
-					p := make(vec.Point, d)
-					for j := range p {
-						p[j] = r.Float64()
-					}
-					tr.Insert(p, next)
-					if packed {
-						for j := range p {
-							p[j] = float64(float32(p[j]))
-						}
-					}
-					model[next] = p
-					next++
-				} else {
-					ids := make([]int, 0, len(model))
-					for id := range model {
-						ids = append(ids, id)
-					}
-					slices.Sort(ids)
-					id := ids[r.Intn(len(ids))]
-					if !tr.Delete(model[id], id) {
-						t.Fatalf("%s, op %d: deleting ID %d found nothing", name, op, id)
-					}
-					delete(model, id)
-				}
-				checkModel(t, fmt.Sprintf("%s, op %d", name, op), tr, model)
-				for i, f := range versions {
-					checkModel(t, fmt.Sprintf("%s, op %d, version %d", name, op, i), f.v, f.model)
-					if rangeAnswer(f.v, f.box) != f.hits {
-						t.Fatalf("%s, op %d: version %d answers its range query otherwise", name, op, i)
-					}
-				}
-				if op%8 == 0 {
-					box := randomBox(r, d)
-					v := tr.Freeze()
-					versions = append(versions, frozen{v, maps.Clone(model), box, rangeAnswer(v, box)})
+			checkModel(t, fmt.Sprintf("%s, op %d", name, op), tr, model)
+			for i, f := range versions {
+				checkModel(t, fmt.Sprintf("%s, op %d, version %d", name, op, i), f.v, f.model)
+				if rangeAnswer(f.v, f.box) != f.hits {
+					t.Fatalf("%s, op %d: version %d answers its range query otherwise", name, op, i)
 				}
 			}
-			if tr.Stats().Splits == 0 {
-				t.Errorf("%s: no leaf split", name)
+			if op%8 == 0 {
+				box := randomBox(r, d)
+				v := tr.Freeze()
+				versions = append(versions, frozen{v, maps.Clone(model), box, rangeAnswer(v, box)})
 			}
+		}
+		if tr.Stats().Splits == 0 {
+			t.Errorf("%s: no leaf split", name)
 		}
 	}
 }

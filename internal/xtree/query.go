@@ -3,7 +3,6 @@ package xtree
 import (
 	"fmt"
 
-	"parsearch/internal/slab"
 	"parsearch/internal/vec"
 )
 
@@ -73,13 +72,7 @@ func (w *rangeWalk) walk(n *Node) {
 	if n.leaf {
 		w.v.Leaves++
 		hits := w.hits[:len(n.ids)]
-		// On the concrete page type, so that hits does not escape.
-		switch b := n.block.(type) {
-		case *slab.Page[float32]:
-			b.InRect(w.r.Min, w.r.Max, hits)
-		case *slab.Page[float64]:
-			b.InRect(w.r.Min, w.r.Max, hits)
-		}
+		n.block.InRect(w.r.Min, w.r.Max, hits)
 		for i, in := range hits {
 			if in {
 				w.visit(n, i)
@@ -177,10 +170,10 @@ func (g *Region) Hits(page vec.Rect) bool {
 // left-to-right sum (the maximum, for L∞) of termwise smaller addends is
 // no larger, because rounded addition is monotone in both arguments. So
 // a parent's RankMinDist is at most its child's, and a hit leaf implies
-// every ancestor is hit. On packed trees the child MINDISTs of a
-// directory page come from its rectangle slab in one batched pass; the
-// slab holds the same coordinates and sums in the same order, so the
-// values are those of RankMinDist.
+// every ancestor is hit. The child MINDISTs of a directory page come
+// from its rectangle slab in one batched pass; the slab holds the same
+// coordinates and sums in the same order, so the values are those of
+// RankMinDist.
 func (t *Tree) HitLeaves(g *Region, visit func(leaf *Node)) {
 	if t.root != nil && g.Hits(t.root.rect) {
 		g.descend(t.root, visit)
@@ -199,7 +192,7 @@ func (g *Region) descend(n *Node, visit func(leaf *Node)) {
 				g.descend(c, visit)
 			}
 		}
-	case n.crects != nil && len(n.children) <= maxBatchedFanout:
+	case len(n.children) <= maxBatchedFanout:
 		g.descendPacked(n, visit)
 	default:
 		for _, c := range n.children {
@@ -215,8 +208,8 @@ func (g *Region) descend(n *Node, visit func(leaf *Node)) {
 // loop, which computes the same values.
 const maxBatchedFanout = 128
 
-// descendPacked is the sphere case of descend on a packed directory
-// page: one batched MINDIST pass over the child rectangle slab, into a
+// descendPacked is the sphere case of descend on a directory page: one
+// batched MINDIST pass over the child rectangle slab, into a
 // buffer that lives in this frame while the hit children are descended.
 func (g *Region) descendPacked(n *Node, visit func(leaf *Node)) {
 	var buf [maxBatchedFanout]float64
@@ -330,10 +323,7 @@ func (t *Tree) CheckInvariants() error {
 	if count != t.size {
 		return fmt.Errorf("xtree: %d entries found, size says %d", count, t.size)
 	}
-	if t.cfg.Packed {
-		return t.checkPacked(t.root)
-	}
-	return nil
+	return t.checkPacked(t.root)
 }
 
 // rectsEqual compares rectangles exactly; MBRs are computed from the same

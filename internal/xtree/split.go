@@ -16,7 +16,7 @@ func (t *Tree) splitLeaf(n *Node, entries []Entry) *Node {
 	axis, k := t.chooseLeafSplit(entries)
 	sortEntriesByAxis(entries, axis)
 
-	sibling := &Node{leaf: true, super: 1, packDirty: true, gen: t.gen}
+	sibling := &Node{leaf: true, super: 1, pack: packRebuild, gen: t.gen}
 	t.setLeaf(n, entries[:k])
 	t.setLeaf(sibling, entries[k:])
 	n.history |= 1 << uint(axis)
@@ -38,6 +38,7 @@ func (t *Tree) chooseLeafSplit(entries []Entry) (axis, k int) {
 // split history; if that split would be unbalanced, the node becomes a
 // supernode instead and no split happens (nil is returned).
 func (t *Tree) splitDir(n *Node) *Node {
+	n.flag(packRebuild) // the split choosers reorder the children
 	children := n.children
 
 	// 1. Topological (R*) split.
@@ -142,7 +143,7 @@ func (t *Tree) finishDirSplit(n *Node, k, axis int) *Node {
 	copy(right, n.children[k:])
 	n.children = n.children[:k]
 
-	sibling := &Node{leaf: false, children: right, super: superFor(len(right), t.cfg.DirCapacity), packDirty: true, gen: t.gen}
+	sibling := &Node{leaf: false, children: right, super: superFor(len(right), t.cfg.DirCapacity), pack: packRebuild, gen: t.gen}
 	n.super = superFor(len(n.children), t.cfg.DirCapacity)
 	n.history |= 1 << uint(axis)
 	sibling.history = n.history

@@ -55,24 +55,22 @@ func putPoint(h hash.Hash, p vec.Point) {
 
 // TestFrozenVersionsNeverChange freezes a version every few operations
 // of an insert-then-delete run that splits leaves, grows and shrinks the
-// root, dissolves leaves and — at d = 16 — creates supernodes, on float64
-// and packed trees. Every version must keep exactly what it showed when
-// it was frozen, and pass the invariant check, after the run: the
-// mutations copied every shared node they changed.
+// root, dissolves leaves and — at d = 16 — creates supernodes. The
+// subtest's packed= says whether the inserted points are float32 values
+// already; when not, the tree rounds them, and the deletes find them by
+// their unrounded coordinates. Every version must keep exactly what it
+// showed when it was frozen, and pass the invariant check, after the
+// run: the mutations copied every shared node they changed.
 func TestFrozenVersionsNeverChange(t *testing.T) {
 	for _, d := range []int{4, 16} {
-		for _, packed := range []bool{false, true} {
-			t.Run(fmt.Sprintf("d=%d/packed=%v", d, packed), func(t *testing.T) {
-				cfg := smallConfig(d)
-				cfg.Packed = packed
+		for _, rounded := range []bool{false, true} {
+			t.Run(fmt.Sprintf("d=%d/packed=%v", d, rounded), func(t *testing.T) {
 				r := rand.New(rand.NewSource(int64(d)))
-				pts := uniformPoints(r, 800, d)
-				for _, p := range pts {
-					for j := range p {
-						p[j] = float64(float32(p[j]))
-					}
+				pts := rawPoints(r, 800, d)
+				if rounded {
+					pts = uniformPoints(r, 800, d)
 				}
-				tr := New(cfg)
+				tr := New(smallConfig(d))
 				type frozen struct {
 					v    *Tree
 					dump string

@@ -55,9 +55,11 @@ type Config struct {
 	// overlap-minimal split for the split to count as balanced
 	// (X-tree paper: 0.35).
 	MinFanout float64
-	// Packed stores the leaves' coordinates as float32 (rounding each
-	// point as it enters the tree) and keeps a rectangle slab of the
-	// child MBRs per directory node (see pack.go and the slab package).
+	// Packed is ignored: every tree stores its leaves' coordinates as
+	// float32, rounding each point as it enters the tree, and keeps a
+	// rectangle slab of the child MBRs per directory node (see pack.go
+	// and the slab package). The field stays so that callers which set
+	// it keep compiling.
 	Packed bool
 }
 
@@ -159,10 +161,10 @@ type Stats struct {
 // the structure to search algorithms.
 type Node struct {
 	leaf bool
-	// packDirty is the flag the mutation paths set so the packed refresh
-	// walk re-packs exactly the touched spine (see pack.go).
-	packDirty bool
-	super     int32 // capacity multiplier; 1 = normal node
+	// pack is the flag the mutation paths set so the refresh walk
+	// re-packs exactly the touched spine (see pack.go).
+	pack  packState
+	super int32 // capacity multiplier; 1 = normal node
 
 	rect     vec.Rect
 	ids      []int32 // leaf payload: entry i's ID
@@ -171,9 +173,9 @@ type Node struct {
 	gen      uint64  // the tree generation that created or copied the node
 
 	// block is a leaf's coordinates, entry i's at slot i: the only copy
-	// of its points (see leaf.go). crects is a packed directory node's
-	// cache of its child MBRs (see pack.go).
-	block  Block
+	// of its points (see leaf.go). crects is a directory node's cache of
+	// its child MBRs (see pack.go).
+	block  *slab.Slab
 	crects *slab.RectSlab
 }
 
@@ -270,21 +272,18 @@ func (t *Tree) Height() int {
 }
 
 // Insert adds an entry to the tree. The tree keeps a copy of p, rounded
-// to float32 on a packed tree.
+// to float32.
 func (t *Tree) Insert(p vec.Point, id int) {
 	if len(p) != t.cfg.Dim {
 		panic(fmt.Sprintf("xtree: inserting %d-dimensional point into %d-dimensional tree", len(p), t.cfg.Dim))
 	}
 	checkID(id)
 	t.mutable()
-	e := Entry{Point: t.stored(p), ID: id}
+	e := Entry{Point: stored(p), ID: id}
 	if t.root == nil {
-		t.root = &Node{leaf: true, rect: vec.PointRect(e.Point), super: 1, packDirty: true, gen: t.gen}
+		t.root = &Node{leaf: true, rect: vec.PointRect(e.Point), gen: t.gen, super: 1}
 		t.setLeaf(t.root, []Entry{e})
 		t.size = 1
-		if t.cfg.Packed {
-			t.refreshPacked(t.root)
-		}
 		return
 	}
 	t.root = t.own(t.root)
@@ -292,24 +291,22 @@ func (t *Tree) Insert(p vec.Point, id int) {
 		// Root split: grow the tree by one level.
 		old := t.root
 		t.root = &Node{
-			leaf:      false,
-			rect:      old.rect.Union(sibling.rect),
-			children:  []*Node{old, sibling},
-			super:     1,
-			packDirty: true,
-			gen:       t.gen,
+			leaf:     false,
+			rect:     old.rect.Union(sibling.rect),
+			children: []*Node{old, sibling},
+			super:    1,
+			pack:     packRebuild,
+			gen:      t.gen,
 		}
 	}
 	t.size++
-	if t.cfg.Packed {
-		t.refreshPacked(t.root)
-	}
+	t.refreshPacked(t.root)
 }
 
 // insert descends to a leaf, adds the entry, and propagates splits upward.
 // n is owned (see own); it returns the new sibling if n was split.
 func (t *Tree) insert(n *Node, e Entry) *Node {
-	n.packDirty = true
+	n.flag(packPatch)
 	n.rect.Extend(e.Point)
 	if n.leaf {
 		entries := append(t.gather(n, 1), e)

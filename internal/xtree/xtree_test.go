@@ -8,7 +8,20 @@ import (
 	"parsearch/internal/vec"
 )
 
+// uniformPoints draws n points uniform in [0, 1)^d, rounded to float32 as
+// a tree stores them, so that a test may look them up by their values.
 func uniformPoints(r *rand.Rand, n, d int) []vec.Point {
+	pts := rawPoints(r, n, d)
+	for _, p := range pts {
+		for j := range p {
+			p[j] = float64(float32(p[j]))
+		}
+	}
+	return pts
+}
+
+// rawPoints draws uniformPoints' points without rounding them.
+func rawPoints(r *rand.Rand, n, d int) []vec.Point {
 	pts := make([]vec.Point, n)
 	for i := range pts {
 		p := make(vec.Point, d)
@@ -520,7 +533,7 @@ func TestBulkLoadGrouped(t *testing.T) {
 		for i := range g {
 			p := make(vec.Point, d)
 			for j := range p {
-				p[j] = base + 0.2*r.Float64()
+				p[j] = float64(float32(base + 0.2*r.Float64()))
 			}
 			g[i] = Entry{Point: p, ID: idStart + i}
 		}

@@ -15,7 +15,7 @@ func liveHeap() int64 {
 	return int64(m.HeapAlloc)
 }
 
-// TestIndexHeapPerPoint pins what a packed index holds a point: 200,000
+// TestIndexHeapPerPoint pins what an index holds a point: 200,000
 // points, d = 10, 16 disks. Measured: 104.0 B a point built, and as much
 // for its Save → Load twin. The ceiling sits 3% above the built level,
 // and the twin must stay within 1% of it. Before a leaf's block was the
@@ -27,7 +27,7 @@ func TestIndexHeapPerPoint(t *testing.T) {
 		t.Skip("heap sizes are meaningless under the race detector")
 	}
 	const n, dim = 200_000, 10
-	opts := Options{Dim: dim, Disks: 16, Packed: true}
+	opts := Options{Dim: dim, Disks: 16}
 	pts := rawPoints(n, dim, 73)
 	base := liveHeap()
 	ix, err := Open(opts)

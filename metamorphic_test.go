@@ -183,8 +183,9 @@ func TestMetamorphicDiskCountInvariance(t *testing.T) {
 // for byte), clean integrity, and disk loads within the incremental
 // balance threshold of the from-scratch build. It runs across
 // declustering strategies (including round-robin, whose arrival-order
-// layout a reorganize leaves as it is), replication variants, and the
-// packed storage engine.
+// layout a reorganize leaves as it is), replication variants, quantile
+// splits, and points that are float32 already ("packed"), where the
+// others are rounded at ingest.
 func TestMetamorphicIncrementalEqualsRebuild(t *testing.T) {
 	const dim, disks = 4, 6
 	nA, nB := 500, 400
@@ -192,12 +193,13 @@ func TestMetamorphicIncrementalEqualsRebuild(t *testing.T) {
 		nA, nB = 250, 200
 	}
 	variants := []struct {
-		name string
-		mod  func(*Options)
+		name    string
+		mod     func(*Options)
+		rounded bool
 	}{
-		{"base", func(o *Options) {}},
-		{"quantile", func(o *Options) { o.QuantileSplits = true }},
-		{"packed", func(o *Options) { o.Packed = true }},
+		{"base", func(o *Options) {}, false},
+		{"quantile", func(o *Options) { o.QuantileSplits = true }, false},
+		{"packed", func(o *Options) {}, true},
 	}
 	for _, kind := range []Kind{NearOptimal, Hilbert, RoundRobin} {
 		for _, rv := range replicationVariants {
@@ -215,6 +217,9 @@ func TestMetamorphicIncrementalEqualsRebuild(t *testing.T) {
 						for j := range p {
 							p[j] *= 0.2 // clustered: forces real splits
 						}
+					}
+					if v.rounded {
+						a, b = roundF32(a), roundF32(b)
 					}
 
 					incr := buildFrom(t, opts, a)
@@ -356,16 +361,7 @@ func TestMetamorphicBruteForceEquality(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					want := linearScanKNN(truth, q, k, m)
-					if len(got) != len(want) {
-						t.Fatalf("query %d: %d neighbors, want %d", qi, len(got), len(want))
-					}
-					for j := range got {
-						if got[j].ID != want[j].id || got[j].Dist != want[j].dist {
-							t.Fatalf("query %d neighbor %d: (id %d, %v), want (id %d, %v)",
-								qi, j, got[j].ID, got[j].Dist, want[j].id, want[j].dist)
-						}
-					}
+					requireScan(t, fmt.Sprintf("query %d", qi), got, scanKNN(truth, q, k, m))
 				}
 			})
 		}

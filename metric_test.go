@@ -69,7 +69,7 @@ func TestKNNUnderAllMetrics(t *testing.T) {
 			// Ground truth under the metric.
 			want := make([]float64, n)
 			for i, p := range raw {
-				want[i] = metricDist(m, q, p)
+				want[i] = metricDist(m, q, rounded(p))
 			}
 			// Selection sort of the k smallest.
 			for i := 0; i < k; i++ {

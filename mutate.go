@@ -139,7 +139,7 @@ func (ix *Index) insertOne(st *state, w *wal.Writer, point vec.Point) (id int, t
 	if id > math.MaxInt32 {
 		return 0, 0, fmt.Errorf("parsearch: the ID space is full at %d", id)
 	}
-	ix.canonPacked(point)
+	canon(point)
 	if i := nonFinite(point); i >= 0 {
 		return 0, 0, fmt.Errorf("parsearch: insert component %d is %v, not finite", i, point[i])
 	}

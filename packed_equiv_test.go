@@ -4,89 +4,36 @@ import (
 	"fmt"
 	"math"
 	"reflect"
+	"slices"
 	"testing"
 
 	"parsearch/internal/data"
+	"parsearch/internal/vec"
 )
 
-// The packed-storage equivalence battery: a packed index (contiguous
-// float32 slabs, batched kernels) must return byte-identical results to
-// the float64 reference path on the same data, across every query kind,
-// metric, replication setting, and failure state — and its cost
-// accounting must agree exactly. The input coordinates are pre-rounded
-// to float32, so the reference index holds the same float64 values
-// packed mode's ingest rounding produces and any difference is a kernel
-// bug, not a representation gap.
+// The storage battery: an index stores float32 coordinates in slabs and
+// searches them with batched kernels, and every exact answer must be
+// byte-identical to the oracle's scan over the stored points (see
+// oracle_test.go), across every query kind, metric, replication setting
+// and failure state. An ε answer must keep its stated guarantee against
+// the same scan. The inputs are not float32 values, so ingest's rounding
+// is in every answer. Page counts are pinned by TestPinnedPageCounts and
+// TestAccountingFromSearchLog.
 
-// roundF32 rounds every coordinate through float32, the packed ingest
-// contract, so reference and packed indexes see identical values.
-func roundF32(pts [][]float64) [][]float64 {
-	out := make([][]float64, len(pts))
-	for i, p := range pts {
-		q := make([]float64, len(p))
-		for j, x := range p {
-			q[j] = float64(float32(x))
-		}
-		out[i] = q
-	}
-	return out
-}
-
-// sameNeighbor compares two neighbors bit for bit. Plain == would
-// reject the NaN distances partial-match results carry (the box center
-// of a wildcard query is NaN), so floats compare by their IEEE bits.
-func sameNeighbor(a, b Neighbor) bool {
-	if a.ID != b.ID || len(a.Point) != len(b.Point) {
-		return false
-	}
-	if math.Float64bits(a.Dist) != math.Float64bits(b.Dist) {
-		return false
-	}
-	for j := range a.Point {
-		if math.Float64bits(a.Point[j]) != math.Float64bits(b.Point[j]) {
-			return false
-		}
-	}
-	return true
-}
-
+// sameNeighbors compares two answers bit for bit. Plain == would reject
+// the NaN distances partial-match results carry (the box center of a
+// wildcard query is NaN), so floats compare by their IEEE bits.
 func sameNeighbors(a, b []Neighbor) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if !sameNeighbor(a[i], b[i]) {
-			return false
-		}
-	}
-	return true
+	bits := func(x float64) uint64 { return math.Float64bits(x) }
+	return slices.EqualFunc(a, b, func(x, y Neighbor) bool {
+		return x.ID == y.ID && bits(x.Dist) == bits(y.Dist) &&
+			slices.EqualFunc(x.Point, y.Point, func(u, v float64) bool { return bits(u) == bits(v) })
+	})
 }
 
+// rawPoints returns uniform points that are float32 values already.
 func rawPoints(n, dim int, seed int64) [][]float64 {
-	pts := data.Uniform(n, dim, seed)
-	raw := make([][]float64, len(pts))
-	for i := range pts {
-		raw[i] = pts[i]
-	}
-	return roundF32(raw)
-}
-
-// checkStatsParity compares the cost fields of one query run on the
-// reference and packed indexes, search pages included: the k-NN search
-// and the range walk are both deterministic.
-func checkStatsParity(t *testing.T, label string, ref, packed QueryStats) {
-	t.Helper()
-	if ref.TotalPages != packed.TotalPages || ref.MaxPages != packed.MaxPages {
-		t.Fatalf("%s: page accounting differs: ref total=%d max=%d, packed total=%d max=%d",
-			label, ref.TotalPages, ref.MaxPages, packed.TotalPages, packed.MaxPages)
-	}
-	if ref.Unreachable != packed.Unreachable || ref.Rerouted != packed.Rerouted || ref.Degraded != packed.Degraded {
-		t.Fatalf("%s: fault accounting differs: ref %+v packed %+v", label, ref, packed)
-	}
-	if ref.SearchPages != packed.SearchPages || ref.PagesSavedByBound != packed.PagesSavedByBound {
-		t.Fatalf("%s: search pages differ: ref %d (+%d saved), packed %d (+%d saved)", label,
-			ref.SearchPages, ref.PagesSavedByBound, packed.SearchPages, packed.PagesSavedByBound)
-	}
+	return roundF32(uniformPoints(n, dim, seed))
 }
 
 func TestPackedEquivalenceBattery(t *testing.T) {
@@ -95,8 +42,9 @@ func TestPackedEquivalenceBattery(t *testing.T) {
 		disks = 4
 		n     = 300
 	)
-	raw := rawPoints(n, dim, 1234)
-	queries := rawPoints(6, dim, 99)
+	pts := uniformPoints(n, dim, 1234)
+	truth := builtPoints(pts)
+	queries := uniformPoints(6, dim, 99)
 
 	scenarios := []struct {
 		name string
@@ -108,35 +56,17 @@ func TestPackedEquivalenceBattery(t *testing.T) {
 		{"repl1-fail2", 1, 2},
 	}
 	for _, metric := range []Metric{Euclidean, Manhattan, Maximum} {
+		m, err := metric.vecMetric()
+		if err != nil {
+			t.Fatal(err)
+		}
 		for _, shared := range []bool{true, false} {
 			for _, sc := range scenarios {
 				name := fmt.Sprintf("%s/%s/shared=%v", metric, sc.name, shared)
 				t.Run(name, func(t *testing.T) {
-					base := Options{
-						Dim: dim, Disks: disks, Metric: metric,
-						Replication: sc.repl,
-					}
-					ref, err := Open(base)
-					if err != nil {
-						t.Fatal(err)
-					}
-					packedOpts := base
-					packedOpts.Packed = true
-					packed, err := Open(packedOpts)
-					if err != nil {
-						t.Fatal(err)
-					}
-					if err := ref.Build(raw); err != nil {
-						t.Fatal(err)
-					}
-					if err := packed.Build(raw); err != nil {
-						t.Fatal(err)
-					}
+					ix := buildFrom(t, Options{Dim: dim, Disks: disks, Metric: metric, Replication: sc.repl}, pts)
 					if sc.fail >= 0 {
-						if err := ref.FailDisk(sc.fail); err != nil {
-							t.Fatal(err)
-						}
-						if err := packed.FailDisk(sc.fail); err != nil {
+						if err := ix.FailDisk(sc.fail); err != nil {
 							t.Fatal(err)
 						}
 					}
@@ -144,117 +74,93 @@ func TestPackedEquivalenceBattery(t *testing.T) {
 					// KNN across the k range of the battery. shared: the
 					// disks search together under one bound, as a query
 					// does. Not shared: every disk is searched alone (see
-					// independentKNN), so its search pages are its own
-					// tree's and must agree disk for disk.
+					// independentKNN) and the answers merged.
 					for _, k := range []int{1, 5, n} {
 						for qi, q := range queries {
 							label := fmt.Sprintf("knn k=%d q=%d", k, qi)
+							want := scanKNN(truth, q, k, m)
 							if !shared {
-								wantRes, wantPages := independentKNN(t, ref, q, k)
-								gotRes, gotPages := independentKNN(t, packed, q, k)
-								if !sameNeighbors(gotRes, wantRes) {
-									t.Fatalf("%s: results differ:\n ref    %v\n packed %v", label, wantRes, gotRes)
-								}
-								if !reflect.DeepEqual(gotPages, wantPages) {
-									t.Fatalf("%s: search pages per disk differ: ref %v, packed %v", label, wantPages, gotPages)
-								}
+								got, _ := independentKNN(t, ix, q, k)
+								requireScan(t, label, got, want)
 								continue
 							}
-							wantRes, wantStats, wantErr := ref.KNN(q, k)
-							gotRes, gotStats, gotErr := packed.KNN(q, k)
-							if (wantErr == nil) != (gotErr == nil) {
-								t.Fatalf("%s: error mismatch: ref %v, packed %v", label, wantErr, gotErr)
+							got, _, err := ix.KNN(q, k)
+							if err != nil {
+								t.Fatal(err)
 							}
-							if !sameNeighbors(gotRes, wantRes) {
-								t.Fatalf("%s: results differ:\n ref    %v\n packed %v", label, wantRes, gotRes)
-							}
-							checkStatsParity(t, label, wantStats, gotStats)
+							requireScan(t, label, got, want)
 							// ε-termination reads each disk's own k-th
-							// best, which the packed leaf scan must still
-							// feed every entry that could enter it.
+							// best, which the leaf scan must still feed
+							// every entry that could enter it.
 							for _, eps := range []float64{0.1, 0.5} {
-								label := fmt.Sprintf("%s eps=%v", label, eps)
-								wantRes, wantStats, wantErr := ref.KNNApprox(q, k, Approx{Epsilon: eps})
-								gotRes, gotStats, gotErr := packed.KNNApprox(q, k, Approx{Epsilon: eps})
-								if (wantErr == nil) != (gotErr == nil) {
-									t.Fatalf("%s: error mismatch: ref %v, packed %v", label, wantErr, gotErr)
+								got, _, err := ix.KNNApprox(q, k, Approx{Epsilon: eps})
+								if err != nil {
+									t.Fatal(err)
 								}
-								if !sameNeighbors(gotRes, wantRes) {
-									t.Fatalf("%s: results differ:\n ref    %v\n packed %v", label, wantRes, gotRes)
+								if len(got) != len(want) {
+									t.Fatalf("%s eps=%v: %d results, the scan has %d", label, eps, len(got), len(want))
 								}
-								if !reflect.DeepEqual(gotStats, wantStats) {
-									t.Fatalf("%s: stats differ:\n ref    %+v\n packed %+v", label, wantStats, gotStats)
+								for i := range got {
+									if got[i].Dist > (1+eps)*want[i].Dist {
+										t.Fatalf("%s eps=%v rank %d: dist %v above (1+ε) × the scan's %v", label, eps, i, got[i].Dist, want[i].Dist)
+									}
 								}
 							}
 						}
 					}
 					if shared {
-						// A batch item searches its disks one after the
-						// other, so the bound's trajectory — what every disk
-						// reads and saves — is deterministic and must agree.
-						wantRes, wantStats, wantErr := ref.BatchKNN(queries, 5)
-						gotRes, gotStats, gotErr := packed.BatchKNN(queries, 5)
-						if wantErr != nil || gotErr != nil {
-							t.Fatalf("batch: ref %v, packed %v", wantErr, gotErr)
+						batch, _, err := ix.BatchKNN(queries, 5)
+						if err != nil {
+							t.Fatal(err)
 						}
-						for qi := range queries {
-							label := fmt.Sprintf("batch item %d", qi)
-							if !sameNeighbors(gotRes[qi], wantRes[qi]) {
-								t.Fatalf("%s: results differ:\n ref    %v\n packed %v", label, wantRes[qi], gotRes[qi])
-							}
-							checkStatsParity(t, label, wantStats.PerQuery[qi], gotStats.PerQuery[qi])
+						for qi, q := range queries {
+							requireScan(t, fmt.Sprintf("batch item %d", qi), batch[qi], scanKNN(truth, q, 5, m))
 						}
 					}
 					for qi, q := range queries {
-						label := fmt.Sprintf("nn q=%d", qi)
-						want, _, wantErr := ref.NN(q)
-						got, _, gotErr := packed.NN(q)
-						if (wantErr == nil) != (gotErr == nil) {
-							t.Fatalf("%s: error mismatch: ref %v, packed %v", label, wantErr, gotErr)
+						got, _, err := ix.NN(q)
+						if err != nil {
+							t.Fatal(err)
 						}
-						if !sameNeighbor(got, want) {
-							t.Fatalf("%s: result differs: ref %+v, packed %+v", label, want, got)
-						}
+						requireScan(t, fmt.Sprintf("nn q=%d", qi), []Neighbor{got}, scanKNN(truth, q, 1, m))
 					}
 
-					// Range queries: boxes around each query point. Range
-					// traversal is fully deterministic, so SearchPages must
-					// match exactly in both modes.
+					// Range and partial-match queries: the IDs the scan
+					// finds in the box, each with its stored point.
+					checkBox := func(label string, res []Neighbor, lo, hi []float64) {
+						t.Helper()
+						if got, want := resultIDs(res), scanBox(truth, lo, hi); !reflect.DeepEqual(got, want) {
+							t.Fatalf("%s: IDs %v, the scan's %v", label, got, want)
+						}
+						for _, nb := range res {
+							if !slices.Equal(nb.Point, rounded(truth[nb.ID])) {
+								t.Fatalf("%s: ID %d at %v, stored at %v", label, nb.ID, nb.Point, rounded(truth[nb.ID]))
+							}
+						}
+					}
 					for qi, q := range queries {
 						lo, hi := make([]float64, dim), make([]float64, dim)
 						for j := range q {
 							lo[j], hi[j] = q[j]-0.15, q[j]+0.15
 						}
-						label := fmt.Sprintf("range q=%d", qi)
-						wantRes, wantStats, wantErr := ref.RangeQuery(lo, hi)
-						gotRes, gotStats, gotErr := packed.RangeQuery(lo, hi)
-						if (wantErr == nil) != (gotErr == nil) {
-							t.Fatalf("%s: error mismatch: ref %v, packed %v", label, wantErr, gotErr)
+						res, _, err := ix.RangeQuery(lo, hi)
+						if err != nil {
+							t.Fatal(err)
 						}
-						if !sameNeighbors(gotRes, wantRes) {
-							t.Fatalf("%s: results differ:\n ref    %v\n packed %v", label, wantRes, gotRes)
-						}
-						checkStatsParity(t, label, wantStats, gotStats)
-					}
+						checkBox(fmt.Sprintf("range q=%d", qi), res, lo, hi)
 
-					// Partial-match queries: two specified dimensions, the
-					// rest wildcards.
-					for qi, q := range queries {
+						// Two specified dimensions, the rest wildcards.
 						spec := make([]float64, dim)
 						for j := range spec {
-							spec[j] = Wildcard
+							spec[j], lo[j], hi[j] = Wildcard, math.Inf(-1), math.Inf(1)
 						}
-						spec[0], spec[dim-1] = q[0], q[dim-1]
-						label := fmt.Sprintf("partial q=%d", qi)
-						wantRes, wantStats, wantErr := ref.PartialMatch(spec, 0.2)
-						gotRes, gotStats, gotErr := packed.PartialMatch(spec, 0.2)
-						if (wantErr == nil) != (gotErr == nil) {
-							t.Fatalf("%s: error mismatch: ref %v, packed %v", label, wantErr, gotErr)
+						for _, j := range []int{0, dim - 1} {
+							spec[j], lo[j], hi[j] = q[j], q[j]-0.2, q[j]+0.2
 						}
-						if !sameNeighbors(gotRes, wantRes) {
-							t.Fatalf("%s: results differ:\n ref    %v\n packed %v", label, wantRes, gotRes)
+						if res, _, err = ix.PartialMatch(spec, 0.2); err != nil {
+							t.Fatal(err)
 						}
-						checkStatsParity(t, label, wantStats, gotStats)
+						checkBox(fmt.Sprintf("partial q=%d", qi), res, lo, hi)
 					}
 				})
 			}
@@ -263,65 +169,38 @@ func TestPackedEquivalenceBattery(t *testing.T) {
 }
 
 // TestPackedEquivalenceAfterMutation exercises the dirty-flag slab
-// maintenance: after interleaved inserts and deletes the packed index
-// must still answer identically to the reference.
+// maintenance: after interleaved inserts and deletes the index must
+// still answer as the oracle's scan.
 func TestPackedEquivalenceAfterMutation(t *testing.T) {
 	const (
 		dim   = 5
 		disks = 4
 		n     = 200
 	)
-	raw := rawPoints(n, dim, 77)
-	extra := rawPoints(80, dim, 78)
-	queries := rawPoints(5, dim, 79)
-
-	ref, err := Open(Options{Dim: dim, Disks: disks})
-	if err != nil {
-		t.Fatal(err)
-	}
-	packed, err := Open(Options{Dim: dim, Disks: disks, Packed: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := ref.Build(raw); err != nil {
-		t.Fatal(err)
-	}
-	if err := packed.Build(raw); err != nil {
-		t.Fatal(err)
-	}
-	for i, p := range extra {
-		refID, err := ref.Insert(p)
+	pts := uniformPoints(n, dim, 77)
+	truth := builtPoints(pts)
+	ix := buildFrom(t, Options{Dim: dim, Disks: disks}, pts)
+	for i, p := range data.Uniform(80, dim, 78) {
+		id, err := ix.Insert(p)
 		if err != nil {
 			t.Fatal(err)
 		}
-		packedID, err := packed.Insert(p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if refID != packedID {
-			t.Fatalf("insert %d: IDs diverge (%d vs %d)", i, refID, packedID)
-		}
+		truth[id] = p
 		if i%3 == 0 {
 			id := i * 2 % n
-			if err := ref.Delete(id); err != nil {
+			if err := ix.Delete(id); err != nil {
 				t.Fatal(err)
 			}
-			if err := packed.Delete(id); err != nil {
-				t.Fatal(err)
-			}
+			delete(truth, id)
 		}
 	}
-	for qi, q := range queries {
+	for qi, q := range uniformPoints(5, dim, 79) {
 		for _, k := range []int{1, 7} {
-			wantRes, _, wantErr := ref.KNN(q, k)
-			gotRes, _, gotErr := packed.KNN(q, k)
-			if wantErr != nil || gotErr != nil {
-				t.Fatalf("q=%d k=%d: errors ref=%v packed=%v", qi, k, wantErr, gotErr)
+			got, _, err := ix.KNN(q, k)
+			if err != nil {
+				t.Fatal(err)
 			}
-			if !sameNeighbors(gotRes, wantRes) {
-				t.Fatalf("q=%d k=%d: results differ after mutations:\n ref    %v\n packed %v",
-					qi, k, wantRes, gotRes)
-			}
+			requireScan(t, fmt.Sprintf("q=%d k=%d", qi, k), got, scanKNN(truth, q, k, vec.L2))
 		}
 	}
 }

@@ -174,13 +174,11 @@ type Options struct {
 	// tracer can instead be carried in a context via WithTracer and the
 	// *Context query methods. See README "Observability".
 	Tracer Tracer
-	// Packed stores vectors in contiguous per-page float32 slabs and
-	// serves queries with batched distance kernels (see DESIGN.md
-	// "Packed storage"). Coordinates are rounded to float32 at
-	// Build/Insert; on data already representable in float32, results
-	// are byte-identical to the unpacked engine. This is the layout
-	// that makes million-point indexes practical (the `scale` bench
-	// profile).
+	// Packed is ignored. Every index stores its vectors in contiguous
+	// per-page float32 slabs, rounding each coordinate to float32 at
+	// Build, Insert and load, and serves queries with batched distance
+	// kernels (see DESIGN.md "Storage"). The field stays so that callers
+	// which set it keep compiling.
 	Packed bool
 	// Epsilon is the default ε of the approximate search tier: k-NN
 	// traversals stop once the next node's MINDIST exceeds
@@ -616,7 +614,7 @@ func open(opts Options) (*Index, error) {
 		}
 	}
 
-	ix := &Index{opts: opts, params: params, tbl: newTable(opts.Dim, opts.Packed, 0)}
+	ix := &Index{opts: opts, params: params, tbl: newTable(opts.Dim, 0)}
 	ix.array = disk.NewArray(opts.Disks, params)
 	ix.reg = metrics.NewRegistry(opts.Disks)
 	st, err := ix.emptyState()

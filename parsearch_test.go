@@ -130,13 +130,13 @@ func TestKNNMatchesLinearScanAllStrategies(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			want := linearScanKNN(truth, q, 7, vec.L2)
+			want := scanKNN(truth, q, 7, vec.L2)
 			if len(got) != len(want) {
 				t.Fatalf("%s: got %d results", kind, len(got))
 			}
 			for i := range got {
-				if math.Abs(got[i].Dist-want[i].dist) > 1e-9 {
-					t.Fatalf("%s: result %d dist %v, want %v", kind, i, got[i].Dist, want[i].dist)
+				if math.Abs(got[i].Dist-want[i].Dist) > 1e-9 {
+					t.Fatalf("%s: result %d dist %v, want %v", kind, i, got[i].Dist, want[i].Dist)
 				}
 			}
 		}
@@ -343,7 +343,7 @@ func TestBuildReplacesContent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if nb.ID != 0 || math.Abs(nb.Point[0]-0.9) > 1e-12 {
+	if nb.ID != 0 || nb.Point[0] != float64(float32(0.9)) {
 		t.Errorf("unexpected neighbor %+v", nb)
 	}
 }

@@ -25,13 +25,13 @@ import (
 // recallOf measures |returned ∩ true top-k| / k against the linear
 // scan. Ties are impossible on uniform random coordinates, so ID-set
 // intersection is exact.
-func recallOf(res []Neighbor, truth []scanHit) float64 {
+func recallOf(res []Neighbor, truth []Neighbor) float64 {
 	if len(truth) == 0 {
 		return 1
 	}
 	want := make(map[int]bool, len(truth))
 	for _, h := range truth {
-		want[h.id] = true
+		want[h.ID] = true
 	}
 	hits := 0
 	for _, nb := range res {
@@ -43,7 +43,8 @@ func recallOf(res []Neighbor, truth []scanHit) float64 {
 }
 
 // TestApproxRecallBattery sweeps ε ∈ {0, 0.1, 0.5} across declustering
-// strategies × replication × the packed storage engine.
+// strategies × replication × points rounded at ingest ("base") or
+// float32 already ("packed").
 // Small pages make the per-shard trees deep enough that early
 // termination has real pages to skip at this workload size.
 func TestApproxRecallBattery(t *testing.T) {
@@ -69,10 +70,10 @@ func TestApproxRecallBattery(t *testing.T) {
 	}
 	variants := []struct {
 		name string
-		mod  func(*Options)
+		pts  [][]float64
 	}{
-		{"base", func(o *Options) {}},
-		{"packed", func(o *Options) { o.Packed = true }},
+		{"base", pts},
+		{"packed", roundF32(pts)},
 	}
 
 	// Aggregated across every configuration: each ε knob must skip
@@ -84,8 +85,7 @@ func TestApproxRecallBattery(t *testing.T) {
 			for _, v := range variants {
 				opts := Options{Dim: dim, Disks: disks, Kind: kind,
 					Replication: rv.value, PageSize: 256}
-				v.mod(&opts)
-				ix := buildFrom(t, opts, pts)
+				ix := buildFrom(t, opts, v.pts)
 
 				for _, ec := range epsCases {
 					t.Run(fmt.Sprintf("%s/%s/%s/eps=%v", kind, rv.name, v.name, ec.eps), func(t *testing.T) {
@@ -99,7 +99,7 @@ func TestApproxRecallBattery(t *testing.T) {
 								t.Fatalf("query %d: %d neighbors, want %d — approximation must not shorten the result set",
 									qi, len(res), k)
 							}
-							want := linearScanKNN(truth, q, k, m)
+							want := scanKNN(truth, q, k, m)
 
 							if ec.eps == 0 {
 								// ε=0 takes the exact path: byte-identical
@@ -124,7 +124,7 @@ func TestApproxRecallBattery(t *testing.T) {
 								}
 								// The termination guarantee: every returned
 								// distance is within (1+ε) of the true kth.
-								kth := want[len(want)-1].dist
+								kth := want[len(want)-1].Dist
 								for j, nb := range res {
 									if nb.Dist > (1+ec.eps)*kth+1e-9 {
 										t.Fatalf("query %d neighbor %d: dist %v exceeds (1+ε)·kth = %v",

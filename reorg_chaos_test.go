@@ -14,7 +14,6 @@ import (
 	"errors"
 	"math/rand"
 	"reflect"
-	"sort"
 	"sync"
 	"testing"
 
@@ -56,32 +55,19 @@ func driftedIndex(t *testing.T, opts Options, nUniform, nSkew int) (*Index, map[
 	return ix, expected
 }
 
-// boxScan is the range/partial-match oracle: ids of the live points
-// inside [lo, hi], ascending — RangeQuery's exact output order.
-func boxScan(expected map[int][]float64, lo, hi []float64) []int {
-	ids := []int{} // non-nil: DeepEqual-comparable with resultIDs on empty results
-	for id, p := range expected {
-		if inBox(p, lo, hi) {
-			ids = append(ids, id)
-		}
-	}
-	sort.Ints(ids)
-	return ids
-}
-
 // checkKNNExact fails unless the result is byte-identical to the
 // linear-scan oracle over expected.
 func checkKNNExact(t *testing.T, expected map[int][]float64, q []float64, k int, got []Neighbor, m vec.Metric) {
 	t.Helper()
-	want := linearScanKNN(expected, q, k, m)
+	want := scanKNN(expected, q, k, m)
 	if len(got) != len(want) {
 		t.Errorf("KNN returned %d neighbors, oracle has %d", len(got), len(want))
 		return
 	}
 	for j := range got {
-		if got[j].ID != want[j].id || got[j].Dist != want[j].dist {
+		if got[j].ID != want[j].ID || got[j].Dist != want[j].Dist {
 			t.Errorf("KNN neighbor %d: got (id %d, dist %v), want (id %d, dist %v)",
-				j, got[j].ID, got[j].Dist, want[j].id, want[j].dist)
+				j, got[j].ID, got[j].Dist, want[j].ID, want[j].Dist)
 			return
 		}
 	}
@@ -140,7 +126,7 @@ func TestReorgChaosServingExact(t *testing.T) {
 						t.Errorf("RangeQuery: %v", err)
 						return
 					}
-					if want := boxScan(expected, lo, hi); !reflect.DeepEqual(resultIDs(got), want) {
+					if want := scanBox(expected, lo, hi); !reflect.DeepEqual(resultIDs(got), want) {
 						t.Errorf("RangeQuery ids %v, want %v", resultIDs(got), want)
 						return
 					}
@@ -168,7 +154,7 @@ func TestReorgChaosServingExact(t *testing.T) {
 						t.Errorf("PartialMatch: %v", err)
 						return
 					}
-					if want := boxScan(expected, lo, hi); !reflect.DeepEqual(resultIDs(got), want) {
+					if want := scanBox(expected, lo, hi); !reflect.DeepEqual(resultIDs(got), want) {
 						t.Errorf("PartialMatch ids %v, want %v", resultIDs(got), want)
 						return
 					}
@@ -438,11 +424,11 @@ func TestReorgChaosApproxRecall(t *testing.T) {
 					qi, len(got), k)
 			}
 			approxActivity += stats.PagesSkippedApprox
-			want := linearScanKNN(oracle, q, k, m)
-			kth := want[len(want)-1].dist
+			want := scanKNN(oracle, q, k, m)
+			kth := want[len(want)-1].Dist
 			hits := make(map[int]bool, len(want))
 			for _, h := range want {
-				hits[h.id] = true
+				hits[h.ID] = true
 			}
 			n := 0
 			for _, nb := range got {

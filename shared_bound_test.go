@@ -130,16 +130,7 @@ func TestSharedBoundEquivalenceBattery(t *testing.T) {
 							t.Errorf("%s: exact configuration flagged degraded", ql)
 						}
 						if exact {
-							want := linearScanKNN(truth, q, k, vec.L2)
-							if len(res) != len(want) {
-								t.Fatalf("%s: %d results, want %d", ql, len(res), len(want))
-							}
-							for i := range res {
-								if res[i].ID != want[i].id || res[i].Dist != want[i].dist {
-									t.Fatalf("%s: result %d is %d at %v, want %d at %v",
-										ql, i, res[i].ID, res[i].Dist, want[i].id, want[i].dist)
-								}
-							}
+							requireScan(t, ql, res, scanKNN(truth, q, k, vec.L2))
 						}
 					}
 				}
@@ -208,10 +199,10 @@ func TestSharedBoundMonotonicity(t *testing.T) {
 		if !reflect.DeepEqual(results[qi], want) {
 			t.Fatalf("query %d: results differ", qi)
 		}
-		for i, w := range linearScanKNN(truth, q, 10, vec.L2) {
-			if results[qi][i].ID != w.id || results[qi][i].Dist != w.dist {
+		for i, w := range scanKNN(truth, q, 10, vec.L2) {
+			if results[qi][i].ID != w.ID || results[qi][i].Dist != w.Dist {
 				t.Fatalf("query %d: result %d is %d at %v, the scan's %d at %v",
-					qi, i, results[qi][i].ID, results[qi][i].Dist, w.id, w.dist)
+					qi, i, results[qi][i].ID, results[qi][i].Dist, w.ID, w.Dist)
 			}
 		}
 		checkBoundInvariants(t, fmt.Sprintf("query %d", qi), stats[qi], sum(pages))

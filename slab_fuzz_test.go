@@ -5,6 +5,8 @@ import (
 	"encoding/binary"
 	"hash/crc32"
 	"os"
+	"path/filepath"
+	"reflect"
 	"testing"
 
 	"parsearch/internal/data"
@@ -17,7 +19,7 @@ import (
 // mutations reach the parser instead of dying at the checksum.
 func packedSnapshotPayload(f *testing.F) []byte {
 	f.Helper()
-	ix, err := Open(Options{Dim: 5, Disks: 3, Packed: true})
+	ix, err := Open(Options{Dim: 5, Disks: 3})
 	if err != nil {
 		f.Fatal(err)
 	}
@@ -59,9 +61,9 @@ func snapshotCountOffset(payload []byte) int {
 	return off
 }
 
-// FuzzSlabRoundtrip fuzzes the packed-snapshot bits (header flags 32/64
-// and the 4-byte float32 point table). The seeds cover the failure
-// shapes the packed format introduces: the packed flag flipped in either
+// FuzzSlabRoundtrip fuzzes the snapshot's storage bits (header flags
+// 32/64 and the 4-byte float32 point table). The seeds cover the failure
+// shapes of the two coordinate widths: the packed flag flipped in either
 // direction (so the coordinate stride disagrees with the table — a
 // dimension/size mismatch the loader must reject, not misparse),
 // truncation mid-point-table, and a forged huge point count that must be
@@ -73,8 +75,9 @@ func FuzzSlabRoundtrip(f *testing.F) {
 	f.Add(payload)
 
 	// Packed flag cleared but the table still holds float32 coords: the
-	// loader reads 8-byte strides and must fail cleanly (short table or
-	// trailing bytes), never panic.
+	// loader reads the 8-byte strides of a snapshot written when float64
+	// was stored, and must fail cleanly (short table or trailing bytes),
+	// never panic.
 	unpacked := append([]byte(nil), payload...)
 	unpacked[snapshotFlagsOffset] &^= flagPacked
 	f.Add(unpacked)
@@ -87,18 +90,11 @@ func FuzzSlabRoundtrip(f *testing.F) {
 
 	// Packed flag forged onto a float64 snapshot: 4-byte strides leave
 	// half the table unread — the loader must reject the leftovers.
-	ix64, err := Open(Options{Dim: 5, Disks: 3})
+	raw64, err := os.ReadFile("testdata/pre_slab_golden.snap")
 	if err != nil {
 		f.Fatal(err)
 	}
-	if err := ix64.Build(data.Uniform(40, 5, 13)); err != nil {
-		f.Fatal(err)
-	}
-	var buf64 bytes.Buffer
-	if err := ix64.Save(&buf64); err != nil {
-		f.Fatal(err)
-	}
-	forged := buf64.Bytes()[:buf64.Len()-4]
+	forged := raw64[:len(raw64)-4]
 	forged[snapshotFlagsOffset] |= flagPacked
 	f.Add(forged)
 
@@ -150,59 +146,53 @@ func FuzzSlabRoundtrip(f *testing.F) {
 // TestRetiredQuantizeFlagIgnored pins the compatibility rule of the
 // retired snapshot flag: a snapshot carrying bit 64 — what an index with
 // the removed SQ8 option saved — loads as the same index, answers byte
-// for byte like its unflagged twin, and saves without the bit, whether
-// or not the packed flag sits beside it.
+// for byte like its unflagged twin, and saves without the bit.
 func TestRetiredQuantizeFlagIgnored(t *testing.T) {
-	for _, packed := range []bool{true, false} {
-		ix, err := Open(Options{Dim: 5, Disks: 3, Packed: packed, Replication: 1})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := ix.Build(data.Uniform(300, 5, 31)); err != nil {
-			t.Fatal(err)
-		}
-		var buf bytes.Buffer
-		if err := ix.Save(&buf); err != nil {
-			t.Fatal(err)
-		}
-		plain := buf.Bytes()
-		if plain[snapshotFlagsOffset]&flagQuantize != 0 {
-			t.Fatalf("packed=%v: Save wrote the retired flag", packed)
-		}
-		flagged := append([]byte(nil), plain[:len(plain)-4]...)
-		flagged[snapshotFlagsOffset] |= flagQuantize
-		flagged = resealSnapshot(flagged)
+	ix, err := Open(Options{Dim: 5, Disks: 3, Replication: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := ix.Build(data.Uniform(300, 5, 31)); err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := ix.Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	plain := buf.Bytes()
+	if plain[snapshotFlagsOffset]&flagQuantize != 0 {
+		t.Fatalf("Save wrote the retired flag")
+	}
+	flagged := append([]byte(nil), plain[:len(plain)-4]...)
+	flagged[snapshotFlagsOffset] |= flagQuantize
+	flagged = resealSnapshot(flagged)
 
-		twin, err := Load(bytes.NewReader(plain))
+	twin, err := Load(bytes.NewReader(plain))
+	if err != nil {
+		t.Fatal(err)
+	}
+	old, err := Load(bytes.NewReader(flagged))
+	if err != nil {
+		t.Fatalf("snapshot with the retired flag: %v", err)
+	}
+	var again bytes.Buffer
+	if err := old.Save(&again); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(again.Bytes(), plain) {
+		t.Fatalf("re-saving the flagged snapshot differs from its unflagged twin")
+	}
+	for qi, q := range data.Uniform(10, 5, 32) {
+		want, wantStats, err := twin.KNN(q, 7)
 		if err != nil {
 			t.Fatal(err)
 		}
-		old, err := Load(bytes.NewReader(flagged))
+		got, gotStats, err := old.KNN(q, 7)
 		if err != nil {
-			t.Fatalf("packed=%v: snapshot with the retired flag: %v", packed, err)
-		}
-		if old.opts.Packed != packed {
-			t.Fatalf("packed=%v: retired flag changed the storage mode", packed)
-		}
-		var again bytes.Buffer
-		if err := old.Save(&again); err != nil {
 			t.Fatal(err)
 		}
-		if !bytes.Equal(again.Bytes(), plain) {
-			t.Fatalf("packed=%v: re-saving the flagged snapshot differs from its unflagged twin", packed)
-		}
-		for qi, q := range data.Uniform(10, 5, 32) {
-			want, wantStats, err := twin.KNN(q, 7)
-			if err != nil {
-				t.Fatal(err)
-			}
-			got, gotStats, err := old.KNN(q, 7)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !sameNeighbors(got, want) || gotStats.TotalPages != wantStats.TotalPages {
-				t.Fatalf("packed=%v query %d: flagged snapshot answers differently:\n got  %v\n want %v", packed, qi, got, want)
-			}
+		if !sameNeighbors(got, want) || gotStats.TotalPages != wantStats.TotalPages {
+			t.Fatalf("query %d: flagged snapshot answers differently:\n got  %v\n want %v", qi, got, want)
 		}
 	}
 }
@@ -210,9 +200,9 @@ func TestRetiredQuantizeFlagIgnored(t *testing.T) {
 // TestPreSlabGoldenSnapshot loads the committed golden snapshot written
 // by the pre-slab (float64-table) code and checks the current loader
 // still honors it: the format is append-only, old snapshots must keep
-// loading forever. The golden data was pre-rounded to float32 at
-// generation time, so re-ingesting it into a packed index is lossless —
-// query results must match the float64 load bit for bit.
+// loading forever. It loads rounded to float32, as Insert rounds, and
+// answers like a fresh Build of its points. The golden data was
+// pre-rounded to float32 at generation time.
 func TestPreSlabGoldenSnapshot(t *testing.T) {
 	raw, err := os.ReadFile("testdata/pre_slab_golden.snap")
 	if err != nil {
@@ -222,64 +212,108 @@ func TestPreSlabGoldenSnapshot(t *testing.T) {
 	if err != nil {
 		t.Fatalf("loading pre-slab golden snapshot: %v", err)
 	}
-	if ix.opts.Packed {
-		t.Fatalf("pre-slab snapshot loaded with packed options: %+v", ix.opts)
-	}
 	if got := ix.Len(); got != 499 { // 500 points, ID 7 deleted
 		t.Fatalf("golden index Len = %d, want 499", got)
 	}
-	queries := data.Uniform(8, 8, 99)
-	var refRes [][]Neighbor
-	for _, q := range queries {
-		res, _, err := ix.KNN(q, 5)
-		if err != nil {
-			t.Fatalf("querying golden index: %v", err)
-		}
-		for _, nb := range res {
-			if nb.ID == 7 {
-				t.Fatal("golden tombstone resurfaced in results")
-			}
-		}
-		refRes = append(refRes, res)
-	}
+	pts := data.Uniform(500, 8, 42)
+	pts[7] = nil
+	requireBuiltTwin(t, ix, Options{Dim: 8, Disks: 4, Replication: 1}, pts)
+}
 
-	// Migrate forward: rebuild the same data as a packed index and check
-	// the results are unchanged. The golden coordinates were rounded to
-	// float32 before saving, so packing loses nothing.
-	packed, err := Open(Options{Dim: 8, Disks: 4, Replication: 1, Packed: true})
+// TestFloat64SnapshotV2Loads: an as-built version-2 snapshot of an index
+// that stored float64 (testdata/float64_v2.snap, see golden_gen_test.go)
+// is read for its points only, rounded, and rebuilt.
+func TestFloat64SnapshotV2Loads(t *testing.T) {
+	raw, err := os.ReadFile("testdata/float64_v2.snap")
 	if err != nil {
 		t.Fatal(err)
 	}
-	pts := make([][]float64, 0, ix.Len())
-	for _, p := range tableOf(ix) {
-		if p != nil {
-			pts = append(pts, p)
-		}
+	if v, flags := snapshotVersionOf(raw), raw[snapshotFlagsOffset]; v != snapshotTrees || flags&flagPacked != 0 {
+		t.Fatalf("the fixture is version %d with flags %#x, want a version-2 float64 snapshot", v, flags)
 	}
-	if err := packed.Build(pts); err != nil {
+	ix, err := Load(bytes.NewReader(raw))
+	if err != nil {
 		t.Fatal(err)
 	}
-	for i, q := range queries {
-		res, _, err := packed.KNN(q, 5)
+	requireBuiltTwin(t, ix, float64FixtureOpts, float64FixturePoints())
+}
+
+// TestFloat64DurableDirReopens: a durable directory written when float64
+// was stored (testdata/float64_durable: a version-2 checkpoint, then
+// logged inserts and deletes) recovers rounded, like a fresh Build of
+// its points.
+func TestFloat64DurableDirReopens(t *testing.T) {
+	dir := t.TempDir()
+	files, err := os.ReadDir("testdata/float64_durable")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, f := range files {
+		b, err := os.ReadFile(filepath.Join("testdata/float64_durable", f.Name()))
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(res) != len(refRes[i]) {
-			t.Fatalf("query %d: packed returned %d results, golden %d", i, len(res), len(refRes[i]))
+		if err := os.WriteFile(filepath.Join(dir, f.Name()), b, 0o644); err != nil {
+			t.Fatal(err)
 		}
-		// IDs are reassigned by the rebuild (the golden tombstone shifts
-		// them), so compare the geometry: distances and coordinates must
-		// match bit for bit.
-		for j := range res {
-			if res[j].Dist != refRes[i][j].Dist {
-				t.Fatalf("query %d result %d: packed dist %v, golden %v", i, j, res[j].Dist, refRes[i][j].Dist)
-			}
-			for d := range res[j].Point {
-				if res[j].Point[d] != refRes[i][j].Point[d] {
-					t.Fatalf("query %d result %d dim %d: packed %v, golden %v",
-						i, j, d, res[j].Point[d], refRes[i][j].Point[d])
-				}
-			}
+	}
+	opts := float64FixtureOpts
+	opts.Durable, opts.Dir = true, dir
+	ix, err := Open(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ix.Close()
+	if r := ix.Recovery(); !r.HaveSnapshot || r.Records == 0 {
+		t.Fatalf("recovery %+v: want a snapshot and logged records", r)
+	}
+	pts := append(float64FixturePoints(), float64FixtureInserts()...)
+	for _, id := range float64FixtureDeletes {
+		pts[id] = nil
+	}
+	requireBuiltTwin(t, ix, float64FixtureOpts, pts)
+}
+
+// requireBuiltTwin fails t unless ix, loaded from data written when
+// float64 was stored, passes CheckIntegrity and is a fresh Build under
+// opts of pts rounded to float32 (a nil point a tombstone): the same
+// table, the same trees, the same answers.
+func requireBuiltTwin(t *testing.T, ix *Index, opts Options, pts [][]float64) {
+	t.Helper()
+	if err := ix.CheckIntegrity(); err != nil {
+		t.Fatal(err)
+	}
+	twin := buildFrom(t, opts, roundF32(pts))
+	if ix.Len() != twin.Len() || !reflect.DeepEqual(tableOf(ix), tableOf(twin)) {
+		t.Fatalf("%d points, a fresh Build holds %d, or other ones", ix.Len(), twin.Len())
+	}
+	if got, want := stateDigest(ix), stateDigest(twin); got != want {
+		t.Fatalf("digest %s, a fresh Build's %s", got, want)
+	}
+	for qi, q := range data.Uniform(8, opts.Dim, 99) {
+		got, _, err := ix.KNN(q, 5)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, _, err := twin.KNN(q, 5)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !sameNeighbors(got, want) {
+			t.Fatalf("query %d: %v, a fresh Build answers %v", qi, got, want)
+		}
+		lo, hi := make([]float64, len(q)), make([]float64, len(q))
+		for j := range q {
+			lo[j], hi[j] = q[j]-0.2, q[j]+0.2
+		}
+		if got, _, err = ix.RangeQuery(lo, hi); err != nil {
+			t.Fatal(err)
+		}
+		if want, _, err = twin.RangeQuery(lo, hi); err != nil {
+			t.Fatal(err)
+		}
+		if !sameNeighbors(got, want) {
+			t.Fatalf("box %d: %v, a fresh Build answers %v", qi, got, want)
 		}
 	}
 }

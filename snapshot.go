@@ -49,10 +49,12 @@ const (
 	flagBaseline    = 4
 	flagReplication = 8
 	flagMetrics     = 16
-	// flagPacked marks a snapshot of a packed index (Options.Packed):
-	// its coordinates were rounded to float32 at ingest, so the point
-	// table stores 4-byte float32 coordinates — losslessly, and half the
-	// size.
+	// flagPacked marks a snapshot whose coordinates are 4-byte float32s,
+	// as the index stores them; every snapshot is written with it. A
+	// snapshot without it was written by an index that stored float64:
+	// its 8-byte coordinates load rounded to float32, as Insert rounds
+	// them, and a version-2 one's trees are read for their points only,
+	// which Load then rebuilds.
 	flagPacked = 32
 	// flagQuantize is retired: it recorded the removed SQ8 pre-filter
 	// option, which never changed the payload or an answer. It is never
@@ -111,7 +113,7 @@ func (ix *Index) writeSnapshot(w io.Writer, tbl *pointTable, trees *version) err
 	if err != nil {
 		return fmt.Errorf("parsearch: encoding snapshot metrics: %w", err)
 	}
-	var flags uint8 = flagMetrics
+	var flags uint8 = flagMetrics | flagPacked
 	if ix.opts.QuantileSplits {
 		flags |= flagQuantile
 	}
@@ -124,22 +126,15 @@ func (ix *Index) writeSnapshot(w io.Writer, tbl *pointTable, trees *version) err
 	if ix.opts.Replication > 0 {
 		flags |= flagReplication
 	}
-	if ix.opts.Packed {
-		flags |= flagPacked
-	}
 	if ix.opts.Metric != Euclidean {
 		flags |= flagMetric
-	}
-	coordSize := 8
-	if ix.opts.Packed {
-		coordSize = 4
 	}
 	format := uint32(snapshotPoints)
 	if trees != nil && uint64(tbl.len()) <= math.MaxUint32 {
 		// A reader bounds the ID space by the bytes left (tombstones
 		// cost none), so the trees are written only when their primary
 		// entries alone are at least that many bytes.
-		if tbl.len() <= tbl.live()*(4+coordSize*ix.opts.Dim) {
+		if tbl.len() <= tbl.live()*(4+4*ix.opts.Dim) {
 			format = snapshotTrees
 		}
 	}
@@ -198,9 +193,8 @@ func (ix *Index) writeSnapshot(w io.Writer, tbl *pointTable, trees *version) err
 
 // writePoints writes the version-1 point table. Each slot is a presence
 // byte followed by the coordinates; deleted IDs (tombstones) are a
-// single zero byte, so IDs stay stable across save/load. Packed indexes
-// hold float32 coordinates (rounded at ingest), so the snapshot stores
-// them as 4-byte float32s, as the table does.
+// single zero byte, so IDs stay stable across save/load. The coordinates
+// are 4-byte float32s, as the table holds them.
 func writePoints(bw *bufio.Writer, tbl *pointTable) error {
 	var buf []byte
 	for id, dead := range tbl.dead {
@@ -211,15 +205,8 @@ func writePoints(bw *bufio.Writer, tbl *pointTable) error {
 			continue
 		}
 		buf = append(buf[:0], 1)
-		lo, hi := id*tbl.dim, (id+1)*tbl.dim
-		if tbl.packed {
-			for _, x := range tbl.f32[lo:hi] {
-				buf = binary.LittleEndian.AppendUint32(buf, math.Float32bits(x))
-			}
-		} else {
-			for _, x := range tbl.f64[lo:hi] {
-				buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(x))
-			}
+		for _, x := range tbl.f32[id*tbl.dim : (id+1)*tbl.dim] {
+			buf = binary.LittleEndian.AppendUint32(buf, math.Float32bits(x))
 		}
 		if _, err := bw.Write(buf); err != nil {
 			return err
@@ -268,11 +255,13 @@ type snapshotData struct {
 }
 
 // treeLayout is what a version-2 snapshot records of an as-built index:
-// the size of its ID space and one xtree layout a tree, in the order
-// primaries, replicas, baseline. The sections alias the snapshot's bytes.
+// the size of its ID space, one xtree layout a tree, in the order
+// primaries, replicas, baseline, and the bytes of a primary's
+// coordinates (see flagPacked). The sections alias the snapshot's bytes.
 type treeLayout struct {
 	ids      int
 	sections [][]byte
+	coord    int
 }
 
 // newIndex opens an index from the decoded snapshot: it assembles the
@@ -420,15 +409,18 @@ func parseSnapshotPayload(raw []byte) (*snapshotData, int, error) {
 	if count > uint64(br.Len()) {
 		return nil, 0, fmt.Errorf("parsearch: snapshot claims %d points in %d bytes", count, br.Len())
 	}
-	packed := flags&flagPacked != 0
+	coord := 8
+	if flags&flagPacked != 0 {
+		coord = 4
+	}
 	var (
 		table *pointTable
 		trees *treeLayout
 	)
 	if version == snapshotTrees {
-		trees, err = parseTrees(raw, br, int(count), int(disks), flags)
+		trees, err = parseTrees(raw, br, int(count), int(disks), flags, coord)
 	} else {
-		table, err = parsePoints(br, int(count), int(dim), packed)
+		table, err = parsePoints(br, int(count), int(dim), coord)
 	}
 	if err != nil {
 		return nil, 0, err
@@ -467,7 +459,6 @@ func parseSnapshotPayload(raw []byte) (*snapshotData, int, error) {
 			Recursive:      flags&flagRecursive != 0,
 			Baseline:       flags&flagBaseline != 0,
 			Replication:    int(flags & flagReplication >> 3),
-			Packed:         packed,
 			DiskParams:     &params,
 			CostModel:      CostModel(costModel),
 			Metric:         Metric(metric),
@@ -476,18 +467,27 @@ func parseSnapshotPayload(raw []byte) (*snapshotData, int, error) {
 		trees:   trees,
 		metrics: metricsBlob,
 	}
+	if trees != nil && coord == 8 {
+		// Float64 trees, rounded, are not the trees Build makes of the
+		// rounded points: keep their points only.
+		opts, err := checkOptions(sd.opts)
+		if err != nil {
+			return nil, 0, fmt.Errorf("parsearch: snapshot options invalid: %w", err)
+		}
+		if _, sd.table, _, err = (&Index{opts: opts}).readPrimaries(trees); err != nil {
+			return nil, 0, fmt.Errorf("parsearch: reading float64 trees: %w", err)
+		}
+		sd.trees = nil
+	}
 	return sd, len(raw) - br.Len(), nil
 }
 
-// parsePoints reads a version-1 point table of count slots.
-func parsePoints(br *bytes.Reader, count, dim int, packed bool) (*pointTable, error) {
-	coordSize := 8
-	if packed {
-		coordSize = 4
-	}
+// parsePoints reads a version-1 point table of count slots, whose
+// coordinates are coord bytes each (see flagPacked).
+func parsePoints(br *bytes.Reader, count, dim, coord int) (*pointTable, error) {
 	// Sized by the points the bytes left can hold, not by the claim.
-	t := newTable(dim, packed, min(count, br.Len()/(1+coordSize*dim)))
-	buf := make([]byte, coordSize*dim)
+	t := newTable(dim, min(count, br.Len()/(1+coord*dim)))
+	buf := make([]byte, coord*dim)
 	p := make([]float64, dim)
 	for i := 0; i < count; i++ {
 		presence, err := br.ReadByte()
@@ -501,7 +501,7 @@ func parsePoints(br *bytes.Reader, count, dim int, packed bool) (*pointTable, er
 			if _, err := io.ReadFull(br, buf); err != nil {
 				return nil, fmt.Errorf("parsearch: reading snapshot point %d: %w", i, err)
 			}
-			if packed {
+			if coord == 4 {
 				// Widening float32 → float64 is exact, and the table
 				// narrows it back: the round trip restores the ingested
 				// (pre-rounded) coordinates bit for bit.
@@ -525,7 +525,7 @@ func parsePoints(br *bytes.Reader, count, dim int, packed bool) (*pointTable, er
 // disk when the flags say replicated, one more for a baseline. Each is
 // sliced out of raw, not copied; ReadLayout checks its contents when the
 // index is assembled.
-func parseTrees(raw []byte, br *bytes.Reader, ids, disks int, flags uint8) (*treeLayout, error) {
+func parseTrees(raw []byte, br *bytes.Reader, ids, disks int, flags uint8, coord int) (*treeLayout, error) {
 	n := disks
 	if flags&flagReplication != 0 {
 		n += disks
@@ -536,7 +536,7 @@ func parseTrees(raw []byte, br *bytes.Reader, ids, disks int, flags uint8) (*tre
 	if uint64(n)*8 > uint64(br.Len()) {
 		return nil, fmt.Errorf("parsearch: snapshot claims %d tree sections in %d bytes", n, br.Len())
 	}
-	tl := &treeLayout{ids: ids, sections: make([][]byte, n)}
+	tl := &treeLayout{ids: ids, sections: make([][]byte, n), coord: coord}
 	for i := range tl.sections {
 		var size uint64
 		if err := binary.Read(br, binary.LittleEndian, &size); err != nil {

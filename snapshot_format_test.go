@@ -24,17 +24,18 @@ import (
 
 // The version-1 golden: testdata/snapshot_v1.sha256 holds the SHA-256 of
 // the snapshot an index writes once it has been mutated since its build
-// (one Insert and one Delete), float64 and packed. Such an index writes
-// the point table, byte for byte as every version-1 reader expects.
+// (one Insert and one Delete). Such an index writes the point table, byte
+// for byte as every version-1 reader expects. The line is named
+// packed=true: the file held a float64 twin while that storage existed.
 // Regenerate it (PARSEARCH_GEN_GOLDEN=1) only with a change that means
 // to alter the format.
 const snapshotV1Golden = "testdata/snapshot_v1.sha256"
 
 // mutatedSnapshot builds a small index, inserts one point, deletes one
 // and returns what Save writes.
-func mutatedSnapshot(t *testing.T, packed bool) []byte {
+func mutatedSnapshot(t *testing.T) []byte {
 	t.Helper()
-	ix, err := Open(Options{Dim: 6, Disks: 4, PageSize: 1024, QuantileSplits: true, Packed: packed})
+	ix, err := Open(Options{Dim: 6, Disks: 4, PageSize: 1024, QuantileSplits: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,16 +57,16 @@ func mutatedSnapshot(t *testing.T, packed bool) []byte {
 
 // The version-2 golden: testdata/snapshot_v2.sha256 holds the SHA-256 of
 // the snapshot an as-built index writes — replicated, with a baseline and
-// a tombstone, so every kind of tree section is pinned — float64 and
-// packed. Regenerate it (PARSEARCH_GEN_GOLDEN=1) only with a change that
+// a tombstone, so every kind of tree section is pinned; its line is named
+// as the version-1 golden's. Regenerate it (PARSEARCH_GEN_GOLDEN=1) only with a change that
 // means to alter the format.
 const snapshotV2Golden = "testdata/snapshot_v2.sha256"
 
 // asBuiltSnapshot builds a small index and returns what Save writes.
-func asBuiltSnapshot(t *testing.T, packed bool) []byte {
+func asBuiltSnapshot(t *testing.T) []byte {
 	t.Helper()
 	ix, err := Open(Options{Dim: 6, Disks: 4, PageSize: 1024, QuantileSplits: true,
-		Replication: 1, Baseline: true, Packed: packed})
+		Replication: 1, Baseline: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,17 +92,15 @@ func TestSnapshotV2Golden(t *testing.T) {
 	checkSnapshotGolden(t, snapshotV2Golden, snapshotTrees, asBuiltSnapshot)
 }
 
-// checkSnapshotGolden compares the SHA-256 of snap's bytes, float64 and
-// packed, with the golden file, after checking their format version.
-func checkSnapshotGolden(t *testing.T, golden string, version uint32, snap func(*testing.T, bool) []byte) {
-	var got bytes.Buffer
-	for _, packed := range []bool{false, true} {
-		raw := snap(t, packed)
-		if v := snapshotVersionOf(raw); v != version {
-			t.Fatalf("packed=%v: snapshot version %d, want %d", packed, v, version)
-		}
-		fmt.Fprintf(&got, "packed=%v %x\n", packed, sha256.Sum256(raw))
+// checkSnapshotGolden compares the SHA-256 of snap's bytes with the
+// golden file, after checking their format version.
+func checkSnapshotGolden(t *testing.T, golden string, version uint32, snap func(*testing.T) []byte) {
+	raw := snap(t)
+	if v := snapshotVersionOf(raw); v != version {
+		t.Fatalf("snapshot version %d, want %d", v, version)
 	}
+	var got bytes.Buffer
+	fmt.Fprintf(&got, "packed=true %x\n", sha256.Sum256(raw))
 	if os.Getenv("PARSEARCH_GEN_GOLDEN") != "" {
 		if err := os.WriteFile(golden, got.Bytes(), 0o644); err != nil {
 			t.Fatal(err)
@@ -312,7 +311,7 @@ func (n lnode) layout(b []byte, points bool) []byte {
 		b = binary.LittleEndian.AppendUint32(b, uint32(e.ID))
 		if points {
 			for _, x := range e.Point {
-				b = binary.LittleEndian.AppendUint64(b, math.Float64bits(x))
+				b = binary.LittleEndian.AppendUint32(b, math.Float32bits(float32(x)))
 			}
 		}
 	}
@@ -723,7 +722,7 @@ func TestDurableRecoveryFromTrees(t *testing.T) {
 	t.Run("other options", func(t *testing.T) {
 		fs := built(t)
 		other := opts
-		other.Disks, other.Replication, other.Packed = 3, 0, true
+		other.Disks, other.Replication = 3, 0
 		re, err := openDurable(other, fs)
 		if err != nil {
 			t.Fatal(err)
@@ -749,7 +748,7 @@ func TestDurableRecoveryFromTrees(t *testing.T) {
 		cfg := xtree.DefaultConfig(4)
 		cfg.LeafCapacity = xtree.LeafCapacityForPage(4, 512)
 		cfg.DirCapacity = xtree.DirCapacityForPage(4, 512)
-		tr, err := xtree.ReadLayout(cfg, secs[0], true, func(int, vec.Point) error { return nil })
+		tr, err := xtree.ReadLayout(cfg, secs[0], 4, func(int, vec.Point) error { return nil })
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -177,11 +177,12 @@ func TestSnapshotPreservesUnusualOptions(t *testing.T) {
 // TestSnapshotKeepsMetric: Save/Load keeps Options.Metric (header flag
 // 128), so a loaded Manhattan or Maximum index answers byte-identically
 // to the saved one instead of silently turning Euclidean. A Euclidean
-// snapshot stays byte-identical to the format without the flag — the
-// digest below is of the bytes Save wrote before the metric was
-// recorded — and an unknown metric string fails Load.
+// snapshot stays byte-identical to the format without the flag — it
+// writes no metric flag or string; the digest below is of the bytes a
+// packed index saved while float64 storage still existed — and an
+// unknown metric string fails Load.
 func TestSnapshotKeepsMetric(t *testing.T) {
-	const euclideanDigest = "bf90c386c6c982bd3463e051f15c40ffdb37f322fe4711d1f177248f88b1181b"
+	const euclideanDigest = "9e65bb7b8a18f32e370a862dc6ff62d8207aa5890afdc89cc14814dfa3096333"
 	for _, m := range []Metric{Euclidean, Manhattan, Maximum} {
 		ix := buildTestIndex(t, Options{Dim: 4, Disks: 4, Metric: m}, 500)
 		var buf bytes.Buffer

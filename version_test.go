@@ -16,8 +16,8 @@ import (
 )
 
 // TestNonFiniteInsertRefused: a NaN or infinite coordinate is refused by
-// every write path — Insert, InsertBatch, AsyncWriter, Build — on float64
-// and packed storage, with the component named in the error. A refused
+// every write path — Insert, InsertBatch, AsyncWriter, Build — with the
+// component named in the error. A refused
 // batch op aborts the rest of its batch, and the index keeps answering
 // exactly what it held.
 func TestNonFiniteInsertRefused(t *testing.T) {
@@ -48,29 +48,27 @@ func TestNonFiniteInsertRefused(t *testing.T) {
 			return ix.Build([][]float64{{0.5, 0.5, 0.5, 0.5}, p})
 		},
 	}
-	for _, packed := range []bool{false, true} {
-		for pathName, write := range paths {
-			for valName, v := range bad {
-				ix := buildTestIndex(t, Options{Dim: 4, Disks: 4, Packed: packed}, 300)
-				want := ix.Len()
-				if pathName == "InsertBatch" {
-					want++
-				}
-				err := write(ix, []float64{0.5, v, 0.5, 0.5})
-				if err == nil || !strings.Contains(err.Error(), "component 1") {
-					t.Errorf("packed=%v %s of a %s coordinate: err %v, want a refusal naming component 1", packed, pathName, valName, err)
-					continue
-				}
-				if ix.Len() != want {
-					t.Errorf("packed=%v %s of a %s coordinate: %d points, want %d", packed, pathName, valName, ix.Len(), want)
-				}
-				if err := ix.CheckIntegrity(); err != nil {
-					t.Errorf("packed=%v %s of a %s coordinate: %v", packed, pathName, valName, err)
-				}
-				res, _, err := ix.RangeQuery([]float64{0, 0, 0, 0}, []float64{1, 1, 1, 1})
-				if err != nil || len(res) != want {
-					t.Errorf("packed=%v %s of a %s coordinate: the unit cube holds %d points (%v), want %d", packed, pathName, valName, len(res), err, want)
-				}
+	for pathName, write := range paths {
+		for valName, v := range bad {
+			ix := buildTestIndex(t, Options{Dim: 4, Disks: 4}, 300)
+			want := ix.Len()
+			if pathName == "InsertBatch" {
+				want++
+			}
+			err := write(ix, []float64{0.5, v, 0.5, 0.5})
+			if err == nil || !strings.Contains(err.Error(), "component 1") {
+				t.Errorf("%s of a %s coordinate: err %v, want a refusal naming component 1", pathName, valName, err)
+				continue
+			}
+			if ix.Len() != want {
+				t.Errorf("%s of a %s coordinate: %d points, want %d", pathName, valName, ix.Len(), want)
+			}
+			if err := ix.CheckIntegrity(); err != nil {
+				t.Errorf("%s of a %s coordinate: %v", pathName, valName, err)
+			}
+			res, _, err := ix.RangeQuery([]float64{0, 0, 0, 0}, []float64{1, 1, 1, 1})
+			if err != nil || len(res) != want {
+				t.Errorf("%s of a %s coordinate: the unit cube holds %d points (%v), want %d", pathName, valName, len(res), err, want)
 			}
 		}
 	}
@@ -92,7 +90,7 @@ func TestNonFiniteLoadAndReplayRefused(t *testing.T) {
 				t.Fatal(err)
 			}
 			var buf bytes.Buffer
-			tbl := newTable(3, false, 3)
+			tbl := newTable(3, 3)
 			for _, row := range [][]float64{good[0], p, good[1]} {
 				tbl.add(row)
 			}

@@ -186,7 +186,7 @@ func (r writeRun) saveBody(t *testing.T) []byte {
 }
 
 func writeTestOpts() Options {
-	return Options{Dim: 4, Disks: 5, Replication: 1, Baseline: true, QuantileSplits: true, Packed: true, PageSize: 512}
+	return Options{Dim: 4, Disks: 5, Replication: 1, Baseline: true, QuantileSplits: true, PageSize: 512}
 }
 
 // startWriteRun opens a durable index on a fresh in-memory directory,
