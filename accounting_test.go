@@ -568,7 +568,7 @@ func TestPinnedPageCounts(t *testing.T) {
 		for _, q := range data.Uniform(8, 8, 22) {
 			queries = append(queries, q)
 		}
-		_, bs, err := ix.BatchKNN(queries, 10)
+		_, bs, err := ix.BatchKNNContext(context.Background(), queries, 10)
 		if err != nil {
 			t.Fatal(err)
 		}

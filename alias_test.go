@@ -1,6 +1,7 @@
 package parsearch
 
 import (
+	"context"
 	"math"
 	"slices"
 	"strings"
@@ -32,10 +33,16 @@ func TestResultsDoNotAliasIndex(t *testing.T) {
 			res, _, err := ix.KNNApprox(q, 10, Approx{Epsilon: 0.5})
 			return res, err
 		}},
-		{"RangeQuery", func() ([]Neighbor, error) { res, _, err := ix.RangeQuery(lo, hi); return res, err }},
-		{"PartialMatch", func() ([]Neighbor, error) { res, _, err := ix.PartialMatch(spec, 0.05); return res, err }},
+		{"RangeQuery", func() ([]Neighbor, error) {
+			res, _, err := ix.RangeQueryContext(context.Background(), lo, hi)
+			return res, err
+		}},
+		{"PartialMatch", func() ([]Neighbor, error) {
+			res, _, err := ix.PartialMatchContext(context.Background(), spec, 0.05)
+			return res, err
+		}},
 		{"BatchKNN", func() ([]Neighbor, error) {
-			res, _, err := ix.BatchKNN([][]float64{q, lo}, 5)
+			res, _, err := ix.BatchKNNContext(context.Background(), [][]float64{q, lo}, 5)
 			return slices.Concat(res...), err
 		}},
 		{"Browser", func() ([]Neighbor, error) {

@@ -1,6 +1,7 @@
 package parsearch
 
 import (
+	"context"
 	"runtime"
 	"sync/atomic"
 	"testing"
@@ -42,8 +43,8 @@ func TestQueryAllocations(t *testing.T) {
 		run     func() error
 	}{
 		{"KNN", 51, func() error { _, _, err := ix.KNN(q, 10); return err }},
-		{"BatchKNN item", 64, func() error { _, _, err := ix.BatchKNN([][]float64{q}, 10); return err }},
-		{"RangeQuery", 97, func() error { _, _, err := ix.RangeQuery(lo, hi); return err }},
+		{"BatchKNN item", 64, func() error { _, _, err := ix.BatchKNNContext(context.Background(), [][]float64{q}, 10); return err }},
+		{"RangeQuery", 97, func() error { _, _, err := ix.RangeQueryContext(context.Background(), lo, hi); return err }},
 	} {
 		if err := c.run(); err != nil {
 			t.Fatal(err)
@@ -73,7 +74,7 @@ func TestPooledSearchKeepsNoTree(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if _, _, err := ix.BatchKNN(queries, 50); err != nil {
+	if _, _, err := ix.BatchKNNContext(context.Background(), queries, 50); err != nil {
 		t.Fatal(err)
 	}
 	var watched, freed atomic.Int32

@@ -147,44 +147,27 @@ func (ix *Index) ServiceDemands(queries [][]float64, k int) ([][]float64, error)
 	return demands, nil
 }
 
-// BatchKNN answers many k-NN queries as one batch: a worker pool of
-// GOMAXPROCS goroutines processes the queries, each query still
-// searching all disks, and the I/O phase charges every disk the union of
-// its page reads across the batch.
-// The i-th result corresponds to queries[i]; BatchStats.PerQuery carries
-// each query's own cost accounting. Results and statistics are
-// deterministic for a given index state regardless of the worker count
-// or scheduling order.
-func (ix *Index) BatchKNN(queries [][]float64, k int) ([][]Neighbor, BatchStats, error) {
-	return ix.BatchKNNContext(context.Background(), queries, k)
-}
-
-// BatchKNNApprox is BatchKNN with per-query approximate-search knobs,
-// applied to every query of the batch (see KNNApprox).
-func (ix *Index) BatchKNNApprox(queries [][]float64, k int, a Approx) ([][]Neighbor, BatchStats, error) {
-	return ix.BatchKNNApproxContext(context.Background(), queries, k, a)
-}
-
-// BatchKNNApproxContext is BatchKNNApprox with a context (see
-// BatchKNNContext).
-func (ix *Index) BatchKNNApproxContext(ctx context.Context, queries [][]float64, k int, a Approx) ([][]Neighbor, BatchStats, error) {
-	return ix.runBatch(ctx, query{op: opBatch, batch: queries, k: k, approx: a})
-}
-
-// BatchKNNShardContext is BatchKNNApproxContext restricted to a subset
-// of the declustered disks (see ShardSpec and KNNShardContext), applied
-// to every query of the batch.
+// BatchKNNShardContext answers many k-NN queries as one batch, each
+// under a and on the disks shards selects (see KNNShardContext): a
+// worker pool of GOMAXPROCS goroutines processes the queries, each query
+// still searching every selected disk, and the I/O phase charges every
+// disk the union of its page reads across the batch. The i-th result
+// corresponds to queries[i]; BatchStats.PerQuery carries each query's
+// own cost accounting. Results and statistics are deterministic for a
+// given index state regardless of the worker count or scheduling order.
+//
+// ctx may carry a per-request tracer (see WithTracer) and a deadline.
+// Batch traces share one query sequence number; per-item events carry
+// the batch index in Item. Cancellation is honored within an item's
+// search and between batch items: a cancelled context makes the batch
+// return ctx.Err() without starting further shard searches or the
+// simulated I/O phase.
 func (ix *Index) BatchKNNShardContext(ctx context.Context, queries [][]float64, k int, a Approx, shards ShardSpec) ([][]Neighbor, BatchStats, error) {
 	return ix.runBatch(ctx, query{op: opBatch, batch: queries, k: k, approx: a, shards: shards})
 }
 
-// BatchKNNContext is BatchKNN with a context, which may carry a
-// per-request tracer (see WithTracer) and a deadline. Batch traces
-// share one query sequence number; per-item events carry the batch
-// index in Item. Cancellation is honored within an item's search and
-// between batch items: a cancelled context makes the batch return
-// ctx.Err() without starting further shard searches or the simulated
-// I/O phase.
+// BatchKNNContext is BatchKNNShardContext over every disk under the
+// index's default Approx (see ApproxDefaults).
 func (ix *Index) BatchKNNContext(ctx context.Context, queries [][]float64, k int) ([][]Neighbor, BatchStats, error) {
 	return ix.runBatch(ctx, query{op: opBatch, batch: queries, k: k, approx: ix.ApproxDefaults()})
 }

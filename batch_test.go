@@ -15,7 +15,7 @@ func TestBatchKNNMatchesSingleQueries(t *testing.T) {
 	for i, q := range data.Uniform(len(queries), d, 88) {
 		queries[i] = q
 	}
-	batch, stats, err := ix.BatchKNN(queries, 5)
+	batch, stats, err := ix.BatchKNNContext(context.Background(), queries, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,14 +53,14 @@ func TestBatchKNNMatchesSingleQueries(t *testing.T) {
 
 func TestBatchKNNValidation(t *testing.T) {
 	ix := buildTestIndex(t, Options{Dim: 2, Disks: 2}, 50)
-	if _, _, err := ix.BatchKNN([][]float64{{0.5, 0.5}}, 0); err == nil {
+	if _, _, err := ix.BatchKNNContext(context.Background(), [][]float64{{0.5, 0.5}}, 0); err == nil {
 		t.Error("expected k error")
 	}
-	if _, _, err := ix.BatchKNN([][]float64{{0.5}}, 1); err == nil {
+	if _, _, err := ix.BatchKNNContext(context.Background(), [][]float64{{0.5}}, 1); err == nil {
 		t.Error("expected dimension error")
 	}
 	empty, _ := Open(Options{Dim: 2, Disks: 2})
-	if _, _, err := empty.BatchKNN([][]float64{{0.5, 0.5}}, 1); err != ErrEmpty {
+	if _, _, err := empty.BatchKNNContext(context.Background(), [][]float64{{0.5, 0.5}}, 1); err != ErrEmpty {
 		t.Errorf("err = %v, want ErrEmpty", err)
 	}
 	// A batch rejected for its Approx or ShardSpec is counted and traced
@@ -71,7 +71,7 @@ func TestBatchKNNValidation(t *testing.T) {
 		return err
 	})
 	assertRejected(t, ix, "approx", "parsearch: epsilon -1 outside [0, 1e+06]", func(ctx context.Context) error {
-		_, _, err := ix.BatchKNNApproxContext(ctx, batch, 1, Approx{Epsilon: -1})
+		_, _, err := ix.BatchKNNShardContext(ctx, batch, 1, Approx{Epsilon: -1}, ShardSpec{})
 		return err
 	})
 	assertRejected(t, ix, "shard approx", "parsearch: bound -1, want a finite distance >= 0", func(ctx context.Context) error {
@@ -86,7 +86,7 @@ func TestBatchKNNValidation(t *testing.T) {
 
 func TestBatchKNNEmptyBatch(t *testing.T) {
 	ix := buildTestIndex(t, Options{Dim: 2, Disks: 2}, 50)
-	res, stats, err := ix.BatchKNN(nil, 3)
+	res, stats, err := ix.BatchKNNContext(context.Background(), nil, 3)
 	if err != nil || len(res) != 0 || stats.Queries != 0 {
 		t.Errorf("empty batch: res=%v stats=%+v err=%v", res, stats, err)
 	}
@@ -114,7 +114,7 @@ func TestBatchUtilizationHigh(t *testing.T) {
 		if err := ix.Build(raw); err != nil {
 			t.Fatal(err)
 		}
-		_, stats, err := ix.BatchKNN(queries, 10)
+		_, stats, err := ix.BatchKNNContext(context.Background(), queries, 10)
 		if err != nil {
 			t.Fatal(err)
 		}

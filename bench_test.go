@@ -471,7 +471,7 @@ func BenchmarkObservabilityRange16(b *testing.B) {
 		for j := range lo {
 			lo[j], hi[j] = c[j]-0.2, c[j]+0.2
 		}
-		if _, _, err := ix.RangeQuery(lo, hi); err != nil {
+		if _, _, err := ix.RangeQueryContext(context.Background(), lo, hi); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -502,7 +502,7 @@ func BenchmarkObservabilityBatch16(b *testing.B) {
 	ix, queries := obsBenchIndex(b, parsearch.Options{Dim: 8, Disks: 16}, 4000)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := ix.BatchKNN(queries, 10); err != nil {
+		if _, _, err := ix.BatchKNNContext(context.Background(), queries, 10); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -196,12 +196,12 @@ func TestKNNTiesOnKthDistance(t *testing.T) {
 					}
 					got, _, err := ix.KNN(q, k)
 					check("KNN", got, err)
-					batch, _, err := ix.BatchKNN([][]float64{pts[0], q}, k)
+					batch, _, err := ix.BatchKNNContext(context.Background(), [][]float64{pts[0], q}, k)
 					if err == nil {
 						got = batch[1]
 					}
 					check("BatchKNN", got, err)
-					got, _, err = co.KNN(ctx, q, k)
+					got, _, err = co.KNNApprox(ctx, q, k, parsearch.Approx{})
 					check("Coordinator.KNN", got, err)
 
 					// The coordinator's phase 2 by hand: every shard group

@@ -10,6 +10,7 @@ package parsearch
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"fmt"
 	"io"
@@ -121,12 +122,12 @@ func runMixedWorkload(t *testing.T, opts Options) {
 					}
 				case 1:
 					lo, hi := randBox(rng, opts.Dim)
-					if _, _, err := ix.RangeQuery(lo, hi); !tolerableQueryErr(err) {
+					if _, _, err := ix.RangeQueryContext(context.Background(), lo, hi); !tolerableQueryErr(err) {
 						t.Errorf("RangeQuery: %v", err)
 					}
 				case 2:
 					batch := [][]float64{q, randPoint(rng, opts.Dim), randPoint(rng, opts.Dim)}
-					if _, _, err := ix.BatchKNN(batch, 3); !tolerableQueryErr(err) {
+					if _, _, err := ix.BatchKNNContext(context.Background(), batch, 3); !tolerableQueryErr(err) {
 						t.Errorf("BatchKNN: %v", err)
 					}
 				case 3:
@@ -148,8 +149,8 @@ func runMixedWorkload(t *testing.T, opts Options) {
 					ix.DiskLoads()
 					ix.CellLoads()
 				case 5:
-					if _, _, err := ix.NN(q); !tolerableQueryErr(err) {
-						t.Errorf("NN: %v", err)
+					if _, _, err := ix.KNN(q, 1); !tolerableQueryErr(err) {
+						t.Errorf("KNN(q, 1): %v", err)
 					}
 				}
 			}
@@ -315,7 +316,7 @@ func verifyFinalState(t *testing.T, ix *Index, expected map[int][]float64, opts 
 		requireScan(t, fmt.Sprintf("query %d", i), got, scanKNN(expected, q, k, m))
 
 		lo, hi := randBox(rng, opts.Dim)
-		res, _, err := ix.RangeQuery(lo, hi)
+		res, _, err := ix.RangeQueryContext(context.Background(), lo, hi)
 		if err != nil {
 			t.Fatalf("final RangeQuery: %v", err)
 		}
@@ -695,7 +696,7 @@ func TestFailureFlipsNeverSilentlyWrong(t *testing.T) {
 				k := 1 + rng.Intn(6)
 				if rng.Intn(3) == 0 {
 					batch := [][]float64{q, randPoint(rng, d)}
-					res, stats, err := ix.BatchKNN(batch, k)
+					res, stats, err := ix.BatchKNNContext(context.Background(), batch, k)
 					if err != nil {
 						checkFailureOutcome(t, expected, q, k, nil, false, err, m)
 						continue
@@ -723,15 +724,15 @@ func TestFailureFlipsNeverSilentlyWrong(t *testing.T) {
 	verifyFinalState(t, ix, expected, Options{Dim: d, Disks: disks})
 }
 
-// TestSharedBoundStressConcurrent hammers the one-queue k-NN search
-// under the race detector: concurrent KNN/NN traffic, holding every
+// TestOneQueueStressConcurrent hammers the one-queue k-NN search
+// under the race detector: concurrent KNN traffic, holding every
 // routed shard's read lock and stepping aside for writers, races
 // Insert/Delete writers and a FailDisk / HealDisk flipper, with a
 // counting tracer attached so the events flow through user code
 // concurrently. The final quiesced index must answer what the
 // independent per-disk searches and a linear scan answer, reading no
 // more search pages than the independent searches.
-func TestSharedBoundStressConcurrent(t *testing.T) {
+func TestOneQueueStressConcurrent(t *testing.T) {
 	const d, n, disks = 6, 700, 5
 	var events atomic.Int64
 	opts := Options{Dim: d, Disks: disks, Replication: 1,
@@ -774,8 +775,8 @@ func TestSharedBoundStressConcurrent(t *testing.T) {
 			for i := 0; i < stressIters(250, 80); i++ {
 				q := randPoint(rng, d)
 				if rng.Intn(4) == 0 {
-					if _, _, err := ix.NN(q); !tolerableQueryErr(err) {
-						t.Errorf("NN: %v", err)
+					if _, _, err := ix.KNN(q, 1); !tolerableQueryErr(err) {
+						t.Errorf("KNN(q, 1): %v", err)
 						return
 					}
 					continue
@@ -1134,13 +1135,13 @@ func TestQueriesTakeNoLock(t *testing.T) {
 	ops := map[string]func() error{
 		"KNN":        func() error { _, _, err := ix.KNN(q, 5); return err },
 		"KNNApprox":  func() error { _, _, err := ix.KNNApprox(q, 5, Approx{Epsilon: 0.5}); return err },
-		"NN":         func() error { _, _, err := ix.NN(q); return err },
-		"RangeQuery": func() error { _, _, err := ix.RangeQuery(q, hi); return err },
+		"KNN1":       func() error { _, _, err := ix.KNN(q, 1); return err },
+		"RangeQuery": func() error { _, _, err := ix.RangeQueryContext(context.Background(), q, hi); return err },
 		"PartialMatch": func() error {
-			_, _, err := ix.PartialMatch([]float64{0.5, Wildcard, Wildcard, Wildcard}, 0.1)
+			_, _, err := ix.PartialMatchContext(context.Background(), []float64{0.5, Wildcard, Wildcard, Wildcard}, 0.1)
 			return err
 		},
-		"BatchKNN":       func() error { _, _, err := ix.BatchKNN([][]float64{q, hi}, 5); return err },
+		"BatchKNN":       func() error { _, _, err := ix.BatchKNNContext(context.Background(), [][]float64{q, hi}, 5); return err },
 		"ServiceDemands": func() error { _, err := ix.ServiceDemands([][]float64{q, hi}, 5); return err },
 		"Browse": func() error {
 			b, err := ix.Browse(q)

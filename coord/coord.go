@@ -463,15 +463,11 @@ func mergeByID(results []rpcResult) []parsearch.Neighbor {
 	return all
 }
 
-// KNN finds the k nearest neighbors of q across the cluster.
-func (c *Coordinator) KNN(ctx context.Context, q []float64, k int) ([]parsearch.Neighbor, Stats, error) {
-	return c.KNNApprox(ctx, q, k, parsearch.Approx{})
-}
-
-// KNNApprox is KNN with explicit approximate-tier knobs, forwarded to
-// every shard. The epsilon guarantee composes across the merge: each
-// group's candidates are within (1+ε) of that group's exact answer, so
-// the merged top-k is within (1+ε) of the exact global answer. So does
+// KNNApprox finds the k nearest neighbors of q across the cluster under
+// the approximate-tier knobs a, forwarded to every shard; a zero Approx
+// is the exact query. The epsilon guarantee composes across the merge:
+// each group's candidates are within (1+ε) of that group's exact answer,
+// so the merged top-k is within (1+ε) of the exact global answer. So does
 // the bound: each shard returns its k nearest inside it, and the k
 // nearest of their union are the library's k nearest inside it.
 func (c *Coordinator) KNNApprox(ctx context.Context, q []float64, k int, a parsearch.Approx) ([]parsearch.Neighbor, Stats, error) {
@@ -562,15 +558,10 @@ func wirePartialSpec(spec []float64) []*float64 {
 	return ws
 }
 
-// BatchKNN answers many k-NN queries in one cluster round: the whole
-// batch fans out to every shard with its group restriction, and each
-// item's per-shard k-bests merge independently.
-func (c *Coordinator) BatchKNN(ctx context.Context, queries [][]float64, k int) ([][]parsearch.Neighbor, Stats, error) {
-	return c.BatchKNNApprox(ctx, queries, k, parsearch.Approx{})
-}
-
-// BatchKNNApprox is BatchKNN with explicit approximate-tier knobs,
-// forwarded to every shard as in KNNApprox.
+// BatchKNNApprox answers many k-NN queries in one cluster round: the
+// whole batch fans out to every shard with its group restriction, and
+// each item's per-shard k-bests merge independently. a is forwarded to
+// every shard as in KNNApprox; a zero Approx is the exact query.
 func (c *Coordinator) BatchKNNApprox(ctx context.Context, queries [][]float64, k int, a parsearch.Approx) ([][]parsearch.Neighbor, Stats, error) {
 	req := wire.BatchRequest{Queries: queries, K: k}
 	req.Epsilon, req.Bound = approxKnobs(&a)

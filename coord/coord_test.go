@@ -140,7 +140,7 @@ func TestClusterByteIdentity(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, st, err := c.co.KNN(ctx, q, k)
+			got, st, err := c.co.KNNApprox(ctx, q, k, parsearch.Approx{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -203,7 +203,7 @@ func TestClusterByteIdentity(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, st, err := c.co.BatchKNN(ctx, queries, 7)
+		got, st, err := c.co.BatchKNNApprox(ctx, queries, 7, parsearch.Approx{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -254,7 +254,7 @@ func TestClusterOneRound(t *testing.T) {
 					t.Fatal(err)
 				}
 				before := c.co.Metrics().ShardRPCs
-				got, st, err := c.co.KNN(ctx, q, k)
+				got, st, err := c.co.KNNApprox(ctx, q, k, parsearch.Approx{})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -407,7 +407,7 @@ func TestClusterForwardsBound(t *testing.T) {
 	}
 	for _, bound := range []float64{0.05, 0.2} {
 		a := parsearch.Approx{Bound: bound}
-		want, _, err := c.lib.BatchKNNApprox(batch, k, a)
+		want, _, err := c.lib.BatchKNNShardContext(context.Background(), batch, k, a, parsearch.ShardSpec{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -458,17 +458,26 @@ func TestClusterBadArgumentsKeepShardsUp(t *testing.T) {
 	q := randQuery(4, 900)
 	nan, inf := math.NaN(), math.Inf(1)
 	bad := map[string]func() error{
-		"knn NaN coordinate": func() error { _, _, err := c.co.KNN(ctx, []float64{0.5, nan, 0.5, 0.5}, 5); return err },
-		"knn Inf coordinate": func() error { _, _, err := c.co.KNN(ctx, []float64{0.5, inf, 0.5, 0.5}, 5); return err },
-		"knn dimension":      func() error { _, _, err := c.co.KNN(ctx, q[:3], 5); return err },
-		"knn k = 0":          func() error { _, _, err := c.co.KNN(ctx, q, 0); return err },
-		"knn epsilon +Inf":   func() error { _, _, err := c.co.KNNApprox(ctx, q, 5, parsearch.Approx{Epsilon: inf}); return err },
-		"knn epsilon NaN":    func() error { _, _, err := c.co.KNNApprox(ctx, q, 5, parsearch.Approx{Epsilon: nan}); return err },
-		"knn bound NaN":      func() error { _, _, err := c.co.KNNApprox(ctx, q, 5, parsearch.Approx{Bound: nan}); return err },
-		"knn bound +Inf":     func() error { _, _, err := c.co.KNNApprox(ctx, q, 5, parsearch.Approx{Bound: inf}); return err },
-		"knn bound < 0":      func() error { _, _, err := c.co.KNNApprox(ctx, q, 5, parsearch.Approx{Bound: -1}); return err },
-		"batch NaN":          func() error { _, _, err := c.co.BatchKNN(ctx, [][]float64{q, {nan, 0, 0, 0}}, 5); return err },
-		"batch empty":        func() error { _, _, err := c.co.BatchKNN(ctx, nil, 5); return err },
+		"knn NaN coordinate": func() error {
+			_, _, err := c.co.KNNApprox(ctx, []float64{0.5, nan, 0.5, 0.5}, 5, parsearch.Approx{})
+			return err
+		},
+		"knn Inf coordinate": func() error {
+			_, _, err := c.co.KNNApprox(ctx, []float64{0.5, inf, 0.5, 0.5}, 5, parsearch.Approx{})
+			return err
+		},
+		"knn dimension":    func() error { _, _, err := c.co.KNNApprox(ctx, q[:3], 5, parsearch.Approx{}); return err },
+		"knn k = 0":        func() error { _, _, err := c.co.KNNApprox(ctx, q, 0, parsearch.Approx{}); return err },
+		"knn epsilon +Inf": func() error { _, _, err := c.co.KNNApprox(ctx, q, 5, parsearch.Approx{Epsilon: inf}); return err },
+		"knn epsilon NaN":  func() error { _, _, err := c.co.KNNApprox(ctx, q, 5, parsearch.Approx{Epsilon: nan}); return err },
+		"knn bound NaN":    func() error { _, _, err := c.co.KNNApprox(ctx, q, 5, parsearch.Approx{Bound: nan}); return err },
+		"knn bound +Inf":   func() error { _, _, err := c.co.KNNApprox(ctx, q, 5, parsearch.Approx{Bound: inf}); return err },
+		"knn bound < 0":    func() error { _, _, err := c.co.KNNApprox(ctx, q, 5, parsearch.Approx{Bound: -1}); return err },
+		"batch NaN": func() error {
+			_, _, err := c.co.BatchKNNApprox(ctx, [][]float64{q, {nan, 0, 0, 0}}, 5, parsearch.Approx{})
+			return err
+		},
+		"batch empty": func() error { _, _, err := c.co.BatchKNNApprox(ctx, nil, 5, parsearch.Approx{}); return err },
 		"batch epsilon +Inf": func() error {
 			_, _, err := c.co.BatchKNNApprox(ctx, [][]float64{q}, 5, parsearch.Approx{Epsilon: inf})
 			return err
@@ -511,7 +520,7 @@ func TestClusterBadArgumentsKeepShardsUp(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, st, err := c.co.KNN(ctx, q, 5)
+	got, st, err := c.co.KNNApprox(ctx, q, 5, parsearch.Approx{})
 	if err != nil {
 		t.Fatalf("query after bad arguments: %v", err)
 	}
@@ -557,7 +566,7 @@ func TestClusterShardKillMidStorm(t *testing.T) {
 					c.kill(1)
 					killed.Done()
 				}
-				got, st, err := c.co.KNN(ctx, randQuery(4, 300+i), 10)
+				got, st, err := c.co.KNNApprox(ctx, randQuery(4, 300+i), 10, parsearch.Approx{})
 				if err != nil {
 					failures.Add(1)
 					t.Errorf("worker %d query %d: %v", w, i, err)
@@ -586,7 +595,7 @@ func TestClusterShardKillMidStorm(t *testing.T) {
 	// The kill must be observable: the coordinator marked the shard
 	// down and re-issued its groups.
 	killed.Wait()
-	if _, st, err := c.co.KNN(ctx, randQuery(4, 299), 10); err != nil {
+	if _, st, err := c.co.KNNApprox(ctx, randQuery(4, 299), 10, parsearch.Approx{}); err != nil {
 		t.Fatal(err)
 	} else if !st.Rerouted {
 		t.Errorf("post-kill query not flagged rerouted: %+v", st)
@@ -602,7 +611,7 @@ func TestClusterShardKillMidStorm(t *testing.T) {
 	// refuses (ErrUnavailable) instead of fabricating an answer.
 	c.kill(0)
 	c.kill(2)
-	if _, st, err := c.co.KNN(ctx, randQuery(4, 298), 10); !errors.Is(err, parsearch.ErrUnavailable) {
+	if _, st, err := c.co.KNNApprox(ctx, randQuery(4, 298), 10, parsearch.Approx{}); !errors.Is(err, parsearch.ErrUnavailable) {
 		t.Errorf("all-dead cluster: err = %v (stats %+v), want ErrUnavailable", err, st)
 	} else if !st.Degraded || len(st.UnservedGroups) != 3 {
 		t.Errorf("all-dead cluster stats %+v, want degraded with 3 unserved groups", st)
@@ -626,7 +635,7 @@ func TestClusterDegradedShardPropagates(t *testing.T) {
 	if err := failShardDisk(t, c, 2, 5); err != nil {
 		t.Fatal(err)
 	}
-	_, st, err := c.co.KNN(ctx, randQuery(4, 400), 8)
+	_, st, err := c.co.KNNApprox(ctx, randQuery(4, 400), 8, parsearch.Approx{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -690,7 +699,7 @@ func TestClusterEmptyAndRecovery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := co.KNN(ctx, []float64{0.1, 0.2, 0.3}, 5); !errors.Is(err, parsearch.ErrEmpty) {
+	if _, _, err := co.KNNApprox(ctx, []float64{0.1, 0.2, 0.3}, 5, parsearch.Approx{}); !errors.Is(err, parsearch.ErrEmpty) {
 		t.Errorf("empty cluster KNN err = %v, want ErrEmpty", err)
 	}
 
@@ -855,7 +864,7 @@ func BenchmarkClusterKNN(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := co.KNN(ctx, queries[i%len(queries)], 10); err != nil {
+		if _, _, err := co.KNNApprox(ctx, queries[i%len(queries)], 10, parsearch.Approx{}); err != nil {
 			b.Fatal(err)
 		}
 	}

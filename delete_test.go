@@ -69,7 +69,7 @@ func TestDeleteAllThenQuery(t *testing.T) {
 	if ix.Len() != 0 {
 		t.Errorf("Len = %d", ix.Len())
 	}
-	if _, _, err := ix.NN([]float64{0.5, 0.5}); err != ErrEmpty {
+	if _, _, err := ix.KNN([]float64{0.5, 0.5}, 1); err != ErrEmpty {
 		t.Errorf("err = %v, want ErrEmpty", err)
 	}
 }
@@ -186,11 +186,11 @@ func TestDynamicReorganization(t *testing.T) {
 		t.Errorf("Len = %d after reorganization", ix.Len())
 	}
 	// Queries still correct after the rebuild.
-	nb, _, err := ix.NN(rounded(raw[0]))
+	res, _, err := ix.KNN(rounded(raw[0]), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if nb.Dist != 0 || nb.ID != 0 {
+	if nb := res[0]; nb.Dist != 0 || nb.ID != 0 {
 		t.Errorf("NN after reorganize: %+v", nb)
 	}
 }

@@ -557,7 +557,7 @@ func TestDurableOSDirRoundTrip(t *testing.T) {
 	if !reflect.DeepEqual(tableOf(re), want) {
 		t.Fatal("recovered table differs over the OS filesystem")
 	}
-	if got, _, err := re.NN(durPoint(7, 3)); err != nil || got.ID != 7 {
+	if got, _, err := re.KNN(durPoint(7, 3), 1); err != nil || got[0].ID != 7 {
 		t.Fatalf("NN after OS recovery: %v %v", got, err)
 	}
 }
@@ -813,7 +813,7 @@ func TestDeleteWALAppendFailureLeavesNoRecord(t *testing.T) {
 	}
 	// The refused delete is queryable and durable state has no record
 	// of it.
-	if got, _, err := ix.NN(durPoint(2, 3)); err != nil || got.ID != 2 {
+	if got, _, err := ix.KNN(durPoint(2, 3), 1); err != nil || got[0].ID != 2 {
 		t.Fatalf("NN after refused delete: %v %v", got, err)
 	}
 	re, err := openDurable(durableOpts(), fs.FlushedView())

@@ -2,6 +2,7 @@ package parsearch_test
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"log"
 	"math/rand"
@@ -66,7 +67,7 @@ func ExampleIndex_Browse() {
 	// id 2 at 0.64
 }
 
-func ExampleIndex_PartialMatch() {
+func ExampleIndex_PartialMatchContext() {
 	ix, err := parsearch.Open(parsearch.Options{Dim: 3, Disks: 2})
 	if err != nil {
 		log.Fatal(err)
@@ -79,7 +80,7 @@ func ExampleIndex_PartialMatch() {
 		log.Fatal(err)
 	}
 	// First coordinate must be 0.5 (+/- 0.01); the rest are wildcards.
-	matches, _, err := ix.PartialMatch([]float64{0.5, parsearch.Wildcard, parsearch.Wildcard}, 0.01)
+	matches, _, err := ix.PartialMatchContext(context.Background(), []float64{0.5, parsearch.Wildcard, parsearch.Wildcard}, 0.01)
 	if err != nil {
 		log.Fatal(err)
 	}

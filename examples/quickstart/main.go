@@ -65,10 +65,10 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	nearest, _, err := ix.NN(query)
+	nearest, _, err := ix.KNN(query, 1)
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("\nafter inserting the query itself as id %d, its NN is id %d at distance %.4f\n",
-		id, nearest.ID, nearest.Dist)
+		id, nearest[0].ID, nearest[0].Dist)
 }

@@ -10,6 +10,7 @@ package parsearch
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"fmt"
 	"reflect"
@@ -55,7 +56,7 @@ func fullBox(dim int) (lo, hi []float64) {
 func liveIDs(t *testing.T, ix *Index, dim int) map[int][]float64 {
 	t.Helper()
 	lo, hi := fullBox(dim)
-	res, _, err := ix.RangeQuery(lo, hi)
+	res, _, err := ix.RangeQueryContext(context.Background(), lo, hi)
 	if err != nil {
 		t.Fatalf("full-box RangeQuery: %v", err)
 	}
@@ -141,7 +142,7 @@ func TestReplicatedSingleFailureExact(t *testing.T) {
 			requireScan(t, fmt.Sprintf("disk %d query %d", d, qi), got, scanKNN(expected, q, k, m))
 
 			// BatchKNN must agree with the one-at-a-time path.
-			batchRes, bstats, err := ix.BatchKNN([][]float64{q}, k)
+			batchRes, bstats, err := ix.BatchKNNContext(context.Background(), [][]float64{q}, k)
 			if err != nil {
 				t.Fatalf("disk %d BatchKNN: %v", d, err)
 			}
@@ -161,7 +162,7 @@ func TestReplicatedSingleFailureExact(t *testing.T) {
 		for i := range lo {
 			lo[i], hi[i] = 0.1, 0.9
 		}
-		res, stats, err := ix.RangeQuery(lo, hi)
+		res, stats, err := ix.RangeQueryContext(context.Background(), lo, hi)
 		if err != nil {
 			t.Fatalf("disk %d RangeQuery: %v", d, err)
 		}
@@ -262,14 +263,14 @@ func TestAllCopiesDead(t *testing.T) {
 	if _, _, err := ix.KNN(q, 3); !errors.Is(err, ErrUnavailable) {
 		t.Fatalf("KNN on a fully dead array: %v, want ErrUnavailable", err)
 	}
-	if _, _, err := ix.NN(q); !errors.Is(err, ErrUnavailable) {
+	if _, _, err := ix.KNN(q, 1); !errors.Is(err, ErrUnavailable) {
 		t.Fatalf("NN on a fully dead array: %v, want ErrUnavailable", err)
 	}
-	if _, _, err := ix.BatchKNN([][]float64{q}, 3); !errors.Is(err, ErrUnavailable) {
+	if _, _, err := ix.BatchKNNContext(context.Background(), [][]float64{q}, 3); !errors.Is(err, ErrUnavailable) {
 		t.Fatalf("BatchKNN on a fully dead array: %v, want ErrUnavailable", err)
 	}
 	lo, hi := fullBox(dim)
-	res, stats, err := ix.RangeQuery(lo, hi)
+	res, stats, err := ix.RangeQueryContext(context.Background(), lo, hi)
 	if err != nil {
 		t.Fatalf("RangeQuery on a fully dead array: %v", err)
 	}

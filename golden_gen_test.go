@@ -23,7 +23,7 @@ func skipUnlessFloat64Generator(t *testing.T) {
 	if err := ix.Build([][]float64{{0.1}}); err != nil {
 		t.Fatal(err)
 	}
-	if nb, _, err := ix.NN([]float64{0.1}); err != nil || nb.Point[0] != 0.1 {
+	if nb, _, err := ix.KNN([]float64{0.1}, 1); err != nil || nb[0].Point[0] != 0.1 {
 		t.Skip("this code stores float32; the float64 fixtures are frozen")
 	}
 }

@@ -63,7 +63,7 @@ func runAblKNN(cfg Config) Result {
 		queries := data.Uniform(cfg.Queries, d, cfg.Seed+1)
 		var hsTotal, rkvTotal int
 		for _, q := range queries {
-			_, a := knn.HS(tree, q, 1)
+			_, a := searchTree(tree, q, 1)
 			hsTotal += a.PageAccesses
 			_, b := knn.RKV(tree, q, 1)
 			rkvTotal += b.PageAccesses
@@ -253,7 +253,7 @@ func runAblSupernode(cfg Config) Result {
 			}
 			total := 0
 			for _, q := range queries {
-				_, acc := knn.HS(t, q, 1)
+				_, acc := searchTree(t, q, 1)
 				total += acc.PageAccesses
 			}
 			return float64(total) / float64(len(queries)), t.Stats().Supernodes

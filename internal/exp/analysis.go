@@ -6,7 +6,6 @@ import (
 	"parsearch/internal/core"
 	"parsearch/internal/data"
 	"parsearch/internal/graph"
-	"parsearch/internal/knn"
 	"parsearch/internal/model"
 	"parsearch/internal/xtree"
 )
@@ -80,7 +79,7 @@ func runExtModel(cfg Config) Result {
 
 		var pages, radius float64
 		for _, q := range queries {
-			res, acc := knn.HS(tree, q, 1)
+			res, acc := searchTree(tree, q, 1)
 			pages += float64(acc.LeafAccesses)
 			radius += res[0].Dist
 		}

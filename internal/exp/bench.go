@@ -211,7 +211,7 @@ func RunBench(p BenchProfile, seed int64) (BenchReport, error) {
 		{"range16", func() (benchCost, error) {
 			var c benchCost
 			for _, b := range boxes {
-				_, stats, err := ix.RangeQuery(b[0], b[1])
+				_, stats, err := ix.RangeQueryContext(context.Background(), b[0], b[1])
 				if err != nil {
 					return benchCost{}, err
 				}
@@ -221,7 +221,7 @@ func RunBench(p BenchProfile, seed int64) (BenchReport, error) {
 			return c, nil
 		}},
 		{"batch16", func() (benchCost, error) {
-			_, stats, err := ix.BatchKNN(queries, p.K)
+			_, stats, err := ix.BatchKNNContext(context.Background(), queries, p.K)
 			if err != nil {
 				return benchCost{}, err
 			}
@@ -235,7 +235,7 @@ func RunBench(p BenchProfile, seed int64) (BenchReport, error) {
 			// pruned, 0 since no round ships one.
 			var c benchCost
 			for _, q := range queries {
-				_, st, err := co.KNN(context.Background(), q, p.K)
+				_, st, err := co.KNNApprox(context.Background(), q, p.K, parsearch.Approx{})
 				if err != nil {
 					return benchCost{}, err
 				}
@@ -282,7 +282,7 @@ func RunBench(p BenchProfile, seed int64) (BenchReport, error) {
 // measuring); rows only in the current report are fine, the suite may
 // grow. That the one search queue never costs pages and never changes
 // an answer against independent per-disk searches is pinned by tests
-// (the root package's TestSharedBoundEquivalenceBattery), not by this
+// (the root package's TestOneQueueEquivalenceBattery), not by this
 // gate. Saved pages are reported, never gated: they estimate pages no
 // search read.
 func CompareBench(baseline, current BenchReport) []string {

@@ -1,6 +1,7 @@
 package exp
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 
@@ -57,7 +58,7 @@ func runExtPartialMatch(cfg Config) Result {
 		ix := build(parsearch.Options{Dim: uniformDim, Disks: maxDisks, Kind: kind}, pts)
 		var sumMax, sumSpeed float64
 		for _, q := range queries {
-			_, stats, err := ix.PartialMatch(q.spec, 0.05)
+			_, stats, err := ix.PartialMatchContext(context.Background(), q.spec, 0.05)
 			if err != nil {
 				panic(fmt.Sprintf("exp: %v", err))
 			}
@@ -97,7 +98,7 @@ func runExtThroughput(cfg Config) Result {
 		len(pts), uniformDim, maxDisks, len(queries))}
 	for i, kind := range kinds {
 		ix := build(parsearch.Options{Dim: uniformDim, Disks: maxDisks, Kind: kind}, pts)
-		_, stats, err := ix.BatchKNN(queries, 10)
+		_, stats, err := ix.BatchKNNContext(context.Background(), queries, 10)
 		if err != nil {
 			panic(fmt.Sprintf("exp: %v", err))
 		}

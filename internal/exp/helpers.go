@@ -5,7 +5,9 @@ import (
 
 	"parsearch"
 	"parsearch/internal/data"
+	"parsearch/internal/knn"
 	"parsearch/internal/vec"
+	"parsearch/internal/xtree"
 )
 
 // Standard workload parameters. The paper ran 16-dimensional data on up
@@ -112,4 +114,14 @@ func textWorkload(cfg Config) (pts [][]float64, queries [][]float64) {
 	pts = raw(ps)
 	queries = raw(data.QueriesFromData(ps, cfg.Queries, queryJitter, cfg.Seed+1))
 	return pts, queries
+}
+
+// searchTree finds the k nearest neighbors of q in the one tree t with the
+// Hjaltason–Samet search the engine runs (knn.Search), under L2.
+func searchTree(t *xtree.Tree, q vec.Point, k int) ([]knn.Result, knn.Accounting) {
+	s := knn.Search{Q: q, K: k, M: vec.L2, Shrink: 1}
+	ts := &s.Slots(1)[0]
+	ts.Tree = t
+	res := s.Run()
+	return res, ts.Acc
 }

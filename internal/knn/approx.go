@@ -28,7 +28,6 @@ package knn
 
 import (
 	"math"
-	"sync"
 
 	"parsearch/internal/vec"
 	"parsearch/internal/xtree"
@@ -44,10 +43,23 @@ func ShrinkFor(epsilon float64, m vec.Metric) float64 {
 	return m.ToRank(1 / (1 + epsilon))
 }
 
-// ApproxStats reports what the approximation and the bounds did for one
+// ApproxStats reports what the bounds and the approximation cut from one
 // tree of a search.
 type ApproxStats struct {
-	SharedStats
+	// Saved accounts the work the tree's search abandoned when a bound
+	// stopped it — the k-th best over every tree of the Search, or its
+	// Seed: the queued nodes of the tree inside its own bound (see
+	// Search.abandon and Search.own). Pages below a queued directory node
+	// are not counted, so on trees of three or more levels this is
+	// normally far below the pages an independent search would go on to
+	// read; on a lone tree it is zero exactly when the bound cut nothing.
+	Saved Accounting
+	// RemotePages is Saved.PageAccesses when the Seed stopped the search:
+	// pruning attributable to the remote bound rather than to the
+	// search's own candidates. Always 0 without a seed, and 0 when the
+	// search's own k-th best stopped it, even though the seed alone
+	// might also have pruned.
+	RemotePages int
 	// SkippedPages counts pages the approximation skipped: the
 	// still-reachable pending queue of the tree at ε-termination (see
 	// Search.queued).
@@ -85,13 +97,11 @@ type Search struct {
 	// beyond it are never read, so the search is a k-NN within that
 	// distance and may come up short of k. Stops the seed causes are
 	// charged to RemotePages.
+	//
+	// The seed must not round below the distance it stands for: a point
+	// at exactly that distance is a tie the caller's merge may need (see
+	// vec.Metric.ToRankCeil).
 	Seed float64
-	// Shared, when non-nil, is a bound shared with searches running
-	// elsewhere: consulted at every pop like Seed, and tightened to the
-	// k-th best after every leaf (calling OnTighten, when non-nil, with
-	// each new value).
-	Shared    *Bound
-	OnTighten func(sqBound float64)
 	// Done, when non-nil, is polled every 32 pops: once it reports
 	// true, the search is abandoned and Run returns nil.
 	Done func() bool
@@ -126,14 +136,32 @@ func (s *Search) Reset() {
 	clear(s.best.heap[:cap(s.best.heap)])
 	s.pq, s.best.heap = s.pq[:0], s.best.heap[:0]
 	s.Slots(len(s.Trees))
-	s.Q, s.Shared, s.OnTighten = nil, nil, nil
+	s.Q = nil
 }
 
 // Run answers the query: the k nearest entries over every slot's tree,
-// sorted by (distance, ID), with metric distances. Under Seed or Shared
-// the entries beyond the bound are whatever the search had collected.
-// The trees must not change during the search: a caller whose trees
-// have writers searches versions of them (xtree.Tree.Freeze).
+// sorted by (distance, ID), with metric distances. The trees must not
+// change during the search: a caller whose trees have writers searches
+// versions of them (xtree.Tree.Freeze).
+//
+// The loop stops at the first node whose MINDIST strictly exceeds the
+// k-th best over all trees, and the answer is exactly what independent
+// searches of the trees, merged, would return. Why, ties included:
+//
+//   - Pops come in MINDIST order and the k-th best only decreases, so
+//     every node still queued would be pruned too.
+//   - The nodes never read have MINDIST > the k-th best, a distance k
+//     candidates have already achieved, so they hold only points
+//     strictly beyond the k-th distance of the union of the trees.
+//   - Offering such a point to the k-best can only evict a candidate
+//     farther still, so the unread nodes neither add nor evict a result
+//     at or inside that distance. The comparison is strict, so a node at
+//     exactly that distance — a tie — is read, and the k-best keeps the
+//     smaller ID whatever order the tie was offered in.
+//
+// A Seed defines the ball the answer is taken from instead: the entries
+// at or inside it are the exact answer's, and beyond it the answer holds
+// whatever the stopped search had collected, and may be short of k.
 func (s *Search) Run() []Result {
 	s.pq = s.pq[:0]
 	s.best = kBest{k: s.K, metric: s.M, heap: s.best.heap[:0]}
@@ -186,10 +214,9 @@ func (s *Search) Run() []Result {
 			}
 			continue
 		}
-		bound, remote := s.limit()
-		if item.sqMinDist > bound {
+		if s.Seed > 0 && item.sqMinDist > s.Seed {
 			frontier = min(frontier, item.sqMinDist)
-			s.abandon(item, remote)
+			s.abandon(item, true)
 			break
 		}
 		n := item.node
@@ -204,14 +231,6 @@ func (s *Search) Run() []Result {
 		}
 		scanLeaf(n, s.Q, s.M, &s.best, local, &s.sc)
 		ts.Log.Ranks = append(ts.Log.Ranks, item.sqMinDist)
-		if s.Shared != nil {
-			if d := s.best.bound(); !math.IsInf(d, 1) && s.Shared.Tighten(d) {
-				ts.Stats.Tightened++
-				if s.OnTighten != nil {
-					s.OnTighten(d)
-				}
-			}
-		}
 	}
 	for i := range s.Trees {
 		if ts := &s.Trees[i]; ts.Tree != nil {
@@ -224,27 +243,11 @@ func (s *Search) Run() []Result {
 	return s.best.results(len(s.Q))
 }
 
-// limit returns the bound from outside the search in force at this pop —
-// Seed, tightened by Shared — and whether it is still the seeded value
-// (see SharedStats.RemotePages). +inf when there is none.
-func (s *Search) limit() (bound float64, seeded bool) {
-	bound = math.Inf(1)
-	if s.Seed > 0 {
-		bound, seeded = s.Seed, true
-	}
-	if s.Shared != nil {
-		if v := s.Shared.Load(); v < bound {
-			bound, seeded = v, s.Shared.seededAt(v)
-		}
-	}
-	return bound, seeded
-}
-
 // abandon charges the work the loop gives up when a bound stops it at
 // the popped item: per tree not ε-stopped, the pending nodes inside the
 // tree's own bound (see own) — to RemotePages as well when the stopping
-// bound was the seeded one. With one tree and no outside bound it is
-// nothing: the tree's own k-th best is the one that stopped it.
+// bound was the Seed. With one tree and no seed it is nothing: the
+// tree's own k-th best is the one that stopped it.
 func (s *Search) abandon(item nodeItem, remote bool) {
 	s.save(item)
 	for _, pend := range s.pq {
@@ -330,48 +333,6 @@ func (b *kRanks) bound() float64 {
 	return float64(b.heap[0])
 }
 
-// HSShared is Search.Run over the one tree t under the shared bound b:
-// the search stops at the first node whose MINDIST strictly exceeds the
-// bound, and tightens the bound whenever its k-best improves. b may be
-// nil, which is the independent search HS and HSMetric name.
-//
-// The returned neighbors at or inside the final bound are exactly the
-// independent search's, in the same order; beyond it the result holds
-// whatever the truncated search had collected, and may be short of k.
-// Why, ties included:
-//
-//   - Pops come in MINDIST order and the bound only decreases, so every
-//     later node would be pruned too: the traversal that stops here is a
-//     prefix of the independent one, and it offered the same candidates
-//     in the same order.
-//   - The tail it never reads lies in nodes with MINDIST > the bound,
-//     and every value published to the bound is a distance k candidates
-//     have already achieved. The tail therefore holds only points
-//     strictly beyond the k-th distance of the union of the searches. (A
-//     bound seeded by the caller instead defines the ball the answer is
-//     taken from; see Bound.Seed.)
-//   - Offering such a point to the k-best can only evict a candidate
-//     farther still, so the tail neither adds nor evicts a result at or
-//     inside that distance. The comparison is strict, so a node at
-//     exactly that distance — a tie — is read.
-//
-// The same argument is why one queue over several trees answers what
-// their independent searches merged would: the global k-th best is a
-// bound every tree's search may stop at.
-//
-// onTighten, when non-nil, is called with the new rank bound after each
-// successful tightening.
-func HSShared(t *xtree.Tree, q vec.Point, k int, m vec.Metric, b *Bound, onTighten func(sqBound float64)) ([]Result, Accounting, SharedStats) {
-	checkQuery(t, q, k)
-	s := searchPool.Get().(*Search)
-	defer s.release()
-	s.Q, s.K, s.M, s.Shrink, s.Seed, s.Shared, s.OnTighten = q, k, m, 1, 0, b, onTighten
-	ts := &s.Slots(1)[0]
-	ts.Tree = t
-	res := s.Run()
-	return res, ts.Acc, ts.Stats.SharedStats
-}
-
 // LeafLog is what a search records per tree for its caller's page
 // accounting: the leaves it scanned, and how far its traversal reached.
 // It holds numbers only — no node or entry of the tree — so a log kept
@@ -419,13 +380,4 @@ func (l *LeafLog) Hits(rank float64) (leaves int, ok bool) {
 		}
 	}
 	return leaves, true
-}
-
-// searchPool holds the Searches of HSShared, so that a search allocates
-// only what it hands to its caller: the result slice and its points.
-var searchPool = sync.Pool{New: func() any { return new(Search) }}
-
-func (s *Search) release() {
-	s.Reset()
-	searchPool.Put(s)
 }

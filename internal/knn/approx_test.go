@@ -62,7 +62,7 @@ func TestSearchAcrossTrees(t *testing.T) {
 					slots[i].Tree = trees[i]
 				}
 				got := s.Run()
-				if want := LinearMetric(all, q, k, m); !reflect.DeepEqual(got, want) {
+				if want := scan(all, q, k, m); !reflect.DeepEqual(got, want) {
 					t.Fatalf("%s: one queue\n %v\nlinear scan\n %v", label, got, want)
 				}
 				kth := m.RankDist(q, got[k-1].Entry.Point)
@@ -115,7 +115,7 @@ func TestKNNTiesOnKthDistanceLaterLeaf(t *testing.T) {
 			slots[i].Tree = trees[i]
 		}
 		got := s.Run()
-		if want := LinearMetric(all, q, 1, m); !reflect.DeepEqual(got, want) || got[0].Entry.ID != 0 {
+		if want := scan(all, q, 1, m); !reflect.DeepEqual(got, want) || got[0].Entry.ID != 0 {
 			t.Fatalf("%v: one queue %v, linear scan %v", m, got, want)
 		}
 		if s.Trees[1].Acc.LeafAccesses != 1 {

@@ -3,8 +3,7 @@
 // partitions ordered by MINDIST and is optimal in the number of pages read
 // (exactly those intersecting the NN-sphere), and the branch-and-bound
 // algorithm of Roussopoulos, Kelley and Vincent [RKV 95] with MINMAXDIST
-// pruning, which the paper applied to the X-tree in [BKK 96]. A linear
-// scan provides ground truth for the tests.
+// pruning, which the paper applied to the X-tree in [BKK 96].
 //
 // All algorithms report page-access accounting, the cost measure of the
 // paper's experiments (a supernode of multiplier s costs s page accesses).
@@ -54,22 +53,6 @@ func (a *Accounting) visit(n *xtree.Node) {
 		a.DirAccesses++
 	}
 	a.PageAccesses += n.Super()
-}
-
-// Compare orders results by increasing distance, ties by entry ID — the
-// order of every result list and of the cross-disk merge.
-func (r Result) Compare(o Result) int {
-	if c := cmp.Compare(r.Dist, o.Dist); c != 0 {
-		return c
-	}
-	return cmp.Compare(r.Entry.ID, o.Entry.ID)
-}
-
-// before orders a k-best heap last candidate first — a max-heap by
-// (rank distance, ID) — so the root is the one a nearer candidate, or an
-// equally near one with a smaller ID, replaces.
-func (r Result) before(o Result) bool {
-	return r.Dist > o.Dist || (r.Dist == o.Dist && r.Entry.ID > o.Entry.ID)
 }
 
 // candidate is a leaf entry in a k-best: its rank distance, its ID, and
@@ -161,24 +144,6 @@ type nodeItem struct {
 // before orders the node queue by increasing MINDIST.
 func (a nodeItem) before(b nodeItem) bool { return a.sqMinDist < b.sqMinDist }
 
-// HS finds the k nearest neighbors of q under the Euclidean metric with
-// the Hjaltason–Samet priority-queue algorithm: nodes are visited in
-// MINDIST order and the search stops as soon as the next node's MINDIST
-// exceeds the k-th best distance. HS reads exactly the pages whose
-// region intersects the NN-sphere, which makes it the reference
-// algorithm for the paper's page-count experiments.
-func HS(t *xtree.Tree, q vec.Point, k int) ([]Result, Accounting) {
-	return HSMetric(t, q, k, vec.L2)
-}
-
-// HSMetric is HS under an arbitrary Minkowski metric (the NN-"sphere"
-// becomes the metric's ball; the algorithm and its optimality argument
-// carry over unchanged).
-func HSMetric(t *xtree.Tree, q vec.Point, k int, m vec.Metric) ([]Result, Accounting) {
-	res, acc, _ := HSShared(t, q, k, m, nil, nil)
-	return res, acc
-}
-
 // RKV finds the k nearest neighbors with the depth-first branch-and-bound
 // algorithm of Roussopoulos et al.: children are visited in MINDIST order,
 // branches whose MINDIST exceeds the current k-th best distance are
@@ -227,58 +192,4 @@ func RKV(t *xtree.Tree, q vec.Point, k int) ([]Result, Accounting) {
 	}
 	visit(t.Root())
 	return best.results(len(q)), acc
-}
-
-// Linear scans entries directly — the ground truth for correctness tests
-// and the no-index baseline. Ties are broken by entry ID, matching the
-// tree algorithms.
-func Linear(entries []xtree.Entry, q vec.Point, k int) []Result {
-	return LinearMetric(entries, q, k, vec.L2)
-}
-
-// LinearMetric is Linear under an arbitrary Minkowski metric. The results
-// are the given entries; their points are the caller's.
-func LinearMetric(entries []xtree.Entry, q vec.Point, k int, m vec.Metric) []Result {
-	if k < 1 {
-		panic(fmt.Sprintf("knn: k = %d < 1", k))
-	}
-	var best pqueue[Result]
-	for _, e := range entries {
-		r := Result{Entry: e, Dist: m.RankDist(q, e.Point)}
-		if len(best) < k {
-			best.push(r)
-		} else if best[0].before(r) {
-			best[0] = r
-			best.fix(0)
-		}
-	}
-	out := slices.Clone(best)
-	slices.SortFunc(out, Result.Compare)
-	for i := range out {
-		out[i].Dist = m.FromRank(out[i].Dist)
-	}
-	return out
-}
-
-// SphereLeafPages counts the leaf pages of the tree whose MBR intersects
-// the Euclidean sphere of (non-squared) radius r around q — the pages
-// any NN-algorithm must read (paper §2.1, the NN-sphere). Supernode
-// leaves count their multiplier. The second result is the number of
-// leaves.
-func SphereLeafPages(t *xtree.Tree, q vec.Point, r float64) (pages, leaves int) {
-	t.HitLeaves(&xtree.Region{Q: q, M: vec.L2, Rank: r * r}, func(l *xtree.Node) {
-		pages += l.Super()
-		leaves++
-	})
-	return pages, leaves
-}
-
-// KthDistance returns the distance of the k-th nearest neighbor of q, or
-// +inf when the tree holds fewer than k entries. It runs HS.
-func KthDistance(t *xtree.Tree, q vec.Point, k int) float64 {
-	res, _ := HS(t, q, k)
-	if len(res) < k {
-		return math.Inf(1)
-	}
-	return res[k-1].Dist
 }

@@ -10,7 +10,7 @@ import (
 )
 
 // uniformEntries draws n entries uniform in [0, 1)^d, rounded to float32
-// as a tree stores them, so that Linear scans what the tree holds.
+// as a tree stores them, so that scan reads what the tree holds.
 func uniformEntries(r *rand.Rand, n, d int) []xtree.Entry {
 	entries := make([]xtree.Entry, n)
 	for i := range entries {
@@ -55,12 +55,12 @@ func TestHSMatchesLinearScan(t *testing.T) {
 				q[j] = r.Float64()
 			}
 			for _, k := range []int{1, 5, 10} {
-				want := Linear(entries, q, k)
-				got, acc := HS(tree, q, k)
+				want := scan(entries, q, k, vec.L2)
+				got, ts := search(tree, q, k, vec.L2, 0)
 				if !sameResults(got, want) {
 					t.Fatalf("d=%d k=%d: HS disagrees with linear scan\n got %v\nwant %v", d, k, got, want)
 				}
-				if acc.PageAccesses == 0 {
+				if ts.Acc.PageAccesses == 0 {
 					t.Fatal("HS reported zero page accesses")
 				}
 			}
@@ -79,7 +79,7 @@ func TestRKVMatchesLinearScan(t *testing.T) {
 				q[j] = r.Float64()
 			}
 			for _, k := range []int{1, 7} {
-				want := Linear(entries, q, k)
+				want := scan(entries, q, k, vec.L2)
 				got, _ := RKV(tree, q, k)
 				if !sameResults(got, want) {
 					t.Fatalf("d=%d k=%d: RKV disagrees with linear scan", d, k)
@@ -94,7 +94,7 @@ func TestResultsSortedAscending(t *testing.T) {
 	entries := uniformEntries(r, 500, 4)
 	tree := buildTree(entries, 4)
 	q := vec.Point{0.5, 0.5, 0.5, 0.5}
-	res, _ := HS(tree, q, 10)
+	res, _ := search(tree, q, 10, vec.L2, 0)
 	for i := 1; i < len(res); i++ {
 		if res[i].Dist < res[i-1].Dist {
 			t.Fatalf("results not sorted: %v", res)
@@ -107,7 +107,7 @@ func TestKLargerThanDataset(t *testing.T) {
 	entries := uniformEntries(r, 7, 3)
 	tree := buildTree(entries, 3)
 	q := vec.Point{0.5, 0.5, 0.5}
-	res, _ := HS(tree, q, 50)
+	res, _ := search(tree, q, 50, vec.L2, 0)
 	if len(res) != 7 {
 		t.Errorf("HS returned %d results, want all 7", len(res))
 	}
@@ -115,15 +115,12 @@ func TestKLargerThanDataset(t *testing.T) {
 	if len(res) != 7 {
 		t.Errorf("RKV returned %d results, want all 7", len(res))
 	}
-	if got := KthDistance(tree, q, 50); !math.IsInf(got, 1) {
-		t.Errorf("KthDistance beyond dataset = %v, want +inf", got)
-	}
 }
 
 func TestEmptyTree(t *testing.T) {
 	tree := xtree.New(xtree.DefaultConfig(2))
-	res, acc := HS(tree, vec.Point{0.5, 0.5}, 3)
-	if res != nil || acc.PageAccesses != 0 {
+	res, ts := search(tree, vec.Point{0.5, 0.5}, 3, vec.L2, 0)
+	if res != nil || ts.Acc.PageAccesses != 0 {
 		t.Error("HS on empty tree should return nothing")
 	}
 	res, _ = RKV(tree, vec.Point{0.5, 0.5}, 3)
@@ -135,10 +132,9 @@ func TestEmptyTree(t *testing.T) {
 func TestQueryValidation(t *testing.T) {
 	tree := buildTree(uniformEntries(rand.New(rand.NewSource(5)), 10, 2), 2)
 	for _, f := range []func(){
-		func() { HS(tree, vec.Point{0.5, 0.5}, 0) },
-		func() { HS(tree, vec.Point{0.5}, 1) },
+		func() { search(tree, vec.Point{0.5, 0.5}, 0, vec.L2, 0) },
+		func() { search(tree, vec.Point{0.5}, 1, vec.L2, 0) },
 		func() { RKV(tree, vec.Point{0.5, 0.5}, -1) },
-		func() { Linear(nil, vec.Point{0.5}, 0) },
 	} {
 		func() {
 			defer func() {
@@ -156,7 +152,7 @@ func TestExactQueryPointFound(t *testing.T) {
 	entries := uniformEntries(r, 300, 5)
 	tree := buildTree(entries, 5)
 	// Query exactly at a stored point: distance 0, that point first.
-	res, _ := HS(tree, entries[42].Point, 1)
+	res, _ := search(tree, entries[42].Point, 1, vec.L2, 0)
 	if len(res) != 1 || res[0].Dist != 0 || res[0].Entry.ID != 42 {
 		t.Errorf("exact query: %+v", res)
 	}
@@ -174,15 +170,16 @@ func TestHSReadsExactlySphereLeaves(t *testing.T) {
 		for j := range q {
 			q[j] = r.Float64()
 		}
-		_, acc := HS(tree, q, k)
-		rk := KthDistance(tree, q, k)
-		_, leaves := SphereLeafPages(tree, q, rk)
+		res, ts := search(tree, q, k, vec.L2, 0)
+		acc := ts.Acc
+		leaves := 0
+		tree.HitLeaves(&xtree.Region{Q: q, M: vec.L2, Rank: vec.L2.RankDist(q, res[k-1].Entry.Point)}, func(*xtree.Node) { leaves++ })
 		if acc.LeafAccesses > leaves {
 			t.Errorf("HS read %d leaves, sphere intersects only %d", acc.LeafAccesses, leaves)
 		}
 		// HS may read slightly fewer than the sphere count when the
 		// bound tightens mid-leaf, but not more, and never less than
-		// half (sanity that SphereLeafPages measures the same thing).
+		// half (sanity that HitLeaves measures the same thing).
 		if acc.LeafAccesses*2 < leaves {
 			t.Errorf("HS read %d leaves but sphere intersects %d", acc.LeafAccesses, leaves)
 		}
@@ -201,9 +198,9 @@ func TestRKVNeverBeatsHS(t *testing.T) {
 		for j := range q {
 			q[j] = r.Float64()
 		}
-		_, hs := HS(tree, q, 1)
+		_, hs := search(tree, q, 1, vec.L2, 0)
 		_, rkv := RKV(tree, q, 1)
-		hsTotal += hs.PageAccesses
+		hsTotal += hs.Acc.PageAccesses
 		rkvTotal += rkv.PageAccesses
 	}
 	if rkvTotal < hsTotal {
@@ -216,7 +213,8 @@ func TestAccountingSeparatesNodeKinds(t *testing.T) {
 	entries := uniformEntries(r, 3000, 4)
 	tree := buildTree(entries, 4)
 	q := vec.Point{0.5, 0.5, 0.5, 0.5}
-	_, acc := HS(tree, q, 5)
+	_, ts := search(tree, q, 5, vec.L2, 0)
+	acc := ts.Acc
 	if acc.DirAccesses == 0 || acc.LeafAccesses == 0 {
 		t.Errorf("accounting missing accesses: %+v", acc)
 	}
@@ -231,7 +229,7 @@ func TestLinearTieBreaking(t *testing.T) {
 		{Point: vec.Point{0.6}, ID: 1},
 		{Point: vec.Point{0.4}, ID: 2},
 	}
-	res := Linear(entries, vec.Point{0.5}, 3)
+	res := scan(entries, vec.Point{0.5}, 3, vec.L2)
 	// Distances: 0.1, 0.1, 0.1 — all ties; order by ID.
 	if res[0].Entry.ID != 1 || res[1].Entry.ID != 2 || res[2].Entry.ID != 3 {
 		t.Errorf("tie-break order wrong: %v", res)
@@ -253,8 +251,8 @@ func TestDegenerationWithDimension(t *testing.T) {
 			for j := range q {
 				q[j] = r.Float64()
 			}
-			_, acc := HS(tree, q, 1)
-			total += acc.PageAccesses
+			_, ts := search(tree, q, 1, vec.L2, 0)
+			total += ts.Acc.PageAccesses
 		}
 		avg := float64(total) / 10
 		if avg < prev {
@@ -269,7 +267,11 @@ func TestSphereLeafPagesZeroRadius(t *testing.T) {
 	entries := uniformEntries(r, 500, 3)
 	tree := buildTree(entries, 3)
 	// Radius 0 at a data point: at least the leaf holding it.
-	pages, leaves := SphereLeafPages(tree, entries[0].Point, 0)
+	pages, leaves := 0, 0
+	tree.HitLeaves(&xtree.Region{Q: entries[0].Point, M: vec.L2}, func(l *xtree.Node) {
+		pages += l.Super()
+		leaves++
+	})
 	if leaves < 1 || pages < leaves {
 		t.Errorf("zero-radius sphere: pages=%d leaves=%d", pages, leaves)
 	}
@@ -286,7 +288,7 @@ func BenchmarkHS16D(b *testing.B) {
 	b.ResetTimer()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		HS(tree, q, 10)
+		search(tree, q, 10, vec.L2, 0)
 	}
 }
 

@@ -13,6 +13,7 @@ package parsearch
 //   - For k ∈ {1, 5, n} the engine equals the brute-force linear scan.
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"reflect"
@@ -322,11 +323,11 @@ func TestMetamorphicApproxZeroIsExact(t *testing.T) {
 							disks, qi, stats)
 					}
 				}
-				wantB, _, err := ix.BatchKNN(queries, k)
+				wantB, _, err := ix.BatchKNNContext(context.Background(), queries, k)
 				if err != nil {
 					t.Fatal(err)
 				}
-				gotB, bs, err := ix.BatchKNNApprox(queries, k, zero)
+				gotB, bs, err := ix.BatchKNNShardContext(context.Background(), queries, k, zero, ShardSpec{})
 				if err != nil {
 					t.Fatal(err)
 				}

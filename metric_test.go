@@ -104,11 +104,11 @@ func TestMetricsDisagreeWhereExpected(t *testing.T) {
 		if err := ix.Build(raw); err != nil {
 			t.Fatal(err)
 		}
-		nb, _, err := ix.NN(q)
+		nb, _, err := ix.KNN(q, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return nb.ID
+		return nb[0].ID
 	}
 	if got := nnUnder(Euclidean); got != 0 {
 		t.Errorf("L2 NN = %d, want 0", got)

@@ -77,12 +77,12 @@ func checkBoundInvariants(t *testing.T, label string, st QueryStats, indepPages 
 	}
 }
 
-// TestSharedBoundEquivalenceBattery sweeps all six declustering
+// TestOneQueueEquivalenceBattery sweeps all six declustering
 // strategies × replication on/off × a failed disk × k ∈ {1, 5, n} and
 // requires the one queue's results to be identical — not merely
 // equally near — to the independent per-disk searches, and (on
 // non-degraded configurations) to a brute-force linear scan.
-func TestSharedBoundEquivalenceBattery(t *testing.T) {
+func TestOneQueueEquivalenceBattery(t *testing.T) {
 	const d, n, disks = 6, 400, 5
 	pts := data.Uniform(n, d, 7)
 	raw := make([][]float64, n)
@@ -137,7 +137,7 @@ func TestSharedBoundEquivalenceBattery(t *testing.T) {
 
 				// A batch item runs the same per-item search; one batch
 				// per configuration keeps it honest too.
-				res, bs, err := ix.BatchKNN(queries, 5)
+				res, bs, err := ix.BatchKNNContext(context.Background(), queries, 5)
 				if err != nil {
 					t.Fatalf("%s: batch: %v", label, err)
 				}
@@ -153,12 +153,12 @@ func TestSharedBoundEquivalenceBattery(t *testing.T) {
 	}
 }
 
-// TestSharedBoundMonotonicity drives 200 seeded queries through a
+// TestOneQueueMonotonicity drives 200 seeded queries through a
 // 16-disk index and checks, per query, that the one queue answers what
 // the independent searches and a linear scan answer and never visits
 // more search pages than the independent searches; over the whole run
 // it must visit fewer.
-func TestSharedBoundMonotonicity(t *testing.T) {
+func TestOneQueueMonotonicity(t *testing.T) {
 	const d, n, disks = 8, 3000, 16
 	pts := data.Uniform(n, d, 21)
 	raw := make([][]float64, n)
@@ -294,9 +294,9 @@ func TestApproxExactParityBattery(t *testing.T) {
 	}
 }
 
-// TestNNDegradedToEmpty pins the NN empty-result edge: when every live
-// copy of the data is on a failed disk, NN must surface ErrUnavailable
-// (not index into an empty result slice), and an empty index still
+// TestNNDegradedToEmpty pins the 1-NN empty-result edge: when every live
+// copy of the data is on a failed disk, KNN(q, 1) must surface
+// ErrUnavailable rather than an empty answer, and an empty index still
 // reports ErrEmpty.
 func TestNNDegradedToEmpty(t *testing.T) {
 	ix, err := Open(Options{Dim: 2, Disks: 2})
@@ -311,10 +311,10 @@ func TestNNDegradedToEmpty(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if _, stats, err := ix.NN([]float64{0.5, 0.5}); !errors.Is(err, ErrUnavailable) {
-		t.Fatalf("NN on fully failed index: err = %v, want ErrUnavailable", err)
+	if _, stats, err := ix.KNN([]float64{0.5, 0.5}, 1); !errors.Is(err, ErrUnavailable) {
+		t.Fatalf("KNN(q, 1) on fully failed index: err = %v, want ErrUnavailable", err)
 	} else if !stats.Degraded {
-		t.Error("NN on fully failed index not flagged Degraded")
+		t.Error("KNN(q, 1) on fully failed index not flagged Degraded")
 	}
 	if _, _, err := ix.KNN([]float64{0.5, 0.5}, 3); !errors.Is(err, ErrUnavailable) {
 		t.Fatalf("KNN on fully failed index: err = %v, want ErrUnavailable", err)
@@ -324,7 +324,7 @@ func TestNNDegradedToEmpty(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := empty.NN([]float64{0.5, 0.5}); !errors.Is(err, ErrEmpty) {
-		t.Fatalf("NN on empty index: err = %v, want ErrEmpty", err)
+	if _, _, err := empty.KNN([]float64{0.5, 0.5}, 1); !errors.Is(err, ErrEmpty) {
+		t.Fatalf("KNN(q, 1) on empty index: err = %v, want ErrEmpty", err)
 	}
 }

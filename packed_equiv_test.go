@@ -1,6 +1,7 @@
 package parsearch
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"reflect"
@@ -109,7 +110,7 @@ func TestPackedEquivalenceBattery(t *testing.T) {
 						}
 					}
 					if shared {
-						batch, _, err := ix.BatchKNN(queries, 5)
+						batch, _, err := ix.BatchKNNContext(context.Background(), queries, 5)
 						if err != nil {
 							t.Fatal(err)
 						}
@@ -118,11 +119,11 @@ func TestPackedEquivalenceBattery(t *testing.T) {
 						}
 					}
 					for qi, q := range queries {
-						got, _, err := ix.NN(q)
+						got, _, err := ix.KNN(q, 1)
 						if err != nil {
 							t.Fatal(err)
 						}
-						requireScan(t, fmt.Sprintf("nn q=%d", qi), []Neighbor{got}, scanKNN(truth, q, 1, m))
+						requireScan(t, fmt.Sprintf("nn q=%d", qi), got, scanKNN(truth, q, 1, m))
 					}
 
 					// Range and partial-match queries: the IDs the scan
@@ -143,7 +144,7 @@ func TestPackedEquivalenceBattery(t *testing.T) {
 						for j := range q {
 							lo[j], hi[j] = q[j]-0.15, q[j]+0.15
 						}
-						res, _, err := ix.RangeQuery(lo, hi)
+						res, _, err := ix.RangeQueryContext(context.Background(), lo, hi)
 						if err != nil {
 							t.Fatal(err)
 						}
@@ -157,7 +158,7 @@ func TestPackedEquivalenceBattery(t *testing.T) {
 						for _, j := range []int{0, dim - 1} {
 							spec[j], lo[j], hi[j] = q[j], q[j]-0.2, q[j]+0.2
 						}
-						if res, _, err = ix.PartialMatch(spec, 0.2); err != nil {
+						if res, _, err = ix.PartialMatchContext(context.Background(), spec, 0.2); err != nil {
 							t.Fatal(err)
 						}
 						checkBox(fmt.Sprintf("partial q=%d", qi), res, lo, hi)

@@ -25,7 +25,7 @@
 // # Concurrency
 //
 // An Index is safe for concurrent use by any number of goroutines: the
-// query methods (NN, KNN, RangeQuery, PartialMatch, BatchKNN, Browse,
+// query methods (KNN*, RangeQuery*, PartialMatch*, BatchKNN*, Browse,
 // ServiceDemands, Save) may run concurrently with each other and with the
 // mutating methods (Insert, Delete, FailDisk, HealDisk, Reorganize,
 // Build). A query takes no lock: it reads the one version the index last
@@ -185,8 +185,9 @@ type Options struct {
 	// kth/(1+ε), so every returned distance is within a factor (1+ε)
 	// of exact (see DESIGN.md "Approximate search"). 0 (the default)
 	// keeps every query exact — byte-identical to an index without the
-	// knob. Per-query overrides: KNNApprox / BatchKNNApprox and the
-	// wire "epsilon" field. Must be finite, ≥ 0, and ≤ 1e6.
+	// knob. Per-query overrides: the Approx of KNNShardContext and
+	// BatchKNNShardContext (and KNNApprox), and the wire "epsilon"
+	// field. Must be finite, ≥ 0, and ≤ 1e6.
 	Epsilon float64
 
 	// Durable arms the durability subsystem: every Insert and Delete
@@ -332,9 +333,10 @@ type QueryStats struct {
 }
 
 // Approx carries the per-query knobs of the approximate search tier
-// (see DESIGN.md "Approximate search"). The zero value requests an
-// exact search; KNNApprox with a zero Approx is byte-identical to KNN
-// on an index with no approximate defaults.
+// (see DESIGN.md "Approximate search"), which KNNShardContext and
+// BatchKNNShardContext take. The zero value requests an exact search,
+// whatever the index defaults: byte-identical to KNN on an index with
+// no approximate defaults.
 type Approx struct {
 	// Epsilon relaxes the k-NN termination: every returned distance is
 	// within a factor (1+Epsilon) of the exact answer. Must be finite,
@@ -436,8 +438,8 @@ func (s ShardSpec) mask(disks int) []bool {
 }
 
 // ApproxDefaults returns the index-level approximate-search default
-// (Options.Epsilon): what KNN and BatchKNN run with, and what the
-// server fills into requests that omit the knob.
+// (Options.Epsilon): what KNN, KNNContext and BatchKNNContext run with,
+// and what the server fills into requests that omit the knob.
 func (ix *Index) ApproxDefaults() Approx {
 	return Approx{Epsilon: ix.opts.Epsilon}
 }

@@ -1,15 +1,48 @@
 package parsearch
 
 import (
+	"context"
 	"errors"
 	"math"
 	"math/rand"
+	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
 	"parsearch/internal/data"
 	"parsearch/internal/vec"
 )
+
+// TestIndexQueryMethods pins the query surface: for each kind — k-NN,
+// range, partial match and batch k-NN — the full form is its
+// *ShardContext method, taking a context, an Approx for k-NN, and a
+// ShardSpec. The eight others are conveniences the benchmark (bench/)
+// calls: KNN, KNNContext, KNNApprox, KNNApproxContext, RangeQuery,
+// RangeQueryContext, PartialMatchContext and BatchKNNContext. ROADMAP
+// item 9 repoints the benchmark and retires them.
+func TestIndexQueryMethods(t *testing.T) {
+	want := []string{
+		"BatchKNNContext", "BatchKNNShardContext",
+		"KNN", "KNNApprox", "KNNApproxContext", "KNNContext", "KNNShardContext",
+		"PartialMatchContext", "PartialMatchShardContext",
+		"RangeQuery", "RangeQueryContext", "RangeQueryShardContext",
+	}
+	var got []string
+	typ := reflect.TypeOf((*Index)(nil))
+	for i := 0; i < typ.NumMethod(); i++ {
+		name := typ.Method(i).Name
+		for _, kind := range []string{"KNN", "NN", "Range", "PartialMatch", "Batch"} {
+			if strings.HasPrefix(name, kind) {
+				got = append(got, name)
+				break
+			}
+		}
+	}
+	if !slices.Equal(got, want) {
+		t.Errorf("*Index query methods %v, want %v", got, want)
+	}
+}
 
 func TestOpenValidation(t *testing.T) {
 	bad := []Options{
@@ -52,7 +85,7 @@ func TestBuildValidatesDimensions(t *testing.T) {
 
 func TestEmptyQueries(t *testing.T) {
 	ix, _ := Open(Options{Dim: 2, Disks: 2})
-	if _, _, err := ix.NN([]float64{0.5, 0.5}); !errors.Is(err, ErrEmpty) {
+	if _, _, err := ix.KNN([]float64{0.5, 0.5}, 1); !errors.Is(err, ErrEmpty) {
 		t.Errorf("err = %v, want ErrEmpty", err)
 	}
 }
@@ -80,9 +113,12 @@ func TestQueryRefusesNonFinitePoints(t *testing.T) {
 		run  func(q []float64) error
 	}{
 		{"KNN", func(q []float64) error { _, _, err := ix.KNN(q, 5); return err }},
-		{"NN", func(q []float64) error { _, _, err := ix.NN(q); return err }},
+		{"KNN1", func(q []float64) error { _, _, err := ix.KNN(q, 1); return err }},
 		{"KNNApprox", func(q []float64) error { _, _, err := ix.KNNApprox(q, 5, Approx{Epsilon: 1}); return err }},
-		{"BatchKNN", func(q []float64) error { _, _, err := ix.BatchKNN([][]float64{ok, q}, 5); return err }},
+		{"BatchKNN", func(q []float64) error {
+			_, _, err := ix.BatchKNNContext(context.Background(), [][]float64{ok, q}, 5)
+			return err
+		}},
 		{"ServiceDemands", func(q []float64) error { _, err := ix.ServiceDemands([][]float64{ok, q}, 5); return err }},
 		{"Browse", func(q []float64) error { _, err := ix.Browse(q); return err }},
 	}
@@ -95,11 +131,11 @@ func TestQueryRefusesNonFinitePoints(t *testing.T) {
 			}
 		}
 	}
-	if _, _, err := ix.PartialMatch([]float64{0.5, Wildcard, Wildcard}, 0.1); err != nil {
+	if _, _, err := ix.PartialMatchContext(context.Background(), []float64{0.5, Wildcard, Wildcard}, 0.1); err != nil {
 		t.Errorf("PartialMatch with wildcards: %v", err)
 	}
 	inf := math.Inf(1)
-	if _, _, err := ix.RangeQuery([]float64{-inf, -inf, -inf}, []float64{inf, inf, inf}); err != nil {
+	if _, _, err := ix.RangeQueryContext(context.Background(), []float64{-inf, -inf, -inf}, []float64{inf, inf, inf}); err != nil {
 		t.Errorf("RangeQuery over the whole space: %v", err)
 	}
 }
@@ -162,11 +198,11 @@ func TestInsertDynamic(t *testing.T) {
 	if _, err := ix.Insert([]float64{0.5}); err == nil {
 		t.Error("expected dimension error")
 	}
-	nb, stats, err := ix.NN([]float64{0.5, 0.5, 0.5, 0.5})
+	res, stats, err := ix.KNN([]float64{0.5, 0.5, 0.5, 0.5}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if nb.Dist < 0 || len(nb.Point) != 4 {
+	if nb := res[0]; nb.Dist < 0 || len(nb.Point) != 4 {
 		t.Errorf("bad neighbor %+v", nb)
 	}
 	if stats.Speedup <= 0 {
@@ -339,11 +375,11 @@ func TestBuildReplacesContent(t *testing.T) {
 	if ix.Len() != 1 {
 		t.Errorf("Len = %d after rebuild", ix.Len())
 	}
-	nb, _, err := ix.NN([]float64{0.8, 0.8})
+	res, _, err := ix.KNN([]float64{0.8, 0.8}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if nb.ID != 0 || nb.Point[0] != float64(float32(0.9)) {
+	if nb := res[0]; nb.ID != 0 || nb.Point[0] != float64(float32(0.9)) {
 		t.Errorf("unexpected neighbor %+v", nb)
 	}
 }

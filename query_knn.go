@@ -16,60 +16,50 @@ import (
 // queue over every routed disk, NN-sphere page accounting — that a
 // single query, every batch item and every ServiceDemands row run.
 
-// NN returns the nearest neighbor of q.
-func (ix *Index) NN(q []float64) (Neighbor, QueryStats, error) {
-	return ix.NNContext(context.Background(), q)
+// KNNShardContext returns the k nearest neighbors of q, together with
+// the query's cost statistics, under the per-query approximation knobs
+// a: the returned k-th distance is at most (1+a.Epsilon) times the exact
+// one, and a zero Approx is an exact query regardless of the index
+// defaults.
+//
+// shards restricts the query to a subset of the declustered disks (see
+// ShardSpec; the zero ShardSpec is every disk) — the per-shard-group
+// query of a multi-node deployment. Results are exact over the selected
+// disks: excluded disks are neither searched nor accounted, and never
+// flag the query Degraded (another process shard serves them). A
+// coordinator merging every group's results obtains exactly the
+// unrestricted query's answer, or with a.Bound the bounded one (see
+// Approx.Bound).
+//
+// ctx may carry a per-request tracer (see WithTracer) and a deadline.
+// The search checks ctx every few dozen node pops and again before the
+// simulated I/O phase, so a cancelled context returns ctx.Err() promptly
+// without charging disk reads (the simulated disks execute a planned
+// read batch atomically).
+func (ix *Index) KNNShardContext(ctx context.Context, q []float64, k int, a Approx, shards ShardSpec) ([]Neighbor, QueryStats, error) {
+	return ix.runKNN(ctx, query{op: opKNN, point: q, k: k, approx: a, shards: shards})
 }
 
-// NNContext is NN with a context, which may carry a per-request tracer
-// (see WithTracer).
-func (ix *Index) NNContext(ctx context.Context, q []float64) (Neighbor, QueryStats, error) {
-	res, stats, err := ix.KNNContext(ctx, q, 1)
-	if err != nil {
-		// Includes the empty answer: an unbounded query that finds no
-		// candidate fails with ErrEmpty or ErrUnavailable (see knnItem).
-		return Neighbor{}, stats, err
-	}
-	return res[0], stats, nil
-}
-
-// KNN returns the k nearest neighbors of q over all disks, together
-// with the query's cost statistics.
+// KNN is KNNShardContext over every disk under the index's default
+// Approx (see ApproxDefaults), without a context.
 func (ix *Index) KNN(q []float64, k int) ([]Neighbor, QueryStats, error) {
 	return ix.KNNContext(context.Background(), q, k)
 }
 
-// KNNContext is KNN with a context, which may carry a per-request
-// tracer (see WithTracer) and a deadline. The search checks ctx every
-// few dozen node pops and again before the simulated I/O phase, so a
-// cancelled context returns ctx.Err() promptly without charging disk
-// reads (the simulated disks execute a planned read batch atomically).
+// KNNContext is KNNShardContext over every disk under the index's
+// default Approx.
 func (ix *Index) KNNContext(ctx context.Context, q []float64, k int) ([]Neighbor, QueryStats, error) {
 	return ix.runKNN(ctx, query{op: opKNN, point: q, k: k, approx: ix.ApproxDefaults()})
 }
 
-// KNNApprox is KNN with per-query approximate-search knobs, overriding
-// the index defaults: the returned k-th distance is at most
-// (1+a.Epsilon) times the exact one. A zero Approx is an exact query
-// regardless of the index defaults.
+// KNNApprox is KNNShardContext over every disk, without a context.
 func (ix *Index) KNNApprox(q []float64, k int, a Approx) ([]Neighbor, QueryStats, error) {
 	return ix.KNNApproxContext(context.Background(), q, k, a)
 }
 
-// KNNApproxContext is KNNApprox with a context (see KNNContext).
+// KNNApproxContext is KNNShardContext over every disk.
 func (ix *Index) KNNApproxContext(ctx context.Context, q []float64, k int, a Approx) ([]Neighbor, QueryStats, error) {
 	return ix.runKNN(ctx, query{op: opKNN, point: q, k: k, approx: a})
-}
-
-// KNNShardContext is KNNApproxContext restricted to a subset of the
-// declustered disks (see ShardSpec) — the per-shard-group query of a
-// multi-node deployment. Results are exact over the selected disks:
-// excluded disks are neither searched nor accounted, and never flag the
-// query Degraded (another process shard serves them). A coordinator
-// merging every group's results obtains exactly the unrestricted
-// query's answer, or with a.Bound the bounded one (see Approx.Bound).
-func (ix *Index) KNNShardContext(ctx context.Context, q []float64, k int, a Approx, shards ShardSpec) ([]Neighbor, QueryStats, error) {
-	return ix.runKNN(ctx, query{op: opKNN, point: q, k: k, approx: a, shards: shards})
 }
 
 // runKNN runs one single k-NN query through the pipeline.

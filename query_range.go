@@ -10,36 +10,39 @@ import (
 	"parsearch/internal/xtree"
 )
 
-// RangeQuery returns all vectors inside the axis-aligned box [min, max]
-// (boundary inclusive), searching all disks in parallel, together with
-// the usual per-disk cost accounting. Results are ordered by ID; their
-// Dist field is the distance to the box center.
-//
+// RangeQueryShardContext returns all vectors inside the axis-aligned box
+// [min, max] (boundary inclusive), searching the selected disks in
+// parallel, together with the usual per-disk cost accounting. Results
+// are ordered by ID; their Dist field is the distance to the box center.
 // Range queries are the workload the classic declustering methods (Disk
-// Modulo, FX, Hilbert) were designed for; the PartialMatch helper
+// Modulo, FX, Hilbert) were designed for; PartialMatchShardContext
 // expresses the partial-match queries of [DS 82] and [KP 88] on top of
 // this.
+//
+// shards restricts the query to a subset of the declustered disks (see
+// ShardSpec; the zero ShardSpec is every disk): excluded disks are
+// neither searched nor accounted and never flag the query Degraded. Each
+// point lives on exactly one disk, so the per-group result sets are
+// disjoint and a coordinator reproduces the unrestricted answer by
+// concatenating them and sorting by ID.
+//
+// ctx may carry a per-request tracer (see WithTracer) and a deadline. A
+// cancelled context returns ctx.Err() before the shard fan-out and again
+// before the simulated I/O phase, so a disconnected client stops burning
+// disk time.
+func (ix *Index) RangeQueryShardContext(ctx context.Context, min, max []float64, shards ShardSpec) ([]Neighbor, QueryStats, error) {
+	return ix.runRange(ctx, query{op: opRange, min: min, max: max, shards: shards})
+}
+
+// RangeQuery is RangeQueryShardContext over every disk, without a
+// context.
 func (ix *Index) RangeQuery(min, max []float64) ([]Neighbor, QueryStats, error) {
 	return ix.RangeQueryContext(context.Background(), min, max)
 }
 
-// RangeQueryContext is RangeQuery with a context, which may carry a
-// per-request tracer (see WithTracer) and a deadline. A cancelled
-// context returns ctx.Err() before the shard fan-out and again before
-// the simulated I/O phase, so a disconnected client stops burning disk
-// time.
+// RangeQueryContext is RangeQueryShardContext over every disk.
 func (ix *Index) RangeQueryContext(ctx context.Context, min, max []float64) ([]Neighbor, QueryStats, error) {
 	return ix.runRange(ctx, query{op: opRange, min: min, max: max})
-}
-
-// RangeQueryShardContext is RangeQueryContext restricted to a subset of
-// the declustered disks (see ShardSpec): excluded disks are neither
-// searched nor accounted and never flag the query Degraded. Each point
-// lives on exactly one disk, so the per-group result sets are disjoint
-// and a coordinator reproduces the unrestricted answer by concatenating
-// them and sorting by ID.
-func (ix *Index) RangeQueryShardContext(ctx context.Context, min, max []float64, shards ShardSpec) ([]Neighbor, QueryStats, error) {
-	return ix.runRange(ctx, query{op: opRange, min: min, max: max, shards: shards})
 }
 
 // runRange runs one box query (a range query, or the box begin derived
@@ -146,25 +149,19 @@ func rangeAnswer(found [][]rangeHit, center vec.Point) []Neighbor {
 	return out
 }
 
-// Wildcard marks a dimension as unspecified in a PartialMatch query.
+// Wildcard marks a dimension as unspecified in a partial-match query.
 var Wildcard = math.NaN()
 
-// PartialMatch runs a partial match query [DS 82, KP 88]: spec gives an
+// PartialMatchShardContext runs a partial match query [DS 82, KP 88] on
+// the disks shards selects (see RangeQueryShardContext): spec gives an
 // exact value per specified dimension and Wildcard (NaN) for the rest;
 // eps is the matching tolerance per specified dimension. It returns the
 // vectors matching every specified dimension within eps.
-func (ix *Index) PartialMatch(spec []float64, eps float64) ([]Neighbor, QueryStats, error) {
-	return ix.PartialMatchContext(context.Background(), spec, eps)
-}
-
-// PartialMatchContext is PartialMatch with a context, which may carry a
-// per-request tracer (see WithTracer).
-func (ix *Index) PartialMatchContext(ctx context.Context, spec []float64, eps float64) ([]Neighbor, QueryStats, error) {
-	return ix.PartialMatchShardContext(ctx, spec, eps, ShardSpec{})
-}
-
-// PartialMatchShardContext is PartialMatchContext restricted to a
-// subset of the declustered disks (see RangeQueryShardContext).
 func (ix *Index) PartialMatchShardContext(ctx context.Context, spec []float64, eps float64, shards ShardSpec) ([]Neighbor, QueryStats, error) {
 	return ix.runRange(ctx, query{op: opPartialMatch, point: spec, tol: eps, shards: shards})
+}
+
+// PartialMatchContext is PartialMatchShardContext over every disk.
+func (ix *Index) PartialMatchContext(ctx context.Context, spec []float64, eps float64) ([]Neighbor, QueryStats, error) {
+	return ix.PartialMatchShardContext(ctx, spec, eps, ShardSpec{})
 }

@@ -26,7 +26,7 @@ func TestRangeQueryMatchesLinearScan(t *testing.T) {
 		}
 		min := []float64{0.2, 0.2, 0.2, 0.2, 0.2}
 		max := []float64{0.7, 0.7, 0.7, 0.7, 0.7}
-		got, stats, err := ix.RangeQuery(min, max)
+		got, stats, err := ix.RangeQueryContext(context.Background(), min, max)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -53,21 +53,21 @@ func TestRangeQueryMatchesLinearScan(t *testing.T) {
 
 func TestRangeQueryValidation(t *testing.T) {
 	ix := buildTestIndex(t, Options{Dim: 2, Disks: 2}, 10)
-	if _, _, err := ix.RangeQuery([]float64{0}, []float64{1, 1}); err == nil {
+	if _, _, err := ix.RangeQueryContext(context.Background(), []float64{0}, []float64{1, 1}); err == nil {
 		t.Error("expected dimension error")
 	}
-	if _, _, err := ix.RangeQuery([]float64{0.5, 0.5}, []float64{0.4, 0.9}); err == nil {
+	if _, _, err := ix.RangeQueryContext(context.Background(), []float64{0.5, 0.5}, []float64{0.4, 0.9}); err == nil {
 		t.Error("expected min>max error")
 	}
 	empty, _ := Open(Options{Dim: 2, Disks: 2})
-	if _, _, err := empty.RangeQuery([]float64{0, 0}, []float64{1, 1}); err != ErrEmpty {
+	if _, _, err := empty.RangeQueryContext(context.Background(), []float64{0, 0}, []float64{1, 1}); err != ErrEmpty {
 		t.Errorf("err = %v, want ErrEmpty", err)
 	}
 }
 
 func TestRangeQueryEmptyResult(t *testing.T) {
 	ix := buildTestIndex(t, Options{Dim: 2, Disks: 2}, 100)
-	got, _, err := ix.RangeQuery([]float64{2, 2}, []float64{3, 3})
+	got, _, err := ix.RangeQueryContext(context.Background(), []float64{2, 2}, []float64{3, 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,7 +78,7 @@ func TestRangeQueryEmptyResult(t *testing.T) {
 
 func TestRangeQueryBaselineStats(t *testing.T) {
 	ix := buildTestIndex(t, Options{Dim: 4, Disks: 4, Baseline: true}, 2000)
-	_, stats, err := ix.RangeQuery(
+	_, stats, err := ix.RangeQueryContext(context.Background(),
 		[]float64{0.1, 0.1, 0.1, 0.1}, []float64{0.6, 0.6, 0.6, 0.6})
 	if err != nil {
 		t.Fatal(err)
@@ -105,7 +105,7 @@ func TestPartialMatch(t *testing.T) {
 
 	spec := []float64{0.5, Wildcard, 0.3, Wildcard}
 	const eps = 0.05
-	got, _, err := ix.PartialMatch(spec, eps)
+	got, _, err := ix.PartialMatchContext(context.Background(), spec, eps)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,13 +127,13 @@ func TestPartialMatch(t *testing.T) {
 
 func TestPartialMatchValidation(t *testing.T) {
 	ix := buildTestIndex(t, Options{Dim: 3, Disks: 2}, 10)
-	if _, _, err := ix.PartialMatch([]float64{0.5}, 0.1); err == nil {
+	if _, _, err := ix.PartialMatchContext(context.Background(), []float64{0.5}, 0.1); err == nil {
 		t.Error("expected dimension error")
 	}
-	if _, _, err := ix.PartialMatch([]float64{0.5, 0.5, 0.5}, -1); err == nil {
+	if _, _, err := ix.PartialMatchContext(context.Background(), []float64{0.5, 0.5, 0.5}, -1); err == nil {
 		t.Error("expected tolerance error")
 	}
-	if _, _, err := ix.PartialMatch([]float64{Wildcard, Wildcard, Wildcard}, 0.1); err == nil {
+	if _, _, err := ix.PartialMatchContext(context.Background(), []float64{Wildcard, Wildcard, Wildcard}, 0.1); err == nil {
 		t.Error("expected no-dimension error")
 	}
 	// Each rejection is counted in query_errors and traced as one error
@@ -161,7 +161,7 @@ func TestPartialMatchValidation(t *testing.T) {
 
 func TestRangeQueryBucketsCostModel(t *testing.T) {
 	ix := buildTestIndex(t, Options{Dim: 4, Disks: 4, CostModel: BucketPages}, 1500)
-	got, stats, err := ix.RangeQuery(
+	got, stats, err := ix.RangeQueryContext(context.Background(),
 		[]float64{0, 0, 0, 0}, []float64{1, 1, 1, 1})
 	if err != nil {
 		t.Fatal(err)

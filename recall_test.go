@@ -15,6 +15,7 @@ package parsearch
 //     the knob is proven non-vacuous, not just non-wrong.
 
 import (
+	"context"
 	"fmt"
 	"reflect"
 	"testing"
@@ -175,7 +176,7 @@ func TestApproxOptionsDefaults(t *testing.T) {
 		t.Fatalf("per-query ε=0 override reported approx activity: %+v", stats)
 	}
 	// The batch path honors the same defaults.
-	if _, bs, err := ix.BatchKNN(data.Uniform(4, dim, 107), k); err != nil {
+	if _, bs, err := ix.BatchKNNContext(context.Background(), data.Uniform(4, dim, 107), k); err != nil {
 		t.Fatal(err)
 	} else if len(bs.PerQuery) != 4 {
 		t.Fatalf("batch PerQuery has %d entries, want 4", len(bs.PerQuery))
@@ -201,7 +202,7 @@ func TestApproxOptionsDefaults(t *testing.T) {
 		if _, _, err := ix.KNNApprox(q, k, bad); err == nil {
 			t.Errorf("KNNApprox accepted invalid knobs %+v", bad)
 		}
-		if _, _, err := ix.BatchKNNApprox([][]float64{q}, k, bad); err == nil {
+		if _, _, err := ix.BatchKNNShardContext(context.Background(), [][]float64{q}, k, bad, ShardSpec{}); err == nil {
 			t.Errorf("BatchKNNApprox accepted invalid knobs %+v", bad)
 		}
 	}

@@ -11,6 +11,7 @@ package parsearch
 // file is meant for `go test -race`.
 
 import (
+	"context"
 	"errors"
 	"math/rand"
 	"reflect"
@@ -121,7 +122,7 @@ func TestReorgChaosServingExact(t *testing.T) {
 					checkKNNExact(t, expected, q, k, got, m)
 				case 1:
 					lo, hi := randBox(rng, opts.Dim)
-					got, _, err := ix.RangeQuery(lo, hi)
+					got, _, err := ix.RangeQueryContext(context.Background(), lo, hi)
 					if err != nil {
 						t.Errorf("RangeQuery: %v", err)
 						return
@@ -149,7 +150,7 @@ func TestReorgChaosServingExact(t *testing.T) {
 					if specified == 0 {
 						continue
 					}
-					got, _, err := ix.PartialMatch(spec, eps)
+					got, _, err := ix.PartialMatchContext(context.Background(), spec, eps)
 					if err != nil {
 						t.Errorf("PartialMatch: %v", err)
 						return

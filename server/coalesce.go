@@ -8,11 +8,12 @@ import (
 )
 
 // Request coalescing: single-query k-NN requests that arrive while a
-// search of their group runs are answered together by one BatchKNN call —
-// the batching of online similarity serving (Teodoro et al.), sized by the
-// load observed, not by a timer: "is a search of this key running?", the
-// leader/follower rule of the WAL group commit. BatchKNN's per-item results
-// are KNN's (the equivalence battery), so a coalesced answer is a direct one.
+// search of their group runs are answered together by one
+// BatchKNNShardContext call — the batching of online similarity serving
+// (Teodoro et al.), sized by the load observed, not by a timer: "is a
+// search of this key running?", the leader/follower rule of the WAL group
+// commit. A batch's per-item results are KNN's (the equivalence battery),
+// so a coalesced answer is a direct one.
 //
 // One groupKey's state machine (all transitions under coalescer.mu):
 //
@@ -122,7 +123,7 @@ func (c *coalescer) handOff(key groupKey) {
 	}
 }
 
-// run answers one detached group by a single BatchKNN call. A batch
+// run answers one detached group by a single BatchKNNShardContext call. A batch
 // outlives each requester's deadline, so its context is its own: cancelled
 // when the last waiter has left, and reporting to the configured tracer
 // (or none), not to the one a leader's context carries.
@@ -136,7 +137,7 @@ func (c *coalescer) run(ctx context.Context, g *group, key groupKey) {
 	}
 	c.mu.Unlock()
 	a := parsearch.Approx{Epsilon: key.epsilon}
-	results, bs, err := c.ix.BatchKNNApproxContext(ctx, g.queries, key.k, a)
+	results, bs, err := c.ix.BatchKNNShardContext(ctx, g.queries, key.k, a, parsearch.ShardSpec{})
 	for i, ch := range g.waiters {
 		if err != nil {
 			ch <- coalesceResult{err: err}

@@ -102,7 +102,7 @@ func TestServeEndToEnd(t *testing.T) {
 			wants[i] = want{asJSON(t, ns)}
 		} else {
 			min, max := rangeBox(dim, i)
-			ns, _, err := ix.RangeQuery(min, max)
+			ns, _, err := ix.RangeQueryContext(context.Background(), min, max)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -202,7 +202,7 @@ func TestPartialMatchAndBatchEndToEnd(t *testing.T) {
 	cl := client.New(ts.URL)
 
 	spec := []float64{0.5, parsearch.Wildcard, 0.5, parsearch.Wildcard, parsearch.Wildcard}
-	direct, _, err := ix.PartialMatch(spec, 0.2)
+	direct, _, err := ix.PartialMatchContext(context.Background(), spec, 0.2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -228,7 +228,7 @@ func TestPartialMatchAndBatchEndToEnd(t *testing.T) {
 	for i := range queries {
 		queries[i] = randQuery(dim, 100+i)
 	}
-	directBatch, _, err := ix.BatchKNN(queries, 7)
+	directBatch, _, err := ix.BatchKNNContext(context.Background(), queries, 7)
 	if err != nil {
 		t.Fatal(err)
 	}

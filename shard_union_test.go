@@ -131,10 +131,10 @@ func TestShardUnionParity(t *testing.T) {
 			}
 			for _, bq := range []boxQuery{
 				{"range",
-					func() ([]Neighbor, QueryStats, error) { return ix.RangeQuery(lo, hi) },
+					func() ([]Neighbor, QueryStats, error) { return ix.RangeQueryContext(context.Background(), lo, hi) },
 					func(s ShardSpec) ([]Neighbor, QueryStats, error) { return ix.RangeQueryShardContext(ctx, lo, hi, s) }},
 				{"partial-match",
-					func() ([]Neighbor, QueryStats, error) { return ix.PartialMatch(spec, 0.1) },
+					func() ([]Neighbor, QueryStats, error) { return ix.PartialMatchContext(context.Background(), spec, 0.1) },
 					func(s ShardSpec) ([]Neighbor, QueryStats, error) {
 						return ix.PartialMatchShardContext(ctx, spec, 0.1, s)
 					}},
@@ -170,7 +170,7 @@ func TestShardUnionParity(t *testing.T) {
 			// its own k-th distance, never smaller than the global one, so
 			// every disk is charged at least what the unrestricted query
 			// charges it.
-			wantBatch, _, err := ix.BatchKNN(queries, k)
+			wantBatch, _, err := ix.BatchKNNContext(context.Background(), queries, k)
 			if err != nil {
 				t.Fatalf("%s: %v", label, err)
 			}

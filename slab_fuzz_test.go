@@ -2,6 +2,7 @@ package parsearch
 
 import (
 	"bytes"
+	"context"
 	"encoding/binary"
 	"hash/crc32"
 	"os"
@@ -306,10 +307,10 @@ func requireBuiltTwin(t *testing.T, ix *Index, opts Options, pts [][]float64) {
 		for j := range q {
 			lo[j], hi[j] = q[j]-0.2, q[j]+0.2
 		}
-		if got, _, err = ix.RangeQuery(lo, hi); err != nil {
+		if got, _, err = ix.RangeQueryContext(context.Background(), lo, hi); err != nil {
 			t.Fatal(err)
 		}
-		if want, _, err = twin.RangeQuery(lo, hi); err != nil {
+		if want, _, err = twin.RangeQueryContext(context.Background(), lo, hi); err != nil {
 			t.Fatal(err)
 		}
 		if !sameNeighbors(got, want) {

@@ -6,6 +6,7 @@ package parsearch
 // cumulative totals equal the sum of the per-query stats it absorbed.
 
 import (
+	"context"
 	"errors"
 	"testing"
 
@@ -218,7 +219,7 @@ func TestMetricsTotalsMatchSummedStats(t *testing.T) {
 		lo[i], hi[i] = 0.25, 0.75
 	}
 	for range 3 {
-		_, stats, err := ix.RangeQuery(lo, hi)
+		_, stats, err := ix.RangeQueryContext(context.Background(), lo, hi)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -226,7 +227,7 @@ func TestMetricsTotalsMatchSummedStats(t *testing.T) {
 		absorb(stats)
 	}
 	batch := uniformPoints(4, dim, 93)
-	_, bstats, err := ix.BatchKNN(batch, 3)
+	_, bstats, err := ix.BatchKNNContext(context.Background(), batch, 3)
 	if err != nil {
 		t.Fatal(err)
 	}

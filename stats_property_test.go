@@ -7,6 +7,7 @@ package parsearch
 // mutation history.
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"reflect"
@@ -118,7 +119,7 @@ func TestQueryStatsConsistentUnderConcurrency(t *testing.T) {
 							_, qs, err = ix.KNN(q, 1+rng.Intn(6))
 						} else {
 							lo, hi := randBox(rng, opts.Dim)
-							_, qs, err = ix.RangeQuery(lo, hi)
+							_, qs, err = ix.RangeQueryContext(context.Background(), lo, hi)
 						}
 						if !tolerableQueryErr(err) {
 							t.Errorf("query: %v", err)
@@ -160,7 +161,7 @@ func TestBatchStatsConsistency(t *testing.T) {
 		batch[i] = q
 	}
 
-	_, stats, err := ix.BatchKNN(batch, k)
+	_, stats, err := ix.BatchKNNContext(context.Background(), batch, k)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -242,7 +243,7 @@ func TestBatchWorkerCountInvariance(t *testing.T) {
 		if err := ix.Build(raw); err != nil {
 			t.Fatal(err)
 		}
-		res, stats, err := ix.BatchKNN(batch, k)
+		res, stats, err := ix.BatchKNNContext(context.Background(), batch, k)
 		if err != nil {
 			t.Fatal(err)
 		}

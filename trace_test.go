@@ -213,7 +213,7 @@ func TestRangeAndBatchTraceSpans(t *testing.T) {
 	for i := range lo {
 		lo[i], hi[i] = 0.2, 0.8
 	}
-	if _, _, err := ix.RangeQuery(lo, hi); err != nil {
+	if _, _, err := ix.RangeQueryContext(context.Background(), lo, hi); err != nil {
 		t.Fatal(err)
 	}
 	if got := tr.count(StageSearch); got != disks {
@@ -232,7 +232,7 @@ func TestRangeAndBatchTraceSpans(t *testing.T) {
 	for i := range queries {
 		raw[i] = queries[i]
 	}
-	if _, _, err := ix.BatchKNN(raw, 3); err != nil {
+	if _, _, err := ix.BatchKNNContext(context.Background(), raw, 3); err != nil {
 		t.Fatal(err)
 	}
 	if got := tr.count(StageSearch); got != len(queries) {

@@ -3,6 +3,7 @@ package parsearch
 import (
 	"bytes"
 	"cmp"
+	"context"
 	"errors"
 	"math"
 	"math/rand"
@@ -66,7 +67,7 @@ func TestNonFiniteInsertRefused(t *testing.T) {
 			if err := ix.CheckIntegrity(); err != nil {
 				t.Errorf("%s of a %s coordinate: %v", pathName, valName, err)
 			}
-			res, _, err := ix.RangeQuery([]float64{0, 0, 0, 0}, []float64{1, 1, 1, 1})
+			res, _, err := ix.RangeQueryContext(context.Background(), []float64{0, 0, 0, 0}, []float64{1, 1, 1, 1})
 			if err != nil || len(res) != want {
 				t.Errorf("%s of a %s coordinate: the unit cube holds %d points (%v), want %d", pathName, valName, len(res), err, want)
 			}
@@ -134,7 +135,7 @@ func TestNonFiniteLoadAndReplayRefused(t *testing.T) {
 			if err := re.CheckIntegrity(); err != nil {
 				t.Error(err)
 			}
-			res, _, err := re.RangeQuery([]float64{0, 0, 0}, []float64{1, 1, 1})
+			res, _, err := re.RangeQueryContext(context.Background(), []float64{0, 0, 0}, []float64{1, 1, 1})
 			if err != nil || len(res) != len(good) {
 				t.Errorf("the unit cube holds %d points (%v), want %d", len(res), err, len(good))
 			}
@@ -239,7 +240,7 @@ func TestBatchIsAtomicToQueries(t *testing.T) {
 					var res []Neighbor
 					var err error
 					if g == 0 {
-						res, _, err = ix.RangeQuery(lo, hi)
+						res, _, err = ix.RangeQueryContext(context.Background(), lo, hi)
 					} else {
 						res, _, err = ix.KNN(centre, batch)
 					}
@@ -266,7 +267,7 @@ func TestBatchIsAtomicToQueries(t *testing.T) {
 		if _, err := ix.InsertBatch(pts); err != nil {
 			t.Fatal(err)
 		}
-		res, _, err := ix.RangeQuery(lo, hi)
+		res, _, err := ix.RangeQueryContext(context.Background(), lo, hi)
 		if err != nil || fromBatch(res) != batch {
 			t.Fatalf("round %d: after InsertBatch returned, a range query holds %d of the batch (%v)", round, fromBatch(res), err)
 		}
