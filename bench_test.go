@@ -9,7 +9,10 @@ package parsearch_test
 import (
 	"bytes"
 	"context"
+	"io"
 	"math/rand"
+	"os"
+	"path/filepath"
 	"testing"
 
 	"parsearch"
@@ -192,14 +195,16 @@ var loadShapes = []struct {
 // loads the snapshot of an index unchanged since its build, which
 // records the trees: decode them, then stage one. rebuild loads the
 // snapshot of the same index after one Insert, which holds the point
-// table: decode it, then the same build.
+// table: decode it, then the same build. Those two read a
+// *bytes.Reader; as-built/file reads the as-built snapshot from an
+// *os.File, as parsearchd and the lib-scale reopen do.
 func BenchmarkLoad(b *testing.B) {
 	for _, shape := range loadShapes {
 		pts := shape.points()
 		for _, c := range []struct {
-			name   string
-			insert bool
-		}{{"as-built", false}, {"rebuild", true}} {
+			name         string
+			insert, file bool
+		}{{"as-built", false, false}, {"rebuild", true, false}, {"as-built/file", false, true}} {
 			b.Run(shape.name+"/"+c.name, func(b *testing.B) {
 				ix, err := parsearch.Open(shape.opts)
 				if err != nil {
@@ -217,10 +222,28 @@ func BenchmarkLoad(b *testing.B) {
 				if err := ix.Save(&snap); err != nil {
 					b.Fatal(err)
 				}
+				var file *os.File
+				if c.file {
+					path := filepath.Join(b.TempDir(), "snap")
+					if err := os.WriteFile(path, snap.Bytes(), 0o644); err != nil {
+						b.Fatal(err)
+					}
+					if file, err = os.Open(path); err != nil {
+						b.Fatal(err)
+					}
+					defer file.Close()
+				}
 				b.ReportAllocs()
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					if _, err := parsearch.Load(bytes.NewReader(snap.Bytes())); err != nil {
+					var r io.Reader = bytes.NewReader(snap.Bytes())
+					if file != nil {
+						if _, err := file.Seek(0, io.SeekStart); err != nil {
+							b.Fatal(err)
+						}
+						r = file
+					}
+					if _, err := parsearch.Load(r); err != nil {
 						b.Fatal(err)
 					}
 				}

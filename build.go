@@ -357,12 +357,12 @@ func (ix *Index) assembleState(tl *treeLayout) (st *state, tbl *pointTable, live
 		for r := range replicas {
 			d := (r + n - 1) % n // replicaOf(d, n) == r
 			jobs = append(jobs, func() {
-				replicas[r], errs[n+r] = xtree.ReadLayout(cfg, tl.sections[n+r], 0, func(id int, p vec.Point) error {
+				replicas[r], errs[n+r] = xtree.ReadLayout(cfg, tl.sections[n+r], 0, func(id int, p []float32) error {
 					if id >= tl.ids || owner[id] != int32(d+1) || inReplica[id] {
 						return fmt.Errorf("parsearch: the replica on disk %d holds ID %d, not once a point of disk %d", r, id, d)
 					}
 					inReplica[id] = true
-					tbl.point(id, p)
+					copy(p, tbl.row(id))
 					return nil
 				})
 				if errs[n+r] == nil && replicas[r].Len() != shards[d].Len() {
@@ -375,12 +375,12 @@ func (ix *Index) assembleState(tl *treeLayout) (st *state, tbl *pointTable, live
 		last := len(tl.sections) - 1
 		inBaseline := make([]bool, tl.ids)
 		jobs = append(jobs, func() {
-			baseline, errs[last] = xtree.ReadLayout(cfg, tl.sections[last], 0, func(id int, p vec.Point) error {
+			baseline, errs[last] = xtree.ReadLayout(cfg, tl.sections[last], 0, func(id int, p []float32) error {
 				if !tbl.has(id) || inBaseline[id] {
 					return fmt.Errorf("parsearch: the baseline holds ID %d, not once a live point", id)
 				}
 				inBaseline[id] = true
-				tbl.point(id, p)
+				copy(p, tbl.row(id))
 				return nil
 			})
 			if errs[last] == nil && baseline.Len() != live {
@@ -412,12 +412,13 @@ func (ix *Index) assembleState(tl *treeLayout) (st *state, tbl *pointTable, live
 
 // readPrimaries reads the primaries' layouts on runJobs' workers into
 // their trees, whose leaves' blocks hold the points. Then one serial walk
-// of their leaves' IDs claims them: owner[id] becomes one more than the
-// disk whose primary holds it, and an ID met twice, in one tree or two,
-// is refused. Last the workers fill the table, a job a primary copying
-// its points into their IDs' rows, which no other job writes. The IDs no
-// primary holds are the table's tombstones. The workers share nothing
-// while they read.
+// of their leaves' IDs claims them in a table of tombstones: owner[id]
+// becomes one more than the disk whose primary holds it, the ID turns
+// live, and an ID met twice, in one tree or two, is refused. Last the
+// workers fill the table, a job a primary copying its blocks' float32
+// rows into their IDs' rows, which no other job writes. The IDs no
+// primary holds stay tombstones. The workers share nothing while they
+// read.
 func (ix *Index) readPrimaries(tl *treeLayout) (shards []*xtree.Tree, tbl *pointTable, owner []int32, err error) {
 	cfg := ix.treeConfig()
 	shards = make([]*xtree.Tree, ix.opts.Disks)
@@ -425,7 +426,7 @@ func (ix *Index) readPrimaries(tl *treeLayout) (shards []*xtree.Tree, tbl *point
 	jobs := make([]func(), len(shards))
 	for d := range jobs {
 		jobs[d] = func() {
-			shards[d], errs[d] = xtree.ReadLayout(cfg, tl.sections[d], tl.coord, func(id int, _ vec.Point) error {
+			shards[d], errs[d] = xtree.ReadLayout(cfg, tl.sections[d], tl.coord, func(id int, _ []float32) error {
 				if id >= tl.ids {
 					return fmt.Errorf("parsearch: disk %d holds ID %d of %d", d, id, tl.ids)
 				}
@@ -448,6 +449,7 @@ func (ix *Index) readPrimaries(tl *treeLayout) (shards []*xtree.Tree, tbl *point
 					err = fmt.Errorf("parsearch: ID %d is held twice", id)
 				}
 				owner[id] = int32(d + 1)
+				tbl.dead[id] = false
 			}
 		})
 		if err != nil {
@@ -456,11 +458,9 @@ func (ix *Index) readPrimaries(tl *treeLayout) (shards []*xtree.Tree, tbl *point
 	}
 	for d, t := range shards {
 		jobs[d] = func() {
-			p := make(vec.Point, ix.opts.Dim)
 			t.EachLeaf(func(leaf *xtree.Node) {
 				for i := range leaf.Len() {
-					leaf.PointAt(i, p)
-					tbl.set(leaf.ID(i), p)
+					leaf.Block().RowAt(i, tbl.row(leaf.ID(i)))
 				}
 			})
 		}

@@ -68,6 +68,21 @@ func (s *Slab) Set(i int, p vec.Point) {
 	}
 }
 
+// SetRow writes point i's float32 coordinates as they are.
+func (s *Slab) SetRow(i int, p []float32) {
+	for j, x := range p[:s.dim] {
+		s.data[j*s.n+i] = x
+	}
+}
+
+// RowAt writes point i's float32 coordinates into p, which must have
+// length Dim.
+func (s *Slab) RowAt(i int, p []float32) {
+	for j := range p[:s.dim] {
+		p[j] = s.data[j*s.n+i]
+	}
+}
+
 // Equal reports whether point i's coordinates are p's.
 func (s *Slab) Equal(i int, p vec.Point) bool {
 	for j, x := range p[:s.dim] {

@@ -7,7 +7,6 @@ import (
 	"math"
 
 	"parsearch/internal/slab"
-	"parsearch/internal/vec"
 )
 
 // Layout: a tree written as a preorder walk of its nodes, so that it can
@@ -41,11 +40,11 @@ func (t *Tree) AppendLayout(b []byte, points bool) []byte {
 	if t.root == nil {
 		return b
 	}
-	return t.appendNode(b, t.root, points, make(vec.Point, t.cfg.Dim))
+	return t.appendNode(b, t.root, points, make([]float32, t.cfg.Dim))
 }
 
 // appendNode appends n's subtree; p is scratch for a point.
-func (t *Tree) appendNode(b []byte, n *Node, points bool, p vec.Point) []byte {
+func (t *Tree) appendNode(b []byte, n *Node, points bool, p []float32) []byte {
 	kind, count := byte(0), len(n.children)
 	if n.leaf {
 		kind, count = 1, len(n.ids)
@@ -65,9 +64,9 @@ func (t *Tree) appendNode(b []byte, n *Node, points bool, p vec.Point) []byte {
 		if !points {
 			continue
 		}
-		n.block.PointAt(i, p)
+		n.block.RowAt(i, p)
 		for _, x := range p {
-			b = binary.LittleEndian.AppendUint32(b, math.Float32bits(float32(x)))
+			b = binary.LittleEndian.AppendUint32(b, math.Float32bits(x))
 		}
 	}
 	return b
@@ -75,10 +74,10 @@ func (t *Tree) appendNode(b []byte, n *Node, points bool, p vec.Point) []byte {
 
 // Resolver checks one leaf entry while ReadLayout reads it, and decides
 // its point when the layout carries none. With points, p holds the
-// entry's decoded coordinates, finite; without, the resolver writes the
-// entry's coordinates into p. The reader stores p, rounded to float32,
-// in the leaf's block. An error refuses the layout.
-type Resolver func(id int, p vec.Point) error
+// entry's decoded float32 coordinates, finite; without, the resolver
+// writes the entry's coordinates into p. The reader stores p as it is in
+// the leaf's block. An error refuses the layout.
+type Resolver func(id int, p []float32) error
 
 // ReadLayout assembles the tree that AppendLayout wrote into b, whose
 // leaf entries carry coordinates of coord bytes each: 0 for a layout
@@ -97,7 +96,7 @@ func ReadLayout(cfg Config, b []byte, coord int, resolve Resolver) (*Tree, error
 		return nil, fmt.Errorf("xtree: layout coordinates of %d bytes", coord)
 	}
 	t := New(cfg)
-	r := &layoutReader{cfg: cfg, b: b, coord: coord, resolve: resolve, p: make(vec.Point, cfg.Dim)}
+	r := &layoutReader{cfg: cfg, b: b, coord: coord, resolve: resolve, p: make([]float32, cfg.Dim)}
 	if err := r.read(); err != nil {
 		return nil, err
 	}
@@ -112,7 +111,7 @@ type layoutReader struct {
 	b       []byte // what is left to read
 	coord   int    // bytes a coordinate, 0 without points
 	resolve Resolver
-	p       vec.Point // the entry being read
+	p       []float32 // the entry being read
 
 	entryBytes int
 	leafDepth  int
@@ -206,16 +205,18 @@ func (r *layoutReader) node(depth int) (*Node, error) {
 		if r.coord != 0 {
 			if r.coord == 4 {
 				for j := range p {
-					p[j] = float64(math.Float32frombits(binary.LittleEndian.Uint32(r.b[4*j:])))
+					p[j] = math.Float32frombits(binary.LittleEndian.Uint32(r.b[4*j:]))
 				}
 			} else {
+				// Rounded before the check: a finite float64 beyond
+				// float32's range is stored as an infinity, and refused.
 				for j := range p {
-					p[j] = float64(float32(math.Float64frombits(binary.LittleEndian.Uint64(r.b[8*j:]))))
+					p[j] = float32(math.Float64frombits(binary.LittleEndian.Uint64(r.b[8*j:])))
 				}
 			}
 			r.b = r.b[r.entryBytes-4:]
 			for j, x := range p {
-				if math.IsNaN(x) || math.IsInf(x, 0) {
+				if f := float64(x); math.IsNaN(f) || math.IsInf(f, 0) {
 					return nil, fmt.Errorf("xtree: entry %d component %d is %v, not finite", id, j, x)
 				}
 			}
@@ -224,7 +225,7 @@ func (r *layoutReader) node(depth int) (*Node, error) {
 			return nil, err
 		}
 		n.ids[i] = int32(id)
-		n.block.Set(i, p)
+		n.block.SetRow(i, p)
 	}
 	r.size += int(count)
 	n.recomputeRect()

@@ -7,8 +7,6 @@ import (
 	"math/rand"
 	"strings"
 	"testing"
-
-	"parsearch/internal/vec"
 )
 
 // sameNodes reports the first difference between two subtrees: kind,
@@ -41,13 +39,14 @@ func sameNodes(a, b *Node) bool {
 
 // byID resolves an IDs-only layout against the tree it was written from.
 func byID(tr *Tree) Resolver {
-	pts := make(map[int]vec.Point)
+	pts := make(map[int][]float32)
 	for _, n := range tr.Leaves() {
-		for _, e := range n.Entries() {
-			pts[e.ID] = e.Point
+		for i := range n.Len() {
+			pts[n.ID(i)] = make([]float32, tr.cfg.Dim)
+			n.Block().RowAt(i, pts[n.ID(i)])
 		}
 	}
-	return func(id int, p vec.Point) error {
+	return func(id int, p []float32) error {
 		copy(p, pts[id])
 		return nil
 	}
@@ -95,7 +94,7 @@ func TestLayoutRoundTrip(t *testing.T) {
 			b := tr.AppendLayout(nil, points)
 			resolve := byID(tr)
 			if points {
-				resolve = func(int, vec.Point) error { return nil }
+				resolve = func(int, []float32) error { return nil }
 			}
 			coord := 0
 			if points {
@@ -139,9 +138,11 @@ func TestReadLayoutRefusals(t *testing.T) {
 	}
 	leaf := func(ids ...int) []byte { return entries(header(nil, 1, uint32(len(ids)), 0, 1), ids...) }
 	cat := func(parts ...[]byte) []byte { return bytes.Join(parts, nil) }
-	same := func(int, vec.Point) error { return nil }
+	same := func(int, []float32) error { return nil }
 	nan := entries(header(nil, 1, 1, 0, 1), 0)
 	binary.LittleEndian.PutUint64(nan[len(nan)-8:], math.Float64bits(math.NaN()))
+	huge := entries(header(nil, 1, 1, 0, 1), 0)
+	binary.LittleEndian.PutUint64(huge[len(huge)-8:], math.Float64bits(1e39))
 	for _, c := range []struct {
 		name string
 		b    []byte
@@ -159,6 +160,7 @@ func TestReadLayoutRefusals(t *testing.T) {
 		{"leaves at different depths", cat(header(nil, 0, 2, 0, 1), leaf(0), header(nil, 0, 1, 0, 1), leaf(1)), "expected 1"},
 		{"history beyond the dimension", cat(header(nil, 0, 1, 4, 1), leaf(0)), "history"},
 		{"NaN coordinate", nan, "not finite"},
+		{"finite float64 beyond float32", huge, "not finite"},
 		{"more children than bytes", header(nil, 0, 5, 0, 1), "claims 5 children"},
 		{"more entries than bytes", header(nil, 1, 5, 0, 1), "claims 5 entries"},
 		{"bytes after the walk", cat(leaf(0), []byte{0}), "bytes after"},

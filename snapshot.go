@@ -8,6 +8,7 @@ import (
 	"hash/crc32"
 	"io"
 	"math"
+	"os"
 	"time"
 
 	"parsearch/internal/core"
@@ -291,11 +292,16 @@ func (sd *snapshotData) newIndex() (*Index, error) {
 	return ix, nil
 }
 
-// Load reads a snapshot written by Save and returns a fully rebuilt
-// index. The whole snapshot is buffered so the checksum can be verified
-// before any of it is trusted.
+// Load reads a snapshot written by Save and returns the index it holds: a
+// version-2 snapshot's recorded trees assembled as they were built, a
+// version-1 snapshot's point table rebuilt (see "Snapshot format"). The
+// whole snapshot is buffered so the checksum can be verified before any
+// of it is trusted. The buffer is allocated once when r knows how many
+// bytes it has left — a regular *os.File (its size less its offset), a
+// *bytes.Reader or a *bytes.Buffer — and grows as io.ReadAll's does past
+// that hint or without one; the read always runs to EOF.
 func Load(r io.Reader) (*Index, error) {
-	raw, err := io.ReadAll(r)
+	raw, err := readSnapshot(r)
 	if err != nil {
 		return nil, fmt.Errorf("parsearch: reading snapshot: %w", err)
 	}
@@ -304,6 +310,41 @@ func Load(r io.Reader) (*Index, error) {
 		return nil, err
 	}
 	return sd.newIndex()
+}
+
+// readSnapshot reads r to EOF into one buffer of the size r hints (see
+// Load), plus bytes.MinRead so that the read which meets EOF needs no
+// growth. A short or missing hint grows the buffer as io.ReadAll does.
+func readSnapshot(r io.Reader) ([]byte, error) {
+	hint := 0
+	switch src := r.(type) {
+	case *os.File:
+		if fi, err := src.Stat(); err == nil && fi.Mode().IsRegular() {
+			if at, err := src.Seek(0, io.SeekCurrent); err == nil && at < fi.Size() {
+				hint = int(fi.Size() - at)
+			}
+		}
+	case *bytes.Reader:
+		hint = src.Len()
+	case *bytes.Buffer:
+		hint = src.Len()
+	}
+	// io.ReadAll's loop, from a sized buffer. (A bytes.Buffer would be
+	// one more allocation under the race detector.)
+	b := make([]byte, 0, hint+bytes.MinRead)
+	for {
+		n, err := r.Read(b[len(b):cap(b)])
+		b = b[:len(b)+n]
+		if err == io.EOF {
+			return b, nil
+		}
+		if err != nil {
+			return nil, err
+		}
+		if len(b) == cap(b) {
+			b = append(b, 0)[:len(b)]
+		}
+	}
 }
 
 // decodeSnapshot validates and parses a complete snapshot: the
@@ -488,7 +529,7 @@ func parsePoints(br *bytes.Reader, count, dim, coord int) (*pointTable, error) {
 	// Sized by the points the bytes left can hold, not by the claim.
 	t := newTable(dim, min(count, br.Len()/(1+coord*dim)))
 	buf := make([]byte, coord*dim)
-	p := make([]float64, dim)
+	row := make([]float32, dim)
 	for i := 0; i < count; i++ {
 		presence, err := br.ReadByte()
 		if err != nil {
@@ -502,18 +543,17 @@ func parsePoints(br *bytes.Reader, count, dim, coord int) (*pointTable, error) {
 				return nil, fmt.Errorf("parsearch: reading snapshot point %d: %w", i, err)
 			}
 			if coord == 4 {
-				// Widening float32 → float64 is exact, and the table
-				// narrows it back: the round trip restores the ingested
-				// (pre-rounded) coordinates bit for bit.
-				for j := range p {
-					p[j] = float64(math.Float32frombits(binary.LittleEndian.Uint32(buf[4*j:])))
+				for j := range row {
+					row[j] = math.Float32frombits(binary.LittleEndian.Uint32(buf[4*j:]))
 				}
 			} else {
-				for j := range p {
-					p[j] = math.Float64frombits(binary.LittleEndian.Uint64(buf[8*j:]))
+				// Rounded as Insert rounds; the build refuses what
+				// rounds to an infinity.
+				for j := range row {
+					row[j] = float32(math.Float64frombits(binary.LittleEndian.Uint64(buf[8*j:])))
 				}
 			}
-			t.add(p)
+			t.addRow(row)
 		default:
 			return nil, fmt.Errorf("parsearch: invalid presence byte %d at point %d", presence, i)
 		}

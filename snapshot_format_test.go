@@ -7,14 +7,17 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"io"
 	"math"
 	"math/rand"
 	"os"
+	"path/filepath"
 	"reflect"
 	"runtime"
 	"slices"
 	"strings"
 	"testing"
+	"testing/iotest"
 
 	"parsearch/internal/data"
 	"parsearch/internal/fsx"
@@ -231,6 +234,83 @@ func TestLoadDigest(t *testing.T) {
 				t.Errorf("%s: %v", c.name, err)
 			}
 		}
+	}
+}
+
+// TestLoadReadsOnce: Load's read (readSnapshot) returns a snapshot's
+// exact bytes from an *os.File at offset 0, an *os.File past its
+// caller's own header, a *bytes.Reader and a reader that hints no size
+// (iotest.OneByteReader). The three that know their size fill one
+// buffer, allocated once (a file's Stat allocates besides). A reader
+// that fails mid-stream returns its error. Every source that reads
+// loads to the build golden's line of the snapshot's configuration.
+func TestLoadReadsOnce(t *testing.T) {
+	cases := digestCases()
+	c := cases[slices.IndexFunc(cases, func(c digestCase) bool { return c.name == "tombstones" })]
+	want := goldenDigests(t)[c.name]
+	ix, err := Open(c.opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := ix.Build(c.points()); err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := ix.Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	raw := buf.Bytes()
+	header := []byte("a caller's own header")
+	file := func(name string, b []byte) *os.File {
+		f, err := os.Create(filepath.Join(t.TempDir(), name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { f.Close() })
+		if _, err := f.Write(b); err != nil {
+			t.Fatal(err)
+		}
+		return f
+	}
+	plain := file("plain", raw)
+	headed := file("headed", append(slices.Clone(header), raw...))
+	stat := testing.AllocsPerRun(10, func() { plain.Stat() })
+	br := bytes.NewReader(nil)
+	for _, src := range []struct {
+		name   string
+		open   func() io.Reader
+		allocs float64 // -1: not counted
+	}{
+		{"file", func() io.Reader { plain.Seek(0, io.SeekStart); return plain }, 1 + stat},
+		{"file past a header", func() io.Reader { headed.Seek(int64(len(header)), io.SeekStart); return headed }, 1 + stat},
+		{"bytes.Reader", func() io.Reader { br.Reset(raw); return br }, 1},
+		{"no hint", func() io.Reader { return iotest.OneByteReader(bytes.NewReader(raw)) }, -1},
+	} {
+		got, err := readSnapshot(src.open())
+		if err != nil || !bytes.Equal(got, raw) {
+			t.Errorf("%s: read %d bytes (%v), want the snapshot's %d", src.name, len(got), err, len(raw))
+		}
+		if src.allocs >= 0 {
+			if n := testing.AllocsPerRun(5, func() { readSnapshot(src.open()) }); n != src.allocs {
+				t.Errorf("%s: %v allocations a read, want %v", src.name, n, src.allocs)
+			}
+		}
+		loaded, err := Load(src.open())
+		if err != nil {
+			t.Errorf("%s: %v", src.name, err)
+		} else if got := stateDigest(loaded); got != want {
+			t.Errorf("%s: loaded digest\n  %s\nwant\n  %s", src.name, got, want)
+		}
+	}
+	boom := errors.New("the disk went away")
+	failing := func() io.Reader {
+		return io.MultiReader(bytes.NewReader(raw[:len(raw)/2]), iotest.ErrReader(boom))
+	}
+	if _, err := readSnapshot(failing()); !errors.Is(err, boom) {
+		t.Errorf("a reader failing mid-stream: read says %v, want its error", err)
+	}
+	if _, err := Load(failing()); !errors.Is(err, boom) {
+		t.Errorf("a reader failing mid-stream: Load says %v, want its error", err)
 	}
 }
 
@@ -748,7 +828,7 @@ func TestDurableRecoveryFromTrees(t *testing.T) {
 		cfg := xtree.DefaultConfig(4)
 		cfg.LeafCapacity = xtree.LeafCapacityForPage(4, 512)
 		cfg.DirCapacity = xtree.DirCapacityForPage(4, 512)
-		tr, err := xtree.ReadLayout(cfg, secs[0], 4, func(int, vec.Point) error { return nil })
+		tr, err := xtree.ReadLayout(cfg, secs[0], 4, func(int, []float32) error { return nil })
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -30,6 +30,10 @@ func (t *pointTable) len() int { return len(t.dead) }
 // has reports whether id is a live ID.
 func (t *pointTable) has(id int) bool { return id >= 0 && id < len(t.dead) && !t.dead[id] }
 
+// row returns ID id's coordinates, in the table's own storage: a reader
+// must not write them; an assembly fills a tombstone's row so.
+func (t *pointTable) row(id int) []float32 { return t.f32[id*t.dim : (id+1)*t.dim : (id+1)*t.dim] }
+
 // point returns ID id's coordinates widened into buf, which must have
 // length dim.
 func (t *pointTable) point(id int, buf vec.Point) vec.Point {
@@ -48,22 +52,18 @@ func (t *pointTable) add(p vec.Point) int {
 	return len(t.dead) - 1
 }
 
+// addRow appends p's float32 coordinates as the next ID.
+func (t *pointTable) addRow(p []float32) {
+	t.f32 = append(t.f32, p...)
+	t.dead = append(t.dead, false)
+}
+
 // addDead appends n tombstones, whose coordinates are zero.
 func (t *pointTable) addDead(n int) {
 	t.f32 = append(t.f32, make([]float32, n*t.dim)...)
 	for range n {
 		t.dead = append(t.dead, true)
 	}
-}
-
-// set writes ID id's coordinates and marks it live: the assembly's
-// claim walk fills a table of tombstones so.
-func (t *pointTable) set(id int, p vec.Point) {
-	lo := id * t.dim
-	for j, x := range p {
-		t.f32[lo+j] = float32(x)
-	}
-	t.dead[id] = false
 }
 
 // kill marks id deleted. Its coordinates stay: a cut may still read them.

@@ -4,9 +4,11 @@ import (
 	"bytes"
 	"cmp"
 	"context"
+	"encoding/binary"
 	"errors"
 	"math"
 	"math/rand"
+	"os"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -80,7 +82,40 @@ func TestNonFiniteInsertRefused(t *testing.T) {
 // holding one, naming the component; durable recovery refuses a logged
 // insert of one as ErrCorrupt, and Salvage keeps the log's prefix before
 // it, which passes CheckIntegrity and answers over exactly its points.
+// A float64 snapshot's finite coordinate beyond float32's range (1e39)
+// rounds to an infinity as it loads, and is refused as one, from either
+// version.
 func TestNonFiniteLoadAndReplayRefused(t *testing.T) {
+	for _, c := range []struct{ name, file string }{
+		{"version 1", "testdata/pre_slab_golden.snap"},
+		{"version 2", "testdata/float64_v2.snap"},
+	} {
+		t.Run("Load/float64 1e39/"+c.name, func(t *testing.T) {
+			raw, err := os.ReadFile(c.file)
+			if err != nil {
+				t.Fatal(err)
+			}
+			payload := raw[:len(raw)-4]
+			at := snapshotCountOffset(payload) + 8 // the first slot, or tree section
+			if snapshotVersionOf(raw) == snapshotPoints {
+				if payload[at] != 1 {
+					t.Fatal("the fixture's ID 0 is not live")
+				}
+				at++ // its presence byte
+			} else {
+				const nodeHeader = 1 + 4 + 8 + 4
+				at += 8 // the section's length
+				for payload[at] == 0 {
+					at += nodeHeader // a directory, down to the first leaf
+				}
+				at += nodeHeader + 4 // the leaf's header, its first entry's ID
+			}
+			binary.LittleEndian.PutUint64(payload[at+8:], math.Float64bits(1e39)) // component 1
+			if _, err := Load(bytes.NewReader(resealSnapshot(payload))); err == nil || !strings.Contains(err.Error(), "not finite") {
+				t.Errorf("err %v, want a refusal naming the coordinate not finite", err)
+			}
+		})
+	}
 	bad := map[string]float64{"NaN": math.NaN(), "+Inf": math.Inf(1), "-Inf": math.Inf(-1)}
 	good := [][]float64{{0.1, 0.2, 0.3}, {0.4, 0.5, 0.6}, {0.7, 0.8, 0.9}}
 	for name, v := range bad {
