@@ -170,10 +170,20 @@ func (ix *Index) buildState(tbl *pointTable) (st *state, live int, err error) {
 func (ix *Index) decluster(tbl *pointTable, live int, pts []vec.Point) (*state, []int, error) {
 	st := &state{cellIndex: make(map[string]int)}
 	// Choose the bucketing per the configured extensions. The quantile
-	// splits are order statistics, the same in any order: their columns
-	// are read off the table.
+	// splits are order statistics, the same in any order: each
+	// dimension's column is read off the table, one job a dimension.
 	if ix.opts.QuantileSplits && live > 0 {
-		st.bucketer = core.NewQuantileSplitterOf(ix.opts.Dim, live, tbl.column, 0.5)
+		splits := make([]float64, ix.opts.Dim)
+		jobs := make([]func(), len(splits))
+		for j := range jobs {
+			jobs[j] = func() {
+				col := make([]float64, live)
+				tbl.column(j, col)
+				splits[j] = core.QuantileSplit(col, 0.5)
+			}
+		}
+		runJobs(jobs)
+		st.bucketer = core.NewSplitter(splits)
 	} else {
 		st.bucketer = core.NewMidpointSplitter(ix.opts.Dim)
 	}

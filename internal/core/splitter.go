@@ -50,35 +50,31 @@ func NewQuantileSplitter(points []vec.Point, alpha float64) *Splitter {
 	if len(points) == 0 {
 		panic("core: NewQuantileSplitter with no points")
 	}
-	return NewQuantileSplitterOf(len(points[0]), len(points), func(i int, col []float64) {
+	d := len(points[0])
+	checkDim(d)
+	splits := make([]float64, d)
+	col := make([]float64, len(points))
+	for i := range splits {
 		for j, p := range points {
 			col[j] = p[i]
 		}
-	}, alpha)
-}
-
-// NewQuantileSplitterOf is NewQuantileSplitter over n points of dimension
-// d held elsewhere: column(i, col) writes coordinate i of every point into
-// col, in any order.
-func NewQuantileSplitterOf(d, n int, column func(i int, col []float64), alpha float64) *Splitter {
-	if n == 0 {
-		panic("core: NewQuantileSplitter with no points")
-	}
-	checkDim(d)
-	splits := make([]float64, d)
-	col := make([]float64, n)
-	for i := 0; i < d; i++ {
-		column(i, col)
-		splits[i] = quantile.Exact(col, alpha)
-		// The order statistics are the same values in any order of the
-		// points, but of equal values selection keeps whichever it met
-		// first: a zero split is +0, so that no split depends on the
-		// order the points come in.
-		if splits[i] == 0 {
-			splits[i] = 0
-		}
+		splits[i] = QuantileSplit(col, alpha)
 	}
 	return &Splitter{splits: splits}
+}
+
+// QuantileSplit returns the split NewQuantileSplitter places in a
+// dimension whose coordinates, in any order, are col (not empty): their
+// α-quantile. The order statistics are the same values in any order of
+// the points, but of equal values selection keeps whichever it met
+// first: a zero split is +0, so that no split depends on the order the
+// points come in.
+func QuantileSplit(col []float64, alpha float64) float64 {
+	s := quantile.Exact(col, alpha)
+	if s == 0 {
+		s = 0
+	}
+	return s
 }
 
 // Dim implements Bucketer.

@@ -11,7 +11,10 @@ import (
 // (the contract of checkStaged) on fuzzed pages: dimension 1 + dim%32,
 // 1 + n%64 entries, and coordinates int8(b)·2^exp from the bytes of raw
 // (cycled), so that ties, zeros, denormals and overflowing squares all
-// occur. The bound is one of the dense outputs, or +Inf.
+// occur. The bound is one of the dense outputs, or +Inf. Every kernel
+// also runs on the Go loops, which must write the same bits and keep
+// the same entries (checkPaths), so the assembly is fuzzed against its
+// oracle.
 func FuzzStagedKernels(f *testing.F) {
 	f.Add(uint8(9), uint8(40), int8(-3), uint8(7), []byte{1, 200, 3, 0, 0, 17, 128, 255, 9, 9})
 	f.Add(uint8(0), uint8(0), int8(0), uint8(0), []byte{0})
@@ -38,20 +41,10 @@ func FuzzStagedKernels(f *testing.F) {
 			pts[i] = next()
 		}
 		s, rs := Build(d, pts, false), BuildRects(d, pairRects(pts))
-		var keep []int32
+		bounds := func(_, dense []float64) []float64 { return []float64{dense[int(pick)%len(dense)], math.Inf(1)} }
 		for _, m := range metrics {
-			dense, out := make([]float64, s.Len()), make([]float64, s.Len())
-			s.DistsToPage(q, m, dense)
-			for _, bound := range []float64{dense[int(pick)%len(dense)], math.Inf(1)} {
-				keep = s.DistsWithin(q, m, bound, out, keep)
-				checkStaged(t, "points", dense, out, keep, bound)
-			}
-			dense, out = make([]float64, rs.Len()), make([]float64, rs.Len())
-			rs.MinDistsToPage(q, m, dense)
-			for _, bound := range []float64{dense[int(pick)%len(dense)], math.Inf(1)} {
-				keep = rs.MinDistsWithin(q, m, bound, out, keep)
-				checkStaged(t, "rects", dense, out, keep, bound)
-			}
+			checkPaths(t, "points", leafPage{s}, q, m, bounds)
+			checkPaths(t, "rects", dirPage{rs}, q, m, bounds)
 		}
 	})
 }

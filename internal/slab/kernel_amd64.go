@@ -1,0 +1,37 @@
+//go:build !purego
+
+package slab
+
+// useAVX2 says whether the L2 kernels run the AVX2 assembly of
+// kernel_amd64.s: the CPU has AVX2 and the OS saves the YMM registers.
+// The Go loops are the fallback and the tests' oracle; the tests clear
+// it to run them.
+var useAVX2 = cpuHasAVX2()
+
+func cpuHasAVX2() bool
+
+// addDimsL2 folds dimensions [from, to) of the squared distance of every
+// one of the n points of data (dimension-major, n to a column) into out.
+//
+//go:noescape
+func addDimsL2(out *float64, data *float32, q *float64, n, from, to int)
+
+// distsWithinL2 is Slab.distsWithin's L2 kernel: it writes every
+// point's distance, or its partial over the first h dimensions when that
+// is above bound, into out, the indices of the others into keep (room
+// for n), and returns how many it kept.
+//
+//go:noescape
+func distsWithinL2(out *float64, keep *int32, data *float32, q *float64, n, h, dim int, bound float64) int
+
+// addMinDimsL2 is addDimsL2's squared MINDIST over rectangles whose
+// minima and maxima are the dimension-major columns lo and hi.
+//
+//go:noescape
+func addMinDimsL2(out *float64, lo, hi *float32, q *float64, n, from, to int)
+
+// minDistsWithinL2 is distsWithinL2's squared MINDIST over the columns
+// lo and hi.
+//
+//go:noescape
+func minDistsWithinL2(out *float64, keep *int32, lo, hi *float32, q *float64, n, h, dim int, bound float64) int

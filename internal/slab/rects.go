@@ -83,6 +83,10 @@ func (rs *RectSlab) addDims(q vec.Point, m vec.Metric, out []float64, from, to i
 	out = out[:n] // lets the compiler drop the bounds checks on out[i]
 	switch m {
 	case vec.L2:
+		if useAVX2 && n > 0 {
+			addMinDimsL2(&out[0], &rs.min[0], &rs.max[0], &q[0], n, from, to)
+			return
+		}
 		for j := from; j < to; j++ {
 			qj := q[j]
 			minCol := rs.min[j*n : (j+1)*n]
@@ -145,6 +149,10 @@ func (rs *RectSlab) MinDistsWithin(q vec.Point, m vec.Metric, bound float64, out
 
 func (rs *RectSlab) minDistsWithin(q vec.Point, m vec.Metric, bound float64, out []float64, keep []int32, h int) []int32 {
 	out = out[:rs.n]
+	if m == vec.L2 && useAVX2 && rs.n > 0 {
+		keep = grown(keep, rs.n)
+		return keep[:minDistsWithinL2(&out[0], &keep[0], &rs.min[0], &rs.max[0], &q[0], rs.n, h, rs.dim, bound)]
+	}
 	clear(out)
 	rs.addDims(q, m, out, 0, h)
 	if keep = within(out, bound, keep); len(keep) == rs.n {

@@ -22,6 +22,19 @@
 // kept — the filter is <=, never < — because an entry at exactly the
 // k-th distance can still enter a k-best on its smaller ID. Inputs are
 // finite, as at ingest, so no distance is NaN.
+//
+// On amd64, when CPUID and XGETBV report AVX2 with the YMM state saved
+// by the OS, the L2 kernels — leaf distances and directory MINDISTs,
+// dense and staged — run the assembly of kernel_amd64.s. Its lanes are
+// entries, four to a register: each lane runs the Go loop's operation
+// sequence in ascending dimension order (widen, subtract, multiply, add;
+// never a fused multiply-add) from a +0 accumulator, so it writes the Go
+// loop's bits, dropped entries' partials included, and the same keep
+// list. The directory kernel takes max(lo−q, q−hi, +0) branchless, which
+// squares to the branching kernel's term. Everywhere else — another
+// architecture, the purego build tag, a CPU without AVX2, the L1 and
+// L∞ metrics — the Go loops run; they are also the tests' oracle
+// (TestKernelsMatchGo, FuzzStagedKernels).
 package slab
 
 import (
@@ -136,6 +149,10 @@ func (s *Slab) addDims(q vec.Point, m vec.Metric, out []float64, from, to int) {
 	out = out[:n] // lets the compiler drop the bounds checks on out[i]
 	switch m {
 	case vec.L2:
+		if useAVX2 && n > 0 {
+			addDimsL2(&out[0], &s.data[0], &q[0], n, from, to)
+			return
+		}
 		for j := from; j < to; j++ {
 			qj := q[j]
 			col := s.data[j*n : (j+1)*n]
@@ -180,6 +197,10 @@ func (s *Slab) DistsWithin(q vec.Point, m vec.Metric, bound float64, out []float
 
 func (s *Slab) distsWithin(q vec.Point, m vec.Metric, bound float64, out []float64, keep []int32, h int) []int32 {
 	out = out[:s.n]
+	if m == vec.L2 && useAVX2 && s.n > 0 {
+		keep = grown(keep, s.n)
+		return keep[:distsWithinL2(&out[0], &keep[0], &s.data[0], &q[0], s.n, h, s.dim, bound)]
+	}
 	clear(out)
 	s.addDims(q, m, out, 0, h)
 	if keep = within(out, bound, keep); len(keep) == s.n {
@@ -231,10 +252,7 @@ func split(dim int) int { return (dim + 1) / 2 }
 // filter stores every index and advances only past the kept ones, so
 // it does not branch on the comparison.
 func within(out []float64, bound float64, keep []int32) []int32 {
-	if cap(keep) < len(out) {
-		keep = make([]int32, len(out))
-	}
-	keep = keep[:len(out)]
+	keep = grown(keep, len(out))
 	k := 0
 	for i, d := range out {
 		keep[k] = int32(i)
@@ -243,6 +261,15 @@ func within(out []float64, bound float64, keep []int32) []int32 {
 		}
 	}
 	return keep[:k]
+}
+
+// grown returns keep with length n, in its storage when it is large
+// enough.
+func grown(keep []int32, n int) []int32 {
+	if cap(keep) < n {
+		return make([]int32, n)
+	}
+	return keep[:n]
 }
 
 // PointAt writes point i's coordinates (widened to float64) into p,

@@ -17,7 +17,8 @@ import (
 // partition of one disk's share of the lib-scale data (62,500 uniform
 // points, d = 10) and of 50,000 Fourier descriptors (d = 16), with
 // directory pages over runs of consecutive leaves. h = d is the dense
-// kernel with the filter.
+// kernel with the filter. Every row runs on the Go loops (go) and, where
+// the CPU has AVX2, on the assembly (asm).
 func BenchmarkStagedSplit(b *testing.B) {
 	fourier := roundAll(data.Fourier(50_000, 16, 12, 0.15, 1))
 	workloads := []struct {
@@ -31,32 +32,38 @@ func BenchmarkStagedSplit(b *testing.B) {
 		dim := len(wl.qs[0])
 		w := traceSearches(wl.pts, wl.qs, 4096/(8*dim+4), 4096/(16*dim+8), 10)
 		for h := 1; h <= dim; h++ {
-			b.Run(fmt.Sprintf("%s/leaf/h=%d", wl.name, h), func(b *testing.B) {
-				var out []float64
-				var keep []int32
-				for i := 0; i < b.N; i++ {
-					for _, c := range w.calls {
-						if c.leaf {
-							s := w.leaves[c.page]
-							out = grow(out, s.Len())
-							keep = s.distsWithin(c.q, vec.L2, c.bound, out, keep, h)
+			for _, path := range kernelPaths() {
+				b.Run(fmt.Sprintf("%s/leaf/h=%d/%s", wl.name, h, path.name), func(b *testing.B) {
+					var out []float64
+					var keep []int32
+					path.run(func() {
+						for i := 0; i < b.N; i++ {
+							for _, c := range w.calls {
+								if c.leaf {
+									s := w.leaves[c.page]
+									out = grow(out, s.Len())
+									keep = s.distsWithin(c.q, vec.L2, c.bound, out, keep, h)
+								}
+							}
 						}
-					}
-				}
-			})
-			b.Run(fmt.Sprintf("%s/dir/h=%d", wl.name, h), func(b *testing.B) {
-				var out []float64
-				var keep []int32
-				for i := 0; i < b.N; i++ {
-					for _, c := range w.calls {
-						if !c.leaf {
-							rs := w.dirs[c.page]
-							out = grow(out, rs.Len())
-							keep = rs.minDistsWithin(c.q, vec.L2, c.bound, out, keep, h)
+					})
+				})
+				b.Run(fmt.Sprintf("%s/dir/h=%d/%s", wl.name, h, path.name), func(b *testing.B) {
+					var out []float64
+					var keep []int32
+					path.run(func() {
+						for i := 0; i < b.N; i++ {
+							for _, c := range w.calls {
+								if !c.leaf {
+									rs := w.dirs[c.page]
+									out = grow(out, rs.Len())
+									keep = rs.minDistsWithin(c.q, vec.L2, c.bound, out, keep, h)
+								}
+							}
 						}
-					}
-				}
-			})
+					})
+				})
+			}
 		}
 	}
 }
