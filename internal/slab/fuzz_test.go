@@ -14,7 +14,8 @@ import (
 // occur. The bound is one of the dense outputs, or +Inf. Every kernel
 // also runs on the Go loops, which must write the same bits and keep
 // the same entries (checkPaths), so the assembly is fuzzed against its
-// oracle.
+// oracle. The containment kernel runs on a box from the same bytes,
+// with wildcard dimensions and bounds off the float32 grid (checkInside).
 func FuzzStagedKernels(f *testing.F) {
 	f.Add(uint8(9), uint8(40), int8(-3), uint8(7), []byte{1, 200, 3, 0, 0, 17, 128, 255, 9, 9})
 	f.Add(uint8(0), uint8(0), int8(0), uint8(0), []byte{0})
@@ -40,11 +41,23 @@ func FuzzStagedKernels(f *testing.F) {
 		for i := range pts {
 			pts[i] = next()
 		}
-		s, rs := Build(d, pts, false), BuildRects(d, pairRects(pts))
+		rects := pairRects(pts)
+		s, rs := Build(d, pts, false), BuildRects(d, rects)
 		bounds := func(_, dense []float64) []float64 { return []float64{dense[int(pick)%len(dense)], math.Inf(1)} }
 		for _, m := range metrics {
 			checkPaths(t, "points", leafPage{s}, q, m, bounds)
 			checkPaths(t, "rects", dirPage{rs}, q, m, bounds)
 		}
+		lo, hi := next(), next()
+		for j := range lo {
+			lo[j], hi[j] = min(lo[j], hi[j]), max(lo[j], hi[j])
+			switch (int(pick) + j) % 4 {
+			case 0:
+				lo[j], hi[j] = math.Inf(-1), math.Inf(1)
+			case 1:
+				lo[j], hi[j] = math.Nextafter(lo[j], math.Inf(1)), math.Nextafter(hi[j], math.Inf(-1))
+			}
+		}
+		checkInside(t, "box", s, pts, rs, rects, vec.Rect{Min: lo, Max: hi})
 	})
 }

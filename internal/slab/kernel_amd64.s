@@ -32,6 +32,24 @@ DATA tailmask<>+20(SB)/4, $0
 DATA tailmask<>+24(SB)/4, $0
 GLOBL tailmask<>(SB), RODATA|NOPTR, $28
 
+// tailmask8<>+(7-r)*4 holds r all-ones int32 lanes and then zeros.
+DATA tailmask8<>+0(SB)/4, $0xffffffff
+DATA tailmask8<>+4(SB)/4, $0xffffffff
+DATA tailmask8<>+8(SB)/4, $0xffffffff
+DATA tailmask8<>+12(SB)/4, $0xffffffff
+DATA tailmask8<>+16(SB)/4, $0xffffffff
+DATA tailmask8<>+20(SB)/4, $0xffffffff
+DATA tailmask8<>+24(SB)/4, $0xffffffff
+DATA tailmask8<>+28(SB)/4, $0
+DATA tailmask8<>+32(SB)/4, $0
+DATA tailmask8<>+36(SB)/4, $0
+DATA tailmask8<>+40(SB)/4, $0
+DATA tailmask8<>+44(SB)/4, $0
+DATA tailmask8<>+48(SB)/4, $0
+DATA tailmask8<>+52(SB)/4, $0
+DATA tailmask8<>+56(SB)/4, $0
+GLOBL tailmask8<>(SB), RODATA|NOPTR, $60
+
 // One dimension of the squared distance into Y0 and Y1 (8 entries), Y0
 // (4 entries) or Y0 under the tail mask, then the next column.
 #define L2STEP8 \
@@ -275,12 +293,12 @@ TEXT ·cpuHasAVX2(SB), NOSPLIT, $0-1
 	CMPL AX, $7
 	JLT  no
 
-	// CPUID.1:ECX bit 27 OSXSAVE, bit 28 AVX.
+	// CPUID.1:ECX bit 23 POPCNT, bit 27 OSXSAVE, bit 28 AVX.
 	MOVL $1, AX
 	XORL CX, CX
 	CPUID
-	ANDL $0x18000000, CX
-	CMPL CX, $0x18000000
+	ANDL $0x18800000, CX
+	CMPL CX, $0x18800000
 	JNE  no
 
 	// XCR0 bits 1 and 2: the OS saves XMM and YMM state.
@@ -404,5 +422,199 @@ TEXT ·minDistsWithinL2(SB), NOSPLIT, $0-80
 
 done:
 	MOVQ AX, ret+72(FP)
+	VZEROUPPER
+	RET
+
+// Sets R11 from the bits of a float64 to those of the least float32 not
+// below it (NaN stays NaN): the nearest float32, moved up one step when
+// it widens to less than the float64. A step up adds 1 to the bits of a
+// float32 with the sign clear and subtracts 1 from one with it set; a -0
+// is never moved (it widens to a value no float64 rounding to it exceeds).
+// Clobbers CX, DX and X2-X5.
+#define CEIL32 \
+	VMOVQ     R11, X2; \
+	VCVTSD2SS X2, X2, X3; \
+	VCVTSS2SD X3, X3, X4; \
+	VCMPSD    $1, X2, X4, X5; \
+	VMOVD     X3, R11; \
+	VMOVQ     X5, CX; \
+	MOVL      R11, DX; \
+	SARL      $31, DX; \
+	LEAL      1(DX)(DX*1), DX; \
+	ANDL      CX, DX; \
+	ADDL      DX, R11
+
+// func insideAVX2(keep *int32, lower, upper *float32, min, max *float64, n, dim int) int
+//
+// The containment kernel, staged by dimension over blocks of 8 entries:
+// one mask byte per block, its bit b set while entry 8·block+b is inside
+// every bounded dimension scanned so far. The bytes sit at the end of
+// keep, where the keep list written from its start never reaches a byte
+// before it is read. A dimension bounded by -Inf and +Inf is skipped;
+// any other compares the float32 columns with its bounds rounded inward
+// (lo up, hi down: a float32 is below lo exactly when it is below lo's
+// rounding, and likewise above hi), so the set is the float64
+// comparison's. An entry is kept while !(lo > upper) and
+// !(hi < lower), the unordered predicates NGT_US and NLT_US, so that a
+// NaN bound keeps it as the Go loop's !(upper < lo) && !(lower > hi)
+// does. The scan stops once every byte is zero. The keep list is then
+// built from the bytes without a branch: laneTable[byte] holds the set
+// lanes' positions, which are widened to int32, offset by the block's
+// first index (Y1) and all stored at keep[AX]; AX advances by the
+// byte's population count. A full block's store ends at keep[8·block+8]
+// at most, which is before the next block's byte; the tail's is masked
+// to its r lanes.
+//
+// Registers: DI keep, SI the upper column, R8 min and R9 max of its
+// dimension, R10 the mask bytes, R12 column stride in bytes, R13 block
+// pointer into the upper column and DX lower - upper in bytes, R14 full
+// blocks, BX block index, AX the OR of the bytes and then the keep
+// count, CX and R11 temporaries. Y14, Y15 the rounded bounds, Y11 the
+// tail's lane mask.
+TEXT ·insideAVX2(SB), NOSPLIT, $0-64
+	MOVQ keep+0(FP), DI
+	MOVQ upper+16(FP), SI
+	MOVQ min+24(FP), R8
+	MOVQ max+32(FP), R9
+	MOVQ n+40(FP), R12
+	MOVQ R12, R14
+	SHRQ $3, R14
+	LEAQ 7(R12), CX
+	SHRQ $3, CX
+	LEAQ (DI)(R12*4), R10
+	SUBQ CX, R10
+	SHLQ $2, R12
+
+	// Every point of a full block starts kept, and the tail's r.
+	XORQ BX, BX
+
+fill:
+	CMPQ BX, R14
+	JGE  filltail
+	MOVB $0xff, (R10)(BX*1)
+	INCQ BX
+	JMP  fill
+
+filltail:
+	MOVQ      n+40(FP), CX
+	ANDQ      $7, CX
+	JZ        dims
+	LEAQ      tailmask8<>(SB), DX
+	NEGQ      CX
+	VMOVDQU   28(DX)(CX*4), Y11
+	VMOVMSKPS Y11, CX
+	MOVB      CX, (R10)(R14*1)
+
+dims:
+	MOVQ dim+48(FP), CX
+	SHLQ $3, CX
+	ADDQ min+24(FP), CX
+	CMPQ R8, CX
+	JEQ  compact
+	MOVQ (R8), R11
+	MOVQ $-0x10000000000000, CX
+	CMPQ R11, CX
+	JNE  bounded
+	MOVQ (R9), DX
+	MOVQ $0x7ff0000000000000, CX
+	CMPQ DX, CX
+	JEQ  next
+
+bounded:
+	CEIL32
+	VMOVD        R11, X14
+	VPBROADCASTD X14, Y14
+	MOVQ         (R9), R11
+	BTCQ         $63, R11
+	CEIL32
+	BTCL         $31, R11
+	VMOVD        R11, X15
+	VPBROADCASTD X15, Y15
+	MOVQ         lower+8(FP), DX
+	SUBQ         upper+16(FP), DX
+	XORL         AX, AX
+	MOVQ         SI, R13
+	XORQ         BX, BX
+
+block:
+	CMPQ      BX, R14
+	JGE       tail
+	VCMPPS    $0x0a, (R13), Y14, Y3
+	VCMPPS    $0x05, (R13)(DX*1), Y15, Y4
+	VANDPS    Y3, Y4, Y3
+	VMOVMSKPS Y3, CX
+	MOVBLZX   (R10)(BX*1), R11
+	ANDL      CX, R11
+	MOVB      R11, (R10)(BX*1)
+	ORL       R11, AX
+	ADDQ      $32, R13
+	INCQ      BX
+	JMP       block
+
+tail:
+	MOVQ       n+40(FP), CX
+	ANDQ       $7, CX
+	JZ         scanned
+	VMASKMOVPS (R13), Y11, Y2
+	VMASKMOVPS (R13)(DX*1), Y11, Y5
+	VCMPPS     $0x0a, Y2, Y14, Y3
+	VCMPPS     $0x05, Y5, Y15, Y4
+	VANDPS     Y3, Y4, Y3
+	VMOVMSKPS  Y3, CX
+	MOVBLZX    (R10)(BX*1), R11
+	ANDL       CX, R11
+	MOVB       R11, (R10)(BX*1)
+	ORL        R11, AX
+
+scanned:
+	TESTL AX, AX
+	JZ    none
+
+next:
+	ADDQ $8, R8
+	ADDQ $8, R9
+	ADDQ R12, SI
+	JMP  dims
+
+compact:
+	LEAQ         ·laneTable(SB), R8
+	XORQ         AX, AX
+	XORQ         BX, BX
+	VPXOR        Y1, Y1, Y1
+	MOVL         $8, CX
+	VMOVD        CX, X12
+	VPBROADCASTD X12, Y12
+
+cblock:
+	CMPQ      BX, R14
+	JGE       ctail
+	MOVBLZX   (R10)(BX*1), CX
+	VPMOVZXBD (R8)(CX*8), Y0
+	VPADDD    Y1, Y0, Y0
+	VMOVDQU   Y0, (DI)(AX*4)
+	POPCNTL   CX, CX
+	ADDQ      CX, AX
+	VPADDD    Y12, Y1, Y1
+	INCQ      BX
+	JMP       cblock
+
+ctail:
+	MOVQ       n+40(FP), CX
+	ANDQ       $7, CX
+	JZ         done
+	MOVBLZX    (R10)(BX*1), CX
+	VPMOVZXBD  (R8)(CX*8), Y0
+	VPADDD     Y1, Y0, Y0
+	VPMASKMOVD Y0, Y11, (DI)(AX*4)
+	POPCNTL    CX, CX
+	ADDQ       CX, AX
+
+done:
+	MOVQ AX, ret+56(FP)
+	VZEROUPPER
+	RET
+
+none:
+	MOVQ $0, ret+56(FP)
 	VZEROUPPER
 	RET

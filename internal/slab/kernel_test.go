@@ -105,10 +105,11 @@ func kernelBounds(partial, dense []float64) []float64 {
 	return []float64{0, partial[len(partial)/2], dense[len(dense)/3], sorted[len(sorted)/2], math.Inf(1)}
 }
 
-// TestKernelsMatchGo checks all four kernels on the assembly path
-// against the Go loops, the oracle, bit for bit: every entry of out,
-// the dropped ones' partials included, and every keep list. Page
-// lengths 1 to 64 cover every tail width of the 8- and 4-wide blocks.
+// TestKernelsMatchGo checks every kernel on the assembly path against
+// the Go loops, the oracle, bit for bit: every entry of out, the dropped
+// ones' partials included, and every keep list, the containment
+// kernel's too (checkInside). Page lengths 1 to 64 cover every tail
+// width of the 8- and 4-wide blocks.
 func TestKernelsMatchGo(t *testing.T) {
 	if !useAVX2 {
 		t.Log("no AVX2 kernels on this machine: both sides run the Go loops")
@@ -126,6 +127,125 @@ func TestKernelsMatchGo(t *testing.T) {
 					checkPaths(t, label+" rects", dirPage{rs}, q, m, kernelBounds)
 				}
 			}
+			var rects []vec.Rect // as rs stores them
+			for _, r := range pairRects(pts)[:n] {
+				rects = append(rects, vec.Rect{Min: r32(r.Min), Max: r32(r.Max)})
+			}
+			for bi, box := range kernelBoxes(rng, pts[:n]) {
+				checkInside(t, fmt.Sprintf("d=%d n=%d box %d", dim, n, bi), s, pts[:n], rs, rects, box)
+			}
+		}
+	}
+}
+
+// kernelBoxes are the boxes the containment kernel is checked on, over
+// the points of a page: their MBR (every point inside, bounds on
+// coordinates); a point box (lo == hi); a box between two points, with
+// bounds on coordinates, and moved off them to float64s that are not
+// float32 values (to the next float64, or halfway to the next float32);
+// that box with every other dimension a wildcard (±Inf), and with all of
+// them; bounds beyond float32's range, holding all or nothing of a
+// dimension; denormal bounds; a box holding none of the points; and a
+// NaN bound, which Contains and the kernels treat as no bound.
+func kernelBoxes(rng *rand.Rand, pts []vec.Point) []vec.Rect {
+	dim := len(pts[0])
+	inf := math.Inf(1)
+	between := func() vec.Rect {
+		a, b := pts[rng.Intn(len(pts))], pts[rng.Intn(len(pts))]
+		r := vec.Rect{Min: make(vec.Point, dim), Max: make(vec.Point, dim)}
+		for j := range r.Min {
+			r.Min[j], r.Max[j] = min(a[j], b[j]), max(a[j], b[j])
+		}
+		return r
+	}
+	boxes := []vec.Rect{vec.MBR(pts), vec.PointRect(pts[len(pts)/2]), between()}
+	off := between()
+	for j := range off.Min {
+		switch rng.Intn(4) {
+		case 0:
+			off.Min[j] = math.Nextafter(off.Min[j], -inf)
+		case 1:
+			off.Min[j] = math.Nextafter(off.Min[j], inf)
+			off.Max[j] = math.Nextafter(off.Max[j], inf)
+		case 2:
+			up := float64(math.Nextafter32(float32(off.Min[j]), float32(inf)))
+			off.Min[j] = off.Min[j]/2 + up/2
+			off.Max[j] = math.Nextafter(off.Max[j], -inf)
+		}
+	}
+	boxes = append(boxes, off)
+	partial, wild := between(), between()
+	for j := range partial.Min {
+		if j%2 == 1 {
+			partial.Min[j], partial.Max[j] = -inf, inf
+		}
+		wild.Min[j], wild.Max[j] = -inf, inf
+	}
+	boxes = append(boxes, partial, wild)
+	huge, denormal, none, nan := between(), between(), between(), between()
+	for j := range huge.Min {
+		switch j % 3 {
+		case 0:
+			huge.Min[j], huge.Max[j] = -1e39, math.MaxFloat64
+		case 1:
+			huge.Min[j], huge.Max[j] = 1e39, inf
+		case 2:
+			huge.Min[j] = -math.MaxFloat32 * (1 + 0x1p-30)
+		}
+		denormal.Min[j], denormal.Max[j] = -math.SmallestNonzeroFloat32/2, math.SmallestNonzeroFloat32*1.5
+		none.Min[j], none.Max[j] = 2, 1.5
+	}
+	nan.Min[0] = math.NaN()
+	nan.Max[dim-1] = math.NaN()
+	return append(boxes, huge, denormal, none, nan)
+}
+
+// checkBox runs the containment kernel on both paths, as a page's
+// Inside or a directory page's Meets (kernel), and fails unless each
+// keeps exactly the entries of want, ascending. The first path reuses a
+// keep buffer of junk, the Go path gets none.
+func checkBox(t testing.TB, label string, n int, want []int32, kernel func(keep []int32) []int32) {
+	t.Helper()
+	junk := make([]int32, n)
+	for i := range junk {
+		junk[i] = -1
+	}
+	keep := kernel(junk)
+	var goKeep []int32
+	onGo(func() { goKeep = kernel(nil) })
+	if !slices.Equal(goKeep, want) {
+		t.Fatalf("%s: the Go kernel keeps %v, want %v", label, goKeep, want)
+	}
+	if !slices.Equal(keep, goKeep) {
+		t.Fatalf("%s: keep %v, the Go kernel's %v", label, keep, goKeep)
+	}
+}
+
+// checkInside checks the containment kernel on a leaf page against
+// vec.Rect.Contains over its points as the page stores them, and on a
+// directory page of rects against vec.Rect.Intersects; InRect must flag
+// the points Inside keeps.
+func checkInside(t testing.TB, label string, s *Slab, pts []vec.Point, rs *RectSlab, rects []vec.Rect, box vec.Rect) {
+	t.Helper()
+	label = fmt.Sprintf("%s %v", label, box)
+	var want, meet []int32
+	for i, p := range pts {
+		if box.Contains(r32(p)) {
+			want = append(want, int32(i))
+		}
+	}
+	for i, r := range rects {
+		if r.Intersects(box) {
+			meet = append(meet, int32(i))
+		}
+	}
+	checkBox(t, label+" points", len(pts), want, func(keep []int32) []int32 { return s.Inside(box.Min, box.Max, keep) })
+	checkBox(t, label+" rects", len(rects), meet, func(keep []int32) []int32 { return rs.Meets(box.Min, box.Max, keep) })
+	flags := make([]bool, len(pts))
+	s.InRect(box.Min, box.Max, flags)
+	for i, in := range flags {
+		if in != slices.Contains(want, int32(i)) {
+			t.Fatalf("%s: InRect flags point %d %v", label, i, in)
 		}
 	}
 }
@@ -182,15 +302,19 @@ func checkPaths(t testing.TB, label string, pg page, q vec.Point, m vec.Metric, 
 	}
 }
 
-// TestStagedKernelsAllocateNothing pins the staged kernels at zero
-// allocations over reused scratch, so that neither path's scratch
-// escapes.
+// TestStagedKernelsAllocateNothing pins the staged kernels, the
+// containment kernel included, at zero allocations over reused scratch,
+// so that neither path's scratch escapes; InRect, on a page of up to
+// 256 points, needs none.
 func TestStagedKernelsAllocateNothing(t *testing.T) {
 	const dim = 16
 	pts := kernelPoints(rand.New(rand.NewSource(51)), dim, 61)
 	s, rs := Build(dim, pts, false), BuildRects(dim, pairRects(pts))
 	q := r32(pts[3])
 	out, keep := make([]float64, s.Len()), make([]int32, s.Len())
+	lo, hi := vec.MBR(pts[:4]).Min, vec.MBR(pts[:4]).Max
+	big := Build(dim, kernelPoints(rand.New(rand.NewSource(52)), dim, 256), false)
+	flags := make([]bool, big.Len())
 	for _, path := range kernelPaths() {
 		path.run(func() {
 			if n := testing.AllocsPerRun(100, func() { s.DistsWithin(q, vec.L2, 1, out, keep) }); n != 0 {
@@ -198,6 +322,15 @@ func TestStagedKernelsAllocateNothing(t *testing.T) {
 			}
 			if n := testing.AllocsPerRun(100, func() { rs.MinDistsWithin(q, vec.L2, 1, out, keep) }); n != 0 {
 				t.Errorf("%s: MinDistsWithin allocates %v times a call", path.name, n)
+			}
+			if n := testing.AllocsPerRun(100, func() { s.Inside(lo, hi, keep) }); n != 0 {
+				t.Errorf("%s: Inside allocates %v times a call", path.name, n)
+			}
+			if n := testing.AllocsPerRun(100, func() { rs.Meets(lo, hi, keep) }); n != 0 {
+				t.Errorf("%s: Meets allocates %v times a call", path.name, n)
+			}
+			if n := testing.AllocsPerRun(100, func() { big.InRect(lo, hi, flags) }); n != 0 {
+				t.Errorf("%s: InRect allocates %v times a call on %d points", path.name, n, big.Len())
 			}
 		})
 	}

@@ -67,6 +67,14 @@ func (rs *RectSlab) RectAt(i int, min, max []float64) {
 	}
 }
 
+// Meets returns the index of every rectangle of the page that shares a
+// point with [min, max] (like vec.Rect.Intersects), ascending, in keep's
+// storage when it is large enough: the containment kernel (see the
+// package comment) over the rectangles' extents.
+func (rs *RectSlab) Meets(min, max vec.Point, keep []int32) []int32 {
+	return inside(rs.min, rs.max, rs.n, rs.dim, min, max, keep)
+}
+
 // MinDistsToPage computes the rank MINDIST (vec.Metric.RankMinDist) from
 // q to every rectangle of the page into out[:rs.Len()], accumulating per
 // rectangle in ascending dimension order exactly like the scalar kernel.
@@ -95,10 +103,10 @@ func (rs *RectSlab) addDims(q vec.Point, m vec.Metric, out []float64, from, to i
 				switch lo, hi := float64(minCol[i]), float64(maxCol[i]); {
 				case qj < lo:
 					d := lo - qj
-					out[i] += d * d
+					out[i] += float64(d * d)
 				case qj > hi:
 					d := qj - hi
-					out[i] += d * d
+					out[i] += float64(d * d)
 				}
 			}
 		}
@@ -176,7 +184,7 @@ func (rs *RectSlab) minDistsWithin(q vec.Point, m vec.Metric, bound float64, out
 			}
 			switch m {
 			case vec.L2:
-				out[i] += d * d
+				out[i] += float64(d * d)
 			case vec.L1:
 				out[i] += d
 			case vec.LInf:

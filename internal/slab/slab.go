@@ -9,7 +9,11 @@
 // float64 and accumulate per point in ascending dimension order — the
 // same floating-point operation sequence as the scalar
 // vec.Metric.RankDist — so batched and scalar distances are bitwise
-// identical.
+// identical. The Go loops add each square as float64(d*d): the explicit
+// conversion rounds the product, so no compiler may fuse it into the
+// sum with one rounding, as gc otherwise does on arm64, ppc64le, s390x,
+// riscv64 and loong64 (TestNoFusedMultiplyAdd), and every architecture
+// computes amd64's bits.
 //
 // The staged kernels (Slab.DistsWithin, RectSlab.MinDistsWithin) stop a
 // page's distances at a bound. They accumulate a prefix of the
@@ -23,9 +27,24 @@
 // k-th distance can still enter a k-best on its smaller ID. Inputs are
 // finite, as at ingest, so no distance is NaN.
 //
-// On amd64, when CPUID and XGETBV report AVX2 with the YMM state saved
-// by the OS, the L2 kernels — leaf distances and directory MINDISTs,
-// dense and staged — run the assembly of kernel_amd64.s. Its lanes are
+// The containment kernel (Slab.Inside, RectSlab.Meets) returns the
+// entries of a page that lie inside a box, for a range or partial-match
+// query, staged by dimension: the first bounded dimension keeps the
+// entries inside its interval, each later one drops the kept entries
+// outside its own, and the scan stops once none is left. Its tests are
+// comparisons, which do not round: an entry is kept exactly when every
+// dimension keeps it. So the order in which the dimensions are scanned,
+// skipping a dimension bounded by -Inf and +Inf (a partial match's
+// wildcard, which holds every entry) and the width of a lane cannot
+// change the set, and the keep list is ascending whatever the path.
+//
+// On amd64, when CPUID and XGETBV report AVX2 and POPCNT with the YMM
+// state saved by the OS, the L2 kernels — leaf distances and directory
+// MINDISTs, dense and staged — and the containment kernel run the
+// assembly of kernel_amd64.s. The containment kernel compares 8 float32
+// entries to a register against the bounds rounded inward to float32,
+// which keeps the float64 comparison's set, and builds the keep list from
+// the mask bits without a branch. The distance kernels' lanes are
 // entries, four to a register: each lane runs the Go loop's operation
 // sequence in ascending dimension order (widen, subtract, multiply, add;
 // never a fused multiply-add) from a +0 accumulator, so it writes the Go
@@ -34,7 +53,8 @@
 // squares to the branching kernel's term. Everywhere else — another
 // architecture, the purego build tag, a CPU without AVX2, the L1 and
 // L∞ metrics — the Go loops run; they are also the tests' oracle
-// (TestKernelsMatchGo, FuzzStagedKernels).
+// (TestKernelsMatchGo, FuzzStagedKernels), and vec.Rect.Contains and
+// vec.Rect.Intersects are the containment kernel's.
 package slab
 
 import (
@@ -158,7 +178,7 @@ func (s *Slab) addDims(q vec.Point, m vec.Metric, out []float64, from, to int) {
 			col := s.data[j*n : (j+1)*n]
 			for i, v := range col {
 				d := qj - float64(v)
-				out[i] += d * d
+				out[i] += float64(d * d)
 			}
 		}
 	case vec.L1:
@@ -215,7 +235,7 @@ func (s *Slab) distsWithin(q vec.Point, m vec.Metric, bound float64, out []float
 			col := s.data[j*n : (j+1)*n]
 			for _, i := range keep {
 				d := qj - float64(col[i])
-				out[i] += d * d
+				out[i] += float64(d * d)
 			}
 		}
 	case vec.L1:
@@ -280,23 +300,79 @@ func (s *Slab) PointAt(i int, p []float64) {
 	}
 }
 
-// InRect reports, for every point of the page, whether it lies inside
-// [min, max] (boundary inclusive, like vec.Rect.Contains) into
-// out[:s.Len()].
-func (s *Slab) InRect(min, max vec.Point, out []bool) {
-	n := s.n
-	out = out[:n]
-	for i := range out {
-		out[i] = true
+// Inside returns the index of every point of the page that lies inside
+// [min, max] (boundary inclusive, like vec.Rect.Contains), ascending, in
+// keep's storage when it is large enough. It is the containment kernel
+// (see the package comment).
+func (s *Slab) Inside(min, max vec.Point, keep []int32) []int32 {
+	return inside(s.data, s.data, s.n, s.dim, min, max, keep)
+}
+
+// inside is the containment kernel over n entries of dimension dim whose
+// extents are the dimension-major columns lower and upper: it returns
+// the index of every entry with !(upper < min) and !(lower > max) in
+// every dimension, ascending, in keep's storage when it is large enough.
+// A point's extent is its coordinate, lower and upper alike; a
+// rectangle's is its own [Min, Max]. The kernel is staged by dimension:
+// the first bounded dimension keeps the entries inside its interval,
+// each later one drops the kept entries outside its own, and the scan
+// stops once none is left. A dimension bounded by -Inf and +Inf (a
+// partial match's wildcard) holds every entry and is skipped.
+func inside(lower, upper []float32, n, dim int, min, max vec.Point, keep []int32) []int32 {
+	keep = grown(keep, n)
+	min, max = min[:dim], max[:dim]
+	if useAVX2 && n > 0 {
+		return keep[:insideAVX2(&keep[0], &lower[0], &upper[0], &min[0], &max[0], n, dim)]
 	}
-	for j := 0; j < s.dim; j++ {
+	k := -1 // no bounded dimension scanned yet
+	for j := 0; j < dim && k != 0; j++ {
 		lo, hi := min[j], max[j]
-		col := s.data[j*n : (j+1)*n]
-		for i, v := range col {
-			f := float64(v)
-			if f < lo || f > hi {
-				out[i] = false
-			}
+		if math.IsInf(lo, -1) && math.IsInf(hi, 1) {
+			continue
 		}
+		lowerCol, upperCol := lower[j*n:(j+1)*n], upper[j*n:(j+1)*n]
+		if k < 0 {
+			k = 0
+			for i, u := range upperCol {
+				keep[k] = int32(i)
+				k += b2i(!(float64(u) < lo)) & b2i(!(float64(lowerCol[i]) > hi))
+			}
+			continue
+		}
+		m := 0
+		for _, i := range keep[:k] {
+			keep[m] = i
+			m += b2i(!(float64(upperCol[i]) < lo)) & b2i(!(float64(lowerCol[i]) > hi))
+		}
+		k = m
+	}
+	if k < 0 {
+		for i := range keep {
+			keep[i] = int32(i)
+		}
+		return keep
+	}
+	return keep[:k]
+}
+
+// b2i is 1 for true and 0 for false, without a branch: the kernel's
+// filters store every index and advance only past the kept ones.
+func b2i(b bool) int {
+	var i int
+	if b {
+		i = 1
+	}
+	return i
+}
+
+// InRect reports, for every point of the page, whether it lies inside
+// [min, max] into out[:s.Len()]: Inside's keep list as flags. It does
+// not allocate for pages of up to 256 points.
+func (s *Slab) InRect(min, max vec.Point, out []bool) {
+	var buf [256]int32
+	out = out[:s.n]
+	clear(out)
+	for _, i := range s.Inside(min, max, buf[:]) {
+		out[i] = true
 	}
 }

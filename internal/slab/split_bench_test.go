@@ -188,3 +188,72 @@ func kdPages(pts []vec.Point, leafCap int) [][]vec.Point {
 	mid := len(pts) / 2
 	return append(kdPages(pts[:mid], leafCap), kdPages(pts[mid:], leafCap)...)
 }
+
+// BenchmarkInside measures the containment kernel as a range query calls
+// it: over a kd partition of one disk's share of the lib-scale data
+// (62,500 uniform points, d = 10, 4-KByte pages), on every leaf page
+// (Slab.Inside) and every directory page of the leaves' MBRs
+// (RectSlab.Meets) whose MBR meets one of 64 boxes of half-side 0.2
+// (box), and of the same boxes with three dimensions in four left
+// unbounded (partial). Every row runs on the Go loops (go) and, where
+// the CPU has AVX2, on the assembly (asm); ns/op is per page scanned.
+func BenchmarkInside(b *testing.B) {
+	const dim = 10
+	pts := roundAll(data.Uniform(62_500, dim, 1))
+	type page struct {
+		mbr  vec.Rect
+		scan func(min, max vec.Point, keep []int32) []int32
+	}
+	var leaves, dirs []page
+	for _, pg := range kdPages(pts, 4096/(8*dim+4)) {
+		leaves = append(leaves, page{vec.MBR(pg), Build(dim, pg, false).Inside})
+	}
+	for i := 0; i < len(leaves); i += 4096 / (16*dim + 8) {
+		run := leaves[i:min(i+4096/(16*dim+8), len(leaves))]
+		var rects []vec.Rect
+		var corners []vec.Point
+		for _, l := range run {
+			rects = append(rects, l.mbr)
+			corners = append(corners, l.mbr.Min, l.mbr.Max)
+		}
+		dirs = append(dirs, page{vec.MBR(corners), BuildRects(dim, rects).Meets})
+	}
+	type call struct {
+		box  vec.Rect
+		scan func(min, max vec.Point, keep []int32) []int32
+	}
+	calls := map[string][]call{}
+	for _, c := range data.Uniform(64, dim, 2) {
+		box, partial := vec.Rect{Min: make(vec.Point, dim), Max: make(vec.Point, dim)}, vec.Rect{Min: make(vec.Point, dim), Max: make(vec.Point, dim)}
+		for j, x := range c {
+			box.Min[j], box.Max[j] = x-0.2, x+0.2
+			partial.Min[j], partial.Max[j] = math.Inf(-1), math.Inf(1)
+			if j%4 == 0 {
+				partial.Min[j], partial.Max[j] = box.Min[j], box.Max[j]
+			}
+		}
+		for name, r := range map[string]vec.Rect{"box": box, "partial": partial} {
+			for kind, pages := range map[string][]page{"leaf": leaves, "dir": dirs} {
+				for _, pg := range pages {
+					if pg.mbr.Intersects(r) {
+						calls[kind+"/"+name] = append(calls[kind+"/"+name], call{r, pg.scan})
+					}
+				}
+			}
+		}
+	}
+	for _, name := range []string{"leaf/box", "leaf/partial", "dir/box", "dir/partial"} {
+		cs := calls[name]
+		for _, path := range kernelPaths() {
+			b.Run(fmt.Sprintf("uniform-d10/%s/%s", name, path.name), func(b *testing.B) {
+				keep := make([]int32, 64)
+				path.run(func() {
+					for i := 0; i < b.N; i++ {
+						c := cs[i%len(cs)]
+						keep = c.scan(c.box.Min, c.box.Max, keep)
+					}
+				})
+			})
+		}
+	}
+}

@@ -107,12 +107,15 @@ func (m Metric) Dist(a, b Point) float64 {
 
 // SqDist returns the squared Euclidean distance between a and b. Euclidean
 // k-NN search compares squared distances to avoid square roots on the hot
-// path.
+// path. Each square is added as float64(d*d): the explicit conversion
+// rounds the product, so no compiler may fuse it into the sum (gc does
+// on arm64, ppc64le, s390x, riscv64 and loong64), and every architecture
+// sums amd64's bits. SqMinDist and SqMaxDist add their squares so too.
 func SqDist(a, b Point) float64 {
 	var s float64
 	for i := range a {
 		d := a[i] - b[i]
-		s += d * d
+		s += float64(d * d)
 	}
 	return s
 }
@@ -308,10 +311,10 @@ func (r Rect) SqMinDist(q Point) float64 {
 		switch {
 		case q[i] < r.Min[i]:
 			d := r.Min[i] - q[i]
-			s += d * d
+			s += float64(d * d)
 		case q[i] > r.Max[i]:
 			d := q[i] - r.Max[i]
-			s += d * d
+			s += float64(d * d)
 		}
 	}
 	return s
@@ -328,7 +331,7 @@ func (r Rect) SqMaxDist(q Point) float64 {
 	var s float64
 	for i := range r.Min {
 		d := math.Max(math.Abs(q[i]-r.Min[i]), math.Abs(q[i]-r.Max[i]))
-		s += d * d
+		s += float64(d * d)
 	}
 	return s
 }

@@ -182,9 +182,7 @@ func TestHitLeavesMatchesLeafScan(t *testing.T) {
 			tr.HitLeaves(g, func(leaf *Node) { got = append(got, leaf) })
 			name := fmt.Sprintf("%s/%s", nt.name, ng.name)
 			if g.Box != nil {
-				if _, v := tr.RangeSearch(*g.Box); v.Leaves != len(want) {
-					t.Errorf("%s: RangeSearch scans %d leaves, the box hits %d", name, v.Leaves, len(want))
-				}
+				checkRangeVisit(t, name, tr, *g.Box, len(want))
 			}
 			if len(got) != len(want) {
 				t.Errorf("%s: descent visits %d leaves, the scan keeps %d", name, len(got), len(want))
@@ -196,6 +194,75 @@ func TestHitLeavesMatchesLeafScan(t *testing.T) {
 					break
 				}
 			}
+		}
+	}
+}
+
+// checkRangeVisit fails unless RangeVisit visits exactly the entries
+// box contains, leaf by leaf in Leaves order and in slot order within a
+// leaf, and counts the hit leaves (hit of them) as scanned.
+func checkRangeVisit(t *testing.T, name string, tr *Tree, box vec.Rect, hit int) {
+	t.Helper()
+	type slot struct {
+		leaf *Node
+		i    int
+	}
+	var want, got []slot
+	p := make(vec.Point, tr.cfg.Dim)
+	for _, leaf := range tr.Leaves() {
+		for i := range leaf.Len() {
+			if leaf.PointAt(i, p); box.Contains(p) {
+				want = append(want, slot{leaf, i})
+			}
+		}
+	}
+	v := tr.RangeVisit(box, func(leaf *Node, i int) { got = append(got, slot{leaf, i}) })
+	if v.Leaves != hit {
+		t.Errorf("%s: RangeVisit scans %d leaves, the box hits %d", name, v.Leaves, hit)
+	}
+	if len(got) != len(want) {
+		t.Errorf("%s: RangeVisit visits %d entries, the box holds %d", name, len(got), len(want))
+		return
+	}
+	for k := range got {
+		if got[k] != want[k] {
+			t.Errorf("%s: visit %d of %d is slot %d of a leaf, want slot %d", name, k, len(got), got[k].i, want[k].i)
+			return
+		}
+	}
+}
+
+// rangeHits counts TestRangeVisitAllocatesNothing's visits: a visitor
+// that captures nothing.
+var rangeHits int
+
+func countRangeHit(*Node, int) { rangeHits++ }
+
+// TestRangeVisitAllocatesNothing pins a range walk at zero allocations
+// on the lib-scale shape (d = 10, 4-KByte pages), whose leaves of 48
+// entries take the walk's keep list from its own frame: a box, and a
+// partial match's box with every dimension but one unbounded.
+func TestRangeVisitAllocatesNothing(t *testing.T) {
+	const d = 10
+	tr := New(DefaultConfig(d))
+	tr.BulkLoad(entriesOf(uniformPoints(rand.New(rand.NewSource(44)), 20000, d)))
+	box, partial := vec.Rect{Min: make(vec.Point, d), Max: make(vec.Point, d)}, vec.Rect{Min: make(vec.Point, d), Max: make(vec.Point, d)}
+	for j := range box.Min {
+		box.Min[j], box.Max[j] = 0.2, 0.8
+		partial.Min[j], partial.Max[j] = math.Inf(-1), math.Inf(1)
+	}
+	partial.Min[3], partial.Max[3] = 0.5, 0.51
+	for _, c := range []struct {
+		name string
+		box  vec.Rect
+	}{{"box", box}, {"partial match", partial}} {
+		rangeHits = 0
+		tr.RangeVisit(c.box, countRangeHit)
+		if rangeHits == 0 {
+			t.Fatalf("%s: no entry inside", c.name)
+		}
+		if allocs := testing.AllocsPerRun(20, func() { tr.RangeVisit(c.box, countRangeHit) }); allocs != 0 {
+			t.Errorf("%s: %v allocations per walk", c.name, allocs)
 		}
 	}
 }

@@ -2,6 +2,7 @@ package xtree
 
 import (
 	"fmt"
+	"math/bits"
 
 	"parsearch/internal/vec"
 )
@@ -41,16 +42,16 @@ func (t *Tree) RangeSearch(r vec.Rect) ([]Entry, Visited) {
 }
 
 // RangeVisit calls visit with every leaf entry whose point lies inside r
-// (boundary inclusive), leaf by leaf in Leaves order, and returns the
-// nodes it visited. A leaf is tested with one batched containment pass
-// over its block.
+// (boundary inclusive), leaf by leaf in Leaves order and in slot order
+// within a leaf, and returns the nodes it visited. A leaf is tested with
+// one staged containment pass over its block (slab.Slab.Inside).
 func (t *Tree) RangeVisit(r vec.Rect, visit func(leaf *Node, i int)) Visited {
 	w := rangeWalk{r: r, visit: visit}
 	if t.root != nil && t.root.rect.Intersects(r) {
 		if t.cfg.LeafCapacity > len(w.buf) {
-			w.hits = make([]bool, t.cfg.LeafCapacity)
+			w.keep = make([]int32, t.cfg.LeafCapacity)
 		} else {
-			w.hits = w.buf[:]
+			w.keep = w.buf[:]
 		}
 		w.walk(t.root)
 	}
@@ -58,25 +59,31 @@ func (t *Tree) RangeVisit(r vec.Rect, visit func(leaf *Node, i int)) Visited {
 }
 
 // rangeWalk is one RangeVisit: the box, the visitor, the containment
-// scratch (on the stack up to 256 entries a leaf) and the count.
+// kernel's keep list and the count. The keep list has room for a leaf
+// and for a directory of 64 children (Node.meets). It lives in this
+// frame when leaves hold at most 64 entries (LeafCapacity at d >= 8 on
+// 4 KB pages): its 256 bytes are what the per-disk goroutines' stacks
+// already held, and a larger frame costs them stack growth.
 type rangeWalk struct {
 	r     vec.Rect
 	visit func(leaf *Node, i int)
 	v     Visited
-	hits  []bool
-	buf   [256]bool
+	keep  []int32
+	buf   [64]int32
 }
 
 func (w *rangeWalk) walk(n *Node) {
 	w.v.Nodes++
 	if n.leaf {
 		w.v.Leaves++
-		hits := w.hits[:len(n.ids)]
-		n.block.InRect(w.r.Min, w.r.Max, hits)
-		for i, in := range hits {
-			if in {
-				w.visit(n, i)
-			}
+		for _, i := range n.block.Inside(w.r.Min, w.r.Max, w.keep) {
+			w.visit(n, int(i))
+		}
+		return
+	}
+	if hit, ok := n.meets(w.r, w.keep); ok {
+		for ; hit != 0; hit &= hit - 1 {
+			w.walk(n.children[bits.TrailingZeros64(hit)])
 		}
 		return
 	}
@@ -85,6 +92,26 @@ func (w *rangeWalk) walk(n *Node) {
 			w.walk(c)
 		}
 	}
+}
+
+// meets returns, as a mask over child positions, the children of the
+// directory node n whose MBR shares a point with box: one staged pass of
+// the containment kernel over the node's rectangle slab
+// (slab.RectSlab.Meets), with keep, room for 64 entries, as its scratch.
+// The slab holds the children's MBRs exactly, so the set is that of
+// vec.Rect.Intersects. A mask carries the hits through the descent
+// below in 8 bytes of the caller's frame, where a keep list would need
+// its own buffer in every frame. It returns false for a node of more
+// than 64 children (a supernode, or a directory page at d <= 3), whose
+// children the caller tests one by one with vec.Rect.Intersects.
+func (n *Node) meets(box vec.Rect, keep []int32) (hit uint64, ok bool) {
+	if len(n.children) > 64 {
+		return 0, false
+	}
+	for _, i := range n.crects.Meets(box.Min, box.Max, keep) {
+		hit |= 1 << i
+	}
+	return hit, true
 }
 
 // PointSearch returns the entries stored exactly at p.
@@ -186,12 +213,7 @@ func (g *Region) descend(n *Node, visit func(leaf *Node)) {
 	case n.leaf:
 		visit(n)
 	case g.Box != nil:
-		box := *g.Box
-		for _, c := range n.children {
-			if c.rect.Intersects(box) {
-				g.descend(c, visit)
-			}
-		}
+		g.descendBox(n, visit)
 	case len(n.children) <= maxBatchedFanout:
 		g.descendPacked(n, visit)
 	default:
@@ -217,6 +239,23 @@ func (g *Region) descendPacked(n *Node, visit func(leaf *Node)) {
 	n.crects.MinDistsToPage(g.Q, g.M, dists)
 	for i, c := range n.children {
 		if dists[i] <= g.Rank {
+			g.descend(c, visit)
+		}
+	}
+}
+
+// descendBox is the box case of descend on a directory page: the
+// range walk's test (Node.meets), with its scratch in this frame.
+func (g *Region) descendBox(n *Node, visit func(leaf *Node)) {
+	var keep [64]int32
+	if hit, ok := n.meets(*g.Box, keep[:]); ok {
+		for ; hit != 0; hit &= hit - 1 {
+			g.descend(n.children[bits.TrailingZeros64(hit)], visit)
+		}
+		return
+	}
+	for _, c := range n.children {
+		if c.rect.Intersects(*g.Box) {
 			g.descend(c, visit)
 		}
 	}
